@@ -1,75 +1,58 @@
-//! Decoded-vs-legacy byte identity over the whole application registry.
+//! Decoded dispatch against the frozen legacy outputs, over the whole
+//! application registry.
 //!
-//! PR 10 replaced the per-step `match` over heap `Op` enums with a
-//! pre-decoded flat-code interpreter and added a batched lockstep campaign
-//! executor.  Both optimizations are only admissible if they are
-//! *invisible*: this suite holds the decoded session executors
-//! (`Session::run_plan`, `run_plan_cold`, `run_plan_analyzed`, and batched
-//! plans) to byte-identical report JSON against a **legacy reference
-//! campaign** — an `ftkr_inject::Campaign` built without
-//! [`ftkr_inject::Campaign::with_decoded`], stepping the original `Op`
-//! representation — for every application in the registry, shard merges
-//! included.  The clean runs themselves are held to full `RunResult`
-//! equality (trace events, outputs, memory, step counts) under both the
-//! tracing and untraced configurations.
+//! Decoded dispatch (dense flat code, fused compare-branch
+//! superinstructions) and the batched lockstep executor are only admissible
+//! if they are *invisible*.  The per-`Op` interpreter they replaced
+//! recorded golden fixtures (`tests/fixtures/`) before it was deleted, and
+//! this suite holds every VM entry point and session executor to them:
+//! clean runs to a bit-exact `RunResult` digest (outcome, steps, outputs,
+//! memory, and every trace event, operand read, location and source line),
+//! and the forked, cold, batched and analyzed executors — shard merges
+//! included — to byte-identical report JSON for every application.
+
+mod support;
 
 use fliptracker::prelude::*;
-use fliptracker::AnalyzedCampaignReport;
-use fliptracker::PatternTally;
-use ftkr_inject::{sample_site_fault, Campaign, CampaignCounts, CampaignReport, Outcome};
-use ftkr_patterns::StreamingDetector;
-use ftkr_vm::{DecodedModule, RunOutcome, Vm, VmConfig};
+use ftkr_vm::{Vm, VmConfig};
+use support::{hex, run_digest, BlockFixtures, LineFixtures};
 
 /// Seed distinct from the figure drivers' and the other equivalence suites'
 /// so this file samples its own fault population.
 const SEED: u64 = 0xDEC0_0DED;
 
-/// The legacy (non-decoded) reference report for a plan: same module, same
-/// registry verifier, same hang budget, same seed and shard — but every
-/// faulty run steps the original `Op` enums.
-fn legacy_report(session: &Session, plan: &CampaignPlan) -> CampaignReport {
-    let app = session.app();
-    let sites = session
-        .sites(&plan.target, plan.class)
-        .expect("registry targets resolve");
-    Campaign::new(&app.module, move |r| app.verify(r))
-        .with_max_steps(session.max_steps())
-        .with_seed(plan.seed)
-        .run_range(&sites, plan.shard.intersect(IndexRange::full(plan.n_tests)))
-}
-
-/// Clean (fault-free) runs through the decoded dispatch tables are
-/// `RunResult`-identical to the legacy interpreter for every registry
-/// application — untraced and traced, so the comparison covers outputs,
-/// memory, step counts, and every recorded trace event and operand.
+/// Clean (fault-free) runs of every registry application, untraced and
+/// traced, through both `Vm::run` and `Vm::run_decoded`, digest-identical
+/// to the legacy interpreter's.
 #[test]
 fn clean_decoded_runs_match_the_legacy_interpreter_for_every_app() {
+    let fixtures = LineFixtures::load("legacy_clean_runs.txt");
     for app in all_apps() {
-        let decoded = DecodedModule::decode(&app.module);
+        let decoded = ftkr_vm::DecodedModule::decode(&app.module);
         for record_trace in [false, true] {
             let config = || VmConfig {
                 record_trace,
                 ..VmConfig::default()
             };
-            let legacy = Vm::new(config()).run(&app.module).expect("module verifies");
+            let label = if record_trace { "traced" } else { "untraced" };
+            let want = fixtures.get(&format!("{} {label}", app.name));
+            let run = Vm::new(config()).run(&app.module).expect("module verifies");
+            assert_eq!(hex(run_digest(&run)), want, "{} Vm::run ({label})", app.name);
             let fast = Vm::new(config())
                 .run_decoded(&app.module, &decoded)
                 .expect("module verifies");
-            assert_eq!(
-                legacy, fast,
-                "{} decoded clean run diverged (record_trace = {record_trace})",
-                app.name
-            );
+            assert_eq!(hex(run_digest(&fast)), want, "{} Vm::run_decoded ({label})", app.name);
         }
     }
 }
 
 /// Every registry application, whole-program and every named region: the
-/// decoded session executors (forked, cold, and batched lockstep) produce
-/// campaign reports byte-identical to the legacy reference campaign, and a
-/// 3-way batched shard split merges back to the same bytes.
+/// session executors (forked, cold, and batched lockstep) produce campaign
+/// reports byte-identical to the legacy reference campaign, and a 3-way
+/// batched shard split merges back to the legacy shard merge.
 #[test]
 fn decoded_and_batched_reports_match_a_legacy_campaign_for_every_app() {
+    let fixtures = BlockFixtures::load("legacy_reports.txt");
     for app in all_apps() {
         let name = app.name;
         let session = Session::new(app);
@@ -82,16 +65,17 @@ fn decoded_and_batched_reports_match_a_legacy_campaign_for_every_app() {
                 .map(|r| CampaignTarget::Region { name: r.clone() }),
         );
         for target in targets {
+            let label = target.label();
+            let legacy = fixtures.get(&format!("{name} {label} plain"));
             let plan = session
                 .plan(target.clone(), TargetClass::Internal, 6)
                 .expect("registry targets resolve")
                 .with_seed(SEED);
-            let legacy = legacy_report(&session, &plan).to_json();
 
             let forked = session.run_plan(&plan).unwrap().to_json();
-            assert_eq!(forked, legacy, "{name} {target:?}: decoded forked executor");
+            assert_eq!(forked, legacy, "{name} {target:?}: forked executor");
             let cold = session.run_plan_cold(&plan).unwrap().to_json();
-            assert_eq!(cold, legacy, "{name} {target:?}: decoded cold executor");
+            assert_eq!(cold, legacy, "{name} {target:?}: cold executor");
 
             let batched = plan.clone().with_batched();
             let lockstep = session.run_plan(&batched).unwrap().to_json();
@@ -105,7 +89,7 @@ fn decoded_and_batched_reports_match_a_legacy_campaign_for_every_app() {
                 .unwrap();
             assert_eq!(
                 merged.to_json(),
-                legacy,
+                fixtures.get(&format!("{name} {label} plain merged3")),
                 "{name} {target:?}: batched sharded merge"
             );
         }
@@ -113,17 +97,18 @@ fn decoded_and_batched_reports_match_a_legacy_campaign_for_every_app() {
 }
 
 /// The streaming-analysis executor under the same bar: for every registry
-/// application, the decoded analyzed report (outcome tally, pattern tally,
-/// tests-with-patterns) is byte-identical to a serial legacy reference that
-/// streams every faulty run through `Vm::run_with_visitors` on the original
-/// `Op` representation, and decoded analyzed shards merge to the same bytes.
+/// application, the analyzed report (outcome tally, pattern tally,
+/// tests-with-patterns) is byte-identical to the legacy serial reference
+/// that streamed every faulty run through the per-`Op` interpreter, forked
+/// and cold, and analyzed shards merge to the legacy shard merge.
 #[test]
 fn analyzed_decoded_reports_match_a_legacy_streamed_reference_for_every_app() {
+    let fixtures = BlockFixtures::load("legacy_reports.txt");
     for app in all_apps() {
         let name = app.name;
         let session = Session::new(app);
-        let app = session.app();
-        let region = app.regions[0].clone();
+        let region = session.app().regions[0].clone();
+        let legacy = fixtures.get(&format!("{name} {region} analyzed"));
         let plan = session
             .plan(
                 CampaignTarget::Region {
@@ -134,60 +119,11 @@ fn analyzed_decoded_reports_match_a_legacy_streamed_reference_for_every_app() {
             )
             .expect("registry regions resolve")
             .with_seed(SEED);
-        let sites = session.sites(&plan.target, plan.class).unwrap();
-        let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
-        let clean = session.clean_trace();
-        let max_steps = session.max_steps();
-
-        // The legacy reference: one serial streamed run per test, stepping
-        // the original `Op` enums, classified and tallied exactly like the
-        // production executor.
-        let mut counts = CampaignCounts::default();
-        let mut patterns = PatternTally::default();
-        let mut tests_with_patterns = 0u64;
-        for index in shard.start..shard.end {
-            let fault = sample_site_fault(plan.seed, &sites, index);
-            let mut detector = StreamingDetector::new(clean, fault);
-            let result = Vm::new(VmConfig {
-                fault: Some(fault),
-                max_steps,
-                ..VmConfig::default()
-            })
-            .run_with_visitors(&app.module, &mut [&mut detector])
-            .expect("module verifies");
-            let outcome = match result.outcome {
-                RunOutcome::Trapped(trap) => Outcome::crashed(trap),
-                RunOutcome::Completed => {
-                    if app.verify(&result) {
-                        Outcome::VerificationSuccess
-                    } else {
-                        Outcome::VerificationFailed
-                    }
-                }
-            };
-            counts.record(outcome);
-            let found = detector.into_patterns();
-            for p in &found {
-                patterns.record(p.kind, 1);
-            }
-            tests_with_patterns += u64::from(!found.is_empty());
-        }
-        let legacy = AnalyzedCampaignReport {
-            report: CampaignReport {
-                counts,
-                n_tests: shard.len(),
-                population: sites.len() as u64 * 64,
-                seed: plan.seed,
-            },
-            patterns,
-            tests_with_patterns,
-        }
-        .to_json();
 
         let analyzed = session.run_plan_analyzed(&plan).unwrap().to_json();
-        assert_eq!(analyzed, legacy, "{name} region {region:?}: analyzed decoded");
+        assert_eq!(analyzed, legacy, "{name} region {region:?}: analyzed forked");
         let cold = session.run_plan_analyzed_cold(&plan).unwrap().to_json();
-        assert_eq!(cold, legacy, "{name} region {region:?}: analyzed cold decoded");
+        assert_eq!(cold, legacy, "{name} region {region:?}: analyzed cold");
 
         let merged = plan
             .shards(2)
@@ -197,7 +133,7 @@ fn analyzed_decoded_reports_match_a_legacy_streamed_reference_for_every_app() {
             .unwrap();
         assert_eq!(
             merged.to_json(),
-            legacy,
+            fixtures.get(&format!("{name} {region} analyzed merged2")),
             "{name} region {region:?}: analyzed sharded merge"
         );
     }

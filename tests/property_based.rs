@@ -1,6 +1,8 @@
 //! Property-based tests over the core data structures and invariants,
 //! exercised through the public API of the workspace crates.
 
+mod support;
+
 use proptest::prelude::*;
 
 use ftkr_acl::{reference::build_reference, AclTable};
@@ -670,14 +672,17 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The pre-decoded dispatch tables are bit-identical to the legacy
-    /// per-`Op` interpreter, over random `(app, region, fault, seed)` draws:
-    /// clean runs (untraced and traced, including the trace's events,
-    /// interned locations and delta-decoded source lines), faulty runs from
-    /// the region's internal-site population, and snapshot capture/restore
-    /// with the suffix resumed through the decoded path — the
-    /// interchangeability the campaign executors rely on when they fork
-    /// every test from a checkpoint into decoded execution.
+    /// Decoded dispatch is bit-identical to the legacy per-`Op` interpreter
+    /// it replaced, over random `(app, region, fault, seed)` draws, checked
+    /// against the digests that interpreter recorded for exactly these draws
+    /// (`tests/fixtures/legacy_proptest_runs.txt`; the vendored proptest
+    /// seeds every case from the test name): clean runs (untraced and
+    /// traced, including the trace's events, interned locations and
+    /// delta-decoded source lines), faulty runs from the region's
+    /// internal-site population, and snapshot capture at an arbitrary step
+    /// with the suffix resumed clean and faulty — the interchangeability the
+    /// campaign executors rely on when they fork every test from a
+    /// checkpoint.
     #[test]
     fn decoded_execution_is_bit_identical_to_the_legacy_interpreter(
         app_pick in 0usize..10,
@@ -688,6 +693,11 @@ proptest! {
     ) {
         use ftkr_inject::{internal_sites, sample_site_fault, CampaignTarget};
         use ftkr_vm::DecodedModule;
+        use support::{hex, run_digest, LineFixtures};
+
+        let fixtures = LineFixtures::load("legacy_proptest_runs.txt");
+        let key = format!("{app_pick} {region_pick} {step_pick} {seed} {bit}");
+        let legacy = |run: &str| fixtures.get(&format!("{key} {run}")).to_string();
 
         let apps = ftkr_apps::all_apps();
         let n_apps = apps.len();
@@ -696,60 +706,53 @@ proptest! {
         let module = &session.app().module;
         let decoded = DecodedModule::decode(module);
 
-        // Clean equivalence, untraced and traced.  `RunResult: PartialEq`
-        // compares outcome, steps, outputs, memory and the trace (events,
-        // operand pool, interned locations, source lines), so one assertion
-        // covers every observable.
-        let legacy = Vm::new(VmConfig::default()).run(module).unwrap();
+        // Clean equivalence, untraced and traced.  The digest covers
+        // outcome, steps, outputs, memory and the trace (events, operand
+        // pool, interned locations, source lines).
         let fast = Vm::new(VmConfig::default()).run_decoded(module, &decoded).unwrap();
-        prop_assert_eq!(&fast, &legacy);
-        let legacy_traced = Vm::new(VmConfig::tracing()).run(module).unwrap();
+        prop_assert_eq!(hex(run_digest(&fast)), legacy("clean"));
         let fast_traced = Vm::new(VmConfig::tracing()).run_decoded(module, &decoded).unwrap();
-        prop_assert_eq!(&fast_traced, &legacy_traced);
+        prop_assert_eq!(hex(run_digest(&fast_traced)), legacy("traced"));
 
         // A fault drawn from a random region's internal-site population.
         let regions = session.app().regions.clone();
         let region = regions[region_pick % regions.len()].clone();
         let target = CampaignTarget::Region { name: region };
         let (start, end) = session.target_window(&target).expect("region resolves");
-        let trace = legacy_traced.trace.as_ref().unwrap();
+        let trace = fast_traced.trace.as_ref().unwrap();
         let sites = internal_sites(trace, start as usize, end as usize);
         prop_assert!(!sites.is_empty());
         let fault = sample_site_fault(seed, &sites, u64::from(bit));
         let faulty_config = || VmConfig {
             fault: Some(fault),
-            max_steps: legacy.steps * 10 + 10_000,
+            max_steps: fast.steps * 10 + 10_000,
             ..VmConfig::default()
         };
-        // Debug-format comparison: faulty outputs can contain NaN, which
-        // `PartialEq` treats as unequal even when bit-identical.
-        let faulty_legacy = Vm::new(faulty_config()).run(module).unwrap();
         let faulty_fast = Vm::new(faulty_config()).run_decoded(module, &decoded).unwrap();
-        prop_assert_eq!(format!("{faulty_fast:?}"), format!("{faulty_legacy:?}"));
+        prop_assert_eq!(hex(run_digest(&faulty_fast)), legacy("faulty"));
 
-        // Snapshot capture at an arbitrary mid-run step, then the faulty
-        // suffix resumed through the decoded path: identical to the legacy
-        // resume and to the cold faulty runs above when the fault lands
-        // after the fork.
+        // Snapshot capture at an arbitrary mid-run step, then the suffix
+        // resumed clean and faulty: identical to the legacy resumes, and to
+        // the cold runs above when the fault lands after the fork.
         let lo = start.max(1);
-        let fork = (lo + step_pick % (end - lo).max(1)).min(legacy.steps - 1);
+        let fork = (lo + step_pick % (end - lo).max(1)).min(fast.steps - 1);
         let snap = Vm::new(VmConfig::default())
             .snapshot_at(module, fork)
             .unwrap()
             .expect("fork step is mid-run");
-        let resumed_legacy = Vm::new(VmConfig::default()).resume_from(module, &snap).unwrap();
         let resumed_fast = Vm::new(VmConfig::default())
             .resume_from_decoded(module, &decoded, &snap)
             .unwrap();
-        prop_assert_eq!(&resumed_fast, &resumed_legacy);
-        prop_assert_eq!(&resumed_fast, &legacy);
+        prop_assert_eq!(hex(run_digest(&resumed_fast)), legacy("resumed"));
+        prop_assert_eq!(&resumed_fast, &fast);
         if fault.at_step >= fork {
-            let forked_legacy = Vm::new(faulty_config()).resume_from(module, &snap).unwrap();
             let forked_fast = Vm::new(faulty_config())
                 .resume_from_decoded(module, &decoded, &snap)
                 .unwrap();
-            prop_assert_eq!(format!("{forked_fast:?}"), format!("{forked_legacy:?}"));
-            prop_assert_eq!(format!("{forked_fast:?}"), format!("{faulty_legacy:?}"));
+            prop_assert_eq!(hex(run_digest(&forked_fast)), legacy("forked"));
+            prop_assert_eq!(run_digest(&forked_fast), run_digest(&faulty_fast));
+        } else {
+            prop_assert_eq!(legacy("forked"), "-");
         }
     }
 }
