@@ -26,11 +26,6 @@ if [[ "${1:-}" == "bench" ]]; then
     cargo run --release -q -p ftkr-bench --bin campaign_shard -- speedup LU region:lu_blts "$medians"
     cargo run --release -q -p ftkr-bench --bin campaign_shard -- speedup MG region:mg_a "$medians"
     cargo run --release -q -p ftkr-bench --bin campaign_shard -- speedup LU iter:last "$medians"
-    # Pre-decoded dispatch vs the legacy per-Op interpreter on the clean
-    # run (vm_decode_speedup_mg / vm_decode_speedup_lu; both paths are held
-    # bit-identical before any number is recorded).
-    cargo run --release -q -p ftkr-bench --bin campaign_shard -- decode-bench MG "$medians"
-    cargo run --release -q -p ftkr-bench --bin campaign_shard -- decode-bench LU "$medians"
     # Batched lockstep executor vs the serial campaign on the masked case
     # it accelerates — dead-window memory faults, where serial pays a whole
     # execution per test and batched classifies each lane from one sweep of
@@ -59,6 +54,11 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+# Campaign executors fan out over every available CPU; run tier-1 again on
+# one CPU so single-worker and multi-worker schedules both gate.
+echo "==> tier-1: cargo test -q, pinned to one CPU"
+taskset -c 0 cargo test -q
+
 if [[ "${1:-}" == "quick" ]]; then
     echo "==> quick mode: skipping lint + docs"
     exit 0
@@ -70,7 +70,7 @@ cargo test --release -q --test conformance
 echo "==> checkpoint equivalence: fork-point executor == cold executor (all ten apps)"
 cargo test --release -q --test checkpoint_equivalence
 
-echo "==> decode equivalence: decoded + batched executors == legacy campaigns (all ten apps)"
+echo "==> decode equivalence: decoded executors == frozen legacy fixtures (all ten apps)"
 cargo test --release -q --test decode_equivalence
 
 echo "==> batched vs serial on promoted LU: lockstep plan JSON == serial tally"

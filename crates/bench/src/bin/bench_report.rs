@@ -88,13 +88,6 @@ struct Report {
     /// Snapshot footprint on the LU last-iteration target: live memory cells
     /// captured in the image.
     campaign_checkpoint_snapshot_cells_lu_last_iteration: Option<u64>,
-    /// Pre-decoded dispatch tables vs the legacy per-`Op` interpreter:
-    /// fault-free MG wall time (both paths held bit-identical before the
-    /// medians are recorded).
-    vm_decode_speedup_mg: Option<f64>,
-    /// Pre-decoded dispatch tables vs the legacy interpreter on the
-    /// promoted LU app.
-    vm_decode_speedup_lu: Option<f64>,
     /// Batched lockstep executor vs the serial campaign on MG's masked
     /// case (dead-window memory faults): masked lanes are classified from
     /// the clean-trace sweep instead of executing a faulty run each.
@@ -278,14 +271,6 @@ fn main() {
         campaign_checkpoint_snapshot_cells_lu_last_iteration: fresh_counts
             .get("campaign_checkpoint/snapshot_cells/LU@iter_last")
             .copied(),
-        vm_decode_speedup_mg: ratio(
-            fresh.get("vm_decode/legacy/MG"),
-            fresh.get("vm_decode/decoded/MG"),
-        ),
-        vm_decode_speedup_lu: ratio(
-            fresh.get("vm_decode/legacy/LU"),
-            fresh.get("vm_decode/decoded/LU"),
-        ),
         campaign_batched_masked_speedup_mg: ratio(
             fresh.get("campaign_batched/serial/MG@masked"),
             fresh.get("campaign_batched/batched/MG@masked"),
@@ -381,14 +366,6 @@ fn main() {
             "bench_report: checkpoint capture {c} ns once, restore {r} ns per test \
              (LU last iteration)"
         );
-    }
-    for (label, speedup) in [
-        ("MG", report.vm_decode_speedup_mg),
-        ("LU", report.vm_decode_speedup_lu),
-    ] {
-        if let Some(s) = speedup {
-            println!("bench_report: decoded dispatch vs legacy interpreter ({label}): {s:.2}x");
-        }
     }
     for (label, speedup) in [
         ("MG", report.campaign_batched_masked_speedup_mg),

@@ -115,7 +115,6 @@ fn usage() -> ! {
          <n_tests> <seed> <k> <dir> <chaos-seed>\n  \
          campaign_shard stats  <app> <region> [out.jsonl]\n  \
          campaign_shard speedup <app> <region:NAME|iter:N|iter:last> [out.jsonl]\n  \
-         campaign_shard decode-bench <app> [out.jsonl]\n  \
          campaign_shard batched-bench <app> [out.jsonl]\n  \
          campaign_shard overhead <app> [out.jsonl]\n  \
          campaign_shard serve  <addr> [workers] [budget-mb] [port-file]\n  \
@@ -648,7 +647,9 @@ fn cmd_speedup(args: &[String]) {
             max_steps: snap.step(),
             ..VmConfig::default()
         });
-        let _ = stopper.resume_from(module, &snap).unwrap();
+        let _ = stopper
+            .resume_from_decoded(module, session.decoded_module(), &snap)
+            .unwrap();
     });
 
     let records = [
@@ -693,55 +694,6 @@ fn cmd_speedup(args: &[String]) {
         }
         None => print!("{lines}"),
     }
-}
-
-/// Time the legacy per-`Op` interpreter against the pre-decoded dispatch
-/// tables on the fault-free run, holding the two paths bit-identical before
-/// any number is recorded.
-fn cmd_decode_bench(args: &[String]) {
-    let (app, out) = match args {
-        [app] => (app, None),
-        [app, out] => (app, Some(out)),
-        _ => usage(),
-    };
-    let session = Session::by_name(app).unwrap_or_else(|| {
-        eprintln!("campaign_shard: unknown application {app:?}");
-        exit(1);
-    });
-    let module = &session.app().module;
-    let decoded = session.decoded_module();
-
-    // A speedup number for a divergent interpreter would be meaningless:
-    // hold outcome, steps, outputs and memory equal first.
-    let vm = Vm::new(VmConfig::default());
-    let legacy = vm.run(module).expect("module verifies");
-    let fast = vm.run_decoded(module, decoded).expect("module verifies");
-    assert_eq!(legacy.outcome, fast.outcome, "decoded outcome diverged");
-    assert_eq!(legacy.steps, fast.steps, "decoded step count diverged");
-    assert_eq!(legacy.outputs, fast.outputs, "decoded outputs diverged");
-
-    let repeats = 5;
-    let legacy_ns = median_ns(repeats, || {
-        let _ = vm.run(module).unwrap();
-    });
-    let decoded_ns = median_ns(repeats, || {
-        let _ = vm.run_decoded(module, decoded).unwrap();
-    });
-
-    let mut lines = String::new();
-    for (name, value) in [
-        (format!("vm_decode/legacy/{app}"), legacy_ns),
-        (format!("vm_decode/decoded/{app}"), decoded_ns),
-    ] {
-        lines.push_str(&format!("{{\"name\":\"{name}\",\"median_ns\":{value}}}\n"));
-    }
-    eprintln!(
-        "campaign_shard: {app}: legacy {legacy_ns} ns vs decoded {decoded_ns} ns \
-         ({:.2}x) over {} dynamic steps",
-        legacy_ns as f64 / decoded_ns.max(1) as f64,
-        legacy.steps
-    );
-    append_records(out, &lines);
 }
 
 /// Time a serial campaign against the batched lockstep executor on the
@@ -1361,7 +1313,6 @@ fn main() {
             "stats" if rest.first().is_some_and(|a| a.contains(':')) => cmd_server_stats(rest),
             "stats" => cmd_stats(rest),
             "speedup" => cmd_speedup(rest),
-            "decode-bench" => cmd_decode_bench(rest),
             "batched-bench" => cmd_batched_bench(rest),
             "overhead" => cmd_overhead(rest),
             "serve" => cmd_serve(rest),

@@ -139,7 +139,11 @@ impl<'s> InjectionAnalysisBuilder<'s> {
             };
             let mut detector = StreamingDetector::new(clean, fault);
             let result = Vm::new(config)
-                .run_with_visitors(&session.app().module, &mut [&mut detector])
+                .run_with_visitors_decoded(
+                    &session.app().module,
+                    session.decoded_module(),
+                    &mut [&mut detector],
+                )
                 .expect("benchmark module must verify");
             let outcome = session.classify(&result);
             return InjectionReport {

@@ -213,11 +213,9 @@ impl Session {
         &self.app
     }
 
-    /// The pre-decoded dispatch tables of the application module (computed
-    /// once, shared by every campaign executor).  Decoded execution is
-    /// bit-identical to the legacy interpreter in every observable — the
-    /// equivalence the conformance and property suites hold over the whole
-    /// registry — so routing campaigns through it changes nothing but speed.
+    /// The dispatch tables of the application module (computed once, shared
+    /// by the clean runs, the SPMD ranks, the analysis pipeline and every
+    /// streaming campaign executor).
     pub fn decoded_module(&self) -> &DecodedModule {
         self.decoded
             .get_or_init(|| DecodedModule::decode(&self.app.module))
@@ -233,7 +231,7 @@ impl Session {
                 None => VmConfig::tracing(),
             };
             let result = Vm::new(config)
-                .run(&self.app.module)
+                .run_decoded(&self.app.module, self.decoded_module())
                 .expect("benchmark module must verify");
             assert!(
                 result.outcome.is_completed(),
@@ -261,7 +259,7 @@ impl Session {
                 return run.steps;
             }
             let result = Vm::new(VmConfig::default())
-                .run(&self.app.module)
+                .run_decoded(&self.app.module, self.decoded_module())
                 .expect("benchmark module must verify");
             assert!(
                 result.outcome.is_completed(),
@@ -307,7 +305,7 @@ impl Session {
             ..VmConfig::default()
         };
         Vm::new(config)
-            .run(&self.app.module)
+            .run_decoded(&self.app.module, self.decoded_module())
             .expect("benchmark module must verify")
     }
 
@@ -464,7 +462,7 @@ impl Session {
             ..VmConfig::default()
         };
         let run = Vm::new(config)
-            .run(&self.app.module)
+            .run_decoded(&self.app.module, self.decoded_module())
             .expect("benchmark module must verify");
         let _ = self.steps.set(run.steps);
         let wtrace = run.trace.expect("tracing enabled");
@@ -573,7 +571,6 @@ impl Session {
     ) -> Campaign<'_, impl Fn(&RunResult) -> bool + Sync + '_> {
         let app = &self.app;
         Campaign::new(&app.module, move |r| app.verify(r))
-            .with_decoded(self.decoded_module())
             .with_max_steps(self.max_steps())
             .with_seed(seed)
     }
@@ -713,6 +710,7 @@ impl Session {
         let app = &self.app;
         Ok(SpmdHarness {
             module: &self.app.module,
+            decoded: self.decoded_module(),
             nranks: nranks.max(1) as usize,
             coupling: decomp.coupling,
             max_steps: self.max_steps(),

@@ -12,8 +12,8 @@ use crate::graph::{Dddg, DddgBuilder};
 ///
 /// Drive it with an [`ftkr_vm::EventCursor`] over a materialized trace (any
 /// number of extractors share the walk), or stream it from
-/// [`ftkr_vm::Vm::run_with_visitors`].  Node `def_event` indices are relative
-/// to `start`, exactly as [`Dddg::from_slice`] numbers them.
+/// [`ftkr_vm::Vm::run_with_visitors_decoded`].  Node `def_event` indices are
+/// relative to `start`, exactly as [`Dddg::from_slice`] numbers them.
 pub struct DddgExtractor {
     start: usize,
     end: usize,

@@ -23,7 +23,6 @@ use crate::chaos::{FailPlan, FailSite};
 use crate::outcome::{CampaignCounts, Outcome};
 use crate::plan::IndexRange;
 use crate::sites::FaultSite;
-use crate::stats::{sample_size, Confidence};
 
 /// The seed campaigns sample with unless the caller overrides it.
 pub const DEFAULT_SEED: u64 = 0xF11B_7EAC;
@@ -193,14 +192,17 @@ where
     pub(crate) max_steps: u64,
     pub(crate) seed: u64,
     pub(crate) chaos: FailPlan,
-    pub(crate) decoded: Option<&'m DecodedModule>,
+    /// The module's dispatch tables, decoded once per campaign.
+    pub(crate) decoded: DecodedModule,
 }
 
 impl<'m, F> Campaign<'m, F>
 where
     F: Fn(&RunResult) -> bool + Sync,
 {
-    /// Create a campaign for `module` judged by `verify`.
+    /// Create a campaign for `module` judged by `verify`.  The module is
+    /// decoded once here; every faulty run then executes the decoded tables
+    /// ([`Vm::run_decoded`] / [`Vm::resume_from_decoded`]).
     pub fn new(module: &'m Module, verify: F) -> Self {
         Campaign {
             module,
@@ -208,19 +210,8 @@ where
             max_steps: VmConfig::default().max_steps,
             seed: DEFAULT_SEED,
             chaos: FailPlan::none(),
-            decoded: None,
+            decoded: DecodedModule::decode(module),
         }
-    }
-
-    /// Execute every faulty run through the pre-decoded dispatch tables
-    /// ([`Vm::run_decoded`] / [`Vm::resume_from_decoded`]) instead of the
-    /// legacy per-`Op` interpreter.  `decoded` must be
-    /// [`DecodedModule::decode`] of this campaign's module.  The decoded
-    /// path is bit-identical in every observable, so reports are unchanged —
-    /// only faster.
-    pub fn with_decoded(mut self, decoded: &'m DecodedModule) -> Self {
-        self.decoded = Some(decoded);
-        self
     }
 
     /// Set the dynamic step limit used for faulty runs (hang detection).
@@ -256,12 +247,9 @@ where
     /// `None` means the harness failed, not the program.
     pub(crate) fn cold_result(&self, fault: FaultSpec) -> Option<RunResult> {
         catch_unwind(AssertUnwindSafe(|| {
-            let vm = Vm::new(self.config(fault));
-            match self.decoded {
-                Some(decoded) => vm.run_decoded(self.module, decoded),
-                None => vm.run(self.module),
-            }
-            .expect("campaign module must verify")
+            Vm::new(self.config(fault))
+                .run_decoded(self.module, &self.decoded)
+                .expect("campaign module must verify")
         }))
         .ok()
     }
@@ -279,12 +267,9 @@ where
             if let Some(i) = ordinal {
                 self.chaos.trip(FailSite::RestoreCheckpoint, i);
             }
-            let vm = Vm::new(self.config(fault));
-            match self.decoded {
-                Some(decoded) => vm.resume_from_decoded(self.module, decoded, snapshot),
-                None => vm.resume_from(self.module, snapshot),
-            }
-            .expect("campaign module must verify")
+            Vm::new(self.config(fault))
+                .resume_from_decoded(self.module, &self.decoded, snapshot)
+                .expect("campaign module must verify")
         }))
         .ok()
     }
@@ -473,20 +458,6 @@ where
             seed: self.seed,
         }
     }
-
-    /// Run a campaign sized by the statistical model: the number of tests is
-    /// [`sample_size`] of the site population at the given confidence and
-    /// margin of error.
-    pub fn run_sized(
-        &self,
-        sites: &[FaultSite],
-        confidence: Confidence,
-        margin: f64,
-    ) -> CampaignReport {
-        let population = sites.len() as u64 * 64;
-        let n = sample_size(population, confidence, margin);
-        self.run(sites, n)
-    }
 }
 
 #[cfg(test)]
@@ -644,28 +615,6 @@ mod tests {
         let report = campaign.run(&[], 100);
         assert_eq!(report.counts.total(), 0);
         assert_eq!(report.n_tests, 0);
-    }
-
-    #[test]
-    fn sized_campaign_enumerates_small_populations() {
-        let m = module();
-        let clean = clean_run(&m);
-        let trace = clean.trace.as_ref().unwrap();
-        let sites = internal_sites(trace, 0, 2);
-        // Both of the first two dynamic instructions produce a value, so the
-        // population is exactly 2 sites × 64 bits.
-        assert_eq!(sites.len(), 2);
-        let population = sites.len() as u64 * 64;
-        // The finite-population correction at N = 128, 95 %/3 %:
-        // n = 128 / (1 + 0.03² · 127 / (1.96² · 0.25)) = 114.4… → 115.
-        let expected = sample_size(population, Confidence::C95, 0.03);
-        assert_eq!(expected, 115);
-        let campaign =
-            Campaign::new(&m, verify).with_max_steps(hang_budget_for(&clean));
-        let report = campaign.run_sized(&sites, Confidence::C95, 0.03);
-        assert_eq!(report.population, population);
-        assert_eq!(report.n_tests, expected);
-        assert_eq!(report.counts.total(), expected);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::panic::{self, AssertUnwindSafe};
 use ftkr_ir::Module;
 use ftkr_mpi::{run_spmd, Communicator, MsgFault, ReduceOp, SendRecord};
 use ftkr_patterns::divergence::{classify_ranks, RankDigest, RankDivergence};
-use ftkr_vm::{FaultSpec, RunOutcome, RunResult, Vm, VmConfig};
+use ftkr_vm::{DecodedModule, FaultSpec, RunOutcome, RunResult, Vm, VmConfig};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -61,6 +61,8 @@ const MSG_CHOICE_SALT: u64 = 0x6D5F_AA11_C3E8_2B99;
 pub struct SpmdHarness<'m> {
     /// The kernel every rank executes.
     pub module: &'m Module,
+    /// The kernel's dispatch tables ([`DecodedModule::decode`] of `module`).
+    pub decoded: &'m DecodedModule,
     /// Ranks per job.
     pub nranks: usize,
     /// Weight of the received halo in a rank's combined contribution.
@@ -259,7 +261,9 @@ impl<'m> SpmdHarness<'m> {
             max_steps: self.max_steps,
             ..VmConfig::default()
         };
-        Vm::new(config).run(self.module).expect("module verifies")
+        Vm::new(config)
+            .run_decoded(self.module, self.decoded)
+            .expect("module verifies")
     }
 
     /// Summarize a finished local run.
@@ -559,9 +563,14 @@ mod tests {
         m
     }
 
-    fn harness(module: &Module, nranks: usize) -> SpmdHarness<'_> {
+    fn harness<'m>(
+        module: &'m Module,
+        decoded: &'m DecodedModule,
+        nranks: usize,
+    ) -> SpmdHarness<'m> {
         SpmdHarness {
             module,
+            decoded,
             nranks,
             coupling: 0.125,
             max_steps: 100_000,
@@ -585,7 +594,8 @@ mod tests {
     #[test]
     fn clean_state_is_symmetric_and_has_a_census() {
         let module = module();
-        let h = harness(&module, 4);
+        let decoded = DecodedModule::decode(&module);
+        let h = harness(&module, &decoded, 4);
         let clean = h.clean_state();
         assert_eq!(clean.digests.len(), 4);
         assert!(clean.digests.iter().all(|d| d == &clean.digests[0]));
@@ -598,7 +608,8 @@ mod tests {
     #[test]
     fn computation_campaign_merges_shards_bit_identically() {
         let module = module();
-        let h = harness(&module, 3);
+        let decoded = DecodedModule::decode(&module);
+        let h = harness(&module, &decoded, 3);
         let clean = h.clean_state();
         let sites = sites();
         let faults = SpmdFaults::Computation {
@@ -629,7 +640,8 @@ mod tests {
     #[test]
     fn rank_targeted_campaign_hits_only_the_named_rank() {
         let module = module();
-        let h = harness(&module, 3);
+        let decoded = DecodedModule::decode(&module);
+        let h = harness(&module, &decoded, 3);
         let clean = h.clean_state();
         let sites = sites();
         let faults = SpmdFaults::Computation {
@@ -647,7 +659,8 @@ mod tests {
     #[test]
     fn message_campaign_classifies_containment_and_spread() {
         let module = module();
-        let h = harness(&module, 4);
+        let decoded = DecodedModule::decode(&module);
+        let h = harness(&module, &decoded, 4);
         let clean = h.clean_state();
         let report = h.run_range(&clean, &SpmdFaults::Messages, 3, IndexRange::full(40));
         assert_eq!(report.report.n_tests, 40);
@@ -671,7 +684,8 @@ mod tests {
         // so high-bit flips must become visible as contained divergence
         // (there is no peer to spread to).
         let module = module();
-        let h = harness(&module, 1);
+        let decoded = DecodedModule::decode(&module);
+        let h = harness(&module, &decoded, 1);
         let clean = h.clean_state();
         let report = h.run_range(&clean, &SpmdFaults::Messages, 5, IndexRange::full(32));
         assert_eq!(report.report.n_tests, 32);
@@ -686,7 +700,8 @@ mod tests {
     #[test]
     fn single_rank_jobs_degenerate_cleanly() {
         let module = module();
-        let h = harness(&module, 1);
+        let decoded = DecodedModule::decode(&module);
+        let h = harness(&module, &decoded, 1);
         let clean = h.clean_state();
         assert_eq!(clean.census.len(), 1, "one self-halo message");
         let sites = sites();
@@ -712,7 +727,8 @@ mod tests {
         // classified exactly once, so classified() + crashed + harness
         // errors == n_tests.
         let module = module();
-        let h = harness(&module, 3);
+        let decoded = DecodedModule::decode(&module);
+        let h = harness(&module, &decoded, 3);
         let clean = h.clean_state();
         let sites = sites();
         let faults = SpmdFaults::Computation {

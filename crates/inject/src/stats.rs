@@ -69,6 +69,13 @@ mod tests {
     }
 
     #[test]
+    fn finite_population_correction_rounds_up() {
+        // Two sites × 64 bits at 95 %/3 %:
+        // n = 128 / (1 + 0.03² · 127 / (1.96² · 0.25)) = 114.4… → 115.
+        assert_eq!(sample_size(128, Confidence::C95, 0.03), 115);
+    }
+
+    #[test]
     fn sample_size_is_monotone_in_margin_and_confidence() {
         let loose = sample_size(1_000_000, Confidence::C95, 0.05);
         let tight = sample_size(1_000_000, Confidence::C95, 0.01);

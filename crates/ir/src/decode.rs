@@ -1,10 +1,10 @@
 //! Pre-decoded execution tables: each verified function lowered once into a
 //! dense flat opcode/operand array for direct-threaded dispatch.
 //!
-//! The interpreter's legacy hot loop matches on heap [`Op`] enums fetched
-//! through three indirections (function → block → instruction table) per
-//! dynamic step.  [`DecodedModule::decode`] flattens every function into a
-//! contiguous [`DInst`] array with:
+//! The IR keeps heap [`Op`] enums reached through three indirections
+//! (function → block → instruction table).  [`DecodedModule::decode`]
+//! flattens every function into a contiguous [`DInst`] array — the only
+//! form the `ftkr-vm` interpreter executes — with:
 //!
 //! - **packed operands** ([`DOperand`]): one `u32` per operand, tagged with
 //!   the operand class and indexing a per-function constant pool — no enum
@@ -19,11 +19,9 @@
 //!   rare large jumps) and materialized only by tracing runs.
 //!
 //! Decoding is pure table construction: the decoded program is *semantically
-//! identical* to the original — the `ftkr-vm` decoded dispatch loop is held
-//! bit-identical to the legacy interpreter (traces, outputs, memory, faults)
-//! by differential tests, and call frames keep their original
-//! `(block, ip)` program counters so VM snapshots remain interchangeable
-//! between the two paths.
+//! identical* to the original — one dynamic step per original instruction,
+//! fused pairs included — and call frames keep their original
+//! `(block, ip)` program counters, so VM snapshots do not depend on fusion.
 
 use crate::block::BlockId;
 use crate::function::{Function, FunctionId};
@@ -74,14 +72,6 @@ impl DOperand {
     fn pack(tag: u32, payload: u32) -> Self {
         debug_assert!(payload <= PAYLOAD_MASK, "operand payload overflows 29 bits");
         DOperand((tag << TAG_SHIFT) | payload)
-    }
-
-    /// Packed register-read operand for a [`ValueId`] (the VM uses this to
-    /// run the branch half of a fused pair alone after a mid-pair snapshot
-    /// restore).
-    #[inline]
-    pub fn reg(v: ValueId) -> DOperand {
-        DOperand::pack(TAG_VALUE, v.0)
     }
 
     /// Unpack into the tagged view the dispatch loop matches on.
@@ -266,9 +256,10 @@ pub enum DInst {
 /// Set on a [`DecodedFunction::flat_map`] entry whose linearized position is
 /// the *second* original instruction (the `CondBr`) of a fused
 /// [`DInst::CmpBr`] pair.  Execution normally never lands there — fused
-/// dispatch advances past both — but a VM snapshot captured by the legacy
-/// stepper between the compare and the branch restores to exactly that
-/// position, and the dispatch loop then runs the branch half alone.
+/// dispatch advances past both — but a VM snapshot captured between the
+/// compare and the branch (or a step limit reached there) leaves the program
+/// counter at exactly that position, and the dispatch loop then runs the
+/// branch half alone.
 pub const FUSED_TAIL: u32 = 1 << 31;
 
 /// Escape entry for a source-line delta that does not fit in an `i16`.
@@ -283,8 +274,8 @@ pub struct LineEscape {
 /// One function lowered into dense decoded tables.
 ///
 /// Instructions are addressed two ways: the VM keeps its original
-/// `(block, ip)` program counter (snapshot-compatible with the legacy
-/// interpreter) and maps it through `lin_base`/`flat_map` to a [`DInst`];
+/// `(block, ip)` program counter (the snapshot format) and maps it through
+/// `lin_base`/`flat_map` to a [`DInst`];
 /// per-instruction metadata (original [`ValueId`], source line) is indexed by
 /// the *linearized* position `lin_base[block] + ip`.
 #[derive(Debug, Clone, PartialEq)]

@@ -15,10 +15,11 @@
 //!   its instances to the streaming walk, which the workspace property
 //!   tests enforce.
 //! * [`StreamingDetector`] — a [`TraceVisitor`] for
-//!   [`ftkr_vm::Vm::run_with_visitors`] that tracks taint forward-only (no
-//!   future knowledge exists in a live run) and defers never-used-again
-//!   deaths to the end of the run; it detects the same pattern instances
-//!   *without materializing the faulty trace at all*, in O(locations) memory.
+//!   [`ftkr_vm::Vm::run_with_visitors_decoded`] that tracks taint
+//!   forward-only (no future knowledge exists in a live run) and defers
+//!   never-used-again deaths to the end of the run; it detects the same
+//!   pattern instances *without materializing the faulty trace at all*, in
+//!   O(locations) memory.
 //!
 //! Why forward-only taint is enough for patterns: a location leaves the
 //! exact ACL alive-set at its *final* access, so keeping it in the set past
@@ -606,8 +607,8 @@ struct AccessMark {
 }
 
 /// The streaming per-injection detector: consumes events straight from the
-/// interpreter ([`ftkr_vm::Vm::run_with_visitors`]) and detects the six
-/// patterns **without materializing the faulty trace**.
+/// interpreter ([`ftkr_vm::Vm::run_with_visitors_decoded`]) and detects the
+/// six patterns **without materializing the faulty trace**.
 ///
 /// Taint is tracked forward-only: clean overwrites remove locations exactly
 /// as the exact sweep does, while never-used-again deaths — which need
@@ -982,8 +983,9 @@ pub fn detect_streaming(
     config.fault = Some(fault);
     config.record_trace = false;
     let mut detector = StreamingDetector::new(clean, fault);
+    let decoded = ftkr_vm::DecodedModule::decode(module);
     let result = ftkr_vm::Vm::new(config)
-        .run_with_visitors(module, &mut [&mut detector])
+        .run_with_visitors_decoded(module, &decoded, &mut [&mut detector])
         .expect("module must verify");
     (result, detector.into_patterns())
 }
@@ -1114,6 +1116,7 @@ mod tests {
             .trace
             .unwrap();
         let fork = clean.len() as u64 / 3;
+        let decoded = ftkr_vm::DecodedModule::decode(&module);
         let snap = Vm::new(VmConfig::default())
             .snapshot_at(&module, fork)
             .unwrap()
@@ -1139,7 +1142,7 @@ mod tests {
                 ..ftkr_vm::VmConfig::default()
             };
             let forked_result = Vm::new(config)
-                .resume_with_visitors(&module, &snap, &mut [&mut forked])
+                .resume_with_visitors_decoded(&module, &decoded, &snap, &mut [&mut forked])
                 .unwrap();
             assert_eq!(forked_result.outcome, cold_result.outcome, "fault {fault:?}");
             assert_eq!(forked.into_patterns(), cold_patterns, "fault {fault:?}");

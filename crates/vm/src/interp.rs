@@ -3,10 +3,7 @@
 
 use ftkr_ir::decode::{DInst, DOperand, DOperandKind, DecodedFunction, DecodedModule, FUSED_TAIL};
 use ftkr_ir::verify::verify_executable;
-use ftkr_ir::{
-    BinKind, BlockId, CastKind, CmpKind, FunctionId, Module, Op, Operand, ValueId,
-    VerifyError,
-};
+use ftkr_ir::{BinKind, BlockId, CastKind, CmpKind, FunctionId, Module, ValueId, VerifyError};
 use ftkr_ir::inst::Intrinsic;
 
 use crate::fault::{FaultSpec, FaultTarget};
@@ -354,62 +351,13 @@ impl Vm {
         &self.config
     }
 
-    /// Execute the module's `main` function.
+    /// Execute the module's `main` function.  Decodes the module first;
+    /// callers that run one module many times decode it once and use
+    /// [`Vm::run_decoded`].
     pub fn run(&self, module: &Module) -> Result<RunResult, VerifyError> {
         verify_executable(module)?;
-        let (entry, _) = module
-            .function_by_name("main")
-            .expect("verify_executable guarantees main");
-        Ok(self.execute(module, entry, Vec::new()))
-    }
-
-    /// Execute an arbitrary entry function with arguments (used by tests and
-    /// by the MPI driver, which runs one entry per rank).
-    pub fn run_function(
-        &self,
-        module: &Module,
-        entry: &str,
-        args: Vec<Value>,
-    ) -> Result<RunResult, VerifyError> {
-        ftkr_ir::verify::verify_module(module)?;
-        let (fid, f) = module
-            .function_by_name(entry)
-            .ok_or(VerifyError::NoMain)?;
-        assert_eq!(
-            f.num_args as usize,
-            args.len(),
-            "entry function argument count mismatch"
-        );
-        Ok(self.execute(module, fid, args))
-    }
-
-    fn execute(&self, module: &Module, entry: FunctionId, args: Vec<Value>) -> RunResult {
-        Interp::new(module, &self.config, false).run(entry, args)
-    }
-
-    /// Execute the module's `main` function, streaming every dynamic event to
-    /// `visitors` **without materializing a trace**: the run keeps only the
-    /// interned location table and a one-event scratch buffer, so analyses
-    /// ride along in O(locations) memory instead of O(events) — the
-    /// no-materialization path campaign executors use to classify outcomes
-    /// and detect patterns per injection (see [`crate::visitor`]).
-    ///
-    /// Visitors observe exactly the events a materialized trace with the same
-    /// configuration would contain (same order, same operand reads, same
-    /// interned ids); [`RunResult::trace`] is always `None`.  The fault,
-    /// scope and limit configuration of the [`Vm`] apply unchanged.
-    pub fn run_with_visitors(
-        &self,
-        module: &Module,
-        visitors: &mut [&mut dyn TraceVisitor],
-    ) -> Result<RunResult, VerifyError> {
-        verify_executable(module)?;
-        let (entry, _) = module
-            .function_by_name("main")
-            .expect("verify_executable guarantees main");
-        let mut config = self.config;
-        config.record_trace = true;
-        Ok(Interp::new(module, &config, true).run_with_visitors(entry, Vec::new(), visitors))
+        let decoded = DecodedModule::decode(module);
+        Ok(Interp::at_entry(module, &decoded, &self.config, false).run_loop(None, 0))
     }
 
     /// Execute the prefix `[0, step)` of the module's `main` function and
@@ -426,6 +374,10 @@ impl Vm {
     /// prefix unchanged (campaign executors capture with a fault-free
     /// configuration).
     ///
+    /// Capture stops exactly at `step`, even between the two halves of a
+    /// fused compare-branch: the frame's program counter then rests on the
+    /// branch half, which a resumed run executes alone.
+    ///
     /// Returns `Ok(None)` when the run finishes or traps before reaching
     /// `step` (including via `max_steps`): state past the end of the program
     /// does not exist. `step == 0` captures the initial state with the entry
@@ -436,28 +388,27 @@ impl Vm {
         step: u64,
     ) -> Result<Option<VmSnapshot>, VerifyError> {
         verify_executable(module)?;
-        let (entry, _) = module
-            .function_by_name("main")
-            .expect("verify_executable guarantees main");
+        let decoded = DecodedModule::decode(module);
         let mut config = self.config;
         config.record_trace = true;
-        let mut interp = Interp::new(module, &config, true);
-        let frame = interp.make_frame(entry, Vec::new(), Vec::new(), None);
-        interp.frames.push(frame);
+        // A fused dispatch yields after its compare half once the step
+        // budget is reached, so capping the budget at `step` stops the
+        // prefix exactly there.
+        config.max_steps = config.max_steps.min(step);
+        let mut interp = Interp::at_entry(module, &decoded, &config, true);
         let mut emitted = 0u64;
         while interp.steps < step {
-            if interp.steps >= config.max_steps {
+            if interp.steps >= self.config.max_steps {
                 return Ok(None);
             }
-            let flow = interp.step();
-            // Discard the streamed event, keeping only the cursor: the
-            // snapshot records *how many* events the prefix delivered, not
-            // the events themselves.
-            if let Some(event) = interp.trace.events.pop() {
-                interp.trace.pool.truncate(event.reads.offset as usize);
-                interp.event_steps.clear();
-                emitted += 1;
-            }
+            let flow = interp.step_decoded();
+            // Discard the streamed events (up to two per fused dispatch),
+            // keeping only the cursor: the snapshot records *how many*
+            // events the prefix delivered, not the events themselves.
+            emitted += interp.trace.events.len() as u64;
+            interp.trace.events.clear();
+            interp.trace.pool.clear();
+            interp.event_steps.clear();
             match flow {
                 StepFlow::Continue => {}
                 StepFlow::Finished | StepFlow::Trap(_) => return Ok(None),
@@ -466,10 +417,46 @@ impl Vm {
         Ok(Some(interp.capture(emitted)))
     }
 
+    /// [`Vm::run`] over tables already decoded from `module`: dense flat
+    /// code, packed operands and fused compare-branch superinstructions.
+    ///
+    /// `decoded` must be [`DecodedModule::decode`] of this `module`.
+    pub fn run_decoded(
+        &self,
+        module: &Module,
+        decoded: &DecodedModule,
+    ) -> Result<RunResult, VerifyError> {
+        verify_executable(module)?;
+        Ok(Interp::at_entry(module, decoded, &self.config, false).run_loop(None, 0))
+    }
+
+    /// Execute the module's `main` function, streaming every dynamic event to
+    /// `visitors` **without materializing a trace**: the run keeps only the
+    /// interned location table and a two-event scratch buffer, so analyses
+    /// ride along in O(locations) memory instead of O(events) — the
+    /// no-materialization path campaign executors use to classify outcomes
+    /// and detect patterns per injection (see [`crate::visitor`]).
+    ///
+    /// Visitors observe exactly the events a materialized trace with the same
+    /// configuration would contain (same order, same operand reads, same
+    /// interned ids); [`RunResult::trace`] is always `None`.  The fault,
+    /// scope and limit configuration of the [`Vm`] apply unchanged.
+    pub fn run_with_visitors_decoded(
+        &self,
+        module: &Module,
+        decoded: &DecodedModule,
+        visitors: &mut [&mut dyn TraceVisitor],
+    ) -> Result<RunResult, VerifyError> {
+        verify_executable(module)?;
+        let mut config = self.config;
+        config.record_trace = true;
+        Ok(Interp::at_entry(module, decoded, &config, true).run_loop(Some(visitors), 0))
+    }
+
     /// Resume execution from a snapshot and run to completion, exactly as if
     /// the capturing run had continued past the fork point.  Deterministic
-    /// programs make the composition `snapshot_at(s)` + `resume_from` equal
-    /// to one uninterrupted run — outputs, final memory, outcome and step
+    /// programs make the composition [`Vm::snapshot_at`] + resume equal to
+    /// one uninterrupted run — outputs, final memory, outcome and step
     /// count — with one exception the campaign executors exploit: the
     /// [`Vm`]'s fault applies to the *resumed* steps, so a fault with
     /// `at_step >= snapshot.step()` strikes identically to a cold faulty
@@ -480,79 +467,7 @@ impl Vm {
     /// capturing run's (the image carries it); tracing follows this [`Vm`]'s
     /// configuration and records only resumed steps — the produced trace's
     /// `base_step` starts at the fork point (or the scope window, if later).
-    pub fn resume_from(
-        &self,
-        module: &Module,
-        snapshot: &VmSnapshot,
-    ) -> Result<RunResult, VerifyError> {
-        verify_executable(module)?;
-        Ok(Interp::from_snapshot(module, &self.config, false, snapshot)
-            .run_loop(None, snapshot.events_emitted() as usize))
-    }
-
-    /// Resume execution from a snapshot, streaming every resumed event to
-    /// `visitors` without materializing a trace (the fork-point analogue of
-    /// [`Vm::run_with_visitors`]).  Event indices continue from
-    /// [`VmSnapshot::events_emitted`] and the location table from the
-    /// snapshot's interned prefix, so visitors observe exactly the suffix of
-    /// the event stream a cold streamed run would deliver — prefix-primed
-    /// consumers (e.g. streaming pattern detectors) compose bit-identically.
-    pub fn resume_with_visitors(
-        &self,
-        module: &Module,
-        snapshot: &VmSnapshot,
-        visitors: &mut [&mut dyn TraceVisitor],
-    ) -> Result<RunResult, VerifyError> {
-        verify_executable(module)?;
-        let mut config = self.config;
-        config.record_trace = true;
-        Ok(Interp::from_snapshot(module, &config, true, snapshot)
-            .run_loop(Some(visitors), snapshot.events_emitted() as usize))
-    }
-
-    /// [`Vm::run`] through the pre-decoded dispatch tables: dense flat code,
-    /// packed operands and fused compare-branch superinstructions instead of
-    /// the per-step `match` over heap [`Op`] enums.  Bit-identical to the
-    /// legacy path in every observable (outcome, steps, outputs, memory,
-    /// trace), several times faster on loop-dominated programs.
-    ///
-    /// `decoded` must be [`DecodedModule::decode`] of this `module`.
-    pub fn run_decoded(
-        &self,
-        module: &Module,
-        decoded: &DecodedModule,
-    ) -> Result<RunResult, VerifyError> {
-        verify_executable(module)?;
-        let (entry, _) = module
-            .function_by_name("main")
-            .expect("verify_executable guarantees main");
-        let mut interp = Interp::new(module, &self.config, false);
-        interp.attach_decoded(decoded);
-        Ok(interp.run(entry, Vec::new()))
-    }
-
-    /// [`Vm::run_with_visitors`] through the pre-decoded dispatch tables.
-    pub fn run_with_visitors_decoded(
-        &self,
-        module: &Module,
-        decoded: &DecodedModule,
-        visitors: &mut [&mut dyn TraceVisitor],
-    ) -> Result<RunResult, VerifyError> {
-        verify_executable(module)?;
-        let (entry, _) = module
-            .function_by_name("main")
-            .expect("verify_executable guarantees main");
-        let mut config = self.config;
-        config.record_trace = true;
-        let mut interp = Interp::new(module, &config, true);
-        interp.attach_decoded(decoded);
-        Ok(interp.run_with_visitors(entry, Vec::new(), visitors))
-    }
-
-    /// [`Vm::resume_from`] through the pre-decoded dispatch tables.
-    /// Snapshots are interchangeable between the legacy and decoded paths:
-    /// frames keep their original `(block, ip)` program counters, and a
-    /// snapshot captured between the two halves of a fused pair resumes by
+    /// A snapshot captured between the two halves of a fused pair resumes by
     /// executing the branch half alone.
     pub fn resume_from_decoded(
         &self,
@@ -561,12 +476,17 @@ impl Vm {
         snapshot: &VmSnapshot,
     ) -> Result<RunResult, VerifyError> {
         verify_executable(module)?;
-        let mut interp = Interp::from_snapshot(module, &self.config, false, snapshot);
-        interp.attach_decoded(decoded);
-        Ok(interp.run_loop(None, snapshot.events_emitted() as usize))
+        Ok(Interp::from_snapshot(module, decoded, &self.config, false, snapshot)
+            .run_loop(None, snapshot.events_emitted() as usize))
     }
 
-    /// [`Vm::resume_with_visitors`] through the pre-decoded dispatch tables.
+    /// Resume execution from a snapshot, streaming every resumed event to
+    /// `visitors` without materializing a trace (the fork-point analogue of
+    /// [`Vm::run_with_visitors_decoded`]).  Event indices continue from
+    /// [`VmSnapshot::events_emitted`] and the location table from the
+    /// snapshot's interned prefix, so visitors observe exactly the suffix of
+    /// the event stream a cold streamed run would deliver — prefix-primed
+    /// consumers (e.g. streaming pattern detectors) compose bit-identically.
     pub fn resume_with_visitors_decoded(
         &self,
         module: &Module,
@@ -577,14 +497,15 @@ impl Vm {
         verify_executable(module)?;
         let mut config = self.config;
         config.record_trace = true;
-        let mut interp = Interp::from_snapshot(module, &config, true, snapshot);
-        interp.attach_decoded(decoded);
-        Ok(interp.run_loop(Some(visitors), snapshot.events_emitted() as usize))
+        Ok(Interp::from_snapshot(module, decoded, &config, true, snapshot)
+            .run_loop(Some(visitors), snapshot.events_emitted() as usize))
     }
 }
 
 struct Interp<'m> {
     module: &'m Module,
+    /// The dispatch tables: dense flat code with fused superinstructions.
+    decoded: &'m DecodedModule,
     config: VmConfig,
     memory: Memory,
     outputs: ProgramOutput,
@@ -596,23 +517,18 @@ struct Interp<'m> {
     next_frame_id: u32,
     /// Stream events to visitors instead of materializing them: each recorded
     /// event is handed over and immediately discarded, so `trace` never grows
-    /// beyond the location table plus a one-event scratch buffer.
+    /// beyond the location table plus a two-event scratch buffer.
     streaming: bool,
-    /// Pre-decoded dispatch tables: when set, the run loop uses
-    /// [`Interp::step_decoded`] (dense flat code, fused superinstructions)
-    /// instead of the legacy per-`Op` match.  Semantics are bit-identical.
-    decoded: Option<&'m DecodedModule>,
     /// Absolute source lines per function, materialized from the decoded
-    /// delta streams — only when a decoded run records a trace.
+    /// delta streams — only when the run records a trace.
     dlines: Vec<Vec<u32>>,
     /// Dynamic step of each event currently in `trace.events`, kept only in
     /// streaming mode: a fused dispatch can emit two events per call, so the
     /// run loop can no longer derive event steps from the step counter alone.
     event_steps: Vec<u64>,
-    /// Base address per [`GlobalId`], resolved once when decoded tables are
-    /// attached.  Globals are laid out at construction and never move, so
-    /// decoded operand resolution skips the name-keyed extent scan the
-    /// legacy path performs per read.
+    /// Base address per [`GlobalId`](ftkr_ir::GlobalId), resolved once at
+    /// construction.  Globals are laid out up front and never move, so
+    /// operand resolution never scans the name-keyed global extents.
     global_bases: Vec<u64>,
 }
 
@@ -623,14 +539,21 @@ enum StepFlow {
 }
 
 impl<'m> Interp<'m> {
-    fn new(module: &'m Module, config: &VmConfig, streaming: bool) -> Self {
+    /// A fresh interpreter with the `main` frame pushed (the module must
+    /// have passed `verify_executable`).
+    fn at_entry(
+        module: &'m Module,
+        decoded: &'m DecodedModule,
+        config: &VmConfig,
+        streaming: bool,
+    ) -> Self {
         // Pre-size the trace from the expected step count (clamped to the
         // scope window and the step limit): tracing then allocates O(1)
         // vectors instead of growing them geometrically.  A scope window's
         // length is an exact event count, so it serves as the hint when no
         // explicit one is given.  Streaming runs retain no events, so they
         // never pre-size.
-        let trace = if config.record_trace && !streaming {
+        let mut trace = if config.record_trace && !streaming {
             let hint = match (config.trace_hint, config.trace_scope.len()) {
                 (Some(h), Some(w)) => Some(h.min(w)),
                 (Some(h), None) => Some(h),
@@ -648,10 +571,61 @@ impl<'m> Interp<'m> {
         } else {
             Trace::new()
         };
-        let mut interp = Interp {
+        if let TraceScope::Window { start, .. } = config.trace_scope {
+            trace.base_step = start;
+        }
+        let mut interp = Interp::with_state(
             module,
+            decoded,
+            config,
+            streaming,
+            Memory::for_module(module, config.max_memory_cells),
+            trace,
+        );
+        let (entry, _) = module
+            .function_by_name("main")
+            .expect("verify_executable guarantees main");
+        let frame = interp.make_frame(entry, Vec::new(), Vec::new(), None);
+        interp.frames.push(frame);
+        interp
+    }
+
+    /// The interpreter around an initial memory image and trace, with the
+    /// decoded side tables resolved: recording runs materialize the
+    /// per-function source-line tables once, up front (O(static
+    /// instructions)); untraced runs never touch lines.
+    fn with_state(
+        module: &'m Module,
+        decoded: &'m DecodedModule,
+        config: &VmConfig,
+        streaming: bool,
+        memory: Memory,
+        trace: Trace,
+    ) -> Self {
+        let dlines = if config.record_trace {
+            decoded
+                .functions
+                .iter()
+                .map(DecodedFunction::materialize_lines)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let global_bases = module
+            .globals
+            .iter()
+            .map(|g| {
+                memory
+                    .global_extent(&g.name)
+                    .expect("verified global must be laid out")
+                    .0
+            })
+            .collect();
+        Interp {
+            module,
+            decoded,
             config: *config,
-            memory: Memory::for_module(module, config.max_memory_cells),
+            memory,
             outputs: ProgramOutput::default(),
             trace,
             mem_ids: Vec::new(),
@@ -659,40 +633,10 @@ impl<'m> Interp<'m> {
             steps: 0,
             next_frame_id: 0,
             streaming,
-            decoded: None,
-            dlines: Vec::new(),
+            dlines,
             event_steps: Vec::new(),
-            global_bases: Vec::new(),
-        };
-        if let TraceScope::Window { start, .. } = config.trace_scope {
-            interp.trace.base_step = start;
+            global_bases,
         }
-        interp
-    }
-
-    /// Switch this interpreter to decoded dispatch.  Recording runs
-    /// materialize the per-function source-line tables once, up front
-    /// (O(static instructions)); untraced runs never touch lines.
-    fn attach_decoded(&mut self, decoded: &'m DecodedModule) {
-        if self.config.record_trace {
-            self.dlines = decoded
-                .functions
-                .iter()
-                .map(DecodedFunction::materialize_lines)
-                .collect();
-        }
-        self.global_bases = self
-            .module
-            .globals
-            .iter()
-            .map(|g| {
-                self.memory
-                    .global_extent(&g.name)
-                    .expect("verified global must be laid out")
-                    .0
-            })
-            .collect();
-        self.decoded = Some(decoded);
     }
 
     /// Capture the complete current state as a snapshot image.  `emitted` is
@@ -717,6 +661,7 @@ impl<'m> Interp<'m> {
     /// memory image and frames only.
     fn from_snapshot(
         module: &'m Module,
+        decoded: &'m DecodedModule,
         config: &VmConfig,
         streaming: bool,
         snapshot: &VmSnapshot,
@@ -735,7 +680,9 @@ impl<'m> Interp<'m> {
             TraceScope::Full => img.step,
             TraceScope::Window { start, .. } => start.max(img.step),
         };
-        let frames = img
+        let mut interp =
+            Interp::with_state(module, decoded, config, streaming, img.memory.clone(), trace);
+        interp.frames = img
             .frames
             .iter()
             .map(|f| {
@@ -748,48 +695,13 @@ impl<'m> Interp<'m> {
                 f
             })
             .collect();
-        Interp {
-            module,
-            config: *config,
-            memory: img.memory.clone(),
-            outputs: img.outputs.clone(),
-            trace,
-            mem_ids: if recording { img.mem_ids.clone() } else { Vec::new() },
-            frames,
-            steps: img.step,
-            next_frame_id: img.next_frame_id,
-            streaming,
-            decoded: None,
-            dlines: Vec::new(),
-            event_steps: Vec::new(),
-            global_bases: Vec::new(),
+        interp.outputs = img.outputs.clone();
+        if recording {
+            interp.mem_ids = img.mem_ids.clone();
         }
-    }
-
-    fn run(self, entry: FunctionId, args: Vec<Value>) -> RunResult {
-        self.run_core(entry, args, None)
-    }
-
-    /// The streaming run: every recorded event is dispatched to the visitors
-    /// and immediately discarded; `on_finish` carries the run outcome.
-    fn run_with_visitors(
-        self,
-        entry: FunctionId,
-        args: Vec<Value>,
-        visitors: &mut [&mut dyn TraceVisitor],
-    ) -> RunResult {
-        self.run_core(entry, args, Some(visitors))
-    }
-
-    fn run_core(
-        mut self,
-        entry: FunctionId,
-        args: Vec<Value>,
-        visitors: Option<&mut [&mut dyn TraceVisitor]>,
-    ) -> RunResult {
-        let frame = self.make_frame(entry, args, Vec::new(), None);
-        self.frames.push(frame);
-        self.run_loop(visitors, 0)
+        interp.steps = img.step;
+        interp.next_frame_id = img.next_frame_id;
+        interp
     }
 
     /// The interpreter main loop, shared by cold runs (`emitted_start == 0`)
@@ -812,7 +724,7 @@ impl<'m> Interp<'m> {
         // the overwhelming majority of campaign executions.  Any step that a
         // pending fault (or the step limit) could touch is delegated back to
         // the general dispatch below, one step at a time.
-        let hot = self.decoded.is_some() && visitors.is_none() && !self.config.record_trace;
+        let hot = visitors.is_none() && !self.config.record_trace;
 
         let outcome = loop {
             if self.steps >= self.config.max_steps {
@@ -838,14 +750,10 @@ impl<'m> Interp<'m> {
                     break RunOutcome::Trapped(TrapKind::StepLimit);
                 }
             }
-            let flow = if self.decoded.is_some() {
-                self.step_decoded()
-            } else {
-                self.step()
-            };
-            // Dispatch the events this call recorded (a fused decoded
-            // dispatch can emit up to two) before acting on the flow, so a
-            // final `Ret` still reaches the visitors.
+            let flow = self.step_decoded();
+            // Dispatch the events this call recorded (a fused dispatch can
+            // emit up to two) before acting on the flow, so a final `Ret`
+            // still reaches the visitors.
             if let Some(vs) = visitors.as_deref_mut() {
                 let n = self.trace.events.len();
                 if n > 0 {
@@ -944,42 +852,6 @@ impl<'m> Interp<'m> {
         }
     }
 
-    /// Resolve an operand to a value plus (when recording) the interned id of
-    /// the location read.
-    fn resolve(
-        &mut self,
-        frame_idx: usize,
-        operand: Operand,
-        record: bool,
-    ) -> Result<(Value, Option<LocationId>), TrapKind> {
-        match operand {
-            Operand::Value(v) => {
-                let frame = &mut self.frames[frame_idx];
-                let val = frame.regs[v.index()].ok_or(TrapKind::UninitializedRegister)?;
-                let loc = record.then(|| intern_reg(&mut self.trace, frame, v));
-                Ok((val, loc))
-            }
-            Operand::Arg(i) => {
-                let frame = &self.frames[frame_idx];
-                let val = *frame
-                    .args
-                    .get(i as usize)
-                    .ok_or(TrapKind::UninitializedRegister)?;
-                Ok((val, frame.arg_locs.get(i as usize).copied().flatten()))
-            }
-            Operand::ConstI(c) => Ok((Value::I(c), None)),
-            Operand::ConstF(c) => Ok((Value::F(c), None)),
-            Operand::Global(g) => {
-                let name = &self.module.global(g).name;
-                let (base, _) = self
-                    .memory
-                    .global_extent(name)
-                    .expect("verified global must be laid out");
-                Ok((Value::P(base), None))
-            }
-        }
-    }
-
     /// A memory-cell fault strikes *before* the instruction at `at_step`.
     /// Called at the top of every dispatch — and again between the two halves
     /// of a fused superinstruction, which spans two dynamic steps.
@@ -996,358 +868,10 @@ impl<'m> Interp<'m> {
         }
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn step(&mut self) -> StepFlow {
-        self.memory_fault_hook();
-
-        let frame_idx = self.frames.len() - 1;
-        let (func_id, frame_id, inst_id) = {
-            let frame = &self.frames[frame_idx];
-            let f = self.module.function(frame.func);
-            let block = f.block(frame.block);
-            let inst_id = block.insts[frame.ip];
-            (frame.func, frame.frame_id, inst_id)
-        };
-        let func = self.module.function(func_id);
-        let inst = func.inst(inst_id);
-        let line = inst.line;
-
-        // Record this step only when tracing is on *and* the step falls
-        // inside the configured scope (always true for TraceScope::Full).
-        let record = self.config.record_trace && self.config.trace_scope.contains(self.steps);
-        let pool_start = self.trace.pool.len();
-        let mut write: Option<(LocationId, Value)> = None;
-
-        // Most instructions simply advance ip; control flow overrides this.
-        self.frames[frame_idx].ip += 1;
-
-        macro_rules! resolve {
-            ($operand:expr) => {{
-                match self.resolve(frame_idx, $operand, record) {
-                    Ok((v, loc)) => {
-                        // `loc` can be Some even when not recording (argument
-                        // ids are interned for the whole tracing run so scope
-                        // windows resolve outer-frame arguments); only pool
-                        // reads of recorded events.
-                        if record {
-                            if let Some(l) = loc {
-                                self.trace.pool.push((l, v));
-                            }
-                        }
-                        v
-                    }
-                    Err(t) => return StepFlow::Trap(t),
-                }
-            }};
-        }
-
-        // Record a write to the result register of the current instruction.
-        macro_rules! record_result {
-            ($value:expr) => {
-                if record {
-                    let id = intern_reg(&mut self.trace, &mut self.frames[frame_idx], inst_id);
-                    write = Some((id, $value));
-                }
-            };
-        }
-
-        let faulty_result = match self.config.fault {
-            Some(FaultSpec {
-                at_step,
-                bit,
-                target: FaultTarget::InstructionResult,
-            }) if at_step == self.steps => Some(bit),
-            _ => None,
-        };
-        let apply_fault = |v: Value| -> Value {
-            match faulty_result {
-                Some(bit) => v.flip_bit(bit),
-                None => v,
-            }
-        };
-
-        let mut kind = EventKind::Nop;
-        let mut flow = StepFlow::Continue;
-
-        match &inst.op {
-            Op::Bin { kind: bk, lhs, rhs } => {
-                let a = resolve!(*lhs);
-                let b = resolve!(*rhs);
-                let result = match eval_bin(*bk, a, b) {
-                    Ok(v) => v,
-                    Err(t) => return StepFlow::Trap(t),
-                };
-                let result = apply_fault(result);
-                self.frames[frame_idx].regs[inst_id.index()] = Some(result);
-                kind = EventKind::Bin(*bk);
-                record_result!(result);
-            }
-            Op::Cmp {
-                kind: ck,
-                float,
-                lhs,
-                rhs,
-            } => {
-                let a = resolve!(*lhs);
-                let b = resolve!(*rhs);
-                let result = match eval_cmp(*ck, *float, a, b) {
-                    Ok(v) => v,
-                    Err(t) => return StepFlow::Trap(t),
-                };
-                let result = apply_fault(Value::I(result as i64));
-                self.frames[frame_idx].regs[inst_id.index()] = Some(result);
-                kind = EventKind::Cmp {
-                    kind: *ck,
-                    float: *float,
-                    result: result.is_truthy(),
-                };
-                record_result!(result);
-            }
-            Op::Cast { kind: ck, src } => {
-                let v = resolve!(*src);
-                let result = match eval_cast(*ck, v) {
-                    Ok(v) => v,
-                    Err(t) => return StepFlow::Trap(t),
-                };
-                let result = apply_fault(result);
-                self.frames[frame_idx].regs[inst_id.index()] = Some(result);
-                kind = EventKind::Cast(*ck);
-                record_result!(result);
-            }
-            Op::Select {
-                cond,
-                then_v,
-                else_v,
-            } => {
-                let c = resolve!(*cond);
-                let a = resolve!(*then_v);
-                let b = resolve!(*else_v);
-                let result = apply_fault(if c.is_truthy() { a } else { b });
-                self.frames[frame_idx].regs[inst_id.index()] = Some(result);
-                kind = EventKind::Select;
-                record_result!(result);
-            }
-            Op::Load { addr } => {
-                let a = resolve!(*addr);
-                let Some(addr) = a.as_ptr() else {
-                    return StepFlow::Trap(TrapKind::TypeMismatch);
-                };
-                let loaded = match self.memory.load(addr) {
-                    Ok(v) => v,
-                    Err(MemError::OutOfBounds { .. }) => {
-                        return StepFlow::Trap(TrapKind::OutOfBounds)
-                    }
-                };
-                if record {
-                    let id = intern_mem(&mut self.trace, &mut self.mem_ids, addr);
-                    self.trace.pool.push((id, loaded));
-                }
-                let result = apply_fault(loaded);
-                self.frames[frame_idx].regs[inst_id.index()] = Some(result);
-                kind = EventKind::Load;
-                record_result!(result);
-            }
-            Op::Store { addr, value } => {
-                let a = resolve!(*addr);
-                let v = resolve!(*value);
-                let Some(addr) = a.as_ptr() else {
-                    return StepFlow::Trap(TrapKind::TypeMismatch);
-                };
-                let stored = apply_fault(v);
-                if let Err(MemError::OutOfBounds { .. }) = self.memory.store(addr, stored) {
-                    return StepFlow::Trap(TrapKind::OutOfBounds);
-                }
-                kind = EventKind::Store;
-                if record {
-                    let id = intern_mem(&mut self.trace, &mut self.mem_ids, addr);
-                    write = Some((id, stored));
-                }
-            }
-            Op::Alloca { size, .. } => {
-                let Some(base) = self.memory.alloca(*size as u64) else {
-                    return StepFlow::Trap(TrapKind::OutOfMemory);
-                };
-                let result = Value::P(base);
-                self.frames[frame_idx].regs[inst_id.index()] = Some(result);
-                kind = EventKind::Alloca {
-                    base,
-                    size: *size as u64,
-                };
-                record_result!(result);
-            }
-            Op::Gep { base, index } => {
-                let b = resolve!(*base);
-                let i = resolve!(*index);
-                let (Some(base), Some(idx)) = (b.as_ptr(), i.as_i64()) else {
-                    return StepFlow::Trap(TrapKind::TypeMismatch);
-                };
-                let addr = (base as i64).wrapping_add(idx) as u64;
-                let result = apply_fault(Value::P(addr));
-                self.frames[frame_idx].regs[inst_id.index()] = Some(result);
-                kind = EventKind::Gep;
-                record_result!(result);
-            }
-            Op::Call { callee, args } => {
-                if self.frames.len() as u32 >= self.config.max_call_depth {
-                    return StepFlow::Trap(TrapKind::CallDepth);
-                }
-                let (callee_id, _) = self
-                    .module
-                    .function_by_name(callee)
-                    .expect("verified callee exists");
-                let mut arg_vals = Vec::with_capacity(args.len());
-                let mut arg_locs = Vec::with_capacity(args.len());
-                for a in args {
-                    // Intern argument locations whenever tracing is on (not
-                    // just inside the scope window) so frames entered before
-                    // a window still resolve their argument reads inside it.
-                    let (v, loc) =
-                        match self.resolve(frame_idx, *a, self.config.record_trace) {
-                            Ok(x) => x,
-                            Err(t) => return StepFlow::Trap(t),
-                        };
-                    if record {
-                        if let Some(l) = loc {
-                            self.trace.pool.push((l, v));
-                        }
-                    }
-                    arg_vals.push(v);
-                    arg_locs.push(loc);
-                }
-                kind = EventKind::Call { callee: callee_id };
-                let new_frame =
-                    self.make_frame(callee_id, arg_vals, arg_locs, Some((frame_idx, inst_id)));
-                self.frames.push(new_frame);
-            }
-            Op::CallIntrinsic { intrinsic, args } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(resolve!(*a));
-                }
-                let result = match eval_intrinsic(*intrinsic, &vals) {
-                    Ok(v) => v,
-                    Err(t) => return StepFlow::Trap(t),
-                };
-                let result = apply_fault(result);
-                self.frames[frame_idx].regs[inst_id.index()] = Some(result);
-                kind = EventKind::Intrinsic;
-                record_result!(result);
-            }
-            Op::Ret { value } => {
-                let ret_val = match value {
-                    Some(v) => Some(resolve!(*v)),
-                    None => None,
-                };
-                kind = EventKind::Ret;
-                let frame = self.frames.pop().expect("at least one frame");
-                self.memory.release_to(frame.stack_mark);
-                match frame.ret_dest {
-                    Some((caller_idx, dest)) => {
-                        let ret_val = apply_fault(ret_val.unwrap_or(Value::I(0)));
-                        let caller = &mut self.frames[caller_idx];
-                        caller.regs[dest.index()] = Some(ret_val);
-                        if record {
-                            let id = intern_reg(&mut self.trace, caller, dest);
-                            write = Some((id, ret_val));
-                        }
-                    }
-                    None => {
-                        flow = StepFlow::Finished;
-                    }
-                }
-            }
-            Op::Br { target } => {
-                let frame = &mut self.frames[frame_idx];
-                frame.block = *target;
-                frame.ip = 0;
-                kind = EventKind::Br;
-            }
-            Op::CondBr {
-                cond,
-                then_b,
-                else_b,
-            } => {
-                let c = resolve!(*cond);
-                let taken = c.is_truthy();
-                let frame = &mut self.frames[frame_idx];
-                frame.block = if taken { *then_b } else { *else_b };
-                frame.ip = 0;
-                kind = EventKind::CondBr { taken };
-            }
-            Op::Output { value, format } => {
-                let v = resolve!(*value);
-                self.outputs.emit(v, *format);
-                kind = EventKind::Output { format: *format };
-            }
-            Op::LoopBegin {
-                id, depth, kind: lk, ..
-            } => {
-                kind = EventKind::LoopBegin {
-                    id: *id,
-                    depth: *depth,
-                    kind: *lk,
-                };
-            }
-            Op::LoopEnd { id } => {
-                kind = EventKind::LoopEnd { id: *id };
-            }
-            Op::LoopIter { id } => {
-                kind = EventKind::LoopIter { id: *id };
-            }
-            Op::Nop => {}
-        }
-
-        if record {
-            // Marker elision: loop markers carry no dataflow, so under
-            // `skip_markers` they go to the compact out-of-band table instead
-            // of the event stream.
-            let elide = self.config.trace_opts.skip_markers && kind.is_marker();
-            if elide {
-                // Streaming runs retain no trace, so there is nothing for a
-                // marker record to annotate — and `events.len()` (always ~0
-                // there) could not position it anyway.  Drop the marker.
-                if !self.streaming {
-                    let marker = match kind {
-                        EventKind::LoopBegin { id, depth, kind } => {
-                            MarkerKind::Begin { id, depth, kind }
-                        }
-                        EventKind::LoopEnd { id } => MarkerKind::End { id },
-                        EventKind::LoopIter { id } => MarkerKind::Iter { id },
-                        _ => unreachable!("is_marker covers exactly the loop markers"),
-                    };
-                    self.trace.markers.push(MarkerRecord {
-                        at_event: u32::try_from(self.trace.events.len())
-                            .expect("≤ 2^32 events per trace"),
-                        func: func_id,
-                        frame: frame_id,
-                        kind: marker,
-                    });
-                }
-            } else {
-                let len = (self.trace.pool.len() - pool_start) as u32;
-                let offset = u32::try_from(pool_start).expect("≤ 2^32 operand reads per trace");
-                self.trace.events.push(TraceEvent {
-                    func: func_id,
-                    frame: frame_id,
-                    inst: inst_id,
-                    line,
-                    kind,
-                    reads: ReadSpan { offset, len },
-                    write,
-                });
-                if self.streaming {
-                    self.event_steps.push(self.steps);
-                }
-            }
-        }
-        self.steps += 1;
-        flow
-    }
-
-    /// Resolve a packed decoded operand; mirrors [`Interp::resolve`] exactly
-    /// (same interning, same trap conditions), with constants and globals
-    /// coming from the decoded tables.
-    fn resolve_d(
+    /// Resolve a packed operand to a value plus (when recording) the interned
+    /// id of the location read; constants and globals come from the decoded
+    /// tables.
+    fn resolve(
         &mut self,
         frame_idx: usize,
         df: &DecodedFunction,
@@ -1355,12 +879,7 @@ impl<'m> Interp<'m> {
         record: bool,
     ) -> Result<(Value, Option<LocationId>), TrapKind> {
         match operand.unpack() {
-            DOperandKind::Value(v) => {
-                let frame = &mut self.frames[frame_idx];
-                let val = frame.regs[v.index()].ok_or(TrapKind::UninitializedRegister)?;
-                let loc = record.then(|| intern_reg(&mut self.trace, frame, v));
-                Ok((val, loc))
-            }
+            DOperandKind::Value(v) => self.resolve_reg(frame_idx, v, record),
             DOperandKind::Arg(i) => {
                 let frame = &self.frames[frame_idx];
                 let val = *frame
@@ -1375,11 +894,23 @@ impl<'m> Interp<'m> {
         }
     }
 
-    /// Push one recorded event from the decoded path (the decoded analogue of
-    /// the tail of [`Interp::step`]): marker elision, read-span closing, and
-    /// source lines from the materialized delta tables.
+    /// Read register `v` of frame `frame_idx`, interning its location when
+    /// recording.
+    fn resolve_reg(
+        &mut self,
+        frame_idx: usize,
+        v: ValueId,
+        record: bool,
+    ) -> Result<(Value, Option<LocationId>), TrapKind> {
+        let frame = &mut self.frames[frame_idx];
+        let val = frame.regs[v.index()].ok_or(TrapKind::UninitializedRegister)?;
+        Ok((val, record.then(|| intern_reg(&mut self.trace, frame, v))))
+    }
+
+    /// Push one recorded event: marker elision, read-span closing, and source
+    /// lines from the materialized delta tables.
     #[allow(clippy::too_many_arguments)]
-    fn push_event_decoded(
+    fn push_event(
         &mut self,
         func: FunctionId,
         frame: u32,
@@ -1441,7 +972,7 @@ impl<'m> Interp<'m> {
     /// the step budget `stop` is reached with the program still running.
     #[allow(clippy::too_many_lines)]
     fn run_hot_decoded(&mut self, stop: u64) -> Option<StepFlow> {
-        let dm = self.decoded.expect("hot loop requires decoded tables");
+        let dm = self.decoded;
         debug_assert!(!self.config.record_trace, "hot loop cannot record");
         // Split the interpreter into disjoint borrows once, so the loop can
         // hold one frame reference across operand resolution and the result
@@ -1499,7 +1030,9 @@ impl<'m> Interp<'m> {
                     unreachable!("FUSED_TAIL only marks CmpBr branch halves");
                 };
                 let cond_reg = ValueId(df.lin_iids[lin - 1]);
-                let c = hres!(DOperand::reg(cond_reg));
+                let Some(c) = frame.regs[cond_reg.index()] else {
+                    bail!(TrapKind::UninitializedRegister);
+                };
                 let taken = c.is_truthy();
                 frame.block = BlockId(if taken { then_b } else { else_b });
                 frame.ip = 0;
@@ -1615,7 +1148,7 @@ impl<'m> Interp<'m> {
                 DInst::Call { callee, args } => {
                     // The top frame is always `frame_idx`, so the depth
                     // check stays ahead of operand resolution (the trap
-                    // order the legacy dispatch exhibits) without touching
+                    // order of the general dispatch) without touching
                     // `frames` while `frame` is borrowed.
                     if (frame_idx + 1) as u32 >= config.max_call_depth {
                         bail!(TrapKind::CallDepth);
@@ -1705,12 +1238,13 @@ impl<'m> Interp<'m> {
 
     /// One decoded dispatch: executes the [`DInst`] at the current frame's
     /// program counter — or, for a fused [`DInst::CmpBr`], both of its
-    /// original instructions (two dynamic steps) in one call.  Bit-identical
-    /// to [`Interp::step`] in every observable: traces, interning order,
-    /// faults, traps, outputs and step accounting.
+    /// original instructions (two dynamic steps) in one call.  Traces,
+    /// interning order, faults, traps, outputs and step accounting are those
+    /// of the original instruction sequence, one dynamic step per
+    /// instruction.
     #[allow(clippy::too_many_lines)]
     fn step_decoded(&mut self) -> StepFlow {
-        let dm = self.decoded.expect("decoded dispatch requires tables");
+        let dm = self.decoded;
         self.memory_fault_hook();
 
         let frame_idx = self.frames.len() - 1;
@@ -1731,9 +1265,10 @@ impl<'m> Interp<'m> {
         // Most instructions simply advance ip; control flow overrides this.
         self.frames[frame_idx].ip += 1;
 
-        macro_rules! resolve {
-            ($operand:expr) => {{
-                match self.resolve_d(frame_idx, df, $operand, record) {
+        // Unwrap a resolved read, pooling it when this step records.
+        macro_rules! pooled {
+            ($resolved:expr) => {{
+                match $resolved {
                     Ok((v, loc)) => {
                         if record {
                             if let Some(l) = loc {
@@ -1745,6 +1280,11 @@ impl<'m> Interp<'m> {
                     Err(t) => return StepFlow::Trap(t),
                 }
             }};
+        }
+        macro_rules! resolve {
+            ($operand:expr) => {
+                pooled!(self.resolve(frame_idx, df, $operand, record))
+            };
         }
 
         macro_rules! record_result {
@@ -1778,13 +1318,13 @@ impl<'m> Interp<'m> {
                 unreachable!("FUSED_TAIL only marks CmpBr branch halves");
             };
             let cond_reg = ValueId(df.lin_iids[lin - 1]);
-            let c = resolve!(DOperand::reg(cond_reg));
+            let c = pooled!(self.resolve_reg(frame_idx, cond_reg, record));
             let taken = c.is_truthy();
             let frame = &mut self.frames[frame_idx];
             frame.block = BlockId(if taken { then_b } else { else_b });
             frame.ip = 0;
             if record {
-                self.push_event_decoded(
+                self.push_event(
                     func_id,
                     frame_id,
                     iid,
@@ -1854,7 +1394,7 @@ impl<'m> Interp<'m> {
                 self.frames[frame_idx].regs[iid.index()] = Some(result);
                 record_result!(result);
                 if record {
-                    self.push_event_decoded(
+                    self.push_event(
                         func_id,
                         frame_id,
                         iid,
@@ -1871,7 +1411,7 @@ impl<'m> Interp<'m> {
                 self.steps += 1;
                 if self.steps >= self.config.max_steps {
                     // The run loop raises StepLimit before the branch half
-                    // executes — exactly where a legacy run would stop (the
+                    // executes — exactly where an unfused run would stop (the
                     // frame's program counter is on the branch).
                     return StepFlow::Continue;
                 }
@@ -1882,7 +1422,7 @@ impl<'m> Interp<'m> {
                     self.config.record_trace && self.config.trace_scope.contains(self.steps);
                 let pool_start2 = self.trace.pool.len();
                 let br_iid = ValueId(df.lin_iids[lin + 1]);
-                let (c, loc) = match self.resolve_d(frame_idx, df, DOperand::reg(iid), record2) {
+                let (c, loc) = match self.resolve_reg(frame_idx, iid, record2) {
                     Ok(x) => x,
                     Err(t) => return StepFlow::Trap(t),
                 };
@@ -1896,7 +1436,7 @@ impl<'m> Interp<'m> {
                 frame.block = BlockId(if taken { then_b } else { else_b });
                 frame.ip = 0;
                 if record2 {
-                    self.push_event_decoded(
+                    self.push_event(
                         func_id,
                         frame_id,
                         br_iid,
@@ -2005,7 +1545,7 @@ impl<'m> Interp<'m> {
                     // Intern argument locations whenever tracing is on (not
                     // just inside the scope window) so frames entered before
                     // a window still resolve their argument reads inside it.
-                    let (v, loc) = match self.resolve_d(frame_idx, df, a, self.config.record_trace)
+                    let (v, loc) = match self.resolve(frame_idx, df, a, self.config.record_trace)
                     {
                         Ok(x) => x,
                         Err(t) => return StepFlow::Trap(t),
@@ -2102,7 +1642,7 @@ impl<'m> Interp<'m> {
         }
 
         if record {
-            self.push_event_decoded(func_id, frame_id, iid, lin, kind, pool_start, write);
+            self.push_event(func_id, frame_id, iid, lin, kind, pool_start, write);
         }
         self.steps += 1;
         flow
@@ -2507,21 +2047,6 @@ mod tests {
     }
 
     #[test]
-    fn run_function_with_args() {
-        let mut m = Module::new("m");
-        let mut f = FunctionBuilder::with_args("axpy", 2);
-        let a = f.arg(0);
-        let x = f.arg(1);
-        let r = f.fmul(a, x);
-        f.ret(Some(r));
-        m.add_function(f.finish());
-        let res = Vm::new(VmConfig::default())
-            .run_function(&m, "axpy", vec![Value::F(2.0), Value::F(4.0)])
-            .unwrap();
-        assert!(res.outcome.is_completed());
-    }
-
-    #[test]
     fn intrinsics_evaluate() {
         let mut m = Module::new("m");
         let mut b = FunctionBuilder::new("main");
@@ -2544,6 +2069,10 @@ mod tests {
     fn verification_error_is_propagated() {
         let m = Module::new("empty");
         assert!(Vm::new(VmConfig::default()).run(&m).is_err());
+    }
+
+    fn decoded(m: &Module) -> DecodedModule {
+        DecodedModule::decode(m)
     }
 
     /// A visitor that re-materializes the streamed events, for equivalence
@@ -2580,24 +2109,32 @@ mod tests {
     #[test]
     fn streaming_visitors_see_exactly_the_materialized_trace() {
         let module = sum_module();
-        let traced = Vm::new(VmConfig::tracing()).run(&module).unwrap();
-        let trace = traced.trace.unwrap();
-
-        let mut rebuild = Rebuild::default();
-        let streamed = Vm::new(VmConfig::default())
-            .run_with_visitors(&module, &mut [&mut rebuild])
+        let dm = decoded(&module);
+        for config in [VmConfig::default(), VmConfig::default().without_markers()] {
+            let traced = Vm::new(VmConfig {
+                record_trace: true,
+                ..config
+            })
+            .run(&module)
             .unwrap();
+            let trace = traced.trace.unwrap();
 
-        assert!(streamed.trace.is_none(), "streaming must not materialize");
-        assert_eq!(streamed.steps, traced.steps);
-        assert_eq!(rebuild.outcome, Some(RunOutcome::Completed));
-        assert_eq!(rebuild.events.len(), trace.len());
-        for (i, got) in rebuild.events.iter().enumerate() {
-            assert_eq!(got, &trace.resolved(i), "event {i} differs");
-            assert_eq!(rebuild.steps[i], i as u64);
+            let mut rebuild = Rebuild::default();
+            let streamed = Vm::new(config)
+                .run_with_visitors_decoded(&module, &dm, &mut [&mut rebuild])
+                .unwrap();
+
+            assert!(streamed.trace.is_none(), "streaming must not materialize");
+            assert_eq!(streamed.steps, traced.steps);
+            assert_eq!(rebuild.outcome, Some(RunOutcome::Completed));
+            assert_eq!(rebuild.events.len(), trace.len());
+            for (i, got) in rebuild.events.iter().enumerate() {
+                assert_eq!(got, &trace.resolved(i), "event {i} differs");
+                assert_eq!(rebuild.steps[i], trace.step_of(i));
+            }
+            // The memory image and outputs match an untraced run's.
+            assert_eq!(streamed.global_i64("sum").unwrap(), vec![45]);
         }
-        // The memory image and outputs match an untraced run's.
-        assert_eq!(streamed.global_i64("sum").unwrap(), vec![45]);
     }
 
     #[test]
@@ -2616,7 +2153,7 @@ mod tests {
         };
         let mut rebuild = Rebuild::default();
         Vm::new(config)
-            .run_with_visitors(&module, &mut [&mut rebuild])
+            .run_with_visitors_decoded(&module, &decoded(&module), &mut [&mut rebuild])
             .unwrap();
         assert_eq!(rebuild.events.len(), 25);
         for (i, got) in rebuild.events.iter().enumerate() {
@@ -2636,7 +2173,7 @@ mod tests {
         m.add_function(b.finish());
         let mut rebuild = Rebuild::default();
         let r = Vm::new(VmConfig::default())
-            .run_with_visitors(&m, &mut [&mut rebuild])
+            .run_with_visitors_decoded(&m, &decoded(&m), &mut [&mut rebuild])
             .unwrap();
         assert_eq!(r.outcome, RunOutcome::Trapped(TrapKind::DivisionByZero));
         assert_eq!(
@@ -2680,7 +2217,7 @@ mod tests {
         assert_eq!(snap.step(), 0);
         assert_eq!(snap.events_emitted(), 0);
         assert_eq!(snap.frame_depth(), 1, "entry frame is pushed");
-        let resumed = vm.resume_from(&module, &snap).unwrap();
+        let resumed = vm.resume_from_decoded(&module, &decoded(&module), &snap).unwrap();
         assert_eq!(resumed, cold);
     }
 
@@ -2695,7 +2232,7 @@ mod tests {
             .unwrap()
             .expect("final step exists");
         assert_eq!(snap.step(), last);
-        let resumed = vm.resume_from(&module, &snap).unwrap();
+        let resumed = vm.resume_from_decoded(&module, &decoded(&module), &snap).unwrap();
         assert_eq!(resumed, cold);
         // One past the final step: the program completes first.
         assert!(vm.snapshot_at(&module, cold.steps).unwrap().is_none());
@@ -2714,7 +2251,7 @@ mod tests {
             snap.memory_cells() > 0,
             "the callee's alloca is live at the fork point"
         );
-        let resumed = vm.resume_from(&module, &snap).unwrap();
+        let resumed = vm.resume_from_decoded(&module, &decoded(&module), &snap).unwrap();
         assert_eq!(resumed, cold);
         // The callee's alloca was released on return, as in the cold run.
         assert_eq!(resumed.memory.valid_len(), resumed.memory.globals_len());
@@ -2727,7 +2264,10 @@ mod tests {
         let vm = Vm::new(config);
 
         let mut cold = Rebuild::default();
-        let cold_run = vm.run_with_visitors(&module, &mut [&mut cold]).unwrap();
+        let dm = decoded(&module);
+        let cold_run = vm
+            .run_with_visitors_decoded(&module, &dm, &mut [&mut cold])
+            .unwrap();
 
         let fork = cold_run.steps / 2;
         let snap = vm.snapshot_at(&module, fork).unwrap().expect("mid-run step");
@@ -2737,7 +2277,7 @@ mod tests {
 
         let mut resumed = Rebuild::default();
         let resumed_run = vm
-            .resume_with_visitors(&module, &snap, &mut [&mut resumed])
+            .resume_with_visitors_decoded(&module, &dm, &snap, &mut [&mut resumed])
             .unwrap();
         assert_eq!(resumed_run.outcome, cold_run.outcome);
         assert_eq!(resumed_run.steps, cold_run.steps);
@@ -2763,7 +2303,7 @@ mod tests {
             .unwrap()
             .expect("mid-run step");
         let resumed = Vm::new(VmConfig::tracing())
-            .resume_from(&module, &snap)
+            .resume_from_decoded(&module, &decoded(&module), &snap)
             .unwrap()
             .trace
             .unwrap();
@@ -2788,15 +2328,15 @@ mod tests {
         // First restore runs with a fault that corrupts the accumulator…
         let fault = FaultSpec::in_memory(12, 0, 40);
         let faulty1 = Vm::new(VmConfig::with_fault(fault))
-            .resume_from(&module, &snap)
+            .resume_from_decoded(&module, &decoded(&module), &snap)
             .unwrap();
         // …the second, fault-free restore must still equal the cold run: the
         // faulty resume must not have mutated the shared snapshot image.
-        let clean = plain.resume_from(&module, &snap).unwrap();
+        let clean = plain.resume_from_decoded(&module, &decoded(&module), &snap).unwrap();
         assert_eq!(clean, cold);
         // And a repeated faulty restore reproduces the first bit-for-bit.
         let faulty2 = Vm::new(VmConfig::with_fault(fault))
-            .resume_from(&module, &snap)
+            .resume_from_decoded(&module, &decoded(&module), &snap)
             .unwrap();
         assert_eq!(faulty1, faulty2);
     }
@@ -2818,129 +2358,193 @@ mod tests {
         ] {
             let vm = Vm::new(VmConfig::with_fault(fault));
             let cold = vm.run(&module).unwrap();
-            let forked = vm.resume_from(&module, &snap).unwrap();
+            let forked = vm.resume_from_decoded(&module, &decoded(&module), &snap).unwrap();
             assert_eq!(forked, cold, "fault {fault:?}");
         }
     }
 
-    // -- decoded dispatch ---------------------------------------------------
+    // -- dispatch semantics ---------------------------------------------------
 
-    fn decoded(m: &Module) -> DecodedModule {
-        DecodedModule::decode(m)
-    }
-
+    /// The untraced hot loop, the recording dispatch, marker elision and
+    /// scope windows all execute the same program: every configuration ends
+    /// in the same outcome, step count, outputs and memory.
     #[test]
-    fn decoded_run_matches_legacy_untraced_and_traced() {
+    fn every_configuration_executes_the_same_program() {
         for module in [sum_module(), call_module()] {
-            let dm = decoded(&module);
+            let plain = Vm::new(VmConfig::default()).run(&module).unwrap();
             for config in [
-                VmConfig::default(),
                 VmConfig::tracing(),
                 VmConfig::tracing().without_markers(),
                 VmConfig::tracing_region(3, 20),
             ] {
-                let vm = Vm::new(config);
-                let legacy = vm.run(&module).unwrap();
-                let dec = vm.run_decoded(&module, &dm).unwrap();
-                assert_eq!(dec, legacy, "config {config:?}");
+                let r = Vm::new(config).run(&module).unwrap();
+                assert_eq!(r.outcome, plain.outcome, "config {config:?}");
+                assert_eq!(r.steps, plain.steps, "config {config:?}");
+                assert_eq!(r.outputs, plain.outputs, "config {config:?}");
+                assert_eq!(r.memory, plain.memory, "config {config:?}");
             }
         }
     }
 
+    /// Recorded source lines, delta-decoded from the dispatch tables, are the
+    /// IR instructions' own lines.
     #[test]
-    fn decoded_run_matches_legacy_under_faults() {
+    fn recorded_lines_are_the_instructions_source_lines() {
+        for module in [sum_module(), call_module()] {
+            let trace = Vm::new(VmConfig::tracing()).run(&module).unwrap().trace.unwrap();
+            assert!(!trace.is_empty());
+            for e in &trace.events {
+                assert_eq!(e.line, module.function(e.func).inst(e.inst).line, "{e:?}");
+            }
+        }
+    }
+
+    /// A fault at every step, both targets: the hot loop (which yields at the
+    /// fault boundary) and the recording dispatch agree; the recorded run
+    /// equals the clean trace before the fault; and a result fault flips
+    /// exactly the value the struck instruction writes.
+    #[test]
+    fn faults_at_every_step_strike_identically_in_every_dispatch() {
         let module = sum_module();
-        let dm = decoded(&module);
-        let clean_steps = Vm::new(VmConfig::default()).run(&module).unwrap().steps;
-        for step in 0..clean_steps {
+        let clean = Vm::new(VmConfig::tracing()).run(&module).unwrap();
+        let full = clean.trace.as_ref().unwrap();
+        for step in 0..clean.steps {
             for fault in [
                 FaultSpec::in_result(step, 7),
                 FaultSpec::in_memory(step, 0, 3),
             ] {
-                let vm = Vm::new(VmConfig::tracing_with_fault(fault));
-                let legacy = vm.run(&module).unwrap();
-                let dec = vm.run_decoded(&module, &dm).unwrap();
-                assert_eq!(dec, legacy, "fault {fault:?}");
+                let traced = Vm::new(VmConfig::tracing_with_fault(fault)).run(&module).unwrap();
+                let untraced = Vm::new(VmConfig::with_fault(fault)).run(&module).unwrap();
+                assert_eq!(untraced.outcome, traced.outcome, "fault {fault:?}");
+                assert_eq!(untraced.steps, traced.steps, "fault {fault:?}");
+                assert_eq!(untraced.outputs, traced.outputs, "fault {fault:?}");
+                assert_eq!(untraced.memory, traced.memory, "fault {fault:?}");
+
+                let t = traced.trace.as_ref().unwrap();
+                let at = step as usize;
+                for i in 0..at.min(t.len()) {
+                    assert_eq!(t.resolved(i), full.resolved(i), "fault {fault:?} event {i}");
+                }
+                let struck = full.resolved(at);
+                let faults_result = matches!(fault.target, FaultTarget::InstructionResult)
+                    && !matches!(struck.kind, EventKind::Alloca { .. });
+                if let (true, Some((loc, v))) = (faults_result, struck.write) {
+                    assert_eq!(t.resolved(at).write, Some((loc, v.flip_bit(7))), "step {step}");
+                }
             }
         }
     }
 
+    /// Capture at every step of a loop whose compare-branches are fused —
+    /// each branch half included — and resume untraced, traced and streamed:
+    /// every resume equals the cold run, and a fault at the fork step strikes
+    /// exactly as it does cold.
     #[test]
-    fn decoded_streaming_matches_legacy_streaming() {
-        let module = sum_module();
-        let dm = decoded(&module);
-        let config = VmConfig::default().without_markers();
-        let vm = Vm::new(config);
-        let mut a = Rebuild::default();
-        let ra = vm.run_with_visitors(&module, &mut [&mut a]).unwrap();
-        let mut b = Rebuild::default();
-        let rb = vm
-            .run_with_visitors_decoded(&module, &dm, &mut [&mut b])
-            .unwrap();
-        assert_eq!(ra, rb);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.steps, b.steps);
-        assert_eq!(a.outcome, b.outcome);
-    }
+    fn capture_at_every_step_resumes_like_the_cold_run() {
+        use ftkr_ir::decode::DInst;
 
-    #[test]
-    fn decoded_resume_matches_legacy_resume_at_every_fork_point() {
         let module = sum_module();
         let dm = decoded(&module);
-        let plain = Vm::new(VmConfig::default());
-        let cold = Vm::new(VmConfig::tracing()).run(&module).unwrap();
-        // Every fork point, including ones that land between the two halves
-        // of a fused compare-branch pair.
-        for fork in 0..cold.steps {
-            let snap = plain.snapshot_at(&module, fork).unwrap().expect("mid-run");
-            let vm = Vm::new(VmConfig::tracing());
-            let legacy = vm.resume_from(&module, &snap).unwrap();
-            let dec = vm.resume_from_decoded(&module, &dm, &snap).unwrap();
-            assert_eq!(dec, legacy, "fork {fork}");
-        }
-    }
-
-    #[test]
-    fn decoded_resume_with_fault_at_fused_branch_half() {
-        let module = sum_module();
-        let dm = decoded(&module);
+        assert!(
+            dm.functions
+                .iter()
+                .any(|f| f.code.iter().any(|i| matches!(i, DInst::CmpBr { .. }))),
+            "the loop header must fuse into a compare-branch"
+        );
         let plain = Vm::new(VmConfig::default());
         let cold = plain.run(&module).unwrap();
+        let full = Vm::new(VmConfig::tracing()).run(&module).unwrap().trace.unwrap();
+        let mut cold_stream = Rebuild::default();
+        plain
+            .run_with_visitors_decoded(&module, &dm, &mut [&mut cold_stream])
+            .unwrap();
+
+        let mut branch_halves = 0;
         for fork in 0..cold.steps {
+            let snap = plain.snapshot_at(&module, fork).unwrap().expect("mid-run");
+            assert_eq!(snap.step(), fork);
+            let at = fork as usize;
+            if at > 0
+                && matches!(full.events[at].kind, EventKind::CondBr { .. })
+                && matches!(full.events[at - 1].kind, EventKind::Cmp { .. })
+            {
+                branch_halves += 1;
+            }
+
+            let resumed = plain.resume_from_decoded(&module, &dm, &snap).unwrap();
+            assert_eq!(resumed, cold, "untraced resume at fork {fork}");
+
+            let traced = Vm::new(VmConfig::tracing())
+                .resume_from_decoded(&module, &dm, &snap)
+                .unwrap();
+            assert_eq!(traced.steps, cold.steps, "traced resume at fork {fork}");
+            assert_eq!(traced.outputs, cold.outputs, "traced resume at fork {fork}");
+            assert_eq!(traced.memory, cold.memory, "traced resume at fork {fork}");
+            let tail = traced.trace.unwrap();
+            assert_eq!(tail.base_step(), fork);
+            assert_eq!(tail.len(), full.len() - at);
+            for i in 0..tail.len() {
+                assert_eq!(tail.resolved(i), full.resolved(at + i), "fork {fork} event {i}");
+            }
+
+            let mut streamed = Rebuild::default();
+            let streamed_run = plain
+                .resume_with_visitors_decoded(&module, &dm, &snap, &mut [&mut streamed])
+                .unwrap();
+            assert_eq!(streamed_run, cold, "streamed resume at fork {fork}");
+            let skip = snap.events_emitted() as usize;
+            assert_eq!(streamed.events, cold_stream.events[skip..], "fork {fork}");
+            assert_eq!(streamed.steps, cold_stream.steps[skip..], "fork {fork}");
+
             for fault in [
                 FaultSpec::in_result(fork, 5),
                 FaultSpec::in_memory(fork, 0, 3),
             ] {
-                let snap = plain.snapshot_at(&module, fork).unwrap().expect("mid-run");
                 let vm = Vm::new(VmConfig::with_fault(fault));
-                let legacy = vm.resume_from(&module, &snap).unwrap();
-                let dec = vm.resume_from_decoded(&module, &dm, &snap).unwrap();
-                assert_eq!(dec, legacy, "fork {fork} fault {fault:?}");
+                let forked = vm.resume_from_decoded(&module, &dm, &snap).unwrap();
+                assert_eq!(forked, vm.run(&module).unwrap(), "fork {fork} fault {fault:?}");
+            }
+        }
+        assert!(branch_halves > 0, "some fork points fall between fused halves");
+    }
+
+    /// Every step limit stops the run after exactly that many steps — also
+    /// between the halves of a fused pair — with the recorded trace equal to
+    /// the clean trace's prefix and the untraced hot loop in the same state.
+    #[test]
+    fn step_limits_stop_after_exactly_the_limit() {
+        let module = sum_module();
+        let clean = Vm::new(VmConfig::tracing()).run(&module).unwrap();
+        let full = clean.trace.as_ref().unwrap();
+        for limit in 0..=clean.steps {
+            let config = |record_trace| VmConfig {
+                max_steps: limit,
+                record_trace,
+                ..Default::default()
+            };
+            let traced = Vm::new(config(true)).run(&module).unwrap();
+            let untraced = Vm::new(config(false)).run(&module).unwrap();
+            let expected = if limit < clean.steps {
+                RunOutcome::Trapped(TrapKind::StepLimit)
+            } else {
+                RunOutcome::Completed
+            };
+            assert_eq!(traced.outcome, expected, "limit {limit}");
+            assert_eq!(traced.steps, limit, "limit {limit}");
+            assert_eq!(untraced.outcome, expected, "limit {limit}");
+            assert_eq!(untraced.steps, limit, "limit {limit}");
+            assert_eq!(untraced.outputs, traced.outputs, "limit {limit}");
+            assert_eq!(untraced.memory, traced.memory, "limit {limit}");
+            let t = traced.trace.unwrap();
+            assert_eq!(t.len() as u64, limit);
+            for i in 0..t.len() {
+                assert_eq!(t.resolved(i), full.resolved(i), "limit {limit} event {i}");
             }
         }
     }
 
     #[test]
-    fn decoded_step_limit_stops_identically() {
-        let module = sum_module();
-        let dm = decoded(&module);
-        let total = Vm::new(VmConfig::default()).run(&module).unwrap().steps;
-        for limit in 0..=total {
-            let config = VmConfig {
-                max_steps: limit,
-                record_trace: true,
-                ..Default::default()
-            };
-            let vm = Vm::new(config);
-            let legacy = vm.run(&module).unwrap();
-            let dec = vm.run_decoded(&module, &dm).unwrap();
-            assert_eq!(dec, legacy, "limit {limit}");
-        }
-    }
-
-    #[test]
-    fn decoded_traps_match_legacy() {
-        // Division by zero mid-program.
+    fn a_trap_mid_program_stops_before_the_trapping_step() {
         let mut m = Module::new("m");
         let mut b = FunctionBuilder::new("main");
         let one = b.const_i64(1);
@@ -2949,12 +2553,19 @@ mod tests {
         b.sdiv(x, zero);
         b.ret(None);
         m.add_function(b.finish());
-        let dm = decoded(&m);
-        let vm = Vm::new(VmConfig::tracing());
-        let legacy = vm.run(&m).unwrap();
-        let dec = vm.run_decoded(&m, &dm).unwrap();
-        assert_eq!(dec, legacy);
-        assert_eq!(dec.outcome, RunOutcome::Trapped(TrapKind::DivisionByZero));
+        let traced = Vm::new(VmConfig::tracing()).run(&m).unwrap();
+        let untraced = Vm::new(VmConfig::default()).run(&m).unwrap();
+        for r in [&traced, &untraced] {
+            assert_eq!(r.outcome, RunOutcome::Trapped(TrapKind::DivisionByZero));
+            assert_eq!(r.steps, 1, "the trapping division is not counted");
+        }
+        assert_eq!(untraced.memory, traced.memory);
+        // Only the add is recorded; the division's pooled read is dropped.
+        let t = traced.trace.unwrap();
+        assert_eq!(t.len(), 1);
+        assert!(matches!(t.events[0].kind, EventKind::Bin(BinKind::Add)));
+        let span_sum: usize = t.events.iter().map(|e| e.num_reads()).sum();
+        assert_eq!(span_sum, t.num_operands());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Program output stream (the `printf` model).
 //!
-//! Each [`ftkr_ir::Op::Output`] instruction appends an [`OutputRecord`]: the
+//! Each `Output` instruction appends an [`OutputRecord`]: the
 //! raw value and the string a C `printf` with the corresponding format would
 //! have produced.  Verification phases that compare *formatted* output are
 //! where the paper's Truncation pattern (e.g. LULESH's `%12.6e`) hides

@@ -8,9 +8,9 @@
 //! its stack mark, the interned [`crate::Location`] tables (per-frame
 //! register ids and the address-indexed memory table), the absolute step
 //! counter, the streamed-event cursor, and the output accumulator — so
-//! [`crate::Vm::resume_from`] / [`crate::Vm::resume_with_visitors`] can fork
-//! any number of faulty runs from the fork point without recomputing the
-//! prefix.
+//! [`crate::Vm::resume_from_decoded`] /
+//! [`crate::Vm::resume_with_visitors_decoded`] can fork any number of faulty
+//! runs from the fork point without recomputing the prefix.
 //!
 //! Cloning a `VmSnapshot` is an [`Arc`] bump: the captured image is immutable
 //! and shared, and every restore copies the mutable slabs (memory cells,
@@ -58,8 +58,9 @@ pub(crate) struct SnapshotImage {
 }
 
 /// A cheap-to-clone snapshot of a run at one dynamic step, produced by
-/// [`crate::Vm::snapshot_at`] and consumed by [`crate::Vm::resume_from`] /
-/// [`crate::Vm::resume_with_visitors`].
+/// [`crate::Vm::snapshot_at`] and consumed by
+/// [`crate::Vm::resume_from_decoded`] /
+/// [`crate::Vm::resume_with_visitors_decoded`].
 ///
 /// Clones share one immutable image (an [`Arc`] bump), so a campaign can
 /// hand the same snapshot to every parallel worker; each restore copies the

@@ -10,9 +10,9 @@
 //! * [`EventCursor`] walks a materialized [`Trace`] and feeds every event to
 //!   every visitor in one fused pass — one trace walk no matter how many
 //!   analyses ride along;
-//! * [`crate::Vm::run_with_visitors`] feeds events straight from the
+//! * [`crate::Vm::run_with_visitors_decoded`] feeds events straight from the
 //!   interpreter as they execute, *without materializing a trace at all*:
-//!   the run keeps only the interned location table and a one-event scratch
+//!   the run keeps only the interned location table and a two-event scratch
 //!   buffer, so campaign executors can classify outcomes and detect patterns
 //!   in O(locations) memory instead of O(events).
 //!
@@ -70,16 +70,17 @@ pub struct WalkEnd<'a> {
     /// The final location table of the walk.
     pub locations: &'a [Location],
     /// How the run ended — `Some` when the walk streamed from a live
-    /// interpreter ([`crate::Vm::run_with_visitors`]), `None` when it walked
-    /// an already-materialized trace.
+    /// interpreter ([`crate::Vm::run_with_visitors_decoded`]), `None` when it
+    /// walked an already-materialized trace.
     pub outcome: Option<RunOutcome>,
 }
 
 /// A push-style consumer of dynamic trace events.
 ///
 /// Implementations are driven by an [`EventCursor`] (materialized trace) or
-/// by the interpreter itself ([`crate::Vm::run_with_visitors`]); they must
-/// not assume the events are retained anywhere after the callback returns.
+/// by the interpreter itself ([`crate::Vm::run_with_visitors_decoded`]); they
+/// must not assume the events are retained anywhere after the callback
+/// returns.
 pub trait TraceVisitor {
     /// One dynamic event, in execution order.
     fn on_event(&mut self, ctx: &EventCtx<'_>);

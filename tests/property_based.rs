@@ -579,6 +579,7 @@ proptest! {
         let (start, end) = session.target_window(&target).expect("region resolves");
 
         let module = &session.app().module;
+        let decoded = session.decoded_module();
         let cold = Vm::new(VmConfig::default()).run(module).unwrap();
         // An arbitrary fork step inside the region's window (clamped to stay
         // strictly mid-run so a snapshot exists there).
@@ -591,7 +592,9 @@ proptest! {
         prop_assert_eq!(snap.step(), fork);
 
         // Clean resume reproduces the uninterrupted run exactly.
-        let resumed = Vm::new(VmConfig::default()).resume_from(module, &snap).unwrap();
+        let resumed = Vm::new(VmConfig::default())
+            .resume_from_decoded(module, decoded, &snap)
+            .unwrap();
         prop_assert_eq!(&resumed, &cold);
 
         // A post-restore fault manifests exactly as in a cold faulty run.
@@ -605,7 +608,9 @@ proptest! {
             ..VmConfig::default()
         };
         let faulty_cold = Vm::new(faulty_config()).run(module).unwrap();
-        let faulty_forked = Vm::new(faulty_config()).resume_from(module, &snap).unwrap();
+        let faulty_forked = Vm::new(faulty_config())
+            .resume_from_decoded(module, decoded, &snap)
+            .unwrap();
         prop_assert_eq!(format!("{faulty_forked:?}"), format!("{faulty_cold:?}"));
 
         // Campaign-level equivalence under a random seed and shard split.

@@ -131,15 +131,6 @@ pub struct BlockFixtures {
     entries: BTreeMap<String, String>,
 }
 
-/// Render documents in the [`BlockFixtures`] format.
-pub fn render_blocks<'a>(blocks: impl IntoIterator<Item = (&'a str, &'a str)>) -> String {
-    let mut out = String::new();
-    for (key, doc) in blocks {
-        let _ = writeln!(out, "== {key}\n{doc}");
-    }
-    out
-}
-
 impl BlockFixtures {
     /// Load a fixture file; a missing file fails the test.
     pub fn load(name: &'static str) -> Self {
