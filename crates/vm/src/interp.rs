@@ -2,9 +2,9 @@
 //! and optionally flipping one bit somewhere along the way.
 
 use ftkr_ir::decode::{DInst, DOperand, DOperandKind, DecodedFunction, DecodedModule, FUSED_TAIL};
+use ftkr_ir::inst::Intrinsic;
 use ftkr_ir::verify::verify_executable;
 use ftkr_ir::{BinKind, BlockId, CastKind, CmpKind, FunctionId, Module, ValueId, VerifyError};
-use ftkr_ir::inst::Intrinsic;
 
 use crate::fault::{FaultSpec, FaultTarget};
 use crate::location::Location;
@@ -476,8 +476,8 @@ impl Vm {
         snapshot: &VmSnapshot,
     ) -> Result<RunResult, VerifyError> {
         verify_executable(module)?;
-        Ok(Interp::from_snapshot(module, decoded, &self.config, false, snapshot)
-            .run_loop(None, snapshot.events_emitted() as usize))
+        let interp = Interp::from_snapshot(module, decoded, &self.config, false, snapshot);
+        Ok(interp.run_loop(None, snapshot.events_emitted() as usize))
     }
 
     /// Resume execution from a snapshot, streaming every resumed event to
@@ -497,8 +497,8 @@ impl Vm {
         verify_executable(module)?;
         let mut config = self.config;
         config.record_trace = true;
-        Ok(Interp::from_snapshot(module, decoded, &config, true, snapshot)
-            .run_loop(Some(visitors), snapshot.events_emitted() as usize))
+        let interp = Interp::from_snapshot(module, decoded, &config, true, snapshot);
+        Ok(interp.run_loop(Some(visitors), snapshot.events_emitted() as usize))
     }
 }
 
@@ -680,8 +680,14 @@ impl<'m> Interp<'m> {
             TraceScope::Full => img.step,
             TraceScope::Window { start, .. } => start.max(img.step),
         };
-        let mut interp =
-            Interp::with_state(module, decoded, config, streaming, img.memory.clone(), trace);
+        let mut interp = Interp::with_state(
+            module,
+            decoded,
+            config,
+            streaming,
+            img.memory.clone(),
+            trace,
+        );
         interp.frames = img
             .frames
             .iter()
@@ -1545,8 +1551,7 @@ impl<'m> Interp<'m> {
                     // Intern argument locations whenever tracing is on (not
                     // just inside the scope window) so frames entered before
                     // a window still resolve their argument reads inside it.
-                    let (v, loc) = match self.resolve(frame_idx, df, a, self.config.record_trace)
-                    {
+                    let (v, loc) = match self.resolve(frame_idx, df, a, self.config.record_trace) {
                         Ok(x) => x,
                         Err(t) => return StepFlow::Trap(t),
                     };
@@ -2217,7 +2222,9 @@ mod tests {
         assert_eq!(snap.step(), 0);
         assert_eq!(snap.events_emitted(), 0);
         assert_eq!(snap.frame_depth(), 1, "entry frame is pushed");
-        let resumed = vm.resume_from_decoded(&module, &decoded(&module), &snap).unwrap();
+        let resumed = vm
+            .resume_from_decoded(&module, &decoded(&module), &snap)
+            .unwrap();
         assert_eq!(resumed, cold);
     }
 
@@ -2232,7 +2239,9 @@ mod tests {
             .unwrap()
             .expect("final step exists");
         assert_eq!(snap.step(), last);
-        let resumed = vm.resume_from_decoded(&module, &decoded(&module), &snap).unwrap();
+        let resumed = vm
+            .resume_from_decoded(&module, &decoded(&module), &snap)
+            .unwrap();
         assert_eq!(resumed, cold);
         // One past the final step: the program completes first.
         assert!(vm.snapshot_at(&module, cold.steps).unwrap().is_none());
@@ -2251,7 +2260,9 @@ mod tests {
             snap.memory_cells() > 0,
             "the callee's alloca is live at the fork point"
         );
-        let resumed = vm.resume_from_decoded(&module, &decoded(&module), &snap).unwrap();
+        let resumed = vm
+            .resume_from_decoded(&module, &decoded(&module), &snap)
+            .unwrap();
         assert_eq!(resumed, cold);
         // The callee's alloca was released on return, as in the cold run.
         assert_eq!(resumed.memory.valid_len(), resumed.memory.globals_len());
@@ -2332,7 +2343,9 @@ mod tests {
             .unwrap();
         // …the second, fault-free restore must still equal the cold run: the
         // faulty resume must not have mutated the shared snapshot image.
-        let clean = plain.resume_from_decoded(&module, &decoded(&module), &snap).unwrap();
+        let clean = plain
+            .resume_from_decoded(&module, &decoded(&module), &snap)
+            .unwrap();
         assert_eq!(clean, cold);
         // And a repeated faulty restore reproduces the first bit-for-bit.
         let faulty2 = Vm::new(VmConfig::with_fault(fault))
@@ -2358,7 +2371,9 @@ mod tests {
         ] {
             let vm = Vm::new(VmConfig::with_fault(fault));
             let cold = vm.run(&module).unwrap();
-            let forked = vm.resume_from_decoded(&module, &decoded(&module), &snap).unwrap();
+            let forked = vm
+                .resume_from_decoded(&module, &decoded(&module), &snap)
+                .unwrap();
             assert_eq!(forked, cold, "fault {fault:?}");
         }
     }
@@ -2391,7 +2406,11 @@ mod tests {
     #[test]
     fn recorded_lines_are_the_instructions_source_lines() {
         for module in [sum_module(), call_module()] {
-            let trace = Vm::new(VmConfig::tracing()).run(&module).unwrap().trace.unwrap();
+            let trace = Vm::new(VmConfig::tracing())
+                .run(&module)
+                .unwrap()
+                .trace
+                .unwrap();
             assert!(!trace.is_empty());
             for e in &trace.events {
                 assert_eq!(e.line, module.function(e.func).inst(e.inst).line, "{e:?}");
@@ -2413,7 +2432,9 @@ mod tests {
                 FaultSpec::in_result(step, 7),
                 FaultSpec::in_memory(step, 0, 3),
             ] {
-                let traced = Vm::new(VmConfig::tracing_with_fault(fault)).run(&module).unwrap();
+                let traced = Vm::new(VmConfig::tracing_with_fault(fault))
+                    .run(&module)
+                    .unwrap();
                 let untraced = Vm::new(VmConfig::with_fault(fault)).run(&module).unwrap();
                 assert_eq!(untraced.outcome, traced.outcome, "fault {fault:?}");
                 assert_eq!(untraced.steps, traced.steps, "fault {fault:?}");
@@ -2429,7 +2450,11 @@ mod tests {
                 let faults_result = matches!(fault.target, FaultTarget::InstructionResult)
                     && !matches!(struck.kind, EventKind::Alloca { .. });
                 if let (true, Some((loc, v))) = (faults_result, struck.write) {
-                    assert_eq!(t.resolved(at).write, Some((loc, v.flip_bit(7))), "step {step}");
+                    assert_eq!(
+                        t.resolved(at).write,
+                        Some((loc, v.flip_bit(7))),
+                        "step {step}"
+                    );
                 }
             }
         }
@@ -2453,7 +2478,11 @@ mod tests {
         );
         let plain = Vm::new(VmConfig::default());
         let cold = plain.run(&module).unwrap();
-        let full = Vm::new(VmConfig::tracing()).run(&module).unwrap().trace.unwrap();
+        let full = Vm::new(VmConfig::tracing())
+            .run(&module)
+            .unwrap()
+            .trace
+            .unwrap();
         let mut cold_stream = Rebuild::default();
         plain
             .run_with_visitors_decoded(&module, &dm, &mut [&mut cold_stream])
@@ -2484,7 +2513,11 @@ mod tests {
             assert_eq!(tail.base_step(), fork);
             assert_eq!(tail.len(), full.len() - at);
             for i in 0..tail.len() {
-                assert_eq!(tail.resolved(i), full.resolved(at + i), "fork {fork} event {i}");
+                assert_eq!(
+                    tail.resolved(i),
+                    full.resolved(at + i),
+                    "fork {fork} event {i}"
+                );
             }
 
             let mut streamed = Rebuild::default();
@@ -2502,10 +2535,17 @@ mod tests {
             ] {
                 let vm = Vm::new(VmConfig::with_fault(fault));
                 let forked = vm.resume_from_decoded(&module, &dm, &snap).unwrap();
-                assert_eq!(forked, vm.run(&module).unwrap(), "fork {fork} fault {fault:?}");
+                assert_eq!(
+                    forked,
+                    vm.run(&module).unwrap(),
+                    "fork {fork} fault {fault:?}"
+                );
             }
         }
-        assert!(branch_halves > 0, "some fork points fall between fused halves");
+        assert!(
+            branch_halves > 0,
+            "some fork points fall between fused halves"
+        );
     }
 
     /// Every step limit stops the run after exactly that many steps — also

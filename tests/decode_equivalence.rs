@@ -37,11 +37,21 @@ fn clean_decoded_runs_match_the_legacy_interpreter_for_every_app() {
             let label = if record_trace { "traced" } else { "untraced" };
             let want = fixtures.get(&format!("{} {label}", app.name));
             let run = Vm::new(config()).run(&app.module).expect("module verifies");
-            assert_eq!(hex(run_digest(&run)), want, "{} Vm::run ({label})", app.name);
+            assert_eq!(
+                hex(run_digest(&run)),
+                want,
+                "{} Vm::run ({label})",
+                app.name
+            );
             let fast = Vm::new(config())
                 .run_decoded(&app.module, &decoded)
                 .expect("module verifies");
-            assert_eq!(hex(run_digest(&fast)), want, "{} Vm::run_decoded ({label})", app.name);
+            assert_eq!(
+                hex(run_digest(&fast)),
+                want,
+                "{} Vm::run_decoded ({label})",
+                app.name
+            );
         }
     }
 }
@@ -121,7 +131,10 @@ fn analyzed_decoded_reports_match_a_legacy_streamed_reference_for_every_app() {
             .with_seed(SEED);
 
         let analyzed = session.run_plan_analyzed(&plan).unwrap().to_json();
-        assert_eq!(analyzed, legacy, "{name} region {region:?}: analyzed forked");
+        assert_eq!(
+            analyzed, legacy,
+            "{name} region {region:?}: analyzed forked"
+        );
         let cold = session.run_plan_analyzed_cold(&plan).unwrap().to_json();
         assert_eq!(cold, legacy, "{name} region {region:?}: analyzed cold");
 
