@@ -6,6 +6,7 @@
 //! strict: a key without a fixture line fails the test instead of skipping
 //! the comparison.
 
+// Each test binary that includes this module uses only part of it.
 #![allow(dead_code)]
 
 use std::collections::BTreeMap;
@@ -16,7 +17,7 @@ use fliptracker::integrity::fnv1a;
 use ftkr_vm::{RunResult, Trace, Value};
 
 /// Path of a fixture file under `tests/fixtures/`.
-pub fn fixture_path(name: &str) -> PathBuf {
+fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
