@@ -289,10 +289,10 @@ pub(crate) struct Frame {
 /// Sentinel for "location not interned yet" in the dense id tables.
 const NO_ID: u32 = u32::MAX;
 
-/// Operand resolution for the untraced hot loop: no location interning, no
-/// operand pooling — just the value.  A free function over the split borrows
-/// of [`Interp::run_hot_decoded`], so the loop's held frame reference is the
-/// only frame access per read.
+/// Operand resolution without recording: no location interning, no
+/// operand pooling — just the value.  A free function over the split
+/// borrows of [`Interp::dispatch`], so the loop's held frame reference is
+/// the only frame access per read.
 #[inline]
 fn hot_operand(
     frame: &Frame,
@@ -313,29 +313,48 @@ fn hot_operand(
     }
 }
 
+/// Operand resolution when recording: the value plus the interned id of the
+/// location read — registers and arguments; constants and globals read none.
+#[inline]
+fn recorded_operand(
+    frame: &mut Frame,
+    df: &DecodedFunction,
+    global_bases: &[u64],
+    locations: &mut Vec<Location>,
+    operand: DOperand,
+) -> Result<(Value, Option<LocationId>), TrapKind> {
+    let value = hot_operand(frame, df, global_bases, operand)?;
+    let loc = match operand.unpack() {
+        DOperandKind::Value(v) => Some(intern_reg(locations, frame, v)),
+        DOperandKind::Arg(i) => frame.arg_locs.get(i as usize).copied().flatten(),
+        _ => None,
+    };
+    Ok((value, loc))
+}
+
 /// Intern a register location through the frame's dense per-register table:
 /// O(1), no hashing — the hot path of trace recording.
-fn intern_reg(trace: &mut Trace, frame: &mut Frame, v: ValueId) -> LocationId {
+#[inline]
+fn intern_reg(locations: &mut Vec<Location>, frame: &mut Frame, v: ValueId) -> LocationId {
     let slot = &mut frame.reg_ids[v.index()];
     if *slot == NO_ID {
-        *slot = u32::try_from(trace.locations.len()).expect("≤ 2^32 locations per trace");
-        trace
-            .locations
-            .push(Location::reg(frame.func, frame.frame_id, v));
+        *slot = u32::try_from(locations.len()).expect("≤ 2^32 locations per trace");
+        locations.push(Location::reg(frame.func, frame.frame_id, v));
     }
     LocationId(*slot)
 }
 
 /// Intern a memory-cell location through the address-indexed dense table.
-fn intern_mem(trace: &mut Trace, mem_ids: &mut Vec<u32>, addr: u64) -> LocationId {
+#[inline]
+fn intern_mem(locations: &mut Vec<Location>, mem_ids: &mut Vec<u32>, addr: u64) -> LocationId {
     let a = addr as usize;
     if a >= mem_ids.len() {
         mem_ids.resize(a + 1, NO_ID);
     }
     let slot = &mut mem_ids[a];
     if *slot == NO_ID {
-        *slot = u32::try_from(trace.locations.len()).expect("≤ 2^32 locations per trace");
-        trace.locations.push(Location::mem(addr));
+        *slot = u32::try_from(locations.len()).expect("≤ 2^32 locations per trace");
+        locations.push(Location::mem(addr));
     }
     LocationId(*slot)
 }
@@ -391,30 +410,14 @@ impl Vm {
         let decoded = DecodedModule::decode(module);
         let mut config = self.config;
         config.record_trace = true;
-        // A fused dispatch yields after its compare half once the step
-        // budget is reached, so capping the budget at `step` stops the
-        // prefix exactly there.
-        config.max_steps = config.max_steps.min(step);
         let mut interp = Interp::at_entry(module, &decoded, &config, true);
-        let mut emitted = 0u64;
-        while interp.steps < step {
-            if interp.steps >= self.config.max_steps {
-                return Ok(None);
-            }
-            let flow = interp.step_decoded();
-            // Discard the streamed events (up to two per fused dispatch),
-            // keeping only the cursor: the snapshot records *how many*
-            // events the prefix delivered, not the events themselves.
-            emitted += interp.trace.events.len() as u64;
-            interp.trace.events.clear();
-            interp.trace.pool.clear();
-            interp.event_steps.clear();
-            match flow {
-                StepFlow::Continue => {}
-                StepFlow::Finished | StepFlow::Trap(_) => return Ok(None),
-            }
-        }
-        Ok(Some(interp.capture(emitted)))
+        // The prefix streams to no visitor: the snapshot keeps only the
+        // event cursor, not the events.
+        let mut sink = Sink::new(true, &mut [], 0, config.trace_opts);
+        Ok(match interp.run_until(step, &mut sink) {
+            None => Some(interp.capture(sink.emitted as u64)),
+            Some(_) => None,
+        })
     }
 
     /// [`Vm::run`] over tables already decoded from `module`: dense flat
@@ -476,7 +479,7 @@ impl Vm {
         snapshot: &VmSnapshot,
     ) -> Result<RunResult, VerifyError> {
         verify_executable(module)?;
-        let interp = Interp::from_snapshot(module, decoded, &self.config, false, snapshot);
+        let interp = Interp::from_snapshot(module, decoded, &self.config, snapshot);
         Ok(interp.run_loop(None, snapshot.events_emitted() as usize))
     }
 
@@ -497,7 +500,7 @@ impl Vm {
         verify_executable(module)?;
         let mut config = self.config;
         config.record_trace = true;
-        let interp = Interp::from_snapshot(module, decoded, &config, true, snapshot);
+        let interp = Interp::from_snapshot(module, decoded, &config, snapshot);
         Ok(interp.run_loop(Some(visitors), snapshot.events_emitted() as usize))
     }
 }
@@ -515,27 +518,96 @@ struct Interp<'m> {
     frames: Vec<Frame>,
     steps: u64,
     next_frame_id: u32,
-    /// Stream events to visitors instead of materializing them: each recorded
-    /// event is handed over and immediately discarded, so `trace` never grows
-    /// beyond the location table plus a two-event scratch buffer.
-    streaming: bool,
     /// Absolute source lines per function, materialized from the decoded
     /// delta streams — only when the run records a trace.
     dlines: Vec<Vec<u32>>,
-    /// Dynamic step of each event currently in `trace.events`, kept only in
-    /// streaming mode: a fused dispatch can emit two events per call, so the
-    /// run loop can no longer derive event steps from the step counter alone.
-    event_steps: Vec<u64>,
     /// Base address per [`GlobalId`](ftkr_ir::GlobalId), resolved once at
     /// construction.  Globals are laid out up front and never move, so
     /// operand resolution never scans the name-keyed global extents.
     global_bases: Vec<u64>,
 }
 
-enum StepFlow {
-    Continue,
-    Finished,
-    Trap(TrapKind),
+/// Where the recording loop puts its events: appended to the run's trace
+/// (materialized), or handed to visitors as they happen and dropped
+/// (streamed — the trace then keeps only its location table).
+struct Sink<'s, 'v> {
+    streaming: bool,
+    visitors: &'s mut [&'v mut dyn TraceVisitor],
+    /// [`TraceVisitor::wants_operand_reads`] per visitor, queried once.
+    wants_reads: Vec<bool>,
+    /// Absolute index of the next streamed event.
+    emitted: usize,
+    skip_markers: bool,
+}
+
+impl<'s, 'v> Sink<'s, 'v> {
+    fn new(
+        streaming: bool,
+        visitors: &'s mut [&'v mut dyn TraceVisitor],
+        emitted: usize,
+        opts: TraceOpts,
+    ) -> Self {
+        let wants_reads = visitors.iter().map(|v| v.wants_operand_reads()).collect();
+        Sink {
+            streaming,
+            visitors,
+            wants_reads,
+            emitted,
+            skip_markers: opts.skip_markers,
+        }
+    }
+
+    /// Record the event of dynamic step `step`, whose operand reads are
+    /// `trace.pool[pool_start..]`.  Elided markers go to the trace's side
+    /// table (materialized runs only); a streamed event is delivered to every
+    /// visitor and its reads are dropped from the pool again.
+    #[inline]
+    fn emit(&mut self, trace: &mut Trace, step: u64, pool_start: usize, mut event: TraceEvent) {
+        if self.skip_markers && event.kind.is_marker() {
+            if !self.streaming {
+                let kind = match event.kind {
+                    EventKind::LoopBegin { id, depth, kind } => {
+                        MarkerKind::Begin { id, depth, kind }
+                    }
+                    EventKind::LoopEnd { id } => MarkerKind::End { id },
+                    EventKind::LoopIter { id } => MarkerKind::Iter { id },
+                    _ => unreachable!("is_marker covers exactly the loop markers"),
+                };
+                trace.markers.push(MarkerRecord {
+                    at_event: u32::try_from(trace.events.len()).expect("≤ 2^32 events per trace"),
+                    func: event.func,
+                    frame: event.frame,
+                    kind,
+                });
+            }
+            return;
+        }
+        event.reads = ReadSpan {
+            offset: u32::try_from(pool_start).expect("≤ 2^32 operand reads per trace"),
+            len: (trace.pool.len() - pool_start) as u32,
+        };
+        if !self.streaming {
+            trace.events.push(event);
+            return;
+        }
+        let ctx = EventCtx {
+            index: self.emitted,
+            step,
+            event: &event,
+            reads: &trace.pool[pool_start..],
+            locations: &trace.locations,
+        };
+        for (v, &wants) in self.visitors.iter_mut().zip(&self.wants_reads) {
+            v.on_event(&ctx);
+            if wants {
+                for (nth, &(id, value)) in ctx.reads.iter().enumerate() {
+                    v.on_operand_read(&ctx, nth, id, value);
+                }
+            }
+        }
+        self.emitted += 1;
+        trace.pool.truncate(pool_start);
+    }
 }
 
 impl<'m> Interp<'m> {
@@ -578,14 +650,13 @@ impl<'m> Interp<'m> {
             module,
             decoded,
             config,
-            streaming,
             Memory::for_module(module, config.max_memory_cells),
             trace,
         );
         let (entry, _) = module
             .function_by_name("main")
             .expect("verify_executable guarantees main");
-        let frame = interp.make_frame(entry, Vec::new(), Vec::new(), None);
+        let frame = interp.make_frame(entry);
         interp.frames.push(frame);
         interp
     }
@@ -598,7 +669,6 @@ impl<'m> Interp<'m> {
         module: &'m Module,
         decoded: &'m DecodedModule,
         config: &VmConfig,
-        streaming: bool,
         memory: Memory,
         trace: Trace,
     ) -> Self {
@@ -632,9 +702,7 @@ impl<'m> Interp<'m> {
             frames: Vec::new(),
             steps: 0,
             next_frame_id: 0,
-            streaming,
             dlines,
-            event_steps: Vec::new(),
             global_bases,
         }
     }
@@ -663,7 +731,6 @@ impl<'m> Interp<'m> {
         module: &'m Module,
         decoded: &'m DecodedModule,
         config: &VmConfig,
-        streaming: bool,
         snapshot: &VmSnapshot,
     ) -> Self {
         let img = snapshot.image();
@@ -680,14 +747,7 @@ impl<'m> Interp<'m> {
             TraceScope::Full => img.step,
             TraceScope::Window { start, .. } => start.max(img.step),
         };
-        let mut interp = Interp::with_state(
-            module,
-            decoded,
-            config,
-            streaming,
-            img.memory.clone(),
-            trace,
-        );
+        let mut interp = Interp::with_state(module, decoded, config, img.memory.clone(), trace);
         interp.frames = img
             .frames
             .iter()
@@ -710,105 +770,38 @@ impl<'m> Interp<'m> {
         interp
     }
 
-    /// The interpreter main loop, shared by cold runs (`emitted_start == 0`)
-    /// and snapshot-resumed runs (`emitted_start` = the fork point's streamed
-    /// event cursor, so visitor indices continue absolutely).
+    /// Run to the end of the program, shared by cold runs (`emitted_start ==
+    /// 0`) and snapshot-resumed runs (`emitted_start` = the fork point's
+    /// streamed event cursor, so visitor indices continue absolutely).
     fn run_loop(
         mut self,
-        mut visitors: Option<&mut [&mut dyn TraceVisitor]>,
+        visitors: Option<&mut [&mut dyn TraceVisitor]>,
         emitted_start: usize,
     ) -> RunResult {
-        let mut emitted = emitted_start;
-        // Per-operand delivery is opt-in and constant per visitor: query it
-        // once instead of once per dynamic instruction.
-        let wants_reads: Vec<bool> = visitors
-            .as_deref()
-            .map(|vs| vs.iter().map(|v| v.wants_operand_reads()).collect())
-            .unwrap_or_default();
+        let streaming = visitors.is_some();
+        let mut sink = Sink::new(
+            streaming,
+            visitors.unwrap_or(&mut []),
+            emitted_start,
+            self.config.trace_opts,
+        );
+        let outcome = self
+            .run_until(u64::MAX, &mut sink)
+            .unwrap_or(RunOutcome::Trapped(TrapKind::StepLimit));
 
-        // The hot loop handles the untraced, visitor-free configuration —
-        // the overwhelming majority of campaign executions.  Any step that a
-        // pending fault (or the step limit) could touch is delegated back to
-        // the general dispatch below, one step at a time.
-        let hot = visitors.is_none() && !self.config.record_trace;
-
-        let outcome = loop {
-            if self.steps >= self.config.max_steps {
-                break RunOutcome::Trapped(TrapKind::StepLimit);
-            }
-            if hot {
-                let stop = match self.config.fault {
-                    Some(f) if f.at_step >= self.steps => {
-                        f.at_step.min(self.config.max_steps)
-                    }
-                    _ => self.config.max_steps,
-                };
-                if let Some(flow) = self.run_hot_decoded(stop) {
-                    match flow {
-                        StepFlow::Finished => break RunOutcome::Completed,
-                        StepFlow::Trap(t) => break RunOutcome::Trapped(t),
-                        StepFlow::Continue => unreachable!("hot loop yields via None"),
-                    }
-                }
-                // Yielded at a boundary: re-check the limit, then run the
-                // boundary step through the general dispatch.
-                if self.steps >= self.config.max_steps {
-                    break RunOutcome::Trapped(TrapKind::StepLimit);
-                }
-            }
-            let flow = self.step_decoded();
-            // Dispatch the events this call recorded (a fused dispatch can
-            // emit up to two) before acting on the flow, so a final `Ret`
-            // still reaches the visitors.
-            if let Some(vs) = visitors.as_deref_mut() {
-                let n = self.trace.events.len();
-                if n > 0 {
-                    debug_assert_eq!(self.event_steps.len(), n);
-                    let pool_start = self.trace.events[0].reads.offset as usize;
-                    for k in 0..n {
-                        let event = self.trace.events[k].clone();
-                        let ctx = EventCtx {
-                            index: emitted,
-                            step: self.event_steps[k],
-                            event: &event,
-                            reads: &self.trace.pool[event.reads.range()],
-                            locations: &self.trace.locations,
-                        };
-                        for (v, &wants) in vs.iter_mut().zip(&wants_reads) {
-                            v.on_event(&ctx);
-                            if wants {
-                                for (nth, &(id, value)) in ctx.reads.iter().enumerate() {
-                                    v.on_operand_read(&ctx, nth, id, value);
-                                }
-                            }
-                        }
-                        emitted += 1;
-                    }
-                    self.trace.events.clear();
-                    self.event_steps.clear();
-                    self.trace.pool.truncate(pool_start);
-                }
-            }
-            match flow {
-                StepFlow::Continue => {}
-                StepFlow::Finished => break RunOutcome::Completed,
-                StepFlow::Trap(t) => break RunOutcome::Trapped(t),
-            }
-        };
-
-        if let Some(vs) = visitors {
+        if streaming {
             let end = WalkEnd {
-                events: emitted,
+                events: sink.emitted,
                 locations: &self.trace.locations,
                 outcome: Some(outcome),
             };
-            for v in vs.iter_mut() {
+            for v in sink.visitors.iter_mut() {
                 v.on_finish(&end);
             }
         }
 
         // A trap can abort a step after its operand reads were pooled but
-        // before the event was pushed; drop that dangling tail so the pool
+        // before the event was recorded; drop that dangling tail so the pool
         // length always equals the sum of the event spans.
         let pool_end = self
             .trace
@@ -822,7 +815,7 @@ impl<'m> Interp<'m> {
             steps: self.steps,
             outputs: self.outputs,
             memory: self.memory,
-            trace: if self.config.record_trace && !self.streaming {
+            trace: if self.config.record_trace && !streaming {
                 Some(self.trace)
             } else {
                 None
@@ -830,13 +823,67 @@ impl<'m> Interp<'m> {
         }
     }
 
-    fn make_frame(
-        &mut self,
-        func: FunctionId,
-        args: Vec<Value>,
-        arg_locs: Vec<Option<LocationId>>,
-        ret_dest: Option<(usize, ValueId)>,
-    ) -> Frame {
+    /// Execute until the step counter reaches `end` (`None`) or the program
+    /// finishes or traps (`Some(outcome)`, a step limit included).
+    ///
+    /// Drives [`Interp::dispatch`] from boundary to boundary.  A boundary is
+    /// a step where the dispatch configuration changes: the fault step (a
+    /// memory fault strikes before it, a result fault flips what it writes),
+    /// the step limit, the edges of the scope window, and `end` itself (the
+    /// capture step of [`Vm::snapshot_at`]).  Between boundaries the loop
+    /// runs with no per-step checks; each call advances at least one step.
+    fn run_until(&mut self, end: u64, sink: &mut Sink<'_, '_>) -> Option<RunOutcome> {
+        loop {
+            let now = self.steps;
+            if now >= end {
+                return None;
+            }
+            if now >= self.config.max_steps {
+                return Some(RunOutcome::Trapped(TrapKind::StepLimit));
+            }
+            let mut stop = end.min(self.config.max_steps);
+            let mut flip = None;
+            if let Some(fault) = self.config.fault {
+                if fault.at_step > now {
+                    stop = stop.min(fault.at_step);
+                } else if fault.at_step == now {
+                    match fault.target {
+                        FaultTarget::MemoryCell { addr } => {
+                            if let Some(v) = self.memory.peek(addr) {
+                                self.memory.poke(addr, v.flip_bit(fault.bit));
+                            }
+                        }
+                        FaultTarget::InstructionResult => {
+                            flip = Some(fault.bit);
+                            stop = now + 1;
+                        }
+                    }
+                }
+            }
+            let record = self.config.record_trace
+                && match self.config.trace_scope {
+                    TraceScope::Full => true,
+                    TraceScope::Window { start, end: close } => {
+                        for edge in [start, close] {
+                            if edge > now {
+                                stop = stop.min(edge);
+                            }
+                        }
+                        (start..close).contains(&now)
+                    }
+                };
+            let outcome = if record {
+                self.dispatch::<true>(stop, flip, sink)
+            } else {
+                self.dispatch::<false>(stop, flip, sink)
+            };
+            if outcome.is_some() {
+                return outcome;
+            }
+        }
+    }
+
+    fn make_frame(&mut self, func: FunctionId) -> Frame {
         let f = self.module.function(func);
         let frame_id = self.next_frame_id;
         self.next_frame_id += 1;
@@ -851,135 +898,41 @@ impl<'m> Interp<'m> {
             } else {
                 Vec::new()
             },
-            args,
-            arg_locs,
+            args: Vec::new(),
+            arg_locs: Vec::new(),
             stack_mark: self.memory.stack_mark(),
-            ret_dest,
+            ret_dest: None,
         }
     }
 
-    /// A memory-cell fault strikes *before* the instruction at `at_step`.
-    /// Called at the top of every dispatch — and again between the two halves
-    /// of a fused superinstruction, which spans two dynamic steps.
-    #[inline]
-    fn memory_fault_hook(&mut self) {
-        if let Some(fault) = self.config.fault {
-            if fault.at_step == self.steps {
-                if let FaultTarget::MemoryCell { addr } = fault.target {
-                    if let Some(v) = self.memory.peek(addr) {
-                        self.memory.poke(addr, v.flip_bit(fault.bit));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Resolve a packed operand to a value plus (when recording) the interned
-    /// id of the location read; constants and globals come from the decoded
-    /// tables.
-    fn resolve(
-        &mut self,
-        frame_idx: usize,
-        df: &DecodedFunction,
-        operand: DOperand,
-        record: bool,
-    ) -> Result<(Value, Option<LocationId>), TrapKind> {
-        match operand.unpack() {
-            DOperandKind::Value(v) => self.resolve_reg(frame_idx, v, record),
-            DOperandKind::Arg(i) => {
-                let frame = &self.frames[frame_idx];
-                let val = *frame
-                    .args
-                    .get(i as usize)
-                    .ok_or(TrapKind::UninitializedRegister)?;
-                Ok((val, frame.arg_locs.get(i as usize).copied().flatten()))
-            }
-            DOperandKind::ConstI(i) => Ok((Value::I(df.consts_i[i as usize]), None)),
-            DOperandKind::ConstF(i) => Ok((Value::F(df.consts_f[i as usize]), None)),
-            DOperandKind::Global(g) => Ok((Value::P(self.global_bases[g as usize]), None)),
-        }
-    }
-
-    /// Read register `v` of frame `frame_idx`, interning its location when
-    /// recording.
-    fn resolve_reg(
-        &mut self,
-        frame_idx: usize,
-        v: ValueId,
-        record: bool,
-    ) -> Result<(Value, Option<LocationId>), TrapKind> {
-        let frame = &mut self.frames[frame_idx];
-        let val = frame.regs[v.index()].ok_or(TrapKind::UninitializedRegister)?;
-        Ok((val, record.then(|| intern_reg(&mut self.trace, frame, v))))
-    }
-
-    /// Push one recorded event: marker elision, read-span closing, and source
-    /// lines from the materialized delta tables.
-    #[allow(clippy::too_many_arguments)]
-    fn push_event(
-        &mut self,
-        func: FunctionId,
-        frame: u32,
-        inst: ValueId,
-        lin: usize,
-        kind: EventKind,
-        pool_start: usize,
-        write: Option<(LocationId, Value)>,
-    ) {
-        let elide = self.config.trace_opts.skip_markers && kind.is_marker();
-        if elide {
-            if !self.streaming {
-                let marker = match kind {
-                    EventKind::LoopBegin { id, depth, kind } => {
-                        MarkerKind::Begin { id, depth, kind }
-                    }
-                    EventKind::LoopEnd { id } => MarkerKind::End { id },
-                    EventKind::LoopIter { id } => MarkerKind::Iter { id },
-                    _ => unreachable!("is_marker covers exactly the loop markers"),
-                };
-                self.trace.markers.push(MarkerRecord {
-                    at_event: u32::try_from(self.trace.events.len())
-                        .expect("≤ 2^32 events per trace"),
-                    func,
-                    frame,
-                    kind: marker,
-                });
-            }
-        } else {
-            let line = self.dlines[func.index()][lin];
-            let len = (self.trace.pool.len() - pool_start) as u32;
-            let offset = u32::try_from(pool_start).expect("≤ 2^32 operand reads per trace");
-            self.trace.events.push(TraceEvent {
-                func,
-                frame,
-                inst,
-                line,
-                kind,
-                reads: ReadSpan { offset, len },
-                write,
-            });
-            if self.streaming {
-                self.event_steps.push(self.steps);
-            }
-        }
-    }
-
-    /// The tight dispatch loop of the decoded path for the common campaign
-    /// configuration: no trace recording, no visitors, and no fault pending
-    /// before `stop`.  Executes decoded instructions back-to-back without
-    /// any per-step fault/trace bookkeeping — the per-step overhead that
-    /// dominates an untraced run — and yields (`None`) exactly at `stop`,
-    /// where the caller re-runs the general dispatch for one step (a fault
-    /// boundary) or raises the step limit.  Bit-identical to repeated
-    /// [`Interp::step_decoded`] calls in every observable: steps, traps,
-    /// outputs, memory, and frame program counters.
+    /// The dispatch loop: executes decoded instructions back to back until
+    /// the step counter reaches `stop` (`None`) or the program finishes or
+    /// traps (`Some(outcome)`).  Traces, interning order, traps, outputs and
+    /// step accounting are those of the original instruction sequence, one
+    /// dynamic step per instruction.
     ///
-    /// Returns `Some(flow)` when the program finishes or traps, `None` when
-    /// the step budget `stop` is reached with the program still running.
+    /// `RECORD` selects the instantiation.  Without it the loop only
+    /// executes — the campaign configuration, with no per-step bookkeeping.
+    /// With it every step interns the locations it touches, pools its reads
+    /// and hands its event to `sink`.  Outside a scope window a tracing run
+    /// dispatches without `RECORD` but still interns call arguments, so
+    /// frames entered before the window resolve their argument reads inside
+    /// it.
+    ///
+    /// `flip` is the bit a result fault flips in what this call's single
+    /// step writes (the caller then passes `stop` one past the fault step).
+    /// A fused compare-branch spans two steps and never crosses `stop`: when
+    /// only its compare half fits, the loop executes that half and yields
+    /// with the program counter on the branch half, which the next call
+    /// executes alone.
     #[allow(clippy::too_many_lines)]
-    fn run_hot_decoded(&mut self, stop: u64) -> Option<StepFlow> {
+    fn dispatch<const RECORD: bool>(
+        &mut self,
+        stop: u64,
+        flip: Option<u8>,
+        sink: &mut Sink<'_, '_>,
+    ) -> Option<RunOutcome> {
         let dm = self.decoded;
-        debug_assert!(!self.config.record_trace, "hot loop cannot record");
         // Split the interpreter into disjoint borrows once, so the loop can
         // hold one frame reference across operand resolution and the result
         // write instead of re-indexing `self.frames` per access, and count
@@ -989,14 +942,23 @@ impl<'m> Interp<'m> {
             frames,
             memory,
             outputs,
+            trace,
+            mem_ids,
             steps,
             next_frame_id,
             config,
             global_bases,
+            dlines,
             ..
         } = self;
+        let tracing = config.record_trace;
         let mut frame_idx = frames.len() - 1;
         let mut df = dm.function(frames[frame_idx].func);
+        let mut lines: &[u32] = if RECORD {
+            &dlines[frames[frame_idx].func.index()]
+        } else {
+            &[]
+        };
         let mut nsteps = *steps;
         loop {
             if nsteps >= stop {
@@ -1004,33 +966,90 @@ impl<'m> Interp<'m> {
                 return None;
             }
             let frame = &mut frames[frame_idx];
+            let (func, frame_id) = (frame.func, frame.frame_id);
             let lin = df.lin(frame.block, frame.ip);
             let packed = df.flat_map[lin];
             let dinst = df.code[(packed & !FUSED_TAIL) as usize];
             let iid = ValueId(df.lin_iids[lin]);
+            let pool_start = if RECORD { trace.pool.len() } else { 0 };
+            // Most instructions simply advance ip; control flow overrides this.
             frame.ip += 1;
 
-            macro_rules! hres {
+            macro_rules! bail {
+                ($trap:expr) => {{
+                    *steps = nsteps;
+                    return Some(RunOutcome::Trapped($trap));
+                }};
+            }
+            // Read an operand, pooling the location it reads when recording.
+            macro_rules! read {
                 ($operand:expr) => {{
-                    match hot_operand(frame, df, global_bases, $operand) {
-                        Ok(v) => v,
-                        Err(t) => {
-                            *steps = nsteps;
-                            return Some(StepFlow::Trap(t));
+                    if RECORD {
+                        match recorded_operand(
+                            frame,
+                            df,
+                            global_bases,
+                            &mut trace.locations,
+                            $operand,
+                        ) {
+                            Ok((v, loc)) => {
+                                if let Some(l) = loc {
+                                    trace.pool.push((l, v));
+                                }
+                                v
+                            }
+                            Err(t) => bail!(t),
+                        }
+                    } else {
+                        match hot_operand(frame, df, global_bases, $operand) {
+                            Ok(v) => v,
+                            Err(t) => bail!(t),
                         }
                     }
                 }};
             }
-            macro_rules! bail {
-                ($trap:expr) => {{
-                    *steps = nsteps;
-                    return Some(StepFlow::Trap($trap));
+            macro_rules! faulted {
+                ($value:expr) => {
+                    match flip {
+                        Some(bit) => $value.flip_bit(bit),
+                        None => $value,
+                    }
+                };
+            }
+            // Write the instruction's result register; the recorded write.
+            macro_rules! set_result {
+                ($value:expr) => {{
+                    let value = $value;
+                    frame.regs[iid.index()] = Some(value);
+                    if RECORD {
+                        Some((intern_reg(&mut trace.locations, frame, iid), value))
+                    } else {
+                        None
+                    }
                 }};
             }
+            macro_rules! emit {
+                ($kind:expr, $write:expr) => {
+                    emit!(nsteps, iid, lin, pool_start, $kind, $write)
+                };
+                ($step:expr, $inst:expr, $lin:expr, $pool_start:expr, $kind:expr, $write:expr) => {
+                    if RECORD {
+                        let event = TraceEvent {
+                            func,
+                            frame: frame_id,
+                            inst: $inst,
+                            line: lines[$lin],
+                            kind: $kind,
+                            reads: ReadSpan::empty(),
+                            write: $write,
+                        };
+                        sink.emit(trace, $step, $pool_start, event);
+                    }
+                };
+            }
 
-            // A snapshot captured between the halves of a fused pair
-            // restores with the program counter on the branch half: execute
-            // it alone (exactly like the general dispatch).
+            // A branch half alone: the fused pair was split by a boundary,
+            // or a snapshot captured between its halves restored here.
             if packed & FUSED_TAIL != 0 {
                 let DInst::CmpBr { then_b, else_b, .. } = dinst else {
                     unreachable!("FUSED_TAIL only marks CmpBr branch halves");
@@ -1039,33 +1058,50 @@ impl<'m> Interp<'m> {
                 let Some(c) = frame.regs[cond_reg.index()] else {
                     bail!(TrapKind::UninitializedRegister);
                 };
+                if RECORD {
+                    let id = intern_reg(&mut trace.locations, frame, cond_reg);
+                    trace.pool.push((id, c));
+                }
                 let taken = c.is_truthy();
                 frame.block = BlockId(if taken { then_b } else { else_b });
                 frame.ip = 0;
+                emit!(EventKind::CondBr { taken }, None);
                 nsteps += 1;
                 continue;
             }
 
             match dinst {
                 DInst::Bin { kind, lhs, rhs } => {
-                    let a = hres!(lhs);
-                    let b = hres!(rhs);
+                    let a = read!(lhs);
+                    let b = read!(rhs);
                     let result = match eval_bin(kind, a, b) {
-                        Ok(v) => v,
+                        Ok(v) => faulted!(v),
                         Err(t) => bail!(t),
                     };
-                    frame.regs[iid.index()] = Some(result);
+                    let write = set_result!(result);
+                    emit!(EventKind::Bin(kind), write);
                 }
                 DInst::Cmp {
-                    kind, float, lhs, rhs,
+                    kind,
+                    float,
+                    lhs,
+                    rhs,
                 } => {
-                    let a = hres!(lhs);
-                    let b = hres!(rhs);
+                    let a = read!(lhs);
+                    let b = read!(rhs);
                     let result = match eval_cmp(kind, float, a, b) {
-                        Ok(v) => v,
+                        Ok(r) => faulted!(Value::I(r as i64)),
                         Err(t) => bail!(t),
                     };
-                    frame.regs[iid.index()] = Some(Value::I(result as i64));
+                    let write = set_result!(result);
+                    emit!(
+                        EventKind::Cmp {
+                            kind,
+                            float,
+                            result: result.is_truthy(),
+                        },
+                        write
+                    );
                 }
                 DInst::CmpBr {
                     kind,
@@ -1075,48 +1111,68 @@ impl<'m> Interp<'m> {
                     then_b,
                     else_b,
                 } => {
-                    // The fused pair spans two dynamic steps and must not
-                    // straddle `stop` (a fault or the step limit could land
-                    // between the halves): yield and let the general
-                    // dispatch handle the boundary.
-                    if nsteps + 2 > stop {
-                        frame.ip -= 1;
-                        *steps = nsteps;
-                        return None;
-                    }
-                    let a = hres!(lhs);
-                    let b = hres!(rhs);
+                    // --- compare half ---
+                    let a = read!(lhs);
+                    let b = read!(rhs);
                     let result = match eval_cmp(kind, float, a, b) {
-                        Ok(v) => v,
+                        Ok(r) => faulted!(Value::I(r as i64)),
                         Err(t) => bail!(t),
                     };
-                    frame.regs[iid.index()] = Some(Value::I(result as i64));
-                    frame.block = BlockId(if result { then_b } else { else_b });
+                    let write = set_result!(result);
+                    let taken = result.is_truthy();
+                    emit!(
+                        EventKind::Cmp {
+                            kind,
+                            float,
+                            result: taken,
+                        },
+                        write
+                    );
+                    nsteps += 1;
+                    if nsteps >= stop {
+                        // The program counter rests on the branch half.
+                        continue;
+                    }
+                    // --- branch half: the next step, reading the compare's
+                    // result register ---
+                    let pool_start = if RECORD { trace.pool.len() } else { 0 };
+                    if RECORD {
+                        let id = intern_reg(&mut trace.locations, frame, iid);
+                        trace.pool.push((id, result));
+                    }
+                    frame.block = BlockId(if taken { then_b } else { else_b });
                     frame.ip = 0;
-                    nsteps += 2;
-                    continue;
+                    emit!(
+                        nsteps,
+                        ValueId(df.lin_iids[lin + 1]),
+                        lin + 1,
+                        pool_start,
+                        EventKind::CondBr { taken },
+                        None
+                    );
                 }
                 DInst::Cast { kind, src } => {
-                    let v = hres!(src);
+                    let v = read!(src);
                     let result = match eval_cast(kind, v) {
-                        Ok(v) => v,
+                        Ok(v) => faulted!(v),
                         Err(t) => bail!(t),
                     };
-                    frame.regs[iid.index()] = Some(result);
+                    let write = set_result!(result);
+                    emit!(EventKind::Cast(kind), write);
                 }
                 DInst::Select {
                     cond,
                     then_v,
                     else_v,
                 } => {
-                    let c = hres!(cond);
-                    let a = hres!(then_v);
-                    let b = hres!(else_v);
-                    let result = if c.is_truthy() { a } else { b };
-                    frame.regs[iid.index()] = Some(result);
+                    let c = read!(cond);
+                    let a = read!(then_v);
+                    let b = read!(else_v);
+                    let write = set_result!(faulted!(if c.is_truthy() { a } else { b }));
+                    emit!(EventKind::Select, write);
                 }
                 DInst::Load { addr } => {
-                    let a = hres!(addr);
+                    let a = read!(addr);
                     let Some(addr) = a.as_ptr() else {
                         bail!(TrapKind::TypeMismatch);
                     };
@@ -1124,533 +1180,187 @@ impl<'m> Interp<'m> {
                         Ok(v) => v,
                         Err(MemError::OutOfBounds { .. }) => bail!(TrapKind::OutOfBounds),
                     };
-                    frame.regs[iid.index()] = Some(loaded);
+                    if RECORD {
+                        let id = intern_mem(&mut trace.locations, mem_ids, addr);
+                        trace.pool.push((id, loaded));
+                    }
+                    let write = set_result!(faulted!(loaded));
+                    emit!(EventKind::Load, write);
                 }
                 DInst::Store { addr, value } => {
-                    let a = hres!(addr);
-                    let v = hres!(value);
+                    let a = read!(addr);
+                    let v = read!(value);
                     let Some(addr) = a.as_ptr() else {
                         bail!(TrapKind::TypeMismatch);
                     };
-                    if let Err(MemError::OutOfBounds { .. }) = memory.store(addr, v) {
+                    let stored = faulted!(v);
+                    if let Err(MemError::OutOfBounds { .. }) = memory.store(addr, stored) {
                         bail!(TrapKind::OutOfBounds);
                     }
+                    let write = if RECORD {
+                        Some((intern_mem(&mut trace.locations, mem_ids, addr), stored))
+                    } else {
+                        None
+                    };
+                    emit!(EventKind::Store, write);
                 }
                 DInst::Alloca { size } => {
                     let Some(base) = memory.alloca(u64::from(size)) else {
                         bail!(TrapKind::OutOfMemory);
                     };
-                    frame.regs[iid.index()] = Some(Value::P(base));
+                    let write = set_result!(Value::P(base));
+                    let size = u64::from(size);
+                    emit!(EventKind::Alloca { base, size }, write);
                 }
                 DInst::Gep { base, index } => {
-                    let b = hres!(base);
-                    let i = hres!(index);
+                    let b = read!(base);
+                    let i = read!(index);
                     let (Some(base), Some(idx)) = (b.as_ptr(), i.as_i64()) else {
                         bail!(TrapKind::TypeMismatch);
                     };
                     let addr = (base as i64).wrapping_add(idx) as u64;
-                    frame.regs[iid.index()] = Some(Value::P(addr));
+                    let write = set_result!(faulted!(Value::P(addr)));
+                    emit!(EventKind::Gep, write);
                 }
                 DInst::Call { callee, args } => {
                     // The top frame is always `frame_idx`, so the depth
-                    // check stays ahead of operand resolution (the trap
-                    // order of the general dispatch) without touching
-                    // `frames` while `frame` is borrowed.
+                    // check stays ahead of operand resolution without
+                    // touching `frames` while `frame` is borrowed.
                     if (frame_idx + 1) as u32 >= config.max_call_depth {
                         bail!(TrapKind::CallDepth);
                     }
                     let n = args.len as usize;
                     let mut arg_vals = Vec::with_capacity(n);
-                    for k in args.range() {
-                        arg_vals.push(hres!(df.args_pool[k]));
-                    }
-                    // Inlined `make_frame` for the untraced configuration
-                    // (`reg_ids` is only allocated when recording).
+                    let arg_locs = if tracing {
+                        // Interned whenever tracing is on, inside the scope
+                        // window or not; pooled only when recording.
+                        let mut locs = Vec::with_capacity(n);
+                        for k in args.range() {
+                            let operand = df.args_pool[k];
+                            let (v, loc) = match recorded_operand(
+                                frame,
+                                df,
+                                global_bases,
+                                &mut trace.locations,
+                                operand,
+                            ) {
+                                Ok(x) => x,
+                                Err(t) => bail!(t),
+                            };
+                            if let (true, Some(l)) = (RECORD, loc) {
+                                trace.pool.push((l, v));
+                            }
+                            arg_vals.push(v);
+                            locs.push(loc);
+                        }
+                        locs
+                    } else {
+                        for k in args.range() {
+                            arg_vals.push(read!(df.args_pool[k]));
+                        }
+                        vec![None; n]
+                    };
+                    emit!(EventKind::Call { callee }, None);
                     let f = module.function(callee);
-                    let frame_id = *next_frame_id;
+                    let callee_id = *next_frame_id;
                     *next_frame_id += 1;
                     frames.push(Frame {
                         func: callee,
-                        frame_id,
+                        frame_id: callee_id,
                         block: f.entry(),
                         ip: 0,
                         regs: vec![None; f.num_insts()],
-                        reg_ids: Vec::new(),
+                        reg_ids: if tracing {
+                            vec![NO_ID; f.num_insts()]
+                        } else {
+                            Vec::new()
+                        },
                         args: arg_vals,
-                        arg_locs: vec![None; n],
+                        arg_locs,
                         stack_mark: memory.stack_mark(),
                         ret_dest: Some((frame_idx, iid)),
                     });
                     frame_idx += 1;
                     df = dm.function(callee);
+                    if RECORD {
+                        lines = &dlines[callee.index()];
+                    }
                 }
                 DInst::CallIntrinsic { intrinsic, args } => {
                     let mut vals = Vec::with_capacity(args.len as usize);
                     for k in args.range() {
-                        vals.push(hres!(df.args_pool[k]));
+                        vals.push(read!(df.args_pool[k]));
                     }
                     let result = match eval_intrinsic(intrinsic, &vals) {
-                        Ok(v) => v,
+                        Ok(v) => faulted!(v),
                         Err(t) => bail!(t),
                     };
-                    frame.regs[iid.index()] = Some(result);
+                    let write = set_result!(result);
+                    emit!(EventKind::Intrinsic, write);
                 }
                 DInst::Ret { value } => {
                     let ret_val = match value {
-                        Some(v) => Some(hres!(v)),
+                        Some(v) => Some(read!(v)),
                         None => None,
                     };
-                    let frame = frames.pop().expect("at least one frame");
-                    memory.release_to(frame.stack_mark);
-                    match frame.ret_dest {
-                        Some((caller_idx, dest)) => {
-                            frames[caller_idx].regs[dest.index()] =
-                                Some(ret_val.unwrap_or(Value::I(0)));
-                            frame_idx -= 1;
-                            df = dm.function(frames[frame_idx].func);
-                        }
-                        None => {
-                            *steps = nsteps + 1;
-                            return Some(StepFlow::Finished);
-                        }
+                    let done = frames.pop().expect("at least one frame");
+                    memory.release_to(done.stack_mark);
+                    let Some((caller_idx, dest)) = done.ret_dest else {
+                        emit!(EventKind::Ret, None);
+                        *steps = nsteps + 1;
+                        return Some(RunOutcome::Completed);
+                    };
+                    let v = faulted!(ret_val.unwrap_or(Value::I(0)));
+                    let caller = &mut frames[caller_idx];
+                    caller.regs[dest.index()] = Some(v);
+                    let write = if RECORD {
+                        Some((intern_reg(&mut trace.locations, caller, dest), v))
+                    } else {
+                        None
+                    };
+                    emit!(EventKind::Ret, write);
+                    frame_idx = caller_idx;
+                    df = dm.function(frames[frame_idx].func);
+                    if RECORD {
+                        lines = &dlines[frames[frame_idx].func.index()];
                     }
                 }
                 DInst::Br { target } => {
                     frame.block = BlockId(target);
                     frame.ip = 0;
+                    emit!(EventKind::Br, None);
                 }
                 DInst::CondBr {
                     cond,
                     then_b,
                     else_b,
                 } => {
-                    let c = hres!(cond);
+                    let c = read!(cond);
                     let taken = c.is_truthy();
                     frame.block = BlockId(if taken { then_b } else { else_b });
                     frame.ip = 0;
+                    emit!(EventKind::CondBr { taken }, None);
                 }
                 DInst::Output { value, format } => {
-                    let v = hres!(value);
+                    let v = read!(value);
                     outputs.emit(v, format);
+                    emit!(EventKind::Output { format }, None);
                 }
-                DInst::LoopBegin { .. }
-                | DInst::LoopEnd { .. }
-                | DInst::LoopIter { .. }
-                | DInst::Nop => {}
+                DInst::LoopBegin { id, depth, kind } => {
+                    emit!(EventKind::LoopBegin { id, depth, kind }, None);
+                }
+                DInst::LoopEnd { id } => {
+                    emit!(EventKind::LoopEnd { id }, None);
+                }
+                DInst::LoopIter { id } => {
+                    emit!(EventKind::LoopIter { id }, None);
+                }
+                DInst::Nop => {
+                    emit!(EventKind::Nop, None);
+                }
             }
             nsteps += 1;
         }
-    }
-
-    /// One decoded dispatch: executes the [`DInst`] at the current frame's
-    /// program counter — or, for a fused [`DInst::CmpBr`], both of its
-    /// original instructions (two dynamic steps) in one call.  Traces,
-    /// interning order, faults, traps, outputs and step accounting are those
-    /// of the original instruction sequence, one dynamic step per
-    /// instruction.
-    #[allow(clippy::too_many_lines)]
-    fn step_decoded(&mut self) -> StepFlow {
-        let dm = self.decoded;
-        self.memory_fault_hook();
-
-        let frame_idx = self.frames.len() - 1;
-        let (func_id, frame_id, lin) = {
-            let frame = &self.frames[frame_idx];
-            let df = dm.function(frame.func);
-            (frame.func, frame.frame_id, df.lin(frame.block, frame.ip))
-        };
-        let df = dm.function(func_id);
-        let packed = df.flat_map[lin];
-        let dinst = df.code[(packed & !FUSED_TAIL) as usize];
-        let iid = ValueId(df.lin_iids[lin]);
-
-        let record = self.config.record_trace && self.config.trace_scope.contains(self.steps);
-        let pool_start = self.trace.pool.len();
-        let mut write: Option<(LocationId, Value)> = None;
-
-        // Most instructions simply advance ip; control flow overrides this.
-        self.frames[frame_idx].ip += 1;
-
-        // Unwrap a resolved read, pooling it when this step records.
-        macro_rules! pooled {
-            ($resolved:expr) => {{
-                match $resolved {
-                    Ok((v, loc)) => {
-                        if record {
-                            if let Some(l) = loc {
-                                self.trace.pool.push((l, v));
-                            }
-                        }
-                        v
-                    }
-                    Err(t) => return StepFlow::Trap(t),
-                }
-            }};
-        }
-        macro_rules! resolve {
-            ($operand:expr) => {
-                pooled!(self.resolve(frame_idx, df, $operand, record))
-            };
-        }
-
-        macro_rules! record_result {
-            ($value:expr) => {
-                if record {
-                    let id = intern_reg(&mut self.trace, &mut self.frames[frame_idx], iid);
-                    write = Some((id, $value));
-                }
-            };
-        }
-
-        let faulty_result = match self.config.fault {
-            Some(FaultSpec {
-                at_step,
-                bit,
-                target: FaultTarget::InstructionResult,
-            }) if at_step == self.steps => Some(bit),
-            _ => None,
-        };
-        let apply_fault = |v: Value| -> Value {
-            match faulty_result {
-                Some(bit) => v.flip_bit(bit),
-                None => v,
-            }
-        };
-
-        // A snapshot captured between the halves of a fused pair restores
-        // with the program counter on the branch half: execute it alone.
-        if packed & FUSED_TAIL != 0 {
-            let DInst::CmpBr { then_b, else_b, .. } = dinst else {
-                unreachable!("FUSED_TAIL only marks CmpBr branch halves");
-            };
-            let cond_reg = ValueId(df.lin_iids[lin - 1]);
-            let c = pooled!(self.resolve_reg(frame_idx, cond_reg, record));
-            let taken = c.is_truthy();
-            let frame = &mut self.frames[frame_idx];
-            frame.block = BlockId(if taken { then_b } else { else_b });
-            frame.ip = 0;
-            if record {
-                self.push_event(
-                    func_id,
-                    frame_id,
-                    iid,
-                    lin,
-                    EventKind::CondBr { taken },
-                    pool_start,
-                    None,
-                );
-            }
-            self.steps += 1;
-            return StepFlow::Continue;
-        }
-
-        let mut kind = EventKind::Nop;
-        let mut flow = StepFlow::Continue;
-
-        match dinst {
-            DInst::Bin { kind: bk, lhs, rhs } => {
-                let a = resolve!(lhs);
-                let b = resolve!(rhs);
-                let result = match eval_bin(bk, a, b) {
-                    Ok(v) => v,
-                    Err(t) => return StepFlow::Trap(t),
-                };
-                let result = apply_fault(result);
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                kind = EventKind::Bin(bk);
-                record_result!(result);
-            }
-            DInst::Cmp {
-                kind: ck,
-                float,
-                lhs,
-                rhs,
-            } => {
-                let a = resolve!(lhs);
-                let b = resolve!(rhs);
-                let result = match eval_cmp(ck, float, a, b) {
-                    Ok(v) => v,
-                    Err(t) => return StepFlow::Trap(t),
-                };
-                let result = apply_fault(Value::I(result as i64));
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                kind = EventKind::Cmp {
-                    kind: ck,
-                    float,
-                    result: result.is_truthy(),
-                };
-                record_result!(result);
-            }
-            DInst::CmpBr {
-                kind: ck,
-                float,
-                lhs,
-                rhs,
-                then_b,
-                else_b,
-            } => {
-                // --- compare half (this step) ---
-                let a = resolve!(lhs);
-                let b = resolve!(rhs);
-                let result = match eval_cmp(ck, float, a, b) {
-                    Ok(v) => v,
-                    Err(t) => return StepFlow::Trap(t),
-                };
-                let result = apply_fault(Value::I(result as i64));
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                record_result!(result);
-                if record {
-                    self.push_event(
-                        func_id,
-                        frame_id,
-                        iid,
-                        lin,
-                        EventKind::Cmp {
-                            kind: ck,
-                            float,
-                            result: result.is_truthy(),
-                        },
-                        pool_start,
-                        write,
-                    );
-                }
-                self.steps += 1;
-                if self.steps >= self.config.max_steps {
-                    // The run loop raises StepLimit before the branch half
-                    // executes — exactly where an unfused run would stop (the
-                    // frame's program counter is on the branch).
-                    return StepFlow::Continue;
-                }
-
-                // --- branch half (next step) ---
-                self.memory_fault_hook();
-                let record2 =
-                    self.config.record_trace && self.config.trace_scope.contains(self.steps);
-                let pool_start2 = self.trace.pool.len();
-                let br_iid = ValueId(df.lin_iids[lin + 1]);
-                let (c, loc) = match self.resolve_reg(frame_idx, iid, record2) {
-                    Ok(x) => x,
-                    Err(t) => return StepFlow::Trap(t),
-                };
-                if record2 {
-                    if let Some(l) = loc {
-                        self.trace.pool.push((l, c));
-                    }
-                }
-                let taken = c.is_truthy();
-                let frame = &mut self.frames[frame_idx];
-                frame.block = BlockId(if taken { then_b } else { else_b });
-                frame.ip = 0;
-                if record2 {
-                    self.push_event(
-                        func_id,
-                        frame_id,
-                        br_iid,
-                        lin + 1,
-                        EventKind::CondBr { taken },
-                        pool_start2,
-                        None,
-                    );
-                }
-                self.steps += 1;
-                return StepFlow::Continue;
-            }
-            DInst::Cast { kind: ck, src } => {
-                let v = resolve!(src);
-                let result = match eval_cast(ck, v) {
-                    Ok(v) => v,
-                    Err(t) => return StepFlow::Trap(t),
-                };
-                let result = apply_fault(result);
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                kind = EventKind::Cast(ck);
-                record_result!(result);
-            }
-            DInst::Select {
-                cond,
-                then_v,
-                else_v,
-            } => {
-                let c = resolve!(cond);
-                let a = resolve!(then_v);
-                let b = resolve!(else_v);
-                let result = apply_fault(if c.is_truthy() { a } else { b });
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                kind = EventKind::Select;
-                record_result!(result);
-            }
-            DInst::Load { addr } => {
-                let a = resolve!(addr);
-                let Some(addr) = a.as_ptr() else {
-                    return StepFlow::Trap(TrapKind::TypeMismatch);
-                };
-                let loaded = match self.memory.load(addr) {
-                    Ok(v) => v,
-                    Err(MemError::OutOfBounds { .. }) => {
-                        return StepFlow::Trap(TrapKind::OutOfBounds)
-                    }
-                };
-                if record {
-                    let id = intern_mem(&mut self.trace, &mut self.mem_ids, addr);
-                    self.trace.pool.push((id, loaded));
-                }
-                let result = apply_fault(loaded);
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                kind = EventKind::Load;
-                record_result!(result);
-            }
-            DInst::Store { addr, value } => {
-                let a = resolve!(addr);
-                let v = resolve!(value);
-                let Some(addr) = a.as_ptr() else {
-                    return StepFlow::Trap(TrapKind::TypeMismatch);
-                };
-                let stored = apply_fault(v);
-                if let Err(MemError::OutOfBounds { .. }) = self.memory.store(addr, stored) {
-                    return StepFlow::Trap(TrapKind::OutOfBounds);
-                }
-                kind = EventKind::Store;
-                if record {
-                    let id = intern_mem(&mut self.trace, &mut self.mem_ids, addr);
-                    write = Some((id, stored));
-                }
-            }
-            DInst::Alloca { size } => {
-                let Some(base) = self.memory.alloca(u64::from(size)) else {
-                    return StepFlow::Trap(TrapKind::OutOfMemory);
-                };
-                let result = Value::P(base);
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                kind = EventKind::Alloca {
-                    base,
-                    size: u64::from(size),
-                };
-                record_result!(result);
-            }
-            DInst::Gep { base, index } => {
-                let b = resolve!(base);
-                let i = resolve!(index);
-                let (Some(base), Some(idx)) = (b.as_ptr(), i.as_i64()) else {
-                    return StepFlow::Trap(TrapKind::TypeMismatch);
-                };
-                let addr = (base as i64).wrapping_add(idx) as u64;
-                let result = apply_fault(Value::P(addr));
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                kind = EventKind::Gep;
-                record_result!(result);
-            }
-            DInst::Call { callee, args } => {
-                if self.frames.len() as u32 >= self.config.max_call_depth {
-                    return StepFlow::Trap(TrapKind::CallDepth);
-                }
-                let n = args.len as usize;
-                let mut arg_vals = Vec::with_capacity(n);
-                let mut arg_locs = Vec::with_capacity(n);
-                for k in args.range() {
-                    let a = df.args_pool[k];
-                    // Intern argument locations whenever tracing is on (not
-                    // just inside the scope window) so frames entered before
-                    // a window still resolve their argument reads inside it.
-                    let (v, loc) = match self.resolve(frame_idx, df, a, self.config.record_trace) {
-                        Ok(x) => x,
-                        Err(t) => return StepFlow::Trap(t),
-                    };
-                    if record {
-                        if let Some(l) = loc {
-                            self.trace.pool.push((l, v));
-                        }
-                    }
-                    arg_vals.push(v);
-                    arg_locs.push(loc);
-                }
-                kind = EventKind::Call { callee };
-                let new_frame = self.make_frame(callee, arg_vals, arg_locs, Some((frame_idx, iid)));
-                self.frames.push(new_frame);
-            }
-            DInst::CallIntrinsic { intrinsic, args } => {
-                let mut vals = Vec::with_capacity(args.len as usize);
-                for k in args.range() {
-                    let a = df.args_pool[k];
-                    vals.push(resolve!(a));
-                }
-                let result = match eval_intrinsic(intrinsic, &vals) {
-                    Ok(v) => v,
-                    Err(t) => return StepFlow::Trap(t),
-                };
-                let result = apply_fault(result);
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                kind = EventKind::Intrinsic;
-                record_result!(result);
-            }
-            DInst::Ret { value } => {
-                let ret_val = match value {
-                    Some(v) => Some(resolve!(v)),
-                    None => None,
-                };
-                kind = EventKind::Ret;
-                let frame = self.frames.pop().expect("at least one frame");
-                self.memory.release_to(frame.stack_mark);
-                match frame.ret_dest {
-                    Some((caller_idx, dest)) => {
-                        let ret_val = apply_fault(ret_val.unwrap_or(Value::I(0)));
-                        let caller = &mut self.frames[caller_idx];
-                        caller.regs[dest.index()] = Some(ret_val);
-                        if record {
-                            let id = intern_reg(&mut self.trace, caller, dest);
-                            write = Some((id, ret_val));
-                        }
-                    }
-                    None => {
-                        flow = StepFlow::Finished;
-                    }
-                }
-            }
-            DInst::Br { target } => {
-                let frame = &mut self.frames[frame_idx];
-                frame.block = BlockId(target);
-                frame.ip = 0;
-                kind = EventKind::Br;
-            }
-            DInst::CondBr {
-                cond,
-                then_b,
-                else_b,
-            } => {
-                let c = resolve!(cond);
-                let taken = c.is_truthy();
-                let frame = &mut self.frames[frame_idx];
-                frame.block = BlockId(if taken { then_b } else { else_b });
-                frame.ip = 0;
-                kind = EventKind::CondBr { taken };
-            }
-            DInst::Output { value, format } => {
-                let v = resolve!(value);
-                self.outputs.emit(v, format);
-                kind = EventKind::Output { format };
-            }
-            DInst::LoopBegin {
-                id, depth, kind: lk,
-            } => {
-                kind = EventKind::LoopBegin {
-                    id,
-                    depth,
-                    kind: lk,
-                };
-            }
-            DInst::LoopEnd { id } => {
-                kind = EventKind::LoopEnd { id };
-            }
-            DInst::LoopIter { id } => {
-                kind = EventKind::LoopIter { id };
-            }
-            DInst::Nop => {}
-        }
-
-        if record {
-            self.push_event(func_id, frame_id, iid, lin, kind, pool_start, write);
-        }
-        self.steps += 1;
-        flow
     }
 }
 
@@ -1872,28 +1582,52 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Every window of a loop whose compare-branches are fused — windows
+    /// that open or close between the two halves of a pair included —
+    /// records exactly the full trace's slice, materialized and streamed.
     #[test]
     fn region_scoped_tracing_matches_the_full_trace_window() {
         let module = sum_module();
+        let dm = decoded(&module);
         let full = Vm::new(VmConfig::tracing())
             .run(&module)
             .unwrap()
             .trace
             .unwrap();
-        let (start, end) = (5u64, 25u64);
-        let scoped = Vm::new(VmConfig::tracing_region(start, end))
-            .run(&module)
-            .unwrap()
-            .trace
-            .unwrap();
-        assert_eq!(scoped.base_step(), start);
-        assert_eq!(scoped.len() as u64, end - start);
-        // Every windowed event resolves to the same instruction, locations
-        // and values as the corresponding event of the full trace.
-        for i in 0..scoped.len() {
-            let s = scoped.resolved(i);
-            let f = full.resolved(start as usize + i);
-            assert_eq!(s, f, "event {i} differs");
+        let steps = full.len() as u64;
+        for start in 0..=steps {
+            for end in start..=steps {
+                let scoped = Vm::new(VmConfig::tracing_region(start, end))
+                    .run(&module)
+                    .unwrap()
+                    .trace
+                    .unwrap();
+                assert_eq!(scoped.base_step(), start);
+                assert_eq!(scoped.len() as u64, end - start, "window {start}..{end}");
+                // Every windowed event resolves to the same instruction,
+                // locations and values as the full trace's event.
+                for i in 0..scoped.len() {
+                    let f = full.resolved(start as usize + i);
+                    assert_eq!(scoped.resolved(i), f, "window {start}..{end} event {i}");
+                }
+                let span_sum: usize = scoped.events.iter().map(|e| e.num_reads()).sum();
+                assert_eq!(span_sum, scoped.num_operands(), "window {start}..{end}");
+
+                let mut streamed = Rebuild::default();
+                Vm::new(VmConfig::default().scoped(TraceScope::Window { start, end }))
+                    .run_with_visitors_decoded(&module, &dm, &mut [&mut streamed])
+                    .unwrap();
+                assert_eq!(
+                    streamed.events.len() as u64,
+                    end - start,
+                    "window {start}..{end}"
+                );
+                for (i, got) in streamed.events.iter().enumerate() {
+                    let f = full.resolved(start as usize + i);
+                    assert_eq!(got, &f, "streamed window {start}..{end} event {i}");
+                    assert_eq!(streamed.steps[i], start + i as u64);
+                }
+            }
         }
     }
 
@@ -2380,7 +2114,7 @@ mod tests {
 
     // -- dispatch semantics ---------------------------------------------------
 
-    /// The untraced hot loop, the recording dispatch, marker elision and
+    /// Both dispatch instantiations (recording and not), marker elision and
     /// scope windows all execute the same program: every configuration ends
     /// in the same outcome, step count, outputs and memory.
     #[test]
@@ -2418,8 +2152,8 @@ mod tests {
         }
     }
 
-    /// A fault at every step, both targets: the hot loop (which yields at the
-    /// fault boundary) and the recording dispatch agree; the recorded run
+    /// A fault at every step, both targets: untraced and recording runs
+    /// (both yield at the fault boundary) agree; the recorded run
     /// equals the clean trace before the fault; and a result fault flips
     /// exactly the value the struck instruction writes.
     #[test]
@@ -2550,7 +2284,7 @@ mod tests {
 
     /// Every step limit stops the run after exactly that many steps — also
     /// between the halves of a fused pair — with the recorded trace equal to
-    /// the clean trace's prefix and the untraced hot loop in the same state.
+    /// the clean trace's prefix and the untraced run in the same state.
     #[test]
     fn step_limits_stop_after_exactly_the_limit() {
         let module = sum_module();
