@@ -435,8 +435,8 @@ impl Vm {
 
     /// Execute the module's `main` function, streaming every dynamic event to
     /// `visitors` **without materializing a trace**: the run keeps only the
-    /// interned location table and a two-event scratch buffer, so analyses
-    /// ride along in O(locations) memory instead of O(events) — the
+    /// interned location table and the reads of the event in flight, so
+    /// analyses ride along in O(locations) memory instead of O(events) — the
     /// no-materialization path campaign executors use to classify outcomes
     /// and detect patterns per injection (see [`crate::visitor`]).
     ///

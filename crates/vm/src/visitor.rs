@@ -12,8 +12,8 @@
 //!   analyses ride along;
 //! * [`crate::Vm::run_with_visitors_decoded`] feeds events straight from the
 //!   interpreter as they execute, *without materializing a trace at all*:
-//!   the run keeps only the interned location table and a two-event scratch
-//!   buffer, so campaign executors can classify outcomes and detect patterns
+//!   the run keeps only the interned location table and the reads of the
+//!   event in flight, so campaign executors can classify outcomes and detect patterns
 //!   in O(locations) memory instead of O(events).
 //!
 //! Both sources present events identically (same [`EventCtx`] fields, same
