@@ -3,50 +3,8 @@
 #
 #   ./ci.sh         # tier-1 verify + lint + docs
 #   ./ci.sh quick   # tier-1 verify only
-#   ./ci.sh bench   # run the Criterion-style benches and record
-#                   # before/after medians in BENCH_fliptracker.json
 set -euo pipefail
 cd "$(dirname "$0")"
-
-if [[ "${1:-}" == "bench" ]]; then
-    echo "==> bench mode: collecting medians from the three bench suites"
-    medians="target/criterion-medians.jsonl"
-    rm -f "$medians"
-    for bench in analysis_costs tracing_overhead campaign_throughput; do
-        CRITERION_JSON="$PWD/$medians" cargo bench -p ftkr-bench --bench "$bench"
-    done
-    # Traced-footprint stats of the Figure-5 window path (event/operand
-    # counts, appended in the same JSONL shape as the timing medians), for
-    # one original and one promoted app.
-    cargo run --release -q -p ftkr-bench --bin campaign_shard -- stats MG mg_a "$medians"
-    cargo run --release -q -p ftkr-bench --bin campaign_shard -- stats LU lu_rhs "$medians"
-    # Fork-point checkpoint executor vs cold-start executor: two satellite
-    # regions plus the latest window in the registry (LU's last main-loop
-    # iteration), where the skipped clean prefix is longest.
-    cargo run --release -q -p ftkr-bench --bin campaign_shard -- speedup LU region:lu_blts "$medians"
-    cargo run --release -q -p ftkr-bench --bin campaign_shard -- speedup MG region:mg_a "$medians"
-    cargo run --release -q -p ftkr-bench --bin campaign_shard -- speedup LU iter:last "$medians"
-    # Batched lockstep executor vs the serial campaign on the masked case
-    # it accelerates — dead-window memory faults, where serial pays a whole
-    # execution per test and batched classifies each lane from one sweep of
-    # the clean trace (campaign_batched_masked_speedup_*; both reports are
-    # held bit-identical first).
-    cargo run --release -q -p ftkr-bench --bin campaign_shard -- batched-bench MG "$medians"
-    cargo run --release -q -p ftkr-bench --bin campaign_shard -- batched-bench LU "$medians"
-    # Robustness-machinery overhead: catch_unwind perimeter and the atomic
-    # checksum report write vs their unguarded counterparts.
-    cargo run --release -q -p ftkr-bench --bin campaign_shard -- overhead IS "$medians"
-    # Campaign-server session-cache payoff: cold vs warm submit→final
-    # latency of the same LU plan against an in-process daemon.
-    cargo run --release -q -p ftkr-bench --bin campaign_shard -- serve-bench LU "$medians"
-    # Serial vs 4-rank SPMD campaigns on the same MG fault population:
-    # exchange-protocol overhead and the containment rate of divergent
-    # injections (campaign_spmd_overhead_ratio_mg, spmd_containment_rate_mg).
-    cargo run --release -q -p ftkr-bench --bin campaign_shard -- serial-vs-parallel MG 24 7 "$medians"
-    cargo run --release -q -p ftkr-bench --bin bench_report -- \
-        "$medians" crates/bench/baseline_seed.jsonl BENCH_fliptracker.json
-    exit 0
-fi
 
 echo "==> tier-1: cargo build --release"
 cargo build --release
@@ -170,7 +128,7 @@ cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
     spmd-run "$spmddir/msg/plan.json" > /dev/null
 echo "    message-fault campaign executed"
 # The Wu-et-al.-style comparison table: same fault population, nranks 1 vs 4.
-cargo run --release -q -p ftkr-bench --bin campaign_shard -- serial-vs-parallel MG 16 7
+cargo run --release -q -p ftkr-bench --bin serial_vs_parallel -- MG 16 7
 
 echo "==> trap taxonomy: hangs/memory/arithmetic buckets, bit-identical shard merges"
 cargo test --release -q --test trap_taxonomy
@@ -194,8 +152,8 @@ for workload in fig5_regions fig6_analyzed; do
     echo "    $workload: correct"
 done
 
-echo "==> benches + examples compile"
-cargo build --release --benches --examples
+echo "==> examples compile"
+cargo build --release --examples
 
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -1,6 +1,5 @@
 //! `ftkr-bench` — experiment harness reproducing every table and figure of
-//! the FlipTracker paper, plus Criterion micro-benchmarks of the analysis
-//! machinery itself.
+//! the FlipTracker paper.
 //!
 //! Each binary regenerates one artifact (run with `--release`):
 //!
@@ -14,9 +13,12 @@
 //! | `table2_mg_error_magnitude` | Table II — error magnitude across `mg3P` calls |
 //! | `table3_cg_hardening` | Table III — Use Case 1, hardening CG |
 //! | `table4_prediction` | Table IV — Use Case 2, resilience prediction |
+//! | `serial_vs_parallel` | Wu et al. — serial vs 4-rank SPMD resilience of one fault population |
 //!
-//! Every binary accepts an effort level (`quick`, `standard`, `paper`) as its
-//! first argument and `--json` to additionally emit machine-readable output.
+//! Every binary except `serial_vs_parallel` accepts an effort level (`quick`,
+//! `standard`, `paper`) as its first argument and `--json` to additionally
+//! emit machine-readable output; `serial_vs_parallel` takes
+//! `<app> <n_tests> <seed>`.
 
 pub mod shard;
 

@@ -83,7 +83,7 @@ impl<'a> BatchContext<'a> {
             "batched campaigns need the full clean trace, not a resumed suffix"
         );
         assert_eq!(
-            trace.len() + trace.markers().len(),
+            trace.len(),
             clean.steps as usize,
             "batched campaigns need the full clean trace, not a windowed slice"
         );
@@ -154,19 +154,9 @@ enum Pending {
 }
 
 /// First event index whose dynamic step is `>= step` (equivalently: the
-/// number of events strictly before `step`).  `Trace::step_of` is strictly
-/// increasing, so plain binary search applies.
+/// number of events strictly before `step`).
 fn first_event_at_or_after(trace: &Trace, step: u64) -> usize {
-    let (mut lo, mut hi) = (0usize, trace.len());
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if trace.step_of(mid) < step {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
+    (step.saturating_sub(trace.base_step()) as usize).min(trace.len())
 }
 
 /// The result of one lockstep sweep: per-lane divergence verdicts for a
@@ -210,9 +200,9 @@ impl BatchScan {
                 match fault.target {
                     FaultTarget::InstructionResult => {
                         let pos = first_event_at_or_after(trace, fault.at_step);
-                        if pos >= trace.len() || trace.step_of(pos) != fault.at_step {
-                            // An elided marker step, or past the end of the
-                            // run: there is no instruction result to corrupt.
+                        if pos >= trace.len() {
+                            // Past the end of the run: there is no
+                            // instruction result to corrupt.
                             return Pending::Clean;
                         }
                         let event = &trace.events[pos];
@@ -863,33 +853,5 @@ mod tests {
         let m = sum16();
         let windowed = Vm::new(VmConfig::tracing_region(2, 6)).run(&m).unwrap();
         let _ = BatchContext::new(&windowed);
-    }
-
-    #[test]
-    fn marker_elided_clean_traces_sweep_identically_to_full_ones() {
-        // `skip_markers` changes event *indexing* but not dynamic steps; the
-        // sweep works in steps, so the verdicts (and the report) agree.
-        let m = sum16();
-        let full = clean_run(&m);
-        let elided = Vm::new(VmConfig::tracing().without_markers()).run(&m).unwrap();
-        let trace = full.trace.as_ref().unwrap();
-        let sites = internal_sites(trace, 0, trace.len());
-        let campaign = Campaign::new(&m, verify_sum16)
-            .with_seed(31)
-            .with_max_steps(hang_budget_for(&full));
-        let via_full = campaign.run_range_batched(
-            &sites,
-            IndexRange::full(96),
-            &BatchContext::new(&full),
-            None,
-        );
-        let via_elided = campaign.run_range_batched(
-            &sites,
-            IndexRange::full(96),
-            &BatchContext::new(&elided),
-            None,
-        );
-        assert_eq!(via_full, via_elided);
-        assert_eq!(via_full, campaign.run_range(&sites, IndexRange::full(96)));
     }
 }

@@ -39,9 +39,9 @@ pub fn hang_budget(clean_steps: u64) -> u64 {
 /// The hang budget of a faulty run derived from the *clean run itself* —
 /// [`hang_budget`] of [`RunResult::steps`], the absolute dynamic step count.
 ///
-/// Prefer this over `hang_budget_for(&clean)`: a trace recorded with
-/// `TraceOpts::skip_markers` elides loop markers from `events`, so its
-/// `len()` *undercounts* dynamic steps and would silently shrink the budget,
+/// Prefer this over a budget from the clean trace's length: a region-scoped
+/// or resumed trace records only part of the run, so its `len()`
+/// *undercounts* dynamic steps and would silently shrink the budget,
 /// misclassifying slow-but-recovering runs as hangs.  `steps` counts every
 /// dynamic instruction regardless of what the trace retained.
 pub fn hang_budget_for(clean: &RunResult) -> u64 {
@@ -498,7 +498,7 @@ mod tests {
 
     /// The traced fault-free run.  Tests derive sites from the trace and the
     /// hang budget from `steps` (via [`hang_budget_for`]) — never from
-    /// `trace.len()`, which undercounts dynamic steps under marker elision.
+    /// `trace.len()`, which undercounts dynamic steps for a partial trace.
     fn clean_run(module: &Module) -> RunResult {
         Vm::new(VmConfig::tracing()).run(module).unwrap()
     }
@@ -771,26 +771,6 @@ mod tests {
         let mut cleaned = degraded.counts;
         cleaned.degraded = 0;
         assert_eq!(cleaned, reference.counts);
-    }
-
-    #[test]
-    fn marker_elided_traces_yield_the_same_hang_budget_as_full_traces() {
-        let m = module();
-        let full = Vm::new(VmConfig::tracing()).run(&m).unwrap();
-        let elided = Vm::new(VmConfig::tracing().without_markers()).run(&m).unwrap();
-        let full_trace = full.trace.as_ref().unwrap();
-        let elided_trace = elided.trace.as_ref().unwrap();
-        // The program loops, so the elided event stream is genuinely shorter
-        // than the dynamic step count — exactly the condition under which the
-        // old `hang_budget(trace.len() as u64)` formula shrank the budget.
-        assert!(elided_trace.len() < full_trace.len());
-        assert!((elided_trace.len() as u64) < elided.steps);
-        assert_eq!(full_trace.len() as u64, full.steps);
-        // Steps-derived budgets are immune to what the trace retained.
-        assert_eq!(hang_budget_for(&elided), hang_budget_for(&full));
-        assert_eq!(hang_budget_for(&full), hang_budget(full.steps));
-        // The trace-length formula demonstrably disagrees on elided traces.
-        assert!(hang_budget(elided_trace.len() as u64) < hang_budget_for(&elided));
     }
 
     #[test]

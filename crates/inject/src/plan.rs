@@ -336,6 +336,31 @@ mod tests {
     }
 
     #[test]
+    fn unknown_plan_keys_are_ignored_like_real_serde() {
+        // Real serde ignores fields a struct does not declare, so a plan
+        // written by a build that had one more option still parses here.
+        let plan = CampaignPlan::new(
+            "LU",
+            CampaignTarget::Region {
+                name: "lu_blts".to_string(),
+            },
+            TargetClass::Internal,
+            24,
+        )
+        .with_seed(7)
+        .with_window(10, 900);
+        let text = plan.to_json();
+        let body = text.strip_prefix('{').expect("a plan is a JSON object");
+        for extra in [
+            r#""retired_flag": true,"#,
+            r#""retired_table": {"rows": [[1, 2.5], []], "note": "a } in a string"},"#,
+        ] {
+            let widened = format!("{{{extra}{body}");
+            assert_eq!(CampaignPlan::from_json(&widened).expect("plan parses"), plan);
+        }
+    }
+
+    #[test]
     fn pre_pr9_plan_json_without_ranks_still_parses_and_shards() {
         // Plan JSON written before the multi-rank executor existed has no
         // `ranks` / `rank_target` keys.  It must keep parsing as a

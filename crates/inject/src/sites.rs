@@ -56,8 +56,7 @@ pub fn input_sites(region_start: usize, inputs: &[(Location, ftkr_vm::Value)]) -
 /// value-producing dynamic instruction in event range `[start, end)` of the
 /// fault-free trace.  `at_step` is the *absolute* dynamic step
 /// ([`Trace::step_of`]), so region-scoped traces ([`Trace::base_step`] > 0)
-/// and marker-elided traces produce the same sites as the corresponding
-/// slice of a full trace.
+/// produce the same sites as the corresponding slice of a full trace.
 pub fn internal_sites(trace: &Trace, start: usize, end: usize) -> Vec<FaultSite> {
     let end = end.min(trace.len());
     (start..end)

@@ -953,8 +953,7 @@ pub fn detect_fused_patterns(
         let index = split + off;
         let ctx = EventCtx {
             // The detector keys everything (including fault seeding) off
-            // `index`; marker-elided traces are out of scope here, so the
-            // step needs no elision bookkeeping.
+            // `index`.
             index,
             step: faulty.base_step() + index as u64,
             event,

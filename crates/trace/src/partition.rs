@@ -3,69 +3,49 @@
 use std::collections::HashMap;
 
 use ftkr_ir::{FunctionId, LoopId, LoopKind, Module};
-use ftkr_vm::{EventKind, MarkerKind, Trace};
+use ftkr_vm::{EventKind, Trace};
 
 use crate::region::{RegionInstance, RegionKey};
 
-/// One loop marker in partition-friendly form, abstracting over where it was
-/// recorded: inline in the event stream (ordinary traces) or in the
-/// out-of-band marker table (`TraceOpts::skip_markers` traces, which fall
-/// back to this plus the module's static loop tables).
+/// Which loop marker an event is.
+#[derive(Clone, Copy)]
+enum MarkerKind {
+    /// Entry into a loop of the given classification.
+    Begin(LoopKind),
+    /// Start of one loop iteration.
+    Iter,
+    /// Exit from a loop.
+    End,
+}
+
+/// One loop marker of the event stream.
 struct Marker {
     func: FunctionId,
     frame: u32,
     id: LoopId,
     kind: MarkerKind,
-    /// Event index of the marker itself (for inline markers), or of the
-    /// first event after it (for elided markers) — where an instance that
-    /// *includes* the marker starts.
+    /// Event index of the marker itself — where an instance that *includes*
+    /// the marker starts; an instance that *ends* at it stops at `here + 1`.
     here: usize,
-    /// First event index after the marker — where an instance that *ends*
-    /// at this marker stops (exclusive).
-    after: usize,
 }
 
-/// The trace's loop markers in execution order, from whichever channel holds
-/// them.
+/// The trace's loop markers in execution order.
 fn marker_stream(trace: &Trace) -> Vec<Marker> {
-    if trace.markers_elided() {
-        return trace
-            .markers()
-            .iter()
-            .map(|m| Marker {
-                func: m.func,
-                frame: m.frame,
-                id: match m.kind {
-                    MarkerKind::Begin { id, .. }
-                    | MarkerKind::End { id }
-                    | MarkerKind::Iter { id } => id,
-                },
-                kind: m.kind,
-                here: m.at_event as usize,
-                after: m.at_event as usize,
-            })
-            .collect();
-    }
     trace
         .iter()
         .filter_map(|(idx, event)| {
-            let kind = match event.kind {
-                EventKind::LoopBegin { id, depth, kind } => MarkerKind::Begin { id, depth, kind },
-                EventKind::LoopEnd { id } => MarkerKind::End { id },
-                EventKind::LoopIter { id } => MarkerKind::Iter { id },
+            let (id, kind) = match event.kind {
+                EventKind::LoopBegin { id, kind, .. } => (id, MarkerKind::Begin(kind)),
+                EventKind::LoopIter { id } => (id, MarkerKind::Iter),
+                EventKind::LoopEnd { id } => (id, MarkerKind::End),
                 _ => return None,
             };
             Some(Marker {
                 func: event.func,
                 frame: event.frame,
-                id: match kind {
-                    MarkerKind::Begin { id, .. }
-                    | MarkerKind::End { id }
-                    | MarkerKind::Iter { id } => id,
-                },
+                id,
                 kind,
                 here: idx,
-                after: idx + 1,
             })
         })
         .collect()
@@ -137,7 +117,7 @@ pub fn partition_regions(
 
     for marker in marker_stream(trace) {
         match marker.kind {
-            MarkerKind::Begin { kind, .. } => {
+            MarkerKind::Begin(kind) => {
                 if kind == LoopKind::Main && main_loop.is_none() {
                     main_loop = Some((marker.func, marker.id));
                 }
@@ -157,10 +137,10 @@ pub fn partition_regions(
                     });
                 }
             }
-            MarkerKind::Iter { .. } if main_loop == Some((marker.func, marker.id)) => {
+            MarkerKind::Iter if main_loop == Some((marker.func, marker.id)) => {
                 main_iteration = Some(main_iteration.map(|i| i + 1).unwrap_or(0));
             }
-            MarkerKind::End { .. } => {
+            MarkerKind::End => {
                 // Close the innermost open region that matches this loop.
                 if let Some(pos) = open.iter().rposition(|o| {
                     o.key.loop_id == marker.id
@@ -174,7 +154,7 @@ pub fn partition_regions(
                     instances.push(RegionInstance {
                         key: o.key,
                         start: o.start,
-                        end: marker.after,
+                        end: marker.here + 1,
                         instance,
                         main_iteration: o.main_iteration,
                         lines: o.lines,
@@ -220,7 +200,7 @@ pub fn partition_iterations(
     let markers = marker_stream(trace);
     let mut target: Option<(FunctionId, LoopId)> = None;
     for m in &markers {
-        if let MarkerKind::Begin { kind, .. } = m.kind {
+        if let MarkerKind::Begin(kind) = m.kind {
             let (name, _) = loop_meta(module, m.func, m.id);
             let matches = match loop_name {
                 Some(wanted) => name == wanted,
@@ -263,13 +243,13 @@ pub fn partition_iterations(
             continue;
         }
         match m.kind {
-            MarkerKind::Iter { .. } if m.id == tid => {
+            MarkerKind::Iter if m.id == tid => {
                 if let Some(start) = current_start.take() {
                     close(start, m.here, &mut count, &mut instances);
                 }
                 current_start = Some(m.here);
             }
-            MarkerKind::End { .. } if m.id == tid => {
+            MarkerKind::End if m.id == tid => {
                 if let Some(start) = current_start.take() {
                     close(start, m.here, &mut count, &mut instances);
                 }
@@ -418,53 +398,5 @@ mod tests {
         let module = nested_module();
         let trace = traced(&module);
         assert!(partition_iterations(&trace, &module, Some("nope")).is_empty());
-    }
-
-    /// `skip_markers` traces have no marker events, yet partitioning falls
-    /// back to the out-of-band marker table + static loop info and finds the
-    /// same regions covering the same computation.
-    #[test]
-    fn marker_elided_traces_partition_identically_modulo_markers() {
-        let module = nested_module();
-        let full = traced(&module);
-        let lean = Vm::new(VmConfig::tracing().without_markers())
-            .run(&module)
-            .unwrap()
-            .trace
-            .unwrap();
-        assert!(lean.markers_elided());
-
-        for selector in [RegionSelector::FirstLevelInner, RegionSelector::AllLoops] {
-            let a = partition_regions(&full, &module, &selector);
-            let b = partition_regions(&lean, &module, &selector);
-            assert_eq!(a.len(), b.len(), "{selector:?}");
-            for (fa, fb) in a.iter().zip(&b) {
-                assert_eq!(fa.key, fb.key);
-                assert_eq!(fa.instance, fb.instance);
-                assert_eq!(fa.main_iteration, fb.main_iteration);
-                assert_eq!(fa.lines, fb.lines);
-                // Same computation inside: the non-marker events of the full
-                // instance equal the events of the lean instance.
-                let fa_events: Vec<_> = (fa.start..fa.end)
-                    .filter(|&i| !full.events[i].kind.is_marker())
-                    .map(|i| full.resolved(i))
-                    .collect();
-                let fb_events: Vec<_> =
-                    (fb.start..fb.end).map(|i| lean.resolved(i)).collect();
-                assert_eq!(fa_events, fb_events, "region {:?}", fa.key.name);
-            }
-        }
-
-        let ia = partition_iterations(&full, &module, None);
-        let ib = partition_iterations(&lean, &module, None);
-        assert_eq!(ia.len(), ib.len());
-        for (fa, fb) in ia.iter().zip(&ib) {
-            let fa_events: Vec<_> = (fa.start..fa.end)
-                .filter(|&i| !full.events[i].kind.is_marker())
-                .map(|i| full.resolved(i))
-                .collect();
-            let fb_events: Vec<_> = (fb.start..fb.end).map(|i| lean.resolved(i)).collect();
-            assert_eq!(fa_events, fb_events, "iteration {}", fa.instance);
-        }
     }
 }

@@ -11,7 +11,7 @@ use crate::location::Location;
 use crate::memory::{MemError, Memory};
 use crate::output::ProgramOutput;
 use crate::snapshot::{SnapshotImage, VmSnapshot};
-use crate::trace::{EventKind, LocationId, MarkerKind, MarkerRecord, ReadSpan, Trace, TraceEvent};
+use crate::trace::{EventKind, LocationId, ReadSpan, Trace, TraceEvent};
 use crate::value::Value;
 use crate::visitor::{EventCtx, TraceVisitor, WalkEnd};
 
@@ -110,21 +110,6 @@ impl TraceScope {
     }
 }
 
-/// Recording options orthogonal to *which* steps are traced (that is
-/// [`TraceScope`]): what gets written per recorded step.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceOpts {
-    /// Elide loop marker events (`LoopBegin`/`LoopIter`/`LoopEnd`) from the
-    /// event stream at record time, logging them in the compact out-of-band
-    /// marker table instead ([`Trace::markers`]).  Markers carry no dataflow,
-    /// so taint/DDDG analyses are unaffected, and the code-region partitioner
-    /// falls back to the marker table plus the module's static loop info —
-    /// but event indices no longer equal dynamic steps (use
-    /// [`Trace::step_of`]), and marker-elided traces must not be mixed with
-    /// ordinary ones in index-aligned faulty/clean comparisons.
-    pub skip_markers: bool,
-}
-
 /// Interpreter configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct VmConfig {
@@ -133,8 +118,6 @@ pub struct VmConfig {
     pub record_trace: bool,
     /// Which dynamic steps to record when tracing (full run by default).
     pub trace_scope: TraceScope,
-    /// Per-step recording options (marker elision).
-    pub trace_opts: TraceOpts,
     /// Expected dynamic step count of the run (usually the step count of a
     /// prior untraced run).  Used to pre-size the trace's event and operand
     /// buffers so a tracing run performs O(1) vector allocations.
@@ -154,7 +137,6 @@ impl Default for VmConfig {
         VmConfig {
             record_trace: false,
             trace_scope: TraceScope::Full,
-            trace_opts: TraceOpts::default(),
             trace_hint: None,
             fault: None,
             max_steps: 200_000_000,
@@ -221,13 +203,6 @@ impl VmConfig {
     /// Builder form: restrict tracing to the given scope.
     pub fn scoped(mut self, scope: TraceScope) -> Self {
         self.trace_scope = scope;
-        self
-    }
-
-    /// Builder form: elide loop marker events from the recorded stream
-    /// (see [`TraceOpts::skip_markers`]).
-    pub fn without_markers(mut self) -> Self {
-        self.trace_opts.skip_markers = true;
         self
     }
 }
@@ -413,7 +388,7 @@ impl Vm {
         let mut interp = Interp::at_entry(module, &decoded, &config, true);
         // The prefix streams to no visitor: the snapshot keeps only the
         // event cursor, not the events.
-        let mut sink = Sink::new(true, &mut [], 0, config.trace_opts);
+        let mut sink = Sink::new(true, &mut [], 0);
         Ok(match interp.run_until(step, &mut sink) {
             None => Some(interp.capture(sink.emitted as u64)),
             Some(_) => None,
@@ -537,51 +512,24 @@ struct Sink<'s, 'v> {
     wants_reads: Vec<bool>,
     /// Absolute index of the next streamed event.
     emitted: usize,
-    skip_markers: bool,
 }
 
 impl<'s, 'v> Sink<'s, 'v> {
-    fn new(
-        streaming: bool,
-        visitors: &'s mut [&'v mut dyn TraceVisitor],
-        emitted: usize,
-        opts: TraceOpts,
-    ) -> Self {
+    fn new(streaming: bool, visitors: &'s mut [&'v mut dyn TraceVisitor], emitted: usize) -> Self {
         let wants_reads = visitors.iter().map(|v| v.wants_operand_reads()).collect();
         Sink {
             streaming,
             visitors,
             wants_reads,
             emitted,
-            skip_markers: opts.skip_markers,
         }
     }
 
     /// Record the event of dynamic step `step`, whose operand reads are
-    /// `trace.pool[pool_start..]`.  Elided markers go to the trace's side
-    /// table (materialized runs only); a streamed event is delivered to every
+    /// `trace.pool[pool_start..]`.  A streamed event is delivered to every
     /// visitor and its reads are dropped from the pool again.
     #[inline]
     fn emit(&mut self, trace: &mut Trace, step: u64, pool_start: usize, mut event: TraceEvent) {
-        if self.skip_markers && event.kind.is_marker() {
-            if !self.streaming {
-                let kind = match event.kind {
-                    EventKind::LoopBegin { id, depth, kind } => {
-                        MarkerKind::Begin { id, depth, kind }
-                    }
-                    EventKind::LoopEnd { id } => MarkerKind::End { id },
-                    EventKind::LoopIter { id } => MarkerKind::Iter { id },
-                    _ => unreachable!("is_marker covers exactly the loop markers"),
-                };
-                trace.markers.push(MarkerRecord {
-                    at_event: u32::try_from(trace.events.len()).expect("≤ 2^32 events per trace"),
-                    func: event.func,
-                    frame: event.frame,
-                    kind,
-                });
-            }
-            return;
-        }
         event.reads = ReadSpan {
             offset: u32::try_from(pool_start).expect("≤ 2^32 operand reads per trace"),
             len: (trace.pool.len() - pool_start) as u32,
@@ -779,12 +727,7 @@ impl<'m> Interp<'m> {
         emitted_start: usize,
     ) -> RunResult {
         let streaming = visitors.is_some();
-        let mut sink = Sink::new(
-            streaming,
-            visitors.unwrap_or(&mut []),
-            emitted_start,
-            self.config.trace_opts,
-        );
+        let mut sink = Sink::new(streaming, visitors.unwrap_or(&mut []), emitted_start);
         let outcome = self
             .run_until(u64::MAX, &mut sink)
             .unwrap_or(RunOutcome::Trapped(TrapKind::StepLimit));
@@ -1849,31 +1792,24 @@ mod tests {
     fn streaming_visitors_see_exactly_the_materialized_trace() {
         let module = sum_module();
         let dm = decoded(&module);
-        for config in [VmConfig::default(), VmConfig::default().without_markers()] {
-            let traced = Vm::new(VmConfig {
-                record_trace: true,
-                ..config
-            })
-            .run(&module)
+        let traced = Vm::new(VmConfig::tracing()).run(&module).unwrap();
+        let trace = traced.trace.unwrap();
+
+        let mut rebuild = Rebuild::default();
+        let streamed = Vm::new(VmConfig::default())
+            .run_with_visitors_decoded(&module, &dm, &mut [&mut rebuild])
             .unwrap();
-            let trace = traced.trace.unwrap();
 
-            let mut rebuild = Rebuild::default();
-            let streamed = Vm::new(config)
-                .run_with_visitors_decoded(&module, &dm, &mut [&mut rebuild])
-                .unwrap();
-
-            assert!(streamed.trace.is_none(), "streaming must not materialize");
-            assert_eq!(streamed.steps, traced.steps);
-            assert_eq!(rebuild.outcome, Some(RunOutcome::Completed));
-            assert_eq!(rebuild.events.len(), trace.len());
-            for (i, got) in rebuild.events.iter().enumerate() {
-                assert_eq!(got, &trace.resolved(i), "event {i} differs");
-                assert_eq!(rebuild.steps[i], trace.step_of(i));
-            }
-            // The memory image and outputs match an untraced run's.
-            assert_eq!(streamed.global_i64("sum").unwrap(), vec![45]);
+        assert!(streamed.trace.is_none(), "streaming must not materialize");
+        assert_eq!(streamed.steps, traced.steps);
+        assert_eq!(rebuild.outcome, Some(RunOutcome::Completed));
+        assert_eq!(rebuild.events.len(), trace.len());
+        for (i, got) in rebuild.events.iter().enumerate() {
+            assert_eq!(got, &trace.resolved(i), "event {i} differs");
+            assert_eq!(rebuild.steps[i], trace.step_of(i));
         }
+        // The memory image and outputs match an untraced run's.
+        assert_eq!(streamed.global_i64("sum").unwrap(), vec![45]);
     }
 
     #[test]
@@ -2003,38 +1939,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_with_skip_markers_streams_the_identical_suffix() {
-        let module = sum_module();
-        let config = VmConfig::default().without_markers();
-        let vm = Vm::new(config);
-
-        let mut cold = Rebuild::default();
-        let dm = decoded(&module);
-        let cold_run = vm
-            .run_with_visitors_decoded(&module, &dm, &mut [&mut cold])
-            .unwrap();
-
-        let fork = cold_run.steps / 2;
-        let snap = vm.snapshot_at(&module, fork).unwrap().expect("mid-run step");
-        // Markers are elided from the stream, so the event cursor lags the
-        // step counter.
-        assert!(snap.events_emitted() < snap.step());
-
-        let mut resumed = Rebuild::default();
-        let resumed_run = vm
-            .resume_with_visitors_decoded(&module, &dm, &snap, &mut [&mut resumed])
-            .unwrap();
-        assert_eq!(resumed_run.outcome, cold_run.outcome);
-        assert_eq!(resumed_run.steps, cold_run.steps);
-        assert_eq!(resumed_run.outputs, cold_run.outputs);
-        assert_eq!(resumed_run.memory, cold_run.memory);
-
-        let skip = snap.events_emitted() as usize;
-        assert_eq!(resumed.events, cold.events[skip..]);
-        assert_eq!(resumed.steps, cold.steps[skip..]);
-    }
-
-    #[test]
     fn resumed_tracing_records_exactly_the_trace_tail() {
         let module = sum_module();
         let full = Vm::new(VmConfig::tracing())
@@ -2114,16 +2018,15 @@ mod tests {
 
     // -- dispatch semantics ---------------------------------------------------
 
-    /// Both dispatch instantiations (recording and not), marker elision and
-    /// scope windows all execute the same program: every configuration ends
-    /// in the same outcome, step count, outputs and memory.
+    /// Both dispatch instantiations (recording and not) and scope windows
+    /// all execute the same program: every configuration ends in the same
+    /// outcome, step count, outputs and memory.
     #[test]
     fn every_configuration_executes_the_same_program() {
         for module in [sum_module(), call_module()] {
             let plain = Vm::new(VmConfig::default()).run(&module).unwrap();
             for config in [
                 VmConfig::tracing(),
-                VmConfig::tracing().without_markers(),
                 VmConfig::tracing_region(3, 20),
             ] {
                 let r = Vm::new(config).run(&module).unwrap();
@@ -2340,51 +2243,5 @@ mod tests {
         assert!(matches!(t.events[0].kind, EventKind::Bin(BinKind::Add)));
         let span_sum: usize = t.events.iter().map(|e| e.num_reads()).sum();
         assert_eq!(span_sum, t.num_operands());
-    }
-
-    #[test]
-    fn skip_markers_elides_markers_but_keeps_steps_derivable() {
-        let module = sum_module();
-        let full = Vm::new(VmConfig::tracing()).run(&module).unwrap();
-        let full_trace = full.trace.unwrap();
-        let lean = Vm::new(VmConfig::tracing().without_markers())
-            .run(&module)
-            .unwrap();
-        let lean_trace = lean.trace.unwrap();
-
-        // Same execution, fewer recorded events: exactly the markers moved to
-        // the side table.
-        assert_eq!(lean.steps, full.steps);
-        assert!(lean_trace.markers_elided());
-        assert_eq!(
-            lean_trace.len() + lean_trace.markers().len(),
-            full_trace.len()
-        );
-        assert_eq!(lean_trace.len(), full_trace.len_without_markers());
-        assert!(lean_trace.events.iter().all(|e| !e.kind.is_marker()));
-
-        // Every lean event resolves to the full-trace event at its absolute
-        // step, and `step_of` recovers that step exactly.
-        for i in 0..lean_trace.len() {
-            let step = lean_trace.step_of(i) as usize;
-            assert_eq!(lean_trace.resolved(i), full_trace.resolved(step));
-        }
-
-        // The side table mirrors the elided markers in order.
-        let mut markers = lean_trace.markers().iter();
-        for e in &full_trace.events {
-            if e.kind.is_marker() {
-                let m = markers.next().expect("one record per marker");
-                match (&e.kind, m.kind) {
-                    (EventKind::LoopBegin { id, .. }, MarkerKind::Begin { id: mid, .. })
-                    | (EventKind::LoopEnd { id }, MarkerKind::End { id: mid })
-                    | (EventKind::LoopIter { id }, MarkerKind::Iter { id: mid }) => {
-                        assert_eq!(*id, mid);
-                    }
-                    other => panic!("marker kind mismatch: {other:?}"),
-                }
-            }
-        }
-        assert!(markers.next().is_none());
     }
 }

@@ -42,14 +42,14 @@ pub mod visitor;
 
 pub use fault::{FaultSpec, FaultTarget};
 pub use ftkr_ir::decode::DecodedModule;
-pub use interp::{RunOutcome, RunResult, TraceOpts, TraceScope, TrapKind, Vm, VmConfig};
+pub use interp::{RunOutcome, RunResult, TraceScope, TrapKind, Vm, VmConfig};
 pub use location::Location;
 pub use memory::Memory;
 pub use output::{OutputRecord, ProgramOutput};
 pub use snapshot::VmSnapshot;
 pub use trace::{
-    EventView, EventKind, LocationId, MarkerKind, MarkerRecord, ReadSpan, ResolvedEvent, Trace,
-    TraceBuilder, TraceEvent, TraceSlice,
+    EventView, EventKind, LocationId, ReadSpan, ResolvedEvent, Trace, TraceBuilder, TraceEvent,
+    TraceSlice,
 };
 pub use value::Value;
 pub use visitor::{EventCtx, EventCursor, TraceVisitor, WalkEnd};

@@ -161,48 +161,6 @@ impl EventKind {
     }
 }
 
-/// Which loop marker an elided [`MarkerRecord`] stands for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MarkerKind {
-    /// Entry into a loop (one per loop execution).
-    Begin {
-        /// Static loop id.
-        id: LoopId,
-        /// Static nesting depth.
-        depth: u32,
-        /// Loop classification.
-        kind: LoopKind,
-    },
-    /// Exit from a loop.
-    End {
-        /// Static loop id.
-        id: LoopId,
-    },
-    /// Start of one loop iteration.
-    Iter {
-        /// Static loop id.
-        id: LoopId,
-    },
-}
-
-/// One loop marker elided from the event stream by
-/// `TraceOpts::skip_markers`: recorded out-of-band so the code-region
-/// partitioner can still reconstruct region boundaries (falling back to the
-/// module's static loop tables for names and lines) and so absolute dynamic
-/// steps stay derivable ([`Trace::step_of`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MarkerRecord {
-    /// Number of events recorded before the marker executed — i.e. the index
-    /// (into `Trace::events`) of the first event *after* the marker.
-    pub at_event: u32,
-    /// Function the marker instruction belongs to.
-    pub func: FunctionId,
-    /// Dynamic invocation number of that function.
-    pub frame: u32,
-    /// Which marker.
-    pub kind: MarkerKind,
-}
-
 /// One executed instruction, in the compact encoding.
 ///
 /// Operand reads are stored as a [`ReadSpan`] into the owning trace's operand
@@ -283,9 +241,6 @@ pub struct Trace {
     /// Dynamic step of the first recorded event (non-zero for region-scoped
     /// traces, which record only a window of the run).
     pub(crate) base_step: u64,
-    /// Loop markers elided from `events` by `TraceOpts::skip_markers`, in
-    /// execution order (empty for ordinary traces).
-    pub(crate) markers: Vec<MarkerRecord>,
 }
 
 impl Trace {
@@ -304,7 +259,6 @@ impl Trace {
             pool: Vec::with_capacity(operands),
             locations: Vec::with_capacity(events / 2 + 16),
             base_step: 0,
-            markers: Vec::new(),
         }
     }
 
@@ -320,12 +274,12 @@ impl Trace {
 
     /// Number of dynamic instructions excluding loop markers — the paper's
     /// "#instr in an iteration" excludes instrumentation artifacts.
-    pub fn len_without_markers(&self) -> usize {
+    pub fn instruction_count(&self) -> usize {
         self.events.iter().filter(|e| !e.kind.is_marker()).count()
     }
 
     /// Approximate heap footprint of the recorded trace in bytes (events,
-    /// operand pool, location table, markers).  An estimate over the inline
+    /// operand pool, location table).  An estimate over the inline
     /// struct sizes — good enough for cache byte-budget accounting, not an
     /// allocator-exact measurement.
     pub fn resident_bytes(&self) -> usize {
@@ -333,7 +287,6 @@ impl Trace {
         self.events.len() * size_of::<TraceEvent>()
             + self.pool.len() * size_of::<(LocationId, Value)>()
             + self.locations.len() * size_of::<Location>()
-            + self.markers.len() * size_of::<MarkerRecord>()
     }
 
     /// Dynamic step of the first recorded event: 0 for full traces, the
@@ -342,28 +295,9 @@ impl Trace {
         self.base_step
     }
 
-    /// The loop markers elided from the event stream by
-    /// `TraceOpts::skip_markers`, in execution order.  Empty for ordinary
-    /// traces, whose markers live in `events` like any other instruction.
-    pub fn markers(&self) -> &[MarkerRecord] {
-        &self.markers
-    }
-
-    /// True when the trace was recorded with `TraceOpts::skip_markers`:
-    /// the event stream carries no loop markers, and event indices no longer
-    /// coincide with dynamic steps (use [`Trace::step_of`]).
-    pub fn markers_elided(&self) -> bool {
-        !self.markers.is_empty()
-    }
-
-    /// Absolute dynamic step of the event at `idx`: `base_step + idx` plus
-    /// the number of elided markers that executed before it.  For traces
-    /// recorded without `skip_markers` this is simply `base_step + idx`.
+    /// Absolute dynamic step of the event at `idx`.
     pub fn step_of(&self, idx: usize) -> u64 {
-        let elided = self
-            .markers
-            .partition_point(|m| m.at_event as usize <= idx);
-        self.base_step + idx as u64 + elided as u64
+        self.base_step + idx as u64
     }
 
     /// Number of distinct locations the trace touched (the id space is
@@ -679,7 +613,7 @@ mod tests {
             },
         ]);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.len_without_markers(), 1);
+        assert_eq!(t.instruction_count(), 1);
         assert!(!t.is_empty());
     }
 

@@ -33,8 +33,7 @@ pub struct EventCtx<'a> {
     /// materialized trace this equals the index into `Trace::events`.
     pub index: usize,
     /// Absolute dynamic step of the event.  Equal to `index` for full-scope
-    /// traces that record markers; differs for window-scoped traces
-    /// (`base_step` offset) and marker-elided traces.
+    /// traces; differs by the `base_step` offset for window-scoped traces.
     pub step: u64,
     /// The compact event.
     pub event: &'a TraceEvent,
@@ -121,22 +120,13 @@ impl<'t> EventCursor<'t> {
     pub fn run(&self, visitors: &mut [&mut dyn TraceVisitor]) {
         let trace = self.trace;
         let locations = trace.locations();
-        let markers = trace.markers();
         // Per-operand delivery is opt-in and constant per visitor: query it
         // once instead of once per event.
         let wants_reads: Vec<bool> = visitors.iter().map(|v| v.wants_operand_reads()).collect();
-        // Marker-elided traces interleave a side table of elided steps; a
-        // running cursor keeps `step` absolute without per-event searches.
-        let mut next_marker = 0usize;
-        let mut elided_before = 0u64;
         for (index, event) in trace.events.iter().enumerate() {
-            while next_marker < markers.len() && markers[next_marker].at_event as usize <= index {
-                next_marker += 1;
-                elided_before += 1;
-            }
             let ctx = EventCtx {
                 index,
-                step: trace.base_step() + index as u64 + elided_before,
+                step: trace.step_of(index),
                 event,
                 reads: trace.reads_of(event),
                 locations,

@@ -6,9 +6,6 @@
 //! * the fault-free run completes and passes the app's own verification;
 //! * every declared code region resolves to a non-empty dynamic window of
 //!   the clean trace (so the Table-I / Figure-5 drivers have a population);
-//! * region partitioning round-trips under `TraceOpts::skip_markers`
-//!   (same instances, covering the same computation, from the out-of-band
-//!   marker table);
 //! * every declared region yields a non-empty internal fault-site list (and
 //!   the input-class list at least resolves);
 //! * a quick-effort sharded campaign over the first region merges
@@ -21,8 +18,6 @@
 
 use fliptracker::prelude::*;
 use ftkr_apps::{all_apps, all_apps_sized, AppSize};
-use ftkr_trace::{partition_regions, RegionSelector};
-use ftkr_vm::{Vm, VmConfig};
 
 /// The five kernels this PR promotes (scaled by the size knob).
 const PROMOTED: [&str; 5] = ["LU", "BT", "SP", "DC", "FT"];
@@ -75,45 +70,6 @@ fn conformance_every_declared_region_resolves_to_a_nonempty_window() {
             !session.iterations().is_empty(),
             "{name}: main loop produced no iteration instances"
         );
-    }
-}
-
-#[test]
-fn conformance_region_partitioning_round_trips_with_skip_markers() {
-    for app in all_apps() {
-        let full = Vm::new(VmConfig::tracing())
-            .run(&app.module)
-            .expect("module verifies")
-            .trace
-            .expect("tracing enabled");
-        let lean = Vm::new(VmConfig::tracing().without_markers())
-            .run(&app.module)
-            .expect("module verifies")
-            .trace
-            .expect("tracing enabled");
-        assert!(lean.markers_elided(), "{}: markers not elided", app.name);
-
-        let a = partition_regions(&full, &app.module, &RegionSelector::FirstLevelInner);
-        let b = partition_regions(&lean, &app.module, &RegionSelector::FirstLevelInner);
-        assert_eq!(a.len(), b.len(), "{}: instance count differs", app.name);
-        for (fa, fb) in a.iter().zip(&b) {
-            assert_eq!(fa.key, fb.key, "{}", app.name);
-            assert_eq!(fa.instance, fb.instance, "{}", app.name);
-            assert_eq!(fa.main_iteration, fb.main_iteration, "{}", app.name);
-            assert_eq!(fa.lines, fb.lines, "{}", app.name);
-            // Same computation inside: the non-marker events of the full
-            // instance equal the events of the lean instance.
-            let fa_events: Vec<_> = (fa.start..fa.end)
-                .filter(|&i| !full.events[i].kind.is_marker())
-                .map(|i| full.resolved(i))
-                .collect();
-            let fb_events: Vec<_> = (fb.start..fb.end).map(|i| lean.resolved(i)).collect();
-            assert_eq!(
-                fa_events, fb_events,
-                "{}/{}: instance covers different computation",
-                app.name, fa.key.name
-            );
-        }
     }
 }
 

@@ -50,16 +50,13 @@ fn push_trace(out: &mut String, trace: &Trace) {
     for loc in trace.locations() {
         let _ = writeln!(out, "{loc:?}");
     }
-    for m in trace.markers() {
-        let _ = writeln!(out, "{m:?}");
-    }
 }
 
 /// Bit-exact FNV-1a digest of a run: outcome, step count, every output
 /// record (value bits and rendered text), every memory cell ever laid out
 /// (by raw bits, so NaN payloads and signed zeros count), and — when
-/// present — the trace's events, operand pool, interned locations, source
-/// lines and elided-marker table.
+/// present — the trace's events, operand pool, interned locations and source
+/// lines.
 pub fn run_digest(run: &RunResult) -> u64 {
     let mut out = String::new();
     let _ = writeln!(out, "{:?} steps {}", run.outcome, run.steps);
