@@ -143,7 +143,7 @@ echo "==> chaos convergence property suite (random fail-point schedules)"
 cargo test --release -q -p ftkr-bench --test chaos_convergence
 
 echo "==> benchmark output gate: every report matches its frozen digest (all ten apps)"
-for workload in fig5_regions fig6_analyzed; do
+for workload in fig5_regions fig6_analyzed spmd4 deep_analysis; do
     result="$(python3 perfbench/run.py --workload "$workload" --seed 0 --seconds 2 --trace 0 | tail -n 1)"
     if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1]).get("correct") is not True)' "$result"; then
         echo "    $workload: reports differ from the frozen digests: $result"

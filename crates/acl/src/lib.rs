@@ -23,8 +23,9 @@
 //! The builder runs once per injection, which makes it the most expensive
 //! analysis stage of Table-I-scale hunts; it therefore works in the trace's
 //! dense [`ftkr_vm::LocationId`] space (flat last-access tables and a bitmap
-//! taint set).  The original hash-based algorithm is retained in
-//! [`mod@reference`] for differential testing.
+//! taint set).  The original hash-based algorithm is kept as a test oracle
+//! in the workspace's integration-test support, where the property tests
+//! diff the two on random traces.
 //!
 //! Construction is event-incremental: [`table::TaintSweep`] advances one
 //! dynamic event at a time, so the sweep can ride along any
@@ -33,7 +34,6 @@
 //! per-injection pipeline in `ftkr_patterns` drives the same sweep next to
 //! the six pattern detectors in a single pass.
 
-pub mod reference;
 pub mod table;
 pub mod visitor;
 

@@ -3,9 +3,9 @@
 //! The builder is the hottest analysis stage of the pipeline (it runs once
 //! per injection), so it works entirely in the trace's dense [`LocationId`]
 //! space: flat `Vec<u32>` last-access tables, a counting-sort reverse index
-//! of death events, and a bitmap taint set — no hash maps.  The retained
-//! hash-based implementation lives in [`crate::reference`] and is compared
-//! against this one by the workspace property tests.
+//! of death events, and a bitmap taint set — no hash maps.  A hash-based
+//! reference implementation lives in the workspace's integration-test
+//! support and is compared against this one by the property tests.
 //!
 //! The sweep itself is incremental ([`TaintSweep`]): one [`TaintSweep::step`]
 //! call per dynamic event, in order.  [`AclTable::build`] drives it over a

@@ -93,6 +93,10 @@ pub enum PlanError {
     /// The plan's application has no SPMD decomposition in the registry
     /// (`ftkr_apps::spmd_decomposition`), so it cannot run multi-rank.
     NoSpmdDecomposition(String),
+    /// The fork-point executor was handed a checkpoint later than the
+    /// plan's earliest fault site.  The session forks at the earliest site,
+    /// so its own plans cannot trip this.
+    FaultBeforeCheckpoint(ftkr_inject::FaultBeforeCheckpoint),
 }
 
 impl std::fmt::Display for PlanError {
@@ -132,6 +136,7 @@ impl std::fmt::Display for PlanError {
                 "application {app:?} has no SPMD decomposition; multi-rank \
                  campaigns need one (ftkr_apps::spmd_decomposition)"
             ),
+            PlanError::FaultBeforeCheckpoint(e) => write!(f, "{e}"),
         }
     }
 }
@@ -160,9 +165,10 @@ pub struct Session {
     clean: OnceLock<RunResult>,
     /// Dynamic step count of the fault-free run (knowable without tracing).
     steps: OnceLock<u64>,
-    /// Pre-decoded dispatch tables of the application module (flat opcode
-    /// arrays with fused superinstructions), built once and shared by every
-    /// campaign executor.
+    /// Pre-decoded dispatch tables of the application module (one slot per
+    /// instruction over a flat register file, fused superinstructions) and
+    /// its verification verdict, built once and shared by every campaign
+    /// executor.
     decoded: OnceLock<DecodedModule>,
     /// First-level-inner code-region instances of the clean trace.
     regions: OnceLock<Vec<RegionInstance>>,
@@ -213,9 +219,9 @@ impl Session {
         &self.app
     }
 
-    /// The dispatch tables of the application module (computed once, shared
-    /// by the clean runs, the SPMD ranks, the analysis pipeline and every
-    /// streaming campaign executor).
+    /// The dispatch tables of the application module (computed and verified
+    /// once, shared by the clean runs, the SPMD ranks, the analysis pipeline
+    /// and every campaign executor).
     pub fn decoded_module(&self) -> &DecodedModule {
         self.decoded
             .get_or_init(|| DecodedModule::decode(&self.app.module))
@@ -564,13 +570,16 @@ impl Session {
     // -- campaigns ---------------------------------------------------------
 
     /// A campaign against this application, judged by its verification
-    /// phase, with the hang-detection step limit already set.
+    /// phase, with the hang-detection step limit already set.  It runs the
+    /// session's cached dispatch tables ([`Session::decoded_module`]), so
+    /// neither creating it nor any of its tests decodes or verifies the
+    /// module again.
     pub fn campaign(
         &self,
         seed: u64,
     ) -> Campaign<'_, impl Fn(&RunResult) -> bool + Sync + '_> {
         let app = &self.app;
-        Campaign::new(&app.module, move |r| app.verify(r))
+        Campaign::with_decoded(&app.module, self.decoded_module(), move |r| app.verify(r))
             .with_max_steps(self.max_steps())
             .with_seed(seed)
     }
@@ -661,10 +670,11 @@ impl Session {
         let fork = Self::fork_step(&sites);
         if fork > 0 {
             if let Some(snapshot) = self.checkpoint_at(fork) {
-                return Ok(self
+                return self
                     .campaign(plan.seed)
                     .with_chaos(chaos)
-                    .run_range_from(&sites, shard, &snapshot));
+                    .run_range_from(&sites, shard, &snapshot)
+                    .map_err(PlanError::FaultBeforeCheckpoint);
             }
         }
         Ok(self

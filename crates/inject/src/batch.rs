@@ -729,7 +729,9 @@ mod tests {
             .with_max_steps(hang_budget_for(&clean));
         let ctx = BatchContext::new(&clean);
         let cold = campaign.run_range(&sites, IndexRange::full(120));
-        let forked = campaign.run_range_from(&sites, IndexRange::full(120), &snapshot);
+        let forked = campaign
+            .run_range_from(&sites, IndexRange::full(120), &snapshot)
+            .unwrap();
         let batched =
             campaign.run_range_batched(&sites, IndexRange::full(120), &ctx, Some(&snapshot));
         assert_eq!(batched, forked);
@@ -784,7 +786,8 @@ mod tests {
             .with_seed(11)
             .with_max_steps(max_steps)
             .with_chaos(chaos)
-            .run_range_from(&sites, IndexRange::full(48), &snapshot);
+            .run_range_from(&sites, IndexRange::full(48), &snapshot)
+            .unwrap();
         let batched = Campaign::new(&m, verify_sum16)
             .with_seed(11)
             .with_max_steps(max_steps)

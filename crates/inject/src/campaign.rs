@@ -9,6 +9,7 @@
 //! [`FailPlan`], which is how the chaos suite proves
 //! the recovery paths actually work.
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::rngs::StdRng;
@@ -154,6 +155,31 @@ impl CampaignReport {
     }
 }
 
+/// A fork-point campaign whose site list reaches back before its
+/// checkpoint: a fault sampled there would have to strike inside the
+/// restored prefix, which a forked run never executes.  Returned by
+/// [`Campaign::run_range_from`] before any test runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultBeforeCheckpoint {
+    /// The earliest site's dynamic step.
+    pub at_step: u64,
+    /// The checkpoint's dynamic step.
+    pub checkpoint: u64,
+}
+
+impl std::fmt::Display for FaultBeforeCheckpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "fault site at step {} precedes the checkpoint at step {}: \
+             it cannot strike in a forked run",
+            self.at_step, self.checkpoint
+        )
+    }
+}
+
+impl std::error::Error for FaultBeforeCheckpoint {}
+
 /// SplitMix64-style mixing of a campaign seed and a test index: the root of
 /// every per-test derivation (fault sampling, rank sweeps), decorrelating
 /// streams drawn from sequential indices under one seed.
@@ -192,8 +218,9 @@ where
     pub(crate) max_steps: u64,
     pub(crate) seed: u64,
     pub(crate) chaos: FailPlan,
-    /// The module's dispatch tables, decoded once per campaign.
-    pub(crate) decoded: DecodedModule,
+    /// The module's dispatch tables and verification verdict: decoded once
+    /// per campaign, or borrowed from a caller that holds them already.
+    pub(crate) decoded: Cow<'m, DecodedModule>,
 }
 
 impl<'m, F> Campaign<'m, F>
@@ -201,16 +228,29 @@ where
     F: Fn(&RunResult) -> bool + Sync,
 {
     /// Create a campaign for `module` judged by `verify`.  The module is
-    /// decoded once here; every faulty run then executes the decoded tables
-    /// ([`Vm::run_decoded`] / [`Vm::resume_from_decoded`]).
+    /// decoded (and verified) once here; every faulty run then executes the
+    /// decoded tables ([`Vm::run_decoded`] / [`Vm::resume_from_decoded`])
+    /// without verifying again.
     pub fn new(module: &'m Module, verify: F) -> Self {
+        Self::over(module, Cow::Owned(DecodedModule::decode(module)), verify)
+    }
+
+    /// [`Campaign::new`] over tables the caller already decoded from
+    /// `module` (a session's cached ones), so creating the campaign neither
+    /// decodes nor verifies.  `decoded` must be [`DecodedModule::decode`] of
+    /// this `module`.
+    pub fn with_decoded(module: &'m Module, decoded: &'m DecodedModule, verify: F) -> Self {
+        Self::over(module, Cow::Borrowed(decoded), verify)
+    }
+
+    fn over(module: &'m Module, decoded: Cow<'m, DecodedModule>, verify: F) -> Self {
         Campaign {
             module,
             verify,
             max_steps: VmConfig::default().max_steps,
             seed: DEFAULT_SEED,
             chaos: FailPlan::none(),
-            decoded: DecodedModule::decode(module),
+            decoded,
         }
     }
 
@@ -304,20 +344,14 @@ where
         }
     }
 
-    /// One forked test: restore-or-degrade, then classify.
+    /// One forked test: restore-or-degrade, then classify.  The caller
+    /// has checked that `fault` does not precede the checkpoint.
     pub(crate) fn test_forked(
         &self,
         ordinal: Option<u64>,
         snapshot: &VmSnapshot,
         fault: FaultSpec,
     ) -> TestOutcome {
-        assert!(
-            fault.at_step >= snapshot.step(),
-            "fault at step {} precedes the checkpoint at step {}: \
-             it cannot strike in a forked run",
-            fault.at_step,
-            snapshot.step()
-        );
         match self.forked_result(snapshot, fault, ordinal) {
             Some(result) => self.classify(result, ordinal).into(),
             // The fork path failed at the harness level: fall back to the
@@ -363,6 +397,14 @@ where
     /// fork-point campaigns honest; callers must fork only from checkpoints
     /// at or before their site window.
     pub fn run_one_from(&self, snapshot: &VmSnapshot, fault: FaultSpec) -> TestOutcome {
+        assert!(
+            fault.at_step >= snapshot.step(),
+            "{}",
+            FaultBeforeCheckpoint {
+                at_step: fault.at_step,
+                checkpoint: snapshot.step(),
+            }
+        );
         self.test_forked(None, snapshot, fault)
     }
 
@@ -401,18 +443,27 @@ where
     /// fails degrade to the cold executor per test and are tallied in
     /// [`CampaignCounts::degraded`].
     ///
-    /// # Panics
-    /// Panics (per test) when a sampled fault precedes the checkpoint; see
-    /// [`Campaign::run_one_from`].
+    /// # Errors
+    /// [`FaultBeforeCheckpoint`] when a site of the list precedes the
+    /// checkpoint (so a sampled fault could); checked once, before any test
+    /// runs.
     pub fn run_range_from(
         &self,
         sites: &[FaultSite],
         range: IndexRange,
         snapshot: &VmSnapshot,
-    ) -> CampaignReport {
-        self.run_range_by(sites, range, |index, fault| {
+    ) -> Result<CampaignReport, FaultBeforeCheckpoint> {
+        if let Some(at_step) = sites.iter().map(|s| s.at_step).min() {
+            if at_step < snapshot.step() {
+                return Err(FaultBeforeCheckpoint {
+                    at_step,
+                    checkpoint: snapshot.step(),
+                });
+            }
+        }
+        Ok(self.run_range_by(sites, range, |index, fault| {
             self.test_forked(Some(index), snapshot, fault)
-        })
+        }))
     }
 
     /// Like [`Campaign::run_range`], but each test is executed and classified
@@ -663,13 +714,15 @@ mod tests {
             .with_seed(99)
             .with_max_steps(hang_budget_for(&clean));
         let cold = campaign.run_range(&sites, IndexRange::full(120));
-        let forked = campaign.run_range_from(&sites, IndexRange::full(120), &snapshot);
+        let forked = campaign
+            .run_range_from(&sites, IndexRange::full(120), &snapshot)
+            .unwrap();
         assert_eq!(forked, cold);
         assert_eq!(forked.counts.degraded, 0, "no chaos: no degradation");
         // Sharded fork-point ranges merge exactly like cold ones.
         let merged = [IndexRange::new(0, 37), IndexRange::new(37, 120)]
             .iter()
-            .map(|&r| campaign.run_range_from(&sites, r, &snapshot))
+            .map(|&r| campaign.run_range_from(&sites, r, &snapshot).unwrap())
             .reduce(|a, b| a.merge(&b))
             .unwrap();
         assert_eq!(merged, cold);
@@ -688,6 +741,54 @@ mod tests {
         let campaign = Campaign::new(&m, verify);
         // A fault in the restored prefix must trap loudly, not vanish.
         let _ = campaign.run_one_from(&snapshot, FaultSpec::in_result(0, 1));
+    }
+
+    #[test]
+    fn fork_point_campaign_rejects_sites_before_the_checkpoint_up_front() {
+        let m = module();
+        let clean = clean_run(&m);
+        let trace = clean.trace.as_ref().unwrap();
+        let fork = trace.len() as u64 / 2;
+        let snapshot = Vm::new(VmConfig::default())
+            .snapshot_at(&m, fork)
+            .unwrap()
+            .unwrap();
+        // The verifier panics if any test runs: the site list is rejected
+        // before the first worker starts.
+        let campaign = Campaign::new(&m, |_r: &RunResult| -> bool { panic!("no test may run") });
+        let sites = internal_sites(trace, 0, trace.len());
+        assert_eq!(
+            campaign.run_range_from(&sites, IndexRange::full(32), &snapshot),
+            Err(FaultBeforeCheckpoint {
+                at_step: 0,
+                checkpoint: fork,
+            })
+        );
+        // A site list starting exactly at the checkpoint is accepted, and an
+        // empty one has nothing to reject.
+        let late = internal_sites(trace, fork as usize, trace.len());
+        let poisoned = campaign
+            .run_range_from(&late, IndexRange::full(4), &snapshot)
+            .unwrap();
+        assert_eq!(poisoned.n_tests, 4);
+        let empty = campaign
+            .run_range_from(&[], IndexRange::full(4), &snapshot)
+            .unwrap();
+        assert_eq!(empty.n_tests, 0);
+    }
+
+    #[test]
+    fn a_module_that_fails_verification_counts_every_test_as_a_harness_error() {
+        // No `main`: `verify_executable` rejects the module once, when the
+        // campaign decodes it, and every test then reports the harness
+        // failure instead of classifying a run that never happened.
+        let mut m = module();
+        m.functions[0].name = "entry".into();
+        let sites = input_sites(0, &[(ftkr_vm::Location::mem(0), ftkr_vm::Value::F(0.0))]);
+        let report = Campaign::new(&m, verify).run(&sites, 16);
+        assert_eq!(report.counts.harness_errors, 16);
+        assert_eq!(report.counts.total(), 16);
+        assert!(report.is_tainted());
     }
 
     #[test]
@@ -763,7 +864,8 @@ mod tests {
             .with_seed(11)
             .with_max_steps(max_steps)
             .with_chaos(chaos)
-            .run_range_from(&sites, IndexRange::full(48), &snapshot);
+            .run_range_from(&sites, IndexRange::full(48), &snapshot)
+            .unwrap();
         // Roughly half the restores failed — but every degraded test fell
         // back to the cold executor, so the outcome tallies are identical.
         assert!(degraded.counts.degraded > 0, "{:?}", degraded.counts);

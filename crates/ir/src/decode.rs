@@ -1,14 +1,22 @@
-//! Pre-decoded execution tables: each verified function lowered once into a
-//! dense flat opcode/operand array for direct-threaded dispatch.
+//! Pre-decoded execution tables: each function of a verified module
+//! lowered once into one dense array of dispatch slots over a flat
+//! per-frame register file.
 //!
 //! The IR keeps heap [`Op`] enums reached through three indirections
 //! (function → block → instruction table).  [`DecodedModule::decode`]
-//! flattens every function into a contiguous [`DInst`] array — the only
-//! form the `ftkr-vm` interpreter executes — with:
+//! verifies the module once, stores the verdict, and lowers every function
+//! into a [`DecodedFunction`] — the only form the `ftkr-vm` interpreter
+//! executes — with:
 //!
-//! - **packed operands** ([`DOperand`]): one `u32` per operand, tagged with
-//!   the operand class and indexing a per-function constant pool — no enum
-//!   matching and no `Vec` clones on the call path;
+//! - **one slot per instruction** ([`Slot`]), indexed by the instruction's
+//!   *pc*, its position in block order: the decoded instruction with block
+//!   targets resolved to pcs, its result register and the fused-tail flag.
+//!   A dispatched step is one slot load;
+//! - **flat register operands** ([`Reg`]): every operand is an index into
+//!   one per-frame register file laid out as results | arguments |
+//!   constants | global bases, so a read is one indexed load and the
+//!   operand class is only recovered ([`DecodedFunction::class`]) by
+//!   recording runs that intern the location read;
 //! - **pre-resolved callees**: `Op::Call`'s by-name lookup becomes a stored
 //!   [`FunctionId`];
 //! - **fused compare-branch superinstructions** ([`DInst::CmpBr`]): a `Cmp`
@@ -20,76 +28,75 @@
 //!
 //! Decoding is pure table construction: the decoded program is *semantically
 //! identical* to the original — one dynamic step per original instruction,
-//! fused pairs included — and call frames keep their original
-//! `(block, ip)` program counters, so VM snapshots do not depend on fusion.
+//! fused pairs included.  A call frame's program counter is the pc of its
+//! next instruction, and the branch half of a fused pair keeps a slot of its
+//! own (an ordinary `CondBr` flagged [`Slot::tail`]), so VM snapshots taken
+//! between the two halves resume without depending on fusion.
 
-use crate::block::BlockId;
 use crate::function::{Function, FunctionId};
+use crate::global::GlobalId;
 use crate::inst::{
     BinKind, CastKind, CmpKind, Intrinsic, LoopId, LoopKind, Op, Operand, OutputFormat, ValueId,
 };
 use crate::module::Module;
+use crate::verify::{verify_executable, VerifyError};
 
-/// Operand-class tag of a [`DOperand`] (top 3 bits of the packed word).
-const TAG_SHIFT: u32 = 29;
-/// Payload mask of a [`DOperand`] (low 29 bits).
-const PAYLOAD_MASK: u32 = (1 << TAG_SHIFT) - 1;
-
-const TAG_VALUE: u32 = 0;
-const TAG_ARG: u32 = 1;
-const TAG_CONST_I: u32 = 2;
-const TAG_CONST_F: u32 = 3;
-const TAG_GLOBAL: u32 = 4;
-
-/// A packed operand: 3-bit class tag plus a 29-bit payload.
+/// A flat index into a frame's register file.
 ///
-/// | tag | payload |
-/// |-----|---------|
-/// | register | [`ValueId`] index |
-/// | argument | argument position |
-/// | int const | index into [`DecodedFunction::consts_i`] |
-/// | float const | index into [`DecodedFunction::consts_f`] |
-/// | global | [`crate::GlobalId`] index |
+/// | cells | hold |
+/// |-------|------|
+/// | `[0, num_insts)` | the result of instruction [`ValueId`]`(index)` |
+/// | `[num_insts, num_insts + num_args)` | the frame's arguments |
+/// | from `num_insts + num_args` | [`DecodedFunction::consts`], in order |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DOperand(u32);
+pub struct Reg(pub u32);
 
-/// Unpacked view of a [`DOperand`], produced by [`DOperand::unpack`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DOperandKind {
-    /// Read of the register holding instruction `ValueId(payload)`'s result.
-    Value(ValueId),
-    /// Read of argument `payload` of the current frame.
-    Arg(u32),
-    /// Integer constant at `consts_i[payload]`.
-    ConstI(u32),
-    /// Float constant at `consts_f[payload]`.
-    ConstF(u32),
-    /// Base address of global `payload`.
-    Global(u32),
+impl Reg {
+    /// The cell index.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
-impl DOperand {
-    fn pack(tag: u32, payload: u32) -> Self {
-        debug_assert!(payload <= PAYLOAD_MASK, "operand payload overflows 29 bits");
-        DOperand((tag << TAG_SHIFT) | payload)
-    }
+/// What the register-file cell behind a [`Reg`] holds, by its place in the
+/// layout — the location class a recording run interns a read by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RegClass {
+    /// The result register of an instruction.
+    Result(ValueId),
+    /// Argument `n` of the frame.
+    Arg(u32),
+    /// A constant or a global's base address: reads no location.
+    Const,
+}
 
-    /// Unpack into the tagged view the dispatch loop matches on.
-    #[inline]
-    pub fn unpack(self) -> DOperandKind {
-        let payload = self.0 & PAYLOAD_MASK;
-        match self.0 >> TAG_SHIFT {
-            TAG_VALUE => DOperandKind::Value(ValueId(payload)),
-            TAG_ARG => DOperandKind::Arg(payload),
-            TAG_CONST_I => DOperandKind::ConstI(payload),
-            TAG_CONST_F => DOperandKind::ConstF(payload),
-            _ => DOperandKind::Global(payload),
+/// The value a constant cell of the register file starts with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RegConst {
+    /// Integer constant.
+    I(i64),
+    /// Float constant.
+    F(f64),
+    /// Base address of a global.
+    Global(GlobalId),
+}
+
+impl RegConst {
+    /// Pool identity: floats compare by bit pattern, so `-0.0` and NaN
+    /// payloads keep cells of their own.
+    fn same(self, other: RegConst) -> bool {
+        match (self, other) {
+            (RegConst::I(a), RegConst::I(b)) => a == b,
+            (RegConst::F(a), RegConst::F(b)) => a.to_bits() == b.to_bits(),
+            (RegConst::Global(a), RegConst::Global(b)) => a == b,
+            _ => false,
         }
     }
 }
 
-/// Span into [`DecodedFunction::args_pool`] holding a call's packed
-/// arguments.
+/// Span into [`DecodedFunction::args_pool`] holding a call's argument
+/// registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArgSpan {
     /// First pooled operand.
@@ -107,10 +114,11 @@ impl ArgSpan {
 
 /// One decoded instruction: the flat, heap-free lowering of an [`Op`].
 ///
-/// Block targets are raw block indices; `Alloca` drops its debug name and
-/// `Call` its callee string (both resolved at decode time).  The fused
-/// [`DInst::CmpBr`] covers *two* original instructions (the compare and the
-/// block-terminating conditional branch).
+/// Block targets are pcs (the slot index of the target block's first
+/// instruction); `Alloca` drops its debug name and `Call` its callee string
+/// (both resolved at decode time).  The fused [`DInst::CmpBr`] covers *two*
+/// original instructions (the compare and the block-terminating conditional
+/// branch).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DInst {
     /// Binary arithmetic/logical operation.
@@ -118,9 +126,9 @@ pub enum DInst {
         /// Opcode.
         kind: BinKind,
         /// Left operand.
-        lhs: DOperand,
+        lhs: Reg,
         /// Right operand.
-        rhs: DOperand,
+        rhs: Reg,
     },
     /// Comparison producing 0/1 (unfused form).
     Cmp {
@@ -129,54 +137,55 @@ pub enum DInst {
         /// Float comparison?
         float: bool,
         /// Left operand.
-        lhs: DOperand,
+        lhs: Reg,
         /// Right operand.
-        rhs: DOperand,
+        rhs: Reg,
     },
     /// Fused compare + conditional branch superinstruction: the compare's
     /// result register is still written (later instructions may read it),
-    /// then the branch consumes it — one dispatch, two dynamic steps.
+    /// then the branch consumes it — one dispatch, two dynamic steps.  The
+    /// next slot is the branch half on its own.
     CmpBr {
         /// Predicate.
         kind: CmpKind,
         /// Float comparison?
         float: bool,
         /// Left operand.
-        lhs: DOperand,
+        lhs: Reg,
         /// Right operand.
-        rhs: DOperand,
-        /// Block taken when the compare is true.
-        then_b: u32,
-        /// Block taken when the compare is false.
-        else_b: u32,
+        rhs: Reg,
+        /// Pc taken when the compare is true.
+        then_pc: u32,
+        /// Pc taken when the compare is false.
+        else_pc: u32,
     },
     /// Numeric conversion.
     Cast {
         /// Conversion kind.
         kind: CastKind,
         /// Source operand.
-        src: DOperand,
+        src: Reg,
     },
     /// Ternary select.
     Select {
         /// Condition.
-        cond: DOperand,
+        cond: Reg,
         /// Value when truthy.
-        then_v: DOperand,
+        then_v: Reg,
         /// Value when falsy.
-        else_v: DOperand,
+        else_v: Reg,
     },
     /// Memory load.
     Load {
         /// Address operand.
-        addr: DOperand,
+        addr: Reg,
     },
     /// Memory store.
     Store {
         /// Address operand.
-        addr: DOperand,
+        addr: Reg,
         /// Stored value.
-        value: DOperand,
+        value: Reg,
     },
     /// Stack allocation of `size` cells.
     Alloca {
@@ -186,47 +195,47 @@ pub enum DInst {
     /// Pointer arithmetic.
     Gep {
         /// Base pointer.
-        base: DOperand,
+        base: Reg,
         /// Cell index.
-        index: DOperand,
+        index: Reg,
     },
     /// Function call with a pre-resolved callee.
     Call {
         /// Callee function (resolved from the name at decode time).
         callee: FunctionId,
-        /// Packed arguments in [`DecodedFunction::args_pool`].
+        /// Argument registers in [`DecodedFunction::args_pool`].
         args: ArgSpan,
     },
     /// Intrinsic call.
     CallIntrinsic {
         /// Which intrinsic.
         intrinsic: Intrinsic,
-        /// Packed arguments in [`DecodedFunction::args_pool`].
+        /// Argument registers in [`DecodedFunction::args_pool`].
         args: ArgSpan,
     },
     /// Return, optionally with a value.
     Ret {
         /// Returned operand, if any.
-        value: Option<DOperand>,
+        value: Option<Reg>,
     },
     /// Unconditional branch.
     Br {
-        /// Target block index.
+        /// Target pc.
         target: u32,
     },
-    /// Conditional branch (unfused form).
+    /// Conditional branch (unfused, or the branch half of a fused pair).
     CondBr {
         /// Condition operand.
-        cond: DOperand,
-        /// Block taken when truthy.
-        then_b: u32,
-        /// Block taken when falsy.
-        else_b: u32,
+        cond: Reg,
+        /// Pc taken when truthy.
+        then_pc: u32,
+        /// Pc taken when falsy.
+        else_pc: u32,
     },
     /// Program output.
     Output {
         /// Emitted operand.
-        value: DOperand,
+        value: Reg,
         /// Rendering format.
         format: OutputFormat,
     },
@@ -253,65 +262,59 @@ pub enum DInst {
     Nop,
 }
 
-/// Set on a [`DecodedFunction::flat_map`] entry whose linearized position is
-/// the *second* original instruction (the `CondBr`) of a fused
-/// [`DInst::CmpBr`] pair.  Execution normally never lands there — fused
-/// dispatch advances past both — but a VM snapshot captured between the
-/// compare and the branch (or a step limit reached there) leaves the program
-/// counter at exactly that position, and the dispatch loop then runs the
-/// branch half alone.
-pub const FUSED_TAIL: u32 = 1 << 31;
+/// One dispatch slot: everything the interpreter needs to execute the
+/// instruction at a pc.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Slot {
+    /// The decoded instruction.
+    pub inst: DInst,
+    /// The original instruction id: the event's instruction and, for
+    /// instructions with a result, the result register ([`Reg`]`(result.0)`).
+    pub result: ValueId,
+    /// True on the branch half of a fused pair: a `CondBr` on the compare's
+    /// result, directly after the [`DInst::CmpBr`] slot.  Fused dispatch
+    /// executes both halves from the `CmpBr` slot; execution lands here only
+    /// when a boundary (a snapshot, a step limit, a fault) splits the pair.
+    pub tail: bool,
+}
 
 /// Escape entry for a source-line delta that does not fit in an `i16`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineEscape {
-    /// Linearized instruction position.
+    /// Pc of the instruction.
     pub at: u32,
-    /// Absolute source line at that position.
+    /// Absolute source line at that pc.
     pub line: u32,
 }
 
-/// One function lowered into dense decoded tables.
-///
-/// Instructions are addressed two ways: the VM keeps its original
-/// `(block, ip)` program counter (the snapshot format) and maps it through
-/// `lin_base`/`flat_map` to a [`DInst`];
-/// per-instruction metadata (original [`ValueId`], source line) is indexed by
-/// the *linearized* position `lin_base[block] + ip`.
+/// One function lowered into dense decoded tables.  Every per-instruction
+/// table is indexed by pc; the entry block starts at pc 0.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedFunction {
-    /// Flat decoded instruction array (fused pairs occupy one slot).
-    pub code: Vec<DInst>,
-    /// Prefix sums of original block lengths: linearized position of the
-    /// first instruction of each block.
-    pub lin_base: Vec<u32>,
-    /// Linearized position → flat index into `code`, with [`FUSED_TAIL`] set
-    /// on the branch half of a fused pair.
-    pub flat_map: Vec<u32>,
-    /// Linearized position → original instruction id (= result register).
-    pub lin_iids: Vec<u32>,
-    /// Delta-encoded source lines: `i16` delta per linearized position
-    /// against the previous position's line (position 0 is a delta against
-    /// line 0).  [`i16::MIN`] marks an escape to [`DecodedFunction::line_escapes`].
+    /// One dispatch slot per original instruction.
+    pub slots: Vec<Slot>,
+    /// Delta-encoded source lines: `i16` delta per pc against the previous
+    /// pc's line (pc 0 is a delta against line 0).  [`i16::MIN`] marks an
+    /// escape to [`DecodedFunction::line_escapes`].
     pub line_deltas: Vec<i16>,
-    /// Escape table for deltas outside the `i16` range, sorted by position.
+    /// Escape table for deltas outside the `i16` range, sorted by pc.
     pub line_escapes: Vec<LineEscape>,
-    /// Integer constant pool.
-    pub consts_i: Vec<i64>,
-    /// Float constant pool.
-    pub consts_f: Vec<f64>,
-    /// Packed call-argument pool (spanned by [`ArgSpan`]s).
-    pub args_pool: Vec<DOperand>,
+    /// Initial values of the register file's constant cells (deduplicated
+    /// constants and global bases), from [`DecodedFunction::first_const`] on.
+    pub consts: Vec<RegConst>,
+    /// Call-argument register pool (spanned by [`ArgSpan`]s).
+    pub args_pool: Vec<Reg>,
     /// Argument count (mirrors [`Function::num_args`]).
     pub num_args: u32,
-    /// Static instruction count of the original function.
+    /// Static instruction count of the original function: the number of
+    /// result registers.
     pub num_insts: usize,
 }
 
 impl DecodedFunction {
-    /// Materialize the absolute source line of every linearized position by
-    /// prefix-summing the delta stream (tracing runs call this once per
-    /// function; untraced runs never touch lines).
+    /// Materialize the absolute source line of every pc by prefix-summing
+    /// the delta stream (tracing runs call this once per function; untraced
+    /// runs never touch lines).
     pub fn materialize_lines(&self) -> Vec<u32> {
         let mut lines = Vec::with_capacity(self.line_deltas.len());
         let mut cur: i64 = 0;
@@ -331,36 +334,68 @@ impl DecodedFunction {
         lines
     }
 
-    /// Linearized position of `(block, ip)`.
+    /// The first constant cell of the register file.
     #[inline]
-    pub fn lin(&self, block: BlockId, ip: usize) -> usize {
-        self.lin_base[block.index()] as usize + ip
+    pub fn first_const(&self) -> usize {
+        self.num_insts + self.num_args as usize
+    }
+
+    /// Size of one frame's register file.
+    #[inline]
+    pub fn num_regs(&self) -> usize {
+        self.first_const() + self.consts.len()
+    }
+
+    /// What the cell behind `reg` holds.
+    #[inline]
+    pub fn class(&self, reg: Reg) -> RegClass {
+        let i = reg.index();
+        if i < self.num_insts {
+            RegClass::Result(ValueId(reg.0))
+        } else if i < self.first_const() {
+            RegClass::Arg((i - self.num_insts) as u32)
+        } else {
+            RegClass::Const
+        }
     }
 }
 
 /// A module lowered into per-function decoded tables (indexable by
-/// [`FunctionId`]).  Built once per module with [`DecodedModule::decode`] and
-/// shared read-only by every decoded run.
+/// [`FunctionId`]) together with its [`verify_executable`] verdict.  Built
+/// once per module with [`DecodedModule::decode`] and shared read-only by
+/// every decoded run, none of which re-verifies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedModule {
-    /// Decoded functions, in [`Module`] order.
+    /// Decoded functions, in [`Module`] order (empty when the module failed
+    /// verification).
     pub functions: Vec<DecodedFunction>,
+    verdict: Result<(), VerifyError>,
 }
 
 impl DecodedModule {
-    /// Lower every function of `module` into decoded tables.
-    ///
-    /// The module must satisfy the same invariants the interpreter relies on
-    /// (callees resolvable by name); run it through
-    /// [`crate::verify::verify_module`] first.
+    /// Verify `module` as an executable ([`verify_executable`]) and, when it
+    /// passes, lower every function into decoded tables.  A module that
+    /// fails keeps its error as the verdict and lowers nothing: the
+    /// lowering relies on the verified invariants (resolvable callees, in-range
+    /// targets).
     pub fn decode(module: &Module) -> DecodedModule {
-        DecodedModule {
-            functions: module
+        let verdict = verify_executable(module);
+        let functions = if verdict.is_ok() {
+            module
                 .functions
                 .iter()
                 .map(|f| decode_function(module, f))
-                .collect(),
-        }
+                .collect()
+        } else {
+            Vec::new()
+        };
+        DecodedModule { functions, verdict }
+    }
+
+    /// The module's [`verify_executable`] verdict, computed once by
+    /// [`DecodedModule::decode`].
+    pub fn verdict(&self) -> Result<(), VerifyError> {
+        self.verdict.clone()
     }
 
     /// The decoded form of a function.
@@ -374,68 +409,61 @@ impl DecodedModule {
         self.functions
             .iter()
             .map(|f| {
-                f.code.len() * std::mem::size_of::<DInst>()
-                    + (f.lin_base.len() + f.flat_map.len() + f.lin_iids.len()) * 4
+                f.slots.len() * std::mem::size_of::<Slot>()
                     + f.line_deltas.len() * 2
                     + f.line_escapes.len() * std::mem::size_of::<LineEscape>()
-                    + f.consts_i.len() * 8
-                    + f.consts_f.len() * 8
+                    + f.consts.len() * std::mem::size_of::<RegConst>()
                     + f.args_pool.len() * 4
             })
             .sum()
     }
 }
 
-struct FnDecoder<'f> {
-    func: &'f Function,
-    consts_i: Vec<i64>,
-    consts_f: Vec<f64>,
-    args_pool: Vec<DOperand>,
+struct FnDecoder {
+    /// Pc of each block's first instruction.
+    block_pc: Vec<u32>,
+    num_insts: u32,
+    num_args: u32,
+    consts: Vec<RegConst>,
+    args_pool: Vec<Reg>,
 }
 
-impl FnDecoder<'_> {
-    fn operand(&mut self, op: Operand) -> DOperand {
-        match op {
-            Operand::Value(v) => DOperand::pack(TAG_VALUE, v.0),
-            Operand::Arg(i) => DOperand::pack(TAG_ARG, i),
-            Operand::ConstI(c) => {
-                // Constant pools are deduplicated: functions reuse a handful
-                // of literals across many instructions.
-                let idx = self
-                    .consts_i
-                    .iter()
-                    .position(|&x| x == c)
-                    .unwrap_or_else(|| {
-                        self.consts_i.push(c);
-                        self.consts_i.len() - 1
-                    });
-                DOperand::pack(TAG_CONST_I, idx as u32)
-            }
-            Operand::ConstF(c) => {
-                let idx = self
-                    .consts_f
-                    .iter()
-                    .position(|&x| x.to_bits() == c.to_bits())
-                    .unwrap_or_else(|| {
-                        self.consts_f.push(c);
-                        self.consts_f.len() - 1
-                    });
-                DOperand::pack(TAG_CONST_F, idx as u32)
-            }
-            Operand::Global(g) => DOperand::pack(TAG_GLOBAL, g.0),
-        }
+impl FnDecoder {
+    fn operand(&mut self, op: Operand) -> Reg {
+        let c = match op {
+            Operand::Value(v) => return Reg(v.0),
+            Operand::Arg(i) => return Reg(self.num_insts + i),
+            Operand::ConstI(c) => RegConst::I(c),
+            Operand::ConstF(c) => RegConst::F(c),
+            Operand::Global(g) => RegConst::Global(g),
+        };
+        // The constant cells are deduplicated: functions reuse a handful of
+        // literals and globals across many instructions.
+        let k = self
+            .consts
+            .iter()
+            .position(|&x| x.same(c))
+            .unwrap_or_else(|| {
+                self.consts.push(c);
+                self.consts.len() - 1
+            });
+        Reg(self.num_insts + self.num_args + k as u32)
     }
 
     fn span(&mut self, args: &[Operand]) -> ArgSpan {
         let offset = u32::try_from(self.args_pool.len()).expect("≤ 2^32 pooled call arguments");
         for &a in args {
-            let d = self.operand(a);
-            self.args_pool.push(d);
+            let r = self.operand(a);
+            self.args_pool.push(r);
         }
         ArgSpan {
             offset,
             len: args.len() as u32,
         }
+    }
+
+    fn pc(&self, block: crate::block::BlockId) -> u32 {
+        self.block_pc[block.index()]
     }
 
     fn lower(&mut self, module: &Module, op: &Op) -> DInst {
@@ -497,15 +525,17 @@ impl FnDecoder<'_> {
             Op::Ret { value } => DInst::Ret {
                 value: value.map(|v| self.operand(v)),
             },
-            Op::Br { target } => DInst::Br { target: target.0 },
+            Op::Br { target } => DInst::Br {
+                target: self.pc(*target),
+            },
             Op::CondBr {
                 cond,
                 then_b,
                 else_b,
             } => DInst::CondBr {
                 cond: self.operand(*cond),
-                then_b: then_b.0,
-                else_b: else_b.0,
+                then_pc: self.pc(*then_b),
+                else_pc: self.pc(*else_b),
             },
             Op::Output { value, format } => DInst::Output {
                 value: self.operand(*value),
@@ -545,36 +575,36 @@ fn fusable(func: &Function, block_insts: &[ValueId], i: usize) -> bool {
 }
 
 fn decode_function(module: &Module, func: &Function) -> DecodedFunction {
+    let mut block_pc = Vec::with_capacity(func.blocks.len());
+    let mut total = 0u32;
+    for block in &func.blocks {
+        block_pc.push(total);
+        total = u32::try_from(total as usize + block.insts.len())
+            .expect("≤ 2^32 instructions per function");
+    }
     let mut d = FnDecoder {
-        func,
-        consts_i: Vec::new(),
-        consts_f: Vec::new(),
+        block_pc,
+        num_insts: func.num_insts() as u32,
+        num_args: func.num_args,
+        consts: Vec::new(),
         args_pool: Vec::new(),
     };
-    let total: usize = func.blocks.iter().map(|b| b.insts.len()).sum();
-    let mut code = Vec::with_capacity(total);
-    let mut lin_base = Vec::with_capacity(func.blocks.len());
-    let mut flat_map = Vec::with_capacity(total);
-    let mut lin_iids = Vec::with_capacity(total);
-    let mut line_deltas = Vec::with_capacity(total);
+    let mut slots: Vec<Slot> = Vec::with_capacity(total as usize);
+    let mut line_deltas = Vec::with_capacity(total as usize);
     let mut line_escapes = Vec::new();
     let mut prev_line: i64 = 0;
 
     for block in &func.blocks {
-        lin_base.push(u32::try_from(flat_map.len()).expect("≤ 2^32 instructions per function"));
-        let mut i = 0;
-        while i < block.insts.len() {
-            let iid = block.insts[i];
+        for (i, &iid) in block.insts.iter().enumerate() {
             let inst = func.inst(iid);
-            let flat = code.len() as u32;
-            let lin = flat_map.len() as u32;
+            let pc = slots.len() as u32;
 
-            // Delta-encode this position's source line.
+            // Delta-encode this pc's source line.
             let delta = i64::from(inst.line) - prev_line;
             if delta > i64::from(i16::MAX) || delta <= i64::from(i16::MIN) {
                 line_deltas.push(i16::MIN);
                 line_escapes.push(LineEscape {
-                    at: lin,
+                    at: pc,
                     line: inst.line,
                 });
             } else {
@@ -582,65 +612,44 @@ fn decode_function(module: &Module, func: &Function) -> DecodedFunction {
             }
             prev_line = i64::from(inst.line);
 
-            if fusable(d.func, &block.insts, i) {
-                let br_id = block.insts[i + 1];
-                let &Op::Cmp {
-                    kind,
-                    float,
-                    lhs,
-                    rhs,
-                } = &inst.op
+            let tail = i > 0 && fusable(func, &block.insts, i - 1);
+            let lowered = if fusable(func, &block.insts, i) {
+                let (
+                    &Op::Cmp {
+                        kind,
+                        float,
+                        lhs,
+                        rhs,
+                    },
+                    &Op::CondBr { then_b, else_b, .. },
+                ) = (&inst.op, &func.inst(block.insts[i + 1]).op)
                 else {
-                    unreachable!("fusable checked the cmp shape");
+                    unreachable!("fusable checked the cmp and condbr shapes");
                 };
-                let &Op::CondBr { then_b, else_b, .. } = &func.inst(br_id).op else {
-                    unreachable!("fusable checked the condbr shape");
-                };
-                code.push(DInst::CmpBr {
+                DInst::CmpBr {
                     kind,
                     float,
                     lhs: d.operand(lhs),
                     rhs: d.operand(rhs),
-                    then_b: then_b.0,
-                    else_b: else_b.0,
-                });
-                flat_map.push(flat);
-                lin_iids.push(iid.0);
-                // The branch half: its own line delta and metadata, but its
-                // flat entry points back at the fused slot with FUSED_TAIL.
-                let br_line = func.inst(br_id).line;
-                let br_delta = i64::from(br_line) - prev_line;
-                if br_delta > i64::from(i16::MAX) || br_delta <= i64::from(i16::MIN) {
-                    line_deltas.push(i16::MIN);
-                    line_escapes.push(LineEscape {
-                        at: lin + 1,
-                        line: br_line,
-                    });
-                } else {
-                    line_deltas.push(br_delta as i16);
+                    then_pc: d.pc(then_b),
+                    else_pc: d.pc(else_b),
                 }
-                prev_line = i64::from(br_line);
-                flat_map.push(flat | FUSED_TAIL);
-                lin_iids.push(br_id.0);
-                i += 2;
             } else {
-                code.push(d.lower(module, &inst.op));
-                flat_map.push(flat);
-                lin_iids.push(iid.0);
-                i += 1;
-            }
+                d.lower(module, &inst.op)
+            };
+            slots.push(Slot {
+                inst: lowered,
+                result: iid,
+                tail,
+            });
         }
     }
 
     DecodedFunction {
-        code,
-        lin_base,
-        flat_map,
-        lin_iids,
+        slots,
         line_deltas,
         line_escapes,
-        consts_i: d.consts_i,
-        consts_f: d.consts_f,
+        consts: d.consts,
         args_pool: d.args_pool,
         num_args: func.num_args,
         num_insts: func.num_insts(),
@@ -674,6 +683,29 @@ mod tests {
         m
     }
 
+    /// `main` calls a two-argument function that reads both arguments, a
+    /// float constant and a global.
+    fn call_module() -> Module {
+        let mut m = Module::new("call");
+        let g = m.add_global(Global::zeroed_f64("out", 1));
+        let mut f = FunctionBuilder::with_args("axpy", 2);
+        let (x, y) = (f.arg(0), f.arg(1));
+        let two = f.const_f64(2.0);
+        let ax = f.fmul(two, x);
+        let r = f.fadd(ax, y);
+        let gaddr = f.global_addr(g);
+        f.store(gaddr, r);
+        f.ret(Some(r));
+        m.add_function(f.finish());
+        let mut b = FunctionBuilder::new("main");
+        let one = b.const_f64(1.0);
+        let r = b.call("axpy", vec![one, one]);
+        b.output(r, OutputFormat::Full);
+        b.ret(None);
+        m.add_function(b.finish());
+        m
+    }
+
     #[test]
     fn decode_covers_every_instruction_once() {
         let m = loop_module();
@@ -681,34 +713,93 @@ mod tests {
         let f = &m.functions[0];
         let df = &dm.functions[0];
         let total: usize = f.blocks.iter().map(|b| b.insts.len()).sum();
-        assert_eq!(df.flat_map.len(), total);
-        assert_eq!(df.lin_iids.len(), total);
+        assert_eq!(df.slots.len(), total);
         assert_eq!(df.line_deltas.len(), total);
-        // Fused pairs shrink the flat code array below the original count.
-        assert!(df.code.len() <= total);
-        // Every flat index referenced by the map exists.
-        for &p in &df.flat_map {
-            assert!(((p & !FUSED_TAIL) as usize) < df.code.len());
-        }
+        // Slots follow block order, each carrying its instruction's id.
+        let order: Vec<ValueId> = f.blocks.iter().flat_map(|b| b.insts.clone()).collect();
+        let ids: Vec<ValueId> = df.slots.iter().map(|s| s.result).collect();
+        assert_eq!(ids, order);
     }
 
     #[test]
     fn loop_back_edge_is_fused() {
         let m = loop_module();
         let dm = DecodedModule::decode(&m);
-        let fused = dm.functions[0]
-            .code
+        let slots = &dm.functions[0].slots;
+        let fused = slots
             .iter()
-            .filter(|i| matches!(i, DInst::CmpBr { .. }))
+            .filter(|s| matches!(s.inst, DInst::CmpBr { .. }))
             .count();
         assert!(fused >= 1, "the for-loop header compare+branch must fuse");
-        // Each fused slot has exactly one FUSED_TAIL map entry.
-        let tails = dm.functions[0]
-            .flat_map
-            .iter()
-            .filter(|&&p| p & FUSED_TAIL != 0)
-            .count();
+        // Each fused slot is followed by exactly one branch-half slot that
+        // branches on the compare's result to the same pcs.
+        let tails = slots.iter().filter(|s| s.tail).count();
         assert_eq!(tails, fused);
+        for (pc, s) in slots.iter().enumerate() {
+            if let DInst::CmpBr {
+                then_pc, else_pc, ..
+            } = s.inst
+            {
+                assert_eq!(
+                    slots[pc + 1].inst,
+                    DInst::CondBr {
+                        cond: Reg(s.result.0),
+                        then_pc,
+                        else_pc
+                    }
+                );
+                assert!(slots[pc + 1].tail);
+            }
+        }
+    }
+
+    #[test]
+    fn operands_index_the_flat_register_file() {
+        let m = call_module();
+        let dm = DecodedModule::decode(&m);
+        let f = &m.functions[0];
+        let df = &dm.functions[0];
+        assert_eq!(df.first_const(), f.num_insts() + 2);
+        // 2.0 and the global base: one cell each.
+        assert_eq!(
+            df.consts,
+            vec![RegConst::F(2.0), RegConst::Global(GlobalId(0))]
+        );
+        assert_eq!(df.num_regs(), f.num_insts() + 4);
+        let DInst::Bin { lhs, rhs, .. } = df.slots[0].inst else {
+            panic!("slot 0 is the multiply: {:?}", df.slots[0]);
+        };
+        assert_eq!(df.class(lhs), RegClass::Const);
+        assert_eq!(df.class(rhs), RegClass::Arg(0));
+        assert_eq!(rhs, Reg(f.num_insts() as u32));
+        let DInst::Bin { lhs, rhs, .. } = df.slots[1].inst else {
+            panic!("slot 1 is the add: {:?}", df.slots[1]);
+        };
+        assert_eq!(df.class(lhs), RegClass::Result(df.slots[0].result));
+        assert_eq!(df.class(rhs), RegClass::Arg(1));
+        // The caller's two `1.0` arguments share one constant cell.
+        let main = &dm.functions[1];
+        let DInst::Call { callee, args } = main.slots[0].inst else {
+            panic!("main starts with the call: {:?}", main.slots[0]);
+        };
+        assert_eq!(callee, FunctionId(0));
+        assert_eq!(
+            main.args_pool[args.range()],
+            [Reg(main.first_const() as u32); 2]
+        );
+    }
+
+    #[test]
+    fn decode_stores_the_verification_verdict() {
+        let dm = DecodedModule::decode(&loop_module());
+        assert_eq!(dm.verdict(), Ok(()));
+        // A module without `main` is not executable: nothing is lowered and
+        // the verdict keeps the error for every run of the tables.
+        let mut m = loop_module();
+        m.functions[0].name = "not_main".into();
+        let dm = DecodedModule::decode(&m);
+        assert_eq!(dm.verdict(), Err(VerifyError::NoMain));
+        assert!(dm.functions.is_empty());
     }
 
     #[test]
@@ -718,13 +809,8 @@ mod tests {
         let f = &m.functions[0];
         let df = &dm.functions[0];
         let lines = df.materialize_lines();
-        let mut lin = 0;
-        for block in &f.blocks {
-            for &iid in &block.insts {
-                assert_eq!(lines[lin], f.inst(iid).line, "line at lin {lin}");
-                assert_eq!(df.lin_iids[lin], iid.0);
-                lin += 1;
-            }
+        for (pc, s) in df.slots.iter().enumerate() {
+            assert_eq!(lines[pc], f.inst(s.result).line, "line at pc {pc}");
         }
     }
 
@@ -746,33 +832,8 @@ mod tests {
         assert!(!df.line_escapes.is_empty(), "a 200k jump cannot fit in i16");
         let lines = df.materialize_lines();
         let f = &m.functions[0];
-        let mut lin = 0;
-        for block in &f.blocks {
-            for &iid in &block.insts {
-                assert_eq!(lines[lin], f.inst(iid).line);
-                lin += 1;
-            }
+        for (pc, s) in df.slots.iter().enumerate() {
+            assert_eq!(lines[pc], f.inst(s.result).line);
         }
-    }
-
-    #[test]
-    fn operands_pack_and_unpack() {
-        assert_eq!(
-            DOperand::pack(TAG_VALUE, 12).unpack(),
-            DOperandKind::Value(ValueId(12))
-        );
-        assert_eq!(DOperand::pack(TAG_ARG, 3).unpack(), DOperandKind::Arg(3));
-        assert_eq!(
-            DOperand::pack(TAG_CONST_I, 0).unpack(),
-            DOperandKind::ConstI(0)
-        );
-        assert_eq!(
-            DOperand::pack(TAG_CONST_F, 7).unpack(),
-            DOperandKind::ConstF(7)
-        );
-        assert_eq!(
-            DOperand::pack(TAG_GLOBAL, 2).unpack(),
-            DOperandKind::Global(2)
-        );
     }
 }

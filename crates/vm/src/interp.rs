@@ -1,10 +1,9 @@
 //! The interpreter: executes a verified module, optionally recording a trace
 //! and optionally flipping one bit somewhere along the way.
 
-use ftkr_ir::decode::{DInst, DOperand, DOperandKind, DecodedFunction, DecodedModule, FUSED_TAIL};
+use ftkr_ir::decode::{DInst, DecodedFunction, DecodedModule, Reg, RegClass, RegConst};
 use ftkr_ir::inst::Intrinsic;
-use ftkr_ir::verify::verify_executable;
-use ftkr_ir::{BinKind, BlockId, CastKind, CmpKind, FunctionId, Module, ValueId, VerifyError};
+use ftkr_ir::{BinKind, CastKind, CmpKind, FunctionId, Module, ValueId, VerifyError};
 
 use crate::fault::{FaultSpec, FaultTarget};
 use crate::location::Location;
@@ -248,13 +247,17 @@ pub struct Vm {
 pub(crate) struct Frame {
     func: FunctionId,
     frame_id: u32,
-    block: BlockId,
-    ip: usize,
+    /// Pc of the next instruction to execute (written back whenever the
+    /// dispatch loop leaves the frame).
+    pc: u32,
+    /// The register file, laid out as results | arguments | constants |
+    /// global bases (see [`Reg`]).
     regs: Vec<Option<Value>>,
-    /// Interned [`LocationId`] of each register (lazy, `NO_ID` = not yet
-    /// interned).  Allocated only when tracing.
+    /// Interned [`LocationId`] of each result register (lazy, `NO_ID` = not
+    /// yet interned).  Allocated only when tracing.
     reg_ids: Vec<u32>,
-    args: Vec<Value>,
+    /// Location each argument was read from by the call (interned only when
+    /// tracing).
     arg_locs: Vec<Option<LocationId>>,
     stack_mark: u64,
     /// Register of the *caller* that receives this frame's return value.
@@ -264,47 +267,37 @@ pub(crate) struct Frame {
 /// Sentinel for "location not interned yet" in the dense id tables.
 const NO_ID: u32 = u32::MAX;
 
-/// Operand resolution without recording: no location interning, no
-/// operand pooling — just the value.  A free function over the split
-/// borrows of [`Interp::dispatch`], so the loop's held frame reference is
-/// the only frame access per read.
-#[inline]
-fn hot_operand(
-    frame: &Frame,
-    df: &DecodedFunction,
-    global_bases: &[u64],
-    operand: DOperand,
-) -> Result<Value, TrapKind> {
-    match operand.unpack() {
-        DOperandKind::Value(v) => frame.regs[v.index()].ok_or(TrapKind::UninitializedRegister),
-        DOperandKind::Arg(i) => frame
-            .args
-            .get(i as usize)
-            .copied()
-            .ok_or(TrapKind::UninitializedRegister),
-        DOperandKind::ConstI(i) => Ok(Value::I(df.consts_i[i as usize])),
-        DOperandKind::ConstF(i) => Ok(Value::F(df.consts_f[i as usize])),
-        DOperandKind::Global(g) => Ok(Value::P(global_bases[g as usize])),
-    }
-}
-
 /// Operand resolution when recording: the value plus the interned id of the
-/// location read — registers and arguments; constants and globals read none.
+/// location read — result registers and arguments; constants and globals
+/// read none.
 #[inline]
 fn recorded_operand(
     frame: &mut Frame,
     df: &DecodedFunction,
-    global_bases: &[u64],
     locations: &mut Vec<Location>,
-    operand: DOperand,
+    reg: Reg,
 ) -> Result<(Value, Option<LocationId>), TrapKind> {
-    let value = hot_operand(frame, df, global_bases, operand)?;
-    let loc = match operand.unpack() {
-        DOperandKind::Value(v) => Some(intern_reg(locations, frame, v)),
-        DOperandKind::Arg(i) => frame.arg_locs.get(i as usize).copied().flatten(),
-        _ => None,
+    let value = frame.regs[reg.index()].ok_or(TrapKind::UninitializedRegister)?;
+    let loc = match df.class(reg) {
+        RegClass::Result(v) => Some(intern_reg(locations, frame, v)),
+        RegClass::Arg(i) => frame.arg_locs.get(i as usize).copied().flatten(),
+        RegClass::Const => None,
     };
     Ok((value, loc))
+}
+
+/// A fresh register file for a frame of `df`: results and arguments
+/// undefined, constant cells holding their constants and global bases.
+fn register_file(df: &DecodedFunction, global_bases: &[u64]) -> Vec<Option<Value>> {
+    let mut regs = vec![None; df.first_const()];
+    regs.extend(df.consts.iter().map(|&c| {
+        Some(match c {
+            RegConst::I(v) => Value::I(v),
+            RegConst::F(v) => Value::F(v),
+            RegConst::Global(g) => Value::P(global_bases[g.index()]),
+        })
+    }));
+    regs
 }
 
 /// Intern a register location through the frame's dense per-register table:
@@ -345,12 +338,12 @@ impl Vm {
         &self.config
     }
 
-    /// Execute the module's `main` function.  Decodes the module first;
-    /// callers that run one module many times decode it once and use
-    /// [`Vm::run_decoded`].
+    /// Execute the module's `main` function.  Decodes (and so verifies) the
+    /// module first; callers that run one module many times decode it once
+    /// and use [`Vm::run_decoded`].
     pub fn run(&self, module: &Module) -> Result<RunResult, VerifyError> {
-        verify_executable(module)?;
         let decoded = DecodedModule::decode(module);
+        decoded.verdict()?;
         Ok(Interp::at_entry(module, &decoded, &self.config, false).run_loop(None, 0))
     }
 
@@ -381,8 +374,8 @@ impl Vm {
         module: &Module,
         step: u64,
     ) -> Result<Option<VmSnapshot>, VerifyError> {
-        verify_executable(module)?;
         let decoded = DecodedModule::decode(module);
+        decoded.verdict()?;
         let mut config = self.config;
         config.record_trace = true;
         let mut interp = Interp::at_entry(module, &decoded, &config, true);
@@ -395,16 +388,19 @@ impl Vm {
         })
     }
 
-    /// [`Vm::run`] over tables already decoded from `module`: dense flat
-    /// code, packed operands and fused compare-branch superinstructions.
+    /// [`Vm::run`] over tables already decoded from `module`: one dispatch
+    /// slot per instruction over a flat register file, with fused
+    /// compare-branch superinstructions.
     ///
-    /// `decoded` must be [`DecodedModule::decode`] of this `module`.
+    /// `decoded` must be [`DecodedModule::decode`] of this `module`.  The
+    /// module is not verified again: this and the other `*_decoded` entry
+    /// points return the verdict [`DecodedModule::decode`] stored.
     pub fn run_decoded(
         &self,
         module: &Module,
         decoded: &DecodedModule,
     ) -> Result<RunResult, VerifyError> {
-        verify_executable(module)?;
+        decoded.verdict()?;
         Ok(Interp::at_entry(module, decoded, &self.config, false).run_loop(None, 0))
     }
 
@@ -425,7 +421,7 @@ impl Vm {
         decoded: &DecodedModule,
         visitors: &mut [&mut dyn TraceVisitor],
     ) -> Result<RunResult, VerifyError> {
-        verify_executable(module)?;
+        decoded.verdict()?;
         let mut config = self.config;
         config.record_trace = true;
         Ok(Interp::at_entry(module, decoded, &config, true).run_loop(Some(visitors), 0))
@@ -453,7 +449,7 @@ impl Vm {
         decoded: &DecodedModule,
         snapshot: &VmSnapshot,
     ) -> Result<RunResult, VerifyError> {
-        verify_executable(module)?;
+        decoded.verdict()?;
         let interp = Interp::from_snapshot(module, decoded, &self.config, snapshot);
         Ok(interp.run_loop(None, snapshot.events_emitted() as usize))
     }
@@ -472,7 +468,7 @@ impl Vm {
         snapshot: &VmSnapshot,
         visitors: &mut [&mut dyn TraceVisitor],
     ) -> Result<RunResult, VerifyError> {
-        verify_executable(module)?;
+        decoded.verdict()?;
         let mut config = self.config;
         config.record_trace = true;
         let interp = Interp::from_snapshot(module, decoded, &config, snapshot);
@@ -481,8 +477,8 @@ impl Vm {
 }
 
 struct Interp<'m> {
-    module: &'m Module,
-    /// The dispatch tables: dense flat code with fused superinstructions.
+    /// The dispatch tables: one slot per instruction, flat register
+    /// operands, fused superinstructions.
     decoded: &'m DecodedModule,
     config: VmConfig,
     memory: Memory,
@@ -497,8 +493,8 @@ struct Interp<'m> {
     /// delta streams — only when the run records a trace.
     dlines: Vec<Vec<u32>>,
     /// Base address per [`GlobalId`](ftkr_ir::GlobalId), resolved once at
-    /// construction.  Globals are laid out up front and never move, so
-    /// operand resolution never scans the name-keyed global extents.
+    /// construction.  Globals are laid out up front and never move, so a
+    /// new frame's global-base cells never scan the name-keyed extents.
     global_bases: Vec<u64>,
 }
 
@@ -640,7 +636,6 @@ impl<'m> Interp<'m> {
             })
             .collect();
         Interp {
-            module,
             decoded,
             config: *config,
             memory,
@@ -704,7 +699,7 @@ impl<'m> Interp<'m> {
                 if !recording {
                     f.reg_ids = Vec::new();
                 } else if f.reg_ids.is_empty() {
-                    f.reg_ids = vec![NO_ID; module.function(f.func).num_insts()];
+                    f.reg_ids = vec![NO_ID; decoded.function(f.func).num_insts];
                 }
                 f
             })
@@ -827,21 +822,19 @@ impl<'m> Interp<'m> {
     }
 
     fn make_frame(&mut self, func: FunctionId) -> Frame {
-        let f = self.module.function(func);
+        let df = self.decoded.function(func);
         let frame_id = self.next_frame_id;
         self.next_frame_id += 1;
         Frame {
             func,
             frame_id,
-            block: f.entry(),
-            ip: 0,
-            regs: vec![None; f.num_insts()],
+            pc: 0,
+            regs: register_file(df, &self.global_bases),
             reg_ids: if self.config.record_trace {
-                vec![NO_ID; f.num_insts()]
+                vec![NO_ID; df.num_insts]
             } else {
                 Vec::new()
             },
-            args: Vec::new(),
             arg_locs: Vec::new(),
             stack_mark: self.memory.stack_mark(),
             ret_dest: None,
@@ -878,10 +871,9 @@ impl<'m> Interp<'m> {
         let dm = self.decoded;
         // Split the interpreter into disjoint borrows once, so the loop can
         // hold one frame reference across operand resolution and the result
-        // write instead of re-indexing `self.frames` per access, and count
-        // steps in a register instead of a memory cell.
+        // write instead of re-indexing `self.frames` per access, and keep
+        // the step counter and the pc in registers instead of memory cells.
         let Interp {
-            module,
             frames,
             memory,
             outputs,
@@ -897,6 +889,7 @@ impl<'m> Interp<'m> {
         let tracing = config.record_trace;
         let mut frame_idx = frames.len() - 1;
         let mut df = dm.function(frames[frame_idx].func);
+        let mut pc = frames[frame_idx].pc as usize;
         let mut lines: &[u32] = if RECORD {
             &dlines[frames[frame_idx].func.index()]
         } else {
@@ -905,18 +898,19 @@ impl<'m> Interp<'m> {
         let mut nsteps = *steps;
         loop {
             if nsteps >= stop {
+                frames[frame_idx].pc = pc as u32;
                 *steps = nsteps;
                 return None;
             }
             let frame = &mut frames[frame_idx];
             let (func, frame_id) = (frame.func, frame.frame_id);
-            let lin = df.lin(frame.block, frame.ip);
-            let packed = df.flat_map[lin];
-            let dinst = df.code[(packed & !FUSED_TAIL) as usize];
-            let iid = ValueId(df.lin_iids[lin]);
+            let at = pc;
+            let slot = df.slots[at];
+            let iid = slot.result;
             let pool_start = if RECORD { trace.pool.len() } else { 0 };
-            // Most instructions simply advance ip; control flow overrides this.
-            frame.ip += 1;
+            // Most instructions simply advance the pc; control flow
+            // overrides this.
+            pc = at + 1;
 
             macro_rules! bail {
                 ($trap:expr) => {{
@@ -926,15 +920,9 @@ impl<'m> Interp<'m> {
             }
             // Read an operand, pooling the location it reads when recording.
             macro_rules! read {
-                ($operand:expr) => {{
+                ($reg:expr) => {{
                     if RECORD {
-                        match recorded_operand(
-                            frame,
-                            df,
-                            global_bases,
-                            &mut trace.locations,
-                            $operand,
-                        ) {
+                        match recorded_operand(frame, df, &mut trace.locations, $reg) {
                             Ok((v, loc)) => {
                                 if let Some(l) = loc {
                                     trace.pool.push((l, v));
@@ -944,9 +932,9 @@ impl<'m> Interp<'m> {
                             Err(t) => bail!(t),
                         }
                     } else {
-                        match hot_operand(frame, df, global_bases, $operand) {
-                            Ok(v) => v,
-                            Err(t) => bail!(t),
+                        match frame.regs[$reg.index()] {
+                            Some(v) => v,
+                            None => bail!(TrapKind::UninitializedRegister),
                         }
                     }
                 }};
@@ -973,15 +961,15 @@ impl<'m> Interp<'m> {
             }
             macro_rules! emit {
                 ($kind:expr, $write:expr) => {
-                    emit!(nsteps, iid, lin, pool_start, $kind, $write)
+                    emit!(nsteps, iid, at, pool_start, $kind, $write)
                 };
-                ($step:expr, $inst:expr, $lin:expr, $pool_start:expr, $kind:expr, $write:expr) => {
+                ($step:expr, $inst:expr, $at:expr, $pool_start:expr, $kind:expr, $write:expr) => {
                     if RECORD {
                         let event = TraceEvent {
                             func,
                             frame: frame_id,
                             inst: $inst,
-                            line: lines[$lin],
+                            line: lines[$at],
                             kind: $kind,
                             reads: ReadSpan::empty(),
                             write: $write,
@@ -991,29 +979,7 @@ impl<'m> Interp<'m> {
                 };
             }
 
-            // A branch half alone: the fused pair was split by a boundary,
-            // or a snapshot captured between its halves restored here.
-            if packed & FUSED_TAIL != 0 {
-                let DInst::CmpBr { then_b, else_b, .. } = dinst else {
-                    unreachable!("FUSED_TAIL only marks CmpBr branch halves");
-                };
-                let cond_reg = ValueId(df.lin_iids[lin - 1]);
-                let Some(c) = frame.regs[cond_reg.index()] else {
-                    bail!(TrapKind::UninitializedRegister);
-                };
-                if RECORD {
-                    let id = intern_reg(&mut trace.locations, frame, cond_reg);
-                    trace.pool.push((id, c));
-                }
-                let taken = c.is_truthy();
-                frame.block = BlockId(if taken { then_b } else { else_b });
-                frame.ip = 0;
-                emit!(EventKind::CondBr { taken }, None);
-                nsteps += 1;
-                continue;
-            }
-
-            match dinst {
+            match slot.inst {
                 DInst::Bin { kind, lhs, rhs } => {
                     let a = read!(lhs);
                     let b = read!(rhs);
@@ -1051,8 +1017,8 @@ impl<'m> Interp<'m> {
                     float,
                     lhs,
                     rhs,
-                    then_b,
-                    else_b,
+                    then_pc,
+                    else_pc,
                 } => {
                     // --- compare half ---
                     let a = read!(lhs);
@@ -1073,7 +1039,7 @@ impl<'m> Interp<'m> {
                     );
                     nsteps += 1;
                     if nsteps >= stop {
-                        // The program counter rests on the branch half.
+                        // The pc rests on the branch half's own slot.
                         continue;
                     }
                     // --- branch half: the next step, reading the compare's
@@ -1083,12 +1049,11 @@ impl<'m> Interp<'m> {
                         let id = intern_reg(&mut trace.locations, frame, iid);
                         trace.pool.push((id, result));
                     }
-                    frame.block = BlockId(if taken { then_b } else { else_b });
-                    frame.ip = 0;
+                    pc = (if taken { then_pc } else { else_pc }) as usize;
                     emit!(
                         nsteps,
-                        ValueId(df.lin_iids[lin + 1]),
-                        lin + 1,
+                        df.slots[at + 1].result,
+                        at + 1,
                         pool_start,
                         EventKind::CondBr { taken },
                         None
@@ -1172,20 +1137,19 @@ impl<'m> Interp<'m> {
                     if (frame_idx + 1) as u32 >= config.max_call_depth {
                         bail!(TrapKind::CallDepth);
                     }
-                    let n = args.len as usize;
-                    let mut arg_vals = Vec::with_capacity(n);
+                    let cf = dm.function(callee);
+                    let mut regs = register_file(cf, global_bases);
+                    let arg_cells = &mut regs[cf.num_insts..cf.first_const()];
                     let arg_locs = if tracing {
                         // Interned whenever tracing is on, inside the scope
                         // window or not; pooled only when recording.
-                        let mut locs = Vec::with_capacity(n);
-                        for k in args.range() {
-                            let operand = df.args_pool[k];
+                        let mut locs = Vec::with_capacity(arg_cells.len());
+                        for (cell, k) in arg_cells.iter_mut().zip(args.range()) {
                             let (v, loc) = match recorded_operand(
                                 frame,
                                 df,
-                                global_bases,
                                 &mut trace.locations,
-                                operand,
+                                df.args_pool[k],
                             ) {
                                 Ok(x) => x,
                                 Err(t) => bail!(t),
@@ -1193,38 +1157,37 @@ impl<'m> Interp<'m> {
                             if let (true, Some(l)) = (RECORD, loc) {
                                 trace.pool.push((l, v));
                             }
-                            arg_vals.push(v);
+                            *cell = Some(v);
                             locs.push(loc);
                         }
                         locs
                     } else {
-                        for k in args.range() {
-                            arg_vals.push(read!(df.args_pool[k]));
+                        for (cell, k) in arg_cells.iter_mut().zip(args.range()) {
+                            *cell = Some(read!(df.args_pool[k]));
                         }
-                        vec![None; n]
+                        Vec::new()
                     };
                     emit!(EventKind::Call { callee }, None);
-                    let f = module.function(callee);
+                    frame.pc = pc as u32;
                     let callee_id = *next_frame_id;
                     *next_frame_id += 1;
                     frames.push(Frame {
                         func: callee,
                         frame_id: callee_id,
-                        block: f.entry(),
-                        ip: 0,
-                        regs: vec![None; f.num_insts()],
+                        pc: 0,
+                        regs,
                         reg_ids: if tracing {
-                            vec![NO_ID; f.num_insts()]
+                            vec![NO_ID; cf.num_insts]
                         } else {
                             Vec::new()
                         },
-                        args: arg_vals,
                         arg_locs,
                         stack_mark: memory.stack_mark(),
                         ret_dest: Some((frame_idx, iid)),
                     });
                     frame_idx += 1;
-                    df = dm.function(callee);
+                    df = cf;
+                    pc = 0;
                     if RECORD {
                         lines = &dlines[callee.index()];
                     }
@@ -1263,25 +1226,24 @@ impl<'m> Interp<'m> {
                     };
                     emit!(EventKind::Ret, write);
                     frame_idx = caller_idx;
-                    df = dm.function(frames[frame_idx].func);
+                    df = dm.function(caller.func);
+                    pc = caller.pc as usize;
                     if RECORD {
-                        lines = &dlines[frames[frame_idx].func.index()];
+                        lines = &dlines[caller.func.index()];
                     }
                 }
                 DInst::Br { target } => {
-                    frame.block = BlockId(target);
-                    frame.ip = 0;
+                    pc = target as usize;
                     emit!(EventKind::Br, None);
                 }
                 DInst::CondBr {
                     cond,
-                    then_b,
-                    else_b,
+                    then_pc,
+                    else_pc,
                 } => {
                     let c = read!(cond);
                     let taken = c.is_truthy();
-                    frame.block = BlockId(if taken { then_b } else { else_b });
-                    frame.ip = 0;
+                    pc = (if taken { then_pc } else { else_pc }) as usize;
                     emit!(EventKind::CondBr { taken }, None);
                 }
                 DInst::Output { value, format } => {
@@ -2108,9 +2070,10 @@ mod tests {
         let module = sum_module();
         let dm = decoded(&module);
         assert!(
-            dm.functions
+            dm.functions.iter().any(|f| f
+                .slots
                 .iter()
-                .any(|f| f.code.iter().any(|i| matches!(i, DInst::CmpBr { .. }))),
+                .any(|s| matches!(s.inst, DInst::CmpBr { .. }))),
             "the loop header must fuse into a compare-branch"
         );
         let plain = Vm::new(VmConfig::default());

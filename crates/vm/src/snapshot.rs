@@ -4,7 +4,8 @@
 //! A fault-injection campaign against a region window `[start, end)` used to
 //! re-execute the clean prefix `[0, start)` once **per injection**.  A
 //! [`VmSnapshot`] captures the complete interpreter state at a dynamic step —
-//! the call-frame stack (block/ip/registers), the [`crate::Memory`] image and
+//! the call-frame stack (each frame's pc and flat register file, constant
+//! cells included), the [`crate::Memory`] image and
 //! its stack mark, the interned [`crate::Location`] tables (per-frame
 //! register ids and the address-indexed memory table), the absolute step
 //! counter, the streamed-event cursor, and the output accumulator — so

@@ -1,9 +1,9 @@
 //! Decoded dispatch against the frozen legacy outputs, over the whole
 //! application registry.
 //!
-//! Decoded dispatch (dense flat code, fused compare-branch
-//! superinstructions) and the batched lockstep executor are only admissible
-//! if they are *invisible*.  The per-`Op` interpreter they replaced
+//! Decoded dispatch (one slot per instruction over a flat register file,
+//! fused compare-branch superinstructions) and the batched lockstep executor
+//! are only admissible if they are *invisible*.  The per-`Op` interpreter they replaced
 //! recorded golden fixtures (`tests/fixtures/`) before it was deleted, and
 //! this suite holds every VM entry point and session executor to them:
 //! clean runs to a bit-exact `RunResult` digest (outcome, steps, outputs,
@@ -149,5 +149,89 @@ fn analyzed_decoded_reports_match_a_legacy_streamed_reference_for_every_app() {
             fixtures.get(&format!("{name} {region} analyzed merged2")),
             "{name} region {region:?}: analyzed sharded merge"
         );
+    }
+}
+
+/// The decoded tables of every registry application keep the invariants
+/// dispatch relies on without checking them per step: every branch target
+/// is the pc of a block's first instruction, every fused-tail slot directly
+/// follows its `CmpBr` slot (and every `CmpBr` has one), and every operand
+/// indexes a cell of its function's register file.
+#[test]
+fn decoded_tables_of_every_app_keep_their_dispatch_invariants() {
+    use ftkr_ir::decode::{DInst, Reg};
+
+    for app in all_apps() {
+        let decoded = ftkr_vm::DecodedModule::decode(&app.module);
+        assert_eq!(decoded.verdict(), Ok(()), "{}", app.name);
+        for (func, df) in app.module.functions.iter().zip(&decoded.functions) {
+            let at = format!("{}::{}", app.name, func.name);
+            let mut block_starts = Vec::new();
+            let mut pc = 0u32;
+            for block in &func.blocks {
+                block_starts.push(pc);
+                pc += block.insts.len() as u32;
+            }
+            assert_eq!(df.slots.len(), pc as usize, "{at}");
+            let in_file = |r: Reg| r.index() < df.num_regs();
+            for (pc, slot) in df.slots.iter().enumerate() {
+                let (targets, regs): (Vec<u32>, Vec<Reg>) = match slot.inst {
+                    DInst::Bin { lhs, rhs, .. } | DInst::Cmp { lhs, rhs, .. } => {
+                        (vec![], vec![lhs, rhs])
+                    }
+                    DInst::CmpBr {
+                        lhs,
+                        rhs,
+                        then_pc,
+                        else_pc,
+                        ..
+                    } => (vec![then_pc, else_pc], vec![lhs, rhs]),
+                    DInst::Cast { src, .. } => (vec![], vec![src]),
+                    DInst::Select {
+                        cond,
+                        then_v,
+                        else_v,
+                    } => (vec![], vec![cond, then_v, else_v]),
+                    DInst::Load { addr } => (vec![], vec![addr]),
+                    DInst::Store { addr, value } => (vec![], vec![addr, value]),
+                    DInst::Gep { base, index } => (vec![], vec![base, index]),
+                    DInst::Call { args, .. } | DInst::CallIntrinsic { args, .. } => {
+                        (vec![], df.args_pool[args.range()].to_vec())
+                    }
+                    DInst::Ret { value } => (vec![], value.into_iter().collect()),
+                    DInst::Br { target } => (vec![target], vec![]),
+                    DInst::CondBr {
+                        cond,
+                        then_pc,
+                        else_pc,
+                    } => (vec![then_pc, else_pc], vec![cond]),
+                    DInst::Output { value, .. } => (vec![], vec![value]),
+                    DInst::Alloca { .. }
+                    | DInst::LoopBegin { .. }
+                    | DInst::LoopEnd { .. }
+                    | DInst::LoopIter { .. }
+                    | DInst::Nop => (vec![], vec![]),
+                };
+                for t in targets {
+                    assert!(
+                        block_starts.binary_search(&t).is_ok(),
+                        "{at} pc {pc}: target {t} is not a block start"
+                    );
+                }
+                for r in regs {
+                    assert!(
+                        in_file(r),
+                        "{at} pc {pc}: operand {r:?} outside a {}-cell file",
+                        df.num_regs()
+                    );
+                }
+                let after_cmpbr = pc > 0 && matches!(df.slots[pc - 1].inst, DInst::CmpBr { .. });
+                assert_eq!(slot.tail, after_cmpbr, "{at} pc {pc}: {slot:?}");
+                assert!(
+                    !slot.tail || matches!(slot.inst, DInst::CondBr { .. }),
+                    "{at} pc {pc}: a tail slot is the branch half"
+                );
+            }
+        }
     }
 }

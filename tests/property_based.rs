@@ -5,13 +5,14 @@ mod support;
 
 use proptest::prelude::*;
 
-use ftkr_acl::{reference::build_reference, AclTable};
+use ftkr_acl::AclTable;
 use ftkr_dddg::Dddg;
 use ftkr_ir::prelude::*;
 use ftkr_ir::Global;
 use ftkr_patterns::{analyze_fused, analyze_fused_seeds, detect_fused_patterns, detect_streaming};
 use ftkr_trace::{partition_regions, RegionSelector};
 use ftkr_vm::{FaultSpec, Location, ResolvedEvent, Trace, Value, Vm, VmConfig};
+use support::acl_reference::build_reference;
 
 /// Build a small arithmetic program parameterized by the proptest inputs:
 /// `n` loop iterations accumulating `a*i + b` into a global, followed by a
@@ -760,4 +761,41 @@ proptest! {
             prop_assert_eq!(legacy("forked"), "-");
         }
     }
+}
+
+/// The reference ACL builder agrees with the dense one on the paper's
+/// Figure 3 example (births compared sorted: the reference's hash iteration
+/// order is unspecified).
+#[test]
+fn acl_reference_matches_dense_builder_on_the_figure3_example() {
+    let ev = |reads: Vec<Location>, write: Option<Location>| ResolvedEvent {
+        func: FunctionId(0),
+        frame: 0,
+        inst: ValueId(0),
+        line: 1,
+        kind: ftkr_vm::EventKind::Bin(BinKind::FAdd),
+        reads: reads.into_iter().map(|l| (l, Value::F(1.0))).collect(),
+        write: write.map(|l| (l, Value::F(1.0))),
+    };
+    let loc1 = Location::mem(1);
+    let loc2 = Location::mem(2);
+    let other = Location::mem(99);
+    let trace = Trace::from_resolved(vec![
+        ev(vec![], Some(loc1)),
+        ev(vec![other], Some(other)),
+        ev(vec![loc1, other], Some(loc2)),
+        ev(vec![other], Some(other)),
+        ev(vec![other], Some(loc1)),
+        ev(vec![loc2], Some(other)),
+    ]);
+    let dense = AclTable::build(&trace, &[(0, loc1)]);
+    let reference = build_reference(&trace, &[(0, loc1)]);
+    assert_eq!(reference.counts, dense.counts);
+    assert_eq!(reference.tainted_reads, dense.tainted_reads);
+    assert_eq!(reference.final_corrupted, dense.final_corrupted);
+    let mut db = dense.births.clone();
+    let mut rb = reference.births.clone();
+    db.sort();
+    rb.sort();
+    assert_eq!(db, rb);
 }

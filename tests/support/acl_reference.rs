@@ -1,19 +1,19 @@
-//! Retained hash-based reference implementation of the ACL construction.
+//! Hash-based reference implementation of the ACL construction, the test
+//! oracle of the dense builder.
 //!
 //! This is the pre-compaction algorithm, kept verbatim in spirit: hash maps
 //! keyed by resolved [`Location`]s, a hash-set taint set, and a
 //! `HashMap<usize, Vec<Location>>` reverse index of death events.  It exists
 //! so the optimized dense builder ([`AclTable::build`]) can be differentially
-//! tested against an independent implementation — the workspace property
-//! tests assert that both produce identical tables on random traces.  Do not
-//! use it on large traces; it is O(hash) per operand where the dense builder
-//! is O(1).
+//! tested against an independent implementation — the property tests assert
+//! that both produce identical tables on random traces.  Do not use it on
+//! large traces; it is O(hash) per operand where the dense builder is O(1).
 
 use std::collections::{HashMap, HashSet};
 
 use ftkr_vm::{Location, Trace};
 
-use crate::table::{AclDeath, AclTable, DeathCause};
+use ftkr_acl::{AclDeath, AclTable, DeathCause};
 
 /// Build the ACL table with the retained hash-based algorithm.  Produces the
 /// same `counts`, `tainted_reads` and `final_corrupted` as
@@ -118,49 +118,4 @@ pub fn build_reference(trace: &Trace, seeds: &[(usize, Location)]) -> AclTable {
     final_corrupted.sort();
     table.final_corrupted = final_corrupted;
     table
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::AclTable;
-    use ftkr_ir::{BinKind, FunctionId, ValueId};
-    use ftkr_vm::{EventKind, ResolvedEvent, Value};
-
-    fn ev(reads: Vec<Location>, write: Option<Location>) -> ResolvedEvent {
-        ResolvedEvent {
-            func: FunctionId(0),
-            frame: 0,
-            inst: ValueId(0),
-            line: 1,
-            kind: EventKind::Bin(BinKind::FAdd),
-            reads: reads.into_iter().map(|l| (l, Value::F(1.0))).collect(),
-            write: write.map(|l| (l, Value::F(1.0))),
-        }
-    }
-
-    #[test]
-    fn reference_matches_dense_builder_on_the_figure3_example() {
-        let loc1 = Location::mem(1);
-        let loc2 = Location::mem(2);
-        let other = Location::mem(99);
-        let trace = ftkr_vm::Trace::from_resolved(vec![
-            ev(vec![], Some(loc1)),
-            ev(vec![other], Some(other)),
-            ev(vec![loc1, other], Some(loc2)),
-            ev(vec![other], Some(other)),
-            ev(vec![other], Some(loc1)),
-            ev(vec![loc2], Some(other)),
-        ]);
-        let dense = AclTable::build(&trace, &[(0, loc1)]);
-        let reference = build_reference(&trace, &[(0, loc1)]);
-        assert_eq!(reference.counts, dense.counts);
-        assert_eq!(reference.tainted_reads, dense.tainted_reads);
-        assert_eq!(reference.final_corrupted, dense.final_corrupted);
-        let mut db = dense.births.clone();
-        let mut rb = reference.births.clone();
-        db.sort();
-        rb.sort();
-        assert_eq!(db, rb);
-    }
 }

@@ -4,10 +4,13 @@
 //! the VM — clean-run digests, campaign report JSON — as recorded by the
 //! per-`Op` interpreter that decoded dispatch replaced.  Every lookup is
 //! strict: a key without a fixture line fails the test instead of skipping
-//! the comparison.
+//! the comparison.  [`acl_reference`] is the hash-based ACL oracle the
+//! property tests diff the dense builder against.
 
 // Each test binary that includes this module uses only part of it.
 #![allow(dead_code)]
+
+pub mod acl_reference;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
