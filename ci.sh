@@ -152,6 +152,17 @@ for workload in fig5_regions fig6_analyzed spmd4 deep_analysis; do
     echo "    $workload: correct"
 done
 
+# Off the default seed there are no frozen digests: perfbench instead diffs
+# a sample of forked plans against Session::run_plan_analyzed_cold, so this
+# gates fork-vs-cold equivalence of the streamed analysis on a fresh seed.
+echo "==> off-seed analysis gate: fig6_analyzed seed 7, forked plans == cold executor"
+result="$(python3 perfbench/run.py --workload fig6_analyzed --seed 7 --seconds 2 --trace 0 | tail -n 1)"
+if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1]).get("correct") is not True)' "$result"; then
+    echo "    fig6_analyzed seed 7: forked reports differ from the cold executor: $result"
+    exit 1
+fi
+echo "    fig6_analyzed seed 7: correct"
+
 echo "==> examples compile"
 cargo build --release --examples
 

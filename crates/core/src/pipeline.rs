@@ -27,7 +27,7 @@ use ftkr_dddg::{compare_io, DddgExtractor, ToleranceCase};
 use ftkr_inject::Outcome;
 use ftkr_patterns::{PatternInstance, StreamingDetector};
 use ftkr_trace::{partition_regions, RegionInstance, RegionSelector};
-use ftkr_vm::{EventCursor, FaultSpec, TraceVisitor, Vm, VmConfig};
+use ftkr_vm::{EventCursor, FaultSpec, Vm, VmConfig};
 
 use crate::session::Session;
 
@@ -196,11 +196,8 @@ impl<'s> InjectionAnalysisBuilder<'s> {
                 .map(|(_, f)| DddgExtractor::new(f.start, f.end))
                 .collect();
             {
-                let mut refs: Vec<&mut dyn TraceVisitor> = extractors
-                    .iter_mut()
-                    .map(|x| x as &mut dyn TraceVisitor)
-                    .collect();
-                EventCursor::new(&faulty).run(&mut refs);
+                let mut refs: Vec<&mut DddgExtractor> = extractors.iter_mut().collect();
+                EventCursor::new(&faulty).run(&mut refs[..]);
             }
 
             for ((clean_pos, faulty_inst), extractor) in analysed.into_iter().zip(extractors) {

@@ -105,11 +105,8 @@ mod tests {
             .map(|&(s, e)| DddgExtractor::new(s, e))
             .collect();
         {
-            let mut refs: Vec<&mut dyn ftkr_vm::TraceVisitor> = extractors
-                .iter_mut()
-                .map(|x| x as &mut dyn ftkr_vm::TraceVisitor)
-                .collect();
-            EventCursor::new(&trace).run(&mut refs);
+            let mut refs: Vec<&mut DddgExtractor> = extractors.iter_mut().collect();
+            EventCursor::new(&trace).run(&mut refs[..]);
         }
         for (x, &(s, e)) in extractors.into_iter().zip(&windows) {
             let got = x.into_dddg();

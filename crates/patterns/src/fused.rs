@@ -619,6 +619,25 @@ struct AccessMark {
 /// workspace property tests enforce.
 ///
 /// Memory: O(locations touched), independent of the run length.
+///
+/// # Settling
+///
+/// The detector is [settled](TraceVisitor::settled) once all four hold:
+/// the fault has struck, no location is tainted, no memory seed is pending,
+/// and there is no Repeated-Additions chain.  Its output is then frozen:
+///
+/// * taint is only born from a seed or copied from a tainted read, and no
+///   seed can strike again, so every later event reads and writes clean
+///   locations;
+/// * `on_event` on a clean event with no RA chain can only update the
+///   last-load table, and only the RA store path reads that table, which
+///   needs a tainted read or an existing chain to get that far;
+/// * `on_finish` has no deaths left to add (they come from the taint set),
+///   and the finished lists hold only what was already found.
+///
+/// So a streamed run may stop delivering events from that point on, as
+/// [`ftkr_vm::Vm::run_with_visitors_decoded`] does.
+/// [`StreamingDetector::events_seen`] then counts the delivered events only.
 pub struct StreamingDetector<'c> {
     clean: &'c Trace,
     fault: FaultSpec,
@@ -714,7 +733,9 @@ impl<'c> StreamingDetector<'c> {
         self.outcome
     }
 
-    /// Number of events observed.
+    /// Number of events observed: the delivered events, plus the primed
+    /// prefix for a forked detector.  A settled detector stops observing,
+    /// so after a detached run this stops at the detach point.
     pub fn events_seen(&self) -> usize {
         self.events_seen
     }
@@ -771,21 +792,39 @@ impl<'c> StreamingDetector<'c> {
             };
         }
     }
-}
 
-impl TraceVisitor for StreamingDetector<'_> {
-    fn on_event(&mut self, ctx: &EventCtx<'_>) {
-        let idx = ctx.index;
-        self.events_seen += 1;
-
-        // Before the fault strikes nothing can be corrupted: skip the taint
-        // machinery wholesale and keep only the last-load table warm.
-        if (idx as u64) < self.fault.at_step {
-            self.bank
-                .track_prefix(idx, ctx.event, ctx.reads, ctx.locations);
-            self.seen_locations = ctx.locations.len();
-            return;
+    /// True when `ctx` is a quiet event: one after the fault, with no seed
+    /// pending, no location new to the bank's tables, no tainted read or
+    /// write target, and (for a store) no RA chain on the stored cell.
+    /// Such an event can only refresh the last-load table: every taint,
+    /// mark, death and detector branch of [`StreamingDetector::on_loud_event`]
+    /// is a no-op for it.
+    #[inline]
+    fn is_quiet(&self, ctx: &EventCtx<'_>) -> bool {
+        if ctx.index as u64 <= self.fault.at_step
+            || !self.pending_mem.is_empty()
+            || ctx.locations.len() > self.bank.last_load.len()
+        {
+            return false;
         }
+        let written = ctx.event.written_id();
+        if !self.tainted.is_empty()
+            && (ctx.reads.iter().any(|&(id, _)| self.tainted.contains(id))
+                || written.is_some_and(|w| self.tainted.contains(w)))
+        {
+            return false;
+        }
+        match (&ctx.event.kind, written) {
+            (EventKind::Store, Some(w)) => self.bank.chain_of[w.index()] == NEVER,
+            _ => true,
+        }
+    }
+
+    /// Every post-fault event that is not quiet: seeding, taint
+    /// transitions, last-access marks and the detector bank.
+    #[inline(never)]
+    fn on_loud_event(&mut self, ctx: &EventCtx<'_>) {
+        let idx = ctx.index;
         self.seeded_now.clear();
 
         // Memory-cell seeds that struck before their cell existed in the
@@ -900,6 +939,41 @@ impl TraceVisitor for StreamingDetector<'_> {
             reads_tainted,
             self.clean,
         );
+    }
+}
+
+impl TraceVisitor for StreamingDetector<'_> {
+    #[inline]
+    fn on_event(&mut self, ctx: &EventCtx<'_>) {
+        let idx = ctx.index;
+        self.events_seen += 1;
+
+        // Before the fault strikes nothing can be corrupted: skip the taint
+        // machinery wholesale and keep only the last-load table warm.
+        if (idx as u64) < self.fault.at_step {
+            self.bank
+                .track_prefix(idx, ctx.event, ctx.reads, ctx.locations);
+            self.seen_locations = ctx.locations.len();
+            return;
+        }
+        if !self.is_quiet(ctx) {
+            self.on_loud_event(ctx);
+        } else if matches!(ctx.event.kind, EventKind::Load) {
+            for &(id, _) in ctx.reads {
+                if self.bank.is_mem(id) {
+                    self.bank.last_load[id.index()] = idx as u32;
+                }
+            }
+        }
+    }
+
+    /// See the type's docs, § Settling.
+    #[inline]
+    fn settled(&self) -> bool {
+        self.events_seen as u64 > self.fault.at_step
+            && self.tainted.is_empty()
+            && self.pending_mem.is_empty()
+            && self.bank.chains.is_empty()
     }
 
     fn on_finish(&mut self, end: &WalkEnd<'_>) {
@@ -1145,6 +1219,72 @@ mod tests {
                 .unwrap();
             assert_eq!(forked_result.outcome, cold_result.outcome, "fault {fault:?}");
             assert_eq!(forked.into_patterns(), cold_patterns, "fault {fault:?}");
+        }
+    }
+
+    /// A cell rewritten with clean values after a self-load: a fault in one
+    /// stored value starts a Repeated-Additions chain that outlives the
+    /// taint, so the detector must not settle while the chain can grow.
+    fn rewrite_module() -> Module {
+        let mut m = Module::new("rewrite");
+        let cell = m.add_global(Global::zeroed_f64("cell", 1));
+        let mut b = FunctionBuilder::new("main");
+        let addr = b.global_addr(cell);
+        let zero = b.const_i64(0);
+        let n = b.const_i64(12);
+        b.main_for("rewrite", zero, n, |b, k| {
+            b.load(addr);
+            let next = b.sitofp(k);
+            b.store(addr, next);
+        });
+        let last = b.load(addr);
+        b.output(last, OutputFormat::Full);
+        b.ret(None);
+        m.add_function(b.finish());
+        m
+    }
+
+    /// Every fault step and a spread of bits: the streamed detector — which
+    /// detaches once settled — finds exactly what the materialized fused
+    /// walk finds, and some runs really detach.
+    #[test]
+    fn settled_detectors_detach_without_losing_patterns() {
+        for module in [rewrite_module(), busy_module()] {
+            let decoded = ftkr_vm::DecodedModule::decode(&module);
+            let clean = Vm::new(VmConfig::tracing())
+                .run(&module)
+                .unwrap()
+                .trace
+                .unwrap();
+            // Flipped loop bounds must hang into a small step limit.
+            let max_steps = 4 * clean.len() as u64;
+            let mut detached = 0;
+            for step in 0..clean.len() as u64 {
+                for bit in [1u8, 40, 52, 63] {
+                    let fault = FaultSpec::in_result(step, bit);
+                    let config = VmConfig {
+                        fault: Some(fault),
+                        max_steps,
+                        ..VmConfig::default()
+                    };
+                    let faulty = Vm::new(VmConfig {
+                        record_trace: true,
+                        ..config
+                    })
+                    .run(&module)
+                    .unwrap()
+                    .trace
+                    .unwrap();
+                    let want = analyze_fused(&faulty, &clean, &fault).patterns;
+                    let mut detector = StreamingDetector::new(&clean, fault);
+                    let result = Vm::new(config)
+                        .run_with_visitors_decoded(&module, &decoded, &mut [&mut detector])
+                        .unwrap();
+                    detached += usize::from((detector.events_seen() as u64) < result.steps);
+                    assert_eq!(detector.into_patterns(), want, "{} {fault:?}", module.name);
+                }
+            }
+            assert!(detached > 0, "{}: no run detached", module.name);
         }
     }
 

@@ -12,7 +12,7 @@ use crate::output::ProgramOutput;
 use crate::snapshot::{SnapshotImage, VmSnapshot};
 use crate::trace::{EventKind, LocationId, ReadSpan, Trace, TraceEvent};
 use crate::value::Value;
-use crate::visitor::{EventCtx, TraceVisitor, WalkEnd};
+use crate::visitor::{EventCtx, TraceVisitor, VisitorSet, WalkEnd};
 
 /// Reasons a run can abort; all of them map to the paper's *Crashed*
 /// manifestation (crash or hang).
@@ -344,7 +344,8 @@ impl Vm {
     pub fn run(&self, module: &Module) -> Result<RunResult, VerifyError> {
         let decoded = DecodedModule::decode(module);
         decoded.verdict()?;
-        Ok(Interp::at_entry(module, &decoded, &self.config, false).run_loop(None, 0))
+        let interp = Interp::at_entry(module, &decoded, &self.config, false);
+        Ok(interp.run_loop(Sink::without_visitors(false, 0)))
     }
 
     /// Execute the prefix `[0, step)` of the module's `main` function and
@@ -380,8 +381,9 @@ impl Vm {
         config.record_trace = true;
         let mut interp = Interp::at_entry(module, &decoded, &config, true);
         // The prefix streams to no visitor: the snapshot keeps only the
-        // event cursor, not the events.
-        let mut sink = Sink::new(true, &mut [], 0);
+        // event cursor, not the events.  An empty set never settles, so the
+        // whole prefix records and interns like a cold recording run.
+        let mut sink = Sink::without_visitors(true, 0);
         Ok(match interp.run_until(step, &mut sink) {
             None => Some(interp.capture(sink.emitted as u64)),
             Some(_) => None,
@@ -401,7 +403,8 @@ impl Vm {
         decoded: &DecodedModule,
     ) -> Result<RunResult, VerifyError> {
         decoded.verdict()?;
-        Ok(Interp::at_entry(module, decoded, &self.config, false).run_loop(None, 0))
+        let interp = Interp::at_entry(module, decoded, &self.config, false);
+        Ok(interp.run_loop(Sink::without_visitors(false, 0)))
     }
 
     /// Execute the module's `main` function, streaming every dynamic event to
@@ -415,16 +418,22 @@ impl Vm {
     /// configuration would contain (same order, same operand reads, same
     /// interned ids); [`RunResult::trace`] is always `None`.  The fault,
     /// scope and limit configuration of the [`Vm`] apply unchanged.
-    pub fn run_with_visitors_decoded(
+    ///
+    /// `visitors` is a [`VisitorSet`]: `&mut [&mut v]` compiles the run for
+    /// `v`'s type, with no virtual call per event.  Once every visitor is
+    /// [settled](TraceVisitor::settled), the rest of the program runs
+    /// without recording; the [`RunResult`] is the same either way.
+    pub fn run_with_visitors_decoded<V: VisitorSet + ?Sized>(
         &self,
         module: &Module,
         decoded: &DecodedModule,
-        visitors: &mut [&mut dyn TraceVisitor],
+        visitors: &mut V,
     ) -> Result<RunResult, VerifyError> {
         decoded.verdict()?;
         let mut config = self.config;
         config.record_trace = true;
-        Ok(Interp::at_entry(module, decoded, &config, true).run_loop(Some(visitors), 0))
+        let interp = Interp::at_entry(module, decoded, &config, true);
+        Ok(interp.run_loop(Sink::streamed(visitors, 0)))
     }
 
     /// Resume execution from a snapshot and run to completion, exactly as if
@@ -451,7 +460,8 @@ impl Vm {
     ) -> Result<RunResult, VerifyError> {
         decoded.verdict()?;
         let interp = Interp::from_snapshot(module, decoded, &self.config, snapshot);
-        Ok(interp.run_loop(None, snapshot.events_emitted() as usize))
+        let sink = Sink::without_visitors(false, snapshot.events_emitted() as usize);
+        Ok(interp.run_loop(sink))
     }
 
     /// Resume execution from a snapshot, streaming every resumed event to
@@ -461,18 +471,20 @@ impl Vm {
     /// snapshot's interned prefix, so visitors observe exactly the suffix of
     /// the event stream a cold streamed run would deliver — prefix-primed
     /// consumers (e.g. streaming pattern detectors) compose bit-identically.
-    pub fn resume_with_visitors_decoded(
+    /// Visitor sets and settling work as in [`Vm::run_with_visitors_decoded`].
+    pub fn resume_with_visitors_decoded<V: VisitorSet + ?Sized>(
         &self,
         module: &Module,
         decoded: &DecodedModule,
         snapshot: &VmSnapshot,
-        visitors: &mut [&mut dyn TraceVisitor],
+        visitors: &mut V,
     ) -> Result<RunResult, VerifyError> {
         decoded.verdict()?;
         let mut config = self.config;
         config.record_trace = true;
         let interp = Interp::from_snapshot(module, decoded, &config, snapshot);
-        Ok(interp.run_loop(Some(visitors), snapshot.events_emitted() as usize))
+        let sink = Sink::streamed(visitors, snapshot.events_emitted() as usize);
+        Ok(interp.run_loop(sink))
     }
 }
 
@@ -501,56 +513,72 @@ struct Interp<'m> {
 /// Where the recording loop puts its events: appended to the run's trace
 /// (materialized), or handed to visitors as they happen and dropped
 /// (streamed — the trace then keeps only its location table).
-struct Sink<'s, 'v> {
+struct Sink<'s, V: VisitorSet + ?Sized> {
     streaming: bool,
-    visitors: &'s mut [&'v mut dyn TraceVisitor],
-    /// [`TraceVisitor::wants_operand_reads`] per visitor, queried once.
-    wants_reads: Vec<bool>,
+    visitors: &'s mut V,
     /// Absolute index of the next streamed event.
     emitted: usize,
+    /// Every visitor is settled: the run records no further event.
+    detached: bool,
 }
 
-impl<'s, 'v> Sink<'s, 'v> {
-    fn new(streaming: bool, visitors: &'s mut [&'v mut dyn TraceVisitor], emitted: usize) -> Self {
-        let wants_reads = visitors.iter().map(|v| v.wants_operand_reads()).collect();
+impl Sink<'static, [&'static mut dyn TraceVisitor; 0]> {
+    /// A sink with no visitor: a streaming one drops each event once it is
+    /// recorded, a materializing one appends it to the trace.
+    fn without_visitors(streaming: bool, emitted: usize) -> Self {
         Sink {
             streaming,
+            visitors: &mut [],
+            emitted,
+            detached: false,
+        }
+    }
+}
+
+impl<'s, V: VisitorSet + ?Sized> Sink<'s, V> {
+    /// A sink streaming to `visitors`, the next event being number
+    /// `emitted`.
+    fn streamed(visitors: &'s mut V, emitted: usize) -> Self {
+        Sink {
+            streaming: true,
+            detached: visitors.settled(),
             visitors,
-            wants_reads,
             emitted,
         }
     }
 
     /// Record the event of dynamic step `step`, whose operand reads are
     /// `trace.pool[pool_start..]`.  A streamed event is delivered to every
-    /// visitor and its reads are dropped from the pool again.
+    /// visitor and its reads are dropped from the pool again.  Returns true
+    /// when the delivery settled the whole set: the caller then stops
+    /// recording.
     #[inline]
-    fn emit(&mut self, trace: &mut Trace, step: u64, pool_start: usize, mut event: TraceEvent) {
+    fn emit(
+        &mut self,
+        trace: &mut Trace,
+        step: u64,
+        pool_start: usize,
+        mut event: TraceEvent,
+    ) -> bool {
         event.reads = ReadSpan {
             offset: u32::try_from(pool_start).expect("≤ 2^32 operand reads per trace"),
             len: (trace.pool.len() - pool_start) as u32,
         };
         if !self.streaming {
             trace.events.push(event);
-            return;
+            return false;
         }
-        let ctx = EventCtx {
+        self.visitors.visit(&EventCtx {
             index: self.emitted,
             step,
             event: &event,
             reads: &trace.pool[pool_start..],
             locations: &trace.locations,
-        };
-        for (v, &wants) in self.visitors.iter_mut().zip(&self.wants_reads) {
-            v.on_event(&ctx);
-            if wants {
-                for (nth, &(id, value)) in ctx.reads.iter().enumerate() {
-                    v.on_operand_read(&ctx, nth, id, value);
-                }
-            }
-        }
+        });
         self.emitted += 1;
         trace.pool.truncate(pool_start);
+        self.detached = self.visitors.settled();
+        self.detached
     }
 }
 
@@ -716,26 +744,17 @@ impl<'m> Interp<'m> {
     /// Run to the end of the program, shared by cold runs (`emitted_start ==
     /// 0`) and snapshot-resumed runs (`emitted_start` = the fork point's
     /// streamed event cursor, so visitor indices continue absolutely).
-    fn run_loop(
-        mut self,
-        visitors: Option<&mut [&mut dyn TraceVisitor]>,
-        emitted_start: usize,
-    ) -> RunResult {
-        let streaming = visitors.is_some();
-        let mut sink = Sink::new(streaming, visitors.unwrap_or(&mut []), emitted_start);
+    fn run_loop<V: VisitorSet + ?Sized>(mut self, mut sink: Sink<'_, V>) -> RunResult {
         let outcome = self
             .run_until(u64::MAX, &mut sink)
             .unwrap_or(RunOutcome::Trapped(TrapKind::StepLimit));
 
-        if streaming {
-            let end = WalkEnd {
+        if sink.streaming {
+            sink.visitors.finish(&WalkEnd {
                 events: sink.emitted,
                 locations: &self.trace.locations,
                 outcome: Some(outcome),
-            };
-            for v in sink.visitors.iter_mut() {
-                v.on_finish(&end);
-            }
+            });
         }
 
         // A trap can abort a step after its operand reads were pooled but
@@ -753,7 +772,7 @@ impl<'m> Interp<'m> {
             steps: self.steps,
             outputs: self.outputs,
             memory: self.memory,
-            trace: if self.config.record_trace && !streaming {
+            trace: if self.config.record_trace && !sink.streaming {
                 Some(self.trace)
             } else {
                 None
@@ -770,7 +789,14 @@ impl<'m> Interp<'m> {
     /// the step limit, the edges of the scope window, and `end` itself (the
     /// capture step of [`Vm::snapshot_at`]).  Between boundaries the loop
     /// runs with no per-step checks; each call advances at least one step.
-    fn run_until(&mut self, end: u64, sink: &mut Sink<'_, '_>) -> Option<RunOutcome> {
+    ///
+    /// Once the sink detaches (every visitor settled), the rest of the run
+    /// dispatches without recording, as outside a scope window.
+    fn run_until<V: VisitorSet + ?Sized>(
+        &mut self,
+        end: u64,
+        sink: &mut Sink<'_, V>,
+    ) -> Option<RunOutcome> {
         loop {
             let now = self.steps;
             if now >= end {
@@ -799,6 +825,7 @@ impl<'m> Interp<'m> {
                 }
             }
             let record = self.config.record_trace
+                && !sink.detached
                 && match self.config.trace_scope {
                     TraceScope::Full => true,
                     TraceScope::Window { start, end: close } => {
@@ -811,9 +838,9 @@ impl<'m> Interp<'m> {
                     }
                 };
             let outcome = if record {
-                self.dispatch::<true>(stop, flip, sink)
+                self.dispatch::<true, V>(stop, flip, sink)
             } else {
-                self.dispatch::<false>(stop, flip, sink)
+                self.dispatch::<false, V>(stop, flip, sink)
             };
             if outcome.is_some() {
                 return outcome;
@@ -861,12 +888,16 @@ impl<'m> Interp<'m> {
     /// only its compare half fits, the loop executes that half and yields
     /// with the program counter on the branch half, which the next call
     /// executes alone.
+    ///
+    /// An emit that settles the sink's visitor set ends the call after its
+    /// step (after the compare half, for a fused pair), so the caller can
+    /// continue without `RECORD`.
     #[allow(clippy::too_many_lines)]
-    fn dispatch<const RECORD: bool>(
+    fn dispatch<const RECORD: bool, V: VisitorSet + ?Sized>(
         &mut self,
-        stop: u64,
+        mut stop: u64,
         flip: Option<u8>,
-        sink: &mut Sink<'_, '_>,
+        sink: &mut Sink<'_, V>,
     ) -> Option<RunOutcome> {
         let dm = self.decoded;
         // Split the interpreter into disjoint borrows once, so the loop can
@@ -974,7 +1005,14 @@ impl<'m> Interp<'m> {
                             reads: ReadSpan::empty(),
                             write: $write,
                         };
-                        sink.emit(trace, $step, $pool_start, event);
+                        if sink.emit(trace, $step, $pool_start, event) {
+                            // Settled: yield once this step completes (dead
+                            // after the program's final return).
+                            #[allow(unused_assignments)]
+                            {
+                                stop = 0;
+                            }
+                        }
                     }
                 };
             }
@@ -1820,6 +1858,167 @@ mod tests {
         // The trapping instruction itself records no event (constants are
         // operands, so the division is the very first instruction).
         assert_eq!(rebuild.events.len(), 0);
+    }
+
+    // -- detaching settled visitors ------------------------------------------
+
+    /// A visitor that settles after its `k`-th event.
+    struct SettleAfter {
+        k: usize,
+        rebuild: Rebuild,
+        end_events: Option<usize>,
+    }
+
+    impl SettleAfter {
+        fn new(k: usize) -> Self {
+            SettleAfter {
+                k,
+                rebuild: Rebuild::default(),
+                end_events: None,
+            }
+        }
+    }
+
+    impl crate::TraceVisitor for SettleAfter {
+        fn on_event(&mut self, ctx: &crate::EventCtx<'_>) {
+            self.rebuild.on_event(ctx);
+        }
+        fn on_finish(&mut self, end: &crate::WalkEnd<'_>) {
+            self.end_events = Some(end.events);
+            self.rebuild.on_finish(end);
+        }
+        fn settled(&self) -> bool {
+            self.rebuild.events.len() >= self.k
+        }
+    }
+
+    /// Settling after every possible event count — on the compare half of
+    /// a fused compare-branch included — delivers exactly that many events
+    /// and leaves the run's result untouched, cold and resumed.
+    #[test]
+    fn a_settled_visitor_receives_exactly_its_events_and_the_run_is_unchanged() {
+        let module = sum_module();
+        let dm = decoded(&module);
+        let full = Vm::new(VmConfig::tracing())
+            .run(&module)
+            .unwrap()
+            .trace
+            .unwrap();
+        let untraced = Vm::new(VmConfig::default()).run(&module).unwrap();
+        let fork = 7;
+        let snap = Vm::new(VmConfig::default())
+            .snapshot_at(&module, fork)
+            .unwrap()
+            .expect("mid-run step");
+        let steps = full.len();
+        let mut settled_on_compare_half = false;
+        for k in 0..=steps + 1 {
+            let mut cold = SettleAfter::new(k);
+            let r = Vm::new(VmConfig::default())
+                .run_with_visitors_decoded(&module, &dm, &mut [&mut cold])
+                .unwrap();
+            assert!(r == untraced, "settled after {k}: run changed");
+            let delivered = k.min(steps);
+            assert_eq!(cold.rebuild.events.len(), delivered, "settled after {k}");
+            assert_eq!(cold.end_events, Some(delivered));
+            assert_eq!(cold.rebuild.outcome, Some(RunOutcome::Completed));
+            for (i, got) in cold.rebuild.events.iter().enumerate() {
+                assert_eq!(got, &full.resolved(i), "settled after {k}: event {i}");
+            }
+            if let Some(last) = k.checked_sub(1).and_then(|i| full.events.get(i)) {
+                // The last delivered event is the compare half of a fused pair.
+                settled_on_compare_half |= dm
+                    .function(last.func)
+                    .slots
+                    .iter()
+                    .any(|s| s.result == last.inst && matches!(s.inst, DInst::CmpBr { .. }));
+            }
+
+            let mut resumed = SettleAfter::new(k);
+            let r = Vm::new(VmConfig::default())
+                .resume_with_visitors_decoded(&module, &dm, &snap, &mut [&mut resumed])
+                .unwrap();
+            assert!(r == untraced, "resumed, settled after {k}: run changed");
+            let delivered = k.min(steps - fork as usize);
+            assert_eq!(
+                resumed.rebuild.events.len(),
+                delivered,
+                "resumed, settled after {k}"
+            );
+            assert_eq!(resumed.end_events, Some(fork as usize + delivered));
+            for (i, got) in resumed.rebuild.events.iter().enumerate() {
+                assert_eq!(
+                    got,
+                    &full.resolved(fork as usize + i),
+                    "resumed after {k}: event {i}"
+                );
+            }
+        }
+        assert!(
+            settled_on_compare_half,
+            "no k settled between the halves of a fused pair"
+        );
+    }
+
+    /// Settling inside a scope window stops the window's events there; the
+    /// run finishes as it would have.
+    #[test]
+    fn settling_inside_a_scope_window_stops_delivery_there() {
+        let module = sum_module();
+        let dm = decoded(&module);
+        let full = Vm::new(VmConfig::tracing())
+            .run(&module)
+            .unwrap()
+            .trace
+            .unwrap();
+        let untraced = Vm::new(VmConfig::default()).run(&module).unwrap();
+        for (start, end) in [(0, 12), (5, 30), (9, 10), (20, full.len() as u64)] {
+            for k in 0..=(end - start) as usize {
+                let mut v = SettleAfter::new(k);
+                let r = Vm::new(VmConfig::default().scoped(TraceScope::Window { start, end }))
+                    .run_with_visitors_decoded(&module, &dm, &mut [&mut v])
+                    .unwrap();
+                assert!(r == untraced, "window {start}..{end}, settled after {k}");
+                assert_eq!(v.rebuild.events.len(), k, "window {start}..{end}");
+                assert_eq!(v.end_events, Some(k));
+                for (i, got) in v.rebuild.events.iter().enumerate() {
+                    assert_eq!(got, &full.resolved(start as usize + i));
+                    assert_eq!(v.rebuild.steps[i], start + i as u64);
+                }
+            }
+        }
+    }
+
+    /// A trap after the detach still reaches `on_finish` with the trap.
+    #[test]
+    fn a_trap_after_the_detach_reaches_on_finish() {
+        let mut m = Module::new("m");
+        let mut b = FunctionBuilder::new("main");
+        let zero = b.const_i64(0);
+        let ten = b.const_i64(10);
+        b.main_for("warm_up", zero, ten, |b, i| {
+            b.add(i, i);
+        });
+        let one = b.const_i64(1);
+        b.sdiv(one, zero);
+        b.ret(None);
+        m.add_function(b.finish());
+        let untraced = Vm::new(VmConfig::default()).run(&m).unwrap();
+        assert_eq!(
+            untraced.outcome,
+            RunOutcome::Trapped(TrapKind::DivisionByZero)
+        );
+        let mut v = SettleAfter::new(3);
+        let r = Vm::new(VmConfig::default())
+            .run_with_visitors_decoded(&m, &decoded(&m), &mut [&mut v])
+            .unwrap();
+        assert!(r == untraced);
+        assert_eq!(v.rebuild.events.len(), 3);
+        assert_eq!(v.end_events, Some(3));
+        assert_eq!(
+            v.rebuild.outcome,
+            Some(RunOutcome::Trapped(TrapKind::DivisionByZero))
+        );
     }
 
     // -- snapshot/restore --------------------------------------------------

@@ -19,6 +19,27 @@
 //! Both sources present events identically (same [`EventCtx`] fields, same
 //! ordering), which is what lets the workspace property tests prove that the
 //! fused/streaming analyses are bit-identical to the legacy multi-pass ones.
+//!
+//! # Visitor sets
+//!
+//! Both sources take the visitors as a [`VisitorSet`]: a slice or an array
+//! of `&mut T` references.  The set's element type decides the dispatch.
+//! `&mut [&mut detector]` is an array of one concrete visitor, so the
+//! driver is compiled for that type and every callback is a direct,
+//! inlinable call.  A heterogeneous set is a slice of
+//! `&mut dyn TraceVisitor` and pays one virtual call per callback.
+//!
+//! # Settled visitors
+//!
+//! A visitor is [settled](TraceVisitor::settled) once no later event can
+//! change what it reports.  When every visitor of a non-empty set is
+//! settled, the walk stops delivering events: the interpreter runs the rest
+//! of the program without recording (the switch it makes when a scope
+//! window closes), and an [`EventCursor`] stops walking.  The run itself is
+//! unchanged — same outcome, steps and outputs — and every visitor still
+//! gets [`TraceVisitor::on_finish`] with the real outcome.  After such a
+//! detach, [`WalkEnd::events`] stops at the detach point instead of the end
+//! of the event stream.
 
 use crate::interp::RunOutcome;
 use crate::location::Location;
@@ -64,7 +85,10 @@ impl EventCtx<'_> {
 /// End-of-walk summary handed to [`TraceVisitor::on_finish`].
 #[derive(Debug, Clone, Copy)]
 pub struct WalkEnd<'a> {
-    /// Number of events the walk delivered.
+    /// One past the index of the last delivered event: the number of events
+    /// delivered, plus the snapshot's prefix for a resumed run.  It equals
+    /// the length of the event stream unless the set settled and the walk
+    /// detached early (see [`TraceVisitor::settled`]).
     pub events: usize,
     /// The final location table of the walk.
     pub locations: &'a [Location],
@@ -99,6 +123,76 @@ pub trait TraceVisitor {
     fn wants_operand_reads(&self) -> bool {
         false
     }
+
+    /// True once no later event can change what this visitor reports.
+    ///
+    /// When every visitor of a set is settled, the walk stops delivering
+    /// events (see the [module docs](self)); [`TraceVisitor::on_finish`]
+    /// still follows, with the real outcome.  A visitor that settles after
+    /// its k-th event receives exactly k events.  The default never settles.
+    fn settled(&self) -> bool {
+        false
+    }
+}
+
+/// A set of visitors driven together over one event stream.
+///
+/// Implemented for slices and arrays of `&mut T`; see the
+/// [module docs](self) for how the element type decides the dispatch.
+pub trait VisitorSet {
+    /// Deliver one event to every visitor, in order: its
+    /// [`TraceVisitor::on_event`], then its operand reads if it
+    /// [wants them](TraceVisitor::wants_operand_reads).
+    fn visit(&mut self, ctx: &EventCtx<'_>);
+
+    /// Deliver [`TraceVisitor::on_finish`] to every visitor, in order.
+    fn finish(&mut self, end: &WalkEnd<'_>);
+
+    /// True when the set is non-empty and every visitor is
+    /// [settled](TraceVisitor::settled).  An empty set never settles: it
+    /// is how recording runs that feed no visitor stream their events.
+    fn settled(&self) -> bool;
+}
+
+impl<T: TraceVisitor + ?Sized> VisitorSet for [&mut T] {
+    #[inline]
+    fn visit(&mut self, ctx: &EventCtx<'_>) {
+        for v in self.iter_mut() {
+            v.on_event(ctx);
+            if v.wants_operand_reads() {
+                for (nth, &(id, value)) in ctx.reads.iter().enumerate() {
+                    v.on_operand_read(ctx, nth, id, value);
+                }
+            }
+        }
+    }
+
+    fn finish(&mut self, end: &WalkEnd<'_>) {
+        for v in self.iter_mut() {
+            v.on_finish(end);
+        }
+    }
+
+    #[inline]
+    fn settled(&self) -> bool {
+        !self.is_empty() && self.iter().all(|v| v.settled())
+    }
+}
+
+impl<T: TraceVisitor + ?Sized, const N: usize> VisitorSet for [&mut T; N] {
+    #[inline]
+    fn visit(&mut self, ctx: &EventCtx<'_>) {
+        self.as_mut_slice().visit(ctx);
+    }
+
+    fn finish(&mut self, end: &WalkEnd<'_>) {
+        self.as_mut_slice().finish(end);
+    }
+
+    #[inline]
+    fn settled(&self) -> bool {
+        self.as_slice().settled()
+    }
 }
 
 /// Drives any set of visitors over a materialized [`Trace`] in one fused
@@ -116,38 +210,31 @@ impl<'t> EventCursor<'t> {
     }
 
     /// Walk the trace once, feeding every event to every visitor (in the
-    /// given order), then deliver [`TraceVisitor::on_finish`] to each.
-    pub fn run(&self, visitors: &mut [&mut dyn TraceVisitor]) {
+    /// given order), then deliver [`TraceVisitor::on_finish`] to each.  The
+    /// walk stops early once the whole set is
+    /// [settled](TraceVisitor::settled).
+    pub fn run<V: VisitorSet + ?Sized>(&self, visitors: &mut V) {
         let trace = self.trace;
         let locations = trace.locations();
-        // Per-operand delivery is opt-in and constant per visitor: query it
-        // once instead of once per event.
-        let wants_reads: Vec<bool> = visitors.iter().map(|v| v.wants_operand_reads()).collect();
+        let mut delivered = 0;
         for (index, event) in trace.events.iter().enumerate() {
-            let ctx = EventCtx {
+            if visitors.settled() {
+                break;
+            }
+            visitors.visit(&EventCtx {
                 index,
                 step: trace.step_of(index),
                 event,
                 reads: trace.reads_of(event),
                 locations,
-            };
-            for (v, &wants) in visitors.iter_mut().zip(&wants_reads) {
-                v.on_event(&ctx);
-                if wants {
-                    for (nth, &(id, value)) in ctx.reads.iter().enumerate() {
-                        v.on_operand_read(&ctx, nth, id, value);
-                    }
-                }
-            }
+            });
+            delivered = index + 1;
         }
-        let end = WalkEnd {
-            events: trace.len(),
+        visitors.finish(&WalkEnd {
+            events: delivered,
             locations,
             outcome: None,
-        };
-        for v in visitors.iter_mut() {
-            v.on_finish(&end);
-        }
+        });
     }
 }
 
@@ -205,6 +292,45 @@ mod tests {
         assert_eq!(c.events, vec![(0, 0), (1, 1)]);
         assert_eq!(c.reads.len(), 1);
         assert_eq!(c.finished, Some(2));
+    }
+
+    #[test]
+    fn cursor_stops_once_every_visitor_is_settled() {
+        let t = Trace::from_resolved(
+            (0..5)
+                .map(|i| ev(Some(Location::mem(i)), Some(Location::mem(i + 1))))
+                .collect::<Vec<_>>(),
+        );
+        struct SettleAfter(usize, Collect);
+        impl TraceVisitor for SettleAfter {
+            fn on_event(&mut self, ctx: &EventCtx<'_>) {
+                self.1.on_event(ctx);
+            }
+            fn on_finish(&mut self, end: &WalkEnd<'_>) {
+                self.1.on_finish(end);
+            }
+            fn settled(&self) -> bool {
+                self.1.events.len() >= self.0
+            }
+        }
+        let collect = || Collect {
+            events: vec![],
+            reads: vec![],
+            finished: None,
+        };
+        for k in 0..=6 {
+            let mut v = SettleAfter(k, collect());
+            EventCursor::new(&t).run(&mut [&mut v]);
+            assert_eq!(v.1.events.len(), k.min(5));
+            assert_eq!(v.1.finished, Some(k.min(5)));
+        }
+        // A set detaches only when every member is settled.
+        let mut early = SettleAfter(1, collect());
+        let mut never = collect();
+        let mut set: [&mut dyn TraceVisitor; 2] = [&mut early, &mut never];
+        EventCursor::new(&t).run(&mut set);
+        assert_eq!(never.events.len(), 5);
+        assert_eq!(early.1.events.len(), 5);
     }
 
     #[test]
