@@ -31,25 +31,23 @@ cargo test --release -q --test checkpoint_equivalence
 echo "==> decode equivalence: decoded executors == frozen legacy fixtures (all ten apps)"
 cargo test --release -q --test decode_equivalence
 
-echo "==> batched vs serial on promoted LU: lockstep plan JSON == serial tally"
-batchdir="target/batched-diff"
-rm -rf "$batchdir"
+echo "==> analyzed vs plain on promoted LU: each analyzed report field == the plain report"
+analyzeddir="target/analyzed-diff"
+rm -rf "$analyzeddir"
 cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
-    plan LU region:lu_blts internal 24 7 2 "$batchdir" > /dev/null
-cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
-    run "$batchdir/plan.json" > "$batchdir/report_serial.json"
-cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
-    run --batched "$batchdir/plan.json" > "$batchdir/report_batched.json"
-diff "$batchdir/report_serial.json" "$batchdir/report_batched.json"
-cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
-    run --batched "$batchdir/plan_shard_0.json" "$batchdir/batched_0.json"
-cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
-    run --batched "$batchdir/plan_shard_1.json" "$batchdir/batched_1.json"
-cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
-    merge "$batchdir/batched_0.json" "$batchdir/batched_1.json" \
-    > "$batchdir/report_batched_merged.json"
-diff "$batchdir/report_serial.json" "$batchdir/report_batched_merged.json"
-echo "    batched lockstep tally (whole and sharded) is bit-identical to the serial run"
+    plan LU region:lu_blts internal 24 7 2 "$analyzeddir" > /dev/null
+for plan in plan plan_shard_0 plan_shard_1; do
+    cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
+        run "$analyzeddir/$plan.json" > "$analyzeddir/${plan}_plain.json"
+    cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
+        run --analyzed "$analyzeddir/$plan.json" > "$analyzeddir/${plan}_analyzed.json"
+    if ! python3 -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["report"] != json.load(open(sys.argv[2])))' \
+        "$analyzeddir/${plan}_analyzed.json" "$analyzeddir/${plan}_plain.json"; then
+        echo "    $plan: the analyzed report field differs from the plain report"
+        exit 1
+    fi
+done
+echo "    analyzed report field (whole plan and both shards) equals the plain report"
 
 echo "==> fused-pipeline differentials: exact sweep == forward taint == streaming"
 cargo test --release -q --test property_based fused

@@ -85,8 +85,7 @@ fn usage() -> ! {
          <n_tests> <seed> <ranks> <sweep|rank:N> <k> <dir>\n  \
          campaign_shard spmd-run <plan.json> [report.json]\n  \
          campaign_shard spmd-merge <report.json> <report.json>...\n  \
-         (run also accepts --analyzed for the pattern-enriched report and \
-         --batched for the lockstep executor)"
+         (run also accepts --analyzed for the pattern-enriched report)"
     );
     exit(2);
 }
@@ -197,36 +196,20 @@ fn cmd_plan(args: &[String]) {
 fn cmd_run(args: &[String]) {
     // `--analyzed` switches to the pattern-enriched report — the flavor the
     // campaign server streams, so `watch` output can be diffed against an
-    // offline `run --analyzed` of the same plan.  `--batched` forces the
-    // batched lockstep executor regardless of the plan's own flag — the CI
-    // hook that diffs a batched run against the same plan run serially.
-    let mut analyzed = false;
-    let mut batched = false;
-    let mut args = args;
-    while let Some((flag, rest)) = args.split_first() {
-        match flag.as_str() {
-            "--analyzed" => analyzed = true,
-            "--batched" => batched = true,
-            _ => break,
-        }
-        args = rest;
-    }
-    if analyzed && batched {
-        eprintln!("campaign_shard: --analyzed and --batched are mutually exclusive");
-        exit(2);
-    }
+    // offline `run --analyzed` of the same plan.
+    let (analyzed, args) = match args.split_first() {
+        Some((flag, rest)) if flag == "--analyzed" => (true, rest),
+        _ => (false, args),
+    };
     let (plan_path, out) = match args {
         [plan] => (plan, None),
         [plan, out] => (plan, Some(out)),
         _ => usage(),
     };
-    let mut plan = CampaignPlan::from_json(&read(plan_path)).unwrap_or_else(|e| {
+    let plan = CampaignPlan::from_json(&read(plan_path)).unwrap_or_else(|e| {
         eprintln!("campaign_shard: {plan_path} is not a plan: {e}");
         exit(1);
     });
-    if batched {
-        plan = plan.with_batched();
-    }
     let json = if analyzed {
         Session::by_name(&plan.app)
             .unwrap_or_else(|| {

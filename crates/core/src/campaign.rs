@@ -5,25 +5,21 @@
 //! materializing a faulty trace — O(locations) memory per worker, for
 //! campaigns of any length.
 //!
-//! Each test is executed **once**: the streamed run feeds the detector bank
-//! and its [`ftkr_vm::RunResult`] classifies the outcome.  The test sequence
-//! and sharding are exactly the plain campaign's (the same
-//! `(seed, index) -> FaultSpec` derivation,
-//! [`ftkr_inject::Campaign::fault_for_index`]), so the embedded
-//! [`CampaignReport`] is bit-identical to [`Session::run_plan`] on the same
-//! plan — property-tested — and analyzed shard reports merge exactly like
-//! plain ones.
+//! An analyzed campaign is the plain campaign kernel
+//! ([`ftkr_inject::Campaign::run_range_with`]) with a detector attached.
+//! This module supplies only what differs: it primes the detector once
+//! over the clean prefix, hands the kernel a per-test run that streams
+//! through a fork of it (or a fresh one, cold), and folds the pattern
+//! tallies.  Fault sampling, sharding, the panic perimeter, the
+//! restore-to-cold fallback and classification are the kernel's, so each
+//! test is executed **once** and the embedded [`CampaignReport`] is
+//! bit-identical to [`Session::run_plan`] on the same plan — and analyzed
+//! shard reports merge exactly like plain ones.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use ftkr_inject::{
-    CampaignCounts, CampaignPlan, CampaignReport, FailPlan, FailSite, IndexRange, Outcome,
-};
+use ftkr_inject::{CampaignPlan, CampaignReport, FailPlan};
 use ftkr_patterns::{PatternKind, StreamingDetector};
-use ftkr_vm::{RunOutcome, RunResult, Vm, VmConfig, VmSnapshot};
 
 use crate::session::{PlanError, Session};
 
@@ -144,16 +140,14 @@ impl Session {
     /// (bit-identical patterns, by the fork/cold equivalence), and a
     /// panicking verifier records [`Outcome::HarnessError`] and contributes
     /// no pattern instances.
+    ///
+    /// [`Outcome::HarnessError`]: ftkr_inject::Outcome::HarnessError
     pub fn run_plan_analyzed_chaos(
         &self,
         plan: &CampaignPlan,
         chaos: FailPlan,
     ) -> Result<AnalyzedCampaignReport, PlanError> {
-        self.check_plan(plan)?;
-        let sites = self.sites(&plan.target, plan.class)?;
-        let fork = Session::fork_step(&sites);
-        let snapshot = if fork > 0 { self.checkpoint_at(fork) } else { None };
-        self.run_plan_analyzed_with(plan, snapshot.as_ref(), chaos)
+        self.run_plan_analyzed_with(plan, true, chaos)
     }
 
     /// The cold-start reference executor of [`Session::run_plan_analyzed`]:
@@ -165,137 +159,65 @@ impl Session {
         &self,
         plan: &CampaignPlan,
     ) -> Result<AnalyzedCampaignReport, PlanError> {
-        self.check_plan(plan)?;
-        self.run_plan_analyzed_with(plan, None, FailPlan::none())
+        self.run_plan_analyzed_with(plan, false, FailPlan::none())
     }
 
     fn run_plan_analyzed_with(
         &self,
         plan: &CampaignPlan,
-        forked: Option<&VmSnapshot>,
+        fork: bool,
         chaos: FailPlan,
     ) -> Result<AnalyzedCampaignReport, PlanError> {
-        let sites = self.sites(&plan.target, plan.class)?;
-        let sites: &[ftkr_inject::FaultSite] = sites.as_slice();
+        let (sites, shard, snapshot) = self.prologue(plan, fork, true)?;
         let clean = self.clean_trace();
-        let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
-        let campaign = self.campaign(plan.seed);
-        let max_steps = self.max_steps();
-        // Capture only Sync state in the worker closures (not the session).
-        let app = self.app();
-        let module = &app.module;
+        let module = &self.app().module;
         let decoded = self.decoded_module();
         // One detector is primed over the clean prefix up to the fork; every
         // test forks it (cheap clone) instead of re-streaming the prefix.
-        let primed = forked.map(|snap| {
+        let primed = snapshot.as_ref().map(|snap| {
             StreamingDetector::primed(clean, snap.events_emitted() as usize, snap.num_locations())
         });
-
         // ONE streamed faulty run per test: the detector observes the events
-        // as they execute, and the run result classifies the outcome — the
-        // fault sequence is the campaign's own (`fault_for_index`), so the
-        // outcome tally is bit-identical to `Session::run_plan`.
-        let population = sites.len() as u64 * 64;
-        let (counts, patterns, tests_with_patterns) = if sites.is_empty() || shard.is_empty() {
-            (ftkr_inject::CampaignCounts::default(), PatternTally::default(), 0)
-        } else {
-            (shard.start..shard.end)
-                .into_par_iter()
-                .map(|index| {
-                    let fault = campaign.fault_for_index(sites, index);
-                    let config = || VmConfig {
-                        fault: Some(fault),
-                        max_steps,
-                        ..VmConfig::default()
-                    };
-                    // Phase 1 — execute the streamed faulty run inside the
-                    // panic perimeter.  `None` means the harness failed.
-                    let cold_exec = || -> Option<(RunResult, StreamingDetector)> {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let mut detector = StreamingDetector::new(clean, fault);
-                            let result = Vm::new(config())
-                                .run_with_visitors_decoded(module, decoded, &mut [&mut detector])
-                                .expect("module verifies");
+        // as they execute, and the run result classifies the outcome.
+        let (report, (patterns, tests_with_patterns)) = self
+            .campaign(plan.seed)
+            .with_chaos(chaos)
+            .run_range_with(
+                &sites,
+                shard,
+                snapshot.as_ref(),
+                |fault, vm, snap| {
+                    let (result, detector) = match (snap, &primed) {
+                        (Some(snap), Some(primed)) => {
+                            let mut detector = primed.fork(fault);
+                            let result = vm.resume_with_visitors_decoded(
+                                module,
+                                decoded,
+                                snap,
+                                &mut [&mut detector],
+                            );
                             (result, detector)
-                        }))
-                        .ok()
-                    };
-                    let (executed, degraded) = match (&primed, forked) {
-                        (Some(p), Some(snap)) => {
-                            let from_fork = catch_unwind(AssertUnwindSafe(|| {
-                                chaos.trip(FailSite::RestoreCheckpoint, index);
-                                let mut detector = p.fork(fault);
-                                let result = Vm::new(config())
-                                    .resume_with_visitors_decoded(
-                                        module,
-                                        decoded,
-                                        snap,
-                                        &mut [&mut detector],
-                                    )
-                                    .expect("module verifies");
-                                (result, detector)
-                            }))
-                            .ok();
-                            match from_fork {
-                                Some(x) => (Some(x), false),
-                                // Restore failed: degrade to the cold path
-                                // with a fresh detector — bit-identical
-                                // patterns by the fork/cold equivalence.
-                                None => (cold_exec(), true),
-                            }
                         }
-                        _ => (cold_exec(), false),
+                        _ => {
+                            let mut detector = StreamingDetector::new(clean, fault);
+                            let result =
+                                vm.run_with_visitors_decoded(module, decoded, &mut [&mut detector]);
+                            (result, detector)
+                        }
                     };
-                    // Phase 2 — classify (the verifier gets its own
-                    // perimeter) and tally patterns.  A harness-errored test
-                    // contributes no pattern instances: its analysis cannot
-                    // be trusted, and the taint marks it for re-execution.
-                    let mut counts = CampaignCounts::default();
                     let mut tally = PatternTally::default();
-                    let mut with_patterns = 0u64;
-                    match executed {
-                        None => counts.record(Outcome::HarnessError),
-                        Some((result, detector)) => {
-                            let outcome = match result.outcome {
-                                RunOutcome::Trapped(trap) => Outcome::crashed(trap),
-                                RunOutcome::Completed => catch_unwind(AssertUnwindSafe(|| {
-                                    chaos.trip(FailSite::Verifier, index);
-                                    if app.verify(&result) {
-                                        Outcome::VerificationSuccess
-                                    } else {
-                                        Outcome::VerificationFailed
-                                    }
-                                }))
-                                .unwrap_or(Outcome::HarnessError),
-                            };
-                            counts.record(outcome);
-                            if outcome != Outcome::HarnessError {
-                                let found = detector.into_patterns();
-                                for p in &found {
-                                    tally.record(p.kind, 1);
-                                }
-                                with_patterns = u64::from(!found.is_empty());
-                            }
-                        }
+                    let found = detector.into_patterns();
+                    for p in &found {
+                        tally.record(p.kind, 1);
                     }
-                    if degraded {
-                        counts.degraded += 1;
-                    }
-                    (counts, tally, with_patterns)
-                })
-                .reduce(
-                    || (CampaignCounts::default(), PatternTally::default(), 0),
-                    |a, b| (a.0.merge(b.0), a.1.merge(b.1), a.2 + b.2),
-                )
-        };
-
+                    let product = (tally, u64::from(!found.is_empty()));
+                    (result.expect("module verifies"), product)
+                },
+                |a, b| (a.0.merge(b.0), a.1 + b.1),
+            )
+            .map_err(PlanError::FaultBeforeCheckpoint)?;
         Ok(AnalyzedCampaignReport {
-            report: CampaignReport {
-                counts,
-                n_tests: if sites.is_empty() { 0 } else { shard.len() },
-                population,
-                seed: plan.seed,
-            },
+            report,
             patterns,
             tests_with_patterns,
         })

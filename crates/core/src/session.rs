@@ -31,9 +31,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use ftkr_apps::{app_by_name, spmd_decomposition, App};
 use ftkr_dddg::Dddg;
 use ftkr_inject::{
-    input_sites, internal_sites, BatchContext, Campaign, CampaignPlan, CampaignReport,
-    CampaignTarget, FailPlan, FaultSite, IndexRange, Outcome, RankTarget, SpmdCampaignReport,
-    SpmdCleanState, SpmdFaults, SpmdHarness, TargetClass,
+    input_sites, internal_sites, Campaign, CampaignPlan, CampaignReport, CampaignTarget, FailPlan,
+    FaultSite, IndexRange, Outcome, RankTarget, SpmdCampaignReport, SpmdCleanState, SpmdFaults,
+    SpmdHarness, TargetClass,
 };
 use ftkr_patterns::{assign_to_regions, state_fnv, PatternRates, RegionPatternSummary};
 use ftkr_trace::{instance_slice, partition_iterations, partition_regions, RegionInstance,
@@ -47,6 +47,10 @@ use crate::regions::{region_views as region_views_from, RegionView};
 
 /// Cache of fault-site lists, keyed by campaign target and class.
 type SiteCache = Mutex<HashMap<(CampaignTarget, TargetClass), Arc<Vec<FaultSite>>>>;
+
+/// What [`Session::prologue`] resolves for a single-VM executor: the site
+/// list, the index shard, and the fork-point checkpoint (if any).
+type Prologue = (Arc<Vec<FaultSite>>, IndexRange, Option<VmSnapshot>);
 
 /// Why a [`CampaignPlan`] could not be executed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -520,13 +524,6 @@ impl Session {
         )
     }
 
-    /// The fork step of a site list: the earliest dynamic step any of its
-    /// faults can strike.  A checkpoint captured there is safe for every
-    /// test of the campaign, and as late as possible (maximum prefix saved).
-    pub(crate) fn fork_step(sites: &[FaultSite]) -> u64 {
-        sites.iter().map(|s| s.at_step).min().unwrap_or(0)
-    }
-
     // -- cache accounting --------------------------------------------------
 
     /// Approximate heap footprint of every cached artifact, in bytes: the
@@ -626,13 +623,6 @@ impl Session {
     /// bit-identical to [`Session::run_plan_cold`] — the equivalence the
     /// `checkpoint_equivalence` integration suite holds over the whole
     /// application registry.
-    ///
-    /// Plans flagged [`CampaignPlan::with_batched`] route through the
-    /// batched lockstep executor instead: all sampled faults are swept
-    /// against the clean trace in one pass, never-diverging lanes are
-    /// classified without executing a faulty run, and diverged lanes peel
-    /// off into the ordinary forked (or cold) executor.  Reports stay
-    /// bit-identical either way.
     pub fn run_plan(&self, plan: &CampaignPlan) -> Result<CampaignReport, PlanError> {
         self.run_plan_chaos(plan, FailPlan::none())
     }
@@ -648,64 +638,59 @@ impl Session {
         plan: &CampaignPlan,
         chaos: FailPlan,
     ) -> Result<CampaignReport, PlanError> {
-        self.check_plan(plan)?;
-        self.reject_spmd(plan)?;
-        if plan.batched {
-            // Batched lockstep mode sweeps every sampled fault against the
-            // clean trace, so the full reference run must be materialized —
-            // the windowed `plan_sites` shortcut does not apply here.
-            let clean = self.clean_run();
-            let ctx = BatchContext::new(clean);
-            let sites = self.plan_sites(plan)?;
-            let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
-            let fork = Self::fork_step(&sites);
-            let snapshot = if fork > 0 { self.checkpoint_at(fork) } else { None };
-            return Ok(self
-                .campaign(plan.seed)
-                .with_chaos(chaos)
-                .run_range_batched(&sites, shard, &ctx, snapshot.as_ref()));
+        let (sites, shard, snapshot) = self.prologue(plan, true, false)?;
+        let campaign = self.campaign(plan.seed).with_chaos(chaos);
+        match snapshot {
+            Some(snapshot) => campaign
+                .run_range_from(&sites, shard, &snapshot)
+                .map_err(PlanError::FaultBeforeCheckpoint),
+            None => Ok(campaign.run_range(&sites, shard)),
         }
-        let sites = self.plan_sites(plan)?;
-        let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
-        let fork = Self::fork_step(&sites);
-        if fork > 0 {
-            if let Some(snapshot) = self.checkpoint_at(fork) {
-                return self
-                    .campaign(plan.seed)
-                    .with_chaos(chaos)
-                    .run_range_from(&sites, shard, &snapshot)
-                    .map_err(PlanError::FaultBeforeCheckpoint);
-            }
-        }
-        Ok(self
-            .campaign(plan.seed)
-            .with_chaos(chaos)
-            .run_range(&sites, shard))
     }
 
     /// Execute a campaign plan with every faulty run cold-started from
     /// program entry — the reference executor [`Session::run_plan`] must
     /// stay byte-identical to.  Kept public (and exercised by the
     /// equivalence suite) so the fork-point path is always checkable against
-    /// first principles.  A plan's `batched` flag is deliberately ignored
-    /// here: this entry point is the serial reference the batched lockstep
-    /// executor is diffed against.
+    /// first principles.
     pub fn run_plan_cold(&self, plan: &CampaignPlan) -> Result<CampaignReport, PlanError> {
-        self.check_plan(plan)?;
-        self.reject_spmd(plan)?;
-        let sites = self.plan_sites(plan)?;
-        let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
+        let (sites, shard, _) = self.prologue(plan, false, false)?;
         Ok(self.campaign(plan.seed).run_range(&sites, shard))
     }
 
-    /// The single-VM executors cannot honour multi-rank or message-fault
-    /// plans; refuse with a typed error instead of silently running the
-    /// wrong campaign at `ranks = 1`.
-    fn reject_spmd(&self, plan: &CampaignPlan) -> Result<(), PlanError> {
+    /// What every single-VM executor resolves before its first test: the
+    /// plan is checked, multi-rank and message-fault plans are refused, and
+    /// the plan's site list and index shard are resolved.  With `fork`, the
+    /// fault-free checkpoint at the earliest site is captured too (`None`
+    /// when the population starts at program entry or past the end of the
+    /// run).  With `analyzed`, the clean trace the detectors align against
+    /// is materialized first, so the sites resolve from it instead of from a
+    /// windowed re-run.
+    pub(crate) fn prologue(
+        &self,
+        plan: &CampaignPlan,
+        fork: bool,
+        analyzed: bool,
+    ) -> Result<Prologue, PlanError> {
+        self.check_plan(plan)?;
         if plan.is_spmd() {
+            // The single-VM executors cannot honour multi-rank or
+            // message-fault plans; refuse with a typed error instead of
+            // silently running the wrong campaign at `ranks = 1`.
             return Err(PlanError::SpmdPlan { ranks: plan.ranks });
         }
-        Ok(())
+        if analyzed {
+            self.clean_trace();
+        }
+        let sites = self.plan_sites(plan)?;
+        let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
+        // Fork at the earliest step any fault can strike: safe for every
+        // test, and as late as possible (maximum prefix saved).
+        let snapshot = match sites.iter().map(|s| s.at_step).min() {
+            Some(step) if fork && step > 0 => self.checkpoint_at(step),
+            _ => None,
+        };
+        Ok((sites, shard, snapshot))
     }
 
     // -- multi-rank (SPMD) campaigns --------------------------------------
@@ -1195,6 +1180,14 @@ mod tests {
             session.run_plan_cold(&plan),
             Err(PlanError::SpmdPlan { ranks: 4 })
         ));
+        assert!(matches!(
+            session.run_plan_analyzed(&plan),
+            Err(PlanError::SpmdPlan { ranks: 4 })
+        ));
+        assert!(matches!(
+            session.run_plan_analyzed_cold(&plan),
+            Err(PlanError::SpmdPlan { ranks: 4 })
+        ));
         // ...and the SPMD executor runs it: every test is a 4-rank job.
         let report = session.run_plan_spmd(&plan).unwrap();
         assert_eq!(report.ranks, 4);
@@ -1235,6 +1228,14 @@ mod tests {
         let serial = plan.clone().with_ranks(1, RankTarget::Sweep);
         assert!(matches!(
             session.run_plan(&serial),
+            Err(PlanError::SpmdPlan { ranks: 1 })
+        ));
+        assert!(matches!(
+            session.run_plan_analyzed(&plan),
+            Err(PlanError::SpmdPlan { ranks: 4 })
+        ));
+        assert!(matches!(
+            session.run_plan_analyzed_cold(&serial),
             Err(PlanError::SpmdPlan { ranks: 1 })
         ));
     }
@@ -1339,37 +1340,17 @@ mod tests {
     }
 
     #[test]
-    fn batched_plans_match_the_serial_executors_bit_for_bit() {
-        let session = Session::by_name("IS").unwrap();
-        let region = session.app().regions.last().unwrap().clone();
-        let serial_plan = session
-            .plan(CampaignTarget::Region { name: region }, TargetClass::Internal, 24)
-            .unwrap()
-            .with_seed(9);
-        let batched_plan = serial_plan.clone().with_batched();
-        let serial = session.run_plan(&serial_plan).unwrap();
-        let batched = session.run_plan(&batched_plan).unwrap();
-        assert_eq!(batched, serial);
-        // The batched executor needs the full clean trace...
-        assert!(session.clean.get().is_some());
-        // ...and the cold reference deliberately ignores the flag, staying
-        // the serial baseline the lockstep executor is diffed against.
-        assert_eq!(session.run_plan_cold(&batched_plan).unwrap(), serial);
-    }
-
-    #[test]
-    fn batched_whole_program_plans_run_without_a_checkpoint() {
+    fn whole_program_plans_run_without_a_checkpoint() {
         let session = Session::by_name("IS").unwrap();
         let plan = session
             .plan(CampaignTarget::WholeProgram, TargetClass::Internal, 16)
-            .unwrap()
-            .with_batched();
-        let batched = session.run_plan(&plan).unwrap();
+            .unwrap();
+        let report = session.run_plan(&plan).unwrap();
         assert!(
             session.checkpoints.lock().unwrap().is_empty(),
             "a whole-program population starts at step 0: nothing to fork from"
         );
-        assert_eq!(batched, session.run_plan_cold(&plan).unwrap());
+        assert_eq!(report, session.run_plan_cold(&plan).unwrap());
     }
 
     #[test]

@@ -1,20 +1,16 @@
-//! Batched lockstep campaign execution against the clean run.
+//! The lockstep masking sweep: a measurement of how many of a campaign's
+//! faults could never reach observable state.
 //!
-//! A fault-injection campaign spends most of its wall time re-discovering the
-//! same fact: the common *masked* fault never influences anything the clean
-//! run did not already compute.  This module runs K injections of one site
-//! class in lockstep **against the clean trace** instead of as K separate
-//! executions.  Each injection becomes a *lane* watching the single location
-//! its bit flip corrupted; one sweep over the clean events advances every
-//! lane at once, and a per-lane divergence bitmask records which lanes ever
-//! *read* their corrupted location.  Lanes that never diverge are classified
-//! from a synthesized run result — the clean outcome with at most one memory
-//! cell re-flipped — at the cost of a memory clone instead of a whole
-//! execution; diverged lanes peel off into the ordinary forked
-//! (checkpoint-restoring) or cold executor, so the report stays bit-identical
-//! to [`Campaign::run_range`] / [`Campaign::run_range_from`].
+//! One sweep over the clean trace classifies every test of an index range
+//! without executing it.  Each test becomes a *lane* watching the single
+//! location its bit flip corrupted; the sweep advances every lane at once
+//! and records which lanes ever *read* their corrupted location.  A lane
+//! that never does is *masked*: its faulty run is the clean run, with at
+//! most one memory cell re-flipped ([`LaneState`]).  No executor acts on
+//! the verdicts — every campaign executes every test — so the sweep only
+//! measures the share of masked lanes a lockstep executor could skip.
 //!
-//! # Why the sweep is sound
+//! # Why a masked verdict is sound
 //!
 //! Divergence is detected at the *first read* of the corrupted location, not
 //! at the first observable difference — deliberately conservative.  While a
@@ -35,20 +31,14 @@
 //!   to the clean run outright.
 //!
 //! A flip that is read but happens not to change behaviour (e.g. a compare
-//! result flipped onto the branch actually taken) costs a peeled execution,
-//! never a wrong verdict.
+//! result flipped onto the branch actually taken) counts as diverged, never
+//! as masked.
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
 
-use ftkr_vm::{
-    EventKind, FaultSpec, FaultTarget, LocationId, RunResult, Trace, Value, VmSnapshot,
-};
+use ftkr_vm::{EventKind, FaultTarget, LocationId, RunResult, Trace, Value};
 
-use crate::campaign::{sample_site_fault, Campaign, CampaignReport, TestOutcome};
-use crate::chaos::FailSite;
-use crate::outcome::Outcome;
+use crate::campaign::sample_site_fault;
 use crate::plan::IndexRange;
 use crate::sites::FaultSite;
 
@@ -71,21 +61,21 @@ impl<'a> BatchContext<'a> {
     pub fn new(clean: &'a RunResult) -> Self {
         assert!(
             clean.outcome.is_completed(),
-            "batched campaigns need a completed clean run"
+            "the sweep needs a completed clean run"
         );
         let trace = clean
             .trace
             .as_ref()
-            .expect("batched campaigns need the traced clean run");
+            .expect("the sweep needs the traced clean run");
         assert_eq!(
             trace.base_step(),
             0,
-            "batched campaigns need the full clean trace, not a resumed suffix"
+            "the sweep needs the full clean trace, not a resumed suffix"
         );
         assert_eq!(
             trace.len(),
             clean.steps as usize,
-            "batched campaigns need the full clean trace, not a windowed slice"
+            "the sweep needs the full clean trace, not a windowed slice"
         );
         let loc_addr = trace.locations().iter().map(|l| l.mem_addr()).collect();
         BatchContext {
@@ -93,11 +83,6 @@ impl<'a> BatchContext<'a> {
             trace,
             loc_addr,
         }
-    }
-
-    /// The clean run the sweep compares against.
-    pub fn clean(&self) -> &RunResult {
-        self.clean
     }
 }
 
@@ -118,7 +103,7 @@ pub enum LaneState {
         value: Value,
     },
     /// The faulty run first reads corrupted state at this clean-trace event
-    /// index; the lane peels off into real (forked or cold) execution.
+    /// index: only executing the faulty run can tell what follows.
     Diverged {
         /// Index into the clean trace's events of the first corrupted read.
         at_event: usize,
@@ -159,14 +144,11 @@ fn first_event_at_or_after(trace: &Trace, step: u64) -> usize {
     (step.saturating_sub(trace.base_step()) as usize).min(trace.len())
 }
 
-/// The result of one lockstep sweep: per-lane divergence verdicts for a
-/// contiguous index range of a campaign, plus the packed divergence bitmask
-/// (bit `(i - range.start) % 64` of word `(i - range.start) / 64` is set when
-/// test `i` diverged).
+/// The result of one lockstep sweep: per-lane verdicts for a contiguous
+/// index range of a campaign.
 pub struct BatchScan {
     range: IndexRange,
     lanes: Vec<LaneState>,
-    masks: Vec<u64>,
 }
 
 impl BatchScan {
@@ -364,11 +346,9 @@ impl BatchScan {
             }
         }
 
-        let mut masks = vec![0u64; n.div_ceil(64)];
         let lanes: Vec<LaneState> = pending
             .iter()
-            .enumerate()
-            .map(|(lane, p)| match *p {
+            .map(|p| match *p {
                 Pending::Clean | Pending::Reg { .. } => LaneState::MaskedClean,
                 Pending::Mem { addr, bit, .. } => match ctx.clean.memory.peek(addr) {
                     // The cell survived unread and unwritten: its final clean
@@ -382,23 +362,11 @@ impl BatchScan {
                     // injection hook peeks before poking).
                     None => LaneState::MaskedClean,
                 },
-                Pending::Diverged { at_event } => {
-                    masks[lane / 64] |= 1u64 << (lane % 64);
-                    LaneState::Diverged { at_event }
-                }
+                Pending::Diverged { at_event } => LaneState::Diverged { at_event },
             })
             .collect();
 
-        BatchScan {
-            range,
-            lanes,
-            masks,
-        }
-    }
-
-    /// The campaign index range the lanes cover.
-    pub fn range(&self) -> IndexRange {
-        self.range
+        BatchScan { range, lanes }
     }
 
     /// The verdict of campaign test `index`.
@@ -414,156 +382,15 @@ impl BatchScan {
         &self.lanes[(index - self.range.start) as usize]
     }
 
-    /// The packed divergence bitmask: bit `(i - range.start) % 64` of word
-    /// `(i - range.start) / 64` is set when test `i` diverged.
-    pub fn divergence_masks(&self) -> &[u64] {
-        &self.masks
-    }
-
-    /// Number of lanes that never diverged (classified without execution).
+    /// Number of lanes that never diverged.
     pub fn masked(&self) -> u64 {
         self.range.len() - self.diverged()
     }
 
-    /// Number of lanes that diverged (peeled into real execution).
+    /// Number of lanes that diverged.
     pub fn diverged(&self) -> u64 {
-        self.masks.iter().map(|w| w.count_ones() as u64).sum()
-    }
-}
-
-impl<'m, F> Campaign<'m, F>
-where
-    F: Fn(&RunResult) -> bool + Sync,
-{
-    /// Run one index-range shard of a campaign in batched lockstep mode:
-    /// every sampled fault is first swept against the clean run
-    /// ([`BatchScan::sweep`]); lanes that never diverge are classified from a
-    /// synthesized clean-equivalent result, and diverged lanes peel off into
-    /// the forked executor (when `snapshot` is given) or the cold executor.
-    /// The report is bit-identical to [`Campaign::run_range`] /
-    /// [`Campaign::run_range_from`] over the same sites, range and seed —
-    /// including under armed chaos (restore fail points fire per index for
-    /// masked lanes exactly as they would for real forked restores).
-    ///
-    /// # Panics
-    /// Panics when the campaign's step budget does not cover the clean run
-    /// (a masked lane would then hang in serial mode but complete here), and
-    /// — with a snapshot, per test — when a sampled fault precedes the
-    /// checkpoint, exactly like [`Campaign::run_range_from`].
-    pub fn run_range_batched(
-        &self,
-        sites: &[FaultSite],
-        range: IndexRange,
-        ctx: &BatchContext<'_>,
-        snapshot: Option<&VmSnapshot>,
-    ) -> CampaignReport {
-        if sites.is_empty() || range.is_empty() {
-            return self.run_range_by(sites, range, |_, _| {
-                unreachable!("empty campaigns run no tests")
-            });
-        }
-        assert!(
-            self.max_steps >= ctx.clean.steps,
-            "batched campaign step budget {} does not cover the {}-step clean run",
-            self.max_steps,
-            ctx.clean.steps
-        );
-        let scan = BatchScan::sweep(self.seed, sites, range, ctx);
-        // Every `MaskedClean` lane synthesizes the *same* run result — the
-        // clean run, byte for byte — so its verifier verdict is computed once
-        // and shared across lanes (the verifier is a pure function of the run
-        // result; per-index chaos fail points still fire per lane).
-        let clean_pass: OnceLock<bool> = OnceLock::new();
-        self.run_range_by(sites, range, |index, fault| {
-            if let Some(snap) = snapshot {
-                // Parity with `run_range_from`: every sampled fault — masked
-                // lanes included — must lie at or after the checkpoint.
-                assert!(
-                    fault.at_step >= snap.step(),
-                    "fault at step {} precedes the checkpoint at step {}: \
-                     it cannot strike in a forked run",
-                    fault.at_step,
-                    snap.step()
-                );
-            }
-            match *scan.lane(index) {
-                LaneState::Diverged { .. } => match snapshot {
-                    Some(snap) => self.test_forked(Some(index), snap, fault),
-                    None => self.test_cold(index, fault),
-                },
-                LaneState::MaskedClean => {
-                    self.test_masked(ctx, index, fault, snapshot, None, &clean_pass)
-                }
-                LaneState::MaskedPoke { addr, value } => {
-                    self.test_masked(ctx, index, fault, snapshot, Some((addr, value)), &clean_pass)
-                }
-            }
-        })
-    }
-
-    /// Classify a masked lane from a synthesized run result, mirroring the
-    /// executor the lane would otherwise have used: with a snapshot the
-    /// restore fail point fires per index (and a tripped lane degrades to
-    /// the cold executor with the same bookkeeping as a failed real
-    /// restore); without one the classification is the cold path's.  A lane
-    /// without a poke synthesizes the clean run itself, so its verifier
-    /// verdict comes from the shared `clean_pass` cell instead of a fresh
-    /// memory clone per lane.
-    fn test_masked(
-        &self,
-        ctx: &BatchContext<'_>,
-        index: u64,
-        fault: FaultSpec,
-        snapshot: Option<&VmSnapshot>,
-        poke: Option<(u64, Value)>,
-        clean_pass: &OnceLock<bool>,
-    ) -> TestOutcome {
-        let synthesize = |poke: Option<(u64, Value)>| {
-            let mut memory = ctx.clean.memory.clone();
-            if let Some((addr, value)) = poke {
-                memory.poke(addr, value);
-            }
-            RunResult {
-                outcome: ctx.clean.outcome,
-                steps: ctx.clean.steps,
-                outputs: ctx.clean.outputs.clone(),
-                memory,
-                trace: None,
-            }
-        };
-        if snapshot.is_some()
-            && catch_unwind(AssertUnwindSafe(|| {
-                self.chaos.trip(FailSite::RestoreCheckpoint, index);
-            }))
-            .is_err()
-        {
-            let outcome = match self.cold_result(fault) {
-                Some(result) => self.classify(result, Some(index)),
-                None => Outcome::HarnessError,
-            };
-            return TestOutcome {
-                outcome,
-                degraded: true,
-            };
-        }
-        // Mirrors `Campaign::classify` on the synthesized result, whose
-        // outcome is always `Completed` (the clean run completed): the
-        // verifier fail point fires per index, and a panicking verifier is
-        // contained as a harness error.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.chaos.trip(FailSite::Verifier, index);
-            let pass = match poke {
-                Some(_) => (self.verify)(&synthesize(poke)),
-                None => *clean_pass.get_or_init(|| (self.verify)(&synthesize(None))),
-            };
-            if pass {
-                Outcome::VerificationSuccess
-            } else {
-                Outcome::VerificationFailed
-            }
-        }))
-        .unwrap_or(Outcome::HarnessError);
-        outcome.into()
+        let diverged = |lane: &&LaneState| matches!(lane, LaneState::Diverged { .. });
+        self.lanes.iter().filter(diverged).count() as u64
     }
 }
 
@@ -571,10 +398,9 @@ where
 mod tests {
     use super::*;
     use crate::campaign::hang_budget_for;
-    use crate::chaos::FailPlan;
     use crate::sites::{input_sites, internal_sites};
     use ftkr_ir::prelude::*;
-    use ftkr_ir::Global;
+    use ftkr_ir::{Global, Module};
     use ftkr_vm::{Location, Vm, VmConfig};
 
     /// The sum16 program of the campaign tests: most internal-site lanes
@@ -599,17 +425,10 @@ mod tests {
         m
     }
 
-    fn verify_sum16(result: &RunResult) -> bool {
-        result
-            .global_f64("total")
-            .map(|v| (v[0] - 16.0).abs() / 16.0 < 0.05)
-            .unwrap_or(false)
-    }
-
     /// A program rich in masked lanes: a dead intermediate result, a dead
     /// store (overwritten before any load), and a global cell (`out[1]`)
     /// that nothing ever touches — input faults there survive as
-    /// `MaskedPoke` lanes, and the bit-exact verifier below notices them.
+    /// `MaskedPoke` lanes.
     fn deadstore() -> Module {
         let mut m = Module::new("deadstore");
         let g = m.add_global(Global::zeroed_f64("out", 2));
@@ -629,32 +448,60 @@ mod tests {
         m
     }
 
-    /// Bit-exact on the untouched cell: `out[1]` must still be +0.0 — a
-    /// synthesized masked result that forgot the poke would wrongly pass.
-    fn verify_deadstore(result: &RunResult) -> bool {
-        result
-            .global_f64("out")
-            .map(|v| v[0] == 6.25 && v[1].to_bits() == 0)
-            .unwrap_or(false)
-    }
-
     fn clean_run(module: &Module) -> RunResult {
         Vm::new(VmConfig::tracing()).run(module).unwrap()
     }
 
+    /// Sweep `n` lanes of `sites` and hold every masked verdict to the real
+    /// faulty run: a `MaskedClean` lane's run equals the clean run, and a
+    /// `MaskedPoke` lane's run equals the clean run with that one cell
+    /// poked (the trace aside in both).
+    fn assert_sweep_sound(m: &Module, sites: &[FaultSite], seed: u64, n: u64) -> BatchScan {
+        let clean = clean_run(m);
+        let range = IndexRange::full(n);
+        let scan = BatchScan::sweep(seed, sites, range, &BatchContext::new(&clean));
+        let untraced = RunResult {
+            trace: None,
+            ..clean.clone()
+        };
+        for index in range.start..range.end {
+            let fault = sample_site_fault(seed, sites, index);
+            let config = VmConfig {
+                fault: Some(fault),
+                max_steps: hang_budget_for(&clean),
+                ..VmConfig::default()
+            };
+            let real = Vm::new(config).run(m).unwrap();
+            match *scan.lane(index) {
+                LaneState::MaskedClean => assert_eq!(real, untraced, "lane {index}: {fault:?}"),
+                LaneState::MaskedPoke { addr, value } => {
+                    let mut poked = untraced.clone();
+                    poked.memory.poke(addr, value);
+                    assert_eq!(real, poked, "lane {index}: {fault:?}");
+                }
+                LaneState::Diverged { .. } => {}
+            }
+        }
+        scan
+    }
+
     #[test]
-    fn batched_cold_campaign_is_bit_identical_to_serial() {
+    fn masked_sum16_lanes_equal_their_real_faulty_runs() {
         let m = sum16();
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
-        let sites = internal_sites(trace, 0, trace.len());
-        let campaign = Campaign::new(&m, verify_sum16)
-            .with_seed(21)
-            .with_max_steps(hang_budget_for(&clean));
-        let ctx = BatchContext::new(&clean);
-        let serial = campaign.run_range(&sites, IndexRange::full(160));
-        let batched = campaign.run_range_batched(&sites, IndexRange::full(160), &ctx, None);
-        assert_eq!(batched, serial);
+        // Every result feeds the next iteration, so internal faults all
+        // diverge; flips of the accumulator cell at every step add lanes
+        // the next store overwrites and lanes after the last load.
+        let mut sites = internal_sites(trace, 0, trace.len());
+        for step in 0..trace.len() {
+            sites.extend(input_sites(step, &[(Location::mem(0), Value::F(0.0))]));
+        }
+        let scan = assert_sweep_sound(&m, &sites, 21, 256);
+        let lanes = || (0..256).map(|i| *scan.lane(i));
+        assert!(lanes().any(|l| l == LaneState::MaskedClean));
+        assert!(lanes().any(|l| matches!(l, LaneState::MaskedPoke { .. })));
+        assert!(scan.diverged() > 0, "the accumulator must diverge");
     }
 
     #[test]
@@ -663,191 +510,38 @@ mod tests {
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
-        let campaign = Campaign::new(&m, verify_deadstore)
-            .with_seed(5)
-            .with_max_steps(hang_budget_for(&clean));
-        let ctx = BatchContext::new(&clean);
-        let range = IndexRange::full(192);
-        let scan = BatchScan::sweep(21, &sites, range, &ctx);
-        let _ = scan; // seed below differs; this just exercises sweep reuse
-        let scan = BatchScan::sweep(5, &sites, range, &ctx);
+        let scan = assert_sweep_sound(&m, &sites, 5, 192);
         // The program is built to have both kinds of lanes.
         assert!(scan.masked() > 0, "dead results/stores must mask");
         assert!(scan.diverged() > 0, "live dataflow must diverge");
-        assert_eq!(scan.masked() + scan.diverged(), range.len());
-        let serial = campaign.run_range(&sites, range);
-        let batched = campaign.run_range_batched(&sites, range, &ctx, None);
-        assert_eq!(batched, serial);
-        // Mixed outcomes prove the masked short-cut classifies, not rubber-
-        // stamps.
-        assert!(serial.counts.success > 0);
-        assert!(serial.counts.total() > serial.counts.success);
+        assert_eq!(scan.masked() + scan.diverged(), 192);
     }
 
     #[test]
     fn surviving_memory_cell_lanes_reconstruct_the_faulty_image() {
-        let m = deadstore();
-        let clean = clean_run(&m);
         // Input faults on the never-touched cell `out[1]` (addr 1): every
-        // lane survives the sweep as `MaskedPoke`, and the bit-exact
-        // verifier fails exactly as it does for the real executions.
-        let sites = input_sites(0, &[(Location::mem(1), Value::F(0.0))]);
-        let campaign = Campaign::new(&m, verify_deadstore)
-            .with_seed(7)
-            .with_max_steps(hang_budget_for(&clean));
-        let ctx = BatchContext::new(&clean);
-        let range = IndexRange::full(64);
-        let scan = BatchScan::sweep(7, &sites, range, &ctx);
-        assert_eq!(scan.diverged(), 0, "nothing ever reads out[1]");
-        assert!(scan
-            .divergence_masks()
-            .iter()
-            .all(|&w| w == 0));
-        let serial = campaign.run_range(&sites, range);
-        let batched = campaign.run_range_batched(&sites, range, &ctx, None);
-        assert_eq!(batched, serial);
-        // A flipped +0.0 is never bit-zero again, so the verifier fails every
-        // test on both paths — the poke is load-bearing.
-        assert_eq!(serial.counts.failed, 64);
-        assert_eq!(serial.counts.success, 0);
-    }
-
-    #[test]
-    fn batched_forked_campaign_matches_run_range_from() {
-        let m = sum16();
-        let clean = clean_run(&m);
-        let trace = clean.trace.as_ref().unwrap();
-        let window_start = trace.len() / 2;
-        let sites = internal_sites(trace, window_start, trace.len());
-        let fork = sites.iter().map(|s| s.at_step).min().unwrap();
-        let snapshot = Vm::new(VmConfig::default())
-            .snapshot_at(&m, fork)
-            .unwrap()
-            .expect("fork step is mid-run");
-        let campaign = Campaign::new(&m, verify_sum16)
-            .with_seed(99)
-            .with_max_steps(hang_budget_for(&clean));
-        let ctx = BatchContext::new(&clean);
-        let cold = campaign.run_range(&sites, IndexRange::full(120));
-        let forked = campaign
-            .run_range_from(&sites, IndexRange::full(120), &snapshot)
-            .unwrap();
-        let batched =
-            campaign.run_range_batched(&sites, IndexRange::full(120), &ctx, Some(&snapshot));
-        assert_eq!(batched, forked);
-        assert_eq!(batched, cold);
-        assert_eq!(batched.counts.degraded, 0, "no chaos: no degradation");
-    }
-
-    #[test]
-    fn batched_shards_merge_bit_identically_to_the_monolithic_report() {
-        let m = sum16();
-        let clean = clean_run(&m);
-        let trace = clean.trace.as_ref().unwrap();
-        let sites = internal_sites(trace, 0, trace.len());
-        let campaign = Campaign::new(&m, verify_sum16)
-            .with_seed(1234)
-            .with_max_steps(hang_budget_for(&clean));
-        let ctx = BatchContext::new(&clean);
-        let monolithic = campaign.run_range_batched(&sites, IndexRange::full(60), &ctx, None);
-        let shards = [
-            IndexRange::new(0, 1),
-            IndexRange::new(1, 44),
-            IndexRange::new(44, 60),
-        ];
-        let merged = shards
-            .iter()
-            .map(|&r| campaign.run_range_batched(&sites, r, &ctx, None))
-            .reduce(|a, b| a.merge(&b))
-            .unwrap();
-        assert_eq!(merged, monolithic);
-        assert_eq!(monolithic, campaign.run_range(&sites, IndexRange::full(60)));
-    }
-
-    #[test]
-    fn chaos_restore_failures_degrade_masked_lanes_like_real_forks() {
-        let m = sum16();
-        let clean = clean_run(&m);
-        let trace = clean.trace.as_ref().unwrap();
-        let window_start = trace.len() / 2;
-        let sites = internal_sites(trace, window_start, trace.len());
-        let fork = sites.iter().map(|s| s.at_step).min().unwrap();
-        let snapshot = Vm::new(VmConfig::default())
-            .snapshot_at(&m, fork)
-            .unwrap()
-            .expect("fork step is mid-run");
-        let max_steps = hang_budget_for(&clean);
-        let ctx = BatchContext::new(&clean);
-        let chaos = FailPlan {
-            restore_fail: 512,
-            ..FailPlan::uniform(3, 0)
-        };
-        let reference = Campaign::new(&m, verify_sum16)
-            .with_seed(11)
-            .with_max_steps(max_steps)
-            .with_chaos(chaos)
-            .run_range_from(&sites, IndexRange::full(48), &snapshot)
-            .unwrap();
-        let batched = Campaign::new(&m, verify_sum16)
-            .with_seed(11)
-            .with_max_steps(max_steps)
-            .with_chaos(chaos)
-            .run_range_batched(&sites, IndexRange::full(48), &ctx, Some(&snapshot));
-        // Same fail schedule → same degradations, same outcomes, bit for bit.
-        assert_eq!(batched, reference);
-        assert!(batched.counts.degraded > 0, "{:?}", batched.counts);
-    }
-
-    #[test]
-    fn chaos_verifier_panics_taint_batched_and_serial_identically() {
+        // lane survives the sweep as `MaskedPoke`, and the real faulty run
+        // ends with exactly that cell flipped.
         let m = deadstore();
-        let clean = clean_run(&m);
-        let trace = clean.trace.as_ref().unwrap();
-        let sites = internal_sites(trace, 0, trace.len());
-        let chaos = FailPlan {
-            verifier_panic: 512,
-            ..FailPlan::uniform(77, 0)
-        };
-        let campaign = Campaign::new(&m, verify_deadstore)
-            .with_seed(5)
-            .with_max_steps(hang_budget_for(&clean))
-            .with_chaos(chaos);
-        let ctx = BatchContext::new(&clean);
-        let serial = campaign.run(&sites, 64);
-        let batched = campaign.run_range_batched(&sites, IndexRange::full(64), &ctx, None);
-        assert_eq!(batched, serial);
-        assert!(batched.counts.harness_errors > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "precedes the checkpoint")]
-    fn batched_forked_mode_rejects_faults_before_the_checkpoint() {
-        let m = sum16();
-        let clean = clean_run(&m);
-        let trace = clean.trace.as_ref().unwrap();
-        let sites = internal_sites(trace, 0, trace.len());
-        let snapshot = Vm::new(VmConfig::default())
-            .snapshot_at(&m, trace.len() as u64 / 2)
-            .unwrap()
-            .unwrap();
-        let campaign =
-            Campaign::new(&m, verify_sum16).with_max_steps(hang_budget_for(&clean));
-        let ctx = BatchContext::new(&clean);
-        // Whole-trace sites sample faults inside the restored prefix; the
-        // batched forked mode must reject them as loudly as the serial one.
-        let _ =
-            campaign.run_range_batched(&sites, IndexRange::full(32), &ctx, Some(&snapshot));
+        let sites = input_sites(0, &[(Location::mem(1), Value::F(0.0))]);
+        let scan = assert_sweep_sound(&m, &sites, 7, 64);
+        assert_eq!(scan.diverged(), 0, "nothing ever reads out[1]");
+        for index in 0..64 {
+            assert!(
+                matches!(scan.lane(index), LaneState::MaskedPoke { addr: 1, .. }),
+                "lane {index}: {:?}",
+                scan.lane(index)
+            );
+        }
     }
 
     #[test]
     fn empty_sites_yield_an_empty_report_without_sweeping() {
         let m = sum16();
         let clean = clean_run(&m);
-        let campaign = Campaign::new(&m, verify_sum16).with_max_steps(hang_budget_for(&clean));
-        let ctx = BatchContext::new(&clean);
-        let report = campaign.run_range_batched(&[], IndexRange::full(100), &ctx, None);
-        assert_eq!(report.n_tests, 0);
-        assert_eq!(report.counts.total(), 0);
+        let scan = BatchScan::sweep(3, &[], IndexRange::full(0), &BatchContext::new(&clean));
+        assert_eq!(scan.masked(), 0);
+        assert_eq!(scan.diverged(), 0);
     }
 
     #[test]

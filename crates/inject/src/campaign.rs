@@ -1,12 +1,15 @@
 //! Parallel fault-injection campaigns.
 //!
-//! Every test runs inside a panic-isolation perimeter: a worker that
-//! panics — a poisoned verifier, a harness bug — records an
-//! [`Outcome::HarnessError`] instead of tearing down the whole rayon shard,
-//! and a forked test whose checkpoint restore fails degrades to the cold
-//! (from-entry) executor, recorded in [`CampaignCounts::degraded`].  Both
-//! failure modes are injectable on purpose via a seeded
-//! [`FailPlan`], which is how the chaos suite proves
+//! Every single-VM campaign goes through one kernel,
+//! [`Campaign::run_range_with`]: per test it derives the fault from
+//! `(seed, index)`, runs the caller's faulty-run closure inside a
+//! panic-isolation perimeter, classifies the result and folds the caller's
+//! per-test product.  A worker that panics — a poisoned verifier, a harness
+//! bug — records an [`Outcome::HarnessError`] instead of tearing down the
+//! whole rayon shard, and a forked test whose checkpoint restore fails
+//! degrades to the cold (from-entry) executor, recorded in
+//! [`CampaignCounts::degraded`].  Both failure modes are injectable on
+//! purpose via a seeded [`FailPlan`], which is how the chaos suite proves
 //! the recovery paths actually work.
 
 use std::borrow::Cow;
@@ -47,25 +50,6 @@ pub fn hang_budget(clean_steps: u64) -> u64 {
 /// dynamic instruction regardless of what the trace retained.
 pub fn hang_budget_for(clean: &RunResult) -> u64 {
     hang_budget(clean.steps)
-}
-
-/// The classification of one injection test plus harness-level bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TestOutcome {
-    /// How the faulty run manifested.
-    pub outcome: Outcome,
-    /// True when the test was meant to fork from a checkpoint but the
-    /// restore failed and it fell back to the cold executor.
-    pub degraded: bool,
-}
-
-impl From<Outcome> for TestOutcome {
-    fn from(outcome: Outcome) -> Self {
-        TestOutcome {
-            outcome,
-            degraded: false,
-        }
-    }
 }
 
 /// Result of a campaign (or of one index-range shard of it).
@@ -275,137 +259,12 @@ where
         self
     }
 
-    pub(crate) fn config(&self, fault: FaultSpec) -> VmConfig {
+    fn config(&self, fault: FaultSpec) -> VmConfig {
         VmConfig {
             fault: Some(fault),
             max_steps: self.max_steps,
             ..VmConfig::default()
         }
-    }
-
-    /// Execute a cold (from-entry) faulty run inside the panic perimeter.
-    /// `None` means the harness failed, not the program.
-    pub(crate) fn cold_result(&self, fault: FaultSpec) -> Option<RunResult> {
-        catch_unwind(AssertUnwindSafe(|| {
-            Vm::new(self.config(fault))
-                .run_decoded(self.module, &self.decoded)
-                .expect("campaign module must verify")
-        }))
-        .ok()
-    }
-
-    /// Restore `snapshot` and execute the faulty suffix inside the panic
-    /// perimeter.  `None` means the restore (or the resumed execution)
-    /// failed at the harness level; the caller degrades to the cold path.
-    pub(crate) fn forked_result(
-        &self,
-        snapshot: &VmSnapshot,
-        fault: FaultSpec,
-        ordinal: Option<u64>,
-    ) -> Option<RunResult> {
-        catch_unwind(AssertUnwindSafe(|| {
-            if let Some(i) = ordinal {
-                self.chaos.trip(FailSite::RestoreCheckpoint, i);
-            }
-            Vm::new(self.config(fault))
-                .resume_from_decoded(self.module, &self.decoded, snapshot)
-                .expect("campaign module must verify")
-        }))
-        .ok()
-    }
-
-    /// Classify a finished run: traps map to their [`CrashKind`]
-    /// (`TrapKind::StepLimit` is the hang bucket), completed runs are judged
-    /// by the verifier — itself inside the panic perimeter, so a poisoned
-    /// verifier yields [`Outcome::HarnessError`] instead of killing the
-    /// worker.
-    pub(crate) fn classify(&self, result: RunResult, ordinal: Option<u64>) -> Outcome {
-        match result.outcome {
-            RunOutcome::Trapped(trap) => Outcome::crashed(trap),
-            RunOutcome::Completed => catch_unwind(AssertUnwindSafe(|| {
-                if let Some(i) = ordinal {
-                    self.chaos.trip(FailSite::Verifier, i);
-                }
-                if (self.verify)(&result) {
-                    Outcome::VerificationSuccess
-                } else {
-                    Outcome::VerificationFailed
-                }
-            }))
-            .unwrap_or(Outcome::HarnessError),
-        }
-    }
-
-    /// One cold test at a campaign index (chaos fires per index).
-    pub(crate) fn test_cold(&self, index: u64, fault: FaultSpec) -> TestOutcome {
-        match self.cold_result(fault) {
-            Some(result) => self.classify(result, Some(index)).into(),
-            None => Outcome::HarnessError.into(),
-        }
-    }
-
-    /// One forked test: restore-or-degrade, then classify.  The caller
-    /// has checked that `fault` does not precede the checkpoint.
-    pub(crate) fn test_forked(
-        &self,
-        ordinal: Option<u64>,
-        snapshot: &VmSnapshot,
-        fault: FaultSpec,
-    ) -> TestOutcome {
-        match self.forked_result(snapshot, fault, ordinal) {
-            Some(result) => self.classify(result, ordinal).into(),
-            // The fork path failed at the harness level: fall back to the
-            // cold executor (bit-identical classification, just slower) and
-            // record the degradation.
-            None => {
-                let outcome = match self.cold_result(fault) {
-                    Some(result) => self.classify(result, ordinal),
-                    None => Outcome::HarnessError,
-                };
-                TestOutcome {
-                    outcome,
-                    degraded: true,
-                }
-            }
-        }
-    }
-
-    /// Run a single faulty run and classify it.  Worker panics (a poisoned
-    /// verifier, a harness bug) are isolated and classify as
-    /// [`Outcome::HarnessError`].
-    pub fn run_one(&self, fault: FaultSpec) -> Outcome {
-        match self.cold_result(fault) {
-            Some(result) => self.classify(result, None),
-            None => Outcome::HarnessError,
-        }
-    }
-
-    /// Run a single faulty run forked from a checkpoint and classify it —
-    /// the fork-point analogue of [`Campaign::run_one`]: instead of
-    /// re-executing the clean prefix `[0, snapshot.step())`, the run resumes
-    /// from the captured state.  Deterministic prefixes make the
-    /// classification bit-identical to [`Campaign::run_one`] for any fault
-    /// at or after the fork point.  When the restore fails, the test
-    /// degrades to the cold executor and says so in
-    /// [`TestOutcome::degraded`].
-    ///
-    /// # Panics
-    /// Panics when `fault.at_step` precedes the checkpoint: such a fault
-    /// would have to strike inside the restored prefix state, which the
-    /// resumed run never executes — it would silently land nowhere (or, for
-    /// a memory fault, at the wrong step).  Rejecting it loudly keeps
-    /// fork-point campaigns honest; callers must fork only from checkpoints
-    /// at or before their site window.
-    pub fn run_one_from(&self, snapshot: &VmSnapshot, fault: FaultSpec) -> TestOutcome {
-        assert!(
-            fault.at_step >= snapshot.step(),
-            "{}",
-            FaultBeforeCheckpoint {
-                at_step: fault.at_step,
-                checkpoint: snapshot.step(),
-            }
-        );
-        self.test_forked(None, snapshot, fault)
     }
 
     /// The fault injected by test `index` of a campaign: sampled uniformly
@@ -431,17 +290,26 @@ where
     /// Merging the reports of any partition of `[0, n_tests)` with
     /// [`CampaignReport::merge`] is bit-identical to [`Campaign::run`].
     pub fn run_range(&self, sites: &[FaultSite], range: IndexRange) -> CampaignReport {
-        self.run_range_by(sites, range, |index, fault| self.test_cold(index, fault))
+        let report = self.run_range_with(
+            sites,
+            range,
+            None,
+            |_, vm, _| self.untraced(vm, None),
+            |(), ()| (),
+        );
+        match report {
+            Ok((report, ())) => report,
+            Err(_) => unreachable!("a cold campaign has no checkpoint to precede"),
+        }
     }
 
     /// Run one index-range shard of a campaign with every test forked from
-    /// `snapshot` instead of cold-started ([`Campaign::run_one_from`]).  The
-    /// fault sequence is the same pure function of `(seed, index)`, so as
-    /// long as every sampled site lies at or after the checkpoint step the
-    /// report is bit-identical to [`Campaign::run_range`] — at the cost of
-    /// executing only the suffix of each faulty run.  Tests whose restore
-    /// fails degrade to the cold executor per test and are tallied in
-    /// [`CampaignCounts::degraded`].
+    /// `snapshot` instead of cold-started.  The fault sequence is the same
+    /// pure function of `(seed, index)`, so as long as every sampled site
+    /// lies at or after the checkpoint step the report is bit-identical to
+    /// [`Campaign::run_range`] — at the cost of executing only the suffix of
+    /// each faulty run.  Tests whose restore fails degrade to the cold
+    /// executor per test and are tallied in [`CampaignCounts::degraded`].
     ///
     /// # Errors
     /// [`FaultBeforeCheckpoint`] when a site of the list precedes the
@@ -453,60 +321,148 @@ where
         range: IndexRange,
         snapshot: &VmSnapshot,
     ) -> Result<CampaignReport, FaultBeforeCheckpoint> {
-        if let Some(at_step) = sites.iter().map(|s| s.at_step).min() {
-            if at_step < snapshot.step() {
-                return Err(FaultBeforeCheckpoint {
-                    at_step,
-                    checkpoint: snapshot.step(),
-                });
-            }
-        }
-        Ok(self.run_range_by(sites, range, |index, fault| {
-            self.test_forked(Some(index), snapshot, fault)
-        }))
+        self.run_range_with(
+            sites,
+            range,
+            Some(snapshot),
+            |_, vm, snap| self.untraced(vm, snap),
+            |(), ()| (),
+        )
+        .map(|(report, ())| report)
     }
 
-    /// Like [`Campaign::run_range`], but each test is executed and classified
-    /// by `runner` instead of the built-in untraced run — the hook campaign
-    /// executors use to ride analyses (e.g. streaming pattern detection)
-    /// along the exact fault sequence of the campaign.  The runner receives
-    /// the campaign index of each test (fail-point schedules key on it) and
-    /// reports harness bookkeeping via [`TestOutcome`].  Sampling, sharding
-    /// and report assembly are identical, so a `runner` that classifies like
-    /// [`Campaign::run_one`] produces a bit-identical [`CampaignReport`].
-    pub fn run_range_by(
+    /// The untraced faulty run: resumed from `snapshot` when there is one,
+    /// from program entry otherwise.
+    fn untraced(&self, vm: Vm, snapshot: Option<&VmSnapshot>) -> (RunResult, ()) {
+        let result = match snapshot {
+            Some(snap) => vm.resume_from_decoded(self.module, &self.decoded, snap),
+            None => vm.run_decoded(self.module, &self.decoded),
+        };
+        (result.expect("campaign module must verify"), ())
+    }
+
+    /// The campaign kernel: run the tests `[range.start, range.end)`, each
+    /// forked from `snapshot` when one is given (cold otherwise), and
+    /// assemble their report.
+    ///
+    /// `run` executes one faulty run: it gets the test's fault, a [`Vm`]
+    /// configured with that fault and the campaign's step budget, and the
+    /// snapshot to resume from (`None` for a cold run, including the cold
+    /// fallback of a test whose restore failed).  It returns the run result
+    /// the test is classified by, plus a per-test product — an analysis
+    /// that rode along the run.  `fold` combines the products of the tests
+    /// that did not end as [`Outcome::HarnessError`]; a degraded test
+    /// contributes the product of its cold fallback.
+    ///
+    /// Every test runs inside the panic perimeter: a panicking run, a
+    /// failed restore and a panicking verifier are contained per test, and
+    /// the armed [`FailPlan`] fires per test index.  Sampling, sharding and
+    /// report assembly are those of [`Campaign::run_range`], so the report
+    /// is bit-identical to it whenever `run` executes the faulty run
+    /// faithfully.
+    ///
+    /// # Errors
+    /// [`FaultBeforeCheckpoint`] when a site precedes `snapshot`; checked
+    /// once, before any test runs.
+    pub fn run_range_with<X: Default + Send>(
         &self,
         sites: &[FaultSite],
         range: IndexRange,
-        runner: impl Fn(u64, FaultSpec) -> TestOutcome + Sync,
-    ) -> CampaignReport {
-        let population = sites.len() as u64 * 64;
-        if sites.is_empty() || range.is_empty() {
-            return CampaignReport {
-                counts: CampaignCounts::default(),
-                n_tests: 0,
-                population,
-                seed: self.seed,
-            };
+        snapshot: Option<&VmSnapshot>,
+        run: impl Fn(FaultSpec, Vm, Option<&VmSnapshot>) -> (RunResult, X) + Sync,
+        fold: impl Fn(X, X) -> X + Sync,
+    ) -> Result<(CampaignReport, X), FaultBeforeCheckpoint> {
+        if let (Some(snap), Some(at_step)) = (snapshot, sites.iter().map(|s| s.at_step).min()) {
+            if at_step < snap.step() {
+                return Err(FaultBeforeCheckpoint {
+                    at_step,
+                    checkpoint: snap.step(),
+                });
+            }
         }
-        let counts = (range.start..range.end)
-            .into_par_iter()
-            .map(|index| {
-                let mut c = CampaignCounts::default();
-                let test = runner(index, self.fault_for_index(sites, index));
-                c.record(test.outcome);
-                if test.degraded {
-                    c.degraded += 1;
-                }
-                c
-            })
-            .reduce(CampaignCounts::default, CampaignCounts::merge);
-
-        CampaignReport {
-            counts,
-            n_tests: range.len(),
-            population,
+        let mut report = CampaignReport {
+            counts: CampaignCounts::default(),
+            n_tests: 0,
+            population: sites.len() as u64 * 64,
             seed: self.seed,
+        };
+        if sites.is_empty() || range.is_empty() {
+            return Ok((report, X::default()));
+        }
+        let (counts, product) = (range.start..range.end)
+            .into_par_iter()
+            .map(|index| self.test(index, self.fault_for_index(sites, index), snapshot, &run))
+            .reduce(
+                || (CampaignCounts::default(), X::default()),
+                |a, b| (a.0.merge(b.0), fold(a.1, b.1)),
+            );
+        report.counts = counts;
+        report.n_tests = range.len();
+        Ok((report, product))
+    }
+
+    /// One test of the kernel: execute (forked, degrading to cold when the
+    /// restore fails), classify, and tally.  Returns the test's counts and
+    /// its product.
+    fn test<X: Default>(
+        &self,
+        index: u64,
+        fault: FaultSpec,
+        snapshot: Option<&VmSnapshot>,
+        run: &impl Fn(FaultSpec, Vm, Option<&VmSnapshot>) -> (RunResult, X),
+    ) -> (CampaignCounts, X) {
+        let execute = |snap: Option<&VmSnapshot>| {
+            catch_unwind(AssertUnwindSafe(|| {
+                if snap.is_some() {
+                    self.chaos.trip(FailSite::RestoreCheckpoint, index);
+                }
+                run(fault, Vm::new(self.config(fault)), snap)
+            }))
+            .ok()
+        };
+        // A fork that failed at the harness level falls back to the cold
+        // executor: bit-identical classification, just slower.
+        let (executed, degraded) = match snapshot.map(|snap| execute(Some(snap))) {
+            Some(Some(forked)) => (Some(forked), false),
+            Some(None) => (execute(None), true),
+            None => (execute(None), false),
+        };
+        let outcome = match &executed {
+            Some((result, _)) => self.classify(result, index),
+            None => Outcome::HarnessError,
+        };
+        let mut counts = CampaignCounts {
+            degraded: u64::from(degraded),
+            ..CampaignCounts::default()
+        };
+        counts.record(outcome);
+        // A harness-errored test contributes no product: its analysis
+        // cannot be trusted, and the taint marks it for re-execution.
+        match executed {
+            Some((_, product)) if outcome != Outcome::HarnessError => (counts, product),
+            _ => (counts, X::default()),
+        }
+    }
+
+    /// Classify a finished run: traps map to their [`CrashKind`]
+    /// (`TrapKind::StepLimit` is the hang bucket), completed runs are judged
+    /// by the verifier — itself inside the panic perimeter, so a poisoned
+    /// verifier yields [`Outcome::HarnessError`] instead of killing the
+    /// worker.
+    ///
+    /// [`CrashKind`]: crate::CrashKind
+    fn classify(&self, result: &RunResult, index: u64) -> Outcome {
+        match result.outcome {
+            RunOutcome::Trapped(trap) => Outcome::crashed(trap),
+            RunOutcome::Completed => catch_unwind(AssertUnwindSafe(|| {
+                self.chaos.trip(FailSite::Verifier, index);
+                if (self.verify)(result) {
+                    Outcome::VerificationSuccess
+                } else {
+                    Outcome::VerificationFailed
+                }
+            }))
+            .unwrap_or(Outcome::HarnessError),
         }
     }
 }
@@ -644,13 +600,12 @@ mod tests {
                 campaign.fault_for_index(&sites, i)
             );
         }
-        // Replaying every index sequentially reproduces the parallel tally —
+        // Replaying every index on its own reproduces the parallel tally —
         // the property that makes campaigns shardable by index range.
         let report = campaign.run(&sites, 48);
-        let mut replay = CampaignCounts::default();
-        for i in 0..48 {
-            replay.record(campaign.run_one(campaign.fault_for_index(&sites, i)));
-        }
+        let replay = (0..48)
+            .map(|i| campaign.run_range(&sites, IndexRange::new(i, i + 1)).counts)
+            .fold(CampaignCounts::default(), CampaignCounts::merge);
         assert_eq!(report.counts, replay);
         // Neighbouring indices do not all sample the same site.
         let distinct: std::collections::HashSet<u64> = (0..16)
@@ -726,21 +681,6 @@ mod tests {
             .reduce(|a, b| a.merge(&b))
             .unwrap();
         assert_eq!(merged, cold);
-    }
-
-    #[test]
-    #[should_panic(expected = "precedes the checkpoint")]
-    fn fork_point_execution_rejects_faults_before_the_checkpoint() {
-        let m = module();
-        let clean = clean_run(&m);
-        let trace = clean.trace.as_ref().unwrap();
-        let snapshot = Vm::new(VmConfig::default())
-            .snapshot_at(&m, trace.len() as u64 / 2)
-            .unwrap()
-            .unwrap();
-        let campaign = Campaign::new(&m, verify);
-        // A fault in the restored prefix must trap loudly, not vanish.
-        let _ = campaign.run_one_from(&snapshot, FaultSpec::in_result(0, 1));
     }
 
     #[test]
@@ -873,6 +813,77 @@ mod tests {
         let mut cleaned = degraded.counts;
         cleaned.degraded = 0;
         assert_eq!(cleaned, reference.counts);
+    }
+
+    #[test]
+    fn the_kernel_folds_the_product_of_the_path_each_test_took() {
+        let m = module();
+        let clean = clean_run(&m);
+        let trace = clean.trace.as_ref().unwrap();
+        let sites = internal_sites(trace, trace.len() / 2, trace.len());
+        let fork = sites.iter().map(|s| s.at_step).min().unwrap();
+        let snapshot = Vm::new(VmConfig::default())
+            .snapshot_at(&m, fork)
+            .unwrap()
+            .expect("fork step is mid-run");
+        let range = IndexRange::full(64);
+        let chaos = FailPlan {
+            restore_fail: 512,
+            verifier_panic: 512,
+            ..FailPlan::uniform(29, 0)
+        };
+        let campaign = Campaign::new(&m, verify)
+            .with_seed(17)
+            .with_max_steps(hang_budget_for(&clean))
+            .with_chaos(chaos);
+        // The product counts the tests that ran (forked, cold).
+        let (report, (forked, cold)) = campaign
+            .run_range_with(
+                &sites,
+                range,
+                Some(&snapshot),
+                |_, vm, snap| match snap {
+                    Some(snap) => (
+                        vm.resume_from_decoded(&m, &campaign.decoded, snap).unwrap(),
+                        (1u64, 0u64),
+                    ),
+                    None => (vm.run_decoded(&m, &campaign.decoded).unwrap(), (0, 1)),
+                },
+                |a, b| (a.0 + b.0, a.1 + b.1),
+            )
+            .unwrap();
+        assert_eq!(
+            report,
+            campaign.run_range_from(&sites, range, &snapshot).unwrap(),
+            "the kernel is the executor of run_range_from"
+        );
+        // Which tests the schedule degrades and poisons: a verifier panic
+        // only strikes a run that completed.
+        let undisturbed = Campaign::new(&m, verify)
+            .with_seed(17)
+            .with_max_steps(hang_budget_for(&clean));
+        let (mut want_forked, mut want_cold) = (0, 0);
+        for i in range.start..range.end {
+            let completed = undisturbed
+                .run_range(&sites, IndexRange::new(i, i + 1))
+                .counts
+                .crashed()
+                == 0;
+            if completed && chaos.fires(FailSite::Verifier, i) {
+                continue;
+            }
+            if chaos.fires(FailSite::RestoreCheckpoint, i) {
+                want_cold += 1;
+            } else {
+                want_forked += 1;
+            }
+        }
+        // Degraded tests fold their cold fallback's product; poisoned tests
+        // fold nothing.
+        assert!(want_cold > 0 && want_forked > 0);
+        assert!(report.counts.harness_errors > 0 && report.counts.degraded > 0);
+        assert_eq!((forked, cold), (want_forked, want_cold));
+        assert_eq!(forked + cold + report.counts.harness_errors, report.n_tests);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod stats;
 pub use batch::{BatchContext, BatchScan, LaneState};
 pub use campaign::{
     hang_budget, hang_budget_for, sample_site_fault, Campaign, CampaignReport,
-    FaultBeforeCheckpoint, TestOutcome, DEFAULT_SEED,
+    FaultBeforeCheckpoint, DEFAULT_SEED,
 };
 pub use chaos::{FailPlan, FailSite};
 pub use outcome::{CampaignCounts, CrashCounts, CrashKind, Outcome};

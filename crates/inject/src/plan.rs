@@ -170,15 +170,6 @@ pub struct CampaignPlan {
     /// corrupted message's sender).
     #[serde(default)]
     pub rank_target: RankTarget,
-    /// Execute with the batched lockstep executor
-    /// ([`Campaign::run_range_batched`](crate::Campaign::run_range_batched)):
-    /// faults are swept against the clean run first, and lanes that never
-    /// diverge are classified without executing a faulty run.  The report is
-    /// bit-identical to the serial executor's.  Defaults to `false`, so plan
-    /// JSON written before the batched mode existed keeps parsing and
-    /// executing unchanged.
-    #[serde(default)]
-    pub batched: bool,
 }
 
 /// Serde default for [`CampaignPlan::ranks`]: pre-PR-9 plans are single-rank.
@@ -204,7 +195,6 @@ impl CampaignPlan {
             window: None,
             ranks: 1,
             rank_target: RankTarget::Sweep,
-            batched: false,
         }
     }
 
@@ -224,14 +214,6 @@ impl CampaignPlan {
     pub fn with_ranks(mut self, ranks: u32, rank_target: RankTarget) -> Self {
         self.ranks = ranks.max(1);
         self.rank_target = rank_target;
-        self
-    }
-
-    /// Execute with the batched lockstep executor (divergence sweep against
-    /// the clean run, masked lanes synthesized); bit-identical reports,
-    /// fewer faulty executions.
-    pub fn with_batched(mut self) -> Self {
-        self.batched = true;
         self
     }
 
@@ -351,9 +333,14 @@ mod tests {
         .with_window(10, 900);
         let text = plan.to_json();
         let body = text.strip_prefix('{').expect("a plan is a JSON object");
+        // Plans written while the batched executor existed carry a
+        // `batched` flag; today's plans do not, and old ones still parse.
+        assert!(!text.contains("batched"), "{text}");
         for extra in [
             r#""retired_flag": true,"#,
             r#""retired_table": {"rows": [[1, 2.5], []], "note": "a } in a string"},"#,
+            r#""batched": true,"#,
+            r#""batched": false,"#,
         ] {
             let widened = format!("{{{extra}{body}");
             assert_eq!(CampaignPlan::from_json(&widened).expect("plan parses"), plan);
@@ -378,7 +365,6 @@ mod tests {
         assert_eq!(plan.ranks, 1);
         assert_eq!(plan.rank_target, RankTarget::Sweep);
         assert!(!plan.is_spmd());
-        assert!(!plan.batched, "legacy plans run the serial executor");
         // Identical to the same plan built with explicit ranks: 1.
         let explicit = CampaignPlan {
             ranks: 1,
@@ -423,24 +409,6 @@ mod tests {
         let serial_messages =
             CampaignPlan::new("CG", CampaignTarget::Messages, TargetClass::Internal, 8);
         assert!(serial_messages.is_spmd());
-    }
-
-    #[test]
-    fn batched_flag_round_trips_and_survives_sharding() {
-        let plan = CampaignPlan::new(
-            "MG",
-            CampaignTarget::Region {
-                name: "mg_a".to_string(),
-            },
-            TargetClass::Internal,
-            64,
-        )
-        .with_batched();
-        assert!(plan.batched);
-        assert_eq!(CampaignPlan::from_json(&plan.to_json()).unwrap(), plan);
-        for shard in plan.shards(3) {
-            assert!(shard.batched, "shards inherit the executor mode");
-        }
     }
 
     #[test]

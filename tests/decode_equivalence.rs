@@ -2,14 +2,14 @@
 //! application registry.
 //!
 //! Decoded dispatch (one slot per instruction over a flat register file,
-//! fused compare-branch superinstructions) and the batched lockstep executor
-//! are only admissible if they are *invisible*.  The per-`Op` interpreter they replaced
+//! fused compare-branch superinstructions) is only admissible if it is
+//! *invisible*.  The per-`Op` interpreter they replaced
 //! recorded golden fixtures (`tests/fixtures/`) before it was deleted, and
 //! this suite holds every VM entry point and session executor to them:
 //! clean runs to a bit-exact `RunResult` digest (outcome, steps, outputs,
 //! memory, and every trace event, operand read, location and source line),
-//! and the forked, cold, batched and analyzed executors — shard merges
-//! included — to byte-identical report JSON for every application.
+//! and the forked, cold and analyzed executors — shard merges included — to
+//! byte-identical report JSON for every application.
 
 mod support;
 
@@ -57,11 +57,11 @@ fn clean_decoded_runs_match_the_legacy_interpreter_for_every_app() {
 }
 
 /// Every registry application, whole-program and every named region: the
-/// session executors (forked, cold, and batched lockstep) produce campaign
-/// reports byte-identical to the legacy reference campaign, and a 3-way
-/// batched shard split merges back to the legacy shard merge.
+/// session executors (forked and cold) produce campaign reports
+/// byte-identical to the legacy reference campaign, and a 3-way shard split
+/// merges back to the legacy shard merge.
 #[test]
-fn decoded_and_batched_reports_match_a_legacy_campaign_for_every_app() {
+fn decoded_reports_match_a_legacy_campaign_for_every_app() {
     let fixtures = BlockFixtures::load("legacy_reports.txt");
     for app in all_apps() {
         let name = app.name;
@@ -87,11 +87,7 @@ fn decoded_and_batched_reports_match_a_legacy_campaign_for_every_app() {
             let cold = session.run_plan_cold(&plan).unwrap().to_json();
             assert_eq!(cold, legacy, "{name} {target:?}: cold executor");
 
-            let batched = plan.clone().with_batched();
-            let lockstep = session.run_plan(&batched).unwrap().to_json();
-            assert_eq!(lockstep, legacy, "{name} {target:?}: batched executor");
-
-            let merged = batched
+            let merged = plan
                 .shards(3)
                 .iter()
                 .map(|shard| session.run_plan(shard).unwrap())
@@ -100,7 +96,7 @@ fn decoded_and_batched_reports_match_a_legacy_campaign_for_every_app() {
             assert_eq!(
                 merged.to_json(),
                 fixtures.get(&format!("{name} {label} plain merged3")),
-                "{name} {target:?}: batched sharded merge"
+                "{name} {target:?}: sharded merge"
             );
         }
     }
