@@ -31,6 +31,9 @@ cargo test --release -q --test checkpoint_equivalence
 echo "==> decode equivalence: decoded executors == frozen legacy fixtures (all ten apps)"
 cargo test --release -q --test decode_equivalence
 
+echo "==> streaming equivalence: streamed == gated == materialized (all ten apps)"
+cargo test --release -q --test streaming_equivalence
+
 echo "==> analyzed vs plain on promoted LU: each analyzed report field == the plain report"
 analyzeddir="target/analyzed-diff"
 rm -rf "$analyzeddir"

@@ -14,9 +14,8 @@
 //!   A dispatched step is one slot load;
 //! - **flat register operands** ([`Reg`]): every operand is an index into
 //!   one per-frame register file laid out as results | arguments |
-//!   constants | global bases, so a read is one indexed load and the
-//!   operand class is only recovered ([`DecodedFunction::class`]) by
-//!   recording runs that intern the location read;
+//!   constants | global bases, so a read is one indexed load (recording
+//!   runs keep a parallel table of the location each cell reads);
 //! - **pre-resolved callees**: `Op::Call`'s by-name lookup becomes a stored
 //!   [`FunctionId`];
 //! - **fused compare-branch superinstructions** ([`DInst::CmpBr`]): a `Cmp`
@@ -57,18 +56,6 @@ impl Reg {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-}
-
-/// What the register-file cell behind a [`Reg`] holds, by its place in the
-/// layout — the location class a recording run interns a read by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegClass {
-    /// The result register of an instruction.
-    Result(ValueId),
-    /// Argument `n` of the frame.
-    Arg(u32),
-    /// A constant or a global's base address: reads no location.
-    Const,
 }
 
 /// The value a constant cell of the register file starts with.
@@ -344,19 +331,6 @@ impl DecodedFunction {
     #[inline]
     pub fn num_regs(&self) -> usize {
         self.first_const() + self.consts.len()
-    }
-
-    /// What the cell behind `reg` holds.
-    #[inline]
-    pub fn class(&self, reg: Reg) -> RegClass {
-        let i = reg.index();
-        if i < self.num_insts {
-            RegClass::Result(ValueId(reg.0))
-        } else if i < self.first_const() {
-            RegClass::Arg((i - self.num_insts) as u32)
-        } else {
-            RegClass::Const
-        }
     }
 }
 
@@ -769,14 +743,13 @@ mod tests {
         let DInst::Bin { lhs, rhs, .. } = df.slots[0].inst else {
             panic!("slot 0 is the multiply: {:?}", df.slots[0]);
         };
-        assert_eq!(df.class(lhs), RegClass::Const);
-        assert_eq!(df.class(rhs), RegClass::Arg(0));
-        assert_eq!(rhs, Reg(f.num_insts() as u32));
+        assert_eq!(lhs, Reg(df.first_const() as u32), "the constant 2.0");
+        assert_eq!(rhs, Reg(f.num_insts() as u32), "argument 0");
         let DInst::Bin { lhs, rhs, .. } = df.slots[1].inst else {
             panic!("slot 1 is the add: {:?}", df.slots[1]);
         };
-        assert_eq!(df.class(lhs), RegClass::Result(df.slots[0].result));
-        assert_eq!(df.class(rhs), RegClass::Arg(1));
+        assert_eq!(lhs, Reg(df.slots[0].result.0), "the multiply's result");
+        assert_eq!(rhs, Reg(f.num_insts() as u32 + 1), "argument 1");
         // The caller's two `1.0` arguments share one constant cell.
         let main = &dm.functions[1];
         let DInst::Call { callee, args } = main.slots[0].inst else {

@@ -39,7 +39,7 @@ pub mod verify;
 
 pub use block::{Block, BlockId};
 pub use builder::FunctionBuilder;
-pub use decode::{DInst, DecodedFunction, DecodedModule, Reg, RegClass, RegConst, Slot};
+pub use decode::{DInst, DecodedFunction, DecodedModule, Reg, RegConst, Slot};
 pub use function::{Function, FunctionId};
 pub use global::{Global, GlobalId};
 pub use inst::{

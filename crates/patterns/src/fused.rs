@@ -33,13 +33,14 @@ use ftkr_ir::{FunctionId, OutputFormat};
 use ftkr_vm::output::format_value;
 use ftkr_vm::{
     EventCtx, EventKind, FaultSpec, FaultTarget, Location, LocationId, Trace, TraceEvent,
-    TraceVisitor, Value, WalkEnd,
+    TraceVisitor, Value, WalkEnd, Watch,
 };
 
 use crate::kinds::{PatternInstance, PatternKind};
 
-/// Sentinel for "not seen" in the dense per-location tables.
-const NEVER: u32 = u32::MAX;
+/// Sentinel for "not seen" in the dense per-location tables; also the
+/// "no chain" entry a [`Watch`] reads from `chain_of`.
+const NEVER: u32 = Watch::NO_CHAIN;
 
 /// The clean-trace event aligned with faulty event `idx`, if the traces
 /// still agree on which static instruction executes there.
@@ -51,19 +52,34 @@ fn aligned_clean<'a>(clean: &'a Trace, idx: usize, event: &TraceEvent) -> Option
         .filter(|c| c.inst == event.inst && c.func == event.func)
 }
 
-fn instance(
+/// What a found instance's `detail` will say.  Kept unformatted until
+/// [`DetectorBank::finish`]: a campaign tally needs only the kinds.
+#[derive(Clone, Copy)]
+enum Detail {
+    Text(&'static str),
+    Overwritten(Location),
+    Aggregated(Location),
+    /// Index into [`DetectorBank::chains`].
+    Chain(usize),
+}
+
+/// One found instance, before formatting.
+#[derive(Clone, Copy)]
+struct Found {
     kind: PatternKind,
     event: usize,
     line: u32,
     func: FunctionId,
-    detail: impl Into<String>,
-) -> PatternInstance {
-    PatternInstance {
+    detail: Detail,
+}
+
+fn found(kind: PatternKind, event: usize, line: u32, func: FunctionId, detail: Detail) -> Found {
+    Found {
         kind,
         event,
         line,
         func,
-        detail: detail.into(),
+        detail,
     }
 }
 
@@ -99,11 +115,9 @@ struct DetectorBank {
     /// on the load-tracking hot path.
     mem_mask: Vec<u64>,
     chains: Vec<RaChain>,
-    dcl: Vec<PatternInstance>,
-    cs: Vec<PatternInstance>,
-    shift: Vec<PatternInstance>,
-    trunc: Vec<PatternInstance>,
-    overwrite: Vec<PatternInstance>,
+    /// Every instance found so far but Repeated Additions (those come from
+    /// `chains` at the end), in the order found.
+    found: Vec<Found>,
 }
 
 impl DetectorBank {
@@ -113,11 +127,7 @@ impl DetectorBank {
             chain_of: Vec::new(),
             mem_mask: Vec::new(),
             chains: Vec::new(),
-            dcl: Vec::new(),
-            cs: Vec::new(),
-            shift: Vec::new(),
-            trunc: Vec::new(),
-            overwrite: Vec::new(),
+            found: Vec::new(),
         }
     }
 
@@ -144,11 +154,12 @@ impl DetectorBank {
     /// Pre-fault fast path: before the first possible seed corruption no
     /// taint exists, so the only bookkeeping a later detector can depend on
     /// is the last-load table (RA's read-modify-write evidence reaches back
-    /// before the fault).
+    /// before the fault).  The tables grow on every event, so they cover
+    /// the whole location table for the [`Watch`]'s `known`.
     #[inline]
     fn track_prefix(&mut self, idx: usize, event: &TraceEvent, reads: &[(LocationId, Value)], locations: &[Location]) {
+        self.grow(locations);
         if matches!(event.kind, EventKind::Load) {
-            self.grow(locations);
             for &(id, _) in reads {
                 if self.is_mem(id) {
                     self.last_load[id.index()] = idx as u32;
@@ -203,35 +214,35 @@ impl DetectorBank {
             (EventKind::Cmp { result: fr, .. }, EventKind::Cmp { result: cr, .. })
                 if fr == cr =>
             {
-                self.cs.push(instance(
+                self.found.push(found(
                     PatternKind::ConditionalStatement,
                     idx,
                     event.line,
                     event.func,
-                    "corrupted operand, unchanged comparison outcome",
+                    Detail::Text("corrupted operand, unchanged comparison outcome"),
                 ));
             }
             (EventKind::CondBr { taken: ft }, EventKind::CondBr { taken: ct })
                 if ft == ct =>
             {
-                self.cs.push(instance(
+                self.found.push(found(
                     PatternKind::ConditionalStatement,
                     idx,
                     event.line,
                     event.func,
-                    "corrupted operand, unchanged comparison outcome",
+                    Detail::Text("corrupted operand, unchanged comparison outcome"),
                 ));
             }
             // Pattern 4 — Shifting: the corrupted bits were shifted out.
             (EventKind::Bin(kind), _) if kind.is_shift() => {
                 if let (Some(fv), Some(cv)) = (event.written_value(), clean_ev.written_value()) {
                     if fv.bit_eq(cv) {
-                        self.shift.push(instance(
+                        self.found.push(found(
                             PatternKind::Shifting,
                             idx,
                             event.line,
                             event.func,
-                            "corrupted bits eliminated by shift",
+                            Detail::Text("corrupted bits eliminated by shift"),
                         ));
                     }
                 }
@@ -241,12 +252,12 @@ impl DetectorBank {
             (EventKind::Cast(kind), EventKind::Cast(_)) if kind.is_truncating() => {
                 if let (Some(fv), Some(cv)) = (event.written_value(), clean_ev.written_value()) {
                     if fv.bit_eq(cv) {
-                        self.trunc.push(instance(
+                        self.found.push(found(
                             PatternKind::Truncation,
                             idx,
                             event.line,
                             event.func,
-                            "corrupted bits removed by truncating conversion",
+                            Detail::Text("corrupted bits removed by truncating conversion"),
                         ));
                     }
                 }
@@ -258,12 +269,12 @@ impl DetectorBank {
                     (reads.first(), clean.reads_of(clean_ev).first())
                 {
                     if !fv.bit_eq(cv) && format_value(fv, *format) == format_value(cv, *format) {
-                        self.trunc.push(instance(
+                        self.found.push(found(
                             PatternKind::Truncation,
                             idx,
                             event.line,
                             event.func,
-                            "corrupted bits not visible in formatted output",
+                            Detail::Text("corrupted bits not visible in formatted output"),
                         ));
                     }
                 }
@@ -339,12 +350,12 @@ impl DetectorBank {
     /// with a value not derived from corrupted data (notified by the taint
     /// tracker at the overwrite event).
     fn on_overwrite_death(&mut self, event: usize, location: Location, line: u32, func: FunctionId) {
-        self.overwrite.push(instance(
+        self.found.push(found(
             PatternKind::DataOverwriting,
             event,
             line,
             func,
-            format!("corrupted {location} overwritten with clean value"),
+            Detail::Overwritten(location),
         ));
     }
 
@@ -361,49 +372,80 @@ impl DetectorBank {
         consumed_and_aggregated: bool,
     ) {
         if consumed_and_aggregated {
-            self.dcl.push(instance(
+            self.found.push(found(
                 PatternKind::DeadCorruptedLocations,
                 event,
                 line,
                 func,
-                format!("corrupted {location} aggregated and dead"),
+                Detail::Aggregated(location),
             ));
         }
     }
 
-    /// Assemble the findings exactly as the deleted legacy `detect_all`
-    /// did: per-detector lists concatenated in pattern order, then stably
-    /// sorted by `(event, kind)` — the ordering the golden-snapshot tests
-    /// pin.
-    fn finish(mut self) -> Vec<PatternInstance> {
-        let mut ra: Vec<PatternInstance> = Vec::new();
-        for chain in &self.chains {
-            if !chain.saw_self_load || chain.updates < 2 {
-                continue;
-            }
-            if chain.first_err > 0.0 && chain.last_err < chain.first_err {
-                ra.push(instance(
+    /// The Repeated-Additions chains that amortized their error: two or
+    /// more read-modify-write updates and a shrinking error magnitude.
+    fn ra_found(&self) -> impl Iterator<Item = Found> + '_ {
+        self.chains.iter().enumerate().filter_map(|(i, chain)| {
+            let amortized = chain.saw_self_load
+                && chain.updates >= 2
+                && chain.first_err > 0.0
+                && chain.last_err < chain.first_err;
+            amortized.then(|| {
+                found(
                     PatternKind::RepeatedAdditions,
                     chain.last_event,
                     chain.last_line,
                     chain.last_func,
-                    format!(
-                        "m[{}]: error magnitude {:.3e} -> {:.3e} over {} updates",
-                        chain.addr, chain.first_err, chain.last_err, chain.updates
-                    ),
-                ));
+                    Detail::Chain(i),
+                )
+            })
+        })
+    }
+
+    /// How many instances of each kind [`DetectorBank::finish`] would
+    /// return, without formatting them.
+    fn kind_counts(&self) -> [(PatternKind, usize); 6] {
+        let mut counts = PatternKind::ALL.map(|kind| (kind, 0));
+        for f in self.found.iter().copied().chain(self.ra_found()) {
+            if let Some((_, n)) = counts.iter_mut().find(|(kind, _)| *kind == f.kind) {
+                *n += 1;
             }
         }
-        ra.sort_by_key(|p| p.event);
+        counts
+    }
 
-        let mut out = std::mem::take(&mut self.dcl);
-        out.extend(ra);
-        out.extend(std::mem::take(&mut self.cs));
-        out.extend(std::mem::take(&mut self.shift));
-        out.extend(std::mem::take(&mut self.trunc));
-        out.extend(std::mem::take(&mut self.overwrite));
-        out.sort_by_key(|p| (p.event, p.kind));
-        out
+    fn instance(&self, f: Found) -> PatternInstance {
+        let detail = match f.detail {
+            Detail::Text(text) => text.to_string(),
+            Detail::Overwritten(location) => {
+                format!("corrupted {location} overwritten with clean value")
+            }
+            Detail::Aggregated(location) => format!("corrupted {location} aggregated and dead"),
+            Detail::Chain(i) => {
+                let chain = &self.chains[i];
+                format!(
+                    "m[{}]: error magnitude {:.3e} -> {:.3e} over {} updates",
+                    chain.addr, chain.first_err, chain.last_err, chain.updates
+                )
+            }
+        };
+        PatternInstance {
+            kind: f.kind,
+            event: f.event,
+            line: f.line,
+            func: f.func,
+            detail,
+        }
+    }
+
+    /// Assemble and format the findings in the order the deleted legacy
+    /// `detect_all` produced: stably sorted by `(event, kind)`, instances
+    /// of one kind at one event in the order found (RA in chain order) —
+    /// the ordering the golden-snapshot tests pin.
+    fn finish(&self) -> Vec<PatternInstance> {
+        let mut out: Vec<Found> = self.found.iter().copied().chain(self.ra_found()).collect();
+        out.sort_by_key(|f| (f.event, f.kind));
+        out.into_iter().map(|f| self.instance(f)).collect()
     }
 }
 
@@ -637,7 +679,22 @@ struct AccessMark {
 ///
 /// So a streamed run may stop delivering events from that point on, as
 /// [`ftkr_vm::Vm::run_with_visitors_decoded`] does.
-/// [`StreamingDetector::events_seen`] then counts the delivered events only.
+/// [`StreamingDetector::events_seen`] then stops at the detach point.
+///
+/// # Watch
+///
+/// Before that, the detector [watches](TraceVisitor::watch) for the events
+/// it can act on, and a live run streaming to it alone skips the rest.  The
+/// watch is the mirror of the quiet-event test (`is_quiet` is its
+/// negation, by construction): it wants the strike event, every event while
+/// a memory seed is pending, every event that interns a location the bank's
+/// tables do not cover yet, every event that reads or writes a tainted
+/// location, and every store to a cell a Repeated-Additions chain follows.
+/// An event it does not want is either before the fault or quiet, and the
+/// only state such an event changes is the last-load entry of a loaded
+/// cell, which [`TraceVisitor::on_skipped_load`] records.  Event counts come
+/// from indices, so [`StreamingDetector::events_seen`] is the same whether
+/// the run skipped events or not.
 pub struct StreamingDetector<'c> {
     clean: &'c Trace,
     fault: FaultSpec,
@@ -653,7 +710,8 @@ pub struct StreamingDetector<'c> {
     seeded_now: Vec<LocationId>,
     outcome: Option<ftkr_vm::RunOutcome>,
     events_seen: usize,
-    finished: Option<Vec<PatternInstance>>,
+    /// `on_finish` has run: the bank holds the final findings.
+    finished: bool,
 }
 
 impl<'c> StreamingDetector<'c> {
@@ -671,7 +729,7 @@ impl<'c> StreamingDetector<'c> {
             seeded_now: Vec::new(),
             outcome: None,
             events_seen: 0,
-            finished: None,
+            finished: false,
         }
     }
 
@@ -696,6 +754,9 @@ impl<'c> StreamingDetector<'c> {
         for (index, event) in clean.events[..prefix_events].iter().enumerate() {
             primed.on_prefix_event(index, event, clean.reads_of(event), locations);
         }
+        // Cover the whole fork-point table, so a fork's watch does not want
+        // the first event of every resumed run.
+        primed.bank.grow(locations);
         primed
     }
 
@@ -724,7 +785,7 @@ impl<'c> StreamingDetector<'c> {
             seeded_now: Vec::new(),
             outcome: None,
             events_seen: self.events_seen,
-            finished: None,
+            finished: false,
         }
     }
 
@@ -733,17 +794,51 @@ impl<'c> StreamingDetector<'c> {
         self.outcome
     }
 
-    /// Number of events observed: the delivered events, plus the primed
-    /// prefix for a forked detector.  A settled detector stops observing,
-    /// so after a detached run this stops at the detach point.
+    /// Number of events observed: one past the index of the last event
+    /// delivered, raised at the end of the run to [`WalkEnd::events`], so
+    /// events a [watch](TraceVisitor::watch) skipped count too, and a
+    /// forked detector counts its primed prefix.  A settled detector stops
+    /// observing, so after a detached run this stops at the detach point.
     pub fn events_seen(&self) -> usize {
         self.events_seen
     }
 
     /// The detected pattern instances (available after the run).
     pub fn into_patterns(self) -> Vec<PatternInstance> {
-        self.finished
-            .expect("StreamingDetector consumed before the run finished")
+        assert!(
+            self.finished,
+            "StreamingDetector consumed before the run finished"
+        );
+        self.bank.finish()
+    }
+
+    /// How many instances of each kind [`StreamingDetector::into_patterns`]
+    /// returns, in [`PatternKind::ALL`] order, without formatting their
+    /// details (available after the run).
+    pub fn kind_counts(&self) -> [(PatternKind, usize); 6] {
+        assert!(
+            self.finished,
+            "StreamingDetector counted before the run finished"
+        );
+        self.bank.kind_counts()
+    }
+
+    /// The tables [`TraceVisitor::watch`] publishes; `is_quiet` is their
+    /// negation.
+    #[inline]
+    fn watch_tables(&self) -> Watch<'_> {
+        Watch {
+            // An empty set publishes no words, so `wants` skips its reads.
+            tainted: if self.tainted.is_empty() {
+                &[]
+            } else {
+                &self.tainted.words
+            },
+            chains: &self.bank.chain_of,
+            strike: self.fault.at_step,
+            known: self.bank.last_load.len(),
+            all: !self.pending_mem.is_empty(),
+        }
     }
 
     fn grow_marks(&mut self, num_locations: usize) {
@@ -773,7 +868,7 @@ impl<'c> StreamingDetector<'c> {
         locations: &[Location],
     ) {
         debug_assert!((idx as u64) < self.fault.at_step);
-        self.events_seen += 1;
+        self.events_seen = idx + 1;
         self.bank.track_prefix(idx, event, reads, locations);
         self.seen_locations = locations.len();
     }
@@ -793,31 +888,21 @@ impl<'c> StreamingDetector<'c> {
         }
     }
 
-    /// True when `ctx` is a quiet event: one after the fault, with no seed
-    /// pending, no location new to the bank's tables, no tainted read or
-    /// write target, and (for a store) no RA chain on the stored cell.
-    /// Such an event can only refresh the last-load table: every taint,
-    /// mark, death and detector branch of [`StreamingDetector::on_loud_event`]
-    /// is a no-op for it.
+    /// True when `ctx`, an event at or after the fault, is quiet: the
+    /// watch does not want it.  That is, it is not the strike event, no
+    /// seed is pending, it interns no location new to the bank's tables,
+    /// it reads and writes no tainted location, and it writes no cell with
+    /// an RA chain (only stores write cells).  Such an event can only
+    /// refresh the last-load table: every taint, mark, death and detector
+    /// branch of [`StreamingDetector::on_loud_event`] is a no-op for it.
     #[inline]
     fn is_quiet(&self, ctx: &EventCtx<'_>) -> bool {
-        if ctx.index as u64 <= self.fault.at_step
-            || !self.pending_mem.is_empty()
-            || ctx.locations.len() > self.bank.last_load.len()
-        {
-            return false;
-        }
-        let written = ctx.event.written_id();
-        if !self.tainted.is_empty()
-            && (ctx.reads.iter().any(|&(id, _)| self.tainted.contains(id))
-                || written.is_some_and(|w| self.tainted.contains(w)))
-        {
-            return false;
-        }
-        match (&ctx.event.kind, written) {
-            (EventKind::Store, Some(w)) => self.bank.chain_of[w.index()] == NEVER,
-            _ => true,
-        }
+        !self.watch_tables().wants(
+            ctx.index,
+            ctx.reads,
+            ctx.event.written_id(),
+            ctx.locations.len(),
+        )
     }
 
     /// Every post-fault event that is not quiet: seeding, taint
@@ -946,7 +1031,7 @@ impl TraceVisitor for StreamingDetector<'_> {
     #[inline]
     fn on_event(&mut self, ctx: &EventCtx<'_>) {
         let idx = ctx.index;
-        self.events_seen += 1;
+        self.events_seen = idx + 1;
 
         // Before the fault strikes nothing can be corrupted: skip the taint
         // machinery wholesale and keep only the last-load table warm.
@@ -967,6 +1052,19 @@ impl TraceVisitor for StreamingDetector<'_> {
         }
     }
 
+    /// See the type's docs, § Watch.
+    #[inline]
+    fn watch(&self) -> Option<Watch<'_>> {
+        Some(self.watch_tables())
+    }
+
+    /// The quiet path of a load, for a load the watch skipped.
+    #[inline]
+    fn on_skipped_load(&mut self, index: usize, cell: LocationId) {
+        debug_assert!(self.bank.is_mem(cell));
+        self.bank.last_load[cell.index()] = index as u32;
+    }
+
     /// See the type's docs, § Settling.
     #[inline]
     fn settled(&self) -> bool {
@@ -978,6 +1076,7 @@ impl TraceVisitor for StreamingDetector<'_> {
 
     fn on_finish(&mut self, end: &WalkEnd<'_>) {
         self.outcome = end.outcome;
+        self.events_seen = self.events_seen.max(end.events);
         // Deferred never-used-again deaths: everything still tainted died at
         // its recorded final access, in (event, id) order — the order the
         // exact sweep's counting-sort reverse index produces.
@@ -997,7 +1096,7 @@ impl TraceVisitor for StreamingDetector<'_> {
                 m.consumed_and_aggregated,
             );
         }
-        self.finished = Some(std::mem::replace(&mut self.bank, DetectorBank::new()).finish());
+        self.finished = true;
     }
 }
 

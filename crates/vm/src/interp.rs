@@ -1,7 +1,7 @@
 //! The interpreter: executes a verified module, optionally recording a trace
 //! and optionally flipping one bit somewhere along the way.
 
-use ftkr_ir::decode::{DInst, DecodedFunction, DecodedModule, Reg, RegClass, RegConst};
+use ftkr_ir::decode::{DInst, DecodedFunction, DecodedModule, Reg, RegConst};
 use ftkr_ir::inst::Intrinsic;
 use ftkr_ir::{BinKind, CastKind, CmpKind, FunctionId, Module, ValueId, VerifyError};
 
@@ -253,19 +253,51 @@ pub(crate) struct Frame {
     /// The register file, laid out as results | arguments | constants |
     /// global bases (see [`Reg`]).
     regs: Vec<Option<Value>>,
-    /// Interned [`LocationId`] of each result register (lazy, `NO_ID` = not
-    /// yet interned).  Allocated only when tracing.
+    /// The [`LocationId`] a read of each register-file cell records, in the
+    /// layout of `regs`: `NO_ID` for a result not interned yet (interned on
+    /// first touch), `NO_LOC` for a cell that reads no location (constants,
+    /// global bases, arguments the caller passed as constants).  The call
+    /// writes its arguments' ids.  Allocated only when tracing.
     reg_ids: Vec<u32>,
-    /// Location each argument was read from by the call (interned only when
-    /// tracing).
-    arg_locs: Vec<Option<LocationId>>,
     stack_mark: u64,
     /// Register of the *caller* that receives this frame's return value.
     ret_dest: Option<(usize, ValueId)>,
 }
 
+impl Frame {
+    /// A copy of a captured frame to resume in, with its id table only when
+    /// the resumed run records.  The capturing prefix always records (see
+    /// [`Vm::snapshot_at`]), so every captured frame carries its table.
+    fn restored(&self, recording: bool) -> Frame {
+        Frame {
+            func: self.func,
+            frame_id: self.frame_id,
+            pc: self.pc,
+            regs: self.regs.clone(),
+            reg_ids: if recording {
+                self.reg_ids.clone()
+            } else {
+                Vec::new()
+            },
+            stack_mark: self.stack_mark,
+            ret_dest: self.ret_dest,
+        }
+    }
+
+    /// Approximate bytes the frame holds: its inline struct plus its heap
+    /// register file and id table.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        size_of::<Frame>()
+            + self.regs.len() * size_of::<Option<Value>>()
+            + self.reg_ids.len() * size_of::<u32>()
+    }
+}
+
 /// Sentinel for "location not interned yet" in the dense id tables.
 const NO_ID: u32 = u32::MAX;
+/// Sentinel for "reads no location" in [`Frame::reg_ids`].
+const NO_LOC: u32 = u32::MAX - 1;
 
 /// Operand resolution when recording: the value plus the interned id of the
 /// location read — result registers and arguments; constants and globals
@@ -273,17 +305,36 @@ const NO_ID: u32 = u32::MAX;
 #[inline]
 fn recorded_operand(
     frame: &mut Frame,
-    df: &DecodedFunction,
     locations: &mut Vec<Location>,
     reg: Reg,
 ) -> Result<(Value, Option<LocationId>), TrapKind> {
     let value = frame.regs[reg.index()].ok_or(TrapKind::UninitializedRegister)?;
-    let loc = match df.class(reg) {
-        RegClass::Result(v) => Some(intern_reg(locations, frame, v)),
-        RegClass::Arg(i) => frame.arg_locs.get(i as usize).copied().flatten(),
-        RegClass::Const => None,
+    let loc = match frame.reg_ids[reg.index()] {
+        NO_LOC => None,
+        // Only result cells start out `NO_ID`, and a result's cell index is
+        // its instruction's.
+        NO_ID => Some(intern_reg(locations, frame, ValueId(reg.0))),
+        id => Some(LocationId(id)),
     };
     Ok((value, loc))
+}
+
+/// A fresh [`Frame::reg_ids`] table for a frame of `df`: results not
+/// interned yet, every other cell reading no location until a call writes
+/// its arguments' ids.
+fn reg_id_table(df: &DecodedFunction) -> Vec<u32> {
+    let mut ids = vec![NO_LOC; df.num_regs()];
+    ids[..df.num_insts].fill(NO_ID);
+    ids
+}
+
+/// The id the next interned location gets; never one of the sentinels.
+#[inline]
+fn next_id(locations: &[Location]) -> u32 {
+    u32::try_from(locations.len())
+        .ok()
+        .filter(|&id| id < NO_LOC)
+        .expect("< 2^32 - 1 locations per trace")
 }
 
 /// A fresh register file for a frame of `df`: results and arguments
@@ -306,7 +357,7 @@ fn register_file(df: &DecodedFunction, global_bases: &[u64]) -> Vec<Option<Value
 fn intern_reg(locations: &mut Vec<Location>, frame: &mut Frame, v: ValueId) -> LocationId {
     let slot = &mut frame.reg_ids[v.index()];
     if *slot == NO_ID {
-        *slot = u32::try_from(locations.len()).expect("≤ 2^32 locations per trace");
+        *slot = next_id(locations);
         locations.push(Location::reg(frame.func, frame.frame_id, v));
     }
     LocationId(*slot)
@@ -321,7 +372,7 @@ fn intern_mem(locations: &mut Vec<Location>, mem_ids: &mut Vec<u32>, addr: u64) 
     }
     let slot = &mut mem_ids[a];
     if *slot == NO_ID {
-        *slot = u32::try_from(locations.len()).expect("≤ 2^32 locations per trace");
+        *slot = next_id(locations);
         locations.push(Location::mem(addr));
     }
     LocationId(*slot)
@@ -547,6 +598,37 @@ impl<'s, V: VisitorSet + ?Sized> Sink<'s, V> {
         }
     }
 
+    /// Skip the event in flight, whose operand reads are
+    /// `trace.pool[pool_start..]` and whose write is `write`, when the sink
+    /// streams to a set whose [watch](crate::Watch) does not want it: the
+    /// event keeps its index and its interned locations, a `Load` reports
+    /// its memory cell (its last read), and nothing else happens.  Returns
+    /// true when it skipped.
+    #[inline]
+    fn skip(
+        &mut self,
+        trace: &mut Trace,
+        pool_start: usize,
+        load: bool,
+        write: Option<LocationId>,
+    ) -> bool {
+        if !self.streaming {
+            return false;
+        }
+        let reads = &trace.pool[pool_start..];
+        match self.visitors.watch() {
+            Some(watch) if !watch.wants(self.emitted, reads, write, trace.locations.len()) => {}
+            _ => return false,
+        }
+        if load {
+            let &(cell, _) = reads.last().expect("a load reads its cell");
+            self.visitors.skipped_load(self.emitted, cell);
+        }
+        self.emitted += 1;
+        trace.pool.truncate(pool_start);
+        true
+    }
+
     /// Record the event of dynamic step `step`, whose operand reads are
     /// `trace.pool[pool_start..]`.  A streamed event is delivered to every
     /// visitor and its reads are dropped from the pool again.  Returns true
@@ -722,15 +804,7 @@ impl<'m> Interp<'m> {
         interp.frames = img
             .frames
             .iter()
-            .map(|f| {
-                let mut f = f.clone();
-                if !recording {
-                    f.reg_ids = Vec::new();
-                } else if f.reg_ids.is_empty() {
-                    f.reg_ids = vec![NO_ID; decoded.function(f.func).num_insts];
-                }
-                f
-            })
+            .map(|f| f.restored(recording))
             .collect();
         interp.outputs = img.outputs.clone();
         if recording {
@@ -858,11 +932,10 @@ impl<'m> Interp<'m> {
             pc: 0,
             regs: register_file(df, &self.global_bases),
             reg_ids: if self.config.record_trace {
-                vec![NO_ID; df.num_insts]
+                reg_id_table(df)
             } else {
                 Vec::new()
             },
-            arg_locs: Vec::new(),
             stack_mark: self.memory.stack_mark(),
             ret_dest: None,
         }
@@ -876,8 +949,9 @@ impl<'m> Interp<'m> {
     ///
     /// `RECORD` selects the instantiation.  Without it the loop only
     /// executes — the campaign configuration, with no per-step bookkeeping.
-    /// With it every step interns the locations it touches, pools its reads
-    /// and hands its event to `sink`.  Outside a scope window a tracing run
+    /// With it every step interns the locations it touches and pools its
+    /// reads; then the sink skips the event (a streamed set whose watch does
+    /// not want it) or takes it.  Outside a scope window a tracing run
     /// dispatches without `RECORD` but still interns call arguments, so
     /// frames entered before the window resolve their argument reads inside
     /// it.
@@ -953,7 +1027,7 @@ impl<'m> Interp<'m> {
             macro_rules! read {
                 ($reg:expr) => {{
                     if RECORD {
-                        match recorded_operand(frame, df, &mut trace.locations, $reg) {
+                        match recorded_operand(frame, &mut trace.locations, $reg) {
                             Ok((v, loc)) => {
                                 if let Some(l) = loc {
                                     trace.pool.push((l, v));
@@ -996,21 +1070,27 @@ impl<'m> Interp<'m> {
                 };
                 ($step:expr, $inst:expr, $at:expr, $pool_start:expr, $kind:expr, $write:expr) => {
                     if RECORD {
-                        let event = TraceEvent {
-                            func,
-                            frame: frame_id,
-                            inst: $inst,
-                            line: lines[$at],
-                            kind: $kind,
-                            reads: ReadSpan::empty(),
-                            write: $write,
-                        };
-                        if sink.emit(trace, $step, $pool_start, event) {
-                            // Settled: yield once this step completes (dead
-                            // after the program's final return).
-                            #[allow(unused_assignments)]
-                            {
-                                stop = 0;
+                        let kind = $kind;
+                        let write: Option<(LocationId, Value)> = $write;
+                        let load = matches!(kind, EventKind::Load);
+                        let written = write.map(|(id, _)| id);
+                        if !sink.skip(trace, $pool_start, load, written) {
+                            let event = TraceEvent {
+                                func,
+                                frame: frame_id,
+                                inst: $inst,
+                                line: lines[$at],
+                                kind,
+                                reads: ReadSpan::empty(),
+                                write,
+                            };
+                            if sink.emit(trace, $step, $pool_start, event) {
+                                // Settled: yield once this step completes
+                                // (dead after the program's final return).
+                                #[allow(unused_assignments)]
+                                {
+                                    stop = 0;
+                                }
                             }
                         }
                     }
@@ -1177,15 +1257,14 @@ impl<'m> Interp<'m> {
                     }
                     let cf = dm.function(callee);
                     let mut regs = register_file(cf, global_bases);
-                    let arg_cells = &mut regs[cf.num_insts..cf.first_const()];
-                    let arg_locs = if tracing {
+                    let arg_cells = cf.num_insts..cf.first_const();
+                    let reg_ids = if tracing {
                         // Interned whenever tracing is on, inside the scope
                         // window or not; pooled only when recording.
-                        let mut locs = Vec::with_capacity(arg_cells.len());
-                        for (cell, k) in arg_cells.iter_mut().zip(args.range()) {
+                        let mut ids = reg_id_table(cf);
+                        for (cell, k) in arg_cells.zip(args.range()) {
                             let (v, loc) = match recorded_operand(
                                 frame,
-                                df,
                                 &mut trace.locations,
                                 df.args_pool[k],
                             ) {
@@ -1195,12 +1274,12 @@ impl<'m> Interp<'m> {
                             if let (true, Some(l)) = (RECORD, loc) {
                                 trace.pool.push((l, v));
                             }
-                            *cell = Some(v);
-                            locs.push(loc);
+                            regs[cell] = Some(v);
+                            ids[cell] = loc.map_or(NO_LOC, |l| l.0);
                         }
-                        locs
+                        ids
                     } else {
-                        for (cell, k) in arg_cells.iter_mut().zip(args.range()) {
+                        for (cell, k) in regs[arg_cells].iter_mut().zip(args.range()) {
                             *cell = Some(read!(df.args_pool[k]));
                         }
                         Vec::new()
@@ -1214,12 +1293,7 @@ impl<'m> Interp<'m> {
                         frame_id: callee_id,
                         pc: 0,
                         regs,
-                        reg_ids: if tracing {
-                            vec![NO_ID; cf.num_insts]
-                        } else {
-                            Vec::new()
-                        },
-                        arg_locs,
+                        reg_ids,
                         stack_mark: memory.stack_mark(),
                         ret_dest: Some((frame_idx, iid)),
                     });
@@ -2021,6 +2095,214 @@ mod tests {
         );
     }
 
+    /// A visitor with a fixed watch: records the events it is delivered,
+    /// the skipped loads it is told of, and the end of the walk.
+    #[derive(Default)]
+    struct Watching {
+        tainted: Vec<u64>,
+        chains: Vec<u32>,
+        strike: u64,
+        known: usize,
+        delivered: Vec<usize>,
+        skipped_loads: Vec<(usize, LocationId)>,
+        end: Option<(usize, Option<RunOutcome>)>,
+    }
+
+    impl crate::TraceVisitor for Watching {
+        fn on_event(&mut self, ctx: &crate::EventCtx<'_>) {
+            self.delivered.push(ctx.index);
+        }
+        fn on_finish(&mut self, end: &crate::WalkEnd<'_>) {
+            self.end = Some((end.events, end.outcome));
+        }
+        fn watch(&self) -> Option<crate::Watch<'_>> {
+            Some(crate::Watch {
+                tainted: &self.tainted,
+                chains: &self.chains,
+                strike: self.strike,
+                known: self.known,
+                all: false,
+            })
+        }
+        fn on_skipped_load(&mut self, index: usize, cell: LocationId) {
+            self.skipped_loads.push((index, cell));
+        }
+    }
+
+    /// One fully delivered event: index, reads, written id, the location
+    /// table's length after it, and its kind.
+    type Seen = (
+        usize,
+        Vec<(LocationId, Value)>,
+        Option<LocationId>,
+        usize,
+        EventKind,
+    );
+
+    /// Every event of a run, delivered in full (no watch).
+    #[derive(Default)]
+    struct Every(Vec<Seen>);
+
+    impl crate::TraceVisitor for Every {
+        fn on_event(&mut self, ctx: &crate::EventCtx<'_>) {
+            self.0.push((
+                ctx.index,
+                ctx.reads.to_vec(),
+                ctx.event.written_id(),
+                ctx.locations.len(),
+                ctx.event.kind.clone(),
+            ));
+        }
+        fn on_finish(&mut self, _end: &crate::WalkEnd<'_>) {}
+    }
+
+    /// A watching visitor gets exactly the events its watch wants, cold and
+    /// resumed, plus `on_skipped_load` for every skipped load and for
+    /// nothing else; the walk's end counts the skipped events; the run is
+    /// unchanged.  A set of two watching visitors is never gated.
+    #[test]
+    fn a_watching_visitor_receives_exactly_the_wanted_events() {
+        let (mut skipped_loads, mut skipped_others) = (0, 0);
+        for module in [sum_module(), call_module()] {
+            let dm = decoded(&module);
+            let vm = Vm::new(VmConfig::default());
+            let untraced = vm.run(&module).unwrap();
+            let mut every = Every::default();
+            vm.run_with_visitors_decoded(&module, &dm, &mut [&mut every])
+                .unwrap();
+            let all = every.0;
+            let n = all.len();
+            assert_eq!(n as u64, untraced.steps);
+            // Taint the first result a binary op writes, watch writes to the
+            // last cell stored, strike mid-run, and cover the location table
+            // as it stood a quarter into the run.
+            let first_bin = all.iter().find(|e| matches!(e.4, EventKind::Bin(_)));
+            let tainted_id = first_bin.and_then(|e| e.2).expect("a binary op").index();
+            let mut tainted = vec![0u64; tainted_id / 64 + 1];
+            tainted[tainted_id / 64] |= 1 << (tainted_id % 64);
+            let last_store = all.iter().rev().find(|e| e.4 == EventKind::Store);
+            let chained = last_store.and_then(|e| e.2).expect("a store").index();
+            let mut chains = vec![crate::Watch::NO_CHAIN; chained + 1];
+            chains[chained] = 0;
+            let watching = || Watching {
+                tainted: tainted.clone(),
+                chains: chains.clone(),
+                strike: n as u64 / 2,
+                known: all[n / 4].3,
+                ..Watching::default()
+            };
+            let expect = |w: &Watching, from: usize| {
+                let watch = crate::TraceVisitor::watch(w).unwrap();
+                let mut delivered = Vec::new();
+                let mut loads = Vec::new();
+                for (index, reads, write, nlocs, kind) in &all[from..] {
+                    if watch.wants(*index, reads, *write, *nlocs) {
+                        delivered.push(*index);
+                    } else if *kind == EventKind::Load {
+                        loads.push((*index, reads.last().unwrap().0));
+                    }
+                }
+                (delivered, loads)
+            };
+
+            let mut cold = watching();
+            let r = vm
+                .run_with_visitors_decoded(&module, &dm, &mut [&mut cold])
+                .unwrap();
+            assert!(r == untraced, "{}: run changed", module.name);
+            let (delivered, loads) = expect(&cold, 0);
+            assert_eq!(cold.delivered, delivered, "{}", module.name);
+            assert_eq!(cold.skipped_loads, loads, "{}", module.name);
+            assert_eq!(cold.end, Some((n, Some(RunOutcome::Completed))));
+            skipped_loads += loads.len();
+            skipped_others += n - delivered.len() - loads.len();
+
+            for fork in [1, n / 3, n - 1] {
+                let snap = vm
+                    .snapshot_at(&module, fork as u64)
+                    .unwrap()
+                    .expect("mid-run step");
+                let mut resumed = watching();
+                let r = vm
+                    .resume_with_visitors_decoded(&module, &dm, &snap, &mut [&mut resumed])
+                    .unwrap();
+                assert!(
+                    r == untraced,
+                    "{} resumed at {fork}: run changed",
+                    module.name
+                );
+                let (delivered, loads) = expect(&resumed, fork);
+                assert_eq!(
+                    resumed.delivered, delivered,
+                    "{} resumed at {fork}",
+                    module.name
+                );
+                assert_eq!(
+                    resumed.skipped_loads, loads,
+                    "{} resumed at {fork}",
+                    module.name
+                );
+                assert_eq!(resumed.end, Some((n, Some(RunOutcome::Completed))));
+            }
+
+            let (mut a, mut b) = (watching(), watching());
+            let mut set: [&mut dyn crate::TraceVisitor; 2] = [&mut a, &mut b];
+            vm.run_with_visitors_decoded(&module, &dm, &mut set)
+                .unwrap();
+            for v in [&a, &b] {
+                assert_eq!(
+                    v.delivered,
+                    (0..n).collect::<Vec<_>>(),
+                    "{}: gated set",
+                    module.name
+                );
+                assert!(v.skipped_loads.is_empty());
+            }
+        }
+        assert!(skipped_loads > 0, "no load was skipped");
+        assert!(skipped_others > 0, "only loads were skipped");
+    }
+
+    /// A trap after a stretch of skipped events still reaches `on_finish`,
+    /// whose event count includes the skipped events.
+    #[test]
+    fn a_trap_after_skipped_events_reaches_on_finish() {
+        let mut m = Module::new("m");
+        let mut b = FunctionBuilder::new("main");
+        let zero = b.const_i64(0);
+        let ten = b.const_i64(10);
+        b.main_for("warm_up", zero, ten, |b, i| {
+            b.add(i, i);
+        });
+        let one = b.const_i64(1);
+        b.sdiv(one, zero);
+        b.ret(None);
+        m.add_function(b.finish());
+        let untraced = Vm::new(VmConfig::default()).run(&m).unwrap();
+        assert_eq!(
+            untraced.outcome,
+            RunOutcome::Trapped(TrapKind::DivisionByZero)
+        );
+        // Wants nothing: no taint, no chain, no strike, every table covered.
+        let mut v = Watching {
+            strike: u64::MAX,
+            known: usize::MAX,
+            ..Watching::default()
+        };
+        let r = Vm::new(VmConfig::default())
+            .run_with_visitors_decoded(&m, &decoded(&m), &mut [&mut v])
+            .unwrap();
+        assert!(r == untraced);
+        assert!(v.delivered.is_empty());
+        assert_eq!(
+            v.end,
+            Some((
+                untraced.steps as usize,
+                Some(RunOutcome::Trapped(TrapKind::DivisionByZero))
+            ))
+        );
+    }
+
     // -- snapshot/restore --------------------------------------------------
 
     /// The call module of `function_calls_return_values_and_release_allocas`:
@@ -2097,6 +2379,31 @@ mod tests {
         assert_eq!(resumed, cold);
         // The callee's alloca was released on return, as in the cold run.
         assert_eq!(resumed.memory.valid_len(), resumed.memory.globals_len());
+    }
+
+    #[test]
+    fn snapshot_resident_bytes_count_every_frames_register_tables() {
+        use std::mem::size_of;
+        let module = call_module();
+        let snap = Vm::new(VmConfig::default())
+            .snapshot_at(&module, 3)
+            .unwrap()
+            .expect("mid-run step");
+        let img = snap.image();
+        assert_eq!(img.frames.len(), 2, "snapshot taken inside the callee");
+        let mut tables = 0;
+        for f in &img.frames {
+            assert!(!f.regs.is_empty());
+            assert_eq!(f.reg_ids.len(), f.regs.len(), "one id per register cell");
+            tables +=
+                f.regs.len() * size_of::<Option<Value>>() + f.reg_ids.len() * size_of::<u32>();
+        }
+        let inline = img.memory.resident_bytes()
+            + img.frames.len() * size_of::<Frame>()
+            + img.locations.len() * size_of::<Location>()
+            + img.mem_ids.len() * size_of::<u32>()
+            + size_of::<SnapshotImage>();
+        assert_eq!(snap.resident_bytes(), inline + tables);
     }
 
     #[test]

@@ -52,4 +52,4 @@ pub use trace::{
     TraceSlice,
 };
 pub use value::Value;
-pub use visitor::{EventCtx, EventCursor, TraceVisitor, VisitorSet, WalkEnd};
+pub use visitor::{EventCtx, EventCursor, TraceVisitor, VisitorSet, WalkEnd, Watch};

@@ -115,14 +115,15 @@ impl VmSnapshot {
     }
 
     /// Approximate heap footprint of the captured image in bytes (memory
-    /// slab, frames, location tables).  An estimate over inline struct
-    /// sizes, for cache byte-budget accounting; clones share the image, so
-    /// the footprint is per snapshot, not per clone.
+    /// slab, frames with their register files and id tables, location
+    /// tables).  An estimate over inline struct sizes, for cache
+    /// byte-budget accounting; clones share the image, so the footprint is
+    /// per snapshot, not per clone.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         let img = self.image();
         img.memory.resident_bytes()
-            + img.frames.len() * size_of::<Frame>()
+            + img.frames.iter().map(Frame::resident_bytes).sum::<usize>()
             + img.locations.len() * size_of::<Location>()
             + img.mem_ids.len() * size_of::<u32>()
             + size_of::<SnapshotImage>()

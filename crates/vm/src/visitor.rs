@@ -40,6 +40,38 @@
 //! gets [`TraceVisitor::on_finish`] with the real outcome.  After such a
 //! detach, [`WalkEnd::events`] stops at the detach point instead of the end
 //! of the event stream.
+//!
+//! # Watches
+//!
+//! Most events of an injection's run cannot change what a taint-driven
+//! analysis reports: they read and write clean locations.  A visitor may
+//! publish a [`Watch`] ([`TraceVisitor::watch`]), the set of events it must
+//! see, and a live interpreter streaming to a one-visitor set delivers only
+//! those.  Every other event is still executed and interned (event indices
+//! and location ids stay those of a full delivery), but no [`TraceEvent`] or
+//! [`EventCtx`] is built for it and no visitor callback runs, except that a
+//! skipped `Load` reports its memory cell to
+//! [`TraceVisitor::on_skipped_load`].  The watch is read again before every
+//! event, so it follows the visitor's state as the run goes.
+//!
+//! The contract a watching visitor keeps: **an event its watch does not
+//! want must leave its observable state unchanged**, save what
+//! [`TraceVisitor::on_skipped_load`] records for a skipped load.  Delivering
+//! more events than the watch asks for is always safe, so sets of several
+//! visitors, visitors without a watch and [`EventCursor`] walks deliver
+//! every event.  A visitor that counts events must take the count from
+//! indices ([`EventCtx::index`], [`WalkEnd::events`]), not from the number
+//! of calls.  Skipping never settles a set: [`TraceVisitor::settled`] is
+//! read only after a delivered event.
+//!
+//! The pattern detector's watch (`ftkr_patterns::StreamingDetector`) is the
+//! mirror of its own quiet-event test: an event is quiet when it comes after
+//! the fault, reads and writes no tainted location, writes no cell a
+//! Repeated-Additions chain follows, interns no location the detector's
+//! tables do not cover yet, and no memory seed is pending.  A quiet event,
+//! like any event before the fault that interns nothing new, only refreshes
+//! the detector's last-load table, which is exactly what a skipped load
+//! reports.
 
 use crate::interp::RunOutcome;
 use crate::location::Location;
@@ -82,13 +114,77 @@ impl EventCtx<'_> {
     }
 }
 
+/// The events a visitor must see: published by [`TraceVisitor::watch`] and
+/// read by a live interpreter before each event (see the
+/// [module docs](self#watches)).
+///
+/// An event is wanted when any of these holds: [`Watch::all`]; its index is
+/// [`Watch::strike`]; the location table has grown past [`Watch::known`];
+/// it reads or writes a location set in [`Watch::tainted`]; or it writes a
+/// location with an entry in [`Watch::chains`].
+#[derive(Debug, Clone, Copy)]
+pub struct Watch<'a> {
+    /// Bitset over location ids, bit `i % 64` of word `i / 64`.  Ids past
+    /// its end are clear.
+    pub tainted: &'a [u64],
+    /// Per location id: [`Watch::NO_CHAIN`] unless writes to it are
+    /// wanted.  Ids past its end are not watched.
+    pub chains: &'a [u32],
+    /// The event index that is always wanted (where a fault strikes).
+    pub strike: u64,
+    /// How many locations the visitor's tables cover.  An event seen while
+    /// the location table is longer is wanted, so the visitor can grow them.
+    pub known: usize,
+    /// Want every event.
+    pub all: bool,
+}
+
+impl Watch<'_> {
+    /// The [`Watch::chains`] entry of a location whose writes are not
+    /// watched.
+    pub const NO_CHAIN: u32 = u32::MAX;
+
+    /// True when event `index`, with operand reads `reads` and written
+    /// location `write`, must be delivered; `nlocs` is the length of the
+    /// location table after the event's locations were interned.
+    #[inline]
+    pub fn wants(
+        &self,
+        index: usize,
+        reads: &[(LocationId, Value)],
+        write: Option<LocationId>,
+        nlocs: usize,
+    ) -> bool {
+        if self.all || index as u64 == self.strike || nlocs > self.known {
+            return true;
+        }
+        let tainted = |id: LocationId| {
+            let i = id.index();
+            self.tainted
+                .get(i / 64)
+                .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
+        };
+        if !self.tainted.is_empty()
+            && (reads.iter().any(|&(id, _)| tainted(id)) || write.is_some_and(tainted))
+        {
+            return true;
+        }
+        write.is_some_and(|w| {
+            self.chains
+                .get(w.index())
+                .is_some_and(|&c| c != Watch::NO_CHAIN)
+        })
+    }
+}
+
 /// End-of-walk summary handed to [`TraceVisitor::on_finish`].
 #[derive(Debug, Clone, Copy)]
 pub struct WalkEnd<'a> {
-    /// One past the index of the last delivered event: the number of events
-    /// delivered, plus the snapshot's prefix for a resumed run.  It equals
-    /// the length of the event stream unless the set settled and the walk
-    /// detached early (see [`TraceVisitor::settled`]).
+    /// One past the index of the last recorded event: the events delivered
+    /// or skipped by a [watch](TraceVisitor::watch), plus the snapshot's
+    /// prefix for a resumed run.  It equals the length of the event stream
+    /// unless the set settled and the walk detached early (see
+    /// [`TraceVisitor::settled`]).
     pub events: usize,
     /// The final location table of the walk.
     pub locations: &'a [Location],
@@ -133,6 +229,20 @@ pub trait TraceVisitor {
     fn settled(&self) -> bool {
         false
     }
+
+    /// The events this visitor must see, or `None` (the default) for every
+    /// event.  A live interpreter streaming to this visitor alone skips the
+    /// events the watch does not want; see the [module docs](self#watches)
+    /// for the contract this puts on the visitor.
+    fn watch(&self) -> Option<Watch<'_>> {
+        None
+    }
+
+    /// A `Load` the [watch](TraceVisitor::watch) did not want: event
+    /// `index` loaded memory cell `cell`.  The only callback a skipped
+    /// event gets.
+    #[allow(unused_variables)]
+    fn on_skipped_load(&mut self, index: usize, cell: LocationId) {}
 }
 
 /// A set of visitors driven together over one event stream.
@@ -152,6 +262,13 @@ pub trait VisitorSet {
     /// [settled](TraceVisitor::settled).  An empty set never settles: it
     /// is how recording runs that feed no visitor stream their events.
     fn settled(&self) -> bool;
+
+    /// The [watch](TraceVisitor::watch) of a one-visitor set; `None`, so
+    /// every event is delivered, for any other set.
+    fn watch(&self) -> Option<Watch<'_>>;
+
+    /// Deliver [`TraceVisitor::on_skipped_load`] to every visitor.
+    fn skipped_load(&mut self, index: usize, cell: LocationId);
 }
 
 impl<T: TraceVisitor + ?Sized> VisitorSet for [&mut T] {
@@ -177,6 +294,21 @@ impl<T: TraceVisitor + ?Sized> VisitorSet for [&mut T] {
     fn settled(&self) -> bool {
         !self.is_empty() && self.iter().all(|v| v.settled())
     }
+
+    #[inline]
+    fn watch(&self) -> Option<Watch<'_>> {
+        match self {
+            [only] => only.watch(),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn skipped_load(&mut self, index: usize, cell: LocationId) {
+        for v in self.iter_mut() {
+            v.on_skipped_load(index, cell);
+        }
+    }
 }
 
 impl<T: TraceVisitor + ?Sized, const N: usize> VisitorSet for [&mut T; N] {
@@ -192,6 +324,16 @@ impl<T: TraceVisitor + ?Sized, const N: usize> VisitorSet for [&mut T; N] {
     #[inline]
     fn settled(&self) -> bool {
         self.as_slice().settled()
+    }
+
+    #[inline]
+    fn watch(&self) -> Option<Watch<'_>> {
+        self.as_slice().watch()
+    }
+
+    #[inline]
+    fn skipped_load(&mut self, index: usize, cell: LocationId) {
+        self.as_mut_slice().skipped_load(index, cell);
     }
 }
 
