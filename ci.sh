@@ -75,6 +75,14 @@ cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
     > "$sharddir/report_merged.json"
 diff "$sharddir/report_monolithic.json" "$sharddir/report_merged.json"
 echo "    merged shard tally is bit-identical to the monolithic run"
+# Plans once carried the target's dynamic window; a plan file with that key
+# must still parse and run to the same bytes.
+sed '1a\  "window": [1, 2],' "$sharddir/plan.json" > "$sharddir/plan_with_window.json"
+grep -q '"window"' "$sharddir/plan_with_window.json"
+cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
+    run "$sharddir/plan_with_window.json" > "$sharddir/report_with_window.json"
+diff "$sharddir/report_monolithic.json" "$sharddir/report_with_window.json"
+echo "    a plan file carrying a legacy window key runs to the same bytes"
 
 echo "==> resume: delete one shard report, resume re-executes only that shard"
 rm "$sharddir/report_1.json"

@@ -17,8 +17,8 @@ use serde::{Deserialize, Serialize};
 /// preserved across sizes (the conformance harness asserts this).
 ///
 /// Campaign plans always resolve against the quick-size registry, so a plan's
-/// dynamic window stays valid in any executor process; the size knob is for
-/// the in-process experiment drivers (threaded through `Effort`).
+/// target resolves to the same sites in any executor process; the size knob
+/// is for the in-process experiment drivers (threaded through `Effort`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AppSize {
     /// Class-S-style inputs: the smallest statistically useful sizes.

@@ -22,13 +22,13 @@
 //! campaign_shard spmd-merge <report.json> <report.json>...
 //! ```
 //!
-//! * `plan` resolves the target's dynamic window in a session and writes
+//! * `plan` checks that the target resolves in a session and writes
 //!   `<dir>/plan.json` (the monolithic campaign) plus `<dir>/plan_shard_<i>.json`
 //!   (the `k`-way shard manifest).  Targets: `whole`, `region:<name>`,
 //!   `iter:<0-based index>`.  Classes: `internal`, `input`.
-//! * `run` executes one plan in a fresh session (a plan that carries its
-//!   window derives its sites from a region-scoped trace — no full trace is
-//!   recorded) and writes the `CampaignReport` JSON.
+//! * `run` executes one plan in a fresh session (which records the clean
+//!   trace and derives the plan's sites from it) and writes the
+//!   `CampaignReport` JSON.
 //! * `merge` folds shard reports into one and prints the merged JSON.
 //! * `resume` scans a manifest directory, re-executes exactly the shards
 //!   whose `report_<i>.json` is missing or corrupt (a died worker, a

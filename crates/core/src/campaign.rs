@@ -168,7 +168,7 @@ impl Session {
         fork: bool,
         chaos: FailPlan,
     ) -> Result<AnalyzedCampaignReport, PlanError> {
-        let (sites, shard, snapshot) = self.prologue(plan, fork, true)?;
+        let (sites, shard, snapshot) = self.prologue(plan, fork)?;
         let clean = self.clean_trace();
         let module = &self.app().module;
         let decoded = self.decoded_module();

@@ -14,9 +14,8 @@
 //! Every experiment driver goes through a `Session`; none of them runs the
 //! tracer directly.  A `Session` is also the executor for serializable
 //! [`CampaignPlan`]s: [`Session::run_plan`] resolves the plan's symbolic
-//! target against the cached partitions (or, for shard processes that know
-//! the target's dynamic window, against a region-scoped
-//! [`TraceScope::Window`] trace that never records the full run) and replays
+//! target against the partitions of the cached clean trace, as the paper
+//! takes regions and iterations from the traced fault-free run, and replays
 //! exactly the plan's index-range shard.
 //!
 //! A `Session` is `Send + Sync`: its lazy caches are `OnceLock`s and
@@ -38,7 +37,7 @@ use ftkr_inject::{
 use ftkr_patterns::{assign_to_regions, state_fnv, PatternRates, RegionPatternSummary};
 use ftkr_trace::{instance_slice, partition_iterations, partition_regions, RegionInstance,
     RegionSelector};
-use ftkr_vm::{DecodedModule, FaultSpec, RunResult, Trace, TraceScope, Vm, VmConfig, VmSnapshot};
+use ftkr_vm::{DecodedModule, FaultSpec, RunResult, Trace, Vm, VmConfig, VmSnapshot};
 
 use crate::effort::Effort;
 use crate::experiments::{SuccessRatePoint, SuccessRateSeries};
@@ -67,18 +66,9 @@ pub enum PlanError {
     /// The plan's target does not resolve in this application (unknown
     /// region name or out-of-range iteration index).
     UnknownTarget(String),
-    /// The plan carries a dynamic window that cannot belong to this
-    /// application's fault-free run (stale coordinator, wrong app version,
-    /// or a hand-edited plan).
-    InvalidWindow {
-        /// The window the plan carried.
-        window: (u64, u64),
-        /// Fault-free dynamic step count of the session's application.
-        clean_steps: u64,
-    },
     /// The session's application was built at a non-registry problem size.
     /// Plans carry only the application *name*, so an executor would rebuild
-    /// the app at the quick registry size and resolve the plan's window
+    /// the app at the quick registry size and resolve the plan's target
     /// against a different fault-free run — planning and execution are
     /// therefore restricted to quick-size sessions ([`Session::by_name`]).
     NonRegistrySize {
@@ -117,14 +107,6 @@ impl std::fmt::Display for PlanError {
             PlanError::UnknownTarget(target) => {
                 write!(f, "campaign target {target} does not resolve")
             }
-            PlanError::InvalidWindow {
-                window: (start, end),
-                clean_steps,
-            } => write!(
-                f,
-                "plan window [{start}, {end}) does not fit the fault-free run \
-                 ({clean_steps} dynamic steps) — stale or mismatched plan?"
-            ),
             PlanError::NonRegistrySize { app, size } => write!(
                 f,
                 "application {app:?} was built at {size:?}; campaign plans only \
@@ -160,9 +142,8 @@ pub const WHOLE_PROGRAM_SEED: u64 = 0xAB5C155A;
 
 /// One application plus every cached artifact of its fault-free run.
 ///
-/// All caches are lazy: a session that only runs campaigns against a known
-/// dynamic window never records a full trace, and a session that only needs
-/// the step count never records a trace at all.
+/// All caches are lazy: a session that only needs the step count never
+/// records a trace at all.
 pub struct Session {
     app: App,
     /// Fault-free traced run (the reference for every comparison).
@@ -210,10 +191,10 @@ impl Session {
     }
 
     /// Open a session by application name (the registry the campaign plans
-    /// resolve against — always the quick problem size, so plan windows stay
-    /// valid in any executor process).  Sized builds for the in-process
-    /// experiment drivers come from `ftkr_apps::all_apps_sized` +
-    /// [`Session::new`].
+    /// resolve against — always the quick problem size, so a plan's target
+    /// resolves to the same sites in any executor process).  Sized builds
+    /// for the in-process experiment drivers come from
+    /// `ftkr_apps::all_apps_sized` + [`Session::new`].
     pub fn by_name(name: &str) -> Option<Self> {
         app_by_name(name).map(Session::new)
     }
@@ -375,8 +356,7 @@ impl Session {
 
     /// The dynamic-step window `[start, end)` of a campaign target in the
     /// fault-free run.  Resolving a region or iteration target materializes
-    /// the clean trace (partitions need it); shard executors avoid that by
-    /// carrying the window in their [`CampaignPlan`].
+    /// the clean trace (partitions need it).
     pub fn target_window(&self, target: &CampaignTarget) -> Result<(u64, u64), PlanError> {
         match target {
             CampaignTarget::WholeProgram => Ok((0, self.clean_steps())),
@@ -448,51 +428,6 @@ impl Session {
             })
     }
 
-    /// Derive a target's site list from a region-scoped clean re-run
-    /// ([`TraceScope::Window`]) instead of the full reference trace — the
-    /// path shard executors take so per-region campaigns never record a full
-    /// trace.  The windowed trace's `base_step` keeps the derived sites'
-    /// dynamic steps absolute, so they are bit-identical to the full-trace
-    /// derivation.
-    fn scoped_sites(
-        &self,
-        target: &CampaignTarget,
-        class: TargetClass,
-        window: (u64, u64),
-    ) -> Arc<Vec<FaultSite>> {
-        let key = (target.clone(), class);
-        if let Some(s) = self.sites.lock().expect("site cache poisoned").get(&key) {
-            return Arc::clone(s);
-        }
-        let (start, end) = window;
-        let config = VmConfig {
-            record_trace: true,
-            trace_scope: TraceScope::Window { start, end },
-            trace_hint: Some(end.saturating_sub(start)),
-            ..VmConfig::default()
-        };
-        let run = Vm::new(config)
-            .run_decoded(&self.app.module, self.decoded_module())
-            .expect("benchmark module must verify");
-        let _ = self.steps.set(run.steps);
-        let wtrace = run.trace.expect("tracing enabled");
-        let list = match class {
-            TargetClass::Internal => internal_sites(&wtrace, 0, wtrace.len()),
-            TargetClass::Input => {
-                let dddg = Dddg::from_slice(wtrace.full());
-                input_sites(start as usize, &dddg.inputs())
-            }
-        };
-        let list = Arc::new(list);
-        Arc::clone(
-            self.sites
-                .lock()
-                .expect("site cache poisoned")
-                .entry(key)
-                .or_insert(list),
-        )
-    }
-
     // -- fork-point checkpoints -------------------------------------------
 
     /// The fault-free VM state at dynamic step `step`, captured once and then
@@ -500,8 +435,7 @@ impl Session {
     /// Returns `None` when the fault-free run finishes at or before `step`.
     ///
     /// Capturing replays the prefix in a throwaway interpreter; it never
-    /// touches the session's cached clean run, so shard executors that fork
-    /// campaigns from a checkpoint still avoid full-trace materialization.
+    /// touches the session's cached clean run.
     pub fn checkpoint_at(&self, step: u64) -> Option<VmSnapshot> {
         if let Some(snap) = self
             .checkpoints
@@ -581,9 +515,10 @@ impl Session {
             .with_seed(seed)
     }
 
-    /// A serializable plan for a campaign against this application, with the
-    /// target's dynamic window resolved so shard executors can use
-    /// region-scoped tracing.
+    /// A serializable plan for a campaign against this application.  The
+    /// target must resolve here ([`Session::target_window`]); the plan
+    /// carries it symbolically, and executors derive its sites from their
+    /// own clean trace.
     ///
     /// The default seed is the one the in-process drivers use for the same
     /// target ([`figure_seed`] for region/iteration points, the
@@ -599,14 +534,12 @@ impl Session {
         n_tests: u64,
     ) -> Result<CampaignPlan, PlanError> {
         self.require_registry_size()?;
-        let (start, end) = self.target_window(&target)?;
+        self.target_window(&target)?;
         let seed = match target {
             CampaignTarget::WholeProgram => WHOLE_PROGRAM_SEED,
             _ => figure_seed(&target.label(), class),
         };
-        Ok(CampaignPlan::new(self.app.name, target, class, n_tests)
-            .with_seed(seed)
-            .with_window(start, end))
+        Ok(CampaignPlan::new(self.app.name, target, class, n_tests).with_seed(seed))
     }
 
     /// Execute a campaign plan (or one shard of it).  The verification
@@ -638,7 +571,7 @@ impl Session {
         plan: &CampaignPlan,
         chaos: FailPlan,
     ) -> Result<CampaignReport, PlanError> {
-        let (sites, shard, snapshot) = self.prologue(plan, true, false)?;
+        let (sites, shard, snapshot) = self.prologue(plan, true)?;
         let campaign = self.campaign(plan.seed).with_chaos(chaos);
         match snapshot {
             Some(snapshot) => campaign
@@ -654,7 +587,7 @@ impl Session {
     /// equivalence suite) so the fork-point path is always checkable against
     /// first principles.
     pub fn run_plan_cold(&self, plan: &CampaignPlan) -> Result<CampaignReport, PlanError> {
-        let (sites, shard, _) = self.prologue(plan, false, false)?;
+        let (sites, shard, _) = self.prologue(plan, false)?;
         Ok(self.campaign(plan.seed).run_range(&sites, shard))
     }
 
@@ -663,14 +596,11 @@ impl Session {
     /// the plan's site list and index shard are resolved.  With `fork`, the
     /// fault-free checkpoint at the earliest site is captured too (`None`
     /// when the population starts at program entry or past the end of the
-    /// run).  With `analyzed`, the clean trace the detectors align against
-    /// is materialized first, so the sites resolve from it instead of from a
-    /// windowed re-run.
+    /// run).
     pub(crate) fn prologue(
         &self,
         plan: &CampaignPlan,
         fork: bool,
-        analyzed: bool,
     ) -> Result<Prologue, PlanError> {
         self.check_plan(plan)?;
         if plan.is_spmd() {
@@ -679,10 +609,7 @@ impl Session {
             // silently running the wrong campaign at `ranks = 1`.
             return Err(PlanError::SpmdPlan { ranks: plan.ranks });
         }
-        if analyzed {
-            self.clean_trace();
-        }
-        let sites = self.plan_sites(plan)?;
+        let sites = self.sites(&plan.target, plan.class)?;
         let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
         // Fork at the earliest step any fault can strike: safe for every
         // test, and as late as possible (maximum prefix saved).
@@ -744,7 +671,7 @@ impl Session {
 
     /// Build a multi-rank campaign plan.  Like [`Session::plan`] but with a
     /// rank count and rank-targeting spec; [`CampaignTarget::Messages`]
-    /// plans carry no dynamic window (their population is the clean
+    /// plans name no trace target (their population is the clean
     /// communication census, sized at execution time).
     pub fn plan_spmd(
         &self,
@@ -792,7 +719,7 @@ impl Session {
                 harness.run_range(&clean, &SpmdFaults::Messages, plan.seed, shard)
             }
             _ => {
-                let sites = self.plan_sites(plan)?;
+                let sites = self.sites(&plan.target, plan.class)?;
                 let faults = SpmdFaults::Computation {
                     sites: &sites,
                     rank_target: plan.rank_target,
@@ -817,8 +744,8 @@ impl Session {
 
     /// Plans name the application symbolically, so both planning and
     /// execution must happen on the build every executor process resolves —
-    /// the quick registry size.  A `ClassW` session would embed (or apply)
-    /// windows from a different fault-free run.
+    /// the quick registry size.  A `ClassW` session would resolve targets
+    /// against a different fault-free run.
     pub(crate) fn require_registry_size(&self) -> Result<(), PlanError> {
         if self.app.size != ftkr_apps::AppSize::Quick {
             return Err(PlanError::NonRegistrySize {
@@ -827,35 +754,6 @@ impl Session {
             });
         }
         Ok(())
-    }
-
-    /// Resolve a plan's site list: from the cached clean trace when one is
-    /// (or must be) materialized, from a region-scoped re-run when the plan
-    /// carries the target's window and no full trace exists yet.
-    ///
-    /// The window path trusts the planner's region↔window resolution — a
-    /// shard process cannot re-derive the partition without the full trace
-    /// the window exists to avoid — but it rejects windows that cannot
-    /// belong to this application's fault-free run (empty, or past the clean
-    /// step count), catching stale plans before they sample the wrong
-    /// population.
-    fn plan_sites(&self, plan: &CampaignPlan) -> Result<Arc<Vec<FaultSite>>, PlanError> {
-        if self.clean.get().is_none() {
-            if let Some(window) = plan.window {
-                if !matches!(plan.target, CampaignTarget::WholeProgram) {
-                    let (start, end) = window;
-                    let clean_steps = self.clean_steps();
-                    if start >= end || end > clean_steps {
-                        return Err(PlanError::InvalidWindow {
-                            window,
-                            clean_steps,
-                        });
-                    }
-                    return Ok(self.scoped_sites(&plan.target, plan.class, window));
-                }
-            }
-        }
-        self.sites(&plan.target, plan.class)
     }
 
     /// Measured success rate of one campaign point (the unit of Figures 5
@@ -1144,20 +1042,12 @@ mod tests {
             execute_plan(&plan),
             Err(PlanError::UnknownApp(_))
         ));
-        // A window past the fault-free step count cannot belong to this app:
-        // a stale plan is rejected instead of sampling the wrong population.
-        let stale = CampaignPlan::new(
-            "SP",
-            CampaignTarget::Region {
-                name: session.app().regions[0].clone(),
-            },
-            TargetClass::Internal,
-            4,
-        )
-        .with_window(0, u64::MAX);
+        // A plan naming a region this app does not have (a stale plan) is
+        // rejected in a fresh session instead of sampling a wrong population.
+        let stale = CampaignPlan::new("SP", bogus, TargetClass::Internal, 4);
         assert!(matches!(
             execute_plan(&stale),
-            Err(PlanError::InvalidWindow { .. })
+            Err(PlanError::UnknownTarget(_))
         ));
     }
 
@@ -1214,7 +1104,6 @@ mod tests {
                 RankTarget::Sweep,
             )
             .unwrap();
-        assert!(plan.window.is_none(), "message plans carry no trace window");
         let report = session.run_plan_spmd(&plan).unwrap();
         assert_eq!(report.report.n_tests, 5);
         // Population is the census size × 64 bits: 4 halo + 3 gather +
@@ -1260,9 +1149,9 @@ mod tests {
 
     #[test]
     fn non_registry_size_sessions_refuse_to_plan_or_execute() {
-        // A Class-W session cannot plan (the window would come from a
+        // A Class-W session cannot plan (its target would resolve in a
         // fault-free run no executor process reproduces) nor execute a plan
-        // (it would apply a quick-registry window to the wrong run).
+        // (it would resolve a quick-registry plan against the wrong run).
         let class_w = Session::new(ftkr_apps::lu_sized(ftkr_apps::AppSize::ClassW));
         let target = CampaignTarget::Region {
             name: class_w.app().regions[0].clone(),
@@ -1283,34 +1172,6 @@ mod tests {
             class_w.run_plan_analyzed(&quick_plan),
             Err(PlanError::NonRegistrySize { .. })
         ));
-    }
-
-    #[test]
-    fn windowed_plan_execution_matches_full_trace_execution_without_full_tracing() {
-        let coordinator = Session::by_name("IS").unwrap();
-        let region = coordinator.app().regions[0].clone();
-        let plan = coordinator
-            .plan(
-                CampaignTarget::Region { name: region },
-                TargetClass::Internal,
-                12,
-            )
-            .unwrap()
-            .with_seed(77);
-        assert!(plan.window.is_some());
-        let reference = coordinator.run_plan(&plan).unwrap();
-
-        // A fresh "shard process": parses the plan from JSON, resolves sites
-        // through a region-scoped trace, never records a full trace.
-        let plan_json = plan.to_json();
-        let parsed = CampaignPlan::from_json(&plan_json).unwrap();
-        let shard_session = Session::by_name(&parsed.app).unwrap();
-        let report = shard_session.run_plan(&parsed).unwrap();
-        assert!(
-            shard_session.clean.get().is_none(),
-            "windowed execution must not record a full clean trace"
-        );
-        assert_eq!(report, reference);
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl<'a> BatchContext<'a> {
     ///
     /// # Panics
     /// Panics when `clean` did not complete, carries no trace, or carries a
-    /// partial (windowed or resumed) trace: the sweep must see *every*
+    /// partial (resumed) trace: the sweep must see *every*
     /// dynamic step of the run to know a lane never diverged.
     pub fn new(clean: &'a RunResult) -> Self {
         assert!(
@@ -75,7 +75,7 @@ impl<'a> BatchContext<'a> {
         assert_eq!(
             trace.len(),
             clean.steps as usize,
-            "the sweep needs the full clean trace, not a windowed slice"
+            "the sweep needs the full clean trace, one event per step"
         );
         let loc_addr = trace.locations().iter().map(|l| l.mem_addr()).collect();
         BatchContext {
@@ -401,7 +401,7 @@ mod tests {
     use crate::sites::{input_sites, internal_sites};
     use ftkr_ir::prelude::*;
     use ftkr_ir::{Global, Module};
-    use ftkr_vm::{Location, Vm, VmConfig};
+    use ftkr_vm::{DecodedModule, Location, Vm, VmConfig};
 
     /// The sum16 program of the campaign tests: most internal-site lanes
     /// diverge (every intermediate feeds the next iteration).
@@ -548,7 +548,13 @@ mod tests {
     #[should_panic(expected = "full clean trace")]
     fn batch_context_rejects_partial_traces() {
         let m = sum16();
-        let windowed = Vm::new(VmConfig::tracing_region(2, 6)).run(&m).unwrap();
-        let _ = BatchContext::new(&windowed);
+        let snap = Vm::new(VmConfig::default())
+            .snapshot_at(&m, 2)
+            .unwrap()
+            .expect("mid-run step");
+        let suffix = Vm::new(VmConfig::tracing())
+            .resume_from_decoded(&m, &DecodedModule::decode(&m), &snap)
+            .unwrap();
+        let _ = BatchContext::new(&suffix);
     }
 }

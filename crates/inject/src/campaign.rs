@@ -43,8 +43,8 @@ pub fn hang_budget(clean_steps: u64) -> u64 {
 /// The hang budget of a faulty run derived from the *clean run itself* —
 /// [`hang_budget`] of [`RunResult::steps`], the absolute dynamic step count.
 ///
-/// Prefer this over a budget from the clean trace's length: a region-scoped
-/// or resumed trace records only part of the run, so its `len()`
+/// Prefer this over a budget from the clean trace's length: a trace resumed
+/// from a snapshot records only part of the run, so its `len()`
 /// *undercounts* dynamic steps and would silently shrink the budget,
 /// misclassifying slow-but-recovering runs as hangs.  `steps` counts every
 /// dynamic instruction regardless of what the trace retained.

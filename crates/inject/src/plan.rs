@@ -21,8 +21,7 @@
 //!   "class": "Internal",
 //!   "seed": 12648430,
 //!   "n_tests": 1067,
-//!   "shard": {"start": 0, "end": 534},
-//!   "window": [1200, 3400]
+//!   "shard": {"start": 0, "end": 534}
 //! }
 //! ```
 
@@ -155,11 +154,6 @@ pub struct CampaignPlan {
     pub n_tests: u64,
     /// The slice of `[0, n_tests)` this plan executes.
     pub shard: IndexRange,
-    /// Resolved dynamic-step window `[start, end)` of the target in the
-    /// fault-free run, when the planner knows it.  Executors use it to record
-    /// a region-scoped clean trace (`TraceScope::Window`) instead of a full
-    /// one when deriving the site list.
-    pub window: Option<(u64, u64)>,
     /// Number of SPMD ranks each test runs with.  Defaults to `1` (the
     /// single-VM campaigns of PRs 1–8), so plan JSON written before the
     /// multi-rank executor existed keeps parsing and executing unchanged.
@@ -192,7 +186,6 @@ impl CampaignPlan {
             seed: crate::campaign::DEFAULT_SEED,
             n_tests,
             shard: IndexRange::full(n_tests),
-            window: None,
             ranks: 1,
             rank_target: RankTarget::Sweep,
         }
@@ -201,12 +194,6 @@ impl CampaignPlan {
     /// Set the sampling seed (shared by every shard of the campaign).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Record the target's resolved dynamic window in the fault-free run.
-    pub fn with_window(mut self, start: u64, end: u64) -> Self {
-        self.window = Some((start, end));
         self
     }
 
@@ -299,8 +286,7 @@ mod tests {
             TargetClass::Input,
             64,
         )
-        .with_seed(99)
-        .with_window(128, 4096);
+        .with_seed(99);
         let text = plan.to_json();
         let back = CampaignPlan::from_json(&text).expect("plan parses");
         assert_eq!(back, plan);
@@ -329,18 +315,22 @@ mod tests {
             TargetClass::Internal,
             24,
         )
-        .with_seed(7)
-        .with_window(10, 900);
+        .with_seed(7);
         let text = plan.to_json();
         let body = text.strip_prefix('{').expect("a plan is a JSON object");
         // Plans written while the batched executor existed carry a
-        // `batched` flag; today's plans do not, and old ones still parse.
+        // `batched` flag, and plans written while executors recorded
+        // region-scoped clean traces carry a `window`; today's plans carry
+        // neither, and old ones still parse.
         assert!(!text.contains("batched"), "{text}");
+        assert!(!text.contains("window"), "{text}");
         for extra in [
             r#""retired_flag": true,"#,
             r#""retired_table": {"rows": [[1, 2.5], []], "note": "a } in a string"},"#,
             r#""batched": true,"#,
             r#""batched": false,"#,
+            r#""window": [10, 900],"#,
+            r#""window": null,"#,
         ] {
             let widened = format!("{{{extra}{body}");
             assert_eq!(CampaignPlan::from_json(&widened).expect("plan parses"), plan);

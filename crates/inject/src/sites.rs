@@ -55,8 +55,9 @@ pub fn input_sites(region_start: usize, inputs: &[(Location, ftkr_vm::Value)]) -
 /// Sites corrupting *internal* computation: the result of every
 /// value-producing dynamic instruction in event range `[start, end)` of the
 /// fault-free trace.  `at_step` is the *absolute* dynamic step
-/// ([`Trace::step_of`]), so region-scoped traces ([`Trace::base_step`] > 0)
-/// produce the same sites as the corresponding slice of a full trace.
+/// ([`Trace::step_of`]), so a trace resumed from a snapshot
+/// ([`Trace::base_step`] > 0) produces the same sites as the corresponding
+/// slice of a full trace.
 pub fn internal_sites(trace: &Trace, start: usize, end: usize) -> Vec<FaultSite> {
     let end = end.min(trace.len());
     (start..end)

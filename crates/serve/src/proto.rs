@@ -147,7 +147,7 @@ pub enum WireErrorKind {
     /// checksum mismatch, or not a [`Request`]).
     Protocol,
     /// The submitted plan was rejected (unknown app, unresolvable target,
-    /// invalid window, …).
+    /// non-registry size, …).
     Plan,
     /// The named job does not exist.
     UnknownJob,

@@ -67,56 +67,12 @@ impl RunOutcome {
     }
 }
 
-/// Which part of the run a tracing interpreter records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum TraceScope {
-    /// Record every dynamic instruction (the default).
-    Full,
-    /// Record only the dynamic steps in `[start, end)` — the region-scoped
-    /// mode used by per-region analyses (Figures 5/6): dynamic indices are
-    /// transferable between runs of a deterministic program, so the event
-    /// range of a region instance in a full reference trace selects the same
-    /// instructions here, at a fraction of the recording cost.  The produced
-    /// trace's [`Trace::base_step`] equals `start`.
-    Window {
-        /// First dynamic step recorded.
-        start: u64,
-        /// Past-the-end dynamic step.
-        end: u64,
-    },
-}
-
-impl TraceScope {
-    /// True when the given dynamic step should be recorded.
-    pub fn contains(self, step: u64) -> bool {
-        match self {
-            TraceScope::Full => true,
-            TraceScope::Window { start, end } => step >= start && step < end,
-        }
-    }
-
-    /// Number of steps recorded, if bounded.
-    pub fn len(self) -> Option<u64> {
-        match self {
-            TraceScope::Full => None,
-            TraceScope::Window { start, end } => Some(end.saturating_sub(start)),
-        }
-    }
-
-    /// True when the scope records nothing.
-    pub fn is_empty(self) -> bool {
-        self.len() == Some(0)
-    }
-}
-
 /// Interpreter configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct VmConfig {
     /// Record a dynamic trace (needed for analysis runs, not for campaign
     /// runs).
     pub record_trace: bool,
-    /// Which dynamic steps to record when tracing (full run by default).
-    pub trace_scope: TraceScope,
     /// Expected dynamic step count of the run (usually the step count of a
     /// prior untraced run).  Used to pre-size the trace's event and operand
     /// buffers so a tracing run performs O(1) vector allocations.
@@ -135,7 +91,6 @@ impl Default for VmConfig {
     fn default() -> Self {
         VmConfig {
             record_trace: false,
-            trace_scope: TraceScope::Full,
             trace_hint: None,
             fault: None,
             max_steps: 200_000_000,
@@ -164,16 +119,6 @@ impl VmConfig {
         }
     }
 
-    /// Region-scoped tracing: record only the dynamic steps in
-    /// `[start, end)`.  See [`TraceScope::Window`].
-    pub fn tracing_region(start: u64, end: u64) -> Self {
-        VmConfig {
-            record_trace: true,
-            trace_scope: TraceScope::Window { start, end },
-            ..Default::default()
-        }
-    }
-
     /// Configuration for a faulty run without tracing (campaign run).
     pub fn with_fault(fault: FaultSpec) -> Self {
         VmConfig {
@@ -190,19 +135,6 @@ impl VmConfig {
             fault: Some(fault),
             ..Default::default()
         }
-    }
-
-    /// Builder form: set the expected step count used to pre-size trace
-    /// buffers.
-    pub fn with_trace_hint(mut self, steps: u64) -> Self {
-        self.trace_hint = Some(steps);
-        self
-    }
-
-    /// Builder form: restrict tracing to the given scope.
-    pub fn scoped(mut self, scope: TraceScope) -> Self {
-        self.trace_scope = scope;
-        self
     }
 }
 
@@ -257,7 +189,7 @@ pub(crate) struct Frame {
     /// layout of `regs`: `NO_ID` for a result not interned yet (interned on
     /// first touch), `NO_LOC` for a cell that reads no location (constants,
     /// global bases, arguments the caller passed as constants).  The call
-    /// writes its arguments' ids.  Allocated only when tracing.
+    /// writes its arguments' ids.  Allocated only when recording.
     reg_ids: Vec<u32>,
     stack_mark: u64,
     /// Register of the *caller* that receives this frame's return value.
@@ -409,7 +341,7 @@ impl Vm {
     /// discarded), so the snapshot's interning tables are exactly those a
     /// cold recording run builds over the same prefix — the property that
     /// keeps resumed traces and streamed event indices bit-identical to cold
-    /// runs.  The [`Vm`]'s fault, scope and limit configuration apply to the
+    /// runs.  The [`Vm`]'s fault and limit configuration apply to the
     /// prefix unchanged (campaign executors capture with a fault-free
     /// configuration).
     ///
@@ -467,8 +399,8 @@ impl Vm {
     ///
     /// Visitors observe exactly the events a materialized trace with the same
     /// configuration would contain (same order, same operand reads, same
-    /// interned ids); [`RunResult::trace`] is always `None`.  The fault,
-    /// scope and limit configuration of the [`Vm`] apply unchanged.
+    /// interned ids); [`RunResult::trace`] is always `None`.  The fault and
+    /// limit configuration of the [`Vm`] apply unchanged.
     ///
     /// `visitors` is a [`VisitorSet`]: `&mut [&mut v]` compiles the run for
     /// `v`'s type, with no virtual call per event.  Once every visitor is
@@ -500,7 +432,7 @@ impl Vm {
     /// detection behaves as in a cold run.  The memory-cell limit is the
     /// capturing run's (the image carries it); tracing follows this [`Vm`]'s
     /// configuration and records only resumed steps — the produced trace's
-    /// `base_step` starts at the fork point (or the scope window, if later).
+    /// `base_step` is the fork point.
     /// A snapshot captured between the two halves of a fused pair resumes by
     /// executing the branch half alone.
     pub fn resume_from_decoded(
@@ -674,32 +606,16 @@ impl<'m> Interp<'m> {
         streaming: bool,
     ) -> Self {
         // Pre-size the trace from the expected step count (clamped to the
-        // scope window and the step limit): tracing then allocates O(1)
-        // vectors instead of growing them geometrically.  A scope window's
-        // length is an exact event count, so it serves as the hint when no
-        // explicit one is given.  Streaming runs retain no events, so they
-        // never pre-size.
-        let mut trace = if config.record_trace && !streaming {
-            let hint = match (config.trace_hint, config.trace_scope.len()) {
-                (Some(h), Some(w)) => Some(h.min(w)),
-                (Some(h), None) => Some(h),
-                (None, Some(w)) => Some(w),
-                (None, None) => None,
+        // step limit): tracing then allocates O(1) vectors instead of
+        // growing them geometrically.  Streaming runs retain no events, so
+        // they never pre-size.
+        let trace = match config.trace_hint {
+            Some(h) if config.record_trace && !streaming => {
+                let h = usize::try_from(h.min(config.max_steps)).unwrap_or(usize::MAX);
+                Trace::with_capacity(h, 2 * h)
             }
-            .map(|h| h.min(config.max_steps));
-            match hint {
-                Some(h) => {
-                    let h = usize::try_from(h).unwrap_or(usize::MAX);
-                    Trace::with_capacity(h, 2 * h)
-                }
-                None => Trace::new(),
-            }
-        } else {
-            Trace::new()
+            _ => Trace::new(),
         };
-        if let TraceScope::Window { start, .. } = config.trace_scope {
-            trace.base_step = start;
-        }
         let mut interp = Interp::with_state(
             module,
             decoded,
@@ -794,12 +710,9 @@ impl<'m> Interp<'m> {
         if recording {
             trace.locations = img.locations.clone();
         }
-        // A resumed trace can only contain resumed steps: its base starts at
-        // the fork point, or at the scope window if that opens later.
-        trace.base_step = match config.trace_scope {
-            TraceScope::Full => img.step,
-            TraceScope::Window { start, .. } => start.max(img.step),
-        };
+        // A resumed trace can only contain resumed steps: its base is the
+        // fork point.
+        trace.base_step = img.step;
         let mut interp = Interp::with_state(module, decoded, config, img.memory.clone(), trace);
         interp.frames = img
             .frames
@@ -860,12 +773,13 @@ impl<'m> Interp<'m> {
     /// Drives [`Interp::dispatch`] from boundary to boundary.  A boundary is
     /// a step where the dispatch configuration changes: the fault step (a
     /// memory fault strikes before it, a result fault flips what it writes),
-    /// the step limit, the edges of the scope window, and `end` itself (the
-    /// capture step of [`Vm::snapshot_at`]).  Between boundaries the loop
-    /// runs with no per-step checks; each call advances at least one step.
+    /// the step limit, and `end` itself (the capture step of
+    /// [`Vm::snapshot_at`]).  Between boundaries the loop runs with no
+    /// per-step checks; each call advances at least one step.
     ///
-    /// Once the sink detaches (every visitor settled), the rest of the run
-    /// dispatches without recording, as outside a scope window.
+    /// A tracing run records from its first (or resumed) step until the sink
+    /// detaches (every visitor settled); the rest of the run dispatches
+    /// without recording, and recording never starts again.
     fn run_until<V: VisitorSet + ?Sized>(
         &mut self,
         end: u64,
@@ -898,20 +812,7 @@ impl<'m> Interp<'m> {
                     }
                 }
             }
-            let record = self.config.record_trace
-                && !sink.detached
-                && match self.config.trace_scope {
-                    TraceScope::Full => true,
-                    TraceScope::Window { start, end: close } => {
-                        for edge in [start, close] {
-                            if edge > now {
-                                stop = stop.min(edge);
-                            }
-                        }
-                        (start..close).contains(&now)
-                    }
-                };
-            let outcome = if record {
+            let outcome = if self.config.record_trace && !sink.detached {
                 self.dispatch::<true, V>(stop, flip, sink)
             } else {
                 self.dispatch::<false, V>(stop, flip, sink)
@@ -951,10 +852,9 @@ impl<'m> Interp<'m> {
     /// executes — the campaign configuration, with no per-step bookkeeping.
     /// With it every step interns the locations it touches and pools its
     /// reads; then the sink skips the event (a streamed set whose watch does
-    /// not want it) or takes it.  Outside a scope window a tracing run
-    /// dispatches without `RECORD` but still interns call arguments, so
-    /// frames entered before the window resolve their argument reads inside
-    /// it.
+    /// not want it) or takes it.  Recording never resumes once it stops
+    /// (see [`Interp::run_until`]), so a call made without `RECORD` interns
+    /// nothing and its frame carries no id table.
     ///
     /// `flip` is the bit a result fault flips in what this call's single
     /// step writes (the caller then passes `stop` one past the fault step).
@@ -991,7 +891,6 @@ impl<'m> Interp<'m> {
             dlines,
             ..
         } = self;
-        let tracing = config.record_trace;
         let mut frame_idx = frames.len() - 1;
         let mut df = dm.function(frames[frame_idx].func);
         let mut pc = frames[frame_idx].pc as usize;
@@ -1258,9 +1157,7 @@ impl<'m> Interp<'m> {
                     let cf = dm.function(callee);
                     let mut regs = register_file(cf, global_bases);
                     let arg_cells = cf.num_insts..cf.first_const();
-                    let reg_ids = if tracing {
-                        // Interned whenever tracing is on, inside the scope
-                        // window or not; pooled only when recording.
+                    let reg_ids = if RECORD {
                         let mut ids = reg_id_table(cf);
                         for (cell, k) in arg_cells.zip(args.range()) {
                             let (v, loc) = match recorded_operand(
@@ -1271,7 +1168,7 @@ impl<'m> Interp<'m> {
                                 Ok(x) => x,
                                 Err(t) => bail!(t),
                             };
-                            if let (true, Some(l)) = (RECORD, loc) {
+                            if let Some(l) = loc {
                                 trace.pool.push((l, v));
                             }
                             regs[cell] = Some(v);
@@ -1599,90 +1496,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Every window of a loop whose compare-branches are fused — windows
-    /// that open or close between the two halves of a pair included —
-    /// records exactly the full trace's slice, materialized and streamed.
-    #[test]
-    fn region_scoped_tracing_matches_the_full_trace_window() {
-        let module = sum_module();
-        let dm = decoded(&module);
-        let full = Vm::new(VmConfig::tracing())
-            .run(&module)
-            .unwrap()
-            .trace
-            .unwrap();
-        let steps = full.len() as u64;
-        for start in 0..=steps {
-            for end in start..=steps {
-                let scoped = Vm::new(VmConfig::tracing_region(start, end))
-                    .run(&module)
-                    .unwrap()
-                    .trace
-                    .unwrap();
-                assert_eq!(scoped.base_step(), start);
-                assert_eq!(scoped.len() as u64, end - start, "window {start}..{end}");
-                // Every windowed event resolves to the same instruction,
-                // locations and values as the full trace's event.
-                for i in 0..scoped.len() {
-                    let f = full.resolved(start as usize + i);
-                    assert_eq!(scoped.resolved(i), f, "window {start}..{end} event {i}");
-                }
-                let span_sum: usize = scoped.events.iter().map(|e| e.num_reads()).sum();
-                assert_eq!(span_sum, scoped.num_operands(), "window {start}..{end}");
-
-                let mut streamed = Rebuild::default();
-                Vm::new(VmConfig::default().scoped(TraceScope::Window { start, end }))
-                    .run_with_visitors_decoded(&module, &dm, &mut [&mut streamed])
-                    .unwrap();
-                assert_eq!(
-                    streamed.events.len() as u64,
-                    end - start,
-                    "window {start}..{end}"
-                );
-                for (i, got) in streamed.events.iter().enumerate() {
-                    let f = full.resolved(start as usize + i);
-                    assert_eq!(got, &f, "streamed window {start}..{end} event {i}");
-                    assert_eq!(streamed.steps[i], start + i as u64);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn region_scoped_tracing_resolves_arguments_of_outer_frames() {
-        // A function call made *before* the window starts must still resolve
-        // argument reads inside the window.
-        let mut m = Module::new("m");
-        let mut callee = FunctionBuilder::with_args("work", 1);
-        let x = callee.arg(0);
-        let mut last = x;
-        for _ in 0..8 {
-            last = callee.fadd(last, x);
-        }
-        callee.ret(Some(last));
-        m.add_function(callee.finish());
-        let mut main = FunctionBuilder::new("main");
-        let three = main.const_f64(3.0);
-        let r = main.call("work", vec![three]);
-        main.output(r, OutputFormat::Full);
-        main.ret(None);
-        m.add_function(main.finish());
-
-        let full = Vm::new(VmConfig::tracing()).run(&m).unwrap().trace.unwrap();
-        let scoped = Vm::new(VmConfig::tracing_region(3, 8))
-            .run(&m)
-            .unwrap()
-            .trace
-            .unwrap();
-        for i in 0..scoped.len() {
-            assert_eq!(scoped.resolved(i), full.resolved(3 + i));
-        }
-        // Argument reads outside the window must not leak orphan entries
-        // into the operand pool: the pool is exactly the event spans.
-        let span_sum: usize = scoped.events.iter().map(|e| e.num_reads()).sum();
-        assert_eq!(span_sum, scoped.num_operands());
-    }
-
     #[test]
     fn function_calls_return_values_and_release_allocas() {
         let mut m = Module::new("m");
@@ -1887,7 +1700,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_respects_faults_and_scope_windows() {
+    fn streaming_respects_faults() {
         let module = sum_module();
         let fault = FaultSpec::in_result(20, 1);
         let traced = Vm::new(VmConfig::tracing_with_fault(fault))
@@ -1895,20 +1708,17 @@ mod tests {
             .unwrap();
         let trace = traced.trace.unwrap();
 
-        let config = VmConfig {
-            fault: Some(fault),
-            trace_scope: TraceScope::Window { start: 5, end: 30 },
-            ..VmConfig::default()
-        };
         let mut rebuild = Rebuild::default();
-        Vm::new(config)
+        let streamed = Vm::new(VmConfig::with_fault(fault))
             .run_with_visitors_decoded(&module, &decoded(&module), &mut [&mut rebuild])
             .unwrap();
-        assert_eq!(rebuild.events.len(), 25);
+        assert_eq!(rebuild.events.len(), trace.len());
         for (i, got) in rebuild.events.iter().enumerate() {
-            assert_eq!(got, &trace.resolved(5 + i), "window event {i} differs");
-            assert_eq!(rebuild.steps[i], 5 + i as u64);
+            assert_eq!(got, &trace.resolved(i), "faulty event {i} differs");
+            assert_eq!(rebuild.steps[i], i as u64);
         }
+        let untraced = Vm::new(VmConfig::with_fault(fault)).run(&module).unwrap();
+        assert!(streamed == untraced, "streaming changed the faulty run");
     }
 
     #[test]
@@ -1941,6 +1751,7 @@ mod tests {
         k: usize,
         rebuild: Rebuild,
         end_events: Option<usize>,
+        end_locations: Option<usize>,
     }
 
     impl SettleAfter {
@@ -1949,6 +1760,7 @@ mod tests {
                 k,
                 rebuild: Rebuild::default(),
                 end_events: None,
+                end_locations: None,
             }
         }
     }
@@ -1959,6 +1771,7 @@ mod tests {
         }
         fn on_finish(&mut self, end: &crate::WalkEnd<'_>) {
             self.end_events = Some(end.events);
+            self.end_locations = Some(end.locations.len());
             self.rebuild.on_finish(end);
         }
         fn settled(&self) -> bool {
@@ -2034,35 +1847,6 @@ mod tests {
         );
     }
 
-    /// Settling inside a scope window stops the window's events there; the
-    /// run finishes as it would have.
-    #[test]
-    fn settling_inside_a_scope_window_stops_delivery_there() {
-        let module = sum_module();
-        let dm = decoded(&module);
-        let full = Vm::new(VmConfig::tracing())
-            .run(&module)
-            .unwrap()
-            .trace
-            .unwrap();
-        let untraced = Vm::new(VmConfig::default()).run(&module).unwrap();
-        for (start, end) in [(0, 12), (5, 30), (9, 10), (20, full.len() as u64)] {
-            for k in 0..=(end - start) as usize {
-                let mut v = SettleAfter::new(k);
-                let r = Vm::new(VmConfig::default().scoped(TraceScope::Window { start, end }))
-                    .run_with_visitors_decoded(&module, &dm, &mut [&mut v])
-                    .unwrap();
-                assert!(r == untraced, "window {start}..{end}, settled after {k}");
-                assert_eq!(v.rebuild.events.len(), k, "window {start}..{end}");
-                assert_eq!(v.end_events, Some(k));
-                for (i, got) in v.rebuild.events.iter().enumerate() {
-                    assert_eq!(got, &full.resolved(start as usize + i));
-                    assert_eq!(v.rebuild.steps[i], start + i as u64);
-                }
-            }
-        }
-    }
-
     /// A trap after the detach still reaches `on_finish` with the trap.
     #[test]
     fn a_trap_after_the_detach_reaches_on_finish() {
@@ -2093,6 +1877,35 @@ mod tests {
             v.rebuild.outcome,
             Some(RunOutcome::Trapped(TrapKind::DivisionByZero))
         );
+    }
+
+    /// Recording never resumes once it stops, so a run whose visitor is
+    /// settled from the start interns nothing: not even the computed
+    /// argument of a call.
+    #[test]
+    fn a_detached_run_interns_nothing() {
+        let mut m = Module::new("m");
+        let mut callee = FunctionBuilder::with_args("twice", 1);
+        let x = callee.arg(0);
+        let y = callee.fadd(x, x);
+        callee.ret(Some(y));
+        m.add_function(callee.finish());
+        let mut main = FunctionBuilder::new("main");
+        let one = main.const_f64(1.0);
+        let two = main.fadd(one, one);
+        let r = main.call("twice", vec![two]);
+        main.output(r, OutputFormat::Full);
+        main.ret(None);
+        m.add_function(main.finish());
+
+        let untraced = Vm::new(VmConfig::default()).run(&m).unwrap();
+        let mut v = SettleAfter::new(0);
+        let r = Vm::new(VmConfig::default())
+            .run_with_visitors_decoded(&m, &decoded(&m), &mut [&mut v])
+            .unwrap();
+        assert!(v.rebuild.events.is_empty(), "a settled visitor gets no event");
+        assert_eq!(v.end_locations, Some(0), "a detached run interns nothing");
+        assert!(r == untraced, "detaching changed the run");
     }
 
     /// A visitor with a fixed watch: records the events it is delivered,
@@ -2486,23 +2299,18 @@ mod tests {
 
     // -- dispatch semantics ---------------------------------------------------
 
-    /// Both dispatch instantiations (recording and not) and scope windows
-    /// all execute the same program: every configuration ends in the same
-    /// outcome, step count, outputs and memory.
+    /// Both dispatch instantiations (recording and not) execute the same
+    /// program: they end in the same outcome, step count, outputs and
+    /// memory.
     #[test]
     fn every_configuration_executes_the_same_program() {
         for module in [sum_module(), call_module()] {
             let plain = Vm::new(VmConfig::default()).run(&module).unwrap();
-            for config in [
-                VmConfig::tracing(),
-                VmConfig::tracing_region(3, 20),
-            ] {
-                let r = Vm::new(config).run(&module).unwrap();
-                assert_eq!(r.outcome, plain.outcome, "config {config:?}");
-                assert_eq!(r.steps, plain.steps, "config {config:?}");
-                assert_eq!(r.outputs, plain.outputs, "config {config:?}");
-                assert_eq!(r.memory, plain.memory, "config {config:?}");
-            }
+            let r = Vm::new(VmConfig::tracing()).run(&module).unwrap();
+            assert_eq!(r.outcome, plain.outcome);
+            assert_eq!(r.steps, plain.steps);
+            assert_eq!(r.outputs, plain.outputs);
+            assert_eq!(r.memory, plain.memory);
         }
     }
 

@@ -42,7 +42,7 @@ pub mod visitor;
 
 pub use fault::{FaultSpec, FaultTarget};
 pub use ftkr_ir::decode::DecodedModule;
-pub use interp::{RunOutcome, RunResult, TraceScope, TrapKind, Vm, VmConfig};
+pub use interp::{RunOutcome, RunResult, TrapKind, Vm, VmConfig};
 pub use location::Location;
 pub use memory::Memory;
 pub use output::{OutputRecord, ProgramOutput};

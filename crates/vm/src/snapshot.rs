@@ -41,8 +41,8 @@ pub(crate) struct SnapshotImage {
     /// this step has **not** executed yet.
     pub(crate) step: u64,
     /// Number of events a streaming run with the capturing configuration has
-    /// delivered up to `step` (equals `step` for full-scope captures; fewer
-    /// under a scope window).
+    /// delivered up to `step`.  The capturing prefix records every step, so
+    /// this always equals `step`.
     pub(crate) events_emitted: u64,
     /// Next frame id the interpreter would assign.
     pub(crate) next_frame_id: u32,

@@ -238,8 +238,8 @@ pub struct Trace {
     pub(crate) pool: Vec<(LocationId, Value)>,
     /// Interned locations; `LocationId(i)` names `locations[i]`.
     pub(crate) locations: Vec<Location>,
-    /// Dynamic step of the first recorded event (non-zero for region-scoped
-    /// traces, which record only a window of the run).
+    /// Dynamic step of the first recorded event (non-zero for traces of
+    /// snapshot-resumed runs, which record only the resumed steps).
     pub(crate) base_step: u64,
 }
 
@@ -289,8 +289,8 @@ impl Trace {
             + self.locations.len() * size_of::<Location>()
     }
 
-    /// Dynamic step of the first recorded event: 0 for full traces, the
-    /// window start for region-scoped traces (see `TraceScope`).
+    /// Dynamic step of the first recorded event: 0 for cold runs, the fork
+    /// point for runs resumed from a snapshot.
     pub fn base_step(&self) -> u64 {
         self.base_step
     }

@@ -34,8 +34,8 @@
 //! A visitor is [settled](TraceVisitor::settled) once no later event can
 //! change what it reports.  When every visitor of a non-empty set is
 //! settled, the walk stops delivering events: the interpreter runs the rest
-//! of the program without recording (the switch it makes when a scope
-//! window closes), and an [`EventCursor`] stops walking.  The run itself is
+//! of the program without recording, never to record again, and an
+//! [`EventCursor`] stops walking.  The run itself is
 //! unchanged — same outcome, steps and outputs — and every visitor still
 //! gets [`TraceVisitor::on_finish`] with the real outcome.  After such a
 //! detach, [`WalkEnd::events`] stops at the detach point instead of the end
@@ -85,8 +85,9 @@ pub struct EventCtx<'a> {
     /// Index of the event within the walk (0-based, dense).  For a full
     /// materialized trace this equals the index into `Trace::events`.
     pub index: usize,
-    /// Absolute dynamic step of the event.  Equal to `index` for full-scope
-    /// traces; differs by the `base_step` offset for window-scoped traces.
+    /// Absolute dynamic step of the event.  Equal to `index`, except in a
+    /// walk of a snapshot-resumed trace, where it is offset by the trace's
+    /// `base_step`.
     pub step: u64,
     /// The compact event.
     pub event: &'a TraceEvent,

@@ -141,9 +141,9 @@ fn iteration_targets_fork_identically_including_the_last_iteration() {
 }
 
 /// The cross-process story stays intact: a coordinator plans, shard
-/// executors parse the plan from JSON in fresh sessions and run it through
-/// the fork-point path — still without materializing a full clean trace —
-/// and the merged shard reports are byte-identical to the coordinator's
+/// executors parse the plan from JSON in fresh sessions, resolve its sites
+/// from their own clean trace and run it through the fork-point path, and
+/// the merged shard reports are byte-identical to the coordinator's
 /// cold-start reference.
 #[test]
 fn fresh_shard_sessions_fork_and_merge_to_the_cold_reference() {
