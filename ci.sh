@@ -136,8 +136,12 @@ cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
 cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
     spmd-run "$spmddir/msg/plan.json" > /dev/null
 echo "    message-fault campaign executed"
-# The Wu-et-al.-style comparison table: same fault population, nranks 1 vs 4.
-cargo run --release -q -p ftkr-bench --bin serial_vs_parallel -- MG 16 7
+# The Wu-et-al.-style comparison table (same fault population, nranks 1 vs
+# 4) must match its frozen output.
+cargo run --release -q -p ftkr-bench --bin serial_vs_parallel -- MG 16 7 \
+    > "$spmddir/serial_vs_parallel.txt"
+diff tests/fixtures/serial_vs_parallel_MG_16_7.txt "$spmddir/serial_vs_parallel.txt"
+echo "    serial_vs_parallel MG 16 7 matches its frozen table"
 
 echo "==> trap taxonomy: hangs/memory/arithmetic buckets, bit-identical shard merges"
 cargo test --release -q --test trap_taxonomy

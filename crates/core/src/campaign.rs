@@ -186,7 +186,7 @@ impl Session {
                 &sites,
                 shard,
                 snapshot.as_ref(),
-                |fault, vm, snap| {
+                |_, fault, vm, snap| {
                     let (result, detector) = match (snap, &primed) {
                         (Some(snap), Some(primed)) => {
                             let mut detector = primed.fork(fault);

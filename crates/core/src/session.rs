@@ -261,10 +261,10 @@ impl Session {
         })
     }
 
-    /// The dynamic step limit for faulty runs (hang detection): a small
-    /// multiple of the fault-free step count.
+    /// The dynamic step limit for faulty runs (hang detection):
+    /// [`ftkr_inject::hang_budget`] of the fault-free step count.
     pub fn max_steps(&self) -> u64 {
-        self.clean_steps() * 10 + 10_000
+        ftkr_inject::hang_budget(self.clean_steps())
     }
 
     /// Classify a completed faulty run by the paper's three manifestations:
@@ -592,11 +592,7 @@ impl Session {
     }
 
     /// What every single-VM executor resolves before its first test: the
-    /// plan is checked, multi-rank and message-fault plans are refused, and
-    /// the plan's site list and index shard are resolved.  With `fork`, the
-    /// fault-free checkpoint at the earliest site is captured too (`None`
-    /// when the population starts at program entry or past the end of the
-    /// run).
+    /// checked plan's [`Session::population`], SPMD plans refused.
     pub(crate) fn prologue(
         &self,
         plan: &CampaignPlan,
@@ -609,6 +605,13 @@ impl Session {
             // silently running the wrong campaign at `ranks = 1`.
             return Err(PlanError::SpmdPlan { ranks: plan.ranks });
         }
+        self.population(plan, fork)
+    }
+
+    /// A computation-fault plan's sites, index shard and — with `fork` —
+    /// the fault-free checkpoint at its earliest site (`None` at program
+    /// entry or past the end of the run).
+    fn population(&self, plan: &CampaignPlan, fork: bool) -> Result<Prologue, PlanError> {
         let sites = self.sites(&plan.target, plan.class)?;
         let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
         // Fork at the earliest step any fault can strike: safe for every
@@ -696,38 +699,39 @@ impl Session {
     }
 
     /// Execute a multi-rank campaign plan (or one shard of it): each test is
-    /// an `ranks`-way [`ftkr_mpi::run_spmd`] job with the fault landing in
-    /// exactly one rank's VM (computation targets) or one message payload
-    /// (the [`CampaignTarget::Messages`] population), and every completed
-    /// test is classified by the rank-divergence detector.  Pure per
+    /// a `ranks`-way job with the fault landing in exactly one rank's VM
+    /// (computation targets) or one message payload (the
+    /// [`CampaignTarget::Messages`] population), and every completed test
+    /// is classified by the rank-divergence detector.  Pure per
     /// `(seed, index)` like the single-VM executors, so shard reports merge
     /// bit-identically.
     ///
     /// Serial plans (`ranks = 1`, computation targets) are accepted — they
-    /// run as one-rank SPMD jobs, which is how the serial column of the
+    /// run as one-rank jobs, which is how the serial column of the
     /// serial-vs-parallel comparison is produced with identical machinery.
-    /// The faulty VM runs cold (from program entry): SPMD jobs interleave
-    /// execution with the exchange protocol, so the checkpoint-fork fast
-    /// path of [`Session::run_plan`] does not apply (see `ROADMAP.md`).
+    /// The injected rank's run is a test of the campaign kernel, forked from
+    /// the same checkpoint [`Session::run_plan`] uses; the exchange is
+    /// evaluated in the calling thread ([`ftkr_inject::spmd::exchange`]).
     pub fn run_plan_spmd(&self, plan: &CampaignPlan) -> Result<SpmdCampaignReport, PlanError> {
         self.check_plan(plan)?;
         let harness = self.spmd_harness(plan.ranks)?;
         let clean = self.spmd_clean_state(plan.ranks)?;
-        let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
         let report = match plan.target {
             CampaignTarget::Messages => {
+                let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
                 harness.run_range(&clean, &SpmdFaults::Messages, plan.seed, shard)
             }
             _ => {
-                let sites = self.sites(&plan.target, plan.class)?;
+                let (sites, shard, snapshot) = self.population(plan, true)?;
                 let faults = SpmdFaults::Computation {
                     sites: &sites,
                     rank_target: plan.rank_target,
+                    snapshot: snapshot.as_ref(),
                 };
                 harness.run_range(&clean, &faults, plan.seed, shard)
             }
         };
-        Ok(report)
+        report.map_err(PlanError::FaultBeforeCheckpoint)
     }
 
     /// Shared validation of [`Session::run_plan`]-family entry points.

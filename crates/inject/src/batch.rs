@@ -397,7 +397,7 @@ impl BatchScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::hang_budget_for;
+    use crate::campaign::hang_budget;
     use crate::sites::{input_sites, internal_sites};
     use ftkr_ir::prelude::*;
     use ftkr_ir::{Global, Module};
@@ -468,7 +468,7 @@ mod tests {
             let fault = sample_site_fault(seed, sites, index);
             let config = VmConfig {
                 fault: Some(fault),
-                max_steps: hang_budget_for(&clean),
+                max_steps: hang_budget(clean.steps),
                 ..VmConfig::default()
             };
             let real = Vm::new(config).run(m).unwrap();

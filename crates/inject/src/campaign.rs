@@ -1,16 +1,17 @@
 //! Parallel fault-injection campaigns.
 //!
-//! Every single-VM campaign goes through one kernel,
+//! Every campaign test that runs a VM goes through one kernel,
 //! [`Campaign::run_range_with`]: per test it derives the fault from
 //! `(seed, index)`, runs the caller's faulty-run closure inside a
 //! panic-isolation perimeter, classifies the result and folds the caller's
-//! per-test product.  A worker that panics — a poisoned verifier, a harness
-//! bug — records an [`Outcome::HarnessError`] instead of tearing down the
-//! whole rayon shard, and a forked test whose checkpoint restore fails
-//! degrades to the cold (from-entry) executor, recorded in
-//! [`CampaignCounts::degraded`].  Both failure modes are injectable on
-//! purpose via a seeded [`FailPlan`], which is how the chaos suite proves
-//! the recovery paths actually work.
+//! per-test product.  Single-VM campaigns run there, and so does the
+//! injected rank of an SPMD test ([`crate::spmd`]).  A worker that panics —
+//! a poisoned verifier, a harness bug — records an
+//! [`Outcome::HarnessError`] instead of tearing down the whole rayon shard,
+//! and a forked test whose checkpoint restore fails degrades to the cold
+//! (from-entry) executor, recorded in [`CampaignCounts::degraded`].  Both
+//! failure modes are injectable on purpose via a seeded [`FailPlan`], which
+//! is how the chaos suite proves the recovery paths actually work.
 
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -33,23 +34,15 @@ pub const DEFAULT_SEED: u64 = 0xF11B_7EAC;
 
 /// The dynamic step budget for a faulty run over a clean execution of
 /// `clean_steps` dynamic instructions: ten times the fault-free length plus
-/// slack for short programs.  A run that exhausts it traps with
-/// `TrapKind::StepLimit` and classifies as a hang
-/// ([`CrashKind::Hang`](crate::CrashKind::Hang)).
-pub fn hang_budget(clean_steps: u64) -> u64 {
-    clean_steps * 10 + 1000
-}
-
-/// The hang budget of a faulty run derived from the *clean run itself* —
-/// [`hang_budget`] of [`RunResult::steps`], the absolute dynamic step count.
+/// slack for short programs.  Every session campaign runs under it.  A run
+/// that exhausts it traps with `TrapKind::StepLimit` and classifies as a
+/// hang ([`CrashKind::Hang`](crate::CrashKind::Hang)).
 ///
-/// Prefer this over a budget from the clean trace's length: a trace resumed
-/// from a snapshot records only part of the run, so its `len()`
-/// *undercounts* dynamic steps and would silently shrink the budget,
-/// misclassifying slow-but-recovering runs as hangs.  `steps` counts every
-/// dynamic instruction regardless of what the trace retained.
-pub fn hang_budget_for(clean: &RunResult) -> u64 {
-    hang_budget(clean.steps)
+/// Pass the clean run's [`RunResult::steps`], never its trace's length: a
+/// trace resumed from a snapshot records only part of the run, so its
+/// `len()` undercounts dynamic steps and would shrink the budget.
+pub fn hang_budget(clean_steps: u64) -> u64 {
+    clean_steps * 10 + 10_000
 }
 
 /// Result of a campaign (or of one index-range shard of it).
@@ -186,17 +179,28 @@ pub fn sample_site_fault(seed: u64, sites: &[FaultSite], index: u64) -> FaultSpe
     site.with_bit(bit)
 }
 
+/// Whether a completed faulty run is acceptable, given the run and its
+/// test's product (see [`Campaign::run_range_with`]).  A
+/// `Fn(&RunResult) -> bool` verifier ignores the product.
+pub trait Verdict<X>: Sync {
+    /// True when the run passes verification.
+    fn accepts(&self, result: &RunResult, product: &X) -> bool;
+}
+
+impl<X, F: Fn(&RunResult) -> bool + Sync> Verdict<X> for F {
+    fn accepts(&self, result: &RunResult, _: &X) -> bool {
+        self(result)
+    }
+}
+
 /// A fault-injection campaign against one program.
 ///
-/// The verifier closure plays the role of the application's verification
-/// phase: given the run result of a *completed* faulty run it decides whether
-/// the output is acceptable.  Trapped runs are classified as
+/// The verifier plays the role of the application's verification phase:
+/// given the run result of a *completed* faulty run it decides whether the
+/// output is acceptable.  Trapped runs are classified as
 /// [`Outcome::Crashed`] (carrying their [`CrashKind`](crate::CrashKind))
 /// before the verifier is consulted.
-pub struct Campaign<'m, F>
-where
-    F: Fn(&RunResult) -> bool + Sync,
-{
+pub struct Campaign<'m, F> {
     pub(crate) module: &'m Module,
     pub(crate) verify: F,
     pub(crate) max_steps: u64,
@@ -207,10 +211,7 @@ where
     pub(crate) decoded: Cow<'m, DecodedModule>,
 }
 
-impl<'m, F> Campaign<'m, F>
-where
-    F: Fn(&RunResult) -> bool + Sync,
-{
+impl<'m, F: Fn(&RunResult) -> bool + Sync> Campaign<'m, F> {
     /// Create a campaign for `module` judged by `verify`.  The module is
     /// decoded (and verified) once here; every faulty run then executes the
     /// decoded tables ([`Vm::run_decoded`] / [`Vm::resume_from_decoded`])
@@ -227,7 +228,65 @@ where
         Self::over(module, Cow::Borrowed(decoded), verify)
     }
 
-    fn over(module: &'m Module, decoded: Cow<'m, DecodedModule>, verify: F) -> Self {
+    /// Run `n_tests` injections sampled uniformly from `sites × 64 bits`.
+    ///
+    /// Each parallel worker derives its test's [`FaultSpec`] from
+    /// `(seed, index)` on the fly ([`Campaign::fault_for_index`]); nothing
+    /// proportional to `n_tests` is allocated.
+    pub fn run(&self, sites: &[FaultSite], n_tests: u64) -> CampaignReport {
+        self.run_range(sites, IndexRange::full(n_tests))
+    }
+
+    /// Run one index-range shard of a campaign: the tests
+    /// `[range.start, range.end)` of the (seed-determined) test sequence.
+    /// Merging the reports of any partition of `[0, n_tests)` with
+    /// [`CampaignReport::merge`] is bit-identical to [`Campaign::run`].
+    pub fn run_range(&self, sites: &[FaultSite], range: IndexRange) -> CampaignReport {
+        let report = self.run_range_with(
+            sites,
+            range,
+            None,
+            |_, _, vm, _| (self.untraced(vm, None), ()),
+            |(), ()| (),
+        );
+        match report {
+            Ok((report, ())) => report,
+            Err(_) => unreachable!("a cold campaign has no checkpoint to precede"),
+        }
+    }
+
+    /// Run one index-range shard of a campaign with every test forked from
+    /// `snapshot` instead of cold-started.  The fault sequence is the same
+    /// pure function of `(seed, index)`, so as long as every sampled site
+    /// lies at or after the checkpoint step the report is bit-identical to
+    /// [`Campaign::run_range`] — at the cost of executing only the suffix of
+    /// each faulty run.  Tests whose restore fails degrade to the cold
+    /// executor per test and are tallied in [`CampaignCounts::degraded`].
+    ///
+    /// # Errors
+    /// [`FaultBeforeCheckpoint`] when a site of the list precedes the
+    /// checkpoint (so a sampled fault could); checked once, before any test
+    /// runs.
+    pub fn run_range_from(
+        &self,
+        sites: &[FaultSite],
+        range: IndexRange,
+        snapshot: &VmSnapshot,
+    ) -> Result<CampaignReport, FaultBeforeCheckpoint> {
+        self.run_range_with(
+            sites,
+            range,
+            Some(snapshot),
+            |_, _, vm, snap| (self.untraced(vm, snap), ()),
+            |(), ()| (),
+        )
+        .map(|(report, ())| report)
+    }
+}
+
+impl<'m, F> Campaign<'m, F> {
+    /// A campaign judged by any [`Verdict`].
+    pub(crate) fn over(module: &'m Module, decoded: Cow<'m, DecodedModule>, verify: F) -> Self {
         Campaign {
             module,
             verify,
@@ -276,90 +335,37 @@ where
         sample_site_fault(self.seed, sites, index)
     }
 
-    /// Run `n_tests` injections sampled uniformly from `sites × 64 bits`.
-    ///
-    /// Each parallel worker derives its test's [`FaultSpec`] from
-    /// `(seed, index)` on the fly ([`Campaign::fault_for_index`]); nothing
-    /// proportional to `n_tests` is allocated.
-    pub fn run(&self, sites: &[FaultSite], n_tests: u64) -> CampaignReport {
-        self.run_range(sites, IndexRange::full(n_tests))
-    }
-
-    /// Run one index-range shard of a campaign: the tests
-    /// `[range.start, range.end)` of the (seed-determined) test sequence.
-    /// Merging the reports of any partition of `[0, n_tests)` with
-    /// [`CampaignReport::merge`] is bit-identical to [`Campaign::run`].
-    pub fn run_range(&self, sites: &[FaultSite], range: IndexRange) -> CampaignReport {
-        let report = self.run_range_with(
-            sites,
-            range,
-            None,
-            |_, vm, _| self.untraced(vm, None),
-            |(), ()| (),
-        );
-        match report {
-            Ok((report, ())) => report,
-            Err(_) => unreachable!("a cold campaign has no checkpoint to precede"),
-        }
-    }
-
-    /// Run one index-range shard of a campaign with every test forked from
-    /// `snapshot` instead of cold-started.  The fault sequence is the same
-    /// pure function of `(seed, index)`, so as long as every sampled site
-    /// lies at or after the checkpoint step the report is bit-identical to
-    /// [`Campaign::run_range`] — at the cost of executing only the suffix of
-    /// each faulty run.  Tests whose restore fails degrade to the cold
-    /// executor per test and are tallied in [`CampaignCounts::degraded`].
-    ///
-    /// # Errors
-    /// [`FaultBeforeCheckpoint`] when a site of the list precedes the
-    /// checkpoint (so a sampled fault could); checked once, before any test
-    /// runs.
-    pub fn run_range_from(
-        &self,
-        sites: &[FaultSite],
-        range: IndexRange,
-        snapshot: &VmSnapshot,
-    ) -> Result<CampaignReport, FaultBeforeCheckpoint> {
-        self.run_range_with(
-            sites,
-            range,
-            Some(snapshot),
-            |_, vm, snap| self.untraced(vm, snap),
-            |(), ()| (),
-        )
-        .map(|(report, ())| report)
-    }
-
     /// The untraced faulty run: resumed from `snapshot` when there is one,
     /// from program entry otherwise.
-    fn untraced(&self, vm: Vm, snapshot: Option<&VmSnapshot>) -> (RunResult, ()) {
-        let result = match snapshot {
+    pub(crate) fn untraced(&self, vm: Vm, snapshot: Option<&VmSnapshot>) -> RunResult {
+        match snapshot {
             Some(snap) => vm.resume_from_decoded(self.module, &self.decoded, snap),
             None => vm.run_decoded(self.module, &self.decoded),
-        };
-        (result.expect("campaign module must verify"), ())
+        }
+        .expect("campaign module must verify")
     }
 
     /// The campaign kernel: run the tests `[range.start, range.end)`, each
     /// forked from `snapshot` when one is given (cold otherwise), and
     /// assemble their report.
     ///
-    /// `run` executes one faulty run: it gets the test's fault, a [`Vm`]
-    /// configured with that fault and the campaign's step budget, and the
-    /// snapshot to resume from (`None` for a cold run, including the cold
-    /// fallback of a test whose restore failed).  It returns the run result
-    /// the test is classified by, plus a per-test product — an analysis
-    /// that rode along the run.  `fold` combines the products of the tests
-    /// that did not end as [`Outcome::HarnessError`]; a degraded test
-    /// contributes the product of its cold fallback.
+    /// `run` executes one faulty run: it gets the test's index and fault, a
+    /// [`Vm`] configured with that fault and the campaign's step budget, and
+    /// the snapshot to resume from (`None` for a cold run, including the
+    /// cold fallback of a test whose restore failed).  It returns the run
+    /// result the test is classified by, plus a per-test product — an
+    /// analysis that rode along the run, or what followed it.  A trapped
+    /// run classifies by its trap; a completed one by the campaign's
+    /// [`Verdict`], which may read the product.  `fold` combines the
+    /// products of the tests that did not end as [`Outcome::HarnessError`];
+    /// a degraded test contributes the product of its cold fallback.
     ///
     /// Every test runs inside the panic perimeter: a panicking run, a
-    /// failed restore and a panicking verifier are contained per test, and
+    /// failed restore and a panicking verdict are contained per test, and
     /// the armed [`FailPlan`] fires per test index.  Sampling, sharding and
     /// report assembly are those of [`Campaign::run_range`], so the report
     /// is bit-identical to it whenever `run` executes the faulty run
-    /// faithfully.
+    /// faithfully and the verdict is the campaign verifier's.
     ///
     /// # Errors
     /// [`FaultBeforeCheckpoint`] when a site precedes `snapshot`; checked
@@ -369,9 +375,12 @@ where
         sites: &[FaultSite],
         range: IndexRange,
         snapshot: Option<&VmSnapshot>,
-        run: impl Fn(FaultSpec, Vm, Option<&VmSnapshot>) -> (RunResult, X) + Sync,
+        run: impl Fn(u64, FaultSpec, Vm, Option<&VmSnapshot>) -> (RunResult, X) + Sync,
         fold: impl Fn(X, X) -> X + Sync,
-    ) -> Result<(CampaignReport, X), FaultBeforeCheckpoint> {
+    ) -> Result<(CampaignReport, X), FaultBeforeCheckpoint>
+    where
+        F: Verdict<X>,
+    {
         if let (Some(snap), Some(at_step)) = (snapshot, sites.iter().map(|s| s.at_step).min()) {
             if at_step < snap.step() {
                 return Err(FaultBeforeCheckpoint {
@@ -409,14 +418,17 @@ where
         index: u64,
         fault: FaultSpec,
         snapshot: Option<&VmSnapshot>,
-        run: &impl Fn(FaultSpec, Vm, Option<&VmSnapshot>) -> (RunResult, X),
-    ) -> (CampaignCounts, X) {
+        run: &impl Fn(u64, FaultSpec, Vm, Option<&VmSnapshot>) -> (RunResult, X),
+    ) -> (CampaignCounts, X)
+    where
+        F: Verdict<X>,
+    {
         let execute = |snap: Option<&VmSnapshot>| {
             catch_unwind(AssertUnwindSafe(|| {
                 if snap.is_some() {
                     self.chaos.trip(FailSite::RestoreCheckpoint, index);
                 }
-                run(fault, Vm::new(self.config(fault)), snap)
+                run(index, fault, Vm::new(self.config(fault)), snap)
             }))
             .ok()
         };
@@ -428,7 +440,7 @@ where
             None => (execute(None), false),
         };
         let outcome = match &executed {
-            Some((result, _)) => self.classify(result, index),
+            Some((result, product)) => self.classify(result, product, index),
             None => Outcome::HarnessError,
         };
         let mut counts = CampaignCounts {
@@ -446,17 +458,20 @@ where
 
     /// Classify a finished run: traps map to their [`CrashKind`]
     /// (`TrapKind::StepLimit` is the hang bucket), completed runs are judged
-    /// by the verifier — itself inside the panic perimeter, so a poisoned
+    /// by the verdict — itself inside the panic perimeter, so a poisoned
     /// verifier yields [`Outcome::HarnessError`] instead of killing the
     /// worker.
     ///
     /// [`CrashKind`]: crate::CrashKind
-    fn classify(&self, result: &RunResult, index: u64) -> Outcome {
+    fn classify<X>(&self, result: &RunResult, product: &X, index: u64) -> Outcome
+    where
+        F: Verdict<X>,
+    {
         match result.outcome {
             RunOutcome::Trapped(trap) => Outcome::crashed(trap),
             RunOutcome::Completed => catch_unwind(AssertUnwindSafe(|| {
                 self.chaos.trip(FailSite::Verifier, index);
-                if (self.verify)(result) {
+                if self.verify.accepts(result, product) {
                     Outcome::VerificationSuccess
                 } else {
                     Outcome::VerificationFailed
@@ -504,7 +519,7 @@ mod tests {
     }
 
     /// The traced fault-free run.  Tests derive sites from the trace and the
-    /// hang budget from `steps` (via [`hang_budget_for`]) — never from
+    /// hang budget from `steps` (via [`hang_budget`]) — never from
     /// `trace.len()`, which undercounts dynamic steps for a partial trace.
     fn clean_run(module: &Module) -> RunResult {
         Vm::new(VmConfig::tracing()).run(module).unwrap()
@@ -525,7 +540,7 @@ mod tests {
         let sites = internal_sites(trace, 0, trace.len());
         assert!(!sites.is_empty());
         let campaign =
-            Campaign::new(&m, verify).with_max_steps(hang_budget_for(&clean));
+            Campaign::new(&m, verify).with_max_steps(hang_budget(clean.steps));
         let report = campaign.run(&sites, 200);
         assert_eq!(report.counts.total(), 200);
         assert_eq!(report.population, sites.len() as u64 * 64);
@@ -553,7 +568,7 @@ mod tests {
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
-        let max_steps = hang_budget_for(&clean);
+        let max_steps = hang_budget(clean.steps);
         let c1 = Campaign::new(&m, verify)
             .with_seed(7)
             .with_max_steps(max_steps)
@@ -580,7 +595,7 @@ mod tests {
         // input faults at step 0 are frequently masked (Data Overwriting).
         let sites = input_sites(0, &[(ftkr_vm::Location::mem(0), ftkr_vm::Value::F(0.0))]);
         let campaign =
-            Campaign::new(&m, verify).with_max_steps(hang_budget_for(&clean));
+            Campaign::new(&m, verify).with_max_steps(hang_budget(clean.steps));
         let report = campaign.run(&sites, 64);
         assert!(report.success_rate() > 0.9, "rate {}", report.success_rate());
     }
@@ -591,7 +606,7 @@ mod tests {
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
-        let max_steps = hang_budget_for(&clean);
+        let max_steps = hang_budget(clean.steps);
         let campaign = Campaign::new(&m, verify).with_seed(42).with_max_steps(max_steps);
         // The fault of test i is a pure function of (seed, i).
         for i in [0u64, 1, 7, 63] {
@@ -631,7 +646,7 @@ mod tests {
         let sites = internal_sites(trace, 0, trace.len());
         let campaign = Campaign::new(&m, verify)
             .with_seed(1234)
-            .with_max_steps(hang_budget_for(&clean));
+            .with_max_steps(hang_budget(clean.steps));
         let monolithic = campaign.run(&sites, 60);
         // Three deliberately uneven shards covering [0, 60).
         let shards = [
@@ -667,7 +682,7 @@ mod tests {
             .expect("fork step is mid-run");
         let campaign = Campaign::new(&m, verify)
             .with_seed(99)
-            .with_max_steps(hang_budget_for(&clean));
+            .with_max_steps(hang_budget(clean.steps));
         let cold = campaign.run_range(&sites, IndexRange::full(120));
         let forked = campaign
             .run_range_from(&sites, IndexRange::full(120), &snapshot)
@@ -740,7 +755,7 @@ mod tests {
         let poisoned = Campaign::new(&m, |_r: &RunResult| -> bool {
             panic!("verifier bug")
         })
-        .with_max_steps(hang_budget_for(&clean));
+        .with_max_steps(hang_budget(clean.steps));
         // The shard survives; every completed run classifies as a harness
         // error, and trapped runs still classify by their crash kind.
         let report = poisoned.run(&sites, 32);
@@ -768,7 +783,7 @@ mod tests {
         };
         let campaign = Campaign::new(&m, verify)
             .with_seed(5)
-            .with_max_steps(hang_budget_for(&clean))
+            .with_max_steps(hang_budget(clean.steps))
             .with_chaos(chaos);
         let report = campaign.run(&sites, 64);
         assert!(report.counts.harness_errors > 0, "~half the verdicts are poisoned");
@@ -791,7 +806,7 @@ mod tests {
             .snapshot_at(&m, fork)
             .unwrap()
             .expect("fork step is mid-run");
-        let max_steps = hang_budget_for(&clean);
+        let max_steps = hang_budget(clean.steps);
         let reference = Campaign::new(&m, verify)
             .with_seed(11)
             .with_max_steps(max_steps)
@@ -834,7 +849,7 @@ mod tests {
         };
         let campaign = Campaign::new(&m, verify)
             .with_seed(17)
-            .with_max_steps(hang_budget_for(&clean))
+            .with_max_steps(hang_budget(clean.steps))
             .with_chaos(chaos);
         // The product counts the tests that ran (forked, cold).
         let (report, (forked, cold)) = campaign
@@ -842,7 +857,7 @@ mod tests {
                 &sites,
                 range,
                 Some(&snapshot),
-                |_, vm, snap| match snap {
+                |_, _, vm, snap| match snap {
                     Some(snap) => (
                         vm.resume_from_decoded(&m, &campaign.decoded, snap).unwrap(),
                         (1u64, 0u64),
@@ -861,7 +876,7 @@ mod tests {
         // only strikes a run that completed.
         let undisturbed = Campaign::new(&m, verify)
             .with_seed(17)
-            .with_max_steps(hang_budget_for(&clean));
+            .with_max_steps(hang_budget(clean.steps));
         let (mut want_forked, mut want_cold) = (0, 0);
         for i in range.start..range.end {
             let completed = undisturbed

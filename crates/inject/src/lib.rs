@@ -22,10 +22,10 @@
 //! paper's three-way crashed rate stays derivable.  The [`chaos`] module
 //! turns the harness's own failure modes into seeded, replayable faults.
 //!
-//! The [`spmd`] module extends campaigns to multi-rank SPMD jobs: each test
-//! runs the application `nranks`-way with the fault landing in exactly one
-//! rank's VM (or, for [`plan::CampaignTarget::Messages`] campaigns, in one
-//! message payload at a communicator boundary), and a rank-divergence
+//! The [`spmd`] module extends campaigns to `nranks`-way SPMD jobs: the
+//! fault lands in one rank's VM, run as a test of the same kernel (or, for
+//! [`plan::CampaignTarget::Messages`] campaigns, in one message payload),
+//! the exchange is evaluated in the calling thread, and a rank-divergence
 //! detector classifies every completed test as masked, contained, or spread.
 
 pub mod batch;
@@ -39,8 +39,8 @@ pub mod stats;
 
 pub use batch::{BatchContext, BatchScan, LaneState};
 pub use campaign::{
-    hang_budget, hang_budget_for, sample_site_fault, Campaign, CampaignReport,
-    FaultBeforeCheckpoint, DEFAULT_SEED,
+    hang_budget, sample_site_fault, Campaign, CampaignReport, FaultBeforeCheckpoint, Verdict,
+    DEFAULT_SEED,
 };
 pub use chaos::{FailPlan, FailSite};
 pub use outcome::{CampaignCounts, CrashCounts, CrashKind, Outcome};

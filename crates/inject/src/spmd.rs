@@ -1,51 +1,47 @@
-//! Multi-rank (SPMD) fault-campaign executor.
+//! Multi-rank (SPMD) fault campaigns.
 //!
-//! Each test of an SPMD campaign runs the application as an `nranks`-way
-//! [`run_spmd`] job with the fault landing in exactly one place: one rank's
-//! VM for computation faults ([`SpmdFaults::Computation`]), or one message
-//! payload at a communicator boundary for message faults
-//! ([`SpmdFaults::Messages`]).  Every rank executes the *same* kernel module
-//! — a symmetric block partition of an `nranks×` larger problem (see
-//! `ftkr_apps::spmd`) — and the ranks exchange values under a fixed,
-//! deterministic protocol:
+//! Each test of an SPMD campaign models the application as an `nranks`-way
+//! job with the fault landing in exactly one place: one rank's VM for
+//! computation faults ([`SpmdFaults::Computation`]), or one message payload
+//! at a send boundary for message faults ([`SpmdFaults::Messages`]).  Every
+//! rank executes the *same* kernel module — a symmetric block partition of
+//! an `nranks×` larger problem (see `ftkr_apps::spmd`) — then the ranks
+//! exchange a ring halo and allreduce their halo-coupled partials into the
+//! global value every rank verifies against its clean counterpart.
 //!
-//! 1. each rank sends its boundary value to the next rank in the ring and
-//!    receives its predecessor's (directed receives, one message per edge);
-//! 2. the received halo is folded into the local partial:
-//!    `coupled = partial + coupling × halo`;
-//! 3. an allreduce combines the coupled contributions into the global value
-//!    every rank verifies against its clean counterpart.
+//! No test needs a thread per rank.  The kernel is deterministic, so a rank
+//! that does not host the fault has the cached clean local result, and
+//! [`exchange`] evaluates the protocol in the calling thread, bit-identical
+//! to a thread-per-rank `ftkr_mpi` job.  A computation-fault test's one VM
+//! run — the injected rank's — is a test of the campaign kernel
+//! ([`Campaign::run_range_with`]), forked from the caller's checkpoint,
+//! whose verdict is job acceptance after the exchange.  Message-fault tests
+//! run no VM: they are a sequential fold over [`exchange`].
 //!
-//! Determinism carries over from the single-VM campaigns: each test's fault
-//! is a pure function of `(seed, index)` (the *same* function the serial
-//! executor uses, so serial and parallel campaigns draw identical fault
-//! populations), every receive is directed, and the reduction order is fixed
-//! by rank index.  Shard reports therefore merge bit-identically, the same
-//! bar the PR-3/PR-6 machinery holds.
-//!
-//! Ranks not hosting the fault do not re-execute the VM: the kernel is
-//! deterministic, so their local results are the cached clean ones, and only
-//! the exchange runs for real.  Message-fault tests execute no VM at all.
-//! A rank whose faulty VM traps (or whose harness panics) still completes
-//! the exchange with its (deterministic) final state, so no rank can strand
-//! a peer in a blocking receive.
+//! Each test's fault is a pure function of `(seed, index)` (the *same*
+//! function the serial executor uses, so serial and parallel campaigns draw
+//! identical fault populations), so shard reports merge bit-identically.
 
-use std::panic::{self, AssertUnwindSafe};
+use std::borrow::Cow;
 
 use ftkr_ir::Module;
-use ftkr_mpi::{run_spmd, Communicator, MsgFault, ReduceOp, SendRecord};
+use ftkr_mpi::{MsgFault, SendRecord};
 use ftkr_patterns::divergence::{classify_ranks, RankDigest, RankDivergence};
-use ftkr_vm::{DecodedModule, FaultSpec, RunOutcome, RunResult, Vm, VmConfig};
+use ftkr_vm::{DecodedModule, RunOutcome, RunResult, Vm, VmConfig, VmSnapshot};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::campaign::{mix_index, sample_site_fault, CampaignReport};
+use crate::campaign::{mix_index, Campaign, CampaignReport, FaultBeforeCheckpoint, Verdict};
 use crate::outcome::{CampaignCounts, CrashKind, Outcome};
 use crate::plan::{IndexRange, RankTarget};
 use crate::sites::FaultSite;
 
-/// Tag of the ring halo-exchange messages (collectives use negative tags).
+/// Tag of the ring halo-exchange messages.
 const TAG_HALO: i64 = 9;
+/// Tag of a contribution gathered to rank 0 (the communicator's allreduce).
+const TAG_GATHER: i64 = -1;
+/// Tag of the reduced value rank 0 sends back.
+const TAG_RESULT: i64 = -2;
 
 /// Salt decorrelating the rank-sweep stream from the fault-sampling stream
 /// derived from the same `(seed, index)`.
@@ -90,6 +86,9 @@ pub enum SpmdFaults<'s> {
         sites: &'s [FaultSite],
         /// Which rank hosts the fault.
         rank_target: RankTarget,
+        /// The fault-free checkpoint the injected rank's run forks from
+        /// (`None`: it runs from program entry).  No site may precede it.
+        snapshot: Option<&'s VmSnapshot>,
     },
     /// Single-bit payload corruptions of the messages recorded in the clean
     /// census, applied at the send boundary.
@@ -104,14 +103,27 @@ pub struct RankLocal {
     pub steps: u64,
     /// The crash class of a trapped run.
     pub crash: Option<CrashKind>,
-    /// True when the harness (not the program) failed.
-    pub harness: bool,
     /// State digest of the finished run.
     pub state_fnv: u64,
     /// Allreduce contribution.
     pub partial: f64,
     /// Exported boundary value.
     pub boundary: f64,
+}
+
+impl RankLocal {
+    /// The rank's divergence digest once the exchange gave it `coupled` and
+    /// `global`.
+    fn digest(&self, coupled: f64, global: f64) -> RankDigest {
+        RankDigest {
+            steps: self.steps,
+            trapped: false,
+            state_fnv: self.state_fnv,
+            partial_bits: self.partial.to_bits(),
+            coupled_bits: coupled.to_bits(),
+            global_bits: global.to_bits(),
+        }
+    }
 }
 
 /// The cached fault-free SPMD execution: per-rank clean digests, the clean
@@ -160,17 +172,6 @@ impl DivergenceCounts {
         self.masked + self.contained + self.spread
     }
 
-    /// Of the tests whose corruption became observable, the fraction that
-    /// stayed inside the injected rank.  `0` when nothing diverged.
-    pub fn containment_rate(&self) -> f64 {
-        let diverged = self.contained + self.spread;
-        if diverged == 0 {
-            0.0
-        } else {
-            self.contained as f64 / diverged as f64
-        }
-    }
-
     /// Element-wise sum (shard merging).
     pub fn merge(self, other: DivergenceCounts) -> DivergenceCounts {
         DivergenceCounts {
@@ -185,6 +186,11 @@ impl DivergenceCounts {
 /// per-rank outcome tallies, and the divergence classification.  Merging is
 /// index-disjoint addition, bit-identical for any partition of the index
 /// space — the same contract as [`CampaignReport::merge`].
+///
+/// Every test is tallied once per rank, so each `per_rank` entry totals
+/// `report.n_tests`.  A test whose harness failed (the job tallies
+/// [`Outcome::HarnessError`]) is a harness error on every rank too, and is
+/// not classified in `divergence`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpmdCampaignReport {
     /// Ranks per job.
@@ -199,21 +205,6 @@ pub struct SpmdCampaignReport {
 }
 
 impl SpmdCampaignReport {
-    /// An empty report for the given campaign identity.
-    pub fn empty(ranks: u32, seed: u64, population: u64) -> Self {
-        SpmdCampaignReport {
-            ranks,
-            report: CampaignReport {
-                counts: CampaignCounts::default(),
-                n_tests: 0,
-                population,
-                seed,
-            },
-            per_rank: vec![CampaignCounts::default(); ranks as usize],
-            divergence: DivergenceCounts::default(),
-        }
-    }
-
     /// Merge two shard reports of the same campaign.
     ///
     /// # Panics
@@ -246,26 +237,115 @@ impl SpmdCampaignReport {
     }
 }
 
-/// The fault of one SPMD test, fully determined by `(seed, index)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum TestFault {
-    Computation { rank: usize, spec: FaultSpec },
-    Message(MsgFault),
+/// Evaluate the exchange protocol of one job in the calling thread.
+///
+/// `locals` holds each rank's `(boundary, partial)`; `fault`, when given,
+/// flips its bit in the one message it names.  Returns each rank's
+/// `(coupled, global)` and the job's send census.  Bit-identical to the
+/// protocol run as a thread-per-rank `ftkr_mpi` job: each rank sends its
+/// boundary to the next rank in the ring and folds the halo it receives,
+/// `coupled = partial + coupling × halo`; then the communicator's allreduce
+/// gathers every contribution to rank 0, sums them in rank order and sends
+/// the sum back.  Ordinals count per directed edge in send order (with 1
+/// and 2 ranks the halo and collective messages share edges), the census
+/// lists rank 0's sends first, and every payload is one word, so a fault's
+/// `word % len` is word 0.
+pub fn exchange(
+    locals: &[(f64, f64)],
+    coupling: f64,
+    fault: Option<MsgFault>,
+) -> (Vec<(f64, f64)>, Vec<SendRecord>) {
+    let n = locals.len();
+    let mut census: Vec<SendRecord> = Vec::with_capacity(2 * n);
+    for from in 0..n {
+        // Every rank sends its halo, then rank 0 the reduced value to each
+        // peer and every other rank its contribution to rank 0.
+        let collective: Vec<(usize, i64)> = match from {
+            _ if n == 1 => Vec::new(),
+            0 => (1..n).map(|to| (to, TAG_RESULT)).collect(),
+            _ => vec![(0, TAG_GATHER)],
+        };
+        for (to, tag) in [((from + 1) % n, TAG_HALO)].into_iter().chain(collective) {
+            let ordinal = census
+                .iter()
+                .filter(|m| (m.from, m.to) == (from, to))
+                .count() as u64;
+            census.push(SendRecord {
+                from,
+                to,
+                tag,
+                ordinal,
+                len: 1,
+            });
+        }
+    }
+    // A value as its receiver sees it: the armed fault flips its bit in the
+    // one message whose edge and ordinal it names.
+    let deliver = |from: usize, to: usize, tag: i64, value: f64| {
+        let sent = census
+            .iter()
+            .find(|m| (m.from, m.to, m.tag) == (from, to, tag));
+        match (fault, sent) {
+            (Some(f), Some(m)) if f.site == m.site() && f.ordinal == m.ordinal => {
+                f64::from_bits(value.to_bits() ^ (1u64 << f.bit))
+            }
+            _ => value,
+        }
+    };
+    let coupled: Vec<f64> = (0..n)
+        .map(|rank| {
+            let prev = (rank + n - 1) % n;
+            locals[rank].1 + coupling * deliver(prev, rank, TAG_HALO, locals[prev].0)
+        })
+        .collect();
+    let sum = (1..n).fold(coupled[0], |acc, rank| {
+        acc + deliver(rank, 0, TAG_GATHER, coupled[rank])
+    });
+    // Rank 0 keeps its own sum: no message carries it.
+    let ranks = (0..n)
+        .map(|rank| (coupled[rank], deliver(0, rank, TAG_RESULT, sum)))
+        .collect();
+    (ranks, census)
+}
+
+/// The per-rank outcomes and divergence classes of one test, or their sum
+/// over many: the product the campaign kernel folds.
+#[derive(Debug, Clone, Default)]
+struct RankTally {
+    per_rank: Vec<CampaignCounts>,
+    divergence: DivergenceCounts,
+}
+
+impl RankTally {
+    /// Element-wise sum.  The kernel's empty product has no ranks yet.
+    fn merge(mut self, other: RankTally) -> RankTally {
+        if self.per_rank.len() < other.per_rank.len() {
+            self.per_rank
+                .resize(other.per_rank.len(), CampaignCounts::default());
+        }
+        for (a, b) in self.per_rank.iter_mut().zip(other.per_rank) {
+            *a = a.merge(b);
+        }
+        self.divergence = self.divergence.merge(other.divergence);
+        self
+    }
+
+    /// Whether every rank of a one-test tally verified its global.
+    fn accepted(&self) -> bool {
+        self.per_rank.iter().all(|c| c.success == c.total())
+    }
+}
+
+/// An SPMD job passes when every rank's combined value verifies.
+struct JobAccepted;
+
+impl Verdict<RankTally> for JobAccepted {
+    fn accepts(&self, _: &RunResult, tally: &RankTally) -> bool {
+        tally.accepted()
+    }
 }
 
 impl<'m> SpmdHarness<'m> {
-    /// Execute the kernel once in this thread, with an optional fault.
-    fn run_local(&self, fault: Option<FaultSpec>) -> RunResult {
-        let config = VmConfig {
-            fault,
-            max_steps: self.max_steps,
-            ..VmConfig::default()
-        };
-        Vm::new(config)
-            .run_decoded(self.module, self.decoded)
-            .expect("module verifies")
-    }
-
     /// Summarize a finished local run.
     fn local_of(&self, result: &RunResult) -> RankLocal {
         RankLocal {
@@ -274,77 +354,38 @@ impl<'m> SpmdHarness<'m> {
                 RunOutcome::Completed => None,
                 RunOutcome::Trapped(trap) => Some(CrashKind::from_trap(trap)),
             },
-            harness: false,
             state_fnv: (self.state_digest)(result),
             partial: (self.partial)(result),
             boundary: (self.boundary)(result),
         }
     }
 
-    /// The sentinel a rank reports when its harness (not its program)
-    /// panicked mid-test.  It still joins the exchange, so peers never
-    /// block on a dead rank.
-    fn harness_sentinel() -> RankLocal {
-        RankLocal {
-            steps: 0,
-            crash: None,
-            harness: true,
-            state_fnv: 0,
-            partial: 0.0,
-            boundary: 0.0,
-        }
-    }
-
-    /// The fixed exchange protocol every rank runs, clean or faulty:
-    /// ring halo, coupling, allreduce.  Returns (coupled, global).
-    fn exchange(&self, comm: &mut Communicator, local: &RankLocal) -> (f64, f64) {
-        let rank = comm.rank();
-        let next = (rank + 1) % self.nranks;
-        let prev = (rank + self.nranks - 1) % self.nranks;
-        comm.send(next, TAG_HALO, vec![local.boundary]);
-        let halo = comm.recv(Some(prev), Some(TAG_HALO)).data[0];
-        let coupled = local.partial + self.coupling * halo;
-        let global = comm.allreduce_scalar(coupled, ReduceOp::Sum);
-        (coupled, global)
-    }
-
-    /// Run the fault-free SPMD job once: one local kernel execution (every
-    /// rank's clean result is identical by symmetry), then the real exchange
-    /// with a send census enabled.
+    /// Run the fault-free job once: one local kernel execution (every
+    /// rank's clean result is identical by symmetry), then the exchange,
+    /// whose census is the message population.
     ///
     /// # Panics
     ///
     /// Panics if the fault-free run traps — a broken harness, not a fault
     /// effect.
     pub fn clean_state(&self) -> SpmdCleanState {
-        let result = self.run_local(None);
+        let config = VmConfig {
+            max_steps: self.max_steps,
+            ..VmConfig::default()
+        };
+        let result = Vm::new(config)
+            .run_decoded(self.module, self.decoded)
+            .expect("module verifies");
         assert!(
             result.outcome.is_completed(),
             "fault-free SPMD local run trapped"
         );
         let local = self.local_of(&result);
-        let ranks = run_spmd(self.nranks, |mut comm| {
-            comm.record_census();
-            let (coupled, global) = self.exchange(&mut comm, &local);
-            (coupled, global, comm.take_census())
-        })
-        .expect("clean SPMD job completes");
-        let census: Vec<SendRecord> = ranks.iter().flat_map(|(_, _, c)| c.clone()).collect();
-        assert!(!census.is_empty(), "SPMD exchange produced no messages");
-        let digests = ranks
-            .iter()
-            .map(|(coupled, global, _)| RankDigest {
-                steps: local.steps,
-                trapped: false,
-                state_fnv: local.state_fnv,
-                partial_bits: local.partial.to_bits(),
-                coupled_bits: coupled.to_bits(),
-                global_bits: global.to_bits(),
-            })
-            .collect();
+        let values = vec![(local.boundary, local.partial); self.nranks];
+        let (ranks, census) = exchange(&values, self.coupling, None);
         SpmdCleanState {
             local,
-            digests,
+            digests: ranks.iter().map(|&(c, g)| local.digest(c, g)).collect(),
             global: ranks[0].1,
             census,
         }
@@ -359,180 +400,137 @@ impl<'m> SpmdHarness<'m> {
         (global - clean.global).abs() <= self.combine_rel_tol * scale
     }
 
-    /// The fault of test `index` — a pure function of `(seed, index)` (plus
-    /// the clean census for message campaigns).
-    fn fault_for_index(
+    /// Exchange the ranks' locals (`fault` armed, if any) and tally the job:
+    /// each rank's outcome and, when no rank crashed, its divergence class
+    /// with the fault landing in rank `injected`.
+    fn judge(
         &self,
         clean: &SpmdCleanState,
-        faults: &SpmdFaults<'_>,
-        seed: u64,
-        index: u64,
-    ) -> TestFault {
-        match faults {
-            SpmdFaults::Computation { sites, rank_target } => {
-                let rank = match rank_target {
-                    RankTarget::Rank(r) => (*r as usize) % self.nranks,
-                    RankTarget::Sweep => {
-                        (mix_index(seed ^ RANK_SWEEP_SALT, index) % self.nranks as u64) as usize
-                    }
-                };
-                TestFault::Computation {
-                    rank,
-                    spec: sample_site_fault(seed, sites, index),
-                }
-            }
-            SpmdFaults::Messages => {
-                // The population is `census × 64 bits`, so both the message
-                // and the flipped bit are drawn per test — otherwise a small
-                // census (one self-halo message at `nranks = 1`) would
-                // collapse every test onto the one flip `MsgFault::derive`
-                // fixes per `(seed, site, ordinal)`.
-                let mut rng = StdRng::seed_from_u64(mix_index(seed ^ MSG_CHOICE_SALT, index));
-                let record = &clean.census[rng.random_range(0..clean.census.len())];
-                TestFault::Message(MsgFault {
-                    site: record.site(),
-                    ordinal: record.ordinal,
-                    word: rng.random_range(0..record.len.max(1)),
-                    bit: rng.random_range(0..64u32) as u8,
-                })
-            }
-        }
-    }
-
-    /// Execute one test as an SPMD job and tally it.
-    fn run_test(
-        &self,
-        clean: &SpmdCleanState,
-        fault: TestFault,
-        singleton: &mut SpmdCampaignReport,
-    ) {
-        let injected = match fault {
-            TestFault::Computation { rank, .. } => rank,
-            // A corrupted payload first becomes part of the *receiving*
-            // rank's state.
-            TestFault::Message(f) => f.site.to,
+        locals: &[RankLocal],
+        fault: Option<MsgFault>,
+        injected: usize,
+    ) -> RankTally {
+        let values: Vec<(f64, f64)> = locals.iter().map(|l| (l.boundary, l.partial)).collect();
+        let (ranks, _) = exchange(&values, self.coupling, fault);
+        let mut tally = RankTally {
+            per_rank: vec![CampaignCounts::default(); locals.len()],
+            divergence: DivergenceCounts::default(),
         };
-        let job = run_spmd(self.nranks, |mut comm| {
-            let rank = comm.rank();
-            let local = match fault {
-                TestFault::Computation { rank: target, spec } if target == rank => {
-                    match panic::catch_unwind(AssertUnwindSafe(|| self.run_local(Some(spec)))) {
-                        Ok(result) => self.local_of(&result),
-                        Err(_) => Self::harness_sentinel(),
-                    }
-                }
-                TestFault::Message(f) => {
-                    if f.site.from == rank {
-                        comm.arm_fault(f);
-                    }
-                    clean.local
-                }
-                // Clean-rank elision: the kernel is deterministic, so a
-                // non-injected rank's local result is the cached clean one;
-                // only the exchange runs for real.
-                TestFault::Computation { .. } => clean.local,
-            };
-            let (coupled, global) = self.exchange(&mut comm, &local);
-            (local, coupled, global)
-        });
-
-        let ranks = match job {
-            Ok(ranks) => ranks,
-            Err(_) => {
-                // A rank died inside the exchange itself: the whole job is a
-                // harness loss, per rank and overall.
-                singleton.report.counts.record(Outcome::HarnessError);
-                singleton.report.n_tests += 1;
-                for counts in &mut singleton.per_rank {
-                    counts.record(Outcome::HarnessError);
-                }
-                return;
-            }
-        };
-
-        let mut job_outcome: Option<Outcome> = None;
-        let mut harness_lost = false;
-        let mut all_accept = true;
-        for (rank, (local, _, global)) in ranks.iter().enumerate() {
-            let outcome = if local.harness {
-                harness_lost = true;
-                Outcome::HarnessError
-            } else if let Some(kind) = local.crash {
-                Outcome::Crashed(kind)
-            } else if self.accept(clean, *global) {
-                Outcome::VerificationSuccess
-            } else {
-                all_accept = false;
-                Outcome::VerificationFailed
-            };
-            singleton.per_rank[rank].record(outcome);
-            if job_outcome.is_none() {
-                match outcome {
-                    Outcome::HarnessError | Outcome::Crashed(_) => job_outcome = Some(outcome),
-                    _ => {}
-                }
-            }
+        for ((counts, local), &(_, global)) in tally.per_rank.iter_mut().zip(locals).zip(&ranks) {
+            counts.record(match local.crash {
+                Some(kind) => Outcome::Crashed(kind),
+                None if self.accept(clean, global) => Outcome::VerificationSuccess,
+                None => Outcome::VerificationFailed,
+            });
         }
-        let job_outcome = job_outcome.unwrap_or(if all_accept {
-            Outcome::VerificationSuccess
-        } else {
-            Outcome::VerificationFailed
-        });
-        singleton.report.counts.record(job_outcome);
-        singleton.report.n_tests += 1;
-
-        // Divergence is a silent-data-flow property: only completed jobs
-        // (no crash, no harness loss) are classified.
-        if !harness_lost && ranks.iter().all(|(l, _, _)| l.crash.is_none()) {
-            let digests: Vec<RankDigest> = ranks
+        // Divergence is a silent-data-flow property: only jobs in which no
+        // rank crashed are classified.
+        if locals.iter().all(|l| l.crash.is_none()) {
+            let digests: Vec<RankDigest> = locals
                 .iter()
-                .map(|(local, coupled, global)| RankDigest {
-                    steps: local.steps,
-                    trapped: false,
-                    state_fnv: local.state_fnv,
-                    partial_bits: local.partial.to_bits(),
-                    coupled_bits: coupled.to_bits(),
-                    global_bits: global.to_bits(),
-                })
+                .zip(&ranks)
+                .map(|(local, &(coupled, global))| local.digest(coupled, global))
                 .collect();
-            singleton
+            tally
                 .divergence
                 .record(classify_ranks(&clean.digests, &digests, injected));
         }
+        tally
     }
 
     /// Run the tests `[range.start, range.end)` of the SPMD campaign
     /// `(seed, faults)` and tally them.  Pure per index, so any partition of
     /// the index space merges bit-identically to the monolithic run.
+    ///
+    /// # Errors
+    ///
+    /// [`FaultBeforeCheckpoint`] when a computation site precedes the
+    /// snapshot; checked before any test runs.
     pub fn run_range(
         &self,
         clean: &SpmdCleanState,
         faults: &SpmdFaults<'_>,
         seed: u64,
         range: IndexRange,
-    ) -> SpmdCampaignReport {
-        let population = match faults {
-            SpmdFaults::Computation { sites, .. } => sites.len() as u64 * 64,
-            SpmdFaults::Messages => clean.census.len() as u64 * 64,
+    ) -> Result<SpmdCampaignReport, FaultBeforeCheckpoint> {
+        let (report, tally) = match *faults {
+            SpmdFaults::Computation {
+                sites,
+                rank_target,
+                snapshot,
+            } => {
+                let campaign =
+                    Campaign::over(self.module, Cow::Borrowed(self.decoded), JobAccepted)
+                        .with_max_steps(self.max_steps)
+                        .with_seed(seed);
+                campaign.run_range_with(
+                    sites,
+                    range,
+                    snapshot,
+                    |index, _, vm, snap| {
+                        let result = campaign.untraced(vm, snap);
+                        let rank = match rank_target {
+                            RankTarget::Rank(r) => r as usize % self.nranks,
+                            RankTarget::Sweep => {
+                                (mix_index(seed ^ RANK_SWEEP_SALT, index) % self.nranks as u64)
+                                    as usize
+                            }
+                        };
+                        // Clean-rank elision: the kernel is deterministic, so
+                        // every other rank's local result is the clean one.
+                        let mut locals = vec![clean.local; self.nranks];
+                        locals[rank] = self.local_of(&result);
+                        let tally = self.judge(clean, &locals, None, rank);
+                        (result, tally)
+                    },
+                    RankTally::merge,
+                )?
+            }
+            SpmdFaults::Messages => {
+                let mut report = CampaignReport {
+                    counts: CampaignCounts::default(),
+                    n_tests: range.len(),
+                    population: clean.census.len() as u64 * 64,
+                    seed,
+                };
+                let locals = vec![clean.local; self.nranks];
+                let tally = (range.start..range.end).fold(RankTally::default(), |sum, index| {
+                    // The population is `census × 64 bits`, so both the
+                    // message and the flipped bit are drawn per test.
+                    let mut rng = StdRng::seed_from_u64(mix_index(seed ^ MSG_CHOICE_SALT, index));
+                    let record = &clean.census[rng.random_range(0..clean.census.len())];
+                    let fault = MsgFault {
+                        site: record.site(),
+                        ordinal: record.ordinal,
+                        word: rng.random_range(0..record.len.max(1)),
+                        bit: rng.random_range(0..64u32) as u8,
+                    };
+                    // A corrupted payload first becomes part of the
+                    // *receiving* rank's state.
+                    let tally = self.judge(clean, &locals, Some(fault), fault.site.to);
+                    report.counts.record(if tally.accepted() {
+                        Outcome::VerificationSuccess
+                    } else {
+                        Outcome::VerificationFailed
+                    });
+                    sum.merge(tally)
+                });
+                (report, tally)
+            }
         };
-        let ranks = self.nranks as u32;
-        let empty = SpmdCampaignReport::empty(ranks, seed, population);
-        if population == 0 || range.is_empty() {
-            return empty;
+        let mut per_rank = tally.per_rank;
+        per_rank.resize(self.nranks, CampaignCounts::default());
+        for counts in &mut per_rank {
+            counts.harness_errors += report.n_tests - counts.total();
         }
-        (range.start..range.end)
-            .into_par_iter()
-            .map(|index| {
-                let fault = self.fault_for_index(clean, faults, seed, index);
-                let mut singleton = SpmdCampaignReport::empty(ranks, seed, population);
-                self.run_test(clean, fault, &mut singleton);
-                singleton
-            })
-            .reduce(|| empty.clone(), |a, b| a.merge(&b))
+        Ok(SpmdCampaignReport {
+            ranks: self.nranks as u32,
+            report,
+            per_rank,
+            divergence: tally.divergence,
+        })
     }
 }
-
-use rayon::prelude::*;
 
 #[cfg(test)]
 mod tests {
@@ -615,8 +613,11 @@ mod tests {
         let faults = SpmdFaults::Computation {
             sites: &sites,
             rank_target: RankTarget::Sweep,
+            snapshot: None,
         };
-        let monolithic = h.run_range(&clean, &faults, 0xFEED, IndexRange::full(24));
+        let monolithic = h
+            .run_range(&clean, &faults, 0xFEED, IndexRange::full(24))
+            .unwrap();
         assert_eq!(monolithic.report.n_tests, 24);
         assert_eq!(
             monolithic.per_rank.iter().map(|c| c.total()).sum::<u64>(),
@@ -624,17 +625,102 @@ mod tests {
             "every rank tallies every test"
         );
         // Repeated run: byte-identical.
-        let again = h.run_range(&clean, &faults, 0xFEED, IndexRange::full(24));
+        let again = h
+            .run_range(&clean, &faults, 0xFEED, IndexRange::full(24))
+            .unwrap();
         assert_eq!(monolithic.to_json(), again.to_json());
         // Uneven shard split: bit-identical merge.
         let merged = IndexRange::full(24)
             .split(5)
             .into_iter()
-            .map(|shard| h.run_range(&clean, &faults, 0xFEED, shard))
+            .map(|shard| h.run_range(&clean, &faults, 0xFEED, shard).unwrap())
             .reduce(|a, b| a.merge(&b))
             .expect("five shards");
         assert_eq!(merged, monolithic);
         assert_eq!(merged.to_json(), monolithic.to_json());
+    }
+
+    #[test]
+    fn forked_computation_campaign_matches_the_cold_one() {
+        let module = module();
+        let decoded = DecodedModule::decode(&module);
+        let h = harness(&module, &decoded, 3);
+        let clean = h.clean_state();
+        let sites = sites();
+        let snapshot = Vm::new(VmConfig::default())
+            .snapshot_at(&module, sites[0].at_step)
+            .unwrap()
+            .expect("the first site is mid-run");
+        let faults = |snapshot| SpmdFaults::Computation {
+            sites: &sites,
+            rank_target: RankTarget::Sweep,
+            snapshot,
+        };
+        let cold = h
+            .run_range(&clean, &faults(None), 0xFEED, IndexRange::full(48))
+            .unwrap();
+        let forked = h
+            .run_range(
+                &clean,
+                &faults(Some(&snapshot)),
+                0xFEED,
+                IndexRange::full(48),
+            )
+            .unwrap();
+        assert_eq!(forked.to_json(), cold.to_json());
+        assert_eq!(forked.report.counts.degraded, 0);
+        // A site before the checkpoint is refused before any test runs.
+        let late = Vm::new(VmConfig::default())
+            .snapshot_at(&module, sites[1].at_step)
+            .unwrap()
+            .expect("mid-run");
+        assert!(h
+            .run_range(&clean, &faults(Some(&late)), 0xFEED, IndexRange::full(4))
+            .is_err());
+    }
+
+    #[test]
+    fn a_panicking_harness_is_a_harness_error_on_every_rank() {
+        let module = module();
+        let decoded = DecodedModule::decode(&module);
+        let mut h = harness(&module, &decoded, 3);
+        let clean = h.clean_state();
+        // The state digest panics on every result but the clean one.
+        h.state_digest = Box::new(|r| {
+            let total = r.global_f64("total").map_or(0.0, |v| v[0]);
+            assert_eq!(total, 16.0, "poisoned state digest");
+            ftkr_patterns::divergence::state_fnv(r, &["total"])
+        });
+        let sites = sites();
+        let faults = SpmdFaults::Computation {
+            sites: &sites,
+            rank_target: RankTarget::Sweep,
+            snapshot: None,
+        };
+        let n_tests = 48;
+        let report = h
+            .run_range(&clean, &faults, 0xFEED, IndexRange::full(n_tests))
+            .unwrap();
+        let lost = report.report.counts.harness_errors;
+        assert!(lost > 0, "no test reached the poisoned digest: {report:?}");
+        assert!(lost < n_tests, "every test was lost: {report:?}");
+        assert_eq!(report.report.n_tests, n_tests);
+        for counts in &report.per_rank {
+            assert_eq!(counts.total(), n_tests, "a rank lost tests: {report:?}");
+            assert_eq!(counts.harness_errors, lost);
+        }
+        assert_eq!(
+            report.divergence.classified() + report.report.counts.crashed() + lost,
+            n_tests,
+            "a harness error leaked into the divergence classification"
+        );
+        let merged = IndexRange::full(n_tests)
+            .split(5)
+            .into_iter()
+            .map(|shard| h.run_range(&clean, &faults, 0xFEED, shard).unwrap())
+            .reduce(|a, b| a.merge(&b))
+            .expect("five shards");
+        assert_eq!(merged.to_json(), report.to_json());
     }
 
     #[test]
@@ -647,8 +733,11 @@ mod tests {
         let faults = SpmdFaults::Computation {
             sites: &sites,
             rank_target: RankTarget::Rank(1),
+            snapshot: None,
         };
-        let report = h.run_range(&clean, &faults, 7, IndexRange::full(12));
+        let report = h
+            .run_range(&clean, &faults, 7, IndexRange::full(12))
+            .unwrap();
         // Ranks 0 and 2 never host the fault; under clean-rank elision their
         // VMs never even run, so they can only fail via a spread global.
         assert_eq!(report.per_rank[0].crashed(), 0);
@@ -662,7 +751,9 @@ mod tests {
         let decoded = DecodedModule::decode(&module);
         let h = harness(&module, &decoded, 4);
         let clean = h.clean_state();
-        let report = h.run_range(&clean, &SpmdFaults::Messages, 3, IndexRange::full(40));
+        let report = h
+            .run_range(&clean, &SpmdFaults::Messages, 3, IndexRange::full(40))
+            .unwrap();
         assert_eq!(report.report.n_tests, 40);
         // No VM runs in a message campaign: nothing can crash or hang.
         assert_eq!(report.report.counts.crashed(), 0);
@@ -671,10 +762,15 @@ mod tests {
         // The census mixes result-broadcast edges (corruption lands in one
         // rank: contained) with halo/gather edges (corruption reaches the
         // global sum: spread) — both classes must appear.
-        assert!(report.divergence.contained > 0, "no contained message faults");
+        assert!(
+            report.divergence.contained > 0,
+            "no contained message faults"
+        );
         assert!(report.divergence.spread > 0, "no spread message faults");
         // And the campaign is deterministic.
-        let again = h.run_range(&clean, &SpmdFaults::Messages, 3, IndexRange::full(40));
+        let again = h
+            .run_range(&clean, &SpmdFaults::Messages, 3, IndexRange::full(40))
+            .unwrap();
         assert_eq!(report, again);
     }
 
@@ -687,7 +783,9 @@ mod tests {
         let decoded = DecodedModule::decode(&module);
         let h = harness(&module, &decoded, 1);
         let clean = h.clean_state();
-        let report = h.run_range(&clean, &SpmdFaults::Messages, 5, IndexRange::full(32));
+        let report = h
+            .run_range(&clean, &SpmdFaults::Messages, 5, IndexRange::full(32))
+            .unwrap();
         assert_eq!(report.report.n_tests, 32);
         assert!(
             report.divergence.contained > 0,
@@ -708,8 +806,11 @@ mod tests {
         let faults = SpmdFaults::Computation {
             sites: &sites,
             rank_target: RankTarget::Sweep,
+            snapshot: None,
         };
-        let report = h.run_range(&clean, &faults, 11, IndexRange::full(10));
+        let report = h
+            .run_range(&clean, &faults, 11, IndexRange::full(10))
+            .unwrap();
         assert_eq!(report.ranks, 1);
         assert_eq!(report.report.n_tests, 10);
         // With one rank there are no peers to spread to.
@@ -718,12 +819,11 @@ mod tests {
 
     #[test]
     fn trapped_ranks_are_excluded_from_divergence_and_never_masked() {
-        // A trapped rank still completes the exchange (its deterministic
-        // final state joins the halo/allreduce so no peer blocks), but crash
-        // effects are not silent data flow: such tests must not enter the
-        // divergence classification at all — in particular the sentinel-
-        // completed exchange can never inflate `masked`.  The invariant that
-        // pins it: every completed (non-crashed, non-harness-lost) job is
+        // A trapped rank's final state still joins the exchange (its peers'
+        // outcomes depend on it), but crash effects are not silent data
+        // flow: such tests must not enter the divergence classification at
+        // all, so they can never inflate `masked`.  The invariant that pins
+        // it: every completed (non-crashed, non-harness-lost) job is
         // classified exactly once, so classified() + crashed + harness
         // errors == n_tests.
         let module = module();
@@ -734,8 +834,11 @@ mod tests {
         let faults = SpmdFaults::Computation {
             sites: &sites,
             rank_target: RankTarget::Sweep,
+            snapshot: None,
         };
-        let report = h.run_range(&clean, &faults, 0xFEED, IndexRange::full(60));
+        let report = h
+            .run_range(&clean, &faults, 0xFEED, IndexRange::full(60))
+            .unwrap();
         let crashed = report.report.counts.crashed();
         assert!(
             crashed > 0,

@@ -28,18 +28,6 @@ pub struct MsgSite {
     pub to: usize,
 }
 
-impl MsgSite {
-    /// Mix this site into a 64-bit salt (same role as the chaos registry's
-    /// per-site salts: it decorrelates faults on different edges under one
-    /// campaign seed).
-    pub fn salt(&self) -> u64 {
-        (self.from as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(self.to as u64)
-            .wrapping_mul(0xBF58_476D_1CE4_E5B9)
-    }
-}
-
 /// A single-bit payload corruption armed on the *sending* rank: the
 /// `ordinal`-th message this rank sends across `site` has one bit of one
 /// payload word flipped at the send boundary.
@@ -53,27 +41,6 @@ pub struct MsgFault {
     pub word: usize,
     /// Bit of the word's IEEE-754 representation to flip (0–63).
     pub bit: u8,
-}
-
-impl MsgFault {
-    /// Derive the corrupted (word, bit) for the message at `(site, ordinal)`
-    /// as a pure function of `(seed, site, ordinal)` — the same SplitMix64
-    /// scheme the chaos registry's `FailPlan::fires` uses, so repeated runs
-    /// and shard workers agree on the flip without coordination.
-    pub fn derive(seed: u64, site: MsgSite, ordinal: u64, payload_len: usize) -> MsgFault {
-        let mut z = seed
-            .wrapping_add(site.salt())
-            .wrapping_add(ordinal.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        MsgFault {
-            site,
-            ordinal,
-            word: (z as usize) % payload_len.max(1),
-            bit: ((z >> 32) % 64) as u8,
-        }
-    }
 }
 
 /// One observed send, as recorded by a census-enabled communicator.  The
@@ -517,17 +484,6 @@ mod tests {
             ]
         );
         assert!(results[1].is_empty());
-    }
-
-    #[test]
-    fn msg_fault_derivation_is_pure_and_seed_sensitive() {
-        let site = MsgSite { from: 2, to: 0 };
-        let a = MsgFault::derive(7, site, 5, 16);
-        let b = MsgFault::derive(7, site, 5, 16);
-        assert_eq!(a, b, "same (seed, site, ordinal) must derive the same flip");
-        assert!(a.word < 16 && a.bit < 64);
-        let differs = (0..64u64).any(|seed| MsgFault::derive(seed, site, 5, 16) != a);
-        assert!(differs, "the derived flip must depend on the seed");
     }
 
     #[test]

@@ -309,10 +309,10 @@ fn submit(
             &"the server is draining and accepts no new plans",
         ));
     }
-    // The resident server executes single-VM campaigns; multi-rank and
-    // message-fault plans belong to the SPMD executor (`run_plan_spmd` /
-    // `campaign_shard spmd-run`).  Refuse them up front with a typed error
-    // instead of failing every shard job after queueing.
+    // The wire protocol streams `AnalyzedCampaignReport`s only, so SPMD
+    // plans belong to `run_plan_spmd` / `campaign_shard spmd-run`.  Refuse
+    // them up front with a typed error instead of failing every shard job
+    // after queueing.
     if plan.is_spmd() {
         return Err(WireError::new(
             WireErrorKind::Plan,

@@ -363,12 +363,12 @@ impl Vm {
         let mut config = self.config;
         config.record_trace = true;
         let mut interp = Interp::at_entry(module, &decoded, &config, true);
-        // The prefix streams to no visitor: the snapshot keeps only the
-        // event cursor, not the events.  An empty set never settles, so the
-        // whole prefix records and interns like a cold recording run.
+        // The prefix streams to no visitor: the snapshot keeps none of its
+        // events.  An empty set never settles, so the whole prefix records
+        // and interns like a cold recording run.
         let mut sink = Sink::without_visitors(true, 0);
         Ok(match interp.run_until(step, &mut sink) {
-            None => Some(interp.capture(sink.emitted as u64)),
+            None => Some(interp.capture()),
             Some(_) => None,
         })
     }
@@ -676,12 +676,10 @@ impl<'m> Interp<'m> {
         }
     }
 
-    /// Capture the complete current state as a snapshot image.  `emitted` is
-    /// the streamed-event cursor of the capturing prefix run.
-    fn capture(&self, emitted: u64) -> VmSnapshot {
+    /// Capture the complete current state as a snapshot image.
+    fn capture(&self) -> VmSnapshot {
         VmSnapshot::new(SnapshotImage {
             step: self.steps,
-            events_emitted: emitted,
             next_frame_id: self.next_frame_id,
             memory: self.memory.clone(),
             frames: self.frames.clone(),

@@ -21,10 +21,11 @@
 //! other's writes, which the double-restore unit tests pin down.
 //!
 //! What is **not** captured: the recorded event stream.  A resumed run
-//! re-records (or re-streams) only the steps it executes; the snapshot's
-//! `events_emitted` cursor lets streaming consumers continue their absolute
-//! event indexing exactly where a cold run would be, which is what keeps
-//! fork-point campaign reports byte-identical to cold-run reports.
+//! re-records (or re-streams) only the steps it executes.  The capturing
+//! prefix records every step, so a streaming consumer continues its absolute
+//! event indexing at the snapshot's step, exactly where a cold run would be,
+//! which is what keeps fork-point campaign reports byte-identical to
+//! cold-run reports.
 
 use std::sync::Arc;
 
@@ -40,10 +41,6 @@ pub(crate) struct SnapshotImage {
     /// Absolute dynamic step the snapshot was taken at: the instruction at
     /// this step has **not** executed yet.
     pub(crate) step: u64,
-    /// Number of events a streaming run with the capturing configuration has
-    /// delivered up to `step`.  The capturing prefix records every step, so
-    /// this always equals `step`.
-    pub(crate) events_emitted: u64,
     /// Next frame id the interpreter would assign.
     pub(crate) next_frame_id: u32,
     /// Full memory image (globals + live stack + stack mark).
@@ -89,11 +86,12 @@ impl VmSnapshot {
         self.inner.step
     }
 
-    /// Number of events a streaming run with the capturing configuration
-    /// delivered before the fork point — the starting `EventCtx::index` of a
-    /// resumed streamed run.
+    /// Number of events a streaming run delivered before the fork point —
+    /// the starting `EventCtx::index` of a resumed streamed run.  The
+    /// capturing prefix records every step, so this is an alias of
+    /// [`VmSnapshot::step`].
     pub fn events_emitted(&self) -> u64 {
-        self.inner.events_emitted
+        self.step()
     }
 
     /// Number of locations the prefix interned (the fork point's location

@@ -5,12 +5,14 @@
 //! per-`Op` interpreter that decoded dispatch replaced.  Every lookup is
 //! strict: a key without a fixture line fails the test instead of skipping
 //! the comparison.  [`acl_reference`] is the hash-based ACL oracle the
-//! property tests diff the dense builder against.
+//! property tests diff the dense builder against, and [`spmd_reference`]
+//! the threaded SPMD exchange the in-thread one is diffed against.
 
 // Each test binary that includes this module uses only part of it.
 #![allow(dead_code)]
 
 pub mod acl_reference;
+pub mod spmd_reference;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
