@@ -151,6 +151,10 @@ chaosdir="target/shard-chaos"
 rm -rf "$chaosdir"
 cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
     chaos LU region:lu_blts internal 24 7 3 "$chaosdir" 99
+# Whole-program tests fork from the step-0 checkpoint, where no restore can
+# fail: the drill covers that start too, not only a mid-run region fork.
+cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
+    chaos LU whole internal 24 7 3 "$chaosdir/whole" 99
 
 echo "==> chaos convergence property suite (random fail-point schedules)"
 cargo test --release -q -p ftkr-bench --test chaos_convergence

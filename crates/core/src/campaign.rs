@@ -8,18 +8,19 @@
 //! An analyzed campaign is the plain campaign kernel
 //! ([`ftkr_inject::Campaign::run_range_with`]) with a detector attached.
 //! This module supplies only what differs: it primes the detector once
-//! over the clean prefix, hands the kernel a per-test run that streams
-//! through a fork of it (or a fresh one, cold), and folds the pattern
-//! tallies.  Fault sampling, sharding, the panic perimeter, the
-//! restore-to-cold fallback and classification are the kernel's, so each
-//! test is executed **once** and the embedded [`CampaignReport`] is
-//! bit-identical to [`Session::run_plan`] on the same plan — and analyzed
-//! shard reports merge exactly like plain ones.
+//! over the clean prefix up to the start snapshot, hands the kernel a
+//! per-test run that streams through a fork of it, and folds the pattern
+//! tallies.  Fault sampling, sharding, the panic perimeter, the restart of
+//! a failed restore from the step-0 checkpoint and classification are the
+//! kernel's, so each test is executed **once** and the embedded
+//! [`CampaignReport`] is bit-identical to [`Session::run_plan`] on the same
+//! plan — and analyzed shard reports merge exactly like plain ones.
 
 use serde::{Deserialize, Serialize};
 
 use ftkr_inject::{CampaignPlan, CampaignReport, FailPlan};
 use ftkr_patterns::{PatternKind, StreamingDetector};
+use ftkr_vm::VmSnapshot;
 
 use crate::session::{PlanError, Session};
 
@@ -136,8 +137,8 @@ impl Session {
 
     /// [`Session::run_plan_analyzed`] with a fail-point schedule armed — the
     /// analyzed twin of [`Session::run_plan_chaos`].  A failed checkpoint
-    /// restore degrades that test to the cold path with a fresh detector
-    /// (bit-identical patterns, by the fork/cold equivalence), and a
+    /// restore restarts that test from the step-0 checkpoint with a detector
+    /// primed there (bit-identical patterns, by the fork equivalence), and a
     /// panicking verifier records [`Outcome::HarnessError`] and contributes
     /// no pattern instances.
     ///
@@ -150,11 +151,11 @@ impl Session {
         self.run_plan_analyzed_with(plan, true, chaos)
     }
 
-    /// The cold-start reference executor of [`Session::run_plan_analyzed`]:
-    /// every faulty run re-executes the clean prefix and its detector
-    /// streams from event zero.  Kept public (and exercised by the
-    /// equivalence suite) as the first-principles baseline the fork-point
-    /// path is held byte-identical to.
+    /// The reference executor of [`Session::run_plan_analyzed`]: every
+    /// faulty run is forked from the step-0 checkpoint, so it re-executes
+    /// the clean prefix and its detector streams from event zero.  Kept
+    /// public (and exercised by the equivalence suite) as the baseline the
+    /// fork-point path is held byte-identical to.
     pub fn run_plan_analyzed_cold(
         &self,
         plan: &CampaignPlan,
@@ -168,15 +169,18 @@ impl Session {
         fork: bool,
         chaos: FailPlan,
     ) -> Result<AnalyzedCampaignReport, PlanError> {
-        let (sites, shard, snapshot) = self.prologue(plan, fork)?;
+        self.prologue(plan)?;
+        let (sites, shard, start) = self.population(plan, fork)?;
         let clean = self.clean_trace();
         let module = &self.app().module;
         let decoded = self.decoded_module();
-        // One detector is primed over the clean prefix up to the fork; every
-        // test forks it (cheap clone) instead of re-streaming the prefix.
-        let primed = snapshot.as_ref().map(|snap| {
-            StreamingDetector::primed(clean, snap.events_emitted() as usize, snap.num_locations())
-        });
+        let prime = |snap: &VmSnapshot| {
+            StreamingDetector::primed(clean, snap.step() as usize, snap.num_locations())
+        };
+        // One detector is primed over the clean prefix up to the start; every
+        // test forks it (cheap clone) instead of re-streaming the prefix.  A
+        // test restarted from step 0 primes its own.
+        let primed = prime(&start);
         // ONE streamed faulty run per test: the detector observes the events
         // as they execute, and the run result classifies the outcome.
         let (report, (patterns, tests_with_patterns)) = self
@@ -185,26 +189,19 @@ impl Session {
             .run_range_with(
                 &sites,
                 shard,
-                snapshot.as_ref(),
+                &start,
                 |_, fault, vm, snap| {
-                    let (result, detector) = match (snap, &primed) {
-                        (Some(snap), Some(primed)) => {
-                            let mut detector = primed.fork(fault);
-                            let result = vm.resume_with_visitors_decoded(
-                                module,
-                                decoded,
-                                snap,
-                                &mut [&mut detector],
-                            );
-                            (result, detector)
-                        }
-                        _ => {
-                            let mut detector = StreamingDetector::new(clean, fault);
-                            let result =
-                                vm.run_with_visitors_decoded(module, decoded, &mut [&mut detector]);
-                            (result, detector)
-                        }
+                    let mut detector = if snap.step() == start.step() {
+                        primed.fork(fault)
+                    } else {
+                        prime(snap).fork(fault)
                     };
+                    let result = vm.resume_with_visitors_decoded(
+                        module,
+                        decoded,
+                        snap,
+                        &mut [&mut detector],
+                    );
                     let mut tally = PatternTally::default();
                     for (kind, n) in detector.kind_counts() {
                         tally.record(kind, n as u64);
@@ -291,8 +288,8 @@ mod tests {
         let shaken = session.run_plan_analyzed_chaos(&plan, chaos).unwrap();
         assert!(shaken.report.counts.degraded > 0, "{:?}", shaken.report.counts);
         assert!(shaken.report.is_tainted());
-        // Degraded tests fall back to the cold executor with a fresh
-        // detector: outcome tallies AND pattern tallies are unchanged.
+        // Degraded tests restart from the step-0 checkpoint with a detector
+        // primed there: outcome tallies AND pattern tallies are unchanged.
         let mut cleaned = shaken.clone();
         cleaned.report.counts.degraded = 0;
         assert_eq!(cleaned, undisturbed);

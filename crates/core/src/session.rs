@@ -6,7 +6,8 @@
 //! [`App`] and lazily computes, caches and shares everything the drivers
 //! derive from the fault-free execution:
 //!
-//! * the traced clean run (and its dynamic step count);
+//! * the traced clean run, the one fault-free execution every step count,
+//!   site list and SPMD clean state is read from;
 //! * the code-region partition and the per-region views of Table I;
 //! * the main-loop iteration partition of Figure 6;
 //! * per-region DDDGs and fault-site lists, keyed by campaign target.
@@ -23,6 +24,10 @@
 //! (`ftkr_serve`) can keep one hot session per application and share it
 //! across worker threads — clean runs, DDDGs, site lists, and fork-point
 //! checkpoints are computed once and reused by every concurrent campaign.
+//!
+//! Every campaign test resumes from a fault-free checkpoint, and
+//! `Session::population` alone picks which: the one at a forked plan's
+//! earliest site, or the step-0 one, which starts a test at program entry.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -47,9 +52,9 @@ use crate::regions::{region_views as region_views_from, RegionView};
 /// Cache of fault-site lists, keyed by campaign target and class.
 type SiteCache = Mutex<HashMap<(CampaignTarget, TargetClass), Arc<Vec<FaultSite>>>>;
 
-/// What [`Session::prologue`] resolves for a single-VM executor: the site
-/// list, the index shard, and the fork-point checkpoint (if any).
-type Prologue = (Arc<Vec<FaultSite>>, IndexRange, Option<VmSnapshot>);
+/// What `Session::population` resolves for an executor: the site list,
+/// the index shard, and the checkpoint every test starts from.
+type Population = (Arc<Vec<FaultSite>>, IndexRange, VmSnapshot);
 
 /// Why a [`CampaignPlan`] could not be executed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,14 +147,12 @@ pub const WHOLE_PROGRAM_SEED: u64 = 0xAB5C155A;
 
 /// One application plus every cached artifact of its fault-free run.
 ///
-/// All caches are lazy: a session that only needs the step count never
-/// records a trace at all.
+/// All caches are lazy, and the program runs fault-free once: the traced
+/// clean run answers every question about the fault-free execution.
 pub struct Session {
     app: App,
     /// Fault-free traced run (the reference for every comparison).
     clean: OnceLock<RunResult>,
-    /// Dynamic step count of the fault-free run (knowable without tracing).
-    steps: OnceLock<u64>,
     /// Pre-decoded dispatch tables of the application module (one slot per
     /// instruction over a flat register file, fused superinstructions) and
     /// its verification verdict, built once and shared by every campaign
@@ -167,9 +170,6 @@ pub struct Session {
     sites: SiteCache,
     /// Fork-point checkpoints of the fault-free run, keyed by capture step.
     checkpoints: Mutex<HashMap<u64, VmSnapshot>>,
-    /// Fault-free SPMD executions (per-rank digests, combined value, message
-    /// census), keyed by rank count.
-    spmd_clean: Mutex<HashMap<u32, Arc<SpmdCleanState>>>,
 }
 
 impl Session {
@@ -178,7 +178,6 @@ impl Session {
         Session {
             app,
             clean: OnceLock::new(),
-            steps: OnceLock::new(),
             decoded: OnceLock::new(),
             regions: OnceLock::new(),
             views: OnceLock::new(),
@@ -186,7 +185,6 @@ impl Session {
             dddgs: Mutex::new(HashMap::new()),
             sites: Mutex::new(HashMap::new()),
             checkpoints: Mutex::new(HashMap::new()),
-            spmd_clean: Mutex::new(HashMap::new()),
         }
     }
 
@@ -214,14 +212,11 @@ impl Session {
 
     // -- the clean reference run ------------------------------------------
 
-    /// The fault-free traced run (computed once, shared by every driver).
+    /// The fault-free traced run: the session's one clean execution
+    /// (computed once, shared by every driver).
     pub fn clean_run(&self) -> &RunResult {
-        let run = self.clean.get_or_init(|| {
-            let config = match self.steps.get() {
-                Some(&steps) => VmConfig::tracing_sized(steps),
-                None => VmConfig::tracing(),
-            };
-            let result = Vm::new(config)
+        self.clean.get_or_init(|| {
+            let result = Vm::new(VmConfig::tracing())
                 .run_decoded(&self.app.module, self.decoded_module())
                 .expect("benchmark module must verify");
             assert!(
@@ -231,9 +226,7 @@ impl Session {
                 result.outcome
             );
             result
-        });
-        let _ = self.steps.set(run.steps);
-        run
+        })
     }
 
     /// The clean dynamic trace.
@@ -241,24 +234,9 @@ impl Session {
         self.clean_run().trace.as_ref().expect("tracing enabled")
     }
 
-    /// Dynamic step count of the fault-free run.  Cheaper than
-    /// [`Session::clean_run`] when no trace has been recorded yet: an
-    /// untraced run suffices and its count is cached.
+    /// Dynamic step count of the fault-free run.
     pub fn clean_steps(&self) -> u64 {
-        *self.steps.get_or_init(|| {
-            if let Some(run) = self.clean.get() {
-                return run.steps;
-            }
-            let result = Vm::new(VmConfig::default())
-                .run_decoded(&self.app.module, self.decoded_module())
-                .expect("benchmark module must verify");
-            assert!(
-                result.outcome.is_completed(),
-                "fault-free {} run must complete",
-                self.app.name
-            );
-            result.steps
-        })
+        self.clean_run().steps
     }
 
     /// The dynamic step limit for faulty runs (hang detection):
@@ -355,8 +333,7 @@ impl Session {
     // -- campaign targets --------------------------------------------------
 
     /// The dynamic-step window `[start, end)` of a campaign target in the
-    /// fault-free run.  Resolving a region or iteration target materializes
-    /// the clean trace (partitions need it).
+    /// fault-free run.
     pub fn target_window(&self, target: &CampaignTarget) -> Result<(u64, u64), PlanError> {
         match target {
             CampaignTarget::WholeProgram => Ok((0, self.clean_steps())),
@@ -502,17 +479,24 @@ impl Session {
 
     /// A campaign against this application, judged by its verification
     /// phase, with the hang-detection step limit already set.  It runs the
-    /// session's cached dispatch tables ([`Session::decoded_module`]), so
-    /// neither creating it nor any of its tests decodes or verifies the
-    /// module again.
+    /// session's cached dispatch tables ([`Session::decoded_module`]) and
+    /// step-0 checkpoint, so neither creating it nor any of its tests
+    /// decodes or verifies the module again.
     pub fn campaign(
         &self,
         seed: u64,
     ) -> Campaign<'_, impl Fn(&RunResult) -> bool + Sync + '_> {
         let app = &self.app;
-        Campaign::with_decoded(&app.module, self.decoded_module(), move |r| app.verify(r))
-            .with_max_steps(self.max_steps())
-            .with_seed(seed)
+        Campaign::with_decoded(&app.module, self.decoded_module(), self.entry(), move |r| {
+            app.verify(r)
+        })
+        .with_max_steps(self.max_steps())
+        .with_seed(seed)
+    }
+
+    /// The step-0 checkpoint: where a test from program entry starts.
+    fn entry(&self) -> VmSnapshot {
+        self.checkpoint_at(0).expect("step 0 precedes the end of every run")
     }
 
     /// A serializable plan for a campaign against this application.  The
@@ -547,13 +531,13 @@ impl Session {
     /// the plan names the application, and the session supplies its
     /// registry-defined verification phase.
     ///
-    /// When the plan's fault population lies strictly after program entry —
-    /// every region and iteration target — the faulty runs fork from a
-    /// cached fault-free checkpoint at the earliest sampled step
-    /// ([`Session::checkpoint_at`]) instead of each re-executing the clean
-    /// prefix.  The fault sequence is a pure function of `(seed, index)`
-    /// either way, and the VM prefix is deterministic, so the report is
-    /// bit-identical to [`Session::run_plan_cold`] — the equivalence the
+    /// The faulty runs fork from a cached fault-free checkpoint at the
+    /// plan's earliest site ([`Session::checkpoint_at`]) instead of each
+    /// re-executing the clean prefix; a whole-program population starts at
+    /// step 0, so its tests resume from the step-0 checkpoint.  The fault
+    /// sequence is a pure function of `(seed, index)` either way, and the
+    /// VM prefix is deterministic, so the report is bit-identical to
+    /// [`Session::run_plan_cold`] — the equivalence the
     /// `checkpoint_equivalence` integration suite holds over the whole
     /// application registry.
     pub fn run_plan(&self, plan: &CampaignPlan) -> Result<CampaignReport, PlanError> {
@@ -562,8 +546,8 @@ impl Session {
 
     /// [`Session::run_plan`] with a fail-point schedule armed: restore
     /// failures and verifier panics fire deterministically per test index
-    /// ([`FailPlan::fires`]), exercising the per-test degradation
-    /// (checkpoint-fork → cold executor, tallied in
+    /// ([`FailPlan::fires`]), exercising the per-test degradation (a fork
+    /// past step 0 restarts from the step-0 checkpoint, tallied in
     /// `CampaignCounts::degraded`) and panic-isolation (`HarnessError`)
     /// paths.  With [`FailPlan::none`] this *is* `run_plan`.
     pub fn run_plan_chaos(
@@ -571,33 +555,49 @@ impl Session {
         plan: &CampaignPlan,
         chaos: FailPlan,
     ) -> Result<CampaignReport, PlanError> {
-        let (sites, shard, snapshot) = self.prologue(plan, true)?;
-        let campaign = self.campaign(plan.seed).with_chaos(chaos);
-        match snapshot {
-            Some(snapshot) => campaign
-                .run_range_from(&sites, shard, &snapshot)
-                .map_err(PlanError::FaultBeforeCheckpoint),
-            None => Ok(campaign.run_range(&sites, shard)),
-        }
+        self.prologue(plan)?;
+        self.run_population(plan, true, chaos)
     }
 
-    /// Execute a campaign plan with every faulty run cold-started from
-    /// program entry — the reference executor [`Session::run_plan`] must
-    /// stay byte-identical to.  Kept public (and exercised by the
-    /// equivalence suite) so the fork-point path is always checkable against
-    /// first principles.
+    /// Execute a campaign plan with every faulty run forked from the
+    /// step-0 checkpoint, re-executing the whole clean prefix — the
+    /// reference executor [`Session::run_plan`] must stay byte-identical
+    /// to.  Kept public (and exercised by the equivalence suite) so the
+    /// fork-point path is always checkable against a run from program
+    /// entry.
     pub fn run_plan_cold(&self, plan: &CampaignPlan) -> Result<CampaignReport, PlanError> {
-        let (sites, shard, _) = self.prologue(plan, false)?;
-        Ok(self.campaign(plan.seed).run_range(&sites, shard))
+        self.prologue(plan)?;
+        self.run_population(plan, false, FailPlan::none())
     }
 
-    /// What every single-VM executor resolves before its first test: the
-    /// checked plan's [`Session::population`], SPMD plans refused.
-    pub(crate) fn prologue(
+    /// The plain campaign kernel over a plan's `Session::population`.
+    fn run_population(
         &self,
         plan: &CampaignPlan,
         fork: bool,
-    ) -> Result<Prologue, PlanError> {
+        chaos: FailPlan,
+    ) -> Result<CampaignReport, PlanError> {
+        let (sites, shard, start) = self.population(plan, fork)?;
+        let (module, decoded) = (&self.app.module, self.decoded_module());
+        self.campaign(plan.seed)
+            .with_chaos(chaos)
+            .run_range_with(
+                &sites,
+                shard,
+                &start,
+                |_, _, vm, snap| {
+                    let result = vm.resume_from_decoded(module, decoded, snap);
+                    (result.expect("module verifies"), ())
+                },
+                |(), ()| (),
+            )
+            .map(|(report, ())| report)
+            .map_err(PlanError::FaultBeforeCheckpoint)
+    }
+
+    /// What every single-VM executor checks before its first test: the
+    /// plan is valid here, and it is not an SPMD plan.
+    pub(crate) fn prologue(&self, plan: &CampaignPlan) -> Result<(), PlanError> {
         self.check_plan(plan)?;
         if plan.is_spmd() {
             // The single-VM executors cannot honour multi-rank or
@@ -605,22 +605,28 @@ impl Session {
             // silently running the wrong campaign at `ranks = 1`.
             return Err(PlanError::SpmdPlan { ranks: plan.ranks });
         }
-        self.population(plan, fork)
+        Ok(())
     }
 
-    /// A computation-fault plan's sites, index shard and — with `fork` —
-    /// the fault-free checkpoint at its earliest site (`None` at program
-    /// entry or past the end of the run).
-    fn population(&self, plan: &CampaignPlan, fork: bool) -> Result<Prologue, PlanError> {
+    /// A computation-fault plan's sites, index shard and the checkpoint
+    /// every test starts from: with `fork`, the fault-free checkpoint at
+    /// the earliest site; otherwise, or with no site, the step-0 one.  The
+    /// one place that decides where a campaign test starts.
+    pub(crate) fn population(
+        &self,
+        plan: &CampaignPlan,
+        fork: bool,
+    ) -> Result<Population, PlanError> {
         let sites = self.sites(&plan.target, plan.class)?;
         let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
         // Fork at the earliest step any fault can strike: safe for every
         // test, and as late as possible (maximum prefix saved).
-        let snapshot = match sites.iter().map(|s| s.at_step).min() {
-            Some(step) if fork && step > 0 => self.checkpoint_at(step),
-            _ => None,
+        let step = match sites.iter().map(|s| s.at_step).min() {
+            Some(step) if fork => step,
+            _ => 0,
         };
-        Ok((sites, shard, snapshot))
+        let start = self.checkpoint_at(step).expect("sites lie inside the fault-free run");
+        Ok((sites, shard, start))
     }
 
     // -- multi-rank (SPMD) campaigns --------------------------------------
@@ -636,6 +642,7 @@ impl Session {
         Ok(SpmdHarness {
             module: &self.app.module,
             decoded: self.decoded_module(),
+            entry: self.entry(),
             nranks: nranks.max(1) as usize,
             coupling: decomp.coupling,
             max_steps: self.max_steps(),
@@ -650,26 +657,14 @@ impl Session {
         })
     }
 
-    /// The fault-free SPMD execution at `nranks` ranks (computed once per
-    /// rank count and shared): per-rank clean digests, the clean combined
-    /// value, and the message census message-fault campaigns sample from.
+    /// The fault-free SPMD execution at `nranks` ranks: per-rank clean
+    /// digests, the clean combined value, and the message census
+    /// message-fault campaigns sample from.  Every rank's local run is the
+    /// session's clean run ([`Session::clean_run`]); only the exchange
+    /// depends on the rank count.
     pub fn spmd_clean_state(&self, nranks: u32) -> Result<Arc<SpmdCleanState>, PlanError> {
-        if let Some(state) = self
-            .spmd_clean
-            .lock()
-            .expect("SPMD clean cache poisoned")
-            .get(&nranks)
-        {
-            return Ok(Arc::clone(state));
-        }
-        let state = Arc::new(self.spmd_harness(nranks)?.clean_state());
-        Ok(Arc::clone(
-            self.spmd_clean
-                .lock()
-                .expect("SPMD clean cache poisoned")
-                .entry(nranks)
-                .or_insert(state),
-        ))
+        let harness = self.spmd_harness(nranks)?;
+        Ok(Arc::new(harness.clean_state(self.clean_run())))
     }
 
     /// Build a multi-rank campaign plan.  Like [`Session::plan`] but with a
@@ -715,18 +710,18 @@ impl Session {
     pub fn run_plan_spmd(&self, plan: &CampaignPlan) -> Result<SpmdCampaignReport, PlanError> {
         self.check_plan(plan)?;
         let harness = self.spmd_harness(plan.ranks)?;
-        let clean = self.spmd_clean_state(plan.ranks)?;
+        let clean = harness.clean_state(self.clean_run());
         let report = match plan.target {
             CampaignTarget::Messages => {
                 let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
                 harness.run_range(&clean, &SpmdFaults::Messages, plan.seed, shard)
             }
             _ => {
-                let (sites, shard, snapshot) = self.population(plan, true)?;
+                let (sites, shard, start) = self.population(plan, true)?;
                 let faults = SpmdFaults::Computation {
                     sites: &sites,
                     rank_target: plan.rank_target,
-                    snapshot: snapshot.as_ref(),
+                    snapshot: &start,
                 };
                 harness.run_range(&clean, &faults, plan.seed, shard)
             }
@@ -761,7 +756,8 @@ impl Session {
     }
 
     /// Measured success rate of one campaign point (the unit of Figures 5
-    /// and 6), or `None` when the target has no site of that class.
+    /// and 6), or `None` when the target has no site of that class.  Every
+    /// test starts at program entry.
     pub fn success_rate_point(
         &self,
         target: &CampaignTarget,
@@ -769,13 +765,12 @@ impl Session {
         effort: &Effort,
     ) -> Result<Option<SuccessRatePoint>, PlanError> {
         let label = target.label();
-        let sites = self.sites(target, class)?;
-        if sites.is_empty() {
+        if self.sites(target, class)?.is_empty() {
             return Ok(None);
         }
-        let report = self
-            .campaign(figure_seed(&label, class))
-            .run(&sites, effort.tests_per_point);
+        let plan = CampaignPlan::new(self.app.name, target.clone(), class, effort.tests_per_point)
+            .with_seed(figure_seed(&label, class));
+        let report = self.run_population(&plan, false, FailPlan::none())?;
         Ok(Some(SuccessRatePoint {
             program: self.app.name.to_string(),
             target: label,
@@ -829,11 +824,15 @@ impl Session {
     /// Measured whole-program success rate: a campaign over the internal
     /// sites of the entire execution.
     pub fn whole_program_success_rate(&self, effort: &Effort) -> f64 {
-        let sites = self
-            .sites(&CampaignTarget::WholeProgram, TargetClass::Internal)
-            .expect("whole-program target always resolves");
-        self.campaign(WHOLE_PROGRAM_SEED)
-            .run(&sites, effort.tests_per_point)
+        let plan = CampaignPlan::new(
+            self.app.name,
+            CampaignTarget::WholeProgram,
+            TargetClass::Internal,
+            effort.tests_per_point,
+        )
+        .with_seed(WHOLE_PROGRAM_SEED);
+        self.run_population(&plan, false, FailPlan::none())
+            .expect("whole-program target always resolves")
             .success_rate()
     }
 
@@ -998,11 +997,12 @@ mod tests {
     #[test]
     fn session_caches_one_clean_run_and_shares_partitions() {
         let session = Session::by_name("IS").expect("IS exists");
-        // The step count is knowable without a trace…
+        // The step count is the one clean run's: the program runs
+        // fault-free once, traced…
         let steps = session.clean_steps();
         assert!(steps > 1000);
-        assert!(session.clean.get().is_none(), "steps alone must not trace");
-        // …and the traced run, once materialized, is shared by reference.
+        assert!(session.clean.get().is_some(), "the step count is the traced run's");
+        // …and the traced run is shared by reference.
         let t1: *const Trace = session.clean_trace();
         let t2: *const Trace = session.clean_trace();
         assert_eq!(t1, t2);
@@ -1186,15 +1186,18 @@ mod tests {
             .plan(CampaignTarget::Region { name: region }, TargetClass::Internal, 12)
             .unwrap()
             .with_seed(5);
+        let checkpoint_steps = |session: &Session| {
+            let mut steps: Vec<u64> = session.checkpoints.lock().unwrap().keys().copied().collect();
+            steps.sort_unstable();
+            steps
+        };
         let cold = session.run_plan_cold(&plan).unwrap();
-        assert!(
-            session.checkpoints.lock().unwrap().is_empty(),
-            "the cold path must not capture checkpoints"
-        );
+        assert_eq!(checkpoint_steps(&session), [0], "the cold path starts at step 0 only");
         let forked = session.run_plan(&plan).unwrap();
-        assert!(
-            !session.checkpoints.lock().unwrap().is_empty(),
-            "a mid-run fault population must fork from a checkpoint"
+        assert_eq!(
+            checkpoint_steps(&session).len(),
+            2,
+            "a mid-run fault population must fork from a later checkpoint"
         );
         assert_eq!(forked, cold);
         // The checkpoint is captured once and reused across executions.
@@ -1205,15 +1208,17 @@ mod tests {
     }
 
     #[test]
-    fn whole_program_plans_run_without_a_checkpoint() {
+    fn whole_program_plans_fork_from_the_step_zero_checkpoint() {
         let session = Session::by_name("IS").unwrap();
         let plan = session
             .plan(CampaignTarget::WholeProgram, TargetClass::Internal, 16)
             .unwrap();
         let report = session.run_plan(&plan).unwrap();
-        assert!(
-            session.checkpoints.lock().unwrap().is_empty(),
-            "a whole-program population starts at step 0: nothing to fork from"
+        let steps: Vec<u64> = session.checkpoints.lock().unwrap().keys().copied().collect();
+        assert_eq!(
+            steps,
+            [0],
+            "a whole-program population starts at step 0: its tests fork from there"
         );
         assert_eq!(report, session.run_plan_cold(&plan).unwrap());
     }

@@ -5,13 +5,15 @@
 //! `(seed, index)`, runs the caller's faulty-run closure inside a
 //! panic-isolation perimeter, classifies the result and folds the caller's
 //! per-test product.  Single-VM campaigns run there, and so does the
-//! injected rank of an SPMD test ([`crate::spmd`]).  A worker that panics —
-//! a poisoned verifier, a harness bug — records an
-//! [`Outcome::HarnessError`] instead of tearing down the whole rayon shard,
-//! and a forked test whose checkpoint restore fails degrades to the cold
-//! (from-entry) executor, recorded in [`CampaignCounts::degraded`].  Both
-//! failure modes are injectable on purpose via a seeded [`FailPlan`], which
-//! is how the chaos suite proves the recovery paths actually work.
+//! injected rank of an SPMD test ([`crate::spmd`]).  Every test resumes
+//! from a fault-free start snapshot; a test from program entry is one
+//! resumed from the step-0 checkpoint.  A worker that panics — a poisoned
+//! verifier, a harness bug — records an [`Outcome::HarnessError`] instead of
+//! tearing down the whole rayon shard, and a test started past step 0 whose
+//! checkpoint restore fails restarts from the step-0 checkpoint, recorded in
+//! [`CampaignCounts::degraded`].  Both failure modes are injectable on
+//! purpose via a seeded [`FailPlan`], which is how the chaos suite proves
+//! the recovery paths actually work.
 
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -135,7 +137,7 @@ impl CampaignReport {
 /// A fork-point campaign whose site list reaches back before its
 /// checkpoint: a fault sampled there would have to strike inside the
 /// restored prefix, which a forked run never executes.  Returned by
-/// [`Campaign::run_range_from`] before any test runs.
+/// [`Campaign::run_range_with`] before any test runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultBeforeCheckpoint {
     /// The earliest site's dynamic step.
@@ -209,84 +211,67 @@ pub struct Campaign<'m, F> {
     /// The module's dispatch tables and verification verdict: decoded once
     /// per campaign, or borrowed from a caller that holds them already.
     pub(crate) decoded: Cow<'m, DecodedModule>,
+    /// The fault-free state at step 0: where [`Campaign::run_range`] starts
+    /// its tests, and where a test whose restore failed restarts.  `None`
+    /// only for a module that fails verification, which has no entry state.
+    entry: Option<VmSnapshot>,
 }
 
 impl<'m, F: Fn(&RunResult) -> bool + Sync> Campaign<'m, F> {
     /// Create a campaign for `module` judged by `verify`.  The module is
-    /// decoded (and verified) once here; every faulty run then executes the
-    /// decoded tables ([`Vm::run_decoded`] / [`Vm::resume_from_decoded`])
-    /// without verifying again.
+    /// decoded (and verified) once here and its step-0 state captured;
+    /// every faulty run then resumes on the decoded tables
+    /// ([`Vm::resume_from_decoded`]) without verifying again.
     pub fn new(module: &'m Module, verify: F) -> Self {
-        Self::over(module, Cow::Owned(DecodedModule::decode(module)), verify)
+        let entry = Vm::new(VmConfig::default())
+            .snapshot_at(module, 0)
+            .ok()
+            .flatten();
+        Self::over(module, Cow::Owned(DecodedModule::decode(module)), entry, verify)
     }
 
     /// [`Campaign::new`] over tables the caller already decoded from
-    /// `module` (a session's cached ones), so creating the campaign neither
-    /// decodes nor verifies.  `decoded` must be [`DecodedModule::decode`] of
-    /// this `module`.
-    pub fn with_decoded(module: &'m Module, decoded: &'m DecodedModule, verify: F) -> Self {
-        Self::over(module, Cow::Borrowed(decoded), verify)
+    /// `module` and its step-0 checkpoint `entry` (a session's cached
+    /// ones), so creating the campaign neither decodes nor verifies.
+    /// `decoded` must be [`DecodedModule::decode`] of this `module`, and
+    /// `entry` its fault-free [`Vm::snapshot_at`] step 0.
+    pub fn with_decoded(
+        module: &'m Module,
+        decoded: &'m DecodedModule,
+        entry: VmSnapshot,
+        verify: F,
+    ) -> Self {
+        Self::over(module, Cow::Borrowed(decoded), Some(entry), verify)
     }
 
-    /// Run `n_tests` injections sampled uniformly from `sites × 64 bits`.
-    ///
-    /// Each parallel worker derives its test's [`FaultSpec`] from
-    /// `(seed, index)` on the fly ([`Campaign::fault_for_index`]); nothing
-    /// proportional to `n_tests` is allocated.
-    pub fn run(&self, sites: &[FaultSite], n_tests: u64) -> CampaignReport {
-        self.run_range(sites, IndexRange::full(n_tests))
-    }
-
-    /// Run one index-range shard of a campaign: the tests
-    /// `[range.start, range.end)` of the (seed-determined) test sequence.
-    /// Merging the reports of any partition of `[0, n_tests)` with
-    /// [`CampaignReport::merge`] is bit-identical to [`Campaign::run`].
+    /// Run one index-range shard of a campaign, every test from program
+    /// entry: the tests `[range.start, range.end)` of the (seed-determined)
+    /// test sequence, sampled uniformly from `sites × 64 bits`.  Merging the
+    /// reports of any partition of `[0, n_tests)` with
+    /// [`CampaignReport::merge`] is bit-identical to running the whole
+    /// range.  A module that fails verification runs no test: every test is
+    /// a harness error.
     pub fn run_range(&self, sites: &[FaultSite], range: IndexRange) -> CampaignReport {
-        let report = self.run_range_with(
-            sites,
-            range,
-            None,
-            |_, _, vm, _| (self.untraced(vm, None), ()),
-            |(), ()| (),
-        );
-        match report {
+        let Some(entry) = &self.entry else {
+            let n_tests = if sites.is_empty() { 0 } else { range.len() };
+            return CampaignReport::harness_lost(n_tests, sites.len() as u64 * 64, self.seed);
+        };
+        let untraced = |_, _, vm: Vm, snap: &VmSnapshot| (self.untraced(vm, snap), ());
+        match self.run_range_with(sites, range, entry, untraced, |(), ()| ()) {
             Ok((report, ())) => report,
-            Err(_) => unreachable!("a cold campaign has no checkpoint to precede"),
+            Err(_) => unreachable!("no site precedes step 0"),
         }
-    }
-
-    /// Run one index-range shard of a campaign with every test forked from
-    /// `snapshot` instead of cold-started.  The fault sequence is the same
-    /// pure function of `(seed, index)`, so as long as every sampled site
-    /// lies at or after the checkpoint step the report is bit-identical to
-    /// [`Campaign::run_range`] — at the cost of executing only the suffix of
-    /// each faulty run.  Tests whose restore fails degrade to the cold
-    /// executor per test and are tallied in [`CampaignCounts::degraded`].
-    ///
-    /// # Errors
-    /// [`FaultBeforeCheckpoint`] when a site of the list precedes the
-    /// checkpoint (so a sampled fault could); checked once, before any test
-    /// runs.
-    pub fn run_range_from(
-        &self,
-        sites: &[FaultSite],
-        range: IndexRange,
-        snapshot: &VmSnapshot,
-    ) -> Result<CampaignReport, FaultBeforeCheckpoint> {
-        self.run_range_with(
-            sites,
-            range,
-            Some(snapshot),
-            |_, _, vm, snap| (self.untraced(vm, snap), ()),
-            |(), ()| (),
-        )
-        .map(|(report, ())| report)
     }
 }
 
 impl<'m, F> Campaign<'m, F> {
     /// A campaign judged by any [`Verdict`].
-    pub(crate) fn over(module: &'m Module, decoded: Cow<'m, DecodedModule>, verify: F) -> Self {
+    pub(crate) fn over(
+        module: &'m Module,
+        decoded: Cow<'m, DecodedModule>,
+        entry: Option<VmSnapshot>,
+        verify: F,
+    ) -> Self {
         Campaign {
             module,
             verify,
@@ -294,6 +279,7 @@ impl<'m, F> Campaign<'m, F> {
             seed: DEFAULT_SEED,
             chaos: FailPlan::none(),
             decoded,
+            entry,
         }
     }
 
@@ -335,57 +321,55 @@ impl<'m, F> Campaign<'m, F> {
         sample_site_fault(self.seed, sites, index)
     }
 
-    /// The untraced faulty run: resumed from `snapshot` when there is one,
-    /// from program entry otherwise.
-    pub(crate) fn untraced(&self, vm: Vm, snapshot: Option<&VmSnapshot>) -> RunResult {
-        match snapshot {
-            Some(snap) => vm.resume_from_decoded(self.module, &self.decoded, snap),
-            None => vm.run_decoded(self.module, &self.decoded),
-        }
-        .expect("campaign module must verify")
+    /// The untraced faulty run, resumed from `snapshot`.
+    pub(crate) fn untraced(&self, vm: Vm, snapshot: &VmSnapshot) -> RunResult {
+        vm.resume_from_decoded(self.module, &self.decoded, snapshot)
+            .expect("campaign module must verify")
     }
 
     /// The campaign kernel: run the tests `[range.start, range.end)`, each
-    /// forked from `snapshot` when one is given (cold otherwise), and
-    /// assemble their report.
+    /// resumed from the fault-free `start` snapshot, and assemble their
+    /// report.
     ///
     /// `run` executes one faulty run: it gets the test's index and fault, a
     /// [`Vm`] configured with that fault and the campaign's step budget, and
-    /// the snapshot to resume from (`None` for a cold run, including the
-    /// cold fallback of a test whose restore failed).  It returns the run
-    /// result the test is classified by, plus a per-test product — an
-    /// analysis that rode along the run, or what followed it.  A trapped
-    /// run classifies by its trap; a completed one by the campaign's
-    /// [`Verdict`], which may read the product.  `fold` combines the
-    /// products of the tests that did not end as [`Outcome::HarnessError`];
-    /// a degraded test contributes the product of its cold fallback.
+    /// the snapshot to resume from — `start`, or the step-0 checkpoint for a
+    /// test whose restore failed.  It returns the run result the test is
+    /// classified by, plus a per-test product — an analysis that rode along
+    /// the run, or what followed it.  A trapped run classifies by its trap;
+    /// a completed one by the campaign's [`Verdict`], which may read the
+    /// product.  `fold` combines the products of the tests that did not end
+    /// as [`Outcome::HarnessError`]; a degraded test contributes the product
+    /// of its restart.
     ///
     /// Every test runs inside the panic perimeter: a panicking run, a
     /// failed restore and a panicking verdict are contained per test, and
-    /// the armed [`FailPlan`] fires per test index.  Sampling, sharding and
-    /// report assembly are those of [`Campaign::run_range`], so the report
-    /// is bit-identical to it whenever `run` executes the faulty run
-    /// faithfully and the verdict is the campaign verifier's.
+    /// the armed [`FailPlan`] fires per test index.  A start past step 0
+    /// that fails restarts from the step-0 checkpoint and counts as
+    /// degraded; a start at step 0 has no restore to fail.  Sampling,
+    /// sharding and report assembly do not depend on `start`, so the report
+    /// equals [`Campaign::run_range`]'s whenever `run` executes the faulty
+    /// run faithfully and the verdict is the campaign verifier's.
     ///
     /// # Errors
-    /// [`FaultBeforeCheckpoint`] when a site precedes `snapshot`; checked
+    /// [`FaultBeforeCheckpoint`] when a site precedes `start`; checked
     /// once, before any test runs.
     pub fn run_range_with<X: Default + Send>(
         &self,
         sites: &[FaultSite],
         range: IndexRange,
-        snapshot: Option<&VmSnapshot>,
-        run: impl Fn(u64, FaultSpec, Vm, Option<&VmSnapshot>) -> (RunResult, X) + Sync,
+        start: &VmSnapshot,
+        run: impl Fn(u64, FaultSpec, Vm, &VmSnapshot) -> (RunResult, X) + Sync,
         fold: impl Fn(X, X) -> X + Sync,
     ) -> Result<(CampaignReport, X), FaultBeforeCheckpoint>
     where
         F: Verdict<X>,
     {
-        if let (Some(snap), Some(at_step)) = (snapshot, sites.iter().map(|s| s.at_step).min()) {
-            if at_step < snap.step() {
+        if let Some(at_step) = sites.iter().map(|s| s.at_step).min() {
+            if at_step < start.step() {
                 return Err(FaultBeforeCheckpoint {
                     at_step,
-                    checkpoint: snap.step(),
+                    checkpoint: start.step(),
                 });
             }
         }
@@ -400,7 +384,7 @@ impl<'m, F> Campaign<'m, F> {
         }
         let (counts, product) = (range.start..range.end)
             .into_par_iter()
-            .map(|index| self.test(index, self.fault_for_index(sites, index), snapshot, &run))
+            .map(|index| self.test(index, self.fault_for_index(sites, index), start, &run))
             .reduce(
                 || (CampaignCounts::default(), X::default()),
                 |a, b| (a.0.merge(b.0), fold(a.1, b.1)),
@@ -410,34 +394,34 @@ impl<'m, F> Campaign<'m, F> {
         Ok((report, product))
     }
 
-    /// One test of the kernel: execute (forked, degrading to cold when the
-    /// restore fails), classify, and tally.  Returns the test's counts and
-    /// its product.
+    /// One test of the kernel: execute (from `start`, restarting from the
+    /// step-0 checkpoint when a later start fails), classify, and tally.
+    /// Returns the test's counts and its product.
     fn test<X: Default>(
         &self,
         index: u64,
         fault: FaultSpec,
-        snapshot: Option<&VmSnapshot>,
-        run: &impl Fn(u64, FaultSpec, Vm, Option<&VmSnapshot>) -> (RunResult, X),
+        start: &VmSnapshot,
+        run: &impl Fn(u64, FaultSpec, Vm, &VmSnapshot) -> (RunResult, X),
     ) -> (CampaignCounts, X)
     where
         F: Verdict<X>,
     {
-        let execute = |snap: Option<&VmSnapshot>| {
+        let execute = |snap: &VmSnapshot| {
             catch_unwind(AssertUnwindSafe(|| {
-                if snap.is_some() {
+                if snap.step() > 0 {
                     self.chaos.trip(FailSite::RestoreCheckpoint, index);
                 }
                 run(index, fault, Vm::new(self.config(fault)), snap)
             }))
             .ok()
         };
-        // A fork that failed at the harness level falls back to the cold
-        // executor: bit-identical classification, just slower.
-        let (executed, degraded) = match snapshot.map(|snap| execute(Some(snap))) {
-            Some(Some(forked)) => (Some(forked), false),
-            Some(None) => (execute(None), true),
-            None => (execute(None), false),
+        // A fork that failed at the harness level restarts from program
+        // entry: bit-identical classification, just slower.
+        let (executed, degraded) = match execute(start) {
+            Some(done) => (Some(done), false),
+            None if start.step() > 0 => (self.entry.as_ref().and_then(execute), true),
+            None => (None, false),
         };
         let outcome = match &executed {
             Some((result, product)) => self.classify(result, product, index),
@@ -525,6 +509,25 @@ mod tests {
         Vm::new(VmConfig::tracing()).run(module).unwrap()
     }
 
+    /// The plain campaign with every test forked from `start`: the kernel
+    /// around the untraced run.
+    fn run_from<F: Fn(&RunResult) -> bool + Sync>(
+        campaign: &Campaign<'_, F>,
+        sites: &[FaultSite],
+        range: IndexRange,
+        start: &VmSnapshot,
+    ) -> Result<CampaignReport, FaultBeforeCheckpoint> {
+        campaign
+            .run_range_with(
+                sites,
+                range,
+                start,
+                |_, _, vm, snap| (campaign.untraced(vm, snap), ()),
+                |(), ()| (),
+            )
+            .map(|(report, ())| report)
+    }
+
     #[test]
     fn fault_free_program_passes_its_own_verification() {
         let m = module();
@@ -541,7 +544,7 @@ mod tests {
         assert!(!sites.is_empty());
         let campaign =
             Campaign::new(&m, verify).with_max_steps(hang_budget(clean.steps));
-        let report = campaign.run(&sites, 200);
+        let report = campaign.run_range(&sites, IndexRange::full(200));
         assert_eq!(report.counts.total(), 200);
         assert_eq!(report.population, sites.len() as u64 * 64);
         // No chaos armed: nothing may be lost or degraded.
@@ -572,15 +575,15 @@ mod tests {
         let c1 = Campaign::new(&m, verify)
             .with_seed(7)
             .with_max_steps(max_steps)
-            .run(&sites, 64);
+            .run_range(&sites, IndexRange::full(64));
         let c2 = Campaign::new(&m, verify)
             .with_seed(7)
             .with_max_steps(max_steps)
-            .run(&sites, 64);
+            .run_range(&sites, IndexRange::full(64));
         let c3 = Campaign::new(&m, verify)
             .with_seed(8)
             .with_max_steps(max_steps)
-            .run(&sites, 64);
+            .run_range(&sites, IndexRange::full(64));
         assert_eq!(c1.counts, c2.counts);
         // A different seed samples different faults (overwhelmingly likely to
         // change at least one tally for this program).
@@ -596,7 +599,7 @@ mod tests {
         let sites = input_sites(0, &[(ftkr_vm::Location::mem(0), ftkr_vm::Value::F(0.0))]);
         let campaign =
             Campaign::new(&m, verify).with_max_steps(hang_budget(clean.steps));
-        let report = campaign.run(&sites, 64);
+        let report = campaign.run_range(&sites, IndexRange::full(64));
         assert!(report.success_rate() > 0.9, "rate {}", report.success_rate());
     }
 
@@ -617,7 +620,7 @@ mod tests {
         }
         // Replaying every index on its own reproduces the parallel tally —
         // the property that makes campaigns shardable by index range.
-        let report = campaign.run(&sites, 48);
+        let report = campaign.run_range(&sites, IndexRange::full(48));
         let replay = (0..48)
             .map(|i| campaign.run_range(&sites, IndexRange::new(i, i + 1)).counts)
             .fold(CampaignCounts::default(), CampaignCounts::merge);
@@ -633,7 +636,7 @@ mod tests {
     fn empty_site_list_yields_empty_report() {
         let m = module();
         let campaign = Campaign::new(&m, verify);
-        let report = campaign.run(&[], 100);
+        let report = campaign.run_range(&[], IndexRange::full(100));
         assert_eq!(report.counts.total(), 0);
         assert_eq!(report.n_tests, 0);
     }
@@ -647,7 +650,7 @@ mod tests {
         let campaign = Campaign::new(&m, verify)
             .with_seed(1234)
             .with_max_steps(hang_budget(clean.steps));
-        let monolithic = campaign.run(&sites, 60);
+        let monolithic = campaign.run_range(&sites, IndexRange::full(60));
         // Three deliberately uneven shards covering [0, 60).
         let shards = [
             IndexRange::new(0, 1),
@@ -684,15 +687,13 @@ mod tests {
             .with_seed(99)
             .with_max_steps(hang_budget(clean.steps));
         let cold = campaign.run_range(&sites, IndexRange::full(120));
-        let forked = campaign
-            .run_range_from(&sites, IndexRange::full(120), &snapshot)
-            .unwrap();
+        let forked = run_from(&campaign, &sites, IndexRange::full(120), &snapshot).unwrap();
         assert_eq!(forked, cold);
         assert_eq!(forked.counts.degraded, 0, "no chaos: no degradation");
         // Sharded fork-point ranges merge exactly like cold ones.
         let merged = [IndexRange::new(0, 37), IndexRange::new(37, 120)]
             .iter()
-            .map(|&r| campaign.run_range_from(&sites, r, &snapshot).unwrap())
+            .map(|&r| run_from(&campaign, &sites, r, &snapshot).unwrap())
             .reduce(|a, b| a.merge(&b))
             .unwrap();
         assert_eq!(merged, cold);
@@ -713,7 +714,7 @@ mod tests {
         let campaign = Campaign::new(&m, |_r: &RunResult| -> bool { panic!("no test may run") });
         let sites = internal_sites(trace, 0, trace.len());
         assert_eq!(
-            campaign.run_range_from(&sites, IndexRange::full(32), &snapshot),
+            run_from(&campaign, &sites, IndexRange::full(32), &snapshot),
             Err(FaultBeforeCheckpoint {
                 at_step: 0,
                 checkpoint: fork,
@@ -722,13 +723,9 @@ mod tests {
         // A site list starting exactly at the checkpoint is accepted, and an
         // empty one has nothing to reject.
         let late = internal_sites(trace, fork as usize, trace.len());
-        let poisoned = campaign
-            .run_range_from(&late, IndexRange::full(4), &snapshot)
-            .unwrap();
+        let poisoned = run_from(&campaign, &late, IndexRange::full(4), &snapshot).unwrap();
         assert_eq!(poisoned.n_tests, 4);
-        let empty = campaign
-            .run_range_from(&[], IndexRange::full(4), &snapshot)
-            .unwrap();
+        let empty = run_from(&campaign, &[], IndexRange::full(4), &snapshot).unwrap();
         assert_eq!(empty.n_tests, 0);
     }
 
@@ -740,7 +737,7 @@ mod tests {
         let mut m = module();
         m.functions[0].name = "entry".into();
         let sites = input_sites(0, &[(ftkr_vm::Location::mem(0), ftkr_vm::Value::F(0.0))]);
-        let report = Campaign::new(&m, verify).run(&sites, 16);
+        let report = Campaign::new(&m, verify).run_range(&sites, IndexRange::full(16));
         assert_eq!(report.counts.harness_errors, 16);
         assert_eq!(report.counts.total(), 16);
         assert!(report.is_tainted());
@@ -758,7 +755,7 @@ mod tests {
         .with_max_steps(hang_budget(clean.steps));
         // The shard survives; every completed run classifies as a harness
         // error, and trapped runs still classify by their crash kind.
-        let report = poisoned.run(&sites, 32);
+        let report = poisoned.run_range(&sites, IndexRange::full(32));
         assert_eq!(report.counts.total(), 32);
         assert_eq!(report.counts.success, 0);
         assert_eq!(report.counts.failed, 0);
@@ -785,12 +782,12 @@ mod tests {
             .with_seed(5)
             .with_max_steps(hang_budget(clean.steps))
             .with_chaos(chaos);
-        let report = campaign.run(&sites, 64);
+        let report = campaign.run_range(&sites, IndexRange::full(64));
         assert!(report.counts.harness_errors > 0, "~half the verdicts are poisoned");
         assert!(report.is_tainted());
         // The schedule is a pure function of (seed, index): re-running
         // reproduces the tainted tally bit-identically.
-        let again = campaign.run(&sites, 64);
+        let again = campaign.run_range(&sites, IndexRange::full(64));
         assert_eq!(report, again);
     }
 
@@ -815,14 +812,13 @@ mod tests {
             restore_fail: 512,
             ..FailPlan::uniform(3, 0)
         };
-        let degraded = Campaign::new(&m, verify)
+        let shaken = Campaign::new(&m, verify)
             .with_seed(11)
             .with_max_steps(max_steps)
-            .with_chaos(chaos)
-            .run_range_from(&sites, IndexRange::full(48), &snapshot)
-            .unwrap();
-        // Roughly half the restores failed — but every degraded test fell
-        // back to the cold executor, so the outcome tallies are identical.
+            .with_chaos(chaos);
+        let degraded = run_from(&shaken, &sites, IndexRange::full(48), &snapshot).unwrap();
+        // Roughly half the restores failed — but every degraded test
+        // restarted from program entry, so the outcome tallies are identical.
         assert!(degraded.counts.degraded > 0, "{:?}", degraded.counts);
         assert!(degraded.is_tainted());
         let mut cleaned = degraded.counts;
@@ -851,26 +847,23 @@ mod tests {
             .with_seed(17)
             .with_max_steps(hang_budget(clean.steps))
             .with_chaos(chaos);
-        // The product counts the tests that ran (forked, cold).
+        // The product counts the tests that ran (forked, from entry).
         let (report, (forked, cold)) = campaign
             .run_range_with(
                 &sites,
                 range,
-                Some(&snapshot),
-                |_, _, vm, snap| match snap {
-                    Some(snap) => (
-                        vm.resume_from_decoded(&m, &campaign.decoded, snap).unwrap(),
-                        (1u64, 0u64),
-                    ),
-                    None => (vm.run_decoded(&m, &campaign.decoded).unwrap(), (0, 1)),
+                &snapshot,
+                |_, _, vm, snap| {
+                    let path = if snap.step() > 0 { (1u64, 0u64) } else { (0, 1) };
+                    (campaign.untraced(vm, snap), path)
                 },
                 |a, b| (a.0 + b.0, a.1 + b.1),
             )
             .unwrap();
         assert_eq!(
             report,
-            campaign.run_range_from(&sites, range, &snapshot).unwrap(),
-            "the kernel is the executor of run_range_from"
+            run_from(&campaign, &sites, range, &snapshot).unwrap(),
+            "the product does not change the report"
         );
         // Which tests the schedule degrades and poisons: a verifier panic
         // only strikes a run that completed.
@@ -893,8 +886,8 @@ mod tests {
                 want_forked += 1;
             }
         }
-        // Degraded tests fold their cold fallback's product; poisoned tests
-        // fold nothing.
+        // Degraded tests fold their restart's product; poisoned tests fold
+        // nothing.
         assert!(want_cold > 0 && want_forked > 0);
         assert!(report.counts.harness_errors > 0 && report.counts.degraded > 0);
         assert_eq!((forked, cold), (want_forked, want_cold));

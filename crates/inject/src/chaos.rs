@@ -10,7 +10,8 @@
 //! and shardable as the fault campaigns it stresses:
 //!
 //! * [`FailSite::RestoreCheckpoint`] — a snapshot restore fails; the
-//!   executor must degrade the test to the cold (from-entry) path.
+//!   executor must restart the test from the step-0 checkpoint (program
+//!   entry).
 //! * [`FailSite::Verifier`] — the verification closure panics; the
 //!   executor's `catch_unwind` isolation must record a
 //!   [`HarnessError`](crate::Outcome::HarnessError) instead of losing the
@@ -35,7 +36,8 @@ use serde::{Deserialize, Serialize};
 /// A harness operation a [`FailPlan`] can fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FailSite {
-    /// Restoring a VM checkpoint at the start of a forked test.
+    /// Restoring a VM checkpoint past step 0 at the start of a forked
+    /// test.
     RestoreCheckpoint,
     /// Running the application's verification phase on a completed run.
     Verifier,

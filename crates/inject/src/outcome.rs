@@ -16,9 +16,10 @@
 //!   panicking verifier, a poisoned worker); the test tells us nothing about
 //!   the application.
 //! * [`CampaignCounts::degraded`] — tests whose checkpoint restore failed
-//!   and that fell back to the cold (from-entry) executor.  Their outcomes
-//!   are still correct (the cold path is the first-principles reference),
-//!   but the report records that the fast path did not hold.
+//!   and that restarted from the step-0 checkpoint, re-executing the whole
+//!   clean prefix.  Their outcomes are still correct (a run from program
+//!   entry is the reference), but the report records that the fast path
+//!   did not hold.
 //!
 //! A report with either counter non-zero is *tainted*: resumable manifests
 //! re-execute such shards (`ftkr_bench::shard`), which is what makes chaos
@@ -183,8 +184,8 @@ pub struct CampaignCounts {
     /// worker panicked and `catch_unwind` isolated it.  Non-zero taints the
     /// report.
     pub harness_errors: u64,
-    /// Tests that fell back from the checkpoint-fork executor to the cold
-    /// executor after a failed restore.  Their outcomes are counted normally
+    /// Tests forked past step 0 that restarted from the step-0 checkpoint
+    /// after a failed restore.  Their outcomes are counted normally
     /// in the buckets above; this is bookkeeping about *how* they ran, and
     /// non-zero taints the report.
     pub degraded: u64,

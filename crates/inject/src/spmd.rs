@@ -14,9 +14,11 @@
 //! [`exchange`] evaluates the protocol in the calling thread, bit-identical
 //! to a thread-per-rank `ftkr_mpi` job.  A computation-fault test's one VM
 //! run — the injected rank's — is a test of the campaign kernel
-//! ([`Campaign::run_range_with`]), forked from the caller's checkpoint,
+//! ([`Campaign::run_range_with`]), resumed from the caller's checkpoint,
 //! whose verdict is job acceptance after the exchange.  Message-fault tests
-//! run no VM: they are a sequential fold over [`exchange`].
+//! run no VM: they are a sequential fold over [`exchange`].  The clean state
+//! summarises the caller's fault-free run ([`SpmdHarness::clean_state`]);
+//! the harness runs no VM of its own.
 //!
 //! Each test's fault is a pure function of `(seed, index)` (the *same*
 //! function the serial executor uses, so serial and parallel campaigns draw
@@ -27,7 +29,7 @@ use std::borrow::Cow;
 use ftkr_ir::Module;
 use ftkr_mpi::{MsgFault, SendRecord};
 use ftkr_patterns::divergence::{classify_ranks, RankDigest, RankDivergence};
-use ftkr_vm::{DecodedModule, RunOutcome, RunResult, Vm, VmConfig, VmSnapshot};
+use ftkr_vm::{DecodedModule, RunOutcome, RunResult, VmSnapshot};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -59,6 +61,9 @@ pub struct SpmdHarness<'m> {
     pub module: &'m Module,
     /// The kernel's dispatch tables ([`DecodedModule::decode`] of `module`).
     pub decoded: &'m DecodedModule,
+    /// The kernel's fault-free state at step 0 ([`ftkr_vm::Vm::snapshot_at`]):
+    /// a test whose restore failed restarts from it.
+    pub entry: VmSnapshot,
     /// Ranks per job.
     pub nranks: usize,
     /// Weight of the received halo in a rank's combined contribution.
@@ -86,9 +91,10 @@ pub enum SpmdFaults<'s> {
         sites: &'s [FaultSite],
         /// Which rank hosts the fault.
         rank_target: RankTarget,
-        /// The fault-free checkpoint the injected rank's run forks from
-        /// (`None`: it runs from program entry).  No site may precede it.
-        snapshot: Option<&'s VmSnapshot>,
+        /// The fault-free checkpoint the injected rank's run resumes from
+        /// (the step-0 one to run from program entry).  No site may precede
+        /// it.
+        snapshot: &'s VmSnapshot,
     },
     /// Single-bit payload corruptions of the messages recorded in the clean
     /// census, applied at the send boundary.
@@ -360,27 +366,21 @@ impl<'m> SpmdHarness<'m> {
         }
     }
 
-    /// Run the fault-free job once: one local kernel execution (every
-    /// rank's clean result is identical by symmetry), then the exchange,
-    /// whose census is the message population.
+    /// The fault-free job over `clean`, the kernel's fault-free run: every
+    /// rank's clean local result is that run by symmetry, and the exchange
+    /// over them gives the clean globals and the census, the message
+    /// population.
     ///
     /// # Panics
     ///
-    /// Panics if the fault-free run traps — a broken harness, not a fault
+    /// Panics if the fault-free run trapped — a broken harness, not a fault
     /// effect.
-    pub fn clean_state(&self) -> SpmdCleanState {
-        let config = VmConfig {
-            max_steps: self.max_steps,
-            ..VmConfig::default()
-        };
-        let result = Vm::new(config)
-            .run_decoded(self.module, self.decoded)
-            .expect("module verifies");
+    pub fn clean_state(&self, clean: &RunResult) -> SpmdCleanState {
         assert!(
-            result.outcome.is_completed(),
+            clean.outcome.is_completed(),
             "fault-free SPMD local run trapped"
         );
-        let local = self.local_of(&result);
+        let local = self.local_of(clean);
         let values = vec![(local.boundary, local.partial); self.nranks];
         let (ranks, census) = exchange(&values, self.coupling, None);
         SpmdCleanState {
@@ -459,10 +459,14 @@ impl<'m> SpmdHarness<'m> {
                 rank_target,
                 snapshot,
             } => {
-                let campaign =
-                    Campaign::over(self.module, Cow::Borrowed(self.decoded), JobAccepted)
-                        .with_max_steps(self.max_steps)
-                        .with_seed(seed);
+                let campaign = Campaign::over(
+                    self.module,
+                    Cow::Borrowed(self.decoded),
+                    Some(self.entry.clone()),
+                    JobAccepted,
+                )
+                .with_max_steps(self.max_steps)
+                .with_seed(seed);
                 campaign.run_range_with(
                     sites,
                     range,
@@ -538,6 +542,7 @@ mod tests {
     use crate::sites::TargetClass;
     use ftkr_ir::prelude::*;
     use ftkr_ir::Global;
+    use ftkr_vm::{Vm, VmConfig};
 
     /// The same small sum16 kernel the single-VM campaign tests use: sums
     /// 1.0 sixteen times into a global the harness reads back.
@@ -561,14 +566,28 @@ mod tests {
         m
     }
 
-    fn harness<'m>(
-        module: &'m Module,
-        decoded: &'m DecodedModule,
-        nranks: usize,
-    ) -> SpmdHarness<'m> {
+    /// What a harness borrows: the kernel's decoded tables, its step-0
+    /// checkpoint and its fault-free run.
+    struct Kernel {
+        decoded: DecodedModule,
+        entry: VmSnapshot,
+        clean: RunResult,
+    }
+
+    fn kernel(module: &Module) -> Kernel {
+        let vm = Vm::new(VmConfig::default());
+        Kernel {
+            decoded: DecodedModule::decode(module),
+            entry: vm.snapshot_at(module, 0).unwrap().expect("step 0 exists"),
+            clean: vm.run(module).unwrap(),
+        }
+    }
+
+    fn harness<'m>(module: &'m Module, kernel: &'m Kernel, nranks: usize) -> SpmdHarness<'m> {
         SpmdHarness {
             module,
-            decoded,
+            decoded: &kernel.decoded,
+            entry: kernel.entry.clone(),
             nranks,
             coupling: 0.125,
             max_steps: 100_000,
@@ -592,9 +611,9 @@ mod tests {
     #[test]
     fn clean_state_is_symmetric_and_has_a_census() {
         let module = module();
-        let decoded = DecodedModule::decode(&module);
-        let h = harness(&module, &decoded, 4);
-        let clean = h.clean_state();
+        let k = kernel(&module);
+        let h = harness(&module, &k, 4);
+        let clean = h.clean_state(&k.clean);
         assert_eq!(clean.digests.len(), 4);
         assert!(clean.digests.iter().all(|d| d == &clean.digests[0]));
         // 4 halo + 3 gather + 3 result messages.
@@ -606,14 +625,14 @@ mod tests {
     #[test]
     fn computation_campaign_merges_shards_bit_identically() {
         let module = module();
-        let decoded = DecodedModule::decode(&module);
-        let h = harness(&module, &decoded, 3);
-        let clean = h.clean_state();
+        let k = kernel(&module);
+        let h = harness(&module, &k, 3);
+        let clean = h.clean_state(&k.clean);
         let sites = sites();
         let faults = SpmdFaults::Computation {
             sites: &sites,
             rank_target: RankTarget::Sweep,
-            snapshot: None,
+            snapshot: &k.entry,
         };
         let monolithic = h
             .run_range(&clean, &faults, 0xFEED, IndexRange::full(24))
@@ -643,9 +662,9 @@ mod tests {
     #[test]
     fn forked_computation_campaign_matches_the_cold_one() {
         let module = module();
-        let decoded = DecodedModule::decode(&module);
-        let h = harness(&module, &decoded, 3);
-        let clean = h.clean_state();
+        let k = kernel(&module);
+        let h = harness(&module, &k, 3);
+        let clean = h.clean_state(&k.clean);
         let sites = sites();
         let snapshot = Vm::new(VmConfig::default())
             .snapshot_at(&module, sites[0].at_step)
@@ -657,15 +676,10 @@ mod tests {
             snapshot,
         };
         let cold = h
-            .run_range(&clean, &faults(None), 0xFEED, IndexRange::full(48))
+            .run_range(&clean, &faults(&k.entry), 0xFEED, IndexRange::full(48))
             .unwrap();
         let forked = h
-            .run_range(
-                &clean,
-                &faults(Some(&snapshot)),
-                0xFEED,
-                IndexRange::full(48),
-            )
+            .run_range(&clean, &faults(&snapshot), 0xFEED, IndexRange::full(48))
             .unwrap();
         assert_eq!(forked.to_json(), cold.to_json());
         assert_eq!(forked.report.counts.degraded, 0);
@@ -675,16 +689,16 @@ mod tests {
             .unwrap()
             .expect("mid-run");
         assert!(h
-            .run_range(&clean, &faults(Some(&late)), 0xFEED, IndexRange::full(4))
+            .run_range(&clean, &faults(&late), 0xFEED, IndexRange::full(4))
             .is_err());
     }
 
     #[test]
     fn a_panicking_harness_is_a_harness_error_on_every_rank() {
         let module = module();
-        let decoded = DecodedModule::decode(&module);
-        let mut h = harness(&module, &decoded, 3);
-        let clean = h.clean_state();
+        let k = kernel(&module);
+        let mut h = harness(&module, &k, 3);
+        let clean = h.clean_state(&k.clean);
         // The state digest panics on every result but the clean one.
         h.state_digest = Box::new(|r| {
             let total = r.global_f64("total").map_or(0.0, |v| v[0]);
@@ -695,7 +709,7 @@ mod tests {
         let faults = SpmdFaults::Computation {
             sites: &sites,
             rank_target: RankTarget::Sweep,
-            snapshot: None,
+            snapshot: &k.entry,
         };
         let n_tests = 48;
         let report = h
@@ -726,14 +740,14 @@ mod tests {
     #[test]
     fn rank_targeted_campaign_hits_only_the_named_rank() {
         let module = module();
-        let decoded = DecodedModule::decode(&module);
-        let h = harness(&module, &decoded, 3);
-        let clean = h.clean_state();
+        let k = kernel(&module);
+        let h = harness(&module, &k, 3);
+        let clean = h.clean_state(&k.clean);
         let sites = sites();
         let faults = SpmdFaults::Computation {
             sites: &sites,
             rank_target: RankTarget::Rank(1),
-            snapshot: None,
+            snapshot: &k.entry,
         };
         let report = h
             .run_range(&clean, &faults, 7, IndexRange::full(12))
@@ -748,9 +762,9 @@ mod tests {
     #[test]
     fn message_campaign_classifies_containment_and_spread() {
         let module = module();
-        let decoded = DecodedModule::decode(&module);
-        let h = harness(&module, &decoded, 4);
-        let clean = h.clean_state();
+        let k = kernel(&module);
+        let h = harness(&module, &k, 4);
+        let clean = h.clean_state(&k.clean);
         let report = h
             .run_range(&clean, &SpmdFaults::Messages, 3, IndexRange::full(40))
             .unwrap();
@@ -780,9 +794,9 @@ mod tests {
         // so high-bit flips must become visible as contained divergence
         // (there is no peer to spread to).
         let module = module();
-        let decoded = DecodedModule::decode(&module);
-        let h = harness(&module, &decoded, 1);
-        let clean = h.clean_state();
+        let k = kernel(&module);
+        let h = harness(&module, &k, 1);
+        let clean = h.clean_state(&k.clean);
         let report = h
             .run_range(&clean, &SpmdFaults::Messages, 5, IndexRange::full(32))
             .unwrap();
@@ -798,15 +812,15 @@ mod tests {
     #[test]
     fn single_rank_jobs_degenerate_cleanly() {
         let module = module();
-        let decoded = DecodedModule::decode(&module);
-        let h = harness(&module, &decoded, 1);
-        let clean = h.clean_state();
+        let k = kernel(&module);
+        let h = harness(&module, &k, 1);
+        let clean = h.clean_state(&k.clean);
         assert_eq!(clean.census.len(), 1, "one self-halo message");
         let sites = sites();
         let faults = SpmdFaults::Computation {
             sites: &sites,
             rank_target: RankTarget::Sweep,
-            snapshot: None,
+            snapshot: &k.entry,
         };
         let report = h
             .run_range(&clean, &faults, 11, IndexRange::full(10))
@@ -827,14 +841,14 @@ mod tests {
         // classified exactly once, so classified() + crashed + harness
         // errors == n_tests.
         let module = module();
-        let decoded = DecodedModule::decode(&module);
-        let h = harness(&module, &decoded, 3);
-        let clean = h.clean_state();
+        let k = kernel(&module);
+        let h = harness(&module, &k, 3);
+        let clean = h.clean_state(&k.clean);
         let sites = sites();
         let faults = SpmdFaults::Computation {
             sites: &sites,
             rank_target: RankTarget::Sweep,
-            snapshot: None,
+            snapshot: &k.entry,
         };
         let report = h
             .run_range(&clean, &faults, 0xFEED, IndexRange::full(60))

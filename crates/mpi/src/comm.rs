@@ -17,6 +17,12 @@ pub struct Message {
     pub data: Vec<f64>,
 }
 
+/// What travels over a rank's channel: `None` says that a peer panicked.
+pub(crate) type Envelope = Option<Message>;
+
+/// The unwind payload of a rank a peer's panic woke from a receive.
+pub(crate) struct PeerPanicked;
+
 /// A directed send boundary: messages travelling `from → to`.  The unit the
 /// message-corruption hook targets — each (site, ordinal) pair names exactly
 /// one message of a deterministic SPMD execution.
@@ -99,8 +105,8 @@ impl ReduceOp {
 pub struct Communicator {
     rank: usize,
     size: usize,
-    senders: Vec<Sender<Message>>,
-    receiver: Receiver<Message>,
+    senders: Vec<Sender<Envelope>>,
+    receiver: Receiver<Envelope>,
     pending: VecDeque<Message>,
     /// Per-destination send counts — the edge ordinals of the next sends.
     sent: Vec<u64>,
@@ -114,8 +120,8 @@ impl Communicator {
     pub(crate) fn new(
         rank: usize,
         size: usize,
-        senders: Vec<Sender<Message>>,
-        receiver: Receiver<Message>,
+        senders: Vec<Sender<Envelope>>,
+        receiver: Receiver<Envelope>,
     ) -> Self {
         Communicator {
             rank,
@@ -192,7 +198,7 @@ impl Communicator {
         };
         // The receiver can only disappear if its thread panicked; propagating
         // the panic via expect keeps the failure visible.
-        self.senders[to].send(msg).expect("receiving rank is alive");
+        self.senders[to].send(Some(msg)).expect("receiving rank is alive");
     }
 
     /// Blocking receive.  `from`/`tag` of `None` match anything.  Messages
@@ -207,6 +213,9 @@ impl Communicator {
     /// concurrent senders is scheduler-dependent — deterministic SPMD
     /// harness code must therefore direct its receives (as the collectives
     /// here do) or tolerate any cross-sender interleaving.
+    ///
+    /// Once a peer's closure has panicked the job cannot complete: a
+    /// receive that finds no buffered match unwinds instead of waiting.
     pub fn recv(&mut self, from: Option<usize>, tag: Option<i64>) -> Message {
         let matches = |m: &Message| {
             from.map(|f| m.from == f).unwrap_or(true) && tag.map(|t| m.tag == t).unwrap_or(true)
@@ -215,14 +224,11 @@ impl Communicator {
             return self.pending.remove(pos).expect("position is valid");
         }
         loop {
-            let msg = self
-                .receiver
-                .recv()
-                .expect("all peer ranks hold senders while alive");
-            if matches(&msg) {
-                return msg;
+            match self.receiver.recv().expect("a rank holds its own sender") {
+                Some(msg) if matches(&msg) => return msg,
+                Some(msg) => self.pending.push_back(msg),
+                None => std::panic::resume_unwind(Box::new(PeerPanicked)),
             }
-            self.pending.push_back(msg);
         }
     }
 

@@ -1,8 +1,10 @@
 //! SPMD launcher: run one closure per rank on its own thread.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use crossbeam::channel::unbounded;
 
-use crate::comm::{Communicator, Message};
+use crate::comm::{Communicator, Envelope, PeerPanicked};
 
 /// Errors from [`run_spmd`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -11,7 +13,8 @@ pub enum SpmdError {
     ZeroRanks,
     /// One or more rank closures panicked; the payload carries the rank ids.
     RankPanicked {
-        /// Ranks whose closure panicked.
+        /// Ranks whose closure panicked, in rank order; not the peers that
+        /// stopped because of it.
         ranks: Vec<usize>,
     },
 }
@@ -30,6 +33,11 @@ impl std::error::Error for SpmdError {}
 /// Run `body` once per rank, each on its own thread, and collect the results
 /// in rank order.  The closure receives the rank's [`Communicator`].
 ///
+/// A panicking rank fails the job with [`SpmdError::RankPanicked`], which
+/// lists the ranks that panicked themselves.  The job still returns: the
+/// panic wakes every peer waiting in [`Communicator::recv`], and those stop
+/// unlisted.
+///
 /// ```
 /// use ftkr_mpi::{run_spmd, ReduceOp};
 /// let sums = run_spmd(8, |mut comm| {
@@ -46,51 +54,49 @@ where
         return Err(SpmdError::ZeroRanks);
     }
 
-    // One channel per receiving rank; every rank gets a clone of every sender.
-    let mut senders = Vec::with_capacity(nranks);
-    let mut receivers = Vec::with_capacity(nranks);
-    for _ in 0..nranks {
-        let (tx, rx) = unbounded::<Message>();
-        senders.push(tx);
-        receivers.push(rx);
-    }
+    // One channel per receiving rank; every rank gets a clone of every
+    // sender, and the launcher keeps none.
+    let (senders, receivers): (Vec<_>, Vec<_>) =
+        (0..nranks).map(|_| unbounded::<Envelope>()).unzip();
+    let endpoints = receivers.into_iter().zip(std::iter::repeat_n(senders, nranks));
 
     let body = &body;
-    let mut results: Vec<Option<R>> = Vec::with_capacity(nranks);
-    for _ in 0..nranks {
-        results.push(None);
-    }
-
-    let panicked = std::sync::Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nranks);
-        for (rank, rx) in receivers.into_iter().enumerate() {
-            let senders = senders.clone();
-            handles.push((
-                rank,
+    let outcomes: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = endpoints
+            .enumerate()
+            .map(|(rank, (rx, senders))| {
                 scope.spawn(move || {
-                    let comm = Communicator::new(rank, nranks, senders, rx);
-                    body(comm)
-                }),
-            ));
-        }
-        for ((rank, handle), slot) in handles.into_iter().zip(results.iter_mut()) {
-            match handle.join() {
-                Ok(r) => *slot = Some(r),
-                Err(_) => panicked.lock().expect("panic list lock").push(rank),
-            }
-        }
+                    let comm = Communicator::new(rank, nranks, senders.clone(), rx);
+                    let outcome = catch_unwind(AssertUnwindSafe(|| body(comm)));
+                    if outcome.is_err() {
+                        // Wake every peer blocked in a receive.
+                        for tx in &senders {
+                            let _ = tx.send(None);
+                        }
+                    }
+                    outcome
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a rank's panic is caught on its thread"))
+            .collect()
     });
 
-    let panicked = panicked.into_inner().expect("panic list lock");
+    let mut results = Vec::with_capacity(nranks);
+    let mut panicked = Vec::new();
+    for (rank, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Ok(r) => results.push(r),
+            Err(payload) if payload.is::<PeerPanicked>() => {}
+            Err(_) => panicked.push(rank),
+        }
+    }
     if !panicked.is_empty() {
         return Err(SpmdError::RankPanicked { ranks: panicked });
     }
-    Ok(results
-        .into_iter()
-        .map(|r| r.expect("non-panicking rank produced a result"))
-        .collect())
+    Ok(results)
 }
 
 #[cfg(test)]
@@ -119,6 +125,28 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, SpmdError::RankPanicked { ranks: vec![1] });
         assert!(err.to_string().contains('1'));
+    }
+
+    #[test]
+    fn a_panicking_rank_wakes_the_peer_waiting_on_it() {
+        // Rank 0 panics before its send while rank 1 waits for it.  The job
+        // runs on its own thread so that a hang fails the test instead of
+        // blocking it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let launcher = std::thread::spawn(move || {
+            let job = run_spmd(2, |mut comm| {
+                if comm.rank() == 0 {
+                    panic!("rank 0 fails before sending");
+                }
+                comm.recv(Some(0), None).data
+            });
+            tx.send(job).expect("the test waits for the job");
+        });
+        let job = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the job hung on a receive from a panicked rank");
+        launcher.join().expect("the launcher thread returns");
+        assert_eq!(job.unwrap_err(), SpmdError::RankPanicked { ranks: vec![0] });
     }
 
     #[test]

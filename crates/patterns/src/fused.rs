@@ -856,11 +856,11 @@ impl<'c> StreamingDetector<'c> {
     }
 
     /// Feed one **pre-fault** event (walk index strictly below
-    /// `fault.at_step`) through the cheap prefix path directly — the
-    /// monomorphic drivers use this to skip per-event context construction
-    /// for the fault-free prefix.
+    /// `fault.at_step`) through the cheap prefix path directly, with no
+    /// per-event context: how [`StreamingDetector::primed`] walks the
+    /// fault-free prefix.
     #[inline]
-    pub fn on_prefix_event(
+    fn on_prefix_event(
         &mut self,
         idx: usize,
         event: &TraceEvent,
@@ -1103,43 +1103,16 @@ impl TraceVisitor for StreamingDetector<'_> {
 /// Patterns-only single-walk detection over a **materialized** faulty/clean
 /// trace pair: forward taint, no [`AclTable`] — the per-injection hot path
 /// when only the pattern instances matter (Table-I-scale hunts build and
-/// discard the ACL table otherwise).  Monomorphic driver, so the walk pays
-/// no visitor dispatch; output is bit-identical to [`analyze_fused`]'s
-/// instances.
+/// discard the ACL table otherwise).  One statically dispatched
+/// [`ftkr_vm::EventCursor`] walk of the [`StreamingDetector`]; output is
+/// bit-identical to [`analyze_fused`]'s instances.
 pub fn detect_fused_patterns(
     faulty: &Trace,
     clean: &Trace,
     fault: FaultSpec,
 ) -> Vec<PatternInstance> {
     let mut detector = StreamingDetector::new(clean, fault);
-    let locations = faulty.locations();
-
-    // The fault-free prefix takes the slim path: no taint can exist there.
-    let split = usize::try_from(fault.at_step)
-        .unwrap_or(usize::MAX)
-        .min(faulty.len());
-    for (index, event) in faulty.events[..split].iter().enumerate() {
-        detector.on_prefix_event(index, event, faulty.reads_of(event), locations);
-    }
-
-    for (off, event) in faulty.events[split..].iter().enumerate() {
-        let index = split + off;
-        let ctx = EventCtx {
-            // The detector keys everything (including fault seeding) off
-            // `index`.
-            index,
-            step: faulty.base_step() + index as u64,
-            event,
-            reads: faulty.reads_of(event),
-            locations,
-        };
-        detector.on_event(&ctx);
-    }
-    detector.on_finish(&WalkEnd {
-        events: faulty.len(),
-        locations,
-        outcome: None,
-    });
+    ftkr_vm::EventCursor::new(faulty).run(&mut [&mut detector]);
     detector.into_patterns()
 }
 

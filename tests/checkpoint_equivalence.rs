@@ -4,10 +4,12 @@
 //! of a mid-run campaign from a fault-free [`ftkr_vm::VmSnapshot`] instead of
 //! re-executing the clean prefix.  The optimization is only admissible if it
 //! is *invisible*: this suite holds the fork-point executors to byte-identical
-//! report JSON against the cold-start reference executors
-//! (`Session::run_plan_cold` / `Session::run_plan_analyzed_cold`) for every
+//! report JSON against the reference executors (`Session::run_plan_cold` /
+//! `Session::run_plan_analyzed_cold`), whose tests start from the step-0
+//! checkpoint and so re-execute the whole clean prefix, for every
 //! application in the registry, every named region, both site classes, and
-//! across arbitrary shard splits merged back together.
+//! across arbitrary shard splits merged back together.  Runs from program
+//! entry are frozen in `tests/fixtures/start_reports.txt`.
 
 use fliptracker::prelude::*;
 
@@ -174,10 +176,10 @@ fn fresh_shard_sessions_fork_and_merge_to_the_cold_reference() {
 }
 
 /// Whole-program campaigns sample sites from step zero on, so there is no
-/// prefix to save: the executor must take the cold path (fork step 0) and
-/// still produce the reference bytes.
+/// prefix to save: the executor forks every test from the step-0
+/// checkpoint and still produces the reference bytes.
 #[test]
-fn whole_program_plans_stay_on_the_cold_path() {
+fn whole_program_plans_fork_from_the_step_zero_checkpoint() {
     let session = Session::by_name("IS").unwrap();
     let plan = session
         .plan(CampaignTarget::WholeProgram, TargetClass::Internal, 8)

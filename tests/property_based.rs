@@ -525,7 +525,7 @@ proptest! {
         let campaign = Campaign::new(&module, verify)
             .with_seed(seed)
             .with_max_steps(ftkr_inject::hang_budget(clean.steps));
-        let monolithic = campaign.run(&sites, n_tests);
+        let monolithic = campaign.run_range(&sites, IndexRange::full(n_tests));
         prop_assert_eq!(monolithic.counts.total(), n_tests);
 
         // `k - 1` random cut points over `[0, n_tests]`; duplicates produce
