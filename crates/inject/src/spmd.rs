@@ -566,8 +566,8 @@ mod tests {
         m
     }
 
-    /// What a harness borrows: the kernel's decoded tables, its step-0
-    /// checkpoint and its fault-free run.
+    /// What a harness and its clean state are built from: the kernel's
+    /// decoded tables, its step-0 checkpoint and its fault-free run.
     struct Kernel {
         decoded: DecodedModule,
         entry: VmSnapshot,
