@@ -143,6 +143,24 @@ cargo run --release -q -p ftkr-bench --bin serial_vs_parallel -- MG 16 7 \
 diff tests/fixtures/serial_vs_parallel_MG_16_7.txt "$spmddir/serial_vs_parallel.txt"
 echo "    serial_vs_parallel MG 16 7 matches its frozen table"
 
+# The paper-artifact binaries' machine output (the section after `--- json ---`)
+# must match its frozen fixture. Table 3's `mean_seconds` are timings and are
+# left out on both sides.
+echo "==> paper artifacts: quick and standard --json output == frozen fixtures"
+artifactdir="target/artifacts"
+rm -rf "$artifactdir"
+mkdir -p "$artifactdir"
+for bin in table1 table2_mg_error_magnitude table3_cg_hardening table4_prediction \
+    fig5_per_region fig6_per_iteration fig7_lulesh_acl; do
+    for effort in quick standard; do
+        cargo run --release -q -p ftkr-bench --bin "$bin" -- "$effort" --json \
+            | sed -n '/^--- json ---$/,$p' | grep -v '"mean_seconds"' \
+            > "$artifactdir/${bin}_$effort.txt"
+        diff "tests/fixtures/artifacts/${bin}_$effort.txt" "$artifactdir/${bin}_$effort.txt"
+    done
+done
+echo "    all seven artifacts match their frozen quick and standard output"
+
 echo "==> trap taxonomy: hangs/memory/arithmetic buckets, bit-identical shard merges"
 cargo test --release -q --test trap_taxonomy
 
