@@ -22,6 +22,11 @@ if [[ "${1:-}" == "quick" ]]; then
     exit 0
 fi
 
+# The optimizer may reorder floating-point operands that the debug build
+# keeps in source order; the whole suite must pass in both builds.
+echo "==> whole suite in release: cargo test --release -q"
+cargo test --release -q
+
 echo "==> registry-wide spec-conformance harness (all ten apps)"
 cargo test --release -q --test conformance
 

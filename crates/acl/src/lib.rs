@@ -28,14 +28,10 @@
 //! diff the two on random traces.
 //!
 //! Construction is event-incremental: [`table::TaintSweep`] advances one
-//! dynamic event at a time, so the sweep can ride along any
-//! [`ftkr_vm::EventCursor`] walk.  [`visitor::AclVisitor`] is the
-//! stand-alone packaging ([`AclTable::build`] uses it); the fused
-//! per-injection pipeline in `ftkr_patterns` drives the same sweep next to
-//! the six pattern detectors in a single pass.
+//! dynamic event at a time.  [`AclTable::build`] runs the sweep over a
+//! recorded trace; the fused per-injection pipeline in `ftkr_patterns`
+//! drives the same sweep next to the six pattern detectors in a single pass.
 
 pub mod table;
-pub mod visitor;
 
 pub use table::{AclDeath, AclTable, DeathCause, StepTaint, TaintSweep};
-pub use visitor::AclVisitor;

@@ -228,12 +228,6 @@ impl TaintSweep {
         }
     }
 
-    /// Prepare a sweep whose seeds derive from a [`FaultSpec`] exactly as
-    /// [`AclTable::from_fault`] does.
-    pub fn from_fault(trace: &Trace, fault: &FaultSpec) -> TaintSweep {
-        TaintSweep::new(trace, &AclTable::fault_seeds(trace, fault))
-    }
-
     /// True when the given location id is currently alive-corrupted.
     pub fn is_tainted(&self, id: LocationId) -> bool {
         self.tainted.contains(id)
@@ -360,11 +354,9 @@ impl AclTable {
     /// defining instruction; for a memory fault it is the instruction about
     /// to execute when the cell is struck).
     ///
-    /// This is a monomorphic [`TaintSweep`] loop (the stand-alone fast
-    /// path); [`crate::visitor::AclVisitor`] packages the same sweep as a
-    /// [`ftkr_vm::TraceVisitor`] for fused multi-analysis walks — fuse the
-    /// sweep with other analyses instead of calling this next to another
-    /// full-trace pass.
+    /// This is a monomorphic [`TaintSweep`] loop; the fused per-injection
+    /// pipeline drives the same sweep next to other analyses — fuse it
+    /// there instead of calling this next to another full-trace pass.
     pub fn build(trace: &Trace, seeds: &[(usize, Location)]) -> AclTable {
         let mut sweep = TaintSweep::new(trace, seeds);
         let mut table = AclTable {
@@ -408,11 +400,6 @@ impl AclTable {
     /// Largest number of simultaneously alive corrupted locations.
     pub fn max_count(&self) -> u32 {
         self.counts.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Count after the given dynamic instruction.
-    pub fn count_at(&self, event: usize) -> u32 {
-        self.counts.get(event).copied().unwrap_or(0)
     }
 
     /// `(event, count)` series, down-sampled to at most `max_points` points —

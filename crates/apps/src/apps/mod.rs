@@ -73,6 +73,26 @@ mod tests {
     }
 
     #[test]
+    fn no_app_reinterprets_float_bits_as_an_integer() {
+        // The NaN contract of the reports: a NaN's payload can reach one
+        // only through `bitcast.f2i`, which no registry app may emit, or
+        // through a fault's own flipped bit.
+        use ftkr_ir::{CastKind, Op};
+        for size in [AppSize::Quick, AppSize::ClassW] {
+            for app in all_apps_sized(size) {
+                let bitcasts = app
+                    .module
+                    .functions
+                    .iter()
+                    .flat_map(|f| &f.insts)
+                    .filter(|i| matches!(i.op, Op::Cast { kind: CastKind::BitcastFtoI, .. }))
+                    .count();
+                assert_eq!(bitcasts, 0, "{} ({size:?}) emits bitcast.f2i", app.name);
+            }
+        }
+    }
+
+    #[test]
     fn lookup_by_name_is_case_insensitive() {
         assert!(app_by_name("cg").is_some());
         assert!(app_by_name("LULESH").is_some());
@@ -97,7 +117,9 @@ mod tests {
     fn every_app_has_its_named_regions_in_the_trace() {
         use ftkr_trace::{partition_regions, RegionSelector};
         for app in all_apps() {
-            let traced = app.run_traced();
+            let traced = ftkr_vm::Vm::new(ftkr_vm::VmConfig::tracing())
+                .run(&app.module)
+                .unwrap();
             let trace = traced.trace.as_ref().unwrap();
             let regions =
                 partition_regions(trace, &app.module, &RegionSelector::FirstLevelInner);

@@ -66,21 +66,6 @@ pub fn emit_axpy(
     });
 }
 
-/// Emit the sum of squared elements of an array (`||x||²`) as a named region.
-pub fn emit_norm2(b: &mut FunctionBuilder, region: &str, x: Operand, n: i64) -> Operand {
-    emit_dot_product(b, region, x, x, n)
-}
-
-/// Emit `dst[i] = src[i]` over `n` elements as a named region.
-pub fn emit_copy(b: &mut FunctionBuilder, region: &str, src: Operand, dst: Operand, n: i64) {
-    let zero = b.const_i64(0);
-    let end = b.const_i64(n);
-    b.region_for(region, zero, end, |b, i| {
-        let v = b.load_idx(src, i);
-        b.store_idx(dst, i, v);
-    });
-}
-
 /// Emit `Σ x[i]²` over `n` elements with a plain (non-region) inner loop —
 /// the shape of every solver's verification norm.  Returns the scalar sum.
 pub fn emit_sum_sq(b: &mut FunctionBuilder, loop_name: &str, x: Operand, n: i64) -> Operand {
@@ -226,7 +211,7 @@ mod tests {
         b.store(oaddr, dot);
         let two = b.const_f64(2.0);
         emit_axpy(&mut b, "axpy", two, xaddr, yaddr, n);
-        let norm = emit_norm2(&mut b, "norm", yaddr, n);
+        let norm = emit_dot_product(&mut b, "norm", yaddr, yaddr, n);
         let one = b.const_i64(1);
         b.store_idx(oaddr, one, norm);
         emit_tridiag_matvec(&mut b, "matvec", xaddr, qaddr, n, 2.0, -1.0);

@@ -176,20 +176,6 @@ impl App {
         result
     }
 
-    /// Run the program without faults, recording the dynamic trace.
-    pub fn run_traced(&self) -> RunResult {
-        let result = Vm::new(VmConfig::tracing())
-            .run(&self.module)
-            .expect("benchmark module must verify");
-        assert!(
-            result.outcome.is_completed(),
-            "fault-free {} run must complete, got {:?}",
-            self.name,
-            result.outcome
-        );
-        result
-    }
-
     /// A scalar a rank would contribute to an allreduce in the MPI version
     /// (used by the tracing-overhead experiment to make ranks communicate).
     pub fn reduction_scalar(&self, result: &RunResult) -> f64 {

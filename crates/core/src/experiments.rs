@@ -4,7 +4,6 @@
 //! renderer; the `ftkr-bench` harness binaries are thin wrappers that call
 //! these functions and print the result (optionally as JSON).
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -12,12 +11,11 @@ use serde::{Deserialize, Serialize};
 use ftkr_apps::App;
 use ftkr_inject::TargetClass;
 use ftkr_mpi::{run_spmd, ReduceOp};
-use ftkr_patterns::{PatternKind, RegionPatternSummary};
+use ftkr_patterns::RegionPatternSummary;
 use ftkr_trace::partition_iterations;
 use ftkr_vm::{EventKind, FaultSpec, Location, Vm, VmConfig};
 
 use crate::effort::Effort;
-use crate::regions::region_table;
 use crate::session::Session;
 
 /// The programs the per-region drivers analyse, in Table IV order.  The
@@ -401,14 +399,6 @@ pub struct Table2 {
 }
 
 impl Table2 {
-    /// True when the error magnitude is non-increasing over the invocations
-    /// (the Repeated Additions effect the paper demonstrates).
-    pub fn error_shrinks(&self) -> bool {
-        self.rows
-            .windows(2)
-            .all(|w| w[1].error_magnitude <= w[0].error_magnitude || !w[0].error_magnitude.is_finite())
-    }
-
     /// Render as an aligned text table.
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
@@ -525,36 +515,6 @@ pub fn table2(element: usize, bit: u8) -> Table2 {
         bit,
         rows,
     }
-}
-
-// --------------------------------------------------------------------------
-// Helpers shared with the use cases
-// --------------------------------------------------------------------------
-
-/// Measured whole-program success rate for an application: a campaign over
-/// the internal sites of the entire execution.  One-shot wrapper around
-/// [`Session::whole_program_success_rate`].
-pub fn whole_program_success_rate(app: &App, effort: &Effort) -> f64 {
-    Session::new(app.clone()).whole_program_success_rate(effort)
-}
-
-/// Per-pattern dynamic rates for an application (features of Use Case 2).
-pub fn app_pattern_rates(app: &App) -> BTreeMap<&'static str, f64> {
-    let rates = Session::new(app.clone()).pattern_rates();
-    ftkr_patterns::PatternRates::feature_names()
-        .into_iter()
-        .zip(rates.as_features())
-        .collect()
-}
-
-/// The pattern kinds found anywhere in an application by the quick analysis
-/// (used by examples and tests).
-pub fn patterns_in_app(app: &App, effort: &Effort) -> Vec<PatternKind> {
-    let mut kinds = std::collections::BTreeSet::new();
-    for row in region_table(app, effort) {
-        kinds.extend(row.patterns);
-    }
-    kinds.into_iter().collect()
 }
 
 #[cfg(test)]

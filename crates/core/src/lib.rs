@@ -43,18 +43,16 @@ pub mod use_cases;
 
 pub use campaign::{AnalyzedCampaignReport, PatternTally};
 pub use effort::Effort;
-pub use pipeline::{
-    analyze_injection, InjectionAnalysis, InjectionAnalysisBuilder, InjectionReport,
-};
-pub use regions::{region_table, RegionView};
+pub use pipeline::{InjectionAnalysis, InjectionAnalysisBuilder, InjectionReport};
+pub use regions::RegionView;
 pub use session::{execute_plan, execute_plan_spmd, PlanError, Session};
 
 /// Common imports for examples and the experiment harness.
 pub mod prelude {
     pub use crate::effort::Effort;
     pub use crate::experiments;
-    pub use crate::pipeline::{analyze_injection, InjectionAnalysis};
-    pub use crate::regions::{region_table, RegionView};
+    pub use crate::pipeline::InjectionAnalysis;
+    pub use crate::regions::RegionView;
     pub use crate::session::{execute_plan, execute_plan_spmd, PlanError, Session};
     pub use crate::use_cases;
     pub use ftkr_apps::{all_apps, all_apps_sized, app_by_name, app_by_name_sized, App, AppSize};

@@ -22,7 +22,6 @@
 //! cross-driver property tests hold the fused walks to its exact output.)
 
 use ftkr_acl::AclTable;
-use ftkr_apps::App;
 use ftkr_dddg::{compare_io, DddgExtractor, ToleranceCase};
 use ftkr_inject::Outcome;
 use ftkr_patterns::{PatternInstance, StreamingDetector};
@@ -228,28 +227,15 @@ impl<'s> InjectionAnalysisBuilder<'s> {
     }
 }
 
-/// Run the full FlipTracker analysis for one injected fault.
-///
-/// When `fault` is `None` a representative fault is chosen automatically
-/// (first arithmetic instruction of the first named region, bit 30).
-/// Returns `None` only if the application has no injectable site.
-///
-/// Analysing several faults against the same application?  Open a
-/// [`Session`] once and call [`Session::analyze`] — or compose exactly the
-/// outputs you need with [`Session::injection`] — so the clean reference run
-/// and the region partitions are computed once and shared.
-pub fn analyze_injection(app: &App, fault: Option<FaultSpec>) -> Option<InjectionAnalysis> {
-    Session::new(app.clone()).analyze(fault)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn default_injection_analysis_runs_end_to_end_on_mg() {
-        let app = ftkr_apps::mg();
-        let analysis = analyze_injection(&app, None).expect("MG has injectable sites");
+        let analysis = Session::new(ftkr_apps::mg())
+            .analyze(None)
+            .expect("MG has injectable sites");
         assert!(!analysis.regions.is_empty());
         assert!(analysis.acl.counts.len() as u64 > 0);
         // The injected error must have produced at least one corrupted
@@ -260,11 +246,12 @@ mod tests {
 
     #[test]
     fn memory_fault_into_kmeans_feature_array_is_tolerated_by_the_conditional() {
-        let app = ftkr_apps::kmeans();
         // Corrupt a low-order mantissa bit of the first feature before
         // execution starts (the features global is laid out first).
         let fault = FaultSpec::in_memory(0, 0, 2);
-        let analysis = analyze_injection(&app, Some(fault)).unwrap();
+        let analysis = Session::new(ftkr_apps::kmeans())
+            .analyze(Some(fault))
+            .unwrap();
         assert_eq!(analysis.outcome, Outcome::VerificationSuccess);
         assert!(
             analysis

@@ -1,12 +1,8 @@
 //! Region-level views of an application (the rows of Table I).
 
 use ftkr_apps::App;
-use ftkr_patterns::RegionPatternSummary;
 use ftkr_trace::{partition_regions, region_instruction_counts, RegionInstance, RegionSelector};
 use ftkr_vm::Trace;
-
-use crate::effort::Effort;
-use crate::session::Session;
 
 /// A region of an application together with its first instance in main-loop
 /// iteration 0 (the instance the paper's per-region experiments target).
@@ -25,7 +21,7 @@ pub struct RegionView {
 
 /// The named regions of an application, with their representative instances,
 /// from a fault-free traced run.  This is a pure function of the trace; most
-/// callers want the cached [`Session::region_views`] instead.
+/// callers want the cached [`crate::Session::region_views`] instead.
 pub fn region_views(app: &App, clean: &Trace) -> Vec<RegionView> {
     let instances = partition_regions(clean, &app.module, &RegionSelector::FirstLevelInner);
     let counts = region_instruction_counts(clean, &instances, 0);
@@ -47,17 +43,10 @@ pub fn region_views(app: &App, clean: &Trace) -> Vec<RegionView> {
         .collect()
 }
 
-/// Build the Table-I row set for one application: for every named region,
-/// inject `effort.analysis_injections` faults into its first instance, run
-/// the detectors, and union the pattern kinds found.  One-shot wrapper
-/// around [`Session::region_table`].
-pub fn region_table(app: &App, effort: &Effort) -> Vec<RegionPatternSummary> {
-    Session::new(app.clone()).region_table(effort)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::effort::Effort;
+    use crate::session::Session;
 
     #[test]
     fn region_views_cover_every_named_region_of_is() {
@@ -72,8 +61,7 @@ mod tests {
 
     #[test]
     fn region_table_finds_patterns_in_mg() {
-        let app = ftkr_apps::mg();
-        let rows = region_table(&app, &Effort::quick());
+        let rows = Session::new(ftkr_apps::mg()).region_table(&Effort::quick());
         assert_eq!(rows.len(), 4);
         // At least one MG region exhibits at least one pattern (the paper
         // finds patterns in all four).

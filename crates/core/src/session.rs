@@ -1115,7 +1115,8 @@ mod tests {
         assert_eq!(report.report.population, 10 * 64);
         // No VM runs in a message campaign, so nothing can crash.
         assert_eq!(report.report.counts.crashed(), 0);
-        assert_eq!(report.divergence.classified(), 5);
+        let d = report.divergence;
+        assert_eq!(d.masked + d.contained + d.spread, 5);
         // But a single-VM executor cannot sample messages at all — even a
         // one-rank message plan must be refused.
         let serial = plan.clone().with_ranks(1, RankTarget::Sweep);
@@ -1279,10 +1280,11 @@ mod tests {
         let app = ftkr_apps::mg();
         let session = Session::new(app.clone());
         let a = session.analyze(None).expect("MG has injectable sites");
-        let b = crate::pipeline::analyze_injection(&app, None).unwrap();
-        assert_eq!(a.fault, b.fault);
+        // The pipeline's builder, composed as `analyze` composes it.
+        let b = session.injection(a.fault).with_acl().with_region_cases().run();
         assert_eq!(a.outcome, b.outcome);
-        assert_eq!(a.clean_steps, b.clean_steps);
-        assert_eq!(a.regions.len(), b.regions.len());
+        assert_eq!(a.patterns, b.patterns);
+        assert_eq!(Some(a.acl.counts), b.acl.map(|acl| acl.counts));
+        assert_eq!(a.clean_steps, session.clean_steps());
     }
 }

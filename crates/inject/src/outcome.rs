@@ -109,11 +109,6 @@ impl Outcome {
     pub fn crashed(trap: TrapKind) -> Outcome {
         Outcome::Crashed(CrashKind::from_trap(trap))
     }
-
-    /// True for any abnormal program end (the paper's *Crashed* bucket).
-    pub fn is_crash(&self) -> bool {
-        matches!(self, Outcome::Crashed(_))
-    }
 }
 
 /// Per-[`CrashKind`] crash tallies.

@@ -11,8 +11,11 @@
 //!
 //! No test needs a thread per rank.  The kernel is deterministic, so a rank
 //! that does not host the fault has the cached clean local result, and
-//! [`exchange`] evaluates the protocol in the calling thread, bit-identical
-//! to a thread-per-rank `ftkr_mpi` job.  A computation-fault test's one VM
+//! [`exchange`] evaluates the protocol in the calling thread.  The message
+//! faults ([`MsgFault`]) and the send census ([`SendRecord`]) are defined
+//! here, next to it; the workspace's `tests/spmd_exchange.rs` holds
+//! [`exchange`] bit for bit to a thread-per-rank reference built on plain
+//! `ftkr_mpi` sends and receives.  A computation-fault test's one VM
 //! run — the injected rank's — is a test of the campaign kernel
 //! ([`Campaign::run_range_with`]), resumed from the caller's checkpoint,
 //! whose verdict is job acceptance after the exchange.  Message-fault tests
@@ -27,7 +30,6 @@
 use std::borrow::Cow;
 
 use ftkr_ir::Module;
-use ftkr_mpi::{MsgFault, SendRecord};
 use ftkr_patterns::divergence::{classify_ranks, RankDigest, RankDivergence};
 use ftkr_vm::{DecodedModule, RunOutcome, RunResult, VmSnapshot};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -40,10 +42,63 @@ use crate::sites::FaultSite;
 
 /// Tag of the ring halo-exchange messages.
 const TAG_HALO: i64 = 9;
-/// Tag of a contribution gathered to rank 0 (the communicator's allreduce).
+/// Tag of a contribution gathered to rank 0 by the allreduce.
 const TAG_GATHER: i64 = -1;
 /// Tag of the reduced value rank 0 sends back.
 const TAG_RESULT: i64 = -2;
+
+/// A directed send boundary: messages travelling `from → to`.  The unit a
+/// message fault targets — each (site, ordinal) pair names exactly one
+/// message of a job's exchange.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct MsgSite {
+    /// Sending rank.
+    pub from: usize,
+    /// Receiving rank.
+    pub to: usize,
+}
+
+/// A single-bit payload corruption at a send boundary: the `ordinal`-th
+/// message on `site` has one bit of one payload word flipped before it
+/// leaves the sending rank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MsgFault {
+    /// The directed edge the corrupted message travels.
+    pub site: MsgSite,
+    /// Which message on that edge (0-based, counted per edge in send order).
+    pub ordinal: u64,
+    /// Payload word to corrupt (reduced modulo the payload length).
+    pub word: usize,
+    /// Bit of the word's IEEE-754 representation to flip (0–63).
+    pub bit: u8,
+}
+
+/// One send of a job's exchange.  The census, rank 0's sends first and
+/// each rank's in send order, is the message population message faults
+/// are drawn from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SendRecord {
+    /// Sending rank.
+    pub from: usize,
+    /// Receiving rank.
+    pub to: usize,
+    /// Tag the message was sent with.
+    pub tag: i64,
+    /// Ordinal of the message on its directed edge (0-based).
+    pub ordinal: u64,
+    /// Payload length in words.
+    pub len: usize,
+}
+
+impl SendRecord {
+    /// The directed edge this send travelled.
+    pub fn site(&self) -> MsgSite {
+        MsgSite {
+            from: self.from,
+            to: self.to,
+        }
+    }
+}
 
 /// Salt decorrelating the rank-sweep stream from the fault-sampling stream
 /// derived from the same `(seed, index)`.
@@ -151,8 +206,8 @@ pub struct SpmdCleanState {
 /// Masked / contained / spread tallies — the merge-compatible extension of
 /// [`CampaignCounts`] the rank-divergence detector fills in.  Tests that
 /// crash or lose their harness are not classified (containment is a
-/// silent-data-flow property), so `classified()` can be smaller than the
-/// report's test count.
+/// silent-data-flow property), so the three tallies can sum to less than
+/// the report's test count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DivergenceCounts {
     /// No rank's digest differed from clean.
@@ -171,11 +226,6 @@ impl DivergenceCounts {
             RankDivergence::Contained => self.contained += 1,
             RankDivergence::Spread => self.spread += 1,
         }
-    }
-
-    /// Number of tests that were classified at all.
-    pub fn classified(&self) -> u64 {
-        self.masked + self.contained + self.spread
     }
 
     /// Element-wise sum (shard merging).
@@ -247,15 +297,22 @@ impl SpmdCampaignReport {
 ///
 /// `locals` holds each rank's `(boundary, partial)`; `fault`, when given,
 /// flips its bit in the one message it names.  Returns each rank's
-/// `(coupled, global)` and the job's send census.  Bit-identical to the
-/// protocol run as a thread-per-rank `ftkr_mpi` job: each rank sends its
-/// boundary to the next rank in the ring and folds the halo it receives,
-/// `coupled = partial + coupling × halo`; then the communicator's allreduce
-/// gathers every contribution to rank 0, sums them in rank order and sends
-/// the sum back.  Ordinals count per directed edge in send order (with 1
-/// and 2 ranks the halo and collective messages share edges), the census
-/// lists rank 0's sends first, and every payload is one word, so a fault's
+/// `(coupled, global)` and the job's send census.  The protocol, as a
+/// thread-per-rank job would run it: each rank sends its boundary to the
+/// next rank in the ring and folds the halo it receives,
+/// `coupled = partial + coupling × halo`; then an allreduce gathers every
+/// contribution to rank 0, which sums them in rank order and sends the sum
+/// back.  Ordinals count per directed edge in send order (with 1 and 2
+/// ranks the halo and collective messages share edges), the census lists
+/// rank 0's sends first, and every payload is one word, so a fault's
 /// `word % len` is word 0.
+///
+/// Each `coupled` and the sum are canonicalized where they are computed: a
+/// NaN there becomes [`f64::NAN`].  Which payload an `f64` sum of NaNs
+/// carries depends on operand order, which the optimizer may commute, so
+/// only the canonical NaN is the same in every build.  A NaN is returned
+/// with another payload only when a fault flipped a bit of the message
+/// carrying it.
 pub fn exchange(
     locals: &[(f64, f64)],
     coupling: f64,
@@ -301,17 +358,27 @@ pub fn exchange(
     let coupled: Vec<f64> = (0..n)
         .map(|rank| {
             let prev = (rank + n - 1) % n;
-            locals[rank].1 + coupling * deliver(prev, rank, TAG_HALO, locals[prev].0)
+            let halo = deliver(prev, rank, TAG_HALO, locals[prev].0);
+            canonical_nan(locals[rank].1 + coupling * halo)
         })
         .collect();
-    let sum = (1..n).fold(coupled[0], |acc, rank| {
+    let sum = canonical_nan((1..n).fold(coupled[0], |acc, rank| {
         acc + deliver(rank, 0, TAG_GATHER, coupled[rank])
-    });
+    }));
     // Rank 0 keeps its own sum: no message carries it.
     let ranks = (0..n)
         .map(|rank| (coupled[rank], deliver(0, rank, TAG_RESULT, sum)))
         .collect();
     (ranks, census)
+}
+
+/// `x`, with any NaN replaced by the canonical [`f64::NAN`].
+fn canonical_nan(x: f64) -> f64 {
+    if x.is_nan() {
+        f64::NAN
+    } else {
+        x
+    }
 }
 
 /// The per-rank outcomes and divergence classes of one test, or their sum
@@ -544,6 +611,11 @@ mod tests {
     use ftkr_ir::Global;
     use ftkr_vm::{Vm, VmConfig};
 
+    /// Number of tests the divergence tallies classified at all.
+    fn classified(counts: &DivergenceCounts) -> u64 {
+        counts.masked + counts.contained + counts.spread
+    }
+
     /// The same small sum16 kernel the single-VM campaign tests use: sums
     /// 1.0 sixteen times into a global the harness reads back.
     fn module() -> Module {
@@ -724,7 +796,7 @@ mod tests {
             assert_eq!(counts.harness_errors, lost);
         }
         assert_eq!(
-            report.divergence.classified() + report.report.counts.crashed() + lost,
+            classified(&report.divergence) + report.report.counts.crashed() + lost,
             n_tests,
             "a harness error leaked into the divergence classification"
         );
@@ -772,7 +844,7 @@ mod tests {
         // No VM runs in a message campaign: nothing can crash or hang.
         assert_eq!(report.report.counts.crashed(), 0);
         assert_eq!(report.report.counts.harness_errors, 0);
-        assert_eq!(report.divergence.classified(), 40);
+        assert_eq!(classified(&report.divergence), 40);
         // The census mixes result-broadcast edges (corruption lands in one
         // rank: contained) with halo/gather edges (corruption reaches the
         // global sum: spread) — both classes must appear.
@@ -838,7 +910,7 @@ mod tests {
         // flow: such tests must not enter the divergence classification at
         // all, so they can never inflate `masked`.  The invariant that pins
         // it: every completed (non-crashed, non-harness-lost) job is
-        // classified exactly once, so classified() + crashed + harness
+        // classified exactly once, so classified + crashed + harness
         // errors == n_tests.
         let module = module();
         let k = kernel(&module);
@@ -861,7 +933,7 @@ mod tests {
             report.report.counts
         );
         assert_eq!(
-            report.divergence.classified() + crashed + report.report.counts.harness_errors,
+            classified(&report.divergence) + crashed + report.report.counts.harness_errors,
             report.report.n_tests,
             "crashed jobs leaked into the divergence classification"
         );

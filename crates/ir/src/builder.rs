@@ -236,10 +236,6 @@ impl FunctionBuilder {
     pub fn sitofp(&mut self, src: Operand) -> Operand {
         self.cast(CastKind::SiToFp, src)
     }
-    /// Keep only the low 32 bits of an integer.
-    pub fn trunc_i32(&mut self, src: Operand) -> Operand {
-        self.cast(CastKind::TruncI32, src)
-    }
     /// Round an f64 to f32 precision.
     pub fn fpround32(&mut self, src: Operand) -> Operand {
         self.cast(CastKind::FpRound32, src)
@@ -342,30 +338,6 @@ impl FunctionBuilder {
         });
         self.switch_to(then_b);
         then_body(self);
-        self.branch_to_if_open(join_b);
-        self.switch_to(join_b);
-    }
-
-    /// `if (cond) { then } else { otherwise }`.
-    pub fn if_then_else(
-        &mut self,
-        cond: Operand,
-        then_body: impl FnOnce(&mut Self),
-        else_body: impl FnOnce(&mut Self),
-    ) {
-        let then_b = self.new_block("then");
-        let else_b = self.new_block("else");
-        let join_b = self.new_block("join");
-        self.push(Op::CondBr {
-            cond,
-            then_b,
-            else_b,
-        });
-        self.switch_to(then_b);
-        then_body(self);
-        self.branch_to_if_open(join_b);
-        self.switch_to(else_b);
-        else_body(self);
         self.branch_to_if_open(join_b);
         self.switch_to(join_b);
     }
@@ -511,28 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn if_then_else_creates_three_blocks_and_terminators() {
-        let mut b = FunctionBuilder::new("branchy");
-        let c = b.icmp(CmpKind::Lt, Operand::ConstI(1), Operand::ConstI(2));
-        b.if_then_else(
-            c,
-            |b| {
-                b.add(Operand::ConstI(1), Operand::ConstI(2));
-            },
-            |b| {
-                b.add(Operand::ConstI(3), Operand::ConstI(4));
-            },
-        );
-        b.ret(None);
-        let f = b.finish();
-        // entry + then + else + join
-        assert_eq!(f.blocks.len(), 4);
-        let mut m = Module::new("m");
-        m.add_function(f);
-        assert!(m.verify().is_ok());
-    }
-
-    #[test]
     fn for_loop_emits_markers_and_loop_info() {
         let mut b = FunctionBuilder::new("looper");
         b.set_line(10);
@@ -547,9 +497,10 @@ mod tests {
         assert_eq!(f.loops.len(), 1);
         assert_eq!(f.loops[0].name, "body");
         assert_eq!(f.loops[0].line_start, 10);
-        assert!(f.count_insts(|op| matches!(op, Op::LoopBegin { .. })) == 1);
-        assert!(f.count_insts(|op| matches!(op, Op::LoopEnd { .. })) == 1);
-        assert!(f.count_insts(|op| matches!(op, Op::LoopIter { .. })) == 1);
+        let count = |pred: fn(&Op) -> bool| f.insts.iter().filter(|i| pred(&i.op)).count();
+        assert_eq!(count(|op| matches!(op, Op::LoopBegin { .. })), 1);
+        assert_eq!(count(|op| matches!(op, Op::LoopEnd { .. })), 1);
+        assert_eq!(count(|op| matches!(op, Op::LoopIter { .. })), 1);
         let mut m = Module::new("m");
         m.add_function(f);
         assert!(m.verify().is_ok());

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::block::{Block, BlockId};
-use crate::inst::{Inst, LoopId, LoopKind, Op, ValueId};
+use crate::inst::{Inst, LoopId, LoopKind, ValueId};
 
 /// Index of a function within a [`crate::Module`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -137,17 +137,12 @@ impl Function {
         s.push_str("}\n");
         s
     }
-
-    /// Total number of static instructions that match a predicate.
-    pub fn count_insts(&self, pred: impl Fn(&Op) -> bool) -> usize {
-        self.insts.iter().filter(|i| pred(&i.op)).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::Operand;
+    use crate::inst::{Op, Operand};
 
     #[test]
     fn new_function_has_entry_block() {
@@ -176,6 +171,6 @@ mod tests {
         assert!(text.contains("add"));
         assert!(text.contains("line 7"));
         assert!(text.contains("ret"));
-        assert_eq!(f.count_insts(|op| matches!(op, Op::Bin { .. })), 1);
+        assert_eq!(f.insts.iter().filter(|i| matches!(i.op, Op::Bin { .. })).count(), 1);
     }
 }

@@ -67,22 +67,6 @@ pub enum Operand {
     Global(GlobalId),
 }
 
-impl Operand {
-    /// True if the operand refers to a runtime value (register or argument)
-    /// rather than an immediate constant or a global base address.
-    pub fn is_dynamic(&self) -> bool {
-        matches!(self, Operand::Value(_) | Operand::Arg(_))
-    }
-
-    /// The referenced register, if any.
-    pub fn as_value(&self) -> Option<ValueId> {
-        match self {
-            Operand::Value(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
 impl std::fmt::Display for Operand {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -557,15 +541,6 @@ impl Inst {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn operand_dynamic_classification() {
-        assert!(Operand::Value(ValueId(3)).is_dynamic());
-        assert!(Operand::Arg(0).is_dynamic());
-        assert!(!Operand::ConstI(7).is_dynamic());
-        assert!(!Operand::ConstF(1.5).is_dynamic());
-        assert!(!Operand::Global(GlobalId(0)).is_dynamic());
-    }
 
     #[test]
     fn result_classification_matches_llvm_expectations() {

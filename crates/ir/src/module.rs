@@ -51,15 +51,6 @@ impl Module {
             .map(|(i, f)| (FunctionId(i as u32), f))
     }
 
-    /// Look up a global by name.
-    pub fn global_by_name(&self, name: &str) -> Option<(GlobalId, &Global)> {
-        self.globals
-            .iter()
-            .enumerate()
-            .find(|(_, g)| g.name == name)
-            .map(|(i, g)| (GlobalId(i as u32), g))
-    }
-
     /// The function behind an id.
     pub fn function(&self, id: FunctionId) -> &Function {
         &self.functions[id.index()]
@@ -103,9 +94,8 @@ mod tests {
         let mut m = Module::new("m");
         let g = m.add_global(Global::zeroed_f64("u", 4));
         let f = m.add_function(Function::new("main", 0));
-        assert_eq!(m.global_by_name("u").unwrap().0, g);
+        assert_eq!(m.global(g).name, "u");
         assert_eq!(m.function_by_name("main").unwrap().0, f);
-        assert!(m.global_by_name("missing").is_none());
         assert!(m.function_by_name("missing").is_none());
         assert!(m.to_text().contains("module m"));
     }

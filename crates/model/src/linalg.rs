@@ -35,15 +35,6 @@ impl Matrix {
         }
     }
 
-    /// The identity matrix of size n.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
-    }
-
     /// A column vector.
     pub fn column(values: &[f64]) -> Self {
         Matrix {
@@ -185,6 +176,14 @@ impl Matrix {
 mod tests {
     use super::*;
 
+    fn identity(n: usize) -> Matrix {
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            m.set(i, i, 1.0);
+        }
+        m
+    }
+
     #[test]
     fn matmul_and_transpose() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
@@ -194,7 +193,7 @@ mod tests {
         assert_eq!(c.get(1, 1), 50.0);
         let t = a.transpose();
         assert_eq!(t.get(0, 1), 3.0);
-        assert_eq!(Matrix::identity(3).matmul(&Matrix::identity(3)), Matrix::identity(3));
+        assert_eq!(identity(3).matmul(&identity(3)), identity(3));
     }
 
     #[test]
@@ -230,7 +229,7 @@ mod tests {
 
     #[test]
     fn add_diagonal_is_ridge_shift() {
-        let mut a = Matrix::identity(2);
+        let mut a = identity(2);
         a.add_diagonal(0.5);
         assert_eq!(a.get(0, 0), 1.5);
         assert_eq!(a.get(1, 1), 1.5);

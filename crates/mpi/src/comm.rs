@@ -23,59 +23,6 @@ pub(crate) type Envelope = Option<Message>;
 /// The unwind payload of a rank a peer's panic woke from a receive.
 pub(crate) struct PeerPanicked;
 
-/// A directed send boundary: messages travelling `from → to`.  The unit the
-/// message-corruption hook targets — each (site, ordinal) pair names exactly
-/// one message of a deterministic SPMD execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MsgSite {
-    /// Sending rank.
-    pub from: usize,
-    /// Receiving rank.
-    pub to: usize,
-}
-
-/// A single-bit payload corruption armed on the *sending* rank: the
-/// `ordinal`-th message this rank sends across `site` has one bit of one
-/// payload word flipped at the send boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MsgFault {
-    /// The directed edge the corrupted message travels.
-    pub site: MsgSite,
-    /// Which message on that edge (0-based, counted per edge in send order).
-    pub ordinal: u64,
-    /// Payload word to corrupt (reduced modulo the payload length).
-    pub word: usize,
-    /// Bit of the word's IEEE-754 representation to flip (0–63).
-    pub bit: u8,
-}
-
-/// One observed send, as recorded by a census-enabled communicator.  The
-/// per-rank logs, concatenated in rank order, form the canonical message
-/// population of a deterministic SPMD execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SendRecord {
-    /// Sending rank.
-    pub from: usize,
-    /// Receiving rank.
-    pub to: usize,
-    /// Tag the message was sent with.
-    pub tag: i64,
-    /// Ordinal of the message on its directed edge (0-based).
-    pub ordinal: u64,
-    /// Payload length in words.
-    pub len: usize,
-}
-
-impl SendRecord {
-    /// The directed edge this send travelled.
-    pub fn site(&self) -> MsgSite {
-        MsgSite {
-            from: self.from,
-            to: self.to,
-        }
-    }
-}
-
 /// Reduction operator for [`Communicator::allreduce`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
@@ -108,12 +55,6 @@ pub struct Communicator {
     senders: Vec<Sender<Envelope>>,
     receiver: Receiver<Envelope>,
     pending: VecDeque<Message>,
-    /// Per-destination send counts — the edge ordinals of the next sends.
-    sent: Vec<u64>,
-    /// Armed single-message corruption, applied at the send boundary.
-    fault: Option<MsgFault>,
-    /// Send log, populated when census recording is enabled.
-    census: Option<Vec<SendRecord>>,
 }
 
 impl Communicator {
@@ -129,30 +70,7 @@ impl Communicator {
             senders,
             receiver,
             pending: VecDeque::new(),
-            sent: vec![0; size],
-            fault: None,
-            census: None,
         }
-    }
-
-    /// Arm a message corruption on this rank.  The fault must originate here;
-    /// it fires at most once, when the matching `(edge, ordinal)` send occurs.
-    pub fn arm_fault(&mut self, fault: MsgFault) {
-        assert_eq!(
-            fault.site.from, self.rank,
-            "message fault must be armed on its sending rank"
-        );
-        self.fault = Some(fault);
-    }
-
-    /// Start recording every send this rank performs (see [`SendRecord`]).
-    pub fn record_census(&mut self) {
-        self.census = Some(Vec::new());
-    }
-
-    /// The send log accumulated since [`Self::record_census`], if enabled.
-    pub fn take_census(&mut self) -> Vec<SendRecord> {
-        self.census.take().unwrap_or_default()
     }
 
     /// This rank's index.
@@ -167,30 +85,8 @@ impl Communicator {
 
     /// Send `data` to rank `to` with a tag.  Sends are buffered
     /// (non-blocking), like MPI's eager protocol for small messages.
-    ///
-    /// This is also the message-corruption boundary: if a [`MsgFault`] is
-    /// armed on this rank and this send is the `ordinal`-th message on the
-    /// fault's directed edge, one bit of one payload word is flipped before
-    /// the message leaves the rank.
-    pub fn send(&mut self, to: usize, tag: i64, mut data: Vec<f64>) {
+    pub fn send(&mut self, to: usize, tag: i64, data: Vec<f64>) {
         assert!(to < self.size, "send to nonexistent rank {to}");
-        let ordinal = self.sent[to];
-        self.sent[to] += 1;
-        if let Some(log) = self.census.as_mut() {
-            log.push(SendRecord {
-                from: self.rank,
-                to,
-                tag,
-                ordinal,
-                len: data.len(),
-            });
-        }
-        if let Some(fault) = self.fault {
-            if fault.site.to == to && fault.ordinal == ordinal && !data.is_empty() {
-                let word = fault.word % data.len();
-                data[word] = f64::from_bits(data[word].to_bits() ^ (1u64 << fault.bit));
-            }
-        }
         let msg = Message {
             from: self.rank,
             tag,
@@ -233,7 +129,7 @@ impl Communicator {
     }
 
     /// Element-wise reduction of `data` across all ranks; every rank receives
-    /// the reduced vector.  Implemented as gather-to-root + broadcast, which
+    /// the reduced vector.  Implemented as gather-to-root + result sends, which
     /// keeps the result bitwise identical on every rank (reduction order is
     /// fixed by rank index).
     pub fn allreduce(&mut self, data: &[f64], op: ReduceOp) -> Vec<f64> {
@@ -263,29 +159,6 @@ impl Communicator {
     /// products and norms).
     pub fn allreduce_scalar(&mut self, value: f64, op: ReduceOp) -> f64 {
         self.allreduce(&[value], op)[0]
-    }
-
-    /// Broadcast `data` from `root` to every rank; returns the received copy.
-    pub fn broadcast(&mut self, root: usize, data: &[f64]) -> Vec<f64> {
-        const TAG_BCAST: i64 = -3;
-        if self.size == 1 {
-            return data.to_vec();
-        }
-        if self.rank == root {
-            for to in 0..self.size {
-                if to != root {
-                    self.send(to, TAG_BCAST, data.to_vec());
-                }
-            }
-            data.to_vec()
-        } else {
-            self.recv(Some(root), Some(TAG_BCAST)).data
-        }
-    }
-
-    /// Synchronize all ranks.
-    pub fn barrier(&mut self) {
-        self.allreduce(&[0.0], ReduceOp::Sum);
     }
 }
 
@@ -350,16 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_from_root() {
-        let results = run_spmd(4, |mut comm| {
-            let data = if comm.rank() == 2 { vec![42.0] } else { vec![0.0] };
-            comm.broadcast(2, &data)[0]
-        })
-        .unwrap();
-        assert_eq!(results, vec![42.0; 4]);
-    }
-
-    #[test]
     fn wildcard_recv_from_one_sender_is_fifo() {
         // from: None / tag: None must deliver a single sender's stream in
         // exactly send order, whether the messages are drained live or were
@@ -388,7 +251,7 @@ mod tests {
 
     #[test]
     fn wildcard_recv_preserves_per_sender_order_across_senders() {
-        // Two senders, three messages each.  A barrier forces every user
+        // Two senders, three messages each.  An allreduce forces every user
         // message into the receiver's pending buffer first (the collective's
         // directed receives skip over them), then a wildcard drain must see
         // each sender's messages as an in-order subsequence.
@@ -398,10 +261,10 @@ mod tests {
                     let value = comm.rank() as f64 * 10.0 + i as f64;
                     comm.send(0, comm.rank() as i64, vec![value]);
                 }
-                comm.barrier();
+                comm.allreduce_scalar(0.0, ReduceOp::Sum);
                 vec![]
             } else {
-                comm.barrier();
+                comm.allreduce_scalar(0.0, ReduceOp::Sum);
                 (0..6).map(|_| comm.recv(None, None).data[0]).collect()
             }
         })
@@ -445,57 +308,9 @@ mod tests {
     }
 
     #[test]
-    fn armed_fault_flips_one_bit_of_one_message() {
-        let fault = MsgFault {
-            site: MsgSite { from: 0, to: 1 },
-            ordinal: 1,
-            word: 0,
-            bit: 52,
-        };
-        let results = run_spmd(2, |mut comm| {
-            if comm.rank() == 0 {
-                comm.arm_fault(fault);
-                comm.send(1, 0, vec![1.0]); // ordinal 0: clean
-                comm.send(1, 0, vec![1.0]); // ordinal 1: corrupted
-                comm.send(1, 0, vec![1.0]); // ordinal 2: clean again
-                vec![]
-            } else {
-                (0..3).map(|_| comm.recv(Some(0), Some(0)).data[0]).collect()
-            }
-        })
-        .unwrap();
-        let expected = f64::from_bits(1.0f64.to_bits() ^ (1 << 52));
-        assert_eq!(results[1], vec![1.0, expected, 1.0]);
-    }
-
-    #[test]
-    fn census_records_every_send_in_order() {
-        let results = run_spmd(2, |mut comm| {
-            comm.record_census();
-            if comm.rank() == 0 {
-                comm.send(1, 3, vec![1.0, 2.0]);
-                comm.send(1, 4, vec![3.0]);
-            } else {
-                comm.recv(Some(0), Some(3));
-                comm.recv(Some(0), Some(4));
-            }
-            comm.take_census()
-        })
-        .unwrap();
-        assert_eq!(
-            results[0],
-            vec![
-                SendRecord { from: 0, to: 1, tag: 3, ordinal: 0, len: 2 },
-                SendRecord { from: 0, to: 1, tag: 4, ordinal: 1, len: 1 },
-            ]
-        );
-        assert!(results[1].is_empty());
-    }
-
-    #[test]
     fn single_rank_collectives_are_identity() {
         let results = run_spmd(1, |mut comm| {
-            comm.barrier();
+            assert_eq!(comm.allreduce_scalar(5.0, ReduceOp::Max), 5.0);
             comm.allreduce(&[3.0, 4.0], ReduceOp::Sum)
         })
         .unwrap();

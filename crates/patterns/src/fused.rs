@@ -456,8 +456,8 @@ pub struct FusedAnalysis {
     /// The ACL table of the faulty run (bit-identical to
     /// [`AclTable::build`]).
     pub acl: AclTable,
-    /// The detected pattern instances (bit-identical to the patterns-only
-    /// [`detect_fused_patterns`] walk).
+    /// The detected pattern instances (bit-identical to a patterns-only
+    /// [`StreamingDetector`] walk).
     pub patterns: Vec<PatternInstance>,
 }
 
@@ -553,21 +553,10 @@ impl TraceVisitor for FusedInjection<'_> {
 
 /// Run the fused analysis over a materialized faulty/clean trace pair: one
 /// walk producing the ACL table **and** all pattern instances — the table
-/// bit-identical to `AclTable::from_fault`, the instances to
-/// [`detect_fused_patterns`].
+/// bit-identical to `AclTable::from_fault`, the instances to a
+/// patterns-only [`StreamingDetector`] walk.
 pub fn analyze_fused(faulty: &Trace, clean: &Trace, fault: &FaultSpec) -> FusedAnalysis {
     let mut fused = FusedInjection::for_fault(faulty, clean, fault);
-    ftkr_vm::EventCursor::new(faulty).run(&mut [&mut fused]);
-    fused.into_analysis()
-}
-
-/// Like [`analyze_fused`] but with explicit seed corruptions.
-pub fn analyze_fused_seeds(
-    faulty: &Trace,
-    clean: &Trace,
-    seeds: &[(usize, Location)],
-) -> FusedAnalysis {
-    let mut fused = FusedInjection::new(faulty, clean, seeds);
     ftkr_vm::EventCursor::new(faulty).run(&mut [&mut fused]);
     fused.into_analysis()
 }
@@ -1100,47 +1089,49 @@ impl TraceVisitor for StreamingDetector<'_> {
     }
 }
 
-/// Patterns-only single-walk detection over a **materialized** faulty/clean
-/// trace pair: forward taint, no [`AclTable`] — the per-injection hot path
-/// when only the pattern instances matter (Table-I-scale hunts build and
-/// discard the ACL table otherwise).  One statically dispatched
-/// [`ftkr_vm::EventCursor`] walk of the [`StreamingDetector`]; output is
-/// bit-identical to [`analyze_fused`]'s instances.
-pub fn detect_fused_patterns(
-    faulty: &Trace,
-    clean: &Trace,
-    fault: FaultSpec,
-) -> Vec<PatternInstance> {
-    let mut detector = StreamingDetector::new(clean, fault);
-    ftkr_vm::EventCursor::new(faulty).run(&mut [&mut detector]);
-    detector.into_patterns()
-}
-
-/// Run the streaming detector over a live faulty run of `module`: outcome
-/// classification and pattern detection with no materialized faulty trace.
-/// `config` supplies limits and scope; its fault is overridden by `fault`.
-pub fn detect_streaming(
-    module: &ftkr_ir::Module,
-    clean: &Trace,
-    fault: FaultSpec,
-    mut config: ftkr_vm::VmConfig,
-) -> (ftkr_vm::RunResult, Vec<PatternInstance>) {
-    config.fault = Some(fault);
-    config.record_trace = false;
-    let mut detector = StreamingDetector::new(clean, fault);
-    let decoded = ftkr_vm::DecodedModule::decode(module);
-    let result = ftkr_vm::Vm::new(config)
-        .run_with_visitors_decoded(module, &decoded, &mut [&mut detector])
-        .expect("module must verify");
-    (result, detector.into_patterns())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ftkr_ir::prelude::*;
     use ftkr_ir::Global;
-    use ftkr_vm::{Vm, VmConfig};
+    use ftkr_vm::{RunResult, Vm, VmConfig};
+
+    /// A traced run with `fault` armed.
+    fn tracing_with_fault(fault: FaultSpec) -> VmConfig {
+        VmConfig {
+            fault: Some(fault),
+            ..VmConfig::tracing()
+        }
+    }
+
+    /// The patterns-only forward-taint walk of a materialized faulty trace.
+    fn detect_fused_patterns(
+        faulty: &Trace,
+        clean: &Trace,
+        fault: FaultSpec,
+    ) -> Vec<PatternInstance> {
+        let mut detector = StreamingDetector::new(clean, fault);
+        ftkr_vm::EventCursor::new(faulty).run(&mut [&mut detector]);
+        detector.into_patterns()
+    }
+
+    /// The streaming detector over a live, untraced faulty run of `module`.
+    fn detect_streaming(
+        module: &Module,
+        clean: &Trace,
+        fault: FaultSpec,
+    ) -> (RunResult, Vec<PatternInstance>) {
+        let mut detector = StreamingDetector::new(clean, fault);
+        let decoded = ftkr_vm::DecodedModule::decode(module);
+        let config = VmConfig {
+            fault: Some(fault),
+            ..VmConfig::default()
+        };
+        let result = Vm::new(config)
+            .run_with_visitors_decoded(module, &decoded, &mut [&mut detector])
+            .unwrap();
+        (result, detector.into_patterns())
+    }
 
     /// An accumulation kernel exercising several patterns at once: repeated
     /// additions into a cell, a guarded minimum (conditional), a truncating
@@ -1212,7 +1203,7 @@ mod tests {
         // independent implementations per output.
         for (frac, bit) in [(7usize, 30u8), (3, 52), (2, 3), (5, 61), (4, 12)] {
             let fault = FaultSpec::in_result((clean.len() / frac) as u64, bit);
-            let faulty = Vm::new(VmConfig::tracing_with_fault(fault))
+            let faulty = Vm::new(tracing_with_fault(fault))
                 .run(&module)
                 .unwrap()
                 .trace
@@ -1239,14 +1230,14 @@ mod tests {
             .unwrap();
         for (step, bit) in [(10u64, 40u8), (25, 2), (60, 52), (0, 7), (150, 20)] {
             let fault = FaultSpec::in_result(step % clean.len() as u64, bit);
-            let faulty = Vm::new(VmConfig::tracing_with_fault(fault))
+            let faulty = Vm::new(tracing_with_fault(fault))
                 .run(&module)
                 .unwrap()
                 .trace
                 .unwrap();
             let materialized = analyze_fused(&faulty, &clean, &fault).patterns;
             let (result, streamed) =
-                detect_streaming(&module, &clean, fault, VmConfig::default());
+                detect_streaming(&module, &clean, fault);
             assert!(result.trace.is_none());
             assert_eq!(streamed, materialized, "fault {fault:?}");
         }
@@ -1280,7 +1271,7 @@ mod tests {
         ];
         for fault in faults {
             let (cold_result, cold_patterns) =
-                detect_streaming(&module, &clean, fault, VmConfig::default());
+                detect_streaming(&module, &clean, fault);
             let mut forked = primed.fork(fault);
             let config = ftkr_vm::VmConfig {
                 fault: Some(fault),
@@ -1385,13 +1376,13 @@ mod tests {
         // at step 0 exercises the pending-seed path.
         for (step, addr, bit) in [(0u64, 1u64, 30u8), (0, 0, 40), (40, 2, 52), (9999, 3, 1)] {
             let fault = FaultSpec::in_memory(step.min(clean.len() as u64 - 1), addr, bit);
-            let faulty = Vm::new(VmConfig::tracing_with_fault(fault))
+            let faulty = Vm::new(tracing_with_fault(fault))
                 .run(&module)
                 .unwrap()
                 .trace
                 .unwrap();
             let materialized = analyze_fused(&faulty, &clean, &fault).patterns;
-            let (_, streamed) = detect_streaming(&module, &clean, fault, VmConfig::default());
+            let (_, streamed) = detect_streaming(&module, &clean, fault);
             assert_eq!(streamed, materialized, "fault {fault:?}");
         }
     }

@@ -43,18 +43,6 @@ impl PatternKind {
             PatternKind::DataOverwriting => "DO",
         }
     }
-
-    /// Full name as used in the paper's prose.
-    pub fn full_name(self) -> &'static str {
-        match self {
-            PatternKind::DeadCorruptedLocations => "Dead Corrupted Locations",
-            PatternKind::RepeatedAdditions => "Repeated Additions",
-            PatternKind::ConditionalStatement => "Conditional Statements",
-            PatternKind::Shifting => "Shifting",
-            PatternKind::Truncation => "Data Truncation",
-            PatternKind::DataOverwriting => "Data Overwriting",
-        }
-    }
 }
 
 impl std::fmt::Display for PatternKind {
@@ -89,9 +77,7 @@ mod tests {
         use std::collections::HashSet;
         assert_eq!(PatternKind::ALL.len(), 6);
         let shorts: HashSet<_> = PatternKind::ALL.iter().map(|k| k.short_name()).collect();
-        let fulls: HashSet<_> = PatternKind::ALL.iter().map(|k| k.full_name()).collect();
         assert_eq!(shorts.len(), 6);
-        assert_eq!(fulls.len(), 6);
         assert_eq!(format!("{}", PatternKind::DeadCorruptedLocations), "DCL");
     }
 }

@@ -41,10 +41,7 @@ pub mod rates;
 pub mod summary;
 
 pub use divergence::{classify_ranks, state_fnv, RankDigest, RankDivergence};
-pub use fused::{
-    analyze_fused, analyze_fused_seeds, detect_fused_patterns, detect_streaming, FusedAnalysis,
-    FusedInjection, StreamingDetector,
-};
+pub use fused::{analyze_fused, FusedAnalysis, FusedInjection, StreamingDetector};
 pub use kinds::{PatternInstance, PatternKind};
 pub use rates::{dynamic_rates, static_rates, PatternRates};
 pub use summary::{assign_to_regions, RegionPatternSummary};

@@ -15,8 +15,13 @@
 use ftkr_acl::AclTable;
 use ftkr_ir::prelude::*;
 use ftkr_ir::Global;
-use ftkr_patterns::{analyze_fused, analyze_fused_seeds, detect_streaming, PatternKind};
-use ftkr_vm::{EventKind, FaultSpec, Location, Trace, Vm, VmConfig};
+use ftkr_patterns::{
+    analyze_fused, FusedInjection, PatternInstance, PatternKind, StreamingDetector,
+};
+use ftkr_vm::{
+    DecodedModule, EventCursor, EventKind, EventView, FaultSpec, Location, RunResult, Trace, Vm,
+    VmConfig,
+};
 
 fn run_clean(module: &Module) -> Trace {
     Vm::new(VmConfig::tracing())
@@ -27,20 +32,42 @@ fn run_clean(module: &Module) -> Trace {
 }
 
 fn run_faulty(module: &Module, fault: FaultSpec) -> Trace {
-    Vm::new(VmConfig::tracing_with_fault(fault))
-        .run(module)
-        .unwrap()
-        .trace
-        .unwrap()
+    let config = VmConfig {
+        fault: Some(fault),
+        ..VmConfig::tracing()
+    };
+    Vm::new(config).run(module).unwrap().trace.unwrap()
+}
+
+/// The streaming detector over a live, untraced faulty run of `module`.
+fn detect_streaming(
+    module: &Module,
+    clean: &Trace,
+    fault: FaultSpec,
+) -> (RunResult, Vec<PatternInstance>) {
+    let mut detector = StreamingDetector::new(clean, fault);
+    let config = VmConfig {
+        fault: Some(fault),
+        ..VmConfig::default()
+    };
+    let result = Vm::new(config)
+        .run_with_visitors_decoded(module, &DecodedModule::decode(module), &mut [&mut detector])
+        .unwrap();
+    (result, detector.into_patterns())
+}
+
+/// Every event of `trace` with its dynamic index.
+fn views(trace: &Trace) -> impl Iterator<Item = (usize, EventView<'_>)> {
+    (0..trace.len()).map(move |idx| (idx, trace.view(idx)))
 }
 
 /// Detect through the fused pipeline, asserting the streaming (no trace)
 /// path agrees with the materialized walk on the way.
-fn detect(module: &Module, fault: FaultSpec) -> Vec<ftkr_patterns::PatternInstance> {
+fn detect(module: &Module, fault: FaultSpec) -> Vec<PatternInstance> {
     let clean = run_clean(module);
     let faulty = run_faulty(module, fault);
     let fused = analyze_fused(&faulty, &clean, &fault);
-    let (result, streamed) = detect_streaming(module, &clean, fault, VmConfig::default());
+    let (result, streamed) = detect_streaming(module, &clean, fault);
     assert!(result.trace.is_none(), "streaming must not record a trace");
     assert_eq!(streamed, fused.patterns, "streaming/materialized disagree");
     fused.patterns
@@ -70,8 +97,7 @@ fn shift_module() -> Module {
 }
 
 fn first_key_load(clean: &Trace) -> usize {
-    clean
-        .iter_views()
+    views(clean)
         .find(|(_, v)| {
             matches!(v.event().kind, EventKind::Load)
                 && v.reads()
@@ -195,10 +221,10 @@ fn conditional_statement_detected_when_branch_outcome_is_preserved() {
     let clean = run_clean(&module);
     // Corrupt the load of data[0] (=5.0) with a low-order mantissa flip:
     // it stays larger than 1.0, so every comparison keeps its outcome.
-    let (step, _) = clean
-        .iter_views()
+    let (step, _) = views(&clean)
         .find(|(_, v)| {
-            matches!(v.event().kind, EventKind::Load) && v.reads_location(&Location::mem(0))
+            matches!(v.event().kind, EventKind::Load)
+                && v.reads().any(|(l, _)| l == Location::mem(0))
         })
         .unwrap();
     let fault = FaultSpec::in_result(step as u64, 2);
@@ -207,7 +233,11 @@ fn conditional_statement_detected_when_branch_outcome_is_preserved() {
         .iter()
         .any(|p| p.kind == PatternKind::ConditionalStatement));
     // The final argmin is unchanged.
-    let faulty_run = Vm::new(VmConfig::with_fault(fault)).run(&module).unwrap();
+    let config = VmConfig {
+        fault: Some(fault),
+        ..VmConfig::default()
+    };
+    let faulty_run = Vm::new(config).run(&module).unwrap();
     assert_eq!(faulty_run.global_i64("argmin").unwrap(), vec![1]);
 }
 
@@ -280,8 +310,7 @@ fn repeated_additions_detected_when_error_amortizes() {
     // Corrupt an early loaded accumulator value (cell 0 holds `acc`) with
     // a low-order flip; induction-variable loads are skipped so control
     // flow is unaffected.
-    let (step, _) = clean
-        .iter_views()
+    let (step, _) = views(&clean)
         .filter(|(_, v)| {
             matches!(v.event().kind, EventKind::Load)
                 && v.reads()
@@ -365,7 +394,9 @@ fn dead_corrupted_locations_detected_when_temporaries_die() {
 fn clean_run_produces_no_pattern_instances() {
     let module = shift_module();
     let clean = run_clean(&module);
-    let fused = analyze_fused_seeds(&clean, &clean, &[]);
+    let mut fused = FusedInjection::new(&clean, &clean, &[]);
+    EventCursor::new(&clean).run(&mut [&mut fused]);
+    let fused = fused.into_analysis();
     assert!(fused.patterns.is_empty());
     assert_eq!(fused.acl.max_count(), 0);
 }
@@ -430,7 +461,7 @@ fn golden_snapshot(fault: FaultSpec) -> Vec<(PatternKind, usize, u32)> {
     let faulty = run_faulty(&module, fault);
     let fused = analyze_fused(&faulty, &clean, &fault);
     // The streaming path must reproduce the snapshot too.
-    let (_, streamed) = detect_streaming(&module, &clean, fault, VmConfig::default());
+    let (_, streamed) = detect_streaming(&module, &clean, fault);
     assert_eq!(streamed, fused.patterns);
     // And the fused ACL must equal the standalone dense construction.
     let reference = AclTable::from_fault(&faulty, &fault);

@@ -118,24 +118,6 @@ impl VmConfig {
             ..Default::default()
         }
     }
-
-    /// Configuration for a faulty run without tracing (campaign run).
-    pub fn with_fault(fault: FaultSpec) -> Self {
-        VmConfig {
-            fault: Some(fault),
-            ..Default::default()
-        }
-    }
-
-    /// Configuration for a faulty run *with* tracing (fine-grained analysis
-    /// of one injection, e.g. the paper's Figure 7).
-    pub fn tracing_with_fault(fault: FaultSpec) -> Self {
-        VmConfig {
-            record_trace: true,
-            fault: Some(fault),
-            ..Default::default()
-        }
-    }
 }
 
 /// Everything a run produces.  `PartialEq` compares outcome, step count,
@@ -1426,6 +1408,22 @@ mod tests {
     use ftkr_ir::prelude::*;
     use ftkr_ir::Global;
 
+    /// An untraced run with `fault` armed.
+    fn with_fault(fault: FaultSpec) -> VmConfig {
+        VmConfig {
+            fault: Some(fault),
+            ..Default::default()
+        }
+    }
+
+    /// A traced run with `fault` armed.
+    fn tracing_with_fault(fault: FaultSpec) -> VmConfig {
+        VmConfig {
+            fault: Some(fault),
+            ..VmConfig::tracing()
+        }
+    }
+
     /// sum = 0; for i in 0..10 { sum += i }; store to global; output sum.
     fn sum_module() -> Module {
         let mut m = Module::new("sum");
@@ -1472,13 +1470,13 @@ mod tests {
             .count();
         assert_eq!(iters, 10);
         // Every store event writes a memory location.
-        assert!(trace
-            .iter_views()
-            .filter(|(_, v)| matches!(v.event().kind, EventKind::Store))
-            .all(|(_, v)| v.written_location().map(|l| l.is_mem()).unwrap_or(false)));
+        assert!((0..trace.len())
+            .map(|idx| trace.view(idx))
+            .filter(|v| matches!(v.event().kind, EventKind::Store))
+            .all(|v| v.written_location().map(|l| l.is_mem()).unwrap_or(false)));
         // The operand pool is exactly covered by the event spans.
-        let span_sum: usize = trace.events.iter().map(|e| e.num_reads()).sum();
-        assert_eq!(span_sum, trace.num_operands());
+        let span_sum: usize = trace.events.iter().map(|e| e.reads.len as usize).sum();
+        assert_eq!(span_sum, trace.pool.len());
     }
 
     #[test]
@@ -1582,7 +1580,7 @@ mod tests {
             .find(|(_, e)| matches!(e.kind, EventKind::Bin(BinKind::Add)))
             .expect("sum program performs additions");
         let fault = FaultSpec::in_result(step as u64, 5);
-        let faulty = Vm::new(VmConfig::with_fault(fault)).run(&module).unwrap();
+        let faulty = Vm::new(with_fault(fault)).run(&module).unwrap();
         assert!(faulty.outcome.is_completed());
         assert_ne!(faulty.global_i64("sum").unwrap(), vec![45]);
     }
@@ -1594,7 +1592,7 @@ mod tests {
         // gives it the value 8, but the program overwrites it => final value
         // is still 45 (the paper's Data Overwriting pattern).
         let fault = FaultSpec::in_memory(0, 0, 3);
-        let r = Vm::new(VmConfig::with_fault(fault)).run(&module).unwrap();
+        let r = Vm::new(with_fault(fault)).run(&module).unwrap();
         assert!(r.outcome.is_completed());
         assert_eq!(r.global_i64("sum").unwrap(), vec![45]);
     }
@@ -1607,7 +1605,7 @@ mod tests {
         // count identical, which is what makes dynamic indices transferable
         // between runs.
         let fault = FaultSpec::in_result(20, 1);
-        let faulty = Vm::new(VmConfig::with_fault(fault)).run(&module).unwrap();
+        let faulty = Vm::new(with_fault(fault)).run(&module).unwrap();
         if faulty.outcome.is_completed() {
             assert_eq!(clean.steps, faulty.steps);
         }
@@ -1701,13 +1699,13 @@ mod tests {
     fn streaming_respects_faults() {
         let module = sum_module();
         let fault = FaultSpec::in_result(20, 1);
-        let traced = Vm::new(VmConfig::tracing_with_fault(fault))
+        let traced = Vm::new(tracing_with_fault(fault))
             .run(&module)
             .unwrap();
         let trace = traced.trace.unwrap();
 
         let mut rebuild = Rebuild::default();
-        let streamed = Vm::new(VmConfig::with_fault(fault))
+        let streamed = Vm::new(with_fault(fault))
             .run_with_visitors_decoded(&module, &decoded(&module), &mut [&mut rebuild])
             .unwrap();
         assert_eq!(rebuild.events.len(), trace.len());
@@ -1715,7 +1713,7 @@ mod tests {
             assert_eq!(got, &trace.resolved(i), "faulty event {i} differs");
             assert_eq!(rebuild.steps[i], i as u64);
         }
-        let untraced = Vm::new(VmConfig::with_fault(fault)).run(&module).unwrap();
+        let untraced = Vm::new(with_fault(fault)).run(&module).unwrap();
         assert!(streamed == untraced, "streaming changed the faulty run");
     }
 
@@ -2145,7 +2143,7 @@ mod tests {
         let snap = vm.snapshot_at(&module, 0).unwrap().expect("step 0 exists");
         assert_eq!(snap.step(), 0);
         assert_eq!(snap.events_emitted(), 0);
-        assert_eq!(snap.frame_depth(), 1, "entry frame is pushed");
+        assert_eq!(snap.image().frames.len(), 1, "entry frame is pushed");
         let resumed = vm
             .resume_from_decoded(&module, &decoded(&module), &snap)
             .unwrap();
@@ -2179,9 +2177,9 @@ mod tests {
         let cold = vm.run(&module).unwrap();
         // Step 3 is the callee's store: two live frames, one live alloca.
         let snap = vm.snapshot_at(&module, 3).unwrap().expect("mid-run step");
-        assert_eq!(snap.frame_depth(), 2, "snapshot taken inside the callee");
+        assert_eq!(snap.image().frames.len(), 2, "snapshot taken inside the callee");
         assert!(
-            snap.memory_cells() > 0,
+            snap.image().memory.valid_len() > 0,
             "the callee's alloca is live at the fork point"
         );
         let resumed = vm
@@ -2255,7 +2253,7 @@ mod tests {
 
         // First restore runs with a fault that corrupts the accumulator…
         let fault = FaultSpec::in_memory(12, 0, 40);
-        let faulty1 = Vm::new(VmConfig::with_fault(fault))
+        let faulty1 = Vm::new(with_fault(fault))
             .resume_from_decoded(&module, &decoded(&module), &snap)
             .unwrap();
         // …the second, fault-free restore must still equal the cold run: the
@@ -2265,7 +2263,7 @@ mod tests {
             .unwrap();
         assert_eq!(clean, cold);
         // And a repeated faulty restore reproduces the first bit-for-bit.
-        let faulty2 = Vm::new(VmConfig::with_fault(fault))
+        let faulty2 = Vm::new(with_fault(fault))
             .resume_from_decoded(&module, &decoded(&module), &snap)
             .unwrap();
         assert_eq!(faulty1, faulty2);
@@ -2286,7 +2284,7 @@ mod tests {
             FaultSpec::in_result(fork, 5),
             FaultSpec::in_memory(fork, 0, 3),
         ] {
-            let vm = Vm::new(VmConfig::with_fault(fault));
+            let vm = Vm::new(with_fault(fault));
             let cold = vm.run(&module).unwrap();
             let forked = vm
                 .resume_from_decoded(&module, &decoded(&module), &snap)
@@ -2343,10 +2341,10 @@ mod tests {
                 FaultSpec::in_result(step, 7),
                 FaultSpec::in_memory(step, 0, 3),
             ] {
-                let traced = Vm::new(VmConfig::tracing_with_fault(fault))
+                let traced = Vm::new(tracing_with_fault(fault))
                     .run(&module)
                     .unwrap();
-                let untraced = Vm::new(VmConfig::with_fault(fault)).run(&module).unwrap();
+                let untraced = Vm::new(with_fault(fault)).run(&module).unwrap();
                 assert_eq!(untraced.outcome, traced.outcome, "fault {fault:?}");
                 assert_eq!(untraced.steps, traced.steps, "fault {fault:?}");
                 assert_eq!(untraced.outputs, traced.outputs, "fault {fault:?}");
@@ -2445,7 +2443,7 @@ mod tests {
                 FaultSpec::in_result(fork, 5),
                 FaultSpec::in_memory(fork, 0, 3),
             ] {
-                let vm = Vm::new(VmConfig::with_fault(fault));
+                let vm = Vm::new(with_fault(fault));
                 let forked = vm.resume_from_decoded(&module, &dm, &snap).unwrap();
                 assert_eq!(
                     forked,
@@ -2516,7 +2514,7 @@ mod tests {
         let t = traced.trace.unwrap();
         assert_eq!(t.len(), 1);
         assert!(matches!(t.events[0].kind, EventKind::Bin(BinKind::Add)));
-        let span_sum: usize = t.events.iter().map(|e| e.num_reads()).sum();
-        assert_eq!(span_sum, t.num_operands());
+        let span_sum: usize = t.events.iter().map(|e| e.reads.len as usize).sum();
+        assert_eq!(span_sum, t.pool.len());
     }
 }

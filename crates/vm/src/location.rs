@@ -45,11 +45,6 @@ impl Location {
         matches!(self, Location::Mem { .. })
     }
 
-    /// True for register locations.
-    pub fn is_reg(&self) -> bool {
-        matches!(self, Location::Reg { .. })
-    }
-
     /// Memory address, if this is a memory location.
     pub fn mem_addr(&self) -> Option<u64> {
         match self {
@@ -78,7 +73,6 @@ mod tests {
     fn constructors_and_accessors() {
         let r = Location::reg(FunctionId(1), 7, ValueId(3));
         let m = Location::mem(42);
-        assert!(r.is_reg());
         assert!(!r.is_mem());
         assert!(m.is_mem());
         assert_eq!(m.mem_addr(), Some(42));

@@ -100,18 +100,6 @@ impl VmSnapshot {
         self.inner.locations.len()
     }
 
-    /// Depth of the captured call-frame stack (≥ 1: the entry frame is
-    /// always live while the program runs).
-    pub fn frame_depth(&self) -> usize {
-        self.inner.frames.len()
-    }
-
-    /// Number of valid memory cells (globals + live stack) in the captured
-    /// image — the dominant term of the snapshot's size.
-    pub fn memory_cells(&self) -> u64 {
-        self.inner.memory.valid_len()
-    }
-
     /// Approximate heap footprint of the captured image in bytes (memory
     /// slab, frames with their register files and id tables, location
     /// tables).  An estimate over inline struct sizes, for cache

@@ -196,11 +196,6 @@ impl TraceEvent {
     pub fn written_id(&self) -> Option<LocationId> {
         self.write.map(|(l, _)| l)
     }
-
-    /// Number of operands the instruction read.
-    pub fn num_reads(&self) -> usize {
-        self.reads.len as usize
-    }
 }
 
 /// One executed instruction with every location fully resolved — the
@@ -272,12 +267,6 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Number of dynamic instructions excluding loop markers — the paper's
-    /// "#instr in an iteration" excludes instrumentation artifacts.
-    pub fn instruction_count(&self) -> usize {
-        self.events.iter().filter(|e| !e.kind.is_marker()).count()
-    }
-
     /// Approximate heap footprint of the recorded trace in bytes (events,
     /// operand pool, location table).  An estimate over the inline
     /// struct sizes — good enough for cache byte-budget accounting, not an
@@ -331,11 +320,6 @@ impl Trace {
         &self.pool[event.reads.range()]
     }
 
-    /// Total number of operand reads across all events.
-    pub fn num_operands(&self) -> usize {
-        self.pool.len()
-    }
-
     /// A resolved view of the event at `idx`.
     pub fn view(&self, idx: usize) -> EventView<'_> {
         EventView { trace: self, idx }
@@ -359,11 +343,6 @@ impl Trace {
     /// Iterate over `(dynamic index, event)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &TraceEvent)> {
         self.events.iter().enumerate()
-    }
-
-    /// Iterate over `(dynamic index, resolved view)` pairs.
-    pub fn iter_views(&self) -> impl Iterator<Item = (usize, EventView<'_>)> {
-        (0..self.events.len()).map(move |idx| (idx, self.view(idx)))
     }
 
     /// Reconstruct the fully resolved form of the event at `idx`.
@@ -392,31 +371,6 @@ impl Trace {
             b.push(e);
         }
         b.finish()
-    }
-
-    /// Index of the first event where this trace and `other` differ in the
-    /// value written (bitwise), i.e. where an injected error first becomes
-    /// architecturally visible.  `None` when the traces agree everywhere they
-    /// overlap.
-    pub fn first_divergence(&self, other: &Trace) -> Option<usize> {
-        let n = self.events.len().min(other.events.len());
-        for i in 0..n {
-            let a = &self.events[i];
-            let b = &other.events[i];
-            let values_differ = match (a.write, b.write) {
-                (Some((_, va)), Some((_, vb))) => !va.bit_eq(vb),
-                (None, None) => false,
-                _ => true,
-            };
-            if values_differ || a.inst != b.inst || a.func != b.func {
-                return Some(i);
-            }
-        }
-        if self.events.len() != other.events.len() {
-            Some(n)
-        } else {
-            None
-        }
     }
 }
 
@@ -467,11 +421,6 @@ impl<'a> EventView<'a> {
     /// The location written, resolved, if any.
     pub fn written_location(&self) -> Option<Location> {
         self.write().map(|(l, _)| l)
-    }
-
-    /// True if the event reads the given location.
-    pub fn reads_location(&self, loc: &Location) -> bool {
-        self.reads().any(|(l, _)| l == *loc)
     }
 }
 
@@ -613,23 +562,8 @@ mod tests {
             },
         ]);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.instruction_count(), 1);
+        assert_eq!(t.events.iter().filter(|e| !e.kind.is_marker()).count(), 1);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn divergence_detection() {
-        let mut a = TraceBuilder::new();
-        let mut b = TraceBuilder::new();
-        a.push(event(1.0));
-        b.push(event(1.0));
-        assert_eq!(a.trace.first_divergence(&b.trace), None);
-        a.push(event(2.0));
-        b.push(event(2.5));
-        assert_eq!(a.trace.first_divergence(&b.trace), Some(1));
-        // Length mismatch counts as divergence at the shorter length.
-        b.push(event(3.0));
-        assert_eq!(a.trace.first_divergence(&b.trace), Some(1));
     }
 
     #[test]
@@ -638,10 +572,9 @@ mod tests {
         let v = t.view(0);
         assert_eq!(v.event().written_value(), Some(Value::F(4.0)));
         assert_eq!(v.written_location(), Some(Location::mem(1)));
-        assert!(v.reads_location(&Location::mem(0)));
-        assert!(!v.reads_location(&Location::mem(9)));
+        assert_eq!(v.reads().collect::<Vec<_>>(), vec![(Location::mem(0), Value::F(1.0))]);
         assert!(!v.event().kind.is_marker());
-        assert_eq!(v.event().num_reads(), 1);
+        assert_eq!(v.read_ids().len(), 1);
     }
 
     #[test]
@@ -652,7 +585,7 @@ mod tests {
         assert_eq!(t.location(LocationId(0)), Location::mem(0));
         assert_eq!(t.location_id(&Location::mem(1)), Some(LocationId(1)));
         assert_eq!(t.location_id(&Location::mem(77)), None);
-        assert_eq!(t.num_operands(), 3);
+        assert_eq!(t.pool.len(), 3);
         // Round trip through the resolved form.
         let r = t.resolved(1);
         assert_eq!(r.reads, vec![(Location::mem(0), Value::F(1.0))]);

@@ -108,11 +108,6 @@ impl EventCtx<'_> {
     pub fn written_location(&self) -> Option<Location> {
         self.event.write.map(|(id, _)| self.location(id))
     }
-
-    /// True if the event reads the given interned id.
-    pub fn reads_id(&self, id: LocationId) -> bool {
-        self.reads.iter().any(|&(r, _)| r == id)
-    }
 }
 
 /// The events a visitor must see: published by [`TraceVisitor::watch`] and
@@ -485,7 +480,6 @@ mod tests {
                 assert_eq!(ctx.written_location(), Some(Location::mem(4)));
                 let (id, _) = ctx.reads[0];
                 assert_eq!(ctx.location(id), Location::mem(3));
-                assert!(ctx.reads_id(id));
             }
             fn on_finish(&mut self, end: &WalkEnd<'_>) {
                 assert!(end.outcome.is_none());

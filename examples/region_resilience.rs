@@ -42,7 +42,11 @@ fn main() {
     }
 
     // Which patterns explain the resilient regions?
-    let kinds = fliptracker::experiments::patterns_in_app(session.app(), &Effort::quick());
+    let kinds: std::collections::BTreeSet<_> = session
+        .region_table(&Effort::quick())
+        .into_iter()
+        .flat_map(|row| row.patterns)
+        .collect();
     println!(
         "\npatterns observed anywhere in {}: {}",
         session.app().name,

@@ -17,14 +17,8 @@ fn tiny_effort() -> Effort {
 #[test]
 fn whole_program_success_rates_are_probabilities_and_apps_differ() {
     let effort = tiny_effort();
-    let dc = fliptracker::experiments::whole_program_success_rate(
-        &app_by_name("DC").unwrap(),
-        &effort,
-    );
-    let mg = fliptracker::experiments::whole_program_success_rate(
-        &app_by_name("MG").unwrap(),
-        &effort,
-    );
+    let dc = Session::new(app_by_name("DC").unwrap()).whole_program_success_rate(&effort);
+    let mg = Session::new(app_by_name("MG").unwrap()).whole_program_success_rate(&effort);
     assert!((0.0..=1.0).contains(&dc));
     assert!((0.0..=1.0).contains(&mg));
 }

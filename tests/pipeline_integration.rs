@@ -5,13 +5,14 @@ use fliptracker::prelude::*;
 use ftkr_acl::AclTable;
 use ftkr_dddg::Dddg;
 use ftkr_trace::{instance_slice, partition_regions, RegionSelector};
-use ftkr_vm::{EventKind, FaultSpec, Location};
+use ftkr_vm::{EventKind, FaultSpec, Location, Vm, VmConfig};
 
 #[test]
 fn analysis_pipeline_completes_for_every_region_app() {
     for name in fliptracker::experiments::REGION_APPS {
         let app = app_by_name(name).unwrap();
-        let analysis = analyze_injection(&app, None)
+        let analysis = Session::new(app)
+            .analyze(None)
             .unwrap_or_else(|| panic!("{name} has no injectable site"));
         assert!(
             !analysis.regions.is_empty(),
@@ -27,12 +28,20 @@ fn analysis_pipeline_completes_for_every_region_app() {
 #[test]
 fn dddgs_of_region_instances_are_acyclic_and_have_inputs() {
     let app = ftkr_apps::cg();
-    let clean = app.run_traced().trace.unwrap();
+    let clean = Vm::new(VmConfig::tracing())
+        .run(&app.module)
+        .unwrap()
+        .trace
+        .unwrap();
     let regions = partition_regions(&clean, &app.module, &RegionSelector::FirstLevelInner);
     let mut analysed = 0;
     for inst in regions.iter().filter(|r| r.main_iteration == Some(0)) {
         let dddg = Dddg::from_slice(instance_slice(&clean, inst));
-        assert!(dddg.is_acyclic(), "{}: cyclic DDDG", inst.key.name);
+        assert!(
+            dddg.edges().iter().all(|e| e.from < e.to),
+            "{}: cyclic DDDG",
+            inst.key.name
+        );
         if app.regions.contains(&inst.key.name) {
             assert!(
                 !dddg.inputs().is_empty(),
@@ -48,7 +57,7 @@ fn dddgs_of_region_instances_are_acyclic_and_have_inputs() {
 #[test]
 fn is_bucket_shift_masks_low_bit_faults_end_to_end() {
     let app = ftkr_apps::is();
-    let clean = app.run_traced();
+    let clean = Vm::new(VmConfig::tracing()).run(&app.module).unwrap();
     let trace = clean.trace.as_ref().unwrap();
     // Find a load of a key inside the is_b region and flip a low bit that the
     // bucket shift discards.
@@ -67,7 +76,7 @@ fn is_bucket_shift_masks_low_bit_faults_end_to_end() {
         })
         .expect("is_b loads keys");
     let fault = FaultSpec::in_result(step as u64, 1);
-    let analysis = analyze_injection(&app, Some(fault)).unwrap();
+    let analysis = Session::new(app).analyze(Some(fault)).unwrap();
     assert_eq!(
         analysis.outcome,
         ftkr_inject::Outcome::VerificationSuccess,
@@ -112,7 +121,7 @@ fn overwritten_preinit_faults_are_tolerated_by_cg() {
     // The z vector (second global, cells 24..48) is zero-initialized by the
     // init loop before use: corrupting it beforehand must be overwritten.
     let fault = FaultSpec::in_memory(0, 30, 60);
-    let analysis = analyze_injection(&app, Some(fault)).unwrap();
+    let analysis = Session::new(app).analyze(Some(fault)).unwrap();
     assert_eq!(analysis.outcome, ftkr_inject::Outcome::VerificationSuccess);
     assert!(analysis
         .patterns
@@ -123,12 +132,14 @@ fn overwritten_preinit_faults_are_tolerated_by_cg() {
 #[test]
 fn acl_tables_are_internally_consistent_on_real_traces() {
     let app = ftkr_apps::kmeans();
-    let clean = app.run_traced();
+    let clean = Vm::new(VmConfig::tracing()).run(&app.module).unwrap();
     let trace = clean.trace.as_ref().unwrap();
     let fault = FaultSpec::in_memory(0, 3, 45);
-    let faulty_run = ftkr_vm::Vm::new(ftkr_vm::VmConfig::tracing_with_fault(fault))
-        .run(&app.module)
-        .unwrap();
+    let config = VmConfig {
+        fault: Some(fault),
+        ..VmConfig::tracing()
+    };
+    let faulty_run = Vm::new(config).run(&app.module).unwrap();
     let faulty = faulty_run.trace.unwrap();
     let acl = AclTable::from_fault(&faulty, &fault);
     // Counts never go negative (u32) and every death has a matching birth.

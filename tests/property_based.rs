@@ -9,10 +9,65 @@ use ftkr_acl::AclTable;
 use ftkr_dddg::Dddg;
 use ftkr_ir::prelude::*;
 use ftkr_ir::Global;
-use ftkr_patterns::{analyze_fused, analyze_fused_seeds, detect_fused_patterns, detect_streaming};
+use ftkr_patterns::{
+    analyze_fused, FusedAnalysis, FusedInjection, PatternInstance, StreamingDetector,
+};
 use ftkr_trace::{partition_regions, RegionSelector};
-use ftkr_vm::{FaultSpec, Location, ResolvedEvent, Trace, Value, Vm, VmConfig};
+use ftkr_vm::{
+    DecodedModule, EventCursor, FaultSpec, Location, ResolvedEvent, RunResult, Trace, Value, Vm,
+    VmConfig,
+};
 use support::acl_reference::build_reference;
+
+/// A traced run with `fault` armed.
+fn tracing_with_fault(fault: FaultSpec) -> VmConfig {
+    VmConfig {
+        fault: Some(fault),
+        ..VmConfig::tracing()
+    }
+}
+
+/// The fused walk over a materialized trace pair, with explicit seed
+/// corruptions.
+fn analyze_fused_seeds(
+    faulty: &Trace,
+    clean: &Trace,
+    seeds: &[(usize, Location)],
+) -> FusedAnalysis {
+    let mut fused = FusedInjection::new(faulty, clean, seeds);
+    EventCursor::new(faulty).run(&mut [&mut fused]);
+    fused.into_analysis()
+}
+
+/// The patterns-only forward-taint walk of a materialized faulty trace.
+fn detect_fused_patterns(
+    faulty: &Trace,
+    clean: &Trace,
+    fault: FaultSpec,
+) -> Vec<PatternInstance> {
+    let mut detector = StreamingDetector::new(clean, fault);
+    EventCursor::new(faulty).run(&mut [&mut detector]);
+    detector.into_patterns()
+}
+
+/// The streaming detector over a live, untraced run of `module` under
+/// `config` with `fault` armed.
+fn detect_streaming(
+    module: &Module,
+    clean: &Trace,
+    fault: FaultSpec,
+    config: VmConfig,
+) -> (RunResult, Vec<PatternInstance>) {
+    let mut detector = StreamingDetector::new(clean, fault);
+    let config = VmConfig {
+        fault: Some(fault),
+        ..config
+    };
+    let result = Vm::new(config)
+        .run_with_visitors_decoded(module, &DecodedModule::decode(module), &mut [&mut detector])
+        .unwrap();
+    (result, detector.into_patterns())
+}
 
 /// Build a small arithmetic program parameterized by the proptest inputs:
 /// `n` loop iterations accumulating `a*i + b` into a global, followed by a
@@ -60,9 +115,7 @@ proptest! {
         let r2 = Vm::new(VmConfig::tracing()).run(&module).unwrap();
         prop_assert_eq!(r1.steps, r2.steps);
         prop_assert_eq!(r1.global_f64("acc").unwrap(), r2.global_f64("acc").unwrap());
-        let t1 = r1.trace.unwrap();
-        let t2 = r2.trace.unwrap();
-        prop_assert_eq!(t1.first_divergence(&t2), None);
+        prop_assert_eq!(support::run_digest(&r1), support::run_digest(&r2));
     }
 
     /// The interpreted accumulation matches host arithmetic.
@@ -109,7 +162,7 @@ proptest! {
         let clean = Vm::new(VmConfig::tracing()).run(&module).unwrap();
         let at_step = step % clean.steps;
         let fault = FaultSpec::in_result(at_step, bit);
-        let faulty = Vm::new(VmConfig::tracing_with_fault(fault)).run(&module).unwrap();
+        let faulty = Vm::new(tracing_with_fault(fault)).run(&module).unwrap();
         let trace = faulty.trace.unwrap();
         let acl = AclTable::from_fault(&trace, &fault);
         prop_assert_eq!(acl.counts.len(), trace.len());
@@ -141,7 +194,7 @@ proptest! {
         for inst in &regions {
             let slice = trace.slice(inst.start, inst.end);
             let dddg = Dddg::from_slice(slice);
-            prop_assert!(dddg.is_acyclic());
+            prop_assert!(dddg.edges().iter().all(|e| e.from < e.to), "cyclic DDDG");
             let outputs = dddg.leaf_outputs();
             let internals = dddg.internals(&outputs);
             for (loc, _) in dddg.inputs() {
@@ -160,7 +213,7 @@ proptest! {
         let clean = Vm::new(VmConfig::tracing()).run(&module).unwrap();
         let at_step = step % clean.steps;
         let fault = FaultSpec::in_result(at_step, bit);
-        let faulty = Vm::new(VmConfig::tracing_with_fault(fault)).run(&module).unwrap();
+        let faulty = Vm::new(tracing_with_fault(fault)).run(&module).unwrap();
         let trace = faulty.trace.unwrap();
         let acl = AclTable::from_fault(&trace, &fault);
         let mut births = acl.births.iter().map(|&(e, _)| e).peekable();

@@ -3,13 +3,15 @@
 //! `ftkr_inject::spmd::exchange` evaluates a job's ring halo and scalar
 //! allreduce in the calling thread.  It must agree bit for bit with the
 //! same protocol run as a thread-per-rank `ftkr_mpi` job
-//! (`support::spmd_reference`): every rank's coupled and global value, and
-//! the send census, clean and with a fault armed at every census message.
+//! (`support::spmd_reference`, which keeps its own census and fault flip
+//! around plain sends and receives): every rank's coupled and global value,
+//! and the send census, clean and with a fault at every census message.
+//! Both sides return the canonical NaN, so the compare stays bit-exact in
+//! every build.
 
 mod support;
 
-use ftkr_inject::spmd::exchange;
-use ftkr_mpi::MsgFault;
+use ftkr_inject::spmd::{exchange, MsgFault, MsgSite, SendRecord};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
@@ -69,4 +71,41 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn reference_census_records_every_send_in_order() {
+    // Two ranks: each sends its halo, then rank 0 the sum and rank 1 its
+    // contribution, on the edges the halos already used.
+    let (_, census) = threaded_exchange(&[(1.0, 2.0), (3.0, 4.0)], 0.5, None);
+    let send = |from, to, tag, ordinal| SendRecord {
+        from,
+        to,
+        tag,
+        ordinal,
+        len: 1,
+    };
+    assert_eq!(
+        census,
+        vec![send(0, 1, 9, 0), send(0, 1, -2, 1), send(1, 0, 9, 0), send(1, 0, -1, 1)]
+    );
+}
+
+#[test]
+fn reference_fault_flips_one_bit_of_one_message() {
+    // Corrupt the sum rank 0 sends back to rank 1 (its second message on
+    // that edge): only rank 1's global changes, by exactly that bit.
+    let locals = [(1.0, 2.0), (3.0, 4.0)];
+    let (clean, _) = threaded_exchange(&locals, 0.5, None);
+    let fault = MsgFault {
+        site: MsgSite { from: 0, to: 1 },
+        ordinal: 1,
+        word: 0,
+        bit: 52,
+    };
+    let (faulty, _) = threaded_exchange(&locals, 0.5, Some(fault));
+    assert_eq!(clean, vec![(3.5, 8.0), (4.5, 8.0)]);
+    assert_eq!(faulty[0], clean[0]);
+    assert_eq!(faulty[1].0, clean[1].0);
+    assert_eq!(faulty[1].1.to_bits(), clean[1].1.to_bits() ^ (1 << 52));
 }

@@ -22,7 +22,8 @@ use ftkr_acl::{AclDeath, AclTable, DeathCause};
 pub fn build_reference(trace: &Trace, seeds: &[(usize, Location)]) -> AclTable {
     // Backward pass: last dynamic index at which each location is accessed.
     let mut last_access: HashMap<Location, usize> = HashMap::new();
-    for (idx, view) in trace.iter_views() {
+    for idx in 0..trace.len() {
+        let view = trace.view(idx);
         for (loc, _) in view.reads() {
             last_access.insert(loc, idx);
         }
@@ -71,7 +72,8 @@ pub fn build_reference(trace: &Trace, seeds: &[(usize, Location)]) -> AclTable {
         }
     };
 
-    for (idx, view) in trace.iter_views() {
+    for idx in 0..trace.len() {
+        let view = trace.view(idx);
         let line = view.event().line;
         // Seed corruptions strike at this instruction.
         let seeded_here: &[Location] = seeds_at.get(&idx).map(Vec::as_slice).unwrap_or(&[]);

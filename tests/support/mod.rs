@@ -51,7 +51,9 @@ fn push_trace(out: &mut String, trace: &Trace) {
         }
         out.push('\n');
     }
-    let _ = writeln!(out, "pool {}", trace.num_operands());
+    // The operand pool: the event spans cover it exactly.
+    let pool: usize = trace.events.iter().map(|e| e.reads.len as usize).sum();
+    let _ = writeln!(out, "pool {pool}");
     for loc in trace.locations() {
         let _ = writeln!(out, "{loc:?}");
     }
