@@ -102,19 +102,21 @@ rm -rf "$servedir"
 mkdir -p "$servedir"
 cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
     plan LU region:lu_rhs internal 16 7 3 "$servedir" > /dev/null
-cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
+# Every blocking daemon command runs under `timeout`: a lost wake-up in the
+# worker pool fails this step instead of hanging CI.
+timeout 600 cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
     serve 127.0.0.1:0 2 256 "$servedir/port.txt" &
 serve_pid=$!
 for _ in $(seq 100); do [[ -s "$servedir/port.txt" ]] && break; sleep 0.1; done
 serve_addr="$(cat "$servedir/port.txt")"
-job="$(cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
+job="$(timeout 300 cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
     submit "$serve_addr" "$servedir/plan.json" 3)"
-cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
+timeout 300 cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
     watch "$serve_addr" "$job" > "$servedir/report_served.json"
 cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
     run --analyzed "$servedir/plan.json" > "$servedir/report_offline.json"
 diff "$servedir/report_served.json" "$servedir/report_offline.json"
-cargo run --release -q -p ftkr-bench --bin campaign_shard -- shutdown "$serve_addr"
+timeout 300 cargo run --release -q -p ftkr-bench --bin campaign_shard -- shutdown "$serve_addr"
 wait "$serve_pid"
 echo "    served report is byte-identical to the offline run"
 

@@ -1,8 +1,7 @@
 //! Rank-local communicator with point-to-point and collective operations.
 
 use std::collections::VecDeque;
-
-use crossbeam::channel::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 
 /// A message between ranks: a tag plus a payload of 64-bit floats (the only
 /// payload type the benchmark kernels exchange — dot products, residual

@@ -4,8 +4,8 @@
 //! each MPI process writes its own trace file, and the tracing-overhead
 //! experiment (Figure 4 of the paper) compares instrumented vs. plain runs at
 //! 64 processes.  This crate provides the equivalent substrate without an MPI
-//! installation: ranks are threads, messages travel over crossbeam channels,
-//! and the one collective (`allreduce`) is implemented on top of
+//! installation: ranks are threads, messages travel over `std::sync::mpsc`
+//! channels, and the one collective (`allreduce`) is implemented on top of
 //! point-to-point sends.  Execution is deterministic for the
 //! single-program-multiple-data patterns the benchmark kernels use, which is
 //! what lets faulty and fault-free runs be matched without the

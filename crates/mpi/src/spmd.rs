@@ -1,8 +1,7 @@
 //! SPMD launcher: run one closure per rank on its own thread.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use crossbeam::channel::unbounded;
+use std::sync::mpsc;
 
 use crate::comm::{Communicator, Envelope, PeerPanicked};
 
@@ -57,7 +56,7 @@ where
     // One channel per receiving rank; every rank gets a clone of every
     // sender, and the launcher keeps none.
     let (senders, receivers): (Vec<_>, Vec<_>) =
-        (0..nranks).map(|_| unbounded::<Envelope>()).unzip();
+        (0..nranks).map(|_| mpsc::channel::<Envelope>()).unzip();
     let endpoints = receivers.into_iter().zip(std::iter::repeat_n(senders, nranks));
 
     let body = &body;

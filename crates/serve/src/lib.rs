@@ -6,7 +6,7 @@
 //! lists, fork-point checkpoints — once *per invocation*.  This crate keeps
 //! those artifacts resident: a long-running server accepts
 //! [`CampaignPlan`](ftkr_inject::CampaignPlan) submissions over a framed
-//! socket protocol, splits them into shard jobs on a work-stealing pool,
+//! socket protocol, splits them into shard jobs on a FIFO worker pool,
 //! and executes every job through a shared byte-budgeted
 //! [`cache::SessionCache`] — so the second submission against
 //! an application starts injecting immediately.
@@ -18,7 +18,7 @@
 //! * [`proto`] — the request/response vocabulary; reports travel as their
 //!   canonical JSON text so socket and offline outputs are byte-identical.
 //! * [`cache`] — the shared hot-[`Session`](fliptracker::Session) LRU.
-//! * [`pool`] — panic-isolating work-stealing workers.
+//! * [`pool`] — panic-isolating workers over one FIFO job queue.
 //! * [`server`] — job lifecycle: validate, shard, execute, stream deltas,
 //!   merge, degrade lost shards to harness-error tallies.
 //! * [`client`] — the typed client (`submit` / `status` / `watch` /

@@ -34,10 +34,10 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel;
 use fliptracker::AnalyzedCampaignReport;
 use ftkr_inject::{CampaignPlan, CampaignReport, FailPlan, FailSite, IndexRange};
 
@@ -96,7 +96,7 @@ struct JobEntry {
     /// The merged report's canonical JSON, once every shard landed.
     final_json: Option<String>,
     /// Live watcher channels; pruned as watchers disconnect.
-    subscribers: Vec<channel::Sender<Response>>,
+    subscribers: Vec<mpsc::Sender<Response>>,
 }
 
 impl JobEntry {
@@ -182,7 +182,7 @@ impl Server {
     /// Serve until a [`Request::Shutdown`] arrives, then drain in-flight
     /// jobs, close every connection, and return the final counters.
     pub fn run(self) -> ServeStats {
-        let mut handlers = Vec::new();
+        let mut handlers: Vec<JoinHandle<()>> = Vec::new();
         for conn in self.listener.incoming() {
             if self.state.stop.load(Ordering::SeqCst) {
                 break;
@@ -191,6 +191,9 @@ impl Server {
                 Ok(s) => s,
                 Err(_) => continue,
             };
+            // Reap finished connections so a long-lived daemon does not
+            // hold one exited thread per past client.
+            handlers.retain(|h| !h.is_finished());
             let state = Arc::clone(&self.state);
             if let Ok(h) = std::thread::Builder::new()
                 .name("ftkr-serve-conn".to_string())
@@ -503,7 +506,7 @@ fn complete_shard(
 /// Stream a job to a watcher: replay the recorded deltas, then go live
 /// until the final report is delivered.
 fn watch(state: &Arc<ServerState>, stream: &mut TcpStream, job: u64) -> Flow {
-    let (tx, rx) = channel::unbounded();
+    let (tx, rx) = mpsc::channel();
     {
         let mut jobs = state.jobs.lock().expect("job table poisoned");
         let Some(entry) = jobs.get_mut(&job) else {

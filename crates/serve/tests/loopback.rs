@@ -2,7 +2,7 @@
 //! clients over TCP, and byte-identity diffs against offline execution.
 //!
 //! The contract under test: whatever path a plan takes through the server —
-//! sharded across work-stealing workers, through the shared session cache,
+//! sharded across pool workers, through the shared session cache,
 //! racing other tenants, even losing a worker mid-job to an injected death —
 //! the final merged report a watcher receives is byte-identical to running
 //! the same plan offline in a cold, single-threaded session.
