@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI for the FlipTracker workspace.
 #
-#   ./ci.sh         # tier-1 verify + lint + docs
+#   ./ci.sh         # tier-1 verify + lint + format + docs
 #   ./ci.sh quick   # tier-1 verify only
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -207,6 +207,9 @@ echo "    fig6_analyzed seed 7: correct"
 
 echo "==> examples compile"
 cargo build --release --examples
+
+echo "==> rustfmt: the workspace is formatted (cargo fmt --check)"
+cargo fmt --check
 
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings

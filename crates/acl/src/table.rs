@@ -291,14 +291,16 @@ impl TaintSweep {
 
         // Fast path: with nothing alive-corrupted (before the fault strikes,
         // and after full cleanup) no read can be tainted.
-        let reads_tainted = self.tainted.alive != 0
-            && reads.iter().any(|&(id, _)| self.tainted.contains(id));
+        let reads_tainted =
+            self.tainted.alive != 0 && reads.iter().any(|&(id, _)| self.tainted.contains(id));
         table.tainted_reads.push(reads_tainted);
 
         if let Some((wid, _)) = event.write {
             if reads_tainted {
                 self.birth(table, idx, Some(wid), locations[wid.index()], event.line);
-            } else if !self.sorted_seeds[seeded_range].iter().any(|s| s.id == Some(wid))
+            } else if !self.sorted_seeds[seeded_range]
+                .iter()
+                .any(|s| s.id == Some(wid))
                 && self.tainted.remove(wid)
             {
                 // Overwritten by a value not derived from corrupted data.
@@ -501,15 +503,20 @@ mod tests {
         assert!(table.fully_cleaned());
         // Loc_1 died by overwrite at instruction 5 (index 4); Loc_2 died by
         // never being used again at instruction 6 (index 5).
-        assert!(table.deaths.iter().any(
-            |d| d.location == loc1 && d.cause == DeathCause::Overwritten && d.event == 4
-        ));
-        assert!(table.deaths.iter().any(
-            |d| d.location == loc2 && d.cause == DeathCause::NeverUsedAgain && d.event == 5
-        ));
+        assert!(table
+            .deaths
+            .iter()
+            .any(|d| d.location == loc1 && d.cause == DeathCause::Overwritten && d.event == 4));
+        assert!(table
+            .deaths
+            .iter()
+            .any(|d| d.location == loc2 && d.cause == DeathCause::NeverUsedAgain && d.event == 5));
         assert_eq!(table.decrease_events(), vec![4, 5]);
         // Only instructions 3 and 6 (indices 2 and 5) read corrupted data.
-        assert_eq!(table.tainted_reads, vec![false, false, true, false, false, true]);
+        assert_eq!(
+            table.tainted_reads,
+            vec![false, false, true, false, false, true]
+        );
     }
 
     #[test]

@@ -44,46 +44,60 @@ fn emit_line_solves(
         // is read before it is overwritten).
         let z = b.const_i64(0);
         let n_c = b.const_i64(n);
-        b.for_loop(format!("{region}_fwd"), LoopKind::Inner, z, n_c, 1, |b, k| {
-            let first = b.icmp(CmpKind::Eq, k, b.const_i64(0));
-            let k_prev_raw = b.sub(k, b.const_i64(1));
-            let zero_i = b.const_i64(0);
-            let k_prev = b.select(first, zero_i, k_prev_raw);
-            let addr = addr_of(b, line, k);
-            let prev_addr = addr_of(b, line, k_prev);
-            let cp_prev = b.load_idx(cp, k_prev);
-            let off_c = b.const_f64(OFF);
-            let sub = b.fmul(off_c, cp_prev);
-            let zf = b.const_f64(0.0);
-            let adj = b.select(first, zf, sub);
-            let d = b.const_f64(DIAG);
-            let denom = b.fsub(d, adj);
-            let num = b.const_f64(OFF);
-            let cpk = b.fdiv(num, denom);
-            b.store_idx(cp, k, cpk);
-            let rv = b.load_idx(x, addr);
-            let x_prev = b.load_idx(x, prev_addr);
-            let corr_raw = b.fmul(off_c, x_prev);
-            let corr = b.select(first, zf, corr_raw);
-            let numx = b.fsub(rv, corr);
-            let xk = b.fdiv(numx, denom);
-            b.store_idx(x, addr, xk);
-        });
+        b.for_loop(
+            format!("{region}_fwd"),
+            LoopKind::Inner,
+            z,
+            n_c,
+            1,
+            |b, k| {
+                let first = b.icmp(CmpKind::Eq, k, b.const_i64(0));
+                let k_prev_raw = b.sub(k, b.const_i64(1));
+                let zero_i = b.const_i64(0);
+                let k_prev = b.select(first, zero_i, k_prev_raw);
+                let addr = addr_of(b, line, k);
+                let prev_addr = addr_of(b, line, k_prev);
+                let cp_prev = b.load_idx(cp, k_prev);
+                let off_c = b.const_f64(OFF);
+                let sub = b.fmul(off_c, cp_prev);
+                let zf = b.const_f64(0.0);
+                let adj = b.select(first, zf, sub);
+                let d = b.const_f64(DIAG);
+                let denom = b.fsub(d, adj);
+                let num = b.const_f64(OFF);
+                let cpk = b.fdiv(num, denom);
+                b.store_idx(cp, k, cpk);
+                let rv = b.load_idx(x, addr);
+                let x_prev = b.load_idx(x, prev_addr);
+                let corr_raw = b.fmul(off_c, x_prev);
+                let corr = b.select(first, zf, corr_raw);
+                let numx = b.fsub(rv, corr);
+                let xk = b.fdiv(numx, denom);
+                b.store_idx(x, addr, xk);
+            },
+        );
         // Back substitution.
         let z2 = b.const_i64(0);
         let n_back = b.const_i64(n - 1);
-        b.for_loop(format!("{region}_back"), LoopKind::Inner, z2, n_back, 1, |b, j| {
-            let i = b.sub(b.const_i64(n - 2), j);
-            let next = b.add(i, b.const_i64(1));
-            let addr = addr_of(b, line, i);
-            let next_addr = addr_of(b, line, next);
-            let cpi = b.load_idx(cp, i);
-            let xn = b.load_idx(x, next_addr);
-            let xi = b.load_idx(x, addr);
-            let corr = b.fmul(cpi, xn);
-            let new = b.fsub(xi, corr);
-            b.store_idx(x, addr, new);
-        });
+        b.for_loop(
+            format!("{region}_back"),
+            LoopKind::Inner,
+            z2,
+            n_back,
+            1,
+            |b, j| {
+                let i = b.sub(b.const_i64(n - 2), j);
+                let next = b.add(i, b.const_i64(1));
+                let addr = addr_of(b, line, i);
+                let next_addr = addr_of(b, line, next);
+                let cpi = b.load_idx(cp, i);
+                let xn = b.load_idx(x, next_addr);
+                let xi = b.load_idx(x, addr);
+                let corr = b.fmul(cpi, xn);
+                let new = b.fsub(xi, corr);
+                b.store_idx(x, addr, new);
+            },
+        );
     });
 }
 
@@ -255,7 +269,11 @@ mod tests {
             for k in 0..n {
                 let denom = if k == 0 { DIAG } else { DIAG - OFF * cp[k - 1] };
                 cp[k] = OFF / denom;
-                let prev = if k == 0 { 0.0 } else { OFF * x[base + (k - 1) * stride] };
+                let prev = if k == 0 {
+                    0.0
+                } else {
+                    OFF * x[base + (k - 1) * stride]
+                };
                 x[base + k * stride] = (x[base + k * stride] - prev) / denom;
             }
             for i in (0..n - 1).rev() {

@@ -311,7 +311,9 @@ mod tests {
             *slot = lcg();
             let _vecloc = lcg();
         }
-        let x: Vec<f64> = (0..n).map(|i| 1.0 + 1.0e-3 * v[i % NONZER as usize]).collect();
+        let x: Vec<f64> = (0..n)
+            .map(|i| 1.0 + 1.0e-3 * v[i % NONZER as usize])
+            .collect();
         let matvec = |p: &[f64]| -> Vec<f64> {
             (0..n)
                 .map(|i| {
@@ -357,10 +359,7 @@ mod tests {
         let (z_ref, zeta_ref) = host_reference();
         let z = result.global_f64("z").unwrap();
         for (i, (a, b)) in z.iter().zip(&z_ref).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-9,
-                "z[{i}] mismatch: IR {a} vs host {b}"
-            );
+            assert!((a - b).abs() < 1e-9, "z[{i}] mismatch: IR {a} vs host {b}");
         }
         let zeta = result.global_f64("verify").unwrap()[0];
         assert!((zeta - zeta_ref).abs() < 1e-9, "zeta {zeta} vs {zeta_ref}");
@@ -381,7 +380,10 @@ mod tests {
         ] {
             let app = cg_with(variant);
             let result = app.run_clean();
-            assert!(app.verify(&result), "variant {variant:?} fails verification");
+            assert!(
+                app.verify(&result),
+                "variant {variant:?} fails verification"
+            );
         }
     }
 

@@ -175,11 +175,7 @@ pub fn ft_sized(size: AppSize) -> App {
     App {
         name: "FT",
         module,
-        regions: vec![
-            "ft_dft".into(),
-            "ft_evolve".into(),
-            "ft_checksum".into(),
-        ],
+        regions: vec!["ft_dft".into(), "ft_evolve".into(), "ft_checksum".into()],
         main_loop: "ft_main",
         main_iterations: niter as usize,
         verifier: Verifier::GlobalClose {

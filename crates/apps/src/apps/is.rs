@@ -122,13 +122,20 @@ fn build_module() -> Module {
     b.store(running2, zri);
     let z4c = b.const_i64(0);
     let nvals_c = b.const_i64(1 << MAX_KEY_LOG2);
-    b.for_loop("is_rank_prefix", LoopKind::Inner, z4c, nvals_c, 1, |b, v| {
-        let count = b.load_idx(count_a, v);
-        let cur = b.load(running2);
-        b.store_idx(count_a, v, cur);
-        let next = b.add(cur, count);
-        b.store(running2, next);
-    });
+    b.for_loop(
+        "is_rank_prefix",
+        LoopKind::Inner,
+        z4c,
+        nvals_c,
+        1,
+        |b, v| {
+            let count = b.load_idx(count_a, v);
+            let cur = b.load(running2);
+            b.store_idx(count_a, v, cur);
+            let next = b.add(cur, count);
+            b.store(running2, next);
+        },
+    );
     let z4 = b.const_i64(0);
     let nk4 = b.const_i64(NUM_KEYS);
     b.for_loop("is_scatter", LoopKind::Inner, z4, nk4, 1, |b, i| {
@@ -252,7 +259,10 @@ mod tests {
         let result = app.run_clean();
         assert!(app.verify(&result));
         let sorted = result.global_i64("sorted_keys").unwrap();
-        assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "not sorted: {sorted:?}");
+        assert!(
+            sorted.windows(2).all(|w| w[0] <= w[1]),
+            "not sorted: {sorted:?}"
+        );
         let keys = result.global_i64("key_array").unwrap();
         assert_eq!(
             keys.iter().sum::<i64>(),

@@ -82,7 +82,10 @@ fn build_module() -> Module {
     let features = m.add_global(Global::with_f64("features", features_host()));
     let centers = m.add_global(Global::zeroed_f64("centers", (K * NFEATURES) as u32));
     let assign = m.add_global(Global::zeroed_i64("membership", NPOINTS as u32));
-    let sums = m.add_global(Global::zeroed_f64("new_center_sums", (K * NFEATURES) as u32));
+    let sums = m.add_global(Global::zeroed_f64(
+        "new_center_sums",
+        (K * NFEATURES) as u32,
+    ));
     let counts = m.add_global(Global::zeroed_i64("new_center_counts", K as u32));
     build_update_centers(&mut m, centers, sums, counts);
 

@@ -82,18 +82,25 @@ fn build_module() -> Module {
                 b.store(acc, zf);
                 let z2 = b.const_i64(0);
                 let nn = b.const_i64(NODES);
-                b.for_loop(format!("l_a_hxx_{i}"), LoopKind::Inner, z2, nn, 1, |b, n| {
-                    let gidx = b.mul(n, b.const_i64(MODES));
-                    let gidx = b.add(gidx, b.const_i64(i));
-                    let g = b.load_idx(hg, gidx);
-                    let node_slot = b.add(base, n);
-                    let node = b.load_idx(conn, node_slot);
-                    let v = b.load_idx(xd_a, node);
-                    let prod = b.fmul(g, v);
-                    let cur = b.load(acc);
-                    let next = b.fadd(cur, prod);
-                    b.store(acc, next);
-                });
+                b.for_loop(
+                    format!("l_a_hxx_{i}"),
+                    LoopKind::Inner,
+                    z2,
+                    nn,
+                    1,
+                    |b, n| {
+                        let gidx = b.mul(n, b.const_i64(MODES));
+                        let gidx = b.add(gidx, b.const_i64(i));
+                        let g = b.load_idx(hg, gidx);
+                        let node_slot = b.add(base, n);
+                        let node = b.load_idx(conn, node_slot);
+                        let v = b.load_idx(xd_a, node);
+                        let prod = b.fmul(g, v);
+                        let cur = b.load(acc);
+                        let next = b.fadd(cur, prod);
+                        b.store(acc, next);
+                    },
+                );
                 let total = b.load(acc);
                 let ii = b.const_i64(i);
                 b.store_idx(hxx, ii, total);

@@ -85,7 +85,15 @@ mod tests {
                     .functions
                     .iter()
                     .flat_map(|f| &f.insts)
-                    .filter(|i| matches!(i.op, Op::Cast { kind: CastKind::BitcastFtoI, .. }))
+                    .filter(|i| {
+                        matches!(
+                            i.op,
+                            Op::Cast {
+                                kind: CastKind::BitcastFtoI,
+                                ..
+                            }
+                        )
+                    })
                     .count();
                 assert_eq!(bitcasts, 0, "{} ({size:?}) emits bitcast.f2i", app.name);
             }
@@ -103,7 +111,11 @@ mod tests {
     #[test]
     fn every_app_verifies_and_completes_cleanly() {
         for app in all_apps() {
-            assert!(app.module.verify().is_ok(), "{} module is malformed", app.name);
+            assert!(
+                app.module.verify().is_ok(),
+                "{} module is malformed",
+                app.name
+            );
             let result = app.run_clean();
             assert!(
                 app.verify(&result),
@@ -121,8 +133,7 @@ mod tests {
                 .run(&app.module)
                 .unwrap();
             let trace = traced.trace.as_ref().unwrap();
-            let regions =
-                partition_regions(trace, &app.module, &RegionSelector::FirstLevelInner);
+            let regions = partition_regions(trace, &app.module, &RegionSelector::FirstLevelInner);
             let found: std::collections::HashSet<_> =
                 regions.iter().map(|r| r.key.name.clone()).collect();
             for wanted in &app.regions {

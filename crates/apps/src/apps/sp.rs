@@ -40,35 +40,42 @@ fn emit_smooth_sweep(
     b.region_for(region, zero, lines, |b, line| {
         let two = b.const_i64(2);
         let hi = b.const_i64(n - 2);
-        b.for_loop(format!("{region}_line"), LoopKind::Inner, two, hi, 1, |b, k| {
-            let m2 = b.sub(k, b.const_i64(2));
-            let m1 = b.sub(k, b.const_i64(1));
-            let p1 = b.add(k, b.const_i64(1));
-            let p2 = b.add(k, b.const_i64(2));
-            let a_m2 = addr_of(b, line, m2);
-            let a_m1 = addr_of(b, line, m1);
-            let a_c = addr_of(b, line, k);
-            let a_p1 = addr_of(b, line, p1);
-            let a_p2 = addr_of(b, line, p2);
-            let um2 = b.load_idx(src, a_m2);
-            let um1 = b.load_idx(src, a_m1);
-            let uc = b.load_idx(src, a_c);
-            let up1 = b.load_idx(src, a_p1);
-            let up2 = b.load_idx(src, a_p2);
-            let c_out = b.const_f64(C_OUT);
-            let c_in = b.const_f64(C_IN);
-            let c_mid = b.const_f64(C_MID);
-            let s1 = b.fmul(c_out, um2);
-            let s2 = b.fmul(c_in, um1);
-            let s3 = b.fmul(c_mid, uc);
-            let s4 = b.fmul(c_in, up1);
-            let s5 = b.fmul(c_out, up2);
-            let a1 = b.fadd(s1, s2);
-            let a2 = b.fadd(a1, s3);
-            let a3 = b.fadd(a2, s4);
-            let a4 = b.fadd(a3, s5);
-            b.store_idx(dst, a_c, a4);
-        });
+        b.for_loop(
+            format!("{region}_line"),
+            LoopKind::Inner,
+            two,
+            hi,
+            1,
+            |b, k| {
+                let m2 = b.sub(k, b.const_i64(2));
+                let m1 = b.sub(k, b.const_i64(1));
+                let p1 = b.add(k, b.const_i64(1));
+                let p2 = b.add(k, b.const_i64(2));
+                let a_m2 = addr_of(b, line, m2);
+                let a_m1 = addr_of(b, line, m1);
+                let a_c = addr_of(b, line, k);
+                let a_p1 = addr_of(b, line, p1);
+                let a_p2 = addr_of(b, line, p2);
+                let um2 = b.load_idx(src, a_m2);
+                let um1 = b.load_idx(src, a_m1);
+                let uc = b.load_idx(src, a_c);
+                let up1 = b.load_idx(src, a_p1);
+                let up2 = b.load_idx(src, a_p2);
+                let c_out = b.const_f64(C_OUT);
+                let c_in = b.const_f64(C_IN);
+                let c_mid = b.const_f64(C_MID);
+                let s1 = b.fmul(c_out, um2);
+                let s2 = b.fmul(c_in, um1);
+                let s3 = b.fmul(c_mid, uc);
+                let s4 = b.fmul(c_in, up1);
+                let s5 = b.fmul(c_out, up2);
+                let a1 = b.fadd(s1, s2);
+                let a2 = b.fadd(a1, s3);
+                let a3 = b.fadd(a2, s4);
+                let a4 = b.fadd(a3, s5);
+                b.store_idx(dst, a_c, a4);
+            },
+        );
     });
 }
 

@@ -30,10 +30,10 @@ pub mod common;
 pub mod spec;
 pub mod spmd;
 
+pub use apps::cg::CgVariant;
 pub use apps::{
     all_apps, all_apps_sized, app_by_name, app_by_name_sized, bt, bt_sized, cg, cg_with, dc,
     dc_sized, ft, ft_sized, is, kmeans, lu, lu_sized, lulesh, mg, sp, sp_sized,
 };
-pub use apps::cg::CgVariant;
 pub use spec::{App, AppSize, Verifier};
 pub use spmd::{spmd_decomposition, SpmdDecomposition};

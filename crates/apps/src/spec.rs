@@ -117,11 +117,7 @@ impl Verifier {
                 min_fraction,
             } => match result.global_i64(global) {
                 Some(values) if values.len() == expected.len() && !expected.is_empty() => {
-                    let matches = values
-                        .iter()
-                        .zip(expected)
-                        .filter(|(a, b)| a == b)
-                        .count();
+                    let matches = values.iter().zip(expected).filter(|(a, b)| a == b).count();
                     matches as f64 / expected.len() as f64 >= *min_fraction
                 }
                 _ => false,

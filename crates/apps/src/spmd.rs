@@ -106,6 +106,9 @@ mod tests {
     #[test]
     fn lookup_is_case_insensitive_and_partial_for_the_registry() {
         assert!(spmd_decomposition("mg").is_some());
-        assert!(spmd_decomposition("LU").is_none(), "LU has no decomposition yet");
+        assert!(
+            spmd_decomposition("LU").is_none(),
+            "LU has no decomposition yet"
+        );
     }
 }

@@ -59,14 +59,12 @@
 use std::process::exit;
 
 use fliptracker::{execute_plan, execute_plan_spmd, Session};
-use ftkr_serve::{Client, Server, ServerConfig};
-use ftkr_bench::shard::{
-    resume_manifest, shard_report_path, write_report, write_report_chaos,
-};
+use ftkr_bench::shard::{resume_manifest, shard_report_path, write_report, write_report_chaos};
 use ftkr_inject::{
     CampaignPlan, CampaignReport, CampaignTarget, FailPlan, RankTarget, SpmdCampaignReport,
     TargetClass,
 };
+use ftkr_serve::{Client, Server, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -463,7 +461,11 @@ fn cmd_submit(args: &[String]) {
         exit(1);
     });
     // Default shard count: one job per worker the default config would run.
-    let k = if k == 0 { ServerConfig::default().workers as u64 } else { k };
+    let k = if k == 0 {
+        ServerConfig::default().workers as u64
+    } else {
+        k
+    };
     let mut client =
         Client::connect(addr.as_str()).unwrap_or_else(|e| serve_fail("cannot connect", e));
     let job = client
@@ -493,7 +495,9 @@ fn cmd_server_stats(args: &[String]) {
     };
     let mut client =
         Client::connect(addr.as_str()).unwrap_or_else(|e| serve_fail("cannot connect", e));
-    let stats = client.stats().unwrap_or_else(|e| serve_fail("stats refused", e));
+    let stats = client
+        .stats()
+        .unwrap_or_else(|e| serve_fail("stats refused", e));
     println!(
         "{}",
         serde_json::to_string_pretty(&stats).expect("stats serialize")

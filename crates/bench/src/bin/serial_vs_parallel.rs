@@ -33,7 +33,13 @@ fn main() {
 
     let plan_for = |target: CampaignTarget, ranks: u32| {
         session
-            .plan_spmd(target, TargetClass::Internal, n_tests, ranks, RankTarget::Sweep)
+            .plan_spmd(
+                target,
+                TargetClass::Internal,
+                n_tests,
+                ranks,
+                RankTarget::Sweep,
+            )
             .unwrap_or_else(|e| {
                 eprintln!("serial_vs_parallel: {e}");
                 exit(1);
@@ -66,11 +72,27 @@ fn main() {
     };
     println!("  computation faults (whole program)");
     let (c1, c4) = (&comp1_report, &comp4_report);
-    row("    success", c1.report.counts.success, c4.report.counts.success);
-    row("    failed", c1.report.counts.failed, c4.report.counts.failed);
-    row("    crashed", c1.report.counts.crashed(), c4.report.counts.crashed());
+    row(
+        "    success",
+        c1.report.counts.success,
+        c4.report.counts.success,
+    );
+    row(
+        "    failed",
+        c1.report.counts.failed,
+        c4.report.counts.failed,
+    );
+    row(
+        "    crashed",
+        c1.report.counts.crashed(),
+        c4.report.counts.crashed(),
+    );
     row("    masked", c1.divergence.masked, c4.divergence.masked);
-    row("    contained", c1.divergence.contained, c4.divergence.contained);
+    row(
+        "    contained",
+        c1.divergence.contained,
+        c4.divergence.contained,
+    );
     row("    spread", c1.divergence.spread, c4.divergence.spread);
     println!(
         "  message faults (census {} vs {} messages)",
@@ -78,13 +100,27 @@ fn main() {
         msg4_report.report.population / 64
     );
     let (m1, m4) = (&msg1_report, &msg4_report);
-    row("    success", m1.report.counts.success, m4.report.counts.success);
-    row("    failed", m1.report.counts.failed, m4.report.counts.failed);
+    row(
+        "    success",
+        m1.report.counts.success,
+        m4.report.counts.success,
+    );
+    row(
+        "    failed",
+        m1.report.counts.failed,
+        m4.report.counts.failed,
+    );
     row("    masked", m1.divergence.masked, m4.divergence.masked);
-    row("    contained", m1.divergence.contained, m4.divergence.contained);
+    row(
+        "    contained",
+        m1.divergence.contained,
+        m4.divergence.contained,
+    );
     row("    spread", m1.divergence.spread, m4.divergence.spread);
 
     let contained4 = c4.divergence.contained + m4.divergence.contained;
     let divergent4 = contained4 + c4.divergence.spread + m4.divergence.spread;
-    eprintln!("serial_vs_parallel: {app}: {contained4}/{divergent4} divergent 4-rank tests contained");
+    eprintln!(
+        "serial_vs_parallel: {app}: {contained4}/{divergent4} divergent 4-rank tests contained"
+    );
 }

@@ -106,7 +106,11 @@ impl std::fmt::Display for ShardError {
                 write!(f, "shard {shard}: cannot read {}: {cause}", path.display())
             }
             ShardError::PlanParse { shard, path, cause } => {
-                write!(f, "shard {shard}: {} is not a plan: {cause}", path.display())
+                write!(
+                    f,
+                    "shard {shard}: {} is not a plan: {cause}",
+                    path.display()
+                )
             }
             ShardError::Execute { shard, cause } => {
                 write!(f, "shard {shard}: {cause}")
@@ -262,7 +266,10 @@ mod tests {
         assert_eq!(verify_checksum(&torn), None);
         // A missing or malformed footer is caught.
         assert_eq!(verify_checksum(payload), None);
-        assert_eq!(verify_checksum(&format!("{payload}\n{CHECKSUM_PREFIX}zz\n")), None);
+        assert_eq!(
+            verify_checksum(&format!("{payload}\n{CHECKSUM_PREFIX}zz\n")),
+            None
+        );
         // Truncation to a valid-JSON prefix is caught too.
         let truncated = &framed[..framed.len() / 2];
         assert_eq!(verify_checksum(truncated), None);
@@ -287,7 +294,11 @@ mod tests {
         };
         assert!(write_report_chaos(&path, "{\"v\": 2}", crashy, 0).is_err());
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(verify_checksum(&text), Some("{\"v\": 1}"), "old report survives");
+        assert_eq!(
+            verify_checksum(&text),
+            Some("{\"v\": 1}"),
+            "old report survives"
+        );
 
         // Post-rename corruption lands on disk — and the checksum catches it.
         let rotten = FailPlan {

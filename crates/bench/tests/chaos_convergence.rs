@@ -57,7 +57,9 @@ fn assert_manifest_converges(app: &str, chaos: FailPlan) {
     for (i, shard) in plan.shards(K_SHARDS).iter().enumerate() {
         std::fs::write(dir.join(format!("plan_shard_{i}.json")), shard.to_json())
             .expect("write shard plan");
-        let report = session.run_plan_chaos(shard, chaos).expect("chaos shard run");
+        let report = session
+            .run_plan_chaos(shard, chaos)
+            .expect("chaos shard run");
         // The write itself runs under the same schedule: it may tear (no
         // file), corrupt (checksum catches it), or succeed with a tainted
         // payload — resume must repair all three.
@@ -79,7 +81,10 @@ fn assert_manifest_converges(app: &str, chaos: FailPlan) {
     // Recovery is idempotent: a second resume finds only intact shards and
     // re-executes nothing.
     let again = resume_manifest(&dir).expect("second resume succeeds");
-    assert!(again.executed.is_empty(), "{app}: resume must be idempotent");
+    assert!(
+        again.executed.is_empty(),
+        "{app}: resume must be idempotent"
+    );
     assert_eq!(again.merged, reference);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -92,7 +97,9 @@ fn assert_manifest_converges(app: &str, chaos: FailPlan) {
 fn assert_analyzed_reconverges(app: &str, chaos: FailPlan) {
     let session = Session::by_name(app).unwrap_or_else(|| panic!("{app} exists"));
     let plan = region_plan(&session);
-    let reference = session.run_plan_analyzed(&plan).expect("fault-free analysis");
+    let reference = session
+        .run_plan_analyzed(&plan)
+        .expect("fault-free analysis");
     let chaotic = session
         .run_plan_analyzed_chaos(&plan, chaos)
         .expect("chaos analysis");

@@ -51,12 +51,21 @@ fn resume_reexecutes_only_missing_corrupt_and_tainted_shards() {
         verifier_panic: 512,
         ..FailPlan::uniform(9, 0)
     };
-    let tainted = session.run_plan_chaos(shard3, chaos).expect("chaos shard run");
-    assert!(tainted.is_tainted(), "chaos must poison at least one verdict");
+    let tainted = session
+        .run_plan_chaos(shard3, chaos)
+        .expect("chaos shard run");
+    assert!(
+        tainted.is_tainted(),
+        "chaos must poison at least one verdict"
+    );
     write_report(&dir.join("report_3.json"), &tainted.to_json()).expect("write tainted report");
 
     let summary = resume_manifest(&dir).expect("resume succeeds");
-    assert_eq!(summary.executed, vec![1, 2, 3], "only the broken shards re-run");
+    assert_eq!(
+        summary.executed,
+        vec![1, 2, 3],
+        "only the broken shards re-run"
+    );
     assert_eq!(summary.intact, vec![0]);
     assert_eq!(summary.merged, monolithic);
 

@@ -286,7 +286,11 @@ mod tests {
             ..FailPlan::uniform(8, 0)
         };
         let shaken = session.run_plan_analyzed_chaos(&plan, chaos).unwrap();
-        assert!(shaken.report.counts.degraded > 0, "{:?}", shaken.report.counts);
+        assert!(
+            shaken.report.counts.degraded > 0,
+            "{:?}",
+            shaken.report.counts
+        );
         assert!(shaken.report.is_tainted());
         // Degraded tests restart from the step-0 checkpoint with a detector
         // primed there: outcome tallies AND pattern tallies are unchanged.

@@ -31,10 +31,7 @@ fn region_sessions(effort: &Effort) -> Vec<Session> {
     // exactly once — a per-name `by_name_sized` lookup would construct the
     // full ten-app registry (ten reference runs) per name.
     let apps = ftkr_apps::all_apps_sized(effort.app_size);
-    debug_assert_eq!(
-        apps.iter().map(|a| a.name).collect::<Vec<_>>(),
-        REGION_APPS
-    );
+    debug_assert_eq!(apps.iter().map(|a| a.name).collect::<Vec<_>>(), REGION_APPS);
     apps.into_iter().map(Session::new).collect()
 }
 
@@ -483,7 +480,11 @@ pub fn table2(element: usize, bit: u8) -> Table2 {
     // snapshotted in one forward pass per trace instead of one rescan per
     // iteration row.
     let clean_iters = session.iterations();
-    let faulty_iters = partition_iterations(&faulty, &session.app().module, Some(session.app().main_loop));
+    let faulty_iters = partition_iterations(
+        &faulty,
+        &session.app().module,
+        Some(session.app().main_loop),
+    );
     let clean_ends: Vec<usize> = clean_iters.iter().map(|c| c.end).collect();
     let faulty_ends: Vec<usize> = faulty_iters.iter().map(|f| f.end).collect();
     let originals = cell_values_at_boundaries(clean, addr, &clean_ends, 0.0);

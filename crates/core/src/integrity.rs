@@ -105,7 +105,9 @@ pub fn write_report_chaos(
     with_retry(|attempt| {
         if chaos.fires(
             FailSite::TransientIo,
-            ordinal.wrapping_mul(IO_RETRIES as u64).wrapping_add(attempt as u64),
+            ordinal
+                .wrapping_mul(IO_RETRIES as u64)
+                .wrapping_add(attempt as u64),
         ) {
             return Err(io::Error::new(
                 io::ErrorKind::Interrupted,
@@ -164,6 +166,9 @@ mod tests {
         });
         assert_eq!(ok.unwrap(), 2);
         let err = with_retry::<()>(|attempt| Err(io::Error::other(format!("dead {attempt}"))));
-        assert_eq!(err.unwrap_err().to_string(), format!("dead {}", IO_RETRIES - 1));
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            format!("dead {}", IO_RETRIES - 1)
+        );
     }
 }

@@ -259,11 +259,7 @@ mod tests {
                 .iter()
                 .any(|p| p.kind == ftkr_patterns::PatternKind::ConditionalStatement),
             "expected the Figure-10 conditional to mask the error, got {:?}",
-            analysis
-                .patterns
-                .iter()
-                .map(|p| p.kind)
-                .collect::<Vec<_>>()
+            analysis.patterns.iter().map(|p| p.kind).collect::<Vec<_>>()
         );
     }
 
@@ -278,7 +274,11 @@ mod tests {
         assert!(!light.materialized);
         assert!(light.acl.is_none());
 
-        let deep = session.injection(fault).with_acl().with_region_cases().run();
+        let deep = session
+            .injection(fault)
+            .with_acl()
+            .with_region_cases()
+            .run();
         assert!(deep.materialized);
         let acl = deep.acl.as_ref().expect("acl requested");
 

@@ -40,8 +40,9 @@ use ftkr_inject::{
     SpmdHarness, TargetClass,
 };
 use ftkr_patterns::{assign_to_regions, state_fnv, PatternRates, RegionPatternSummary};
-use ftkr_trace::{instance_slice, partition_iterations, partition_regions, RegionInstance,
-    RegionSelector};
+use ftkr_trace::{
+    instance_slice, partition_iterations, partition_regions, RegionInstance, RegionSelector,
+};
 use ftkr_vm::{DecodedModule, FaultSpec, RunResult, Trace, Vm, VmConfig, VmSnapshot};
 
 use crate::effort::Effort;
@@ -320,7 +321,10 @@ impl Session {
         // Build outside the lock (construction replays the clean trace); a
         // racing builder's graph is identical, and the first insert wins so
         // every caller converges on one canonical Arc.
-        let g = Arc::new(Dddg::from_slice(instance_slice(self.clean_trace(), instance)));
+        let g = Arc::new(Dddg::from_slice(instance_slice(
+            self.clean_trace(),
+            instance,
+        )));
         Arc::clone(
             self.dddgs
                 .lock()
@@ -400,9 +404,7 @@ impl Session {
             .chain(self.iterations())
             .find(|i| i.start == start && i.end == end)
             .cloned()
-            .ok_or_else(|| {
-                PlanError::UnknownTarget(format!("instance at events [{start}, {end})"))
-            })
+            .ok_or_else(|| PlanError::UnknownTarget(format!("instance at events [{start}, {end})")))
     }
 
     // -- fork-point checkpoints -------------------------------------------
@@ -451,7 +453,10 @@ impl Session {
             }
             bytes += run.memory.resident_bytes() as u64;
         }
-        for instances in [self.regions.get(), self.iterations.get()].into_iter().flatten() {
+        for instances in [self.regions.get(), self.iterations.get()]
+            .into_iter()
+            .flatten()
+        {
             bytes += (instances.len() * size_of::<RegionInstance>()) as u64;
         }
         if let Some(views) = self.views.get() {
@@ -482,10 +487,7 @@ impl Session {
     /// session's cached dispatch tables ([`Session::decoded_module`]) and
     /// step-0 checkpoint, so neither creating it nor any of its tests
     /// decodes or verifies the module again.
-    pub fn campaign(
-        &self,
-        seed: u64,
-    ) -> Campaign<'_, impl Fn(&RunResult) -> bool + Sync + '_> {
+    pub fn campaign(&self, seed: u64) -> Campaign<'_, impl Fn(&RunResult) -> bool + Sync + '_> {
         let app = &self.app;
         Campaign::with_decoded(&app.module, self.decoded_module(), self.entry(), move |r| {
             app.verify(r)
@@ -496,7 +498,8 @@ impl Session {
 
     /// The step-0 checkpoint: where a test from program entry starts.
     fn entry(&self) -> VmSnapshot {
-        self.checkpoint_at(0).expect("step 0 precedes the end of every run")
+        self.checkpoint_at(0)
+            .expect("step 0 precedes the end of every run")
     }
 
     /// A serializable plan for a campaign against this application.  The
@@ -625,7 +628,9 @@ impl Session {
             Some(step) if fork => step,
             _ => 0,
         };
-        let start = self.checkpoint_at(step).expect("sites lie inside the fault-free run");
+        let start = self
+            .checkpoint_at(step)
+            .expect("sites lie inside the fault-free run");
         Ok((sites, shard, start))
     }
 
@@ -866,9 +871,8 @@ impl Session {
                     // Deterministically spread the analysis injections over
                     // the region's sites and over different bit positions.
                     for k in 0..effort.analysis_injections {
-                        let site = sites[(k * sites.len()
-                            / effort.analysis_injections.max(1))
-                        .min(sites.len() - 1)];
+                        let site = sites[(k * sites.len() / effort.analysis_injections.max(1))
+                            .min(sites.len() - 1)];
                         let bit = [30u8, 52, 12, 40, 3, 61][k % 6];
                         let fault = site.with_bit(bit);
                         let report = self.injection(fault).run();
@@ -928,11 +932,7 @@ impl Session {
             Some(f) => f,
             None => self.default_fault()?,
         };
-        let report = self
-            .injection(fault)
-            .with_acl()
-            .with_region_cases()
-            .run();
+        let report = self.injection(fault).with_acl().with_region_cases().run();
         Some(InjectionAnalysis {
             fault,
             outcome: report.outcome,
@@ -1001,7 +1001,10 @@ mod tests {
         // fault-free once, traced…
         let steps = session.clean_steps();
         assert!(steps > 1000);
-        assert!(session.clean.get().is_some(), "the step count is the traced run's");
+        assert!(
+            session.clean.get().is_some(),
+            "the step count is the traced run's"
+        );
         // …and the traced run is shared by reference.
         let t1: *const Trace = session.clean_trace();
         let t2: *const Trace = session.clean_trace();
@@ -1041,11 +1044,13 @@ mod tests {
             session.run_plan(&plan),
             Err(PlanError::AppMismatch { .. })
         ));
-        let plan = CampaignPlan::new("NOPE", CampaignTarget::WholeProgram, TargetClass::Internal, 4);
-        assert!(matches!(
-            execute_plan(&plan),
-            Err(PlanError::UnknownApp(_))
-        ));
+        let plan = CampaignPlan::new(
+            "NOPE",
+            CampaignTarget::WholeProgram,
+            TargetClass::Internal,
+            4,
+        );
+        assert!(matches!(execute_plan(&plan), Err(PlanError::UnknownApp(_))));
         // A plan naming a region this app does not have (a stale plan) is
         // rejected in a fresh session instead of sampling a wrong population.
         let stale = CampaignPlan::new("SP", bogus, TargetClass::Internal, 4);
@@ -1141,7 +1146,13 @@ mod tests {
             name: session.app().regions[0].clone(),
         };
         assert!(matches!(
-            session.plan_spmd(target.clone(), TargetClass::Internal, 4, 4, RankTarget::Sweep),
+            session.plan_spmd(
+                target.clone(),
+                TargetClass::Internal,
+                4,
+                4,
+                RankTarget::Sweep
+            ),
             Err(PlanError::NoSpmdDecomposition(_))
         ));
         let plan = CampaignPlan::new("LU", target, TargetClass::Internal, 4)
@@ -1184,16 +1195,30 @@ mod tests {
         let session = Session::by_name("IS").unwrap();
         let region = session.app().regions.last().unwrap().clone();
         let plan = session
-            .plan(CampaignTarget::Region { name: region }, TargetClass::Internal, 12)
+            .plan(
+                CampaignTarget::Region { name: region },
+                TargetClass::Internal,
+                12,
+            )
             .unwrap()
             .with_seed(5);
         let checkpoint_steps = |session: &Session| {
-            let mut steps: Vec<u64> = session.checkpoints.lock().unwrap().keys().copied().collect();
+            let mut steps: Vec<u64> = session
+                .checkpoints
+                .lock()
+                .unwrap()
+                .keys()
+                .copied()
+                .collect();
             steps.sort_unstable();
             steps
         };
         let cold = session.run_plan_cold(&plan).unwrap();
-        assert_eq!(checkpoint_steps(&session), [0], "the cold path starts at step 0 only");
+        assert_eq!(
+            checkpoint_steps(&session),
+            [0],
+            "the cold path starts at step 0 only"
+        );
         let forked = session.run_plan(&plan).unwrap();
         assert_eq!(
             checkpoint_steps(&session).len(),
@@ -1215,7 +1240,13 @@ mod tests {
             .plan(CampaignTarget::WholeProgram, TargetClass::Internal, 16)
             .unwrap();
         let report = session.run_plan(&plan).unwrap();
-        let steps: Vec<u64> = session.checkpoints.lock().unwrap().keys().copied().collect();
+        let steps: Vec<u64> = session
+            .checkpoints
+            .lock()
+            .unwrap()
+            .keys()
+            .copied()
+            .collect();
         assert_eq!(
             steps,
             [0],
@@ -1229,7 +1260,11 @@ mod tests {
         let session = Session::by_name("IS").unwrap();
         let region = session.app().regions.last().unwrap().clone();
         let plan = session
-            .plan(CampaignTarget::Region { name: region }, TargetClass::Internal, 16)
+            .plan(
+                CampaignTarget::Region { name: region },
+                TargetClass::Internal,
+                16,
+            )
             .unwrap()
             .with_seed(21);
         let undisturbed = session.run_plan(&plan).unwrap();
@@ -1281,7 +1316,11 @@ mod tests {
         let session = Session::new(app.clone());
         let a = session.analyze(None).expect("MG has injectable sites");
         // The pipeline's builder, composed as `analyze` composes it.
-        let b = session.injection(a.fault).with_acl().with_region_cases().run();
+        let b = session
+            .injection(a.fault)
+            .with_acl()
+            .with_region_cases()
+            .run();
         assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.patterns, b.patterns);
         assert_eq!(Some(a.acl.counts), b.acl.map(|acl| acl.counts));

@@ -131,10 +131,7 @@ mod tests {
     use ftkr_ir::{BinKind, FunctionId, ValueId};
     use ftkr_vm::{EventKind, ResolvedEvent, Trace};
 
-    fn ev(
-        reads: Vec<(Location, Value)>,
-        write: Option<(Location, Value)>,
-    ) -> ResolvedEvent {
+    fn ev(reads: Vec<(Location, Value)>, write: Option<(Location, Value)>) -> ResolvedEvent {
         ResolvedEvent {
             func: FunctionId(0),
             frame: 0,

@@ -47,7 +47,8 @@ impl DddgExtractor {
         if idx < self.start || idx >= self.end {
             return;
         }
-        self.builder.push(idx - self.start, reads, write, line, locations);
+        self.builder
+            .push(idx - self.start, reads, write, line, locations);
     }
 }
 

@@ -206,10 +206,7 @@ impl BatchScan {
                                     from: pos + 1,
                                     bit: fault.bit,
                                 },
-                                None => Pending::Reg {
-                                    loc,
-                                    from: pos + 1,
-                                },
+                                None => Pending::Reg { loc, from: pos + 1 },
                             },
                         }
                     }

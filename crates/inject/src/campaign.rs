@@ -227,7 +227,12 @@ impl<'m, F: Fn(&RunResult) -> bool + Sync> Campaign<'m, F> {
             .snapshot_at(module, 0)
             .ok()
             .flatten();
-        Self::over(module, Cow::Owned(DecodedModule::decode(module)), entry, verify)
+        Self::over(
+            module,
+            Cow::Owned(DecodedModule::decode(module)),
+            entry,
+            verify,
+        )
     }
 
     /// [`Campaign::new`] over tables the caller already decoded from
@@ -542,8 +547,7 @@ mod tests {
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
         assert!(!sites.is_empty());
-        let campaign =
-            Campaign::new(&m, verify).with_max_steps(hang_budget(clean.steps));
+        let campaign = Campaign::new(&m, verify).with_max_steps(hang_budget(clean.steps));
         let report = campaign.run_range(&sites, IndexRange::full(200));
         assert_eq!(report.counts.total(), 200);
         assert_eq!(report.population, sites.len() as u64 * 64);
@@ -561,8 +565,16 @@ mod tests {
         );
         // Low-order mantissa flips are tolerated, so some runs succeed; flips
         // in the loop counter or addresses crash or corrupt, so not all do.
-        assert!(report.success_rate() > 0.05, "rate {}", report.success_rate());
-        assert!(report.success_rate() < 1.0, "rate {}", report.success_rate());
+        assert!(
+            report.success_rate() > 0.05,
+            "rate {}",
+            report.success_rate()
+        );
+        assert!(
+            report.success_rate() < 1.0,
+            "rate {}",
+            report.success_rate()
+        );
     }
 
     #[test]
@@ -597,10 +609,13 @@ mod tests {
         // The accumulator cell is overwritten by the first loop iteration, so
         // input faults at step 0 are frequently masked (Data Overwriting).
         let sites = input_sites(0, &[(ftkr_vm::Location::mem(0), ftkr_vm::Value::F(0.0))]);
-        let campaign =
-            Campaign::new(&m, verify).with_max_steps(hang_budget(clean.steps));
+        let campaign = Campaign::new(&m, verify).with_max_steps(hang_budget(clean.steps));
         let report = campaign.run_range(&sites, IndexRange::full(64));
-        assert!(report.success_rate() > 0.9, "rate {}", report.success_rate());
+        assert!(
+            report.success_rate() > 0.9,
+            "rate {}",
+            report.success_rate()
+        );
     }
 
     #[test]
@@ -610,7 +625,9 @@ mod tests {
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
         let max_steps = hang_budget(clean.steps);
-        let campaign = Campaign::new(&m, verify).with_seed(42).with_max_steps(max_steps);
+        let campaign = Campaign::new(&m, verify)
+            .with_seed(42)
+            .with_max_steps(max_steps);
         // The fault of test i is a pure function of (seed, i).
         for i in [0u64, 1, 7, 63] {
             assert_eq!(
@@ -749,10 +766,8 @@ mod tests {
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
-        let poisoned = Campaign::new(&m, |_r: &RunResult| -> bool {
-            panic!("verifier bug")
-        })
-        .with_max_steps(hang_budget(clean.steps));
+        let poisoned = Campaign::new(&m, |_r: &RunResult| -> bool { panic!("verifier bug") })
+            .with_max_steps(hang_budget(clean.steps));
         // The shard survives; every completed run classifies as a harness
         // error, and trapped runs still classify by their crash kind.
         let report = poisoned.run_range(&sites, IndexRange::full(32));
@@ -783,7 +798,10 @@ mod tests {
             .with_max_steps(hang_budget(clean.steps))
             .with_chaos(chaos);
         let report = campaign.run_range(&sites, IndexRange::full(64));
-        assert!(report.counts.harness_errors > 0, "~half the verdicts are poisoned");
+        assert!(
+            report.counts.harness_errors > 0,
+            "~half the verdicts are poisoned"
+        );
         assert!(report.is_tainted());
         // The schedule is a pure function of (seed, index): re-running
         // reproduces the tainted tally bit-identically.
@@ -854,7 +872,11 @@ mod tests {
                 range,
                 &snapshot,
                 |_, _, vm, snap| {
-                    let path = if snap.step() > 0 { (1u64, 0u64) } else { (0, 1) };
+                    let path = if snap.step() > 0 {
+                        (1u64, 0u64)
+                    } else {
+                        (0, 1)
+                    };
                     (campaign.untraced(vm, snap), path)
                 },
                 |a, b| (a.0 + b.0, a.1 + b.1),

@@ -162,7 +162,10 @@ impl FailPlan {
     /// helper executors call inside their `catch_unwind` perimeter.
     pub fn trip(&self, site: FailSite, ordinal: u64) {
         if self.fires(site, ordinal) {
-            panic!("{}: injected {site:?} failure at ordinal {ordinal}", Self::PANIC_TAG);
+            panic!(
+                "{}: injected {site:?} failure at ordinal {ordinal}",
+                Self::PANIC_TAG
+            );
         }
     }
 }
@@ -203,7 +206,11 @@ mod tests {
             (0..512).map(|i| p.fires(FailSite::Verifier, i)).collect()
         };
         assert_eq!(pattern(&a), pattern(&b));
-        assert_ne!(pattern(&a), pattern(&c), "different seeds, different schedule");
+        assert_ne!(
+            pattern(&a),
+            pattern(&c),
+            "different seeds, different schedule"
+        );
     }
 
     #[test]
@@ -220,7 +227,9 @@ mod tests {
     #[test]
     fn sites_fire_independently() {
         let plan = FailPlan::uniform(9, 512);
-        let verifier: Vec<bool> = (0..256).map(|i| plan.fires(FailSite::Verifier, i)).collect();
+        let verifier: Vec<bool> = (0..256)
+            .map(|i| plan.fires(FailSite::Verifier, i))
+            .collect();
         let restore: Vec<bool> = (0..256)
             .map(|i| plan.fires(FailSite::RestoreCheckpoint, i))
             .collect();

@@ -45,6 +45,6 @@ pub use campaign::{
 pub use chaos::{FailPlan, FailSite};
 pub use outcome::{CampaignCounts, CrashCounts, CrashKind, Outcome};
 pub use plan::{CampaignPlan, CampaignTarget, IndexRange, RankTarget};
-pub use spmd::{DivergenceCounts, SpmdCampaignReport, SpmdCleanState, SpmdFaults, SpmdHarness};
 pub use sites::{input_sites, internal_sites, FaultSite, TargetClass};
+pub use spmd::{DivergenceCounts, SpmdCampaignReport, SpmdCleanState, SpmdFaults, SpmdHarness};
 pub use stats::{sample_size, Confidence};

@@ -283,7 +283,10 @@ mod tests {
         assert_eq!(c.crashed(), 2 * CrashKind::ALL.len() as u64);
         assert_eq!(
             c.crashed(),
-            CrashKind::ALL.iter().map(|&k| c.crashes.count(k)).sum::<u64>()
+            CrashKind::ALL
+                .iter()
+                .map(|&k| c.crashes.count(k))
+                .sum::<u64>()
         );
         assert_eq!(c.total(), c.crashed());
     }
@@ -294,10 +297,16 @@ mod tests {
         assert_eq!(CrashKind::from_trap(StepLimit), CrashKind::Hang);
         assert_eq!(CrashKind::from_trap(OutOfBounds), CrashKind::MemoryTrap);
         assert_eq!(CrashKind::from_trap(CallDepth), CrashKind::MemoryTrap);
-        assert_eq!(CrashKind::from_trap(DivisionByZero), CrashKind::ArithmeticTrap);
+        assert_eq!(
+            CrashKind::from_trap(DivisionByZero),
+            CrashKind::ArithmeticTrap
+        );
         assert_eq!(CrashKind::from_trap(OutOfMemory), CrashKind::OutOfMemory);
         assert_eq!(CrashKind::from_trap(TypeMismatch), CrashKind::Other);
-        assert_eq!(CrashKind::from_trap(UninitializedRegister), CrashKind::Other);
+        assert_eq!(
+            CrashKind::from_trap(UninitializedRegister),
+            CrashKind::Other
+        );
     }
 
     #[test]

@@ -297,10 +297,7 @@ mod tests {
             TargetClass::Internal,
             16,
         );
-        assert_eq!(
-            CampaignPlan::from_json(&whole.to_json()).unwrap(),
-            whole
-        );
+        assert_eq!(CampaignPlan::from_json(&whole.to_json()).unwrap(), whole);
     }
 
     #[test]
@@ -333,7 +330,10 @@ mod tests {
             r#""window": null,"#,
         ] {
             let widened = format!("{{{extra}{body}");
-            assert_eq!(CampaignPlan::from_json(&widened).expect("plan parses"), plan);
+            assert_eq!(
+                CampaignPlan::from_json(&widened).expect("plan parses"),
+                plan
+            );
         }
     }
 
@@ -384,9 +384,8 @@ mod tests {
         assert!(plan.is_spmd());
         assert_eq!(CampaignPlan::from_json(&plan.to_json()).unwrap(), plan);
 
-        let messages =
-            CampaignPlan::new("CG", CampaignTarget::Messages, TargetClass::Internal, 16)
-                .with_ranks(4, RankTarget::Sweep);
+        let messages = CampaignPlan::new("CG", CampaignTarget::Messages, TargetClass::Internal, 16)
+            .with_ranks(4, RankTarget::Sweep);
         assert!(messages.is_spmd());
         assert_eq!(messages.target.label(), "messages");
         assert_eq!(

@@ -113,8 +113,7 @@ impl Function {
             let _ = writeln!(s, "{bid}: ; {}", block.label);
             for &iid in &block.insts {
                 let inst = self.inst(iid);
-                let ops: Vec<String> =
-                    inst.op.operands().iter().map(|o| o.to_string()).collect();
+                let ops: Vec<String> = inst.op.operands().iter().map(|o| o.to_string()).collect();
                 if inst.op.has_result() {
                     let _ = writeln!(
                         s,
@@ -171,6 +170,12 @@ mod tests {
         assert!(text.contains("add"));
         assert!(text.contains("line 7"));
         assert!(text.contains("ret"));
-        assert_eq!(f.insts.iter().filter(|i| matches!(i.op, Op::Bin { .. })).count(), 1);
+        assert_eq!(
+            f.insts
+                .iter()
+                .filter(|i| matches!(i.op, Op::Bin { .. }))
+                .count(),
+            1
+        );
     }
 }

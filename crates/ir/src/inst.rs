@@ -553,14 +553,8 @@ mod tests {
             value: Operand::ConstI(1)
         }
         .has_result());
-        assert!(!Op::Br {
-            target: BlockId(0)
-        }
-        .has_result());
-        assert!(Op::Br {
-            target: BlockId(0)
-        }
-        .is_terminator());
+        assert!(!Op::Br { target: BlockId(0) }.has_result());
+        assert!(Op::Br { target: BlockId(0) }.is_terminator());
         assert!(!Op::Nop.is_terminator());
     }
 

@@ -75,7 +75,10 @@ impl Module {
     pub fn to_text(&self) -> String {
         let mut s = format!("; module {}\n", self.name);
         for (i, g) in self.globals.iter().enumerate() {
-            s.push_str(&format!("@g{} = global [{} x i64] ; {}\n", i, g.size, g.name));
+            s.push_str(&format!(
+                "@g{} = global [{} x i64] ; {}\n",
+                i, g.size, g.name
+            ));
         }
         for f in &self.functions {
             s.push('\n');

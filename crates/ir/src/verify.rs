@@ -112,13 +112,22 @@ impl std::fmt::Display for VerifyError {
                 write!(f, "{func}: instruction {inst} references a missing value")
             }
             VerifyError::UseOfVoid { func, inst } => {
-                write!(f, "{func}: instruction {inst} uses the result of a void instruction")
+                write!(
+                    f,
+                    "{func}: instruction {inst} uses the result of a void instruction"
+                )
             }
             VerifyError::BadArgIndex { func, inst } => {
-                write!(f, "{func}: instruction {inst} references an out-of-range argument")
+                write!(
+                    f,
+                    "{func}: instruction {inst} references an out-of-range argument"
+                )
             }
             VerifyError::BadGlobal { func, inst } => {
-                write!(f, "{func}: instruction {inst} references an out-of-range global")
+                write!(
+                    f,
+                    "{func}: instruction {inst} references an out-of-range global"
+                )
             }
             VerifyError::BadBlockTarget { func, inst } => {
                 write!(f, "{func}: instruction {inst} branches to a missing block")
@@ -127,10 +136,16 @@ impl std::fmt::Display for VerifyError {
                 write!(f, "{func}: call to unknown function `{callee}`")
             }
             VerifyError::BadIntrinsicArity { func, inst } => {
-                write!(f, "{func}: instruction {inst} passes the wrong number of intrinsic arguments")
+                write!(
+                    f,
+                    "{func}: instruction {inst} passes the wrong number of intrinsic arguments"
+                )
             }
             VerifyError::BadCallArity { func, callee } => {
-                write!(f, "{func}: call to `{callee}` passes the wrong number of arguments")
+                write!(
+                    f,
+                    "{func}: call to `{callee}` passes the wrong number of arguments"
+                )
             }
             VerifyError::NoMain => write!(f, "module has no `main` function"),
         }
@@ -207,20 +222,18 @@ fn verify_function(module: &Module, func: &Function) -> Result<(), VerifyError> 
             }
         }
         match &inst.op {
-            Op::Br { target }
-                if target.0 >= n_blocks => {
-                    return Err(VerifyError::BadBlockTarget {
-                        func: fname.clone(),
-                        inst: iid.0,
-                    });
-                }
-            Op::CondBr { then_b, else_b, .. }
-                if (then_b.0 >= n_blocks || else_b.0 >= n_blocks) => {
-                    return Err(VerifyError::BadBlockTarget {
-                        func: fname.clone(),
-                        inst: iid.0,
-                    });
-                }
+            Op::Br { target } if target.0 >= n_blocks => {
+                return Err(VerifyError::BadBlockTarget {
+                    func: fname.clone(),
+                    inst: iid.0,
+                });
+            }
+            Op::CondBr { then_b, else_b, .. } if (then_b.0 >= n_blocks || else_b.0 >= n_blocks) => {
+                return Err(VerifyError::BadBlockTarget {
+                    func: fname.clone(),
+                    inst: iid.0,
+                });
+            }
             Op::Call { callee, args } => match module.function_by_name(callee) {
                 None => {
                     return Err(VerifyError::UnresolvedCallee {
@@ -237,13 +250,12 @@ fn verify_function(module: &Module, func: &Function) -> Result<(), VerifyError> 
                     }
                 }
             },
-            Op::CallIntrinsic { intrinsic, args }
-                if intrinsic.arity() != args.len() => {
-                    return Err(VerifyError::BadIntrinsicArity {
-                        func: fname.clone(),
-                        inst: iid.0,
-                    });
-                }
+            Op::CallIntrinsic { intrinsic, args } if intrinsic.arity() != args.len() => {
+                return Err(VerifyError::BadIntrinsicArity {
+                    func: fname.clone(),
+                    inst: iid.0,
+                });
+            }
             _ => {}
         }
     }
@@ -420,7 +432,10 @@ mod tests {
         b.load(g);
         b.ret(None);
         m.add_function(b.finish());
-        assert!(matches!(verify_module(&m), Err(VerifyError::BadGlobal { .. })));
+        assert!(matches!(
+            verify_module(&m),
+            Err(VerifyError::BadGlobal { .. })
+        ));
     }
 
     #[test]

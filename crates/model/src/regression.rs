@@ -114,10 +114,7 @@ impl BayesianLinearRegression {
         } else {
             1.0
         };
-        RegressionFit {
-            r_squared,
-            ..fit
-        }
+        RegressionFit { r_squared, ..fit }
     }
 
     /// Leave-one-out evaluation: for every sample, fit on the others and
@@ -210,7 +207,11 @@ mod tests {
     fn r_squared_degrades_gracefully_with_noise() {
         let (x, y, _, _) = synthetic(60, 0.2, 2);
         let fit = BayesianLinearRegression::default().fit(&x, &y);
-        assert!(fit.r_squared > 0.4 && fit.r_squared <= 1.0, "{}", fit.r_squared);
+        assert!(
+            fit.r_squared > 0.4 && fit.r_squared <= 1.0,
+            "{}",
+            fit.r_squared
+        );
     }
 
     #[test]
@@ -253,9 +254,7 @@ mod tests {
     #[test]
     fn collinear_features_fall_back_to_a_stronger_prior() {
         // Two identical columns make XᵀX singular for λ = 0.
-        let x: Vec<Vec<f64>> = (0..20)
-            .map(|i| vec![i as f64, i as f64])
-            .collect();
+        let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64, i as f64]).collect();
         let y: Vec<f64> = (0..20).map(|i| 3.0 * i as f64).collect();
         let fit = BayesianLinearRegression::new(0.0).fit(&x, &y);
         // The two coefficients share the weight; predictions still work.

@@ -93,7 +93,9 @@ impl Communicator {
         };
         // The receiver can only disappear if its thread panicked; propagating
         // the panic via expect keeps the failure visible.
-        self.senders[to].send(Some(msg)).expect("receiving rank is alive");
+        self.senders[to]
+            .send(Some(msg))
+            .expect("receiving rank is alive");
     }
 
     /// Blocking receive.  `from`/`tag` of `None` match anything.  Messages

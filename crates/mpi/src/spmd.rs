@@ -57,7 +57,9 @@ where
     // sender, and the launcher keeps none.
     let (senders, receivers): (Vec<_>, Vec<_>) =
         (0..nranks).map(|_| mpsc::channel::<Envelope>()).unzip();
-    let endpoints = receivers.into_iter().zip(std::iter::repeat_n(senders, nranks));
+    let endpoints = receivers
+        .into_iter()
+        .zip(std::iter::repeat_n(senders, nranks));
 
     let body = &body;
     let outcomes: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {

@@ -141,7 +141,10 @@ mod tests {
     #[test]
     fn identical_digests_classify_as_masked() {
         let clean = vec![digest(7); 4];
-        assert_eq!(classify_ranks(&clean, &clean.clone(), 2), RankDivergence::Masked);
+        assert_eq!(
+            classify_ranks(&clean, &clean.clone(), 2),
+            RankDivergence::Masked
+        );
     }
 
     #[test]
@@ -149,7 +152,10 @@ mod tests {
         let clean = vec![digest(7); 4];
         let mut faulty = clean.clone();
         faulty[2].state_fnv = 8;
-        assert_eq!(classify_ranks(&clean, &faulty, 2), RankDivergence::Contained);
+        assert_eq!(
+            classify_ranks(&clean, &faulty, 2),
+            RankDivergence::Contained
+        );
     }
 
     #[test]
@@ -173,7 +179,10 @@ mod tests {
         let clean = vec![digest(7); 4];
         let mut faulty = clean.clone();
         faulty[2].trapped = true; // every other field identical to clean
-        assert_eq!(classify_ranks(&clean, &faulty, 2), RankDivergence::Contained);
+        assert_eq!(
+            classify_ranks(&clean, &faulty, 2),
+            RankDivergence::Contained
+        );
         // The same collision on a non-injected rank is a spread, not masked.
         let mut faulty = clean.clone();
         faulty[0].trapped = true;

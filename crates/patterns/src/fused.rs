@@ -157,7 +157,13 @@ impl DetectorBank {
     /// before the fault).  The tables grow on every event, so they cover
     /// the whole location table for the [`Watch`]'s `known`.
     #[inline]
-    fn track_prefix(&mut self, idx: usize, event: &TraceEvent, reads: &[(LocationId, Value)], locations: &[Location]) {
+    fn track_prefix(
+        &mut self,
+        idx: usize,
+        event: &TraceEvent,
+        reads: &[(LocationId, Value)],
+        locations: &[Location],
+    ) {
         self.grow(locations);
         if matches!(event.kind, EventKind::Load) {
             for &(id, _) in reads {
@@ -211,9 +217,7 @@ impl DetectorBank {
         match (&event.kind, &clean_ev.kind) {
             // Pattern 3 — Conditional Statements: corrupted operand, same
             // comparison/branch outcome as the fault-free run.
-            (EventKind::Cmp { result: fr, .. }, EventKind::Cmp { result: cr, .. })
-                if fr == cr =>
-            {
+            (EventKind::Cmp { result: fr, .. }, EventKind::Cmp { result: cr, .. }) if fr == cr => {
                 self.found.push(found(
                     PatternKind::ConditionalStatement,
                     idx,
@@ -222,9 +226,7 @@ impl DetectorBank {
                     Detail::Text("corrupted operand, unchanged comparison outcome"),
                 ));
             }
-            (EventKind::CondBr { taken: ft }, EventKind::CondBr { taken: ct })
-                if ft == ct =>
-            {
+            (EventKind::CondBr { taken: ft }, EventKind::CondBr { taken: ct }) if ft == ct => {
                 self.found.push(found(
                     PatternKind::ConditionalStatement,
                     idx,
@@ -331,7 +333,11 @@ impl DetectorBank {
         let chain = &mut self.chains[chain_idx];
         // A read-modify-write update loads the same address between the
         // previous store of the chain and this one.
-        let prev_store = if chain.updates > 0 { chain.last_event } else { 0 };
+        let prev_store = if chain.updates > 0 {
+            chain.last_event
+        } else {
+            0
+        };
         let ll = self.last_load[wid.index()] as usize;
         if ll >= prev_store && ll < idx {
             chain.saw_self_load = true;
@@ -349,7 +355,13 @@ impl DetectorBank {
     /// Pattern 6 — Data Overwriting: a corrupted location was overwritten
     /// with a value not derived from corrupted data (notified by the taint
     /// tracker at the overwrite event).
-    fn on_overwrite_death(&mut self, event: usize, location: Location, line: u32, func: FunctionId) {
+    fn on_overwrite_death(
+        &mut self,
+        event: usize,
+        location: Location,
+        line: u32,
+        func: FunctionId,
+    ) {
         self.found.push(found(
             PatternKind::DataOverwriting,
             event,
@@ -503,19 +515,21 @@ impl<'c> FusedInjection<'c> {
 
 impl TraceVisitor for FusedInjection<'_> {
     fn on_event(&mut self, ctx: &EventCtx<'_>) {
-        let st = self
-            .sweep
-            .step(ctx.index, ctx.event, ctx.reads, ctx.locations, &mut self.table);
+        let st = self.sweep.step(
+            ctx.index,
+            ctx.event,
+            ctx.reads,
+            ctx.locations,
+            &mut self.table,
+        );
 
         // Death notifications, in the exact order the sweep logged them.
         for d in &self.table.deaths[st.deaths.clone()] {
             match d.cause {
-                DeathCause::Overwritten => self.bank.on_overwrite_death(
-                    d.event,
-                    d.location,
-                    d.line,
-                    ctx.event.func,
-                ),
+                DeathCause::Overwritten => {
+                    self.bank
+                        .on_overwrite_death(d.event, d.location, d.line, ctx.event.func)
+                }
                 DeathCause::NeverUsedAgain => {
                     let consumed = ctx
                         .reads
@@ -735,7 +749,10 @@ impl<'c> StreamingDetector<'c> {
     /// the scanned-locations cursor carry information before a fault
     /// strikes, and all three depend on the prefix events alone.
     pub fn primed(clean: &'c Trace, prefix_events: usize, prefix_locations: usize) -> Self {
-        assert!(prefix_events <= clean.len(), "prefix exceeds the clean trace");
+        assert!(
+            prefix_events <= clean.len(),
+            "prefix exceeds the clean trace"
+        );
         let locations = &clean.locations()[..prefix_locations];
         // Sentinel fault: no real injection strikes at u64::MAX, so every
         // prefix event takes the pre-fault path.
@@ -955,8 +972,8 @@ impl<'c> StreamingDetector<'c> {
         // event that can still be observed — see the module docs).  With an
         // empty taint set — before the fault strikes, and after the error is
         // fully cleaned — nothing below can fire.
-        let reads_tainted = !self.tainted.is_empty()
-            && ctx.reads.iter().any(|&(id, _)| self.tainted.contains(id));
+        let reads_tainted =
+            !self.tainted.is_empty() && ctx.reads.iter().any(|&(id, _)| self.tainted.contains(id));
         if !self.tainted.is_empty() {
             if let Some((wid, _)) = ctx.event.write {
                 if reads_tainted {
@@ -1185,7 +1202,10 @@ mod tests {
         assert_eq!(a.final_corrupted, b.final_corrupted);
         assert_eq!(a.deaths.len(), b.deaths.len());
         for (x, y) in a.deaths.iter().zip(&b.deaths) {
-            assert_eq!((x.event, x.location, x.cause, x.line), (y.event, y.location, y.cause, y.line));
+            assert_eq!(
+                (x.event, x.location, x.cause, x.line),
+                (y.event, y.location, y.cause, y.line)
+            );
         }
     }
 
@@ -1236,8 +1256,7 @@ mod tests {
                 .trace
                 .unwrap();
             let materialized = analyze_fused(&faulty, &clean, &fault).patterns;
-            let (result, streamed) =
-                detect_streaming(&module, &clean, fault);
+            let (result, streamed) = detect_streaming(&module, &clean, fault);
             assert!(result.trace.is_none());
             assert_eq!(streamed, materialized, "fault {fault:?}");
         }
@@ -1257,11 +1276,8 @@ mod tests {
             .snapshot_at(&module, fork)
             .unwrap()
             .expect("mid-run step");
-        let primed = StreamingDetector::primed(
-            &clean,
-            snap.events_emitted() as usize,
-            snap.num_locations(),
-        );
+        let primed =
+            StreamingDetector::primed(&clean, snap.events_emitted() as usize, snap.num_locations());
         let faults = [
             FaultSpec::in_result(fork, 40),
             FaultSpec::in_result(fork + 13, 2),
@@ -1270,8 +1286,7 @@ mod tests {
             FaultSpec::in_memory(fork + 7, 3, 52),
         ];
         for fault in faults {
-            let (cold_result, cold_patterns) =
-                detect_streaming(&module, &clean, fault);
+            let (cold_result, cold_patterns) = detect_streaming(&module, &clean, fault);
             let mut forked = primed.fork(fault);
             let config = ftkr_vm::VmConfig {
                 fault: Some(fault),
@@ -1280,7 +1295,10 @@ mod tests {
             let forked_result = Vm::new(config)
                 .resume_with_visitors_decoded(&module, &decoded, &snap, &mut [&mut forked])
                 .unwrap();
-            assert_eq!(forked_result.outcome, cold_result.outcome, "fault {fault:?}");
+            assert_eq!(
+                forked_result.outcome, cold_result.outcome,
+                "fault {fault:?}"
+            );
             assert_eq!(forked.into_patterns(), cold_patterns, "fault {fault:?}");
         }
     }

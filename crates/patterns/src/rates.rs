@@ -124,10 +124,9 @@ pub fn static_rates(module: &Module) -> PatternRates {
                 Op::Bin { kind, .. } if kind.is_shift() => shift += 1,
                 Op::Cast { kind, .. } if kind.is_truncating() => truncation += 1,
                 Op::Output { format, .. } if *format != OutputFormat::Full => truncation += 1,
-                Op::Store { addr, value }
-                    if is_accumulation_store(func, *value, *addr) => {
-                        repeated_addition += 1;
-                    }
+                Op::Store { addr, value } if is_accumulation_store(func, *value, *addr) => {
+                    repeated_addition += 1;
+                }
                 Op::Alloca { .. } => dead_location += 1,
                 _ => {}
             }

@@ -99,7 +99,9 @@ mod tests {
         assert!(map["a"].contains(&PatternKind::Shifting));
         assert!(!map["a"].contains(&PatternKind::DataOverwriting));
         assert!(map["b"].contains(&PatternKind::DataOverwriting));
-        assert!(map.values().all(|set| !set.contains(&PatternKind::Truncation)));
+        assert!(map
+            .values()
+            .all(|set| !set.contains(&PatternKind::Truncation)));
     }
 
     #[test]

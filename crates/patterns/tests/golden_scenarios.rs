@@ -165,9 +165,7 @@ fn data_overwriting_detected_for_preinit_fault() {
     // overwrites it with clean data.
     let fault = FaultSpec::in_memory(0, 2, 30);
     let found = detect(&module, fault);
-    assert!(found
-        .iter()
-        .any(|p| p.kind == PatternKind::DataOverwriting));
+    assert!(found.iter().any(|p| p.kind == PatternKind::DataOverwriting));
     // And the fault leaves no trace in the output.
     let clean = run_clean(&module);
     let faulty = run_faulty(&module, fault);
@@ -176,7 +174,13 @@ fn data_overwriting_detected_for_preinit_fault() {
         .last()
         .unwrap()
         .written_value()
-        .map(|v| faulty.events.last().unwrap().written_value().unwrap().bit_eq(v))
+        .map(|v| faulty
+            .events
+            .last()
+            .unwrap()
+            .written_value()
+            .unwrap()
+            .bit_eq(v))
         .unwrap_or(true));
 }
 
@@ -527,4 +531,3 @@ fn golden_fused_output_for_a_late_accumulator_fault() {
         "fused output drifted from the recorded snapshot"
     );
 }
-

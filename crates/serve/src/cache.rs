@@ -103,11 +103,7 @@ impl SessionCache {
             if inner.map.len() <= 1 {
                 return;
             }
-            let resident: u64 = inner
-                .map
-                .values()
-                .map(|e| e.session.resident_bytes())
-                .sum();
+            let resident: u64 = inner.map.values().map(|e| e.session.resident_bytes()).sum();
             if resident <= self.budget {
                 return;
             }
@@ -130,11 +126,7 @@ impl SessionCache {
             misses: inner.misses,
             evictions: inner.evictions,
             sessions: inner.map.len() as u64,
-            resident_bytes: inner
-                .map
-                .values()
-                .map(|e| e.session.resident_bytes())
-                .sum(),
+            resident_bytes: inner.map.values().map(|e| e.session.resident_bytes()).sum(),
             budget_bytes: self.budget,
         }
     }
@@ -186,9 +178,13 @@ mod tests {
         let plan = {
             let s = cache.session("IS").unwrap();
             let region = s.app().regions[0].clone();
-            s.plan(CampaignTarget::Region { name: region }, TargetClass::Internal, 8)
-                .unwrap()
-                .with_seed(11)
+            s.plan(
+                CampaignTarget::Region { name: region },
+                TargetClass::Internal,
+                8,
+            )
+            .unwrap()
+            .with_seed(11)
         };
         let reports: Vec<String> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)

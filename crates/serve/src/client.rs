@@ -137,9 +137,7 @@ impl Client {
                 Err(e) => break Err(ServeError::Protocol(e)),
             }
         };
-        let _ = self
-            .stream
-            .set_read_timeout(Some(Duration::from_secs(30)));
+        let _ = self.stream.set_read_timeout(Some(Duration::from_secs(30)));
         result
     }
 

@@ -124,8 +124,12 @@ impl WorkerPool {
         self.drain();
         self.state.lock().stop = true;
         self.state.signal.notify_all();
-        let handles: Vec<JoinHandle<()>> =
-            self.threads.lock().expect("pool threads poisoned").drain(..).collect();
+        let handles: Vec<JoinHandle<()>> = self
+            .threads
+            .lock()
+            .expect("pool threads poisoned")
+            .drain(..)
+            .collect();
         for handle in handles {
             let _ = handle.join();
         }
@@ -201,7 +205,11 @@ mod tests {
             outer_log.lock().unwrap().push("outer");
         });
         pool.drain();
-        assert_eq!(*log.lock().unwrap(), ["outer", "inner"], "the parked worker ran both");
+        assert_eq!(
+            *log.lock().unwrap(),
+            ["outer", "inner"],
+            "the parked worker ran both"
+        );
         assert_eq!(pool.pending(), 0);
         pool.join();
         pool.join();

@@ -222,7 +222,14 @@ mod tests {
         };
         let json = serde_json::to_string(&resp).unwrap();
         let back: Response = serde_json::from_str(&json).unwrap();
-        assert!(matches!(back, Response::Delta { job: 7, shard: 2, .. }));
+        assert!(matches!(
+            back,
+            Response::Delta {
+                job: 7,
+                shard: 2,
+                ..
+            }
+        ));
     }
 
     #[test]

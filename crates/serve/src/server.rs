@@ -222,7 +222,10 @@ enum Flow {
 fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     // The read timeout doubles as the stop-flag poll interval.
-    let tick = state.idle_timeout.min(Duration::from_millis(250)).max(Duration::from_millis(10));
+    let tick = state
+        .idle_timeout
+        .min(Duration::from_millis(250))
+        .max(Duration::from_millis(10));
     let _ = stream.set_read_timeout(Some(tick));
     let mut idle = Duration::ZERO;
     loop {
@@ -263,7 +266,11 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
 /// Dispatch one parsed request.
 fn handle_request(state: &Arc<ServerState>, stream: &mut TcpStream, request: Request) -> Flow {
     match request {
-        Request::Submit { plan, shards, chaos } => {
+        Request::Submit {
+            plan,
+            shards,
+            chaos,
+        } => {
             let response = match submit(state, plan, shards, chaos) {
                 Ok(job) => Response::Submitted { job },
                 Err(e) => Response::Error(e),
@@ -384,9 +391,8 @@ impl ServerState {
         seed: u64,
     ) {
         let state = Arc::clone(self);
-        self.pool.spawn(move || {
-            run_shard_job(&state, job, shard, &shard_plan, chaos, population, seed)
-        });
+        self.pool
+            .spawn(move || run_shard_job(&state, job, shard, &shard_plan, chaos, population, seed));
     }
 }
 
@@ -481,7 +487,9 @@ fn complete_shard(
         report: report.to_json(),
     };
     entry.log.push(delta.clone());
-    entry.subscribers.retain(|tx| tx.send(delta.clone()).is_ok());
+    entry
+        .subscribers
+        .retain(|tx| tx.send(delta.clone()).is_ok());
 
     if entry.shards_done == entry.shards_total {
         let merged = entry

@@ -106,7 +106,10 @@ impl From<io::Error> for ProtocolError {
 /// True for the error kinds a read timeout surfaces as (`WouldBlock` on
 /// Unix, `TimedOut` elsewhere).
 fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 /// Fill `buf` from the stream, looping over interrupts and — once the first
@@ -246,7 +249,10 @@ mod tests {
         let last = corrupt.len() - 1;
         corrupt[last] ^= 0x01;
         let err = read_frame(&mut corrupt.as_slice()).unwrap_err();
-        assert!(matches!(err, ProtocolError::ChecksumMismatch { .. }), "{err}");
+        assert!(
+            matches!(err, ProtocolError::ChecksumMismatch { .. }),
+            "{err}"
+        );
         assert!(err.to_string().contains("checksum mismatch"));
     }
 }

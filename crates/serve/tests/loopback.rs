@@ -39,7 +39,11 @@ fn small_plan(app: &str, n_tests: u64, seed: u64) -> CampaignPlan {
     let session = Session::by_name(app).expect("registry app");
     let region = session.app().regions[0].clone();
     session
-        .plan(CampaignTarget::Region { name: region }, TargetClass::Internal, n_tests)
+        .plan(
+            CampaignTarget::Region { name: region },
+            TargetClass::Internal,
+            n_tests,
+        )
         .expect("plan resolves")
         .with_seed(seed)
 }
@@ -146,7 +150,9 @@ fn a_worker_killed_mid_job_is_retried_and_the_final_report_is_byte_identical() {
 
     // The daemon survived its worker's death: it still serves new plans.
     let plan2 = small_plan("IS", 8, 77);
-    let job2 = client.submit(&plan2, 2, FailPlan::none()).expect("submit after death");
+    let job2 = client
+        .submit(&plan2, 2, FailPlan::none())
+        .expect("submit after death");
     let served2 = client.watch(job2, |_, _, _, _| {}).expect("watch");
     assert_eq!(served2, offline(&plan2));
 
@@ -206,7 +212,8 @@ fn malformed_frames_get_typed_errors_and_the_daemon_keeps_serving() {
         other => panic!("expected a protocol error, got {other:?}"),
     }
     let mut rest = Vec::new();
-    raw.read_to_end(&mut rest).expect("server closed the stream");
+    raw.read_to_end(&mut rest)
+        .expect("server closed the stream");
     assert!(rest.is_empty());
 
     // A corrupted frame: valid magic and length, payload flipped en route.
@@ -275,7 +282,10 @@ fn frames_at_the_cap_round_trip_and_one_byte_over_gets_a_typed_refusal() {
         }
         other => panic!("expected an oversized refusal from the writer, got {other:?}"),
     }
-    assert!(sink.is_empty(), "a refused frame must not be partially written");
+    assert!(
+        sink.is_empty(),
+        "a refused frame must not be partially written"
+    );
 
     // One byte over, forged at the header: the server refuses from the
     // declared length alone and replies with the typed protocol error.
@@ -294,7 +304,9 @@ fn frames_at_the_cap_round_trip_and_one_byte_over_gets_a_typed_refusal() {
         other => panic!("expected an oversized refusal, got {other:?}"),
     }
     let mut rest = Vec::new();
-    forged.read_to_end(&mut rest).expect("server closed the stream");
+    forged
+        .read_to_end(&mut rest)
+        .expect("server closed the stream");
     assert!(rest.is_empty());
 
     // The refusals did not hurt the daemon.
@@ -328,7 +340,9 @@ fn shutdown_drains_in_flight_jobs_before_the_server_exits() {
     let plan = small_plan("IS", 12, 53);
 
     let mut submitter = Client::connect(&addr).expect("connect");
-    let job = submitter.submit(&plan, 4, FailPlan::none()).expect("submit");
+    let job = submitter
+        .submit(&plan, 4, FailPlan::none())
+        .expect("submit");
 
     // The watcher registers, then a second client orders a shutdown while
     // the shard jobs are (possibly) still queued.  The shutdown waits for
@@ -384,7 +398,10 @@ fn a_second_submission_hits_the_session_cache() {
     let warm = client.submit(&plan, 2, FailPlan::none()).expect("submit");
     client.watch(warm, |_, _, _, _| {}).expect("watch");
     let after_warm = client.stats().expect("stats").cache;
-    assert_eq!(after_warm.misses, 1, "the second submission opened no session");
+    assert_eq!(
+        after_warm.misses, 1,
+        "the second submission opened no session"
+    );
     assert!(after_warm.hits > after_cold.hits);
     assert!(after_warm.resident_bytes > 0);
 
@@ -402,7 +419,11 @@ fn spmd_plans_are_refused_up_front_with_a_typed_error() {
     match client.submit(&spmd, 2, FailPlan::none()) {
         Err(ftkr_serve::ServeError::Server(e)) => {
             assert_eq!(e.kind, WireErrorKind::Plan);
-            assert!(e.detail.contains("SPMD"), "detail names the executor: {}", e.detail);
+            assert!(
+                e.detail.contains("SPMD"),
+                "detail names the executor: {}",
+                e.detail
+            );
         }
         other => panic!("SPMD plan was not refused: {other:?}"),
     }

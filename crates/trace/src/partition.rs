@@ -74,9 +74,7 @@ impl RegionSelector {
     fn selects(&self, name: &str, kind: LoopKind, inside_open_region: bool) -> bool {
         match self {
             RegionSelector::FirstLevelInner => kind == LoopKind::Inner && !inside_open_region,
-            RegionSelector::Named(names) => {
-                !inside_open_region && names.iter().any(|n| n == name)
-            }
+            RegionSelector::Named(names) => !inside_open_region && names.iter().any(|n| n == name),
             RegionSelector::AllLoops => true,
         }
     }
@@ -346,8 +344,7 @@ mod tests {
     fn named_selector_picks_only_requested_regions() {
         let module = nested_module();
         let trace = traced(&module);
-        let regions =
-            partition_regions(&trace, &module, &RegionSelector::named(["region_b"]));
+        let regions = partition_regions(&trace, &module, &RegionSelector::named(["region_b"]));
         assert_eq!(regions.len(), 3);
         assert!(regions.iter().all(|r| r.key.name == "region_b"));
     }
@@ -363,7 +360,10 @@ mod tests {
         assert!(names.contains("inner_nested"));
         // nested instances overlap their parents: main_loop instance covers all.
         let main_inst = regions.iter().find(|r| r.key.name == "main_loop").unwrap();
-        let nested = regions.iter().find(|r| r.key.name == "inner_nested").unwrap();
+        let nested = regions
+            .iter()
+            .find(|r| r.key.name == "inner_nested")
+            .unwrap();
         assert!(main_inst.start <= nested.start && nested.end <= main_inst.end);
     }
 

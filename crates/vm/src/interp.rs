@@ -694,11 +694,7 @@ impl<'m> Interp<'m> {
         // fork point.
         trace.base_step = img.step;
         let mut interp = Interp::with_state(module, decoded, config, img.memory.clone(), trace);
-        interp.frames = img
-            .frames
-            .iter()
-            .map(|f| f.restored(recording))
-            .collect();
+        interp.frames = img.frames.iter().map(|f| f.restored(recording)).collect();
         interp.outputs = img.outputs.clone();
         if recording {
             interp.mem_ids = img.mem_ids.clone();
@@ -727,11 +723,7 @@ impl<'m> Interp<'m> {
         // A trap can abort a step after its operand reads were pooled but
         // before the event was recorded; drop that dangling tail so the pool
         // length always equals the sum of the event spans.
-        let pool_end = self
-            .trace
-            .events
-            .last()
-            .map_or(0, |e| e.reads.range().end);
+        let pool_end = self.trace.events.last().map_or(0, |e| e.reads.range().end);
         self.trace.pool.truncate(pool_end);
 
         RunResult {
@@ -1586,7 +1578,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_fault_at_step_zero_corrupts_initial_global()  {
+    fn memory_fault_at_step_zero_corrupts_initial_global() {
         let module = sum_module();
         // Global `sum` occupies cell 0; flipping bit 3 before any instruction
         // gives it the value 8, but the program overwrites it => final value
@@ -1626,7 +1618,12 @@ mod tests {
         b.ret(None);
         m.add_function(b.finish());
         let r = Vm::new(VmConfig::default()).run(&m).unwrap();
-        let vals: Vec<f64> = r.outputs.values().iter().map(|v| v.as_f64().unwrap()).collect();
+        let vals: Vec<f64> = r
+            .outputs
+            .values()
+            .iter()
+            .map(|v| v.as_f64().unwrap())
+            .collect();
         assert_eq!(vals, vec![2.0, 3.5, 1024.0]);
     }
 
@@ -1699,9 +1696,7 @@ mod tests {
     fn streaming_respects_faults() {
         let module = sum_module();
         let fault = FaultSpec::in_result(20, 1);
-        let traced = Vm::new(tracing_with_fault(fault))
-            .run(&module)
-            .unwrap();
+        let traced = Vm::new(tracing_with_fault(fault)).run(&module).unwrap();
         let trace = traced.trace.unwrap();
 
         let mut rebuild = Rebuild::default();
@@ -1899,7 +1894,10 @@ mod tests {
         let r = Vm::new(VmConfig::default())
             .run_with_visitors_decoded(&m, &decoded(&m), &mut [&mut v])
             .unwrap();
-        assert!(v.rebuild.events.is_empty(), "a settled visitor gets no event");
+        assert!(
+            v.rebuild.events.is_empty(),
+            "a settled visitor gets no event"
+        );
         assert_eq!(v.end_locations, Some(0), "a detached run interns nothing");
         assert!(r == untraced, "detaching changed the run");
     }
@@ -2177,7 +2175,11 @@ mod tests {
         let cold = vm.run(&module).unwrap();
         // Step 3 is the callee's store: two live frames, one live alloca.
         let snap = vm.snapshot_at(&module, 3).unwrap().expect("mid-run step");
-        assert_eq!(snap.image().frames.len(), 2, "snapshot taken inside the callee");
+        assert_eq!(
+            snap.image().frames.len(),
+            2,
+            "snapshot taken inside the callee"
+        );
         assert!(
             snap.image().memory.valid_len() > 0,
             "the callee's alloca is live at the fork point"
@@ -2341,9 +2343,7 @@ mod tests {
                 FaultSpec::in_result(step, 7),
                 FaultSpec::in_memory(step, 0, 3),
             ] {
-                let traced = Vm::new(tracing_with_fault(fault))
-                    .run(&module)
-                    .unwrap();
+                let traced = Vm::new(tracing_with_fault(fault)).run(&module).unwrap();
                 let untraced = Vm::new(with_fault(fault)).run(&module).unwrap();
                 assert_eq!(untraced.outcome, traced.outcome, "fault {fault:?}");
                 assert_eq!(untraced.steps, traced.steps, "fault {fault:?}");

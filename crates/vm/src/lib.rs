@@ -48,7 +48,7 @@ pub use memory::Memory;
 pub use output::{OutputRecord, ProgramOutput};
 pub use snapshot::VmSnapshot;
 pub use trace::{
-    EventView, EventKind, LocationId, ReadSpan, ResolvedEvent, Trace, TraceBuilder, TraceEvent,
+    EventKind, EventView, LocationId, ReadSpan, ResolvedEvent, Trace, TraceBuilder, TraceEvent,
     TraceSlice,
 };
 pub use value::Value;

@@ -572,7 +572,10 @@ mod tests {
         let v = t.view(0);
         assert_eq!(v.event().written_value(), Some(Value::F(4.0)));
         assert_eq!(v.written_location(), Some(Location::mem(1)));
-        assert_eq!(v.reads().collect::<Vec<_>>(), vec![(Location::mem(0), Value::F(1.0))]);
+        assert_eq!(
+            v.reads().collect::<Vec<_>>(),
+            vec![(Location::mem(0), Value::F(1.0))]
+        );
         assert!(!v.event().kind.is_marker());
         assert_eq!(v.read_ids().len(), 1);
     }

@@ -379,8 +379,8 @@ impl<'t> EventCursor<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftkr_ir::{BinKind, FunctionId, ValueId};
     use crate::trace::{EventKind, ResolvedEvent};
+    use ftkr_ir::{BinKind, FunctionId, ValueId};
 
     struct Collect {
         events: Vec<(usize, u64)>,

@@ -27,11 +27,7 @@ fn whole_program_success_rates_are_probabilities_and_apps_differ() {
 fn table1_reports_every_region_of_all_ten_apps() {
     let table = fliptracker::experiments::table1(&tiny_effort());
     assert_eq!(table.programs.len(), 10);
-    let names: Vec<&str> = table
-        .programs
-        .iter()
-        .map(|p| p.program.as_str())
-        .collect();
+    let names: Vec<&str> = table.programs.iter().map(|p| p.program.as_str()).collect();
     assert_eq!(
         names,
         vec!["CG", "MG", "LU", "BT", "IS", "DC", "SP", "FT", "KMEANS", "LULESH"]
@@ -52,7 +48,12 @@ fn table1_reports_every_region_of_all_ten_apps() {
     // Every row has a line range and a dynamic instruction count.
     for p in &table.programs {
         for r in &p.rows {
-            assert!(r.instructions > 0, "{}/{} has no instructions", p.program, r.region);
+            assert!(
+                r.instructions > 0,
+                "{}/{} has no instructions",
+                p.program,
+                r.region
+            );
         }
     }
     assert!(table.to_text().contains("LULESH"));
@@ -117,8 +118,13 @@ fn campaign_plan_json_round_trip_reexecutes_identically_in_fresh_sessions() {
 
 #[test]
 fn whole_program_plans_execute_from_json_without_a_window() {
-    let plan = CampaignPlan::new("SP", CampaignTarget::WholeProgram, TargetClass::Internal, 16)
-        .with_seed(11);
+    let plan = CampaignPlan::new(
+        "SP",
+        CampaignTarget::WholeProgram,
+        TargetClass::Internal,
+        16,
+    )
+    .with_seed(11);
     let report = execute_plan(&CampaignPlan::from_json(&plan.to_json()).unwrap())
         .expect("SP whole-program plan executes");
     assert_eq!(report.counts.total(), 16);

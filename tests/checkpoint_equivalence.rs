@@ -132,7 +132,11 @@ fn iteration_targets_fork_identically_including_the_last_iteration() {
         assert!(n >= 2, "{name} has a partitioned main loop");
         for index in [0, n - 1] {
             let plan = session
-                .plan(CampaignTarget::Iteration { index }, TargetClass::Internal, 6)
+                .plan(
+                    CampaignTarget::Iteration { index },
+                    TargetClass::Internal,
+                    6,
+                )
                 .unwrap()
                 .with_seed(SEED ^ 3);
             let cold = session.run_plan_cold(&plan).unwrap().to_json();

@@ -25,7 +25,11 @@ const PROMOTED: [&str; 5] = ["LU", "BT", "SP", "DC", "FT"];
 #[test]
 fn conformance_clean_run_verifies_for_every_app() {
     for app in all_apps() {
-        assert!(app.module.verify().is_ok(), "{}: malformed module", app.name);
+        assert!(
+            app.module.verify().is_ok(),
+            "{}: malformed module",
+            app.name
+        );
         let result = app.run_clean();
         assert!(
             app.verify(&result),
@@ -57,7 +61,11 @@ fn conformance_every_declared_region_resolves_to_a_nonempty_window() {
                 "{name}/{}: empty dynamic window",
                 view.name
             );
-            assert!(view.instructions > 0, "{name}/{}: zero instructions", view.name);
+            assert!(
+                view.instructions > 0,
+                "{name}/{}: zero instructions",
+                view.name
+            );
             let (start, end) = session
                 .target_window(&CampaignTarget::Region {
                     name: view.name.clone(),
@@ -177,7 +185,11 @@ fn analyzed_campaign_reports_are_byte_identical_across_repeated_runs() {
         let session = Session::by_name(name).expect("known app");
         let region = session.app().regions[0].clone();
         let plan = session
-            .plan(CampaignTarget::Region { name: region }, TargetClass::Internal, 10)
+            .plan(
+                CampaignTarget::Region { name: region },
+                TargetClass::Internal,
+                10,
+            )
             .unwrap()
             .with_seed(seed);
 

@@ -51,7 +51,10 @@ fn dddgs_of_region_instances_are_acyclic_and_have_inputs() {
             analysed += 1;
         }
     }
-    assert!(analysed >= 5, "expected all five cg regions, saw {analysed}");
+    assert!(
+        analysed >= 5,
+        "expected all five cg regions, saw {analysed}"
+    );
 }
 
 #[test]
@@ -95,8 +98,14 @@ fn is_bucket_shift_masks_low_bit_faults_end_to_end() {
 #[test]
 fn lulesh_acl_trajectory_rises_and_falls() {
     let fig = fliptracker::experiments::fig7();
-    assert!(fig.max_count >= 2, "the hourglass aggregation spreads the error");
-    assert!(fig.decrease_events > 0, "corrupted locations must die (DCL)");
+    assert!(
+        fig.max_count >= 2,
+        "the hourglass aggregation spreads the error"
+    );
+    assert!(
+        fig.decrease_events > 0,
+        "corrupted locations must die (DCL)"
+    );
 }
 
 #[test]
@@ -108,7 +117,10 @@ fn mg_error_magnitude_shrinks_across_mg3p_invocations() {
         .iter()
         .filter(|r| r.error_magnitude.is_finite())
         .collect();
-    assert!(finite.len() >= 2, "need at least two finite error magnitudes");
+    assert!(
+        finite.len() >= 2,
+        "need at least two finite error magnitudes"
+    );
     assert!(
         finite.last().unwrap().error_magnitude <= finite.first().unwrap().error_magnitude,
         "repeated additions must amortize the error: {table:?}"
@@ -147,9 +159,6 @@ fn acl_tables_are_internally_consistent_on_real_traces() {
     assert_eq!(acl.counts.len(), faulty.len());
     assert_eq!(acl.tainted_reads.len(), faulty.len());
     // The seeded location is among the births.
-    assert!(acl
-        .births
-        .iter()
-        .any(|(_, loc)| *loc == Location::mem(3)));
+    assert!(acl.births.iter().any(|(_, loc)| *loc == Location::mem(3)));
     let _ = trace;
 }

@@ -40,11 +40,7 @@ fn analyze_fused_seeds(
 }
 
 /// The patterns-only forward-taint walk of a materialized faulty trace.
-fn detect_fused_patterns(
-    faulty: &Trace,
-    clean: &Trace,
-    fault: FaultSpec,
-) -> Vec<PatternInstance> {
+fn detect_fused_patterns(faulty: &Trace, clean: &Trace, fault: FaultSpec) -> Vec<PatternInstance> {
     let mut detector = StreamingDetector::new(clean, fault);
     EventCursor::new(faulty).run(&mut [&mut detector]);
     detector.into_patterns()
@@ -405,7 +401,14 @@ fn assert_acl_eq(a: &AclTable, b: &AclTable) {
     let key = |t: &AclTable| -> Vec<(usize, Location, bool, u32)> {
         t.deaths
             .iter()
-            .map(|d| (d.event, d.location, d.cause == ftkr_acl::DeathCause::Overwritten, d.line))
+            .map(|d| {
+                (
+                    d.event,
+                    d.location,
+                    d.cause == ftkr_acl::DeathCause::Overwritten,
+                    d.line,
+                )
+            })
             .collect()
     };
     assert_eq!(key(a), key(b));

@@ -87,7 +87,12 @@ fn reference_census_records_every_send_in_order() {
     };
     assert_eq!(
         census,
-        vec![send(0, 1, 9, 0), send(0, 1, -2, 1), send(1, 0, 9, 0), send(1, 0, -1, 1)]
+        vec![
+            send(0, 1, 9, 0),
+            send(0, 1, -2, 1),
+            send(1, 0, 9, 0),
+            send(1, 0, -1, 1)
+        ]
     );
 }
 

@@ -39,7 +39,11 @@ const CHAOS: FailPlan = FailPlan {
 fn reports(session: &Session, chaos: bool) -> Vec<(String, String)> {
     let app = session.app().name;
     let whole = session
-        .plan(CampaignTarget::WholeProgram, TargetClass::Internal, WHOLE_TESTS)
+        .plan(
+            CampaignTarget::WholeProgram,
+            TargetClass::Internal,
+            WHOLE_TESTS,
+        )
         .unwrap();
     let mut out = vec![(
         format!("{app} whole analyzed"),
@@ -59,13 +63,23 @@ fn reports(session: &Session, chaos: bool) -> Vec<(String, String)> {
             .unwrap();
         let report = session.run_plan_chaos(&plan, CHAOS).unwrap();
         // The schedule must reach both recovery paths the fixture pins.
-        assert!(report.counts.harness_errors > 0, "{app} {label}: {report:?}");
+        assert!(
+            report.counts.harness_errors > 0,
+            "{app} {label}: {report:?}"
+        );
         let forked = matches!(target, CampaignTarget::Region { .. });
-        assert_eq!(report.counts.degraded > 0, forked, "{app} {label}: {report:?}");
+        assert_eq!(
+            report.counts.degraded > 0,
+            forked,
+            "{app} {label}: {report:?}"
+        );
         out.push((format!("{app} {label} chaos"), report.to_json()));
         out.push((
             format!("{app} {label} analyzed-chaos"),
-            session.run_plan_analyzed_chaos(&plan, CHAOS).unwrap().to_json(),
+            session
+                .run_plan_analyzed_chaos(&plan, CHAOS)
+                .unwrap()
+                .to_json(),
         ));
         let mut effort = Effort::quick();
         effort.tests_per_point = CHAOS_TESTS;

@@ -4,9 +4,7 @@
 //! the paper's legacy three-way crashed count.
 
 use fliptracker::Session;
-use ftkr_inject::{
-    hang_budget, CampaignCounts, CrashKind, IndexRange, Outcome, TargetClass,
-};
+use ftkr_inject::{hang_budget, CampaignCounts, CrashKind, IndexRange, Outcome, TargetClass};
 use ftkr_ir::BinKind;
 use ftkr_vm::{EventKind, FaultSpec, RunOutcome, TrapKind, Value, Vm, VmConfig};
 
@@ -111,7 +109,10 @@ fn every_trap_kind_folds_into_exactly_one_crash_bucket() {
     assert_eq!(counts.crashes.count(CrashKind::OutOfMemory), 1);
     assert_eq!(counts.crashes.count(CrashKind::Other), 2);
     assert_eq!(
-        CrashKind::ALL.iter().map(|&k| counts.crashes.count(k)).sum::<u64>(),
+        CrashKind::ALL
+            .iter()
+            .map(|&k| counts.crashes.count(k))
+            .sum::<u64>(),
         counts.crashed()
     );
 }
@@ -126,7 +127,9 @@ fn per_kind_tallies_merge_bit_identically_across_shards() {
     let target = ftkr_inject::CampaignTarget::Region {
         name: session.app().regions[0].clone(),
     };
-    let sites = session.sites(&target, TargetClass::Internal).expect("resolves");
+    let sites = session
+        .sites(&target, TargetClass::Internal)
+        .expect("resolves");
     let campaign = session.campaign(0xD15EA5E);
     let monolithic = campaign.run_range(&sites, IndexRange::full(90));
     let merged = [
