@@ -18,9 +18,21 @@
 //!   runs keep a parallel table of the location each cell reads);
 //! - **pre-resolved callees**: `Op::Call`'s by-name lookup becomes a stored
 //!   [`FunctionId`];
-//! - **fused compare-branch superinstructions** ([`DInst::CmpBr`]): a `Cmp`
-//!   immediately consumed by the block-terminating `CondBr` executes as one
-//!   dispatch (the dominant loop back-edge shape);
+//! - **typed slots**: the hot binary operations (`FAdd`, `FSub`, `FMul`,
+//!   `FDiv`, `Add`, `Sub`, `Mul`) each have a slot of their own kind, so
+//!   dispatch selects the operation once and checks the operand kinds inline;
+//! - **integer immediates**: an integer `Add` or `Mul` with an
+//!   [`Operand::ConstI`] on either side ([`DInst::AddI`], [`DInst::MulI`])
+//!   and an integer compare-branch against one ([`DInst::CmpBrI`]) carry the
+//!   constant in the slot.  Only commutative integer operations move a
+//!   constant to the right; float operands never swap, since a NaN result's
+//!   payload depends on operand order;
+//! - **fused pairs** under one head/tail protocol ([`DInst::fuses_next`]): a
+//!   `Cmp` consumed by the block-terminating `CondBr` (the dominant loop
+//!   back-edge shape: [`DInst::CmpBr`], [`DInst::CmpBrI`],
+//!   [`DInst::FCmpBr`]), and a `Gep` whose result the next `Load` or `Store`
+//!   uses as its address ([`DInst::GepLoad`], [`DInst::GepStore`]), execute
+//!   as one dispatch;
 //! - **delta-encoded source lines**: per-instruction lines are stored as
 //!   `i16` deltas against the previous instruction (with an escape table for
 //!   rare large jumps) and materialized only by tracing runs.
@@ -28,9 +40,11 @@
 //! Decoding is pure table construction: the decoded program is *semantically
 //! identical* to the original — one dynamic step per original instruction,
 //! fused pairs included.  A call frame's program counter is the pc of its
-//! next instruction, and the branch half of a fused pair keeps a slot of its
-//! own (an ordinary `CondBr` flagged [`Slot::tail`]), so VM snapshots taken
-//! between the two halves resume without depending on fusion.
+//! next instruction, and the second half of a fused pair keeps a slot of its
+//! own (an ordinary `CondBr`, `Load` or `Store` flagged [`Slot::tail`]), so
+//! a run that must stop between the two halves — at a fault step, the step
+//! limit, a snapshot's capture step, or once its visitors settle — resumes
+//! on the tail slot alone, without depending on fusion.
 
 use crate::function::{Function, FunctionId};
 use crate::global::GlobalId;
@@ -103,12 +117,82 @@ impl ArgSpan {
 ///
 /// Block targets are pcs (the slot index of the target block's first
 /// instruction); `Alloca` drops its debug name and `Call` its callee string
-/// (both resolved at decode time).  The fused [`DInst::CmpBr`] covers *two*
-/// original instructions (the compare and the block-terminating conditional
-/// branch).
+/// (both resolved at decode time).
+///
+/// The hot binary operations have slots of their own kind (`FAdd` … `Mul`),
+/// and integer `Add` and `Mul` with a constant operand carry it as an
+/// immediate (`AddI`, `MulI`).  The fused heads ([`DInst::fuses_next`]) —
+/// `CmpBr`, `CmpBrI`, `FCmpBr`, `GepLoad` and `GepStore` — each cover *two*
+/// original instructions: their own and the next one, which reads their
+/// result.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DInst {
-    /// Binary arithmetic/logical operation.
+    /// Float addition (`BinKind::FAdd`).
+    FAdd {
+        /// Left operand.
+        lhs: Reg,
+        /// Right operand.
+        rhs: Reg,
+    },
+    /// Float subtraction (`BinKind::FSub`).
+    FSub {
+        /// Left operand.
+        lhs: Reg,
+        /// Right operand.
+        rhs: Reg,
+    },
+    /// Float multiplication (`BinKind::FMul`).
+    FMul {
+        /// Left operand.
+        lhs: Reg,
+        /// Right operand.
+        rhs: Reg,
+    },
+    /// Float division (`BinKind::FDiv`).
+    FDiv {
+        /// Left operand.
+        lhs: Reg,
+        /// Right operand.
+        rhs: Reg,
+    },
+    /// Integer addition (`BinKind::Add`) of two registers.
+    Add {
+        /// Left operand.
+        lhs: Reg,
+        /// Right operand.
+        rhs: Reg,
+    },
+    /// Integer subtraction (`BinKind::Sub`).
+    Sub {
+        /// Left operand.
+        lhs: Reg,
+        /// Right operand.
+        rhs: Reg,
+    },
+    /// Integer multiplication (`BinKind::Mul`) of two registers.
+    Mul {
+        /// Left operand.
+        lhs: Reg,
+        /// Right operand.
+        rhs: Reg,
+    },
+    /// Integer addition of an [`Operand::ConstI`], on either side of the
+    /// original `Add` (addition commutes).
+    AddI {
+        /// The other operand.
+        lhs: Reg,
+        /// The constant.
+        imm: i64,
+    },
+    /// Integer multiplication by an [`Operand::ConstI`], on either side of
+    /// the original `Mul` (multiplication commutes).
+    MulI {
+        /// The other operand.
+        lhs: Reg,
+        /// The constant.
+        imm: i64,
+    },
+    /// Any other binary arithmetic/logical operation.
     Bin {
         /// Opcode.
         kind: BinKind,
@@ -128,15 +212,39 @@ pub enum DInst {
         /// Right operand.
         rhs: Reg,
     },
-    /// Fused compare + conditional branch superinstruction: the compare's
-    /// result register is still written (later instructions may read it),
-    /// then the branch consumes it — one dispatch, two dynamic steps.  The
-    /// next slot is the branch half on its own.
+    /// Fused integer compare + conditional branch: the compare's result
+    /// register is still written (later instructions may read it), then the
+    /// branch consumes it — one dispatch, two dynamic steps.  The next slot
+    /// is the branch half on its own.
     CmpBr {
         /// Predicate.
         kind: CmpKind,
-        /// Float comparison?
-        float: bool,
+        /// Left operand.
+        lhs: Reg,
+        /// Right operand.
+        rhs: Reg,
+        /// Pc taken when the compare is true.
+        then_pc: u32,
+        /// Pc taken when the compare is false.
+        else_pc: u32,
+    },
+    /// [`DInst::CmpBr`] whose right operand is an [`Operand::ConstI`].
+    CmpBrI {
+        /// Predicate.
+        kind: CmpKind,
+        /// Left operand.
+        lhs: Reg,
+        /// The constant right operand.
+        imm: i64,
+        /// Pc taken when the compare is true.
+        then_pc: u32,
+        /// Pc taken when the compare is false.
+        else_pc: u32,
+    },
+    /// [`DInst::CmpBr`] over a float compare.
+    FCmpBr {
+        /// Predicate.
+        kind: CmpKind,
         /// Left operand.
         lhs: Reg,
         /// Right operand.
@@ -185,6 +293,26 @@ pub enum DInst {
         base: Reg,
         /// Cell index.
         index: Reg,
+    },
+    /// Fused gep + load: the gep's result register is written, then the
+    /// next instruction loads through it — one dispatch, two dynamic steps.
+    /// The next slot is the load on its own.
+    GepLoad {
+        /// Base pointer.
+        base: Reg,
+        /// Cell index.
+        index: Reg,
+    },
+    /// Fused gep + store: the gep's result register is written, then the
+    /// next instruction stores `value` through it.  The next slot is the
+    /// store on its own.
+    GepStore {
+        /// Base pointer.
+        base: Reg,
+        /// Cell index.
+        index: Reg,
+        /// The store's value operand.
+        value: Reg,
     },
     /// Function call with a pre-resolved callee.
     Call {
@@ -249,6 +377,22 @@ pub enum DInst {
     Nop,
 }
 
+impl DInst {
+    /// True for the head of a fused pair: the slot also executes the next
+    /// instruction, whose own slot is flagged [`Slot::tail`].
+    #[inline]
+    pub fn fuses_next(&self) -> bool {
+        matches!(
+            self,
+            DInst::CmpBr { .. }
+                | DInst::CmpBrI { .. }
+                | DInst::FCmpBr { .. }
+                | DInst::GepLoad { .. }
+                | DInst::GepStore { .. }
+        )
+    }
+}
+
 /// One dispatch slot: everything the interpreter needs to execute the
 /// instruction at a pc.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -258,12 +402,16 @@ pub struct Slot {
     /// The original instruction id: the event's instruction and, for
     /// instructions with a result, the result register ([`Reg`]`(result.0)`).
     pub result: ValueId,
-    /// True on the branch half of a fused pair: a `CondBr` on the compare's
-    /// result, directly after the [`DInst::CmpBr`] slot.  Fused dispatch
-    /// executes both halves from the `CmpBr` slot; execution lands here only
-    /// when a boundary (a snapshot, a step limit, a fault) splits the pair.
+    /// True on the second half of a fused pair: the plain `CondBr`, `Load`
+    /// or `Store` that reads the head's result, directly after the head
+    /// slot.  Fused dispatch executes both halves from the head; execution
+    /// lands here only when a boundary (a snapshot, a step limit, a fault, a
+    /// settled visitor set) splits the pair.
     pub tail: bool,
 }
+
+// Dispatch copies a slot per step: keep it within half a cache line.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 32);
 
 /// Escape entry for a source-line delta that does not fit in an `i16`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -440,13 +588,99 @@ impl FnDecoder {
         self.block_pc[block.index()]
     }
 
+    /// A binary operation in its kind's slot.  Integer `Add` and `Mul`
+    /// commute, so a constant on either side becomes the immediate; float
+    /// operands never swap, since a NaN result's payload depends on operand
+    /// order.
+    fn bin(&mut self, kind: BinKind, lhs: Operand, rhs: Operand) -> DInst {
+        if let (
+            BinKind::Add | BinKind::Mul,
+            (other, Operand::ConstI(imm)) | (Operand::ConstI(imm), other),
+        ) = (kind, (lhs, rhs))
+        {
+            let lhs = self.operand(other);
+            return if kind == BinKind::Add {
+                DInst::AddI { lhs, imm }
+            } else {
+                DInst::MulI { lhs, imm }
+            };
+        }
+        let (lhs, rhs) = (self.operand(lhs), self.operand(rhs));
+        match kind {
+            BinKind::FAdd => DInst::FAdd { lhs, rhs },
+            BinKind::FSub => DInst::FSub { lhs, rhs },
+            BinKind::FMul => DInst::FMul { lhs, rhs },
+            BinKind::FDiv => DInst::FDiv { lhs, rhs },
+            BinKind::Add => DInst::Add { lhs, rhs },
+            BinKind::Sub => DInst::Sub { lhs, rhs },
+            BinKind::Mul => DInst::Mul { lhs, rhs },
+            kind => DInst::Bin { kind, lhs, rhs },
+        }
+    }
+
+    /// The fused head lowering of instruction `id` (`op`) when `next`, the
+    /// following instruction of its block, reads its result: a `Cmp` the
+    /// block-terminating `CondBr` branches on, or a `Gep` a `Load` or
+    /// `Store` uses as its address.
+    fn fused_head(&mut self, id: ValueId, op: &Op, next: &Op) -> Option<DInst> {
+        let result = Operand::Value(id);
+        Some(match (op, next) {
+            (
+                &Op::Cmp {
+                    kind,
+                    float,
+                    lhs,
+                    rhs,
+                },
+                &Op::CondBr {
+                    cond,
+                    then_b,
+                    else_b,
+                },
+            ) if cond == result => {
+                let (then_pc, else_pc) = (self.pc(then_b), self.pc(else_b));
+                match (float, rhs) {
+                    (true, _) => DInst::FCmpBr {
+                        kind,
+                        lhs: self.operand(lhs),
+                        rhs: self.operand(rhs),
+                        then_pc,
+                        else_pc,
+                    },
+                    (false, Operand::ConstI(imm)) => DInst::CmpBrI {
+                        kind,
+                        lhs: self.operand(lhs),
+                        imm,
+                        then_pc,
+                        else_pc,
+                    },
+                    (false, _) => DInst::CmpBr {
+                        kind,
+                        lhs: self.operand(lhs),
+                        rhs: self.operand(rhs),
+                        then_pc,
+                        else_pc,
+                    },
+                }
+            }
+            (&Op::Gep { base, index }, &Op::Load { addr }) if addr == result => DInst::GepLoad {
+                base: self.operand(base),
+                index: self.operand(index),
+            },
+            (&Op::Gep { base, index }, &Op::Store { addr, value }) if addr == result => {
+                DInst::GepStore {
+                    base: self.operand(base),
+                    index: self.operand(index),
+                    value: self.operand(value),
+                }
+            }
+            _ => return None,
+        })
+    }
+
     fn lower(&mut self, module: &Module, op: &Op) -> DInst {
         match op {
-            Op::Bin { kind, lhs, rhs } => DInst::Bin {
-                kind: *kind,
-                lhs: self.operand(*lhs),
-                rhs: self.operand(*rhs),
-            },
+            Op::Bin { kind, lhs, rhs } => self.bin(*kind, *lhs, *rhs),
             Op::Cmp {
                 kind,
                 float,
@@ -529,25 +763,6 @@ impl FnDecoder {
     }
 }
 
-/// True when the instruction at block position `i` is a `Cmp` whose result is
-/// consumed by the immediately following block-terminating `CondBr` — the
-/// fusable superinstruction shape.
-fn fusable(func: &Function, block_insts: &[ValueId], i: usize) -> bool {
-    if i + 2 != block_insts.len() {
-        // The CondBr must be the block terminator, i.e. the pair must sit at
-        // the end of the block.
-        return false;
-    }
-    let cmp_id = block_insts[i];
-    if !matches!(func.inst(cmp_id).op, Op::Cmp { .. }) {
-        return false;
-    }
-    match &func.inst(block_insts[i + 1]).op {
-        Op::CondBr { cond, .. } => *cond == Operand::Value(cmp_id),
-        _ => false,
-    }
-}
-
 fn decode_function(module: &Module, func: &Function) -> DecodedFunction {
     let mut block_pc = Vec::with_capacity(func.blocks.len());
     let mut total = 0u32;
@@ -586,31 +801,14 @@ fn decode_function(module: &Module, func: &Function) -> DecodedFunction {
             }
             prev_line = i64::from(inst.line);
 
-            let tail = i > 0 && fusable(func, &block.insts, i - 1);
-            let lowered = if fusable(func, &block.insts, i) {
-                let (
-                    &Op::Cmp {
-                        kind,
-                        float,
-                        lhs,
-                        rhs,
-                    },
-                    &Op::CondBr { then_b, else_b, .. },
-                ) = (&inst.op, &func.inst(block.insts[i + 1]).op)
-                else {
-                    unreachable!("fusable checked the cmp and condbr shapes");
-                };
-                DInst::CmpBr {
-                    kind,
-                    float,
-                    lhs: d.operand(lhs),
-                    rhs: d.operand(rhs),
-                    then_pc: d.pc(then_b),
-                    else_pc: d.pc(else_b),
-                }
-            } else {
-                d.lower(module, &inst.op)
+            // A block's first slot never follows a head: heads are never
+            // terminators, and a pair never crosses a block boundary.
+            let tail = slots.last().is_some_and(|s| s.inst.fuses_next());
+            let head = match block.insts.get(i + 1) {
+                Some(&next) if !tail => d.fused_head(iid, &inst.op, &func.inst(next).op),
+                _ => None,
             };
+            let lowered = head.unwrap_or_else(|| d.lower(module, &inst.op));
             slots.push(Slot {
                 inst: lowered,
                 result: iid,
@@ -700,17 +898,25 @@ mod tests {
         let m = loop_module();
         let dm = DecodedModule::decode(&m);
         let slots = &dm.functions[0].slots;
-        let fused = slots
-            .iter()
-            .filter(|s| matches!(s.inst, DInst::CmpBr { .. }))
-            .count();
-        assert!(fused >= 1, "the for-loop header compare+branch must fuse");
+        let fused = slots.iter().filter(|s| s.inst.fuses_next()).count();
+        assert!(
+            slots
+                .iter()
+                .any(|s| matches!(s.inst, DInst::CmpBrI { imm: 10, .. })),
+            "the for-loop header compare+branch must fuse, with its bound as the immediate"
+        );
         // Each fused slot is followed by exactly one branch-half slot that
         // branches on the compare's result to the same pcs.
         let tails = slots.iter().filter(|s| s.tail).count();
         assert_eq!(tails, fused);
         for (pc, s) in slots.iter().enumerate() {
             if let DInst::CmpBr {
+                then_pc, else_pc, ..
+            }
+            | DInst::CmpBrI {
+                then_pc, else_pc, ..
+            }
+            | DInst::FCmpBr {
                 then_pc, else_pc, ..
             } = s.inst
             {
@@ -740,12 +946,12 @@ mod tests {
             vec![RegConst::F(2.0), RegConst::Global(GlobalId(0))]
         );
         assert_eq!(df.num_regs(), f.num_insts() + 4);
-        let DInst::Bin { lhs, rhs, .. } = df.slots[0].inst else {
+        let DInst::FMul { lhs, rhs } = df.slots[0].inst else {
             panic!("slot 0 is the multiply: {:?}", df.slots[0]);
         };
         assert_eq!(lhs, Reg(df.first_const() as u32), "the constant 2.0");
         assert_eq!(rhs, Reg(f.num_insts() as u32), "argument 0");
-        let DInst::Bin { lhs, rhs, .. } = df.slots[1].inst else {
+        let DInst::FAdd { lhs, rhs } = df.slots[1].inst else {
             panic!("slot 1 is the add: {:?}", df.slots[1]);
         };
         assert_eq!(lhs, Reg(df.slots[0].result.0), "the multiply's result");
@@ -760,6 +966,89 @@ mod tests {
             main.args_pool[args.range()],
             [Reg(main.first_const() as u32); 2]
         );
+    }
+
+    /// Integer constants become immediates only for `Add` and `Mul`, on
+    /// either side; `Sub` and float operations keep their constant cells in
+    /// source order.  A gep fuses with the load or store right after it that
+    /// uses it as the address, and with nothing else.
+    #[test]
+    fn immediates_and_gep_pairs_lower_only_where_they_keep_semantics() {
+        let mut m = Module::new("m");
+        let g = m.add_global(Global::zeroed_i64("a", 4));
+        let mut b = FunctionBuilder::new("main");
+        let base = b.global_addr(g);
+        let one = b.const_i64(1);
+        let x = b.load(base);
+        let right = b.add(x, Operand::ConstI(3));
+        let left = b.mul(Operand::ConstI(5), right);
+        let sub = b.sub(left, one);
+        let p = b.gep(base, one);
+        let y = b.load(p);
+        let q = b.gep(base, y);
+        b.store(q, sub);
+        let r = b.gep(base, one);
+        b.store(base, r);
+        let two = b.const_f64(2.0);
+        let h = b.fsub(two, two);
+        b.output(h, OutputFormat::Full);
+        b.ret(None);
+        m.add_function(b.finish());
+        let dm = DecodedModule::decode(&m);
+        let df = &dm.functions[0];
+        let reg = |o: Operand| match o {
+            Operand::Value(v) => Reg(v.0),
+            other => panic!("not a result: {other:?}"),
+        };
+        let insts: Vec<DInst> = df.slots.iter().map(|s| s.inst).collect();
+        assert_eq!(
+            insts[1],
+            DInst::AddI {
+                lhs: reg(x),
+                imm: 3
+            }
+        );
+        assert_eq!(
+            insts[2],
+            DInst::MulI {
+                lhs: reg(right),
+                imm: 5
+            }
+        );
+        let DInst::Sub { lhs, rhs } = insts[3] else {
+            panic!("{:?}", insts[3]);
+        };
+        assert_eq!(
+            (lhs, df.consts[rhs.index() - df.first_const()]),
+            (reg(left), RegConst::I(1))
+        );
+        assert!(matches!(insts[4], DInst::GepLoad { .. }));
+        assert_eq!(insts[5], DInst::Load { addr: reg(p) });
+        assert_eq!(
+            insts[6],
+            DInst::GepStore {
+                base: Reg(df.first_const() as u32),
+                index: reg(y),
+                value: reg(sub)
+            }
+        );
+        assert_eq!(
+            insts[7],
+            DInst::Store {
+                addr: reg(q),
+                value: reg(sub)
+            }
+        );
+        // The gep is the stored value, not the address: no fusion.
+        assert!(matches!(insts[8], DInst::Gep { .. }));
+        let DInst::FSub { lhs, rhs } = insts[10] else {
+            panic!("{:?}", insts[10]);
+        };
+        assert_eq!(lhs, rhs, "the two 2.0 operands share one cell");
+        let tails: Vec<usize> = (0..df.slots.len())
+            .filter(|&pc| df.slots[pc].tail)
+            .collect();
+        assert_eq!(tails, [5, 7]);
     }
 
     #[test]

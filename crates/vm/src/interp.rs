@@ -328,8 +328,8 @@ impl Vm {
     /// configuration).
     ///
     /// Capture stops exactly at `step`, even between the two halves of a
-    /// fused compare-branch: the frame's program counter then rests on the
-    /// branch half, which a resumed run executes alone.
+    /// fused pair: the frame's program counter then rests on the second
+    /// half's own slot, which a resumed run executes alone.
     ///
     /// Returns `Ok(None)` when the run finishes or traps before reaching
     /// `step` (including via `max_steps`): state past the end of the program
@@ -356,8 +356,8 @@ impl Vm {
     }
 
     /// [`Vm::run`] over tables already decoded from `module`: one dispatch
-    /// slot per instruction over a flat register file, with fused
-    /// compare-branch superinstructions.
+    /// slot per instruction over a flat register file, with typed slots and
+    /// fused pairs.
     ///
     /// `decoded` must be [`DecodedModule::decode`] of this `module`.  The
     /// module is not verified again: this and the other `*_decoded` entry
@@ -416,7 +416,7 @@ impl Vm {
     /// configuration and records only resumed steps — the produced trace's
     /// `base_step` is the fork point.
     /// A snapshot captured between the two halves of a fused pair resumes by
-    /// executing the branch half alone.
+    /// executing the second half alone.
     pub fn resume_from_decoded(
         &self,
         module: &Module,
@@ -455,7 +455,7 @@ impl Vm {
 
 struct Interp<'m> {
     /// The dispatch tables: one slot per instruction, flat register
-    /// operands, fused superinstructions.
+    /// operands, typed slots and fused pairs.
     decoded: &'m DecodedModule,
     config: VmConfig,
     memory: Memory,
@@ -633,16 +633,10 @@ impl<'m> Interp<'m> {
         } else {
             Vec::new()
         };
-        let global_bases = module
-            .globals
-            .iter()
-            .map(|g| {
-                memory
-                    .global_extent(&g.name)
-                    .expect("verified global must be laid out")
-                    .0
-            })
-            .collect();
+        // `Memory::for_module` lays the globals out in module order, and a
+        // snapshot's image is such a layout.
+        let global_bases: Vec<u64> = memory.global_bases().collect();
+        debug_assert_eq!(global_bases.len(), module.globals.len());
         Interp {
             decoded,
             config: *config,
@@ -830,13 +824,13 @@ impl<'m> Interp<'m> {
     ///
     /// `flip` is the bit a result fault flips in what this call's single
     /// step writes (the caller then passes `stop` one past the fault step).
-    /// A fused compare-branch spans two steps and never crosses `stop`: when
-    /// only its compare half fits, the loop executes that half and yields
-    /// with the program counter on the branch half, which the next call
+    /// A fused pair spans two steps and never crosses `stop`: when only its
+    /// head half fits, the loop executes that half and yields with the
+    /// program counter on the second half's own slot, which the next call
     /// executes alone.
     ///
     /// An emit that settles the sink's visitor set ends the call after its
-    /// step (after the compare half, for a fused pair), so the caller can
+    /// step (after the head half, for a fused pair), so the caller can
     /// continue without `RECORD`.
     #[allow(clippy::too_many_lines)]
     fn dispatch<const RECORD: bool, V: VisitorSet + ?Sized>(
@@ -925,11 +919,14 @@ impl<'m> Interp<'m> {
             }
             // Write the instruction's result register; the recorded write.
             macro_rules! set_result {
-                ($value:expr) => {{
-                    let value = $value;
-                    frame.regs[iid.index()] = Some(value);
+                ($value:expr) => {
+                    set_result!(iid, $value)
+                };
+                ($id:expr, $value:expr) => {{
+                    let (id, value) = ($id, $value);
+                    frame.regs[id.index()] = Some(value);
                     if RECORD {
-                        Some((intern_reg(&mut trace.locations, frame, iid), value))
+                        Some((intern_reg(&mut trace.locations, frame, id), value))
                     } else {
                         None
                     }
@@ -968,7 +965,147 @@ impl<'m> Interp<'m> {
                 };
             }
 
+            // A typed binary slot: both operands read in order, then one
+            // kind check for both (`eval_bin`'s rule), then the operation.
+            macro_rules! arith {
+                ($kind:ident, $variant:ident, $lhs:expr, $rhs:expr, |$x:ident, $y:ident| $op:expr) => {{
+                    let a = read!($lhs);
+                    let b = read!($rhs);
+                    let (Value::$variant($x), Value::$variant($y)) = (a, b) else {
+                        bail!(TrapKind::TypeMismatch);
+                    };
+                    let write = set_result!(faulted!(Value::$variant($op)));
+                    emit!(EventKind::Bin(BinKind::$kind), write);
+                }};
+            }
+            // An integer slot with an immediate: the constant is an
+            // integer, so only the register operand can mismatch.
+            macro_rules! arith_imm {
+                ($kind:ident, $lhs:expr, |$x:ident| $op:expr) => {{
+                    let Value::I($x) = read!($lhs) else {
+                        bail!(TrapKind::TypeMismatch);
+                    };
+                    let write = set_result!(faulted!(Value::I($op)));
+                    emit!(EventKind::Bin(BinKind::$kind), write);
+                }};
+            }
+            // The steps of `Gep`, `Load`, `Store` and `CondBr`, shared by
+            // their own slots and the fused pairs: `$id`, `$at` and
+            // `$pool_start` are the step's instruction, pc and first pooled
+            // read, and the first operand comes already read.  `gep!`
+            // evaluates to the pointer it writes.
+            macro_rules! gep {
+                ($base:expr, $index:expr) => {{
+                    let b = read!($base);
+                    let i = read!($index);
+                    let (Some(base), Some(idx)) = (b.as_ptr(), i.as_i64()) else {
+                        bail!(TrapKind::TypeMismatch);
+                    };
+                    let ptr = faulted!(Value::P((base as i64).wrapping_add(idx) as u64));
+                    let write = set_result!(ptr);
+                    emit!(EventKind::Gep, write);
+                    ptr
+                }};
+            }
+            macro_rules! load {
+                ($addr:expr, $id:expr, $at:expr, $pool_start:expr) => {{
+                    let Some(addr) = $addr.as_ptr() else {
+                        bail!(TrapKind::TypeMismatch);
+                    };
+                    let loaded = match memory.load(addr) {
+                        Ok(v) => v,
+                        Err(MemError::OutOfBounds { .. }) => bail!(TrapKind::OutOfBounds),
+                    };
+                    if RECORD {
+                        let id = intern_mem(&mut trace.locations, mem_ids, addr);
+                        trace.pool.push((id, loaded));
+                    }
+                    let write = set_result!($id, faulted!(loaded));
+                    emit!(nsteps, $id, $at, $pool_start, EventKind::Load, write);
+                }};
+            }
+            macro_rules! store {
+                ($addr:expr, $value:expr, $id:expr, $at:expr, $pool_start:expr) => {{
+                    let a: Value = $addr;
+                    let v = read!($value);
+                    let Some(addr) = a.as_ptr() else {
+                        bail!(TrapKind::TypeMismatch);
+                    };
+                    let stored = faulted!(v);
+                    if let Err(MemError::OutOfBounds { .. }) = memory.store(addr, stored) {
+                        bail!(TrapKind::OutOfBounds);
+                    }
+                    let write = if RECORD {
+                        Some((intern_mem(&mut trace.locations, mem_ids, addr), stored))
+                    } else {
+                        None
+                    };
+                    emit!(nsteps, $id, $at, $pool_start, EventKind::Store, write);
+                }};
+            }
+            macro_rules! cond_br {
+                ($cond:expr, $then_pc:expr, $else_pc:expr, $id:expr, $at:expr, $pool_start:expr) => {{
+                    let taken = $cond.is_truthy();
+                    pc = (if taken { $then_pc } else { $else_pc }) as usize;
+                    emit!(
+                        nsteps,
+                        $id,
+                        $at,
+                        $pool_start,
+                        EventKind::CondBr { taken },
+                        None
+                    );
+                }};
+            }
+            // The tail step of a fused pair, after its head step: the next
+            // slot's own step, whose first operand is the head's result
+            // register, holding `$head`.  The pair never crosses `stop`:
+            // when only the head fits, the pc rests on the tail slot, which
+            // the next call executes alone.  So a result fault never reaches
+            // a tail step: a fault step ends the call after one step.
+            macro_rules! tail {
+                ($step:ident, $head:expr $(, $arg:expr)*) => {{
+                    let head: Value = $head;
+                    nsteps += 1;
+                    if nsteps >= stop {
+                        continue;
+                    }
+                    let pool_start = if RECORD { trace.pool.len() } else { 0 };
+                    if RECORD {
+                        let id = intern_reg(&mut trace.locations, frame, iid);
+                        trace.pool.push((id, head));
+                    }
+                    $step!(head, $($arg,)* df.slots[at + 1].result, at + 1, pool_start)
+                }};
+            }
+            // The compare step of a fused compare-branch, from its outcome
+            // on.  Evaluates to the result it writes.
+            macro_rules! cmp_head {
+                ($kind:expr, $float:expr, $outcome:expr) => {{
+                    let result = faulted!(Value::I($outcome as i64));
+                    let write = set_result!(result);
+                    emit!(
+                        EventKind::Cmp {
+                            kind: $kind,
+                            float: $float,
+                            result: result.is_truthy(),
+                        },
+                        write
+                    );
+                    result
+                }};
+            }
+
             match slot.inst {
+                DInst::FAdd { lhs, rhs } => arith!(FAdd, F, lhs, rhs, |x, y| x + y),
+                DInst::FSub { lhs, rhs } => arith!(FSub, F, lhs, rhs, |x, y| x - y),
+                DInst::FMul { lhs, rhs } => arith!(FMul, F, lhs, rhs, |x, y| x * y),
+                DInst::FDiv { lhs, rhs } => arith!(FDiv, F, lhs, rhs, |x, y| x / y),
+                DInst::Add { lhs, rhs } => arith!(Add, I, lhs, rhs, |x, y| x.wrapping_add(y)),
+                DInst::Sub { lhs, rhs } => arith!(Sub, I, lhs, rhs, |x, y| x.wrapping_sub(y)),
+                DInst::Mul { lhs, rhs } => arith!(Mul, I, lhs, rhs, |x, y| x.wrapping_mul(y)),
+                DInst::AddI { lhs, imm } => arith_imm!(Add, lhs, |x| x.wrapping_add(imm)),
+                DInst::MulI { lhs, imm } => arith_imm!(Mul, lhs, |x| x.wrapping_mul(imm)),
                 DInst::Bin { kind, lhs, rhs } => {
                     let a = read!(lhs);
                     let b = read!(rhs);
@@ -1003,50 +1140,46 @@ impl<'m> Interp<'m> {
                 }
                 DInst::CmpBr {
                     kind,
-                    float,
                     lhs,
                     rhs,
                     then_pc,
                     else_pc,
                 } => {
-                    // --- compare half ---
                     let a = read!(lhs);
                     let b = read!(rhs);
-                    let result = match eval_cmp(kind, float, a, b) {
-                        Ok(r) => faulted!(Value::I(r as i64)),
-                        Err(t) => bail!(t),
+                    let (Some(x), Some(y)) = (int_operand(a), int_operand(b)) else {
+                        bail!(TrapKind::TypeMismatch);
                     };
-                    let write = set_result!(result);
-                    let taken = result.is_truthy();
-                    emit!(
-                        EventKind::Cmp {
-                            kind,
-                            float,
-                            result: taken,
-                        },
-                        write
-                    );
-                    nsteps += 1;
-                    if nsteps >= stop {
-                        // The pc rests on the branch half's own slot.
-                        continue;
-                    }
-                    // --- branch half: the next step, reading the compare's
-                    // result register ---
-                    let pool_start = if RECORD { trace.pool.len() } else { 0 };
-                    if RECORD {
-                        let id = intern_reg(&mut trace.locations, frame, iid);
-                        trace.pool.push((id, result));
-                    }
-                    pc = (if taken { then_pc } else { else_pc }) as usize;
-                    emit!(
-                        nsteps,
-                        df.slots[at + 1].result,
-                        at + 1,
-                        pool_start,
-                        EventKind::CondBr { taken },
-                        None
-                    );
+                    let result = cmp_head!(kind, false, compare(kind, x, y));
+                    tail!(cond_br, result, then_pc, else_pc);
+                }
+                DInst::CmpBrI {
+                    kind,
+                    lhs,
+                    imm,
+                    then_pc,
+                    else_pc,
+                } => {
+                    let Some(x) = int_operand(read!(lhs)) else {
+                        bail!(TrapKind::TypeMismatch);
+                    };
+                    let result = cmp_head!(kind, false, compare(kind, x, imm));
+                    tail!(cond_br, result, then_pc, else_pc);
+                }
+                DInst::FCmpBr {
+                    kind,
+                    lhs,
+                    rhs,
+                    then_pc,
+                    else_pc,
+                } => {
+                    let a = read!(lhs);
+                    let b = read!(rhs);
+                    let (Value::F(x), Value::F(y)) = (a, b) else {
+                        bail!(TrapKind::TypeMismatch);
+                    };
+                    let result = cmp_head!(kind, true, compare(kind, x, y));
+                    tail!(cond_br, result, then_pc, else_pc);
                 }
                 DInst::Cast { kind, src } => {
                     let v = read!(src);
@@ -1068,39 +1201,8 @@ impl<'m> Interp<'m> {
                     let write = set_result!(faulted!(if c.is_truthy() { a } else { b }));
                     emit!(EventKind::Select, write);
                 }
-                DInst::Load { addr } => {
-                    let a = read!(addr);
-                    let Some(addr) = a.as_ptr() else {
-                        bail!(TrapKind::TypeMismatch);
-                    };
-                    let loaded = match memory.load(addr) {
-                        Ok(v) => v,
-                        Err(MemError::OutOfBounds { .. }) => bail!(TrapKind::OutOfBounds),
-                    };
-                    if RECORD {
-                        let id = intern_mem(&mut trace.locations, mem_ids, addr);
-                        trace.pool.push((id, loaded));
-                    }
-                    let write = set_result!(faulted!(loaded));
-                    emit!(EventKind::Load, write);
-                }
-                DInst::Store { addr, value } => {
-                    let a = read!(addr);
-                    let v = read!(value);
-                    let Some(addr) = a.as_ptr() else {
-                        bail!(TrapKind::TypeMismatch);
-                    };
-                    let stored = faulted!(v);
-                    if let Err(MemError::OutOfBounds { .. }) = memory.store(addr, stored) {
-                        bail!(TrapKind::OutOfBounds);
-                    }
-                    let write = if RECORD {
-                        Some((intern_mem(&mut trace.locations, mem_ids, addr), stored))
-                    } else {
-                        None
-                    };
-                    emit!(EventKind::Store, write);
-                }
+                DInst::Load { addr } => load!(read!(addr), iid, at, pool_start),
+                DInst::Store { addr, value } => store!(read!(addr), value, iid, at, pool_start),
                 DInst::Alloca { size } => {
                     let Some(base) = memory.alloca(u64::from(size)) else {
                         bail!(TrapKind::OutOfMemory);
@@ -1110,14 +1212,17 @@ impl<'m> Interp<'m> {
                     emit!(EventKind::Alloca { base, size }, write);
                 }
                 DInst::Gep { base, index } => {
-                    let b = read!(base);
-                    let i = read!(index);
-                    let (Some(base), Some(idx)) = (b.as_ptr(), i.as_i64()) else {
-                        bail!(TrapKind::TypeMismatch);
-                    };
-                    let addr = (base as i64).wrapping_add(idx) as u64;
-                    let write = set_result!(faulted!(Value::P(addr)));
-                    emit!(EventKind::Gep, write);
+                    gep!(base, index);
+                }
+                DInst::GepLoad { base, index } => {
+                    let ptr = gep!(base, index);
+                    tail!(load, ptr);
+                    pc = at + 2;
+                }
+                DInst::GepStore { base, index, value } => {
+                    let ptr = gep!(base, index);
+                    tail!(store, ptr, value);
+                    pc = at + 2;
                 }
                 DInst::Call { callee, args } => {
                     // The top frame is always `frame_idx`, so the depth
@@ -1221,12 +1326,7 @@ impl<'m> Interp<'m> {
                     cond,
                     then_pc,
                     else_pc,
-                } => {
-                    let c = read!(cond);
-                    let taken = c.is_truthy();
-                    pc = (if taken { then_pc } else { else_pc }) as usize;
-                    emit!(EventKind::CondBr { taken }, None);
-                }
+                } => cond_br!(read!(cond), then_pc, else_pc, iid, at, pool_start),
                 DInst::Output { value, format } => {
                     let v = read!(value);
                     outputs.emit(v, format);
@@ -1304,34 +1404,35 @@ fn eval_cmp(kind: CmpKind, float: bool, a: Value, b: Value) -> Result<bool, Trap
         let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) else {
             return Err(TrapKind::TypeMismatch);
         };
-        Ok(match kind {
-            CmpKind::Eq => x == y,
-            CmpKind::Ne => x != y,
-            CmpKind::Lt => x < y,
-            CmpKind::Le => x <= y,
-            CmpKind::Gt => x > y,
-            CmpKind::Ge => x >= y,
-        })
+        Ok(compare(kind, x, y))
     } else {
-        // Integer compares also accept pointers (address comparisons).
-        let x = match a {
-            Value::I(v) => v,
-            Value::P(v) => v as i64,
-            Value::F(_) => return Err(TrapKind::TypeMismatch),
+        let (Some(x), Some(y)) = (int_operand(a), int_operand(b)) else {
+            return Err(TrapKind::TypeMismatch);
         };
-        let y = match b {
-            Value::I(v) => v,
-            Value::P(v) => v as i64,
-            Value::F(_) => return Err(TrapKind::TypeMismatch),
-        };
-        Ok(match kind {
-            CmpKind::Eq => x == y,
-            CmpKind::Ne => x != y,
-            CmpKind::Lt => x < y,
-            CmpKind::Le => x <= y,
-            CmpKind::Gt => x > y,
-            CmpKind::Ge => x >= y,
-        })
+        Ok(compare(kind, x, y))
+    }
+}
+
+/// An integer compare's view of an operand: integer compares also accept
+/// pointers (address comparisons), never floats.
+#[inline]
+fn int_operand(v: Value) -> Option<i64> {
+    match v {
+        Value::I(x) => Some(x),
+        Value::P(x) => Some(x as i64),
+        Value::F(_) => None,
+    }
+}
+
+#[inline]
+fn compare<T: PartialOrd>(kind: CmpKind, x: T, y: T) -> bool {
+    match kind {
+        CmpKind::Eq => x == y,
+        CmpKind::Ne => x != y,
+        CmpKind::Lt => x < y,
+        CmpKind::Le => x <= y,
+        CmpKind::Gt => x > y,
+        CmpKind::Ge => x >= y,
     }
 }
 
@@ -1399,6 +1500,7 @@ mod tests {
     use super::*;
     use ftkr_ir::prelude::*;
     use ftkr_ir::Global;
+    use std::collections::HashSet;
 
     /// An untraced run with `fault` armed.
     fn with_fault(fault: FaultSpec) -> VmConfig {
@@ -1437,6 +1539,84 @@ mod tests {
         b.ret(None);
         m.add_function(b.finish());
         m
+    }
+
+    /// Every load and store goes through a gep, so both fused gep pairs
+    /// run in loops: `a[i] = i * 3 - i` (integer immediate and register
+    /// slots), `f[i] = f[i] * 0.5 + a[i] / 2 - 0.25` (float slots), the sum
+    /// of `a` into a one-cell alloca, and a float compare-branch.
+    fn gep_module() -> Module {
+        let mut m = Module::new("gep");
+        let a = m.add_global(Global::zeroed_i64("a", 8));
+        let f = m.add_global(Global::with_f64("f", vec![1.0; 8]));
+        let mut b = FunctionBuilder::new("main");
+        let (a, f) = (b.global_addr(a), b.global_addr(f));
+        let (zero, eight) = (b.const_i64(0), b.const_i64(8));
+        let (half, two, quarter) = (b.const_f64(0.5), b.const_f64(2.0), b.const_f64(0.25));
+        let acc = b.alloca("acc", 1);
+        b.store_idx(acc, zero, zero);
+        b.main_for("fill", zero, eight, |b, i| {
+            let v = b.mul(i, Operand::ConstI(3));
+            let v = b.sub(v, i);
+            b.store_idx(a, i, v);
+            let x = b.load_idx(f, i);
+            let x = b.fmul(x, half);
+            let y = b.sitofp(v);
+            let y = b.fdiv(y, two);
+            let z = b.fadd(x, y);
+            let z = b.fsub(z, quarter);
+            b.store_idx(f, i, z);
+        });
+        b.main_for("sum", zero, eight, |b, i| {
+            let x = b.load_idx(a, i);
+            let cur = b.load_idx(acc, zero);
+            let next = b.add(cur, x);
+            b.store_idx(acc, zero, next);
+        });
+        let total = b.load_idx(acc, zero);
+        b.output(total, OutputFormat::Integer);
+        let last = b.load_idx(f, Operand::ConstI(7));
+        let big = b.fcmp(CmpKind::Gt, last, two);
+        b.if_then(big, |b| b.output(last, OutputFormat::Full));
+        b.ret(None);
+        m.add_function(b.finish());
+        m
+    }
+
+    /// The kind of fused head whose first half is event `e`, if any.
+    fn head_of(dm: &DecodedModule, e: &TraceEvent) -> Option<std::mem::Discriminant<DInst>> {
+        dm.function(e.func)
+            .slots
+            .iter()
+            .find(|s| s.result == e.inst && s.inst.fuses_next())
+            .map(|s| std::mem::discriminant(&s.inst))
+    }
+
+    /// Every kind of fused head in `dm`'s tables.
+    fn fused_heads(dm: &DecodedModule) -> HashSet<std::mem::Discriminant<DInst>> {
+        let heads: HashSet<_> = dm
+            .functions
+            .iter()
+            .flat_map(|f| &f.slots)
+            .filter(|s| s.inst.fuses_next())
+            .map(|s| std::mem::discriminant(&s.inst))
+            .collect();
+        assert!(!heads.is_empty(), "the module fuses no pair");
+        heads
+    }
+
+    #[test]
+    fn gep_module_fuses_every_gep_access() {
+        let dm = decoded(&gep_module());
+        let slots = &dm.functions[0].slots;
+        let count = |p: fn(&DInst) -> bool| slots.iter().filter(|s| p(&s.inst)).count();
+        assert_eq!(count(|i| matches!(i, DInst::Gep { .. })), 0);
+        assert_eq!(count(|i| matches!(i, DInst::GepLoad { .. })), 5);
+        assert_eq!(count(|i| matches!(i, DInst::GepStore { .. })), 4);
+        assert_eq!(count(|i| matches!(i, DInst::FCmpBr { .. })), 1);
+        let r = Vm::new(VmConfig::default()).run(&gep_module()).unwrap();
+        assert_eq!(r.outputs.records[0].text, "56", "sum of 2i over 0..8");
+        assert_eq!(r.global_f64("f").unwrap()[7], 0.5 + 7.0 - 0.25);
     }
 
     #[test]
@@ -1770,72 +1950,72 @@ mod tests {
         }
     }
 
-    /// Settling after every possible event count — on the compare half of
-    /// a fused compare-branch included — delivers exactly that many events
+    /// Settling after every possible event count — on the head half of
+    /// every kind of fused pair included — delivers exactly that many events
     /// and leaves the run's result untouched, cold and resumed.
     #[test]
     fn a_settled_visitor_receives_exactly_its_events_and_the_run_is_unchanged() {
-        let module = sum_module();
-        let dm = decoded(&module);
-        let full = Vm::new(VmConfig::tracing())
-            .run(&module)
-            .unwrap()
-            .trace
-            .unwrap();
-        let untraced = Vm::new(VmConfig::default()).run(&module).unwrap();
-        let fork = 7;
-        let snap = Vm::new(VmConfig::default())
-            .snapshot_at(&module, fork)
-            .unwrap()
-            .expect("mid-run step");
-        let steps = full.len();
-        let mut settled_on_compare_half = false;
-        for k in 0..=steps + 1 {
-            let mut cold = SettleAfter::new(k);
-            let r = Vm::new(VmConfig::default())
-                .run_with_visitors_decoded(&module, &dm, &mut [&mut cold])
+        for module in [sum_module(), gep_module()] {
+            let dm = decoded(&module);
+            let full = Vm::new(VmConfig::tracing())
+                .run(&module)
+                .unwrap()
+                .trace
                 .unwrap();
-            assert!(r == untraced, "settled after {k}: run changed");
-            let delivered = k.min(steps);
-            assert_eq!(cold.rebuild.events.len(), delivered, "settled after {k}");
-            assert_eq!(cold.end_events, Some(delivered));
-            assert_eq!(cold.rebuild.outcome, Some(RunOutcome::Completed));
-            for (i, got) in cold.rebuild.events.iter().enumerate() {
-                assert_eq!(got, &full.resolved(i), "settled after {k}: event {i}");
-            }
-            if let Some(last) = k.checked_sub(1).and_then(|i| full.events.get(i)) {
-                // The last delivered event is the compare half of a fused pair.
-                settled_on_compare_half |= dm
-                    .function(last.func)
-                    .slots
-                    .iter()
-                    .any(|s| s.result == last.inst && matches!(s.inst, DInst::CmpBr { .. }));
-            }
+            let untraced = Vm::new(VmConfig::default()).run(&module).unwrap();
+            let fork = 7;
+            let snap = Vm::new(VmConfig::default())
+                .snapshot_at(&module, fork)
+                .unwrap()
+                .expect("mid-run step");
+            let steps = full.len();
+            let mut settled_between_halves = HashSet::new();
+            for k in 0..=steps + 1 {
+                let mut cold = SettleAfter::new(k);
+                let r = Vm::new(VmConfig::default())
+                    .run_with_visitors_decoded(&module, &dm, &mut [&mut cold])
+                    .unwrap();
+                assert!(r == untraced, "settled after {k}: run changed");
+                let delivered = k.min(steps);
+                assert_eq!(cold.rebuild.events.len(), delivered, "settled after {k}");
+                assert_eq!(cold.end_events, Some(delivered));
+                assert_eq!(cold.rebuild.outcome, Some(RunOutcome::Completed));
+                for (i, got) in cold.rebuild.events.iter().enumerate() {
+                    assert_eq!(got, &full.resolved(i), "settled after {k}: event {i}");
+                }
+                if let Some(last) = k.checked_sub(1).and_then(|i| full.events.get(i)) {
+                    // The last delivered event is the head half of a fused
+                    // pair.
+                    settled_between_halves.extend(head_of(&dm, last));
+                }
 
-            let mut resumed = SettleAfter::new(k);
-            let r = Vm::new(VmConfig::default())
-                .resume_with_visitors_decoded(&module, &dm, &snap, &mut [&mut resumed])
-                .unwrap();
-            assert!(r == untraced, "resumed, settled after {k}: run changed");
-            let delivered = k.min(steps - fork as usize);
-            assert_eq!(
-                resumed.rebuild.events.len(),
-                delivered,
-                "resumed, settled after {k}"
-            );
-            assert_eq!(resumed.end_events, Some(fork as usize + delivered));
-            for (i, got) in resumed.rebuild.events.iter().enumerate() {
+                let mut resumed = SettleAfter::new(k);
+                let r = Vm::new(VmConfig::default())
+                    .resume_with_visitors_decoded(&module, &dm, &snap, &mut [&mut resumed])
+                    .unwrap();
+                assert!(r == untraced, "resumed, settled after {k}: run changed");
+                let delivered = k.min(steps - fork as usize);
                 assert_eq!(
-                    got,
-                    &full.resolved(fork as usize + i),
-                    "resumed after {k}: event {i}"
+                    resumed.rebuild.events.len(),
+                    delivered,
+                    "resumed, settled after {k}"
                 );
+                assert_eq!(resumed.end_events, Some(fork as usize + delivered));
+                for (i, got) in resumed.rebuild.events.iter().enumerate() {
+                    assert_eq!(
+                        got,
+                        &full.resolved(fork as usize + i),
+                        "resumed after {k}: event {i}"
+                    );
+                }
             }
+            assert_eq!(
+                settled_between_halves,
+                fused_heads(&dm),
+                "{}: some kind of fused pair was never split by a settle",
+                module.name
+            );
         }
-        assert!(
-            settled_on_compare_half,
-            "no k settled between the halves of a fused pair"
-        );
     }
 
     /// A trap after the detach still reaches `on_finish` with the trap.
@@ -2332,130 +2512,365 @@ mod tests {
     /// A fault at every step, both targets: untraced and recording runs
     /// (both yield at the fault boundary) agree; the recorded run
     /// equals the clean trace before the fault; and a result fault flips
-    /// exactly the value the struck instruction writes.
+    /// exactly the value the struck instruction writes — also when it is the
+    /// second half of a fused pair.
     #[test]
     fn faults_at_every_step_strike_identically_in_every_dispatch() {
-        let module = sum_module();
-        let clean = Vm::new(VmConfig::tracing()).run(&module).unwrap();
-        let full = clean.trace.as_ref().unwrap();
-        for step in 0..clean.steps {
-            for fault in [
-                FaultSpec::in_result(step, 7),
-                FaultSpec::in_memory(step, 0, 3),
-            ] {
-                let traced = Vm::new(tracing_with_fault(fault)).run(&module).unwrap();
-                let untraced = Vm::new(with_fault(fault)).run(&module).unwrap();
-                assert_eq!(untraced.outcome, traced.outcome, "fault {fault:?}");
-                assert_eq!(untraced.steps, traced.steps, "fault {fault:?}");
-                assert_eq!(untraced.outputs, traced.outputs, "fault {fault:?}");
-                assert_eq!(untraced.memory, traced.memory, "fault {fault:?}");
+        for module in [sum_module(), gep_module()] {
+            let clean = Vm::new(VmConfig::tracing()).run(&module).unwrap();
+            let full = clean.trace.as_ref().unwrap();
+            for step in 0..clean.steps {
+                for fault in [
+                    FaultSpec::in_result(step, 7),
+                    FaultSpec::in_memory(step, 0, 3),
+                ] {
+                    let traced = Vm::new(tracing_with_fault(fault)).run(&module).unwrap();
+                    let untraced = Vm::new(with_fault(fault)).run(&module).unwrap();
+                    assert_eq!(untraced.outcome, traced.outcome, "fault {fault:?}");
+                    assert_eq!(untraced.steps, traced.steps, "fault {fault:?}");
+                    assert_eq!(untraced.outputs, traced.outputs, "fault {fault:?}");
+                    assert_eq!(untraced.memory, traced.memory, "fault {fault:?}");
 
-                let t = traced.trace.as_ref().unwrap();
-                let at = step as usize;
-                for i in 0..at.min(t.len()) {
-                    assert_eq!(t.resolved(i), full.resolved(i), "fault {fault:?} event {i}");
-                }
-                let struck = full.resolved(at);
-                let faults_result = matches!(fault.target, FaultTarget::InstructionResult)
-                    && !matches!(struck.kind, EventKind::Alloca { .. });
-                if let (true, Some((loc, v))) = (faults_result, struck.write) {
-                    assert_eq!(
-                        t.resolved(at).write,
-                        Some((loc, v.flip_bit(7))),
-                        "step {step}"
-                    );
+                    let t = traced.trace.as_ref().unwrap();
+                    let at = step as usize;
+                    for i in 0..at.min(t.len()) {
+                        assert_eq!(t.resolved(i), full.resolved(i), "fault {fault:?} event {i}");
+                    }
+                    let struck = full.resolved(at);
+                    let faults_result = matches!(fault.target, FaultTarget::InstructionResult)
+                        && !matches!(struck.kind, EventKind::Alloca { .. });
+                    if let (true, Some((loc, v))) = (faults_result, struck.write) {
+                        assert_eq!(
+                            t.resolved(at).write,
+                            Some((loc, v.flip_bit(7))),
+                            "{} step {step}",
+                            module.name
+                        );
+                    }
                 }
             }
         }
     }
 
-    /// Capture at every step of a loop whose compare-branches are fused —
-    /// each branch half included — and resume untraced, traced and streamed:
-    /// every resume equals the cold run, and a fault at the fork step strikes
-    /// exactly as it does cold.
+    /// Capture at every step of loops whose compare-branches and gep
+    /// accesses are fused — each second half included — and resume
+    /// untraced, traced and streamed: every resume equals the cold run, and
+    /// a fault at the fork step strikes exactly as it does cold.
     #[test]
     fn capture_at_every_step_resumes_like_the_cold_run() {
-        use ftkr_ir::decode::DInst;
-
-        let module = sum_module();
-        let dm = decoded(&module);
-        assert!(
-            dm.functions.iter().any(|f| f
-                .slots
-                .iter()
-                .any(|s| matches!(s.inst, DInst::CmpBr { .. }))),
-            "the loop header must fuse into a compare-branch"
-        );
-        let plain = Vm::new(VmConfig::default());
-        let cold = plain.run(&module).unwrap();
-        let full = Vm::new(VmConfig::tracing())
-            .run(&module)
-            .unwrap()
-            .trace
-            .unwrap();
-        let mut cold_stream = Rebuild::default();
-        plain
-            .run_with_visitors_decoded(&module, &dm, &mut [&mut cold_stream])
-            .unwrap();
-
-        let mut branch_halves = 0;
-        for fork in 0..cold.steps {
-            let snap = plain.snapshot_at(&module, fork).unwrap().expect("mid-run");
-            assert_eq!(snap.step(), fork);
-            let at = fork as usize;
-            if at > 0
-                && matches!(full.events[at].kind, EventKind::CondBr { .. })
-                && matches!(full.events[at - 1].kind, EventKind::Cmp { .. })
-            {
-                branch_halves += 1;
-            }
-
-            let resumed = plain.resume_from_decoded(&module, &dm, &snap).unwrap();
-            assert_eq!(resumed, cold, "untraced resume at fork {fork}");
-
-            let traced = Vm::new(VmConfig::tracing())
-                .resume_from_decoded(&module, &dm, &snap)
+        for module in [sum_module(), gep_module()] {
+            let dm = decoded(&module);
+            let plain = Vm::new(VmConfig::default());
+            let cold = plain.run(&module).unwrap();
+            let full = Vm::new(VmConfig::tracing())
+                .run(&module)
+                .unwrap()
+                .trace
                 .unwrap();
-            assert_eq!(traced.steps, cold.steps, "traced resume at fork {fork}");
-            assert_eq!(traced.outputs, cold.outputs, "traced resume at fork {fork}");
-            assert_eq!(traced.memory, cold.memory, "traced resume at fork {fork}");
-            let tail = traced.trace.unwrap();
-            assert_eq!(tail.base_step(), fork);
-            assert_eq!(tail.len(), full.len() - at);
-            for i in 0..tail.len() {
-                assert_eq!(
-                    tail.resolved(i),
-                    full.resolved(at + i),
-                    "fork {fork} event {i}"
-                );
-            }
-
-            let mut streamed = Rebuild::default();
-            let streamed_run = plain
-                .resume_with_visitors_decoded(&module, &dm, &snap, &mut [&mut streamed])
+            let mut cold_stream = Rebuild::default();
+            plain
+                .run_with_visitors_decoded(&module, &dm, &mut [&mut cold_stream])
                 .unwrap();
-            assert_eq!(streamed_run, cold, "streamed resume at fork {fork}");
-            let skip = snap.events_emitted() as usize;
-            assert_eq!(streamed.events, cold_stream.events[skip..], "fork {fork}");
-            assert_eq!(streamed.steps, cold_stream.steps[skip..], "fork {fork}");
 
-            for fault in [
-                FaultSpec::in_result(fork, 5),
-                FaultSpec::in_memory(fork, 0, 3),
-            ] {
-                let vm = Vm::new(with_fault(fault));
-                let forked = vm.resume_from_decoded(&module, &dm, &snap).unwrap();
-                assert_eq!(
-                    forked,
-                    vm.run(&module).unwrap(),
-                    "fork {fork} fault {fault:?}"
-                );
+            let mut captured_between_halves = HashSet::new();
+            for fork in 0..cold.steps {
+                let snap = plain.snapshot_at(&module, fork).unwrap().expect("mid-run");
+                assert_eq!(snap.step(), fork);
+                let at = fork as usize;
+                if let Some(head) = at
+                    .checked_sub(1)
+                    .and_then(|i| head_of(&dm, &full.events[i]))
+                {
+                    captured_between_halves.insert(head);
+                }
+
+                let resumed = plain.resume_from_decoded(&module, &dm, &snap).unwrap();
+                assert_eq!(resumed, cold, "untraced resume at fork {fork}");
+
+                let traced = Vm::new(VmConfig::tracing())
+                    .resume_from_decoded(&module, &dm, &snap)
+                    .unwrap();
+                assert_eq!(traced.steps, cold.steps, "traced resume at fork {fork}");
+                assert_eq!(traced.outputs, cold.outputs, "traced resume at fork {fork}");
+                assert_eq!(traced.memory, cold.memory, "traced resume at fork {fork}");
+                let tail = traced.trace.unwrap();
+                assert_eq!(tail.base_step(), fork);
+                assert_eq!(tail.len(), full.len() - at);
+                for i in 0..tail.len() {
+                    assert_eq!(
+                        tail.resolved(i),
+                        full.resolved(at + i),
+                        "fork {fork} event {i}"
+                    );
+                }
+
+                let mut streamed = Rebuild::default();
+                let streamed_run = plain
+                    .resume_with_visitors_decoded(&module, &dm, &snap, &mut [&mut streamed])
+                    .unwrap();
+                assert_eq!(streamed_run, cold, "streamed resume at fork {fork}");
+                let skip = snap.events_emitted() as usize;
+                assert_eq!(streamed.events, cold_stream.events[skip..], "fork {fork}");
+                assert_eq!(streamed.steps, cold_stream.steps[skip..], "fork {fork}");
+
+                for fault in [
+                    FaultSpec::in_result(fork, 5),
+                    FaultSpec::in_memory(fork, 0, 3),
+                ] {
+                    let vm = Vm::new(with_fault(fault));
+                    let forked = vm.resume_from_decoded(&module, &dm, &snap).unwrap();
+                    assert_eq!(
+                        forked,
+                        vm.run(&module).unwrap(),
+                        "fork {fork} fault {fault:?}"
+                    );
+                }
+            }
+            assert_eq!(
+                captured_between_halves,
+                fused_heads(&dm),
+                "{}: some kind of fused pair has no fork point between its halves",
+                module.name
+            );
+        }
+    }
+
+    /// `dm` with every typed, immediate and fused slot lowered back to the
+    /// generic `Bin`, `Cmp` or `Gep` slot it stands for (an immediate gets a
+    /// constant cell of its own): the reference the specialised slots are
+    /// held to.
+    fn generic_tables(dm: &DecodedModule) -> DecodedModule {
+        fn cell(df: &mut DecodedFunction, c: i64) -> Reg {
+            df.consts.push(RegConst::I(c));
+            Reg(df.num_regs() as u32 - 1)
+        }
+        let mut generic = dm.clone();
+        for df in &mut generic.functions {
+            for pc in 0..df.slots.len() {
+                let bin = |kind, lhs, rhs| DInst::Bin { kind, lhs, rhs };
+                let cmp = |kind, float, lhs, rhs| DInst::Cmp {
+                    kind,
+                    float,
+                    lhs,
+                    rhs,
+                };
+                df.slots[pc].inst = match df.slots[pc].inst {
+                    DInst::FAdd { lhs, rhs } => bin(BinKind::FAdd, lhs, rhs),
+                    DInst::FSub { lhs, rhs } => bin(BinKind::FSub, lhs, rhs),
+                    DInst::FMul { lhs, rhs } => bin(BinKind::FMul, lhs, rhs),
+                    DInst::FDiv { lhs, rhs } => bin(BinKind::FDiv, lhs, rhs),
+                    DInst::Add { lhs, rhs } => bin(BinKind::Add, lhs, rhs),
+                    DInst::Sub { lhs, rhs } => bin(BinKind::Sub, lhs, rhs),
+                    DInst::Mul { lhs, rhs } => bin(BinKind::Mul, lhs, rhs),
+                    DInst::AddI { lhs, imm } => bin(BinKind::Add, lhs, cell(df, imm)),
+                    DInst::MulI { lhs, imm } => bin(BinKind::Mul, lhs, cell(df, imm)),
+                    DInst::CmpBr { kind, lhs, rhs, .. } => cmp(kind, false, lhs, rhs),
+                    DInst::CmpBrI { kind, lhs, imm, .. } => cmp(kind, false, lhs, cell(df, imm)),
+                    DInst::FCmpBr { kind, lhs, rhs, .. } => cmp(kind, true, lhs, rhs),
+                    DInst::GepLoad { base, index } | DInst::GepStore { base, index, .. } => {
+                        DInst::Gep { base, index }
+                    }
+                    other => other,
+                };
+                df.slots[pc].tail = false;
             }
         }
-        assert!(
-            branch_halves > 0,
-            "some fork points fall between fused halves"
-        );
+        generic
+    }
+
+    /// One-operation programs for every typed slot over every pair of
+    /// operand kinds (integer, float, pointer), each operand in a register
+    /// or, for the immediate forms, an integer constant on either side.
+    fn typed_slot_modules() -> Vec<Module> {
+        let kinds = [
+            BinKind::FAdd,
+            BinKind::FSub,
+            BinKind::FMul,
+            BinKind::FDiv,
+            BinKind::Add,
+            BinKind::Sub,
+            BinKind::Mul,
+        ];
+        let values = |g| [Operand::ConstI(6), Operand::ConstF(1.5), Operand::Global(g)];
+        let module = |body: &dyn Fn(&mut FunctionBuilder, [Operand; 3])| {
+            let mut m = Module::new("typed");
+            let g = m.add_global(Global::zeroed_i64("g", 1));
+            let mut b = FunctionBuilder::new("main");
+            // Through a select, each value sits in a result register.
+            let in_reg = values(g).map(|v| b.select(Operand::ConstI(1), v, v));
+            body(&mut b, in_reg);
+            b.ret(None);
+            m.add_function(b.finish());
+            m
+        };
+        let mut modules = Vec::new();
+        for a in 0..3 {
+            for c in 0..3 {
+                for kind in kinds {
+                    modules.push(module(&|b, r| {
+                        let x = b.bin(kind, r[a], r[c]);
+                        b.output(x, OutputFormat::Full);
+                    }));
+                }
+                for float in [false, true] {
+                    modules.push(module(&|b, r| {
+                        let taken = if float {
+                            b.fcmp(CmpKind::Lt, r[a], r[c])
+                        } else {
+                            b.icmp(CmpKind::Lt, r[a], r[c])
+                        };
+                        b.if_then(taken, |b| b.output(r[a], OutputFormat::Full));
+                    }));
+                }
+            }
+            for kind in [BinKind::Add, BinKind::Mul] {
+                for imm_left in [false, true] {
+                    modules.push(module(&|b, r| {
+                        let x = if imm_left {
+                            b.bin(kind, Operand::ConstI(-3), r[a])
+                        } else {
+                            b.bin(kind, r[a], Operand::ConstI(-3))
+                        };
+                        b.output(x, OutputFormat::Full);
+                    }));
+                }
+            }
+            modules.push(module(&|b, r| {
+                let taken = b.icmp(CmpKind::Ge, r[a], Operand::ConstI(6));
+                b.if_then(taken, |b| b.output(r[a], OutputFormat::Full));
+            }));
+        }
+        modules
+    }
+
+    /// Every specialised slot — typed arithmetic, immediates, fused compare
+    /// and gep pairs — executes exactly like the generic slot it stands for:
+    /// same traps (every operand-kind pair), results, traces and memory,
+    /// with a fault of either target at every step.
+    #[test]
+    fn specialised_slots_execute_like_their_generic_forms() {
+        let mut modules = vec![sum_module(), gep_module(), call_module()];
+        modules.extend(typed_slot_modules());
+        let mut specialised = HashSet::new();
+        let mut mismatches = 0;
+        for module in &modules {
+            let dm = decoded(module);
+            specialised.extend(
+                dm.functions
+                    .iter()
+                    .flat_map(|f| &f.slots)
+                    .filter(|s| {
+                        !matches!(
+                            s.inst,
+                            DInst::Bin { .. } | DInst::Cmp { .. } | DInst::Gep { .. }
+                        )
+                    })
+                    .map(|s| std::mem::discriminant(&s.inst)),
+            );
+            let generic = generic_tables(&dm);
+            let clean = Vm::new(VmConfig::default())
+                .run_decoded(module, &dm)
+                .unwrap();
+            mismatches += usize::from(clean.outcome == RunOutcome::Trapped(TrapKind::TypeMismatch));
+            let faults = (0..=clean.steps).flat_map(|step| {
+                [
+                    Some(FaultSpec::in_result(step, 7)),
+                    Some(FaultSpec::in_memory(step, 0, 3)),
+                ]
+            });
+            for fault in std::iter::once(None).chain(faults) {
+                for record_trace in [false, true] {
+                    let vm = Vm::new(VmConfig {
+                        fault,
+                        record_trace,
+                        ..VmConfig::default()
+                    });
+                    let want = vm.run_decoded(module, &generic).unwrap();
+                    let got = vm.run_decoded(module, &dm).unwrap();
+                    assert!(
+                        got == want,
+                        "{} fault {fault:?} traced {record_trace}: {:?} != {:?}",
+                        module.name,
+                        got.outcome,
+                        want.outcome
+                    );
+                }
+            }
+        }
+        for inst in [
+            DInst::FAdd {
+                lhs: Reg(0),
+                rhs: Reg(0),
+            },
+            DInst::FSub {
+                lhs: Reg(0),
+                rhs: Reg(0),
+            },
+            DInst::FMul {
+                lhs: Reg(0),
+                rhs: Reg(0),
+            },
+            DInst::FDiv {
+                lhs: Reg(0),
+                rhs: Reg(0),
+            },
+            DInst::Add {
+                lhs: Reg(0),
+                rhs: Reg(0),
+            },
+            DInst::Sub {
+                lhs: Reg(0),
+                rhs: Reg(0),
+            },
+            DInst::Mul {
+                lhs: Reg(0),
+                rhs: Reg(0),
+            },
+            DInst::AddI {
+                lhs: Reg(0),
+                imm: 0,
+            },
+            DInst::MulI {
+                lhs: Reg(0),
+                imm: 0,
+            },
+            DInst::CmpBr {
+                kind: CmpKind::Eq,
+                lhs: Reg(0),
+                rhs: Reg(0),
+                then_pc: 0,
+                else_pc: 0,
+            },
+            DInst::CmpBrI {
+                kind: CmpKind::Eq,
+                lhs: Reg(0),
+                imm: 0,
+                then_pc: 0,
+                else_pc: 0,
+            },
+            DInst::FCmpBr {
+                kind: CmpKind::Eq,
+                lhs: Reg(0),
+                rhs: Reg(0),
+                then_pc: 0,
+                else_pc: 0,
+            },
+            DInst::GepLoad {
+                base: Reg(0),
+                index: Reg(0),
+            },
+            DInst::GepStore {
+                base: Reg(0),
+                index: Reg(0),
+                value: Reg(0),
+            },
+        ] {
+            assert!(
+                specialised.contains(&std::mem::discriminant(&inst)),
+                "{inst:?} never ran"
+            );
+        }
+        assert!(mismatches > 0, "no operand-kind pair trapped");
     }
 
     /// Every step limit stops the run after exactly that many steps — also
@@ -2463,8 +2878,13 @@ mod tests {
     /// the clean trace's prefix and the untraced run in the same state.
     #[test]
     fn step_limits_stop_after_exactly_the_limit() {
-        let module = sum_module();
-        let clean = Vm::new(VmConfig::tracing()).run(&module).unwrap();
+        for module in [sum_module(), gep_module()] {
+            step_limits_stop_after_exactly_the_limit_of(&module);
+        }
+    }
+
+    fn step_limits_stop_after_exactly_the_limit_of(module: &Module) {
+        let clean = Vm::new(VmConfig::tracing()).run(module).unwrap();
         let full = clean.trace.as_ref().unwrap();
         for limit in 0..=clean.steps {
             let config = |record_trace| VmConfig {
@@ -2472,8 +2892,8 @@ mod tests {
                 record_trace,
                 ..Default::default()
             };
-            let traced = Vm::new(config(true)).run(&module).unwrap();
-            let untraced = Vm::new(config(false)).run(&module).unwrap();
+            let traced = Vm::new(config(true)).run(module).unwrap();
+            let untraced = Vm::new(config(false)).run(module).unwrap();
             let expected = if limit < clean.steps {
                 RunOutcome::Trapped(TrapKind::StepLimit)
             } else {

@@ -92,6 +92,12 @@ impl Memory {
             .map(|(_, base, len)| (*base, *len))
     }
 
+    /// Base address of every global, in module order (the order
+    /// [`Memory::for_module`] lays them out in).
+    pub fn global_bases(&self) -> impl Iterator<Item = u64> + '_ {
+        self.global_map.iter().map(|&(_, base, _)| base)
+    }
+
     /// Read the cell at `addr`.
     pub fn load(&self, addr: u64) -> Result<Value, MemError> {
         if addr < self.valid_len() {
@@ -208,6 +214,22 @@ mod tests {
         assert_eq!(mem.global_extent("keys"), Some((3, 4)));
         assert_eq!(mem.load(1).unwrap(), Value::F(2.0));
         assert_eq!(mem.load(5).unwrap(), Value::I(0));
+    }
+
+    /// The bases come in module order: global `GlobalId(k)` is the `k`-th,
+    /// whatever the names.
+    #[test]
+    fn global_bases_follow_module_order() {
+        let mut m = module_with_globals();
+        m.add_global(Global::zeroed_f64("a", 2));
+        let mem = Memory::for_module(&m, 1024);
+        let by_name: Vec<u64> = m
+            .globals
+            .iter()
+            .map(|g| mem.global_extent(&g.name).unwrap().0)
+            .collect();
+        assert_eq!(mem.global_bases().collect::<Vec<_>>(), by_name);
+        assert_eq!(by_name, [0, 3, 7]);
     }
 
     #[test]

@@ -150,12 +150,16 @@ fn analyzed_decoded_reports_match_a_legacy_streamed_reference_for_every_app() {
 
 /// The decoded tables of every registry application keep the invariants
 /// dispatch relies on without checking them per step: every branch target
-/// is the pc of a block's first instruction, every fused-tail slot directly
-/// follows its `CmpBr` slot (and every `CmpBr` has one), and every operand
-/// indexes a cell of its function's register file.
+/// is the pc of a block's first instruction; a slot is a fused tail exactly
+/// when the slot before it is a fused head, and that tail is the plain
+/// `CondBr`, `Load` or `Store` reading the head's result register; every
+/// typed slot and immediate is the operation and the constant of its IR
+/// instruction; and every operand indexes a cell of its function's register
+/// file.
 #[test]
 fn decoded_tables_of_every_app_keep_their_dispatch_invariants() {
-    use ftkr_ir::decode::{DInst, Reg};
+    use ftkr_ir::decode::{DInst, Reg, RegConst};
+    use ftkr_ir::inst::{BinKind, Op, Operand};
 
     for app in all_apps() {
         let decoded = ftkr_vm::DecodedModule::decode(&app.module);
@@ -170,8 +174,48 @@ fn decoded_tables_of_every_app_keep_their_dispatch_invariants() {
             }
             assert_eq!(df.slots.len(), pc as usize, "{at}");
             let in_file = |r: Reg| r.index() < df.num_regs();
+            // The register `r` holds IR operand `o`.
+            let holds = |r: Reg, o: Operand| match o {
+                Operand::Value(v) => r == Reg(v.0),
+                Operand::Arg(i) => r.index() == df.num_insts + i as usize,
+                Operand::ConstI(c) => const_cell(df, r) == Some(RegConst::I(c)),
+                Operand::ConstF(c) => {
+                    matches!(const_cell(df, r), Some(RegConst::F(x)) if x.to_bits() == c.to_bits())
+                }
+                Operand::Global(g) => const_cell(df, r) == Some(RegConst::Global(g)),
+            };
             for (pc, slot) in df.slots.iter().enumerate() {
+                let op = &func.inst(slot.result).op;
+                // The operation a typed slot stands for, with its operands.
+                let typed = |kind: BinKind, lhs: Reg, rhs: Reg| {
+                    assert!(
+                        matches!(op, &Op::Bin { kind: k, lhs: l, rhs: r }
+                            if k == kind && holds(lhs, l) && holds(rhs, r)),
+                        "{at} pc {pc}: {slot:?} is not {op:?}"
+                    );
+                    (vec![], vec![lhs, rhs])
+                };
+                // An immediate is the `ConstI` it replaced, on either side of
+                // a commutative op.
+                let immediate = |kind: BinKind, lhs: Reg, imm: i64| {
+                    assert!(
+                        matches!(op, &Op::Bin { kind: k, lhs: l, rhs: r } if k == kind
+                            && ((holds(lhs, l) && r == Operand::ConstI(imm))
+                                || (l == Operand::ConstI(imm) && holds(lhs, r)))),
+                        "{at} pc {pc}: {slot:?} is not {op:?}"
+                    );
+                    (vec![], vec![lhs])
+                };
                 let (targets, regs): (Vec<u32>, Vec<Reg>) = match slot.inst {
+                    DInst::FAdd { lhs, rhs } => typed(BinKind::FAdd, lhs, rhs),
+                    DInst::FSub { lhs, rhs } => typed(BinKind::FSub, lhs, rhs),
+                    DInst::FMul { lhs, rhs } => typed(BinKind::FMul, lhs, rhs),
+                    DInst::FDiv { lhs, rhs } => typed(BinKind::FDiv, lhs, rhs),
+                    DInst::Add { lhs, rhs } => typed(BinKind::Add, lhs, rhs),
+                    DInst::Sub { lhs, rhs } => typed(BinKind::Sub, lhs, rhs),
+                    DInst::Mul { lhs, rhs } => typed(BinKind::Mul, lhs, rhs),
+                    DInst::AddI { lhs, imm } => immediate(BinKind::Add, lhs, imm),
+                    DInst::MulI { lhs, imm } => immediate(BinKind::Mul, lhs, imm),
                     DInst::Bin { lhs, rhs, .. } | DInst::Cmp { lhs, rhs, .. } => {
                         (vec![], vec![lhs, rhs])
                     }
@@ -181,7 +225,28 @@ fn decoded_tables_of_every_app_keep_their_dispatch_invariants() {
                         then_pc,
                         else_pc,
                         ..
+                    }
+                    | DInst::FCmpBr {
+                        lhs,
+                        rhs,
+                        then_pc,
+                        else_pc,
+                        ..
                     } => (vec![then_pc, else_pc], vec![lhs, rhs]),
+                    DInst::CmpBrI {
+                        lhs,
+                        imm,
+                        then_pc,
+                        else_pc,
+                        ..
+                    } => {
+                        assert!(
+                            matches!(op, &Op::Cmp { float: false, lhs: l, rhs: Operand::ConstI(c), .. }
+                                if c == imm && holds(lhs, l)),
+                            "{at} pc {pc}: {slot:?} is not {op:?}"
+                        );
+                        (vec![then_pc, else_pc], vec![lhs])
+                    }
                     DInst::Cast { src, .. } => (vec![], vec![src]),
                     DInst::Select {
                         cond,
@@ -190,7 +255,10 @@ fn decoded_tables_of_every_app_keep_their_dispatch_invariants() {
                     } => (vec![], vec![cond, then_v, else_v]),
                     DInst::Load { addr } => (vec![], vec![addr]),
                     DInst::Store { addr, value } => (vec![], vec![addr, value]),
-                    DInst::Gep { base, index } => (vec![], vec![base, index]),
+                    DInst::Gep { base, index } | DInst::GepLoad { base, index } => {
+                        (vec![], vec![base, index])
+                    }
+                    DInst::GepStore { base, index, value } => (vec![], vec![base, index, value]),
                     DInst::Call { args, .. } | DInst::CallIntrinsic { args, .. } => {
                         (vec![], df.args_pool[args.range()].to_vec())
                     }
@@ -221,13 +289,51 @@ fn decoded_tables_of_every_app_keep_their_dispatch_invariants() {
                         df.num_regs()
                     );
                 }
-                let after_cmpbr = pc > 0 && matches!(df.slots[pc - 1].inst, DInst::CmpBr { .. });
-                assert_eq!(slot.tail, after_cmpbr, "{at} pc {pc}: {slot:?}");
+                let head = pc.checked_sub(1).map(|h| &df.slots[h]);
+                assert_eq!(
+                    slot.tail,
+                    head.is_some_and(|h| h.inst.fuses_next()),
+                    "{at} pc {pc}: {slot:?}"
+                );
+                let Some(head) = head.filter(|_| slot.tail) else {
+                    continue;
+                };
+                let result = Reg(head.result.0);
+                let tail_ok = match (head.inst, slot.inst) {
+                    (
+                        DInst::CmpBr {
+                            then_pc, else_pc, ..
+                        }
+                        | DInst::CmpBrI {
+                            then_pc, else_pc, ..
+                        }
+                        | DInst::FCmpBr {
+                            then_pc, else_pc, ..
+                        },
+                        DInst::CondBr {
+                            cond,
+                            then_pc: t,
+                            else_pc: e,
+                        },
+                    ) => cond == result && (t, e) == (then_pc, else_pc),
+                    (DInst::GepLoad { .. }, DInst::Load { addr }) => addr == result,
+                    (DInst::GepStore { value, .. }, DInst::Store { addr, value: v }) => {
+                        addr == result && v == value
+                    }
+                    _ => false,
+                };
                 assert!(
-                    !slot.tail || matches!(slot.inst, DInst::CondBr { .. }),
-                    "{at} pc {pc}: a tail slot is the branch half"
+                    tail_ok,
+                    "{at} pc {pc}: {slot:?} is not the plain second half of {head:?}"
                 );
             }
         }
     }
+}
+
+/// The initial value of register `r` when it is a constant cell.
+fn const_cell(df: &ftkr_ir::DecodedFunction, r: ftkr_ir::decode::Reg) -> Option<ftkr_ir::RegConst> {
+    r.index()
+        .checked_sub(df.first_const())
+        .and_then(|k| df.consts.get(k).copied())
 }
