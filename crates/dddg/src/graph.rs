@@ -1,7 +1,5 @@
 //! DDDG construction from a trace slice.
 
-use std::collections::HashSet;
-
 use ftkr_vm::{Location, LocationId, TraceSlice, Value};
 
 /// Index of a node within a [`Dddg`].
@@ -267,22 +265,6 @@ impl Dddg {
         v
     }
 
-    /// Internal locations: touched by the region but neither inputs nor
-    /// written-and-live-after outputs.
-    pub fn internals(&self, outputs: &[(Location, Value)]) -> Vec<Location> {
-        let inputs: HashSet<Location> = self
-            .roots
-            .iter()
-            .map(|&n| self.nodes[n.index()].location)
-            .collect();
-        let outs: HashSet<Location> = outputs.iter().map(|(l, _)| *l).collect();
-        let mut all: HashSet<Location> = self.nodes.iter().map(|n| n.location).collect();
-        all.retain(|l| !inputs.contains(l) && !outs.contains(l));
-        let mut v: Vec<_> = all.into_iter().collect();
-        v.sort();
-        v
-    }
-
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
@@ -424,18 +406,6 @@ mod tests {
         assert_eq!(outs, vec![(Location::mem(7), Value::F(9.0))]);
         // Nothing read later => no outputs.
         assert!(g.outputs_live_after(t.slice(4, 4)).is_empty());
-    }
-
-    #[test]
-    fn internals_exclude_inputs_and_outputs() {
-        let t = sample_trace();
-        let g = Dddg::from_slice(t.full());
-        let outs = g.leaf_outputs();
-        let internals = g.internals(&outs);
-        assert!(internals.contains(&reg(2)));
-        assert!(internals.contains(&reg(3)));
-        assert!(!internals.contains(&reg(0)));
-        assert!(!internals.contains(&Location::mem(7)));
     }
 
     #[test]
