@@ -123,25 +123,27 @@ echo "    served report is byte-identical to the offline run"
 echo "==> SPMD campaigns: 4-rank MG shards == monolithic, plus a message-fault run"
 spmddir="target/spmd-smoke"
 rm -rf "$spmddir"
-# Computation faults, rank-swept across a 4-rank job, split into two shards.
+# Computation faults, rank-swept across a 4-rank job, split into two shards:
+# `plan` with `<ranks> <sweep>` writes an SPMD plan, `run` picks the
+# multi-rank executor from it and `merge` goes by the report kind.
 cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
-    spmd-plan MG region:mg_a internal 16 7 4 sweep 2 "$spmddir" > /dev/null
+    plan MG region:mg_a internal 16 7 4 sweep 2 "$spmddir" > /dev/null
 cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
-    spmd-run "$spmddir/plan_shard_0.json" "$spmddir/report_0.json"
+    run "$spmddir/plan_shard_0.json" "$spmddir/report_0.json"
 cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
-    spmd-run "$spmddir/plan_shard_1.json" "$spmddir/report_1.json"
+    run "$spmddir/plan_shard_1.json" "$spmddir/report_1.json"
 cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
-    spmd-run "$spmddir/plan.json" > "$spmddir/report_monolithic.json"
+    run "$spmddir/plan.json" > "$spmddir/report_monolithic.json"
 cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
-    spmd-merge "$spmddir/report_0.json" "$spmddir/report_1.json" \
+    merge "$spmddir/report_0.json" "$spmddir/report_1.json" \
     > "$spmddir/report_merged.json"
 diff "$spmddir/report_monolithic.json" "$spmddir/report_merged.json"
 echo "    merged SPMD shard tally is bit-identical to the monolithic run"
 # Message-payload faults: corrupt one payload bit at a send boundary per test.
 cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
-    spmd-plan MG messages internal 12 7 4 sweep 1 "$spmddir/msg" > /dev/null
+    plan MG messages internal 12 7 4 sweep 1 "$spmddir/msg" > /dev/null
 cargo run --release -q -p ftkr-bench --bin campaign_shard -- \
-    spmd-run "$spmddir/msg/plan.json" > /dev/null
+    run "$spmddir/msg/plan.json" > /dev/null
 echo "    message-fault campaign executed"
 # The Wu-et-al.-style comparison table (same fault population, nranks 1 vs
 # 4) must match its frozen output.

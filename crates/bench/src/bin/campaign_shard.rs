@@ -7,8 +7,8 @@
 //! whole campaign in one process.
 //!
 //! ```sh
-//! campaign_shard plan    <app> <target> <class> <n_tests> <seed> <k> <dir>
-//! campaign_shard run     <plan.json> [report.json]
+//! campaign_shard plan    <app> <target> <class> <n_tests> <seed> [<ranks> <sweep|rank:N>] <k> <dir>
+//! campaign_shard run     [--analyzed] <plan.json> [report.json]
 //! campaign_shard merge   <report.json> <report.json>...
 //! campaign_shard resume  <manifest-dir>
 //! campaign_shard chaos   <app> <target> <class> <n_tests> <seed> <k> <dir> <chaos-seed>
@@ -17,23 +17,33 @@
 //! campaign_shard watch   <addr> <job>
 //! campaign_shard stats   <addr>
 //! campaign_shard shutdown <addr>
-//! campaign_shard spmd-plan <app> <target|messages> <class> <n_tests> <seed> <ranks> <sweep|rank:N> <k> <dir>
-//! campaign_shard spmd-run <plan.json> [report.json]
-//! campaign_shard spmd-merge <report.json> <report.json>...
 //! ```
 //!
 //! * `plan` checks that the target resolves in a session and writes
 //!   `<dir>/plan.json` (the monolithic campaign) plus `<dir>/plan_shard_<i>.json`
 //!   (the `k`-way shard manifest).  Targets: `whole`, `region:<name>`,
-//!   `iter:<0-based index>`.  Classes: `internal`, `input`.
+//!   `iter:<0-based index>`, and `messages` (SPMD plans only).  Classes:
+//!   `internal`, `input`.  With `<ranks> <sweep|rank:N>` the plan is an SPMD
+//!   plan: each test runs as a `ranks`-way job with the fault in exactly one
+//!   rank's VM (swept across ranks, or pinned to rank `N`) or, for the
+//!   `messages` target, in one message payload.
 //! * `run` executes one plan in a fresh session (which records the clean
-//!   trace and derives the plan's sites from it) and writes the
-//!   `CampaignReport` JSON.
-//! * `merge` folds shard reports into one and prints the merged JSON.
+//!   trace and derives the plan's sites from it) and writes its report: a
+//!   `CampaignReport`, or for a plan that [`CampaignPlan::is_spmd`] an
+//!   `SpmdCampaignReport` with per-rank tallies and masked / contained /
+//!   spread divergence counts.  A computation plan with `ranks: 1` is not
+//!   SPMD and gets a plain report (`Session::run_plan_spmd` still gives its
+//!   one-rank SPMD report).  `--analyzed` writes the pattern-enriched
+//!   `AnalyzedCampaignReport` of a single-VM plan and refuses SPMD plans.
+//! * `merge` folds shard reports into one and prints the merged JSON.  The
+//!   first file decides the kind (an SPMD report has `ranks`, a plain one
+//!   `counts`); every other file must be a shard of the same kind and
+//!   campaign.
 //! * `resume` scans a manifest directory, re-executes exactly the shards
 //!   whose `report_<i>.json` is missing or corrupt (a died worker, a
 //!   truncated file), and prints the merged report — bit-identical to the
 //!   monolithic campaign regardless of how many resume passes it took.
+//!   Single-VM manifests only.
 //! * `chaos` is the self-directed fault-injection drill: it writes a shard
 //!   manifest, executes every shard under a seeded [`FailPlan`] (restore
 //!   failures, verifier panics, mid-write crashes, on-disk corruption,
@@ -49,17 +59,13 @@
 //!   `AnalyzedCampaignReport` JSON to stdout — byte-identical to
 //!   `run --analyzed` of the same plan.  `stats <addr>` prints the daemon's
 //!   counters; `shutdown` drains it.
-//! * `spmd-plan` / `spmd-run` / `spmd-merge` are the multi-rank counterparts
-//!   of `plan` / `run` / `merge`: each test runs as an `ranks`-way SPMD job
-//!   with the fault in exactly one rank's VM (or, for the `messages` target,
-//!   in one message payload), and the merged `SpmdCampaignReport` carries
-//!   per-rank tallies plus masked/contained/spread divergence counts —
-//!   byte-identical to the monolithic run for any shard split.
 
+use std::fmt::Display;
 use std::process::exit;
 
-use fliptracker::{execute_plan, execute_plan_spmd, Session};
-use ftkr_bench::shard::{resume_manifest, shard_report_path, write_report, write_report_chaos};
+use fliptracker::integrity::{verify_checksum, write_report, write_report_chaos, CHECKSUM_PREFIX};
+use fliptracker::{execute_plan, execute_plan_spmd, PlanError, Session};
+use ftkr_bench::shard::{resume_manifest, shard_report_path};
 use ftkr_inject::{
     CampaignPlan, CampaignReport, CampaignTarget, FailPlan, RankTarget, SpmdCampaignReport,
     TargetClass,
@@ -68,8 +74,9 @@ use ftkr_serve::{Client, Server, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  campaign_shard plan   <app> <whole|region:NAME|iter:N> <internal|input> \
-         <n_tests> <seed> <k> <dir>\n  campaign_shard run    <plan.json> [report.json]\n  \
+        "usage:\n  campaign_shard plan   <app> <whole|region:NAME|iter:N|messages> \
+         <internal|input> <n_tests> <seed> [<ranks> <sweep|rank:N>] <k> <dir>\n  \
+         campaign_shard run    [--analyzed] <plan.json> [report.json]\n  \
          campaign_shard merge  <report.json> <report.json>...\n  \
          campaign_shard resume <manifest-dir>\n  \
          campaign_shard chaos  <app> <whole|region:NAME|iter:N> <internal|input> \
@@ -79,13 +86,16 @@ fn usage() -> ! {
          campaign_shard watch  <addr> <job>\n  \
          campaign_shard stats  <addr>\n  \
          campaign_shard shutdown <addr>\n  \
-         campaign_shard spmd-plan <app> <whole|region:NAME|iter:N|messages> <internal|input> \
-         <n_tests> <seed> <ranks> <sweep|rank:N> <k> <dir>\n  \
-         campaign_shard spmd-run <plan.json> [report.json]\n  \
-         campaign_shard spmd-merge <report.json> <report.json>...\n  \
-         (run also accepts --analyzed for the pattern-enriched report)"
+         (plan with <ranks> <sweep|rank:N> writes an SPMD plan, which run executes as \
+         multi-rank jobs; --analyzed prints the pattern-enriched report of a single-VM plan)"
     );
     exit(2);
+}
+
+/// Exit with `campaign_shard: <message>` on stderr.
+fn die(message: impl Display) -> ! {
+    eprintln!("campaign_shard: {message}");
+    exit(1);
 }
 
 fn parse_target(text: &str) -> CampaignTarget {
@@ -120,11 +130,21 @@ fn parse_class(text: &str) -> TargetClass {
     }
 }
 
+fn parse_rank_target(text: &str) -> RankTarget {
+    if text == "sweep" {
+        return RankTarget::Sweep;
+    }
+    if let Some(rank) = text.strip_prefix("rank:") {
+        if let Ok(rank) = rank.parse() {
+            return RankTarget::Rank(rank);
+        }
+    }
+    eprintln!("campaign_shard: unknown rank target {text:?} (sweep or rank:N)");
+    usage();
+}
+
 fn read(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("campaign_shard: cannot read {path}: {e}");
-        exit(1);
-    })
+    std::fs::read_to_string(path).unwrap_or_else(|e| die(format_args!("cannot read {path}: {e}")))
 }
 
 /// Read a report file, accepting both crash-consistent files (checksum
@@ -133,60 +153,70 @@ fn read(path: &str) -> String {
 /// report is an error here, not silently parsed.
 fn read_report(path: &str) -> String {
     let text = read(path);
-    if text.contains(ftkr_bench::shard::CHECKSUM_PREFIX) {
-        match ftkr_bench::shard::verify_checksum(&text) {
-            Some(payload) => payload.to_string(),
-            None => {
-                eprintln!("campaign_shard: {path}: checksum footer does not match — torn write?");
-                exit(1);
-            }
-        }
-    } else {
-        text
+    if !text.contains(CHECKSUM_PREFIX) {
+        return text;
+    }
+    match verify_checksum(&text) {
+        Some(payload) => payload.to_string(),
+        None => die(format_args!(
+            "{path}: checksum footer does not match — torn write?"
+        )),
     }
 }
 
 /// Write a JSON document with a trailing newline (so files written by `run`
 /// byte-match documents printed by `merge`).
 fn write(path: &str, text: &str) {
-    std::fs::write(path, format!("{text}\n")).unwrap_or_else(|e| {
-        eprintln!("campaign_shard: cannot write {path}: {e}");
-        exit(1);
-    });
+    std::fs::write(path, format!("{text}\n"))
+        .unwrap_or_else(|e| die(format_args!("cannot write {path}: {e}")));
 }
 
-fn cmd_plan(args: &[String]) {
-    let [app, target, class, n_tests, seed, k, dir] = args else {
+/// Plan a campaign from `plan`'s arguments in a fresh session — an SPMD plan
+/// ([`Session::plan_spmd`]) when they carry `<ranks> <sweep|rank:N>` — and
+/// write `<dir>/plan.json` plus the `k`-way shard manifest.  Returns the
+/// session, the plan, its shards and the paths written.
+fn write_manifest(args: &[String]) -> (Session, CampaignPlan, Vec<CampaignPlan>, Vec<String>) {
+    let [app, target, class, n_tests, seed, rest @ ..] = args else {
         usage();
+    };
+    let (spmd, k, dir) = match rest {
+        [k, dir] => (None, k, dir),
+        [ranks, rank_target, k, dir] => (Some((ranks, rank_target)), k, dir),
+        _ => usage(),
     };
     let target = parse_target(target);
     let class = parse_class(class);
     let n_tests: u64 = n_tests.parse().unwrap_or_else(|_| usage());
     let seed: u64 = seed.parse().unwrap_or_else(|_| usage());
+    let spmd = spmd.map(|(ranks, rank_target)| {
+        let ranks: u32 = ranks.parse().unwrap_or_else(|_| usage());
+        (ranks, parse_rank_target(rank_target))
+    });
     let k: usize = k.parse().unwrap_or_else(|_| usage());
 
-    let session = Session::by_name(app).unwrap_or_else(|| {
-        eprintln!("campaign_shard: unknown application {app:?}");
-        exit(1);
-    });
-    let plan = session
-        .plan(target, class, n_tests)
-        .unwrap_or_else(|e| {
-            eprintln!("campaign_shard: {e}");
-            exit(1);
-        })
-        .with_seed(seed);
+    let session =
+        Session::by_name(app).unwrap_or_else(|| die(format_args!("unknown application {app:?}")));
+    let plan = match spmd {
+        None => session.plan(target, class, n_tests),
+        Some((ranks, rank_target)) => session.plan_spmd(target, class, n_tests, ranks, rank_target),
+    }
+    .unwrap_or_else(|e| die(e))
+    .with_seed(seed);
 
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-        eprintln!("campaign_shard: cannot create {dir}: {e}");
-        exit(1);
-    });
-    let mono_path = format!("{dir}/plan.json");
-    write(&mono_path, &plan.to_json());
-    println!("{mono_path}");
-    for (i, shard) in plan.shards(k).iter().enumerate() {
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| die(format_args!("cannot create {dir}: {e}")));
+    let mut paths = vec![format!("{dir}/plan.json")];
+    write(&paths[0], &plan.to_json());
+    let shards = plan.shards(k);
+    for (i, shard) in shards.iter().enumerate() {
         let path = format!("{dir}/plan_shard_{i}.json");
         write(&path, &shard.to_json());
+        paths.push(path);
+    }
+    (session, plan, shards, paths)
+}
+
+fn cmd_plan(args: &[String]) {
+    for path in write_manifest(args).3 {
         println!("{path}");
     }
 }
@@ -204,136 +234,119 @@ fn cmd_run(args: &[String]) {
         [plan, out] => (plan, Some(out)),
         _ => usage(),
     };
-    let plan = CampaignPlan::from_json(&read(plan_path)).unwrap_or_else(|e| {
-        eprintln!("campaign_shard: {plan_path} is not a plan: {e}");
-        exit(1);
-    });
+    let plan = CampaignPlan::from_json(&read(plan_path))
+        .unwrap_or_else(|e| die(format_args!("{plan_path} is not a plan: {e}")));
+    // The plan says which executor it needs.  The analyzed executor is
+    // single-VM only and refuses an SPMD plan with `PlanError::SpmdPlan`.
     let json = if analyzed {
         Session::by_name(&plan.app)
-            .unwrap_or_else(|| {
-                eprintln!("campaign_shard: unknown application {:?}", plan.app);
-                exit(1);
-            })
-            .run_plan_analyzed(&plan)
-            .unwrap_or_else(|e| {
-                eprintln!("campaign_shard: {e}");
-                exit(1);
-            })
-            .to_json()
+            .ok_or_else(|| PlanError::UnknownApp(plan.app.clone()))
+            .and_then(|session| session.run_plan_analyzed(&plan))
+            .map(|report| report.to_json())
+    } else if plan.is_spmd() {
+        execute_plan_spmd(&plan).map(|report| report.to_json())
     } else {
-        execute_plan(&plan)
-            .unwrap_or_else(|e| {
-                eprintln!("campaign_shard: {e}");
-                exit(1);
-            })
-            .to_json()
-    };
+        execute_plan(&plan).map(|report| report.to_json())
+    }
+    .unwrap_or_else(|e| die(e));
     match out {
         // File output goes through the crash-consistent protocol (atomic
         // rename + checksum footer); stdout stays bare JSON.
-        Some(path) => write_report(std::path::Path::new(path), &json).unwrap_or_else(|e| {
-            eprintln!("campaign_shard: cannot write {path}: {e}");
-            exit(1);
-        }),
+        Some(path) => write_report(std::path::Path::new(path), &json)
+            .unwrap_or_else(|e| die(format_args!("cannot write {path}: {e}"))),
         None => println!("{json}"),
     }
 }
 
-fn cmd_merge(args: &[String]) {
-    if args.is_empty() {
-        usage();
-    }
-    let reports: Vec<(String, CampaignReport)> = args
-        .iter()
-        .map(|path| {
-            let report = CampaignReport::from_json(&read_report(path)).unwrap_or_else(|e| {
-                eprintln!("campaign_shard: {path} is not a report: {e}");
-                exit(1);
-            });
-            (path.clone(), report)
-        })
-        .collect();
-    let (first_path, first) = &reports[0];
-    for (path, report) in &reports[1..] {
-        if !first.same_campaign(report) {
-            eprintln!(
-                "campaign_shard: {path} (population {}, seed {}) is not a shard of the \
-                 same campaign as {first_path} (population {}, seed {})",
-                report.population, report.seed, first.population, first.seed
-            );
-            exit(1);
+/// A report `merge` reads.  The two kinds parse unambiguously: an SPMD
+/// report has `ranks`, a plain report has `counts`.
+enum Report {
+    Plain(CampaignReport),
+    Spmd(SpmdCampaignReport),
+}
+
+impl Report {
+    fn read(path: &str) -> Report {
+        let text = read_report(path);
+        match SpmdCampaignReport::from_json(&text) {
+            Ok(report) => Report::Spmd(report),
+            Err(_) => CampaignReport::from_json(&text)
+                .map(Report::Plain)
+                .unwrap_or_else(|e| die(format_args!("{path} is not a report: {e}"))),
         }
     }
-    let merged = reports
-        .into_iter()
-        .map(|(_, report)| report)
-        .reduce(|a, b| a.merge(&b))
-        .expect("at least one report");
-    println!("{}", merged.to_json());
+
+    /// The kind and what shards of one campaign share, for the mismatch
+    /// message.
+    fn campaign(&self) -> String {
+        match self {
+            Report::Plain(r) => format!("plain, population {}, seed {}", r.population, r.seed),
+            Report::Spmd(r) => format!(
+                "SPMD, {} ranks, population {}, seed {}",
+                r.ranks, r.report.population, r.report.seed
+            ),
+        }
+    }
+}
+
+fn cmd_merge(args: &[String]) {
+    let Some((first_path, rest)) = args.split_first() else {
+        usage();
+    };
+    // The first file decides the kind; every other file must be a shard of
+    // the same kind and campaign.
+    let merged = rest.iter().fold(Report::read(first_path), |merged, path| {
+        match (merged, Report::read(path)) {
+            (Report::Plain(a), Report::Plain(b)) if a.same_campaign(&b) => {
+                Report::Plain(a.merge(&b))
+            }
+            (Report::Spmd(a), Report::Spmd(b))
+                if a.ranks == b.ranks && a.report.same_campaign(&b.report) =>
+            {
+                Report::Spmd(a.merge(&b))
+            }
+            (merged, report) => die(format_args!(
+                "{path} ({}) is not a shard of the same campaign as {first_path} ({})",
+                report.campaign(),
+                merged.campaign()
+            )),
+        }
+    });
+    match merged {
+        Report::Plain(report) => println!("{}", report.to_json()),
+        Report::Spmd(report) => println!("{}", report.to_json()),
+    }
 }
 
 fn cmd_resume(args: &[String]) {
     let [dir] = args else {
         usage();
     };
-    match resume_manifest(std::path::Path::new(dir)) {
-        Ok(summary) => {
-            eprintln!(
-                "campaign_shard: {} shard(s) intact, re-executed {:?}",
-                summary.intact.len(),
-                summary.executed
-            );
-            println!("{}", summary.merged.to_json());
-        }
-        Err(e) => {
-            eprintln!("campaign_shard: {e}");
-            exit(1);
-        }
-    }
+    let summary = resume_manifest(std::path::Path::new(dir)).unwrap_or_else(|e| die(e));
+    eprintln!(
+        "campaign_shard: {} shard(s) intact, re-executed {:?}",
+        summary.intact.len(),
+        summary.executed
+    );
+    println!("{}", summary.merged.to_json());
 }
 
 /// The chaos drill: run a sharded campaign with every harness fail point
 /// armed, batter the manifest, resume it, and demand byte-identical
 /// convergence with an undisturbed run.
 fn cmd_chaos(args: &[String]) {
-    let [app, target, class, n_tests, seed, k, dir, chaos_seed] = args else {
-        usage();
+    let (chaos_seed, plan_args) = match args.split_last() {
+        Some((chaos_seed, plan_args)) if plan_args.len() == 7 => {
+            let chaos_seed: u64 = chaos_seed.parse().unwrap_or_else(|_| usage());
+            (chaos_seed, plan_args)
+        }
+        _ => usage(),
     };
-    let target = parse_target(target);
-    let class = parse_class(class);
-    let n_tests: u64 = n_tests.parse().unwrap_or_else(|_| usage());
-    let seed: u64 = seed.parse().unwrap_or_else(|_| usage());
-    let k: usize = k.parse().unwrap_or_else(|_| usage());
-    let chaos_seed: u64 = chaos_seed.parse().unwrap_or_else(|_| usage());
-
-    let session = Session::by_name(app).unwrap_or_else(|| {
-        eprintln!("campaign_shard: unknown application {app:?}");
-        exit(1);
-    });
-    let plan = session
-        .plan(target, class, n_tests)
-        .unwrap_or_else(|e| {
-            eprintln!("campaign_shard: {e}");
-            exit(1);
-        })
-        .with_seed(seed);
-
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-        eprintln!("campaign_shard: cannot create {dir}: {e}");
-        exit(1);
-    });
-    let dir_path = std::path::Path::new(dir);
-    write(&format!("{dir}/plan.json"), &plan.to_json());
-    let shards = plan.shards(k);
-    for (i, shard) in shards.iter().enumerate() {
-        write(&format!("{dir}/plan_shard_{i}.json"), &shard.to_json());
-    }
+    let (session, plan, shards, _) = write_manifest(plan_args);
+    let dir_path = std::path::Path::new(&plan_args[6]);
 
     // The undisturbed truth the battered manifest must converge to.
-    let reference = session.run_plan(&plan).unwrap_or_else(|e| {
-        eprintln!("campaign_shard: {e}");
-        exit(1);
-    });
+    let reference = session.run_plan(&plan).unwrap_or_else(|e| die(e));
 
     // Every fail site armed at ~20 %: restores fail, verifiers panic,
     // writes crash mid-flight, reports rot on disk, I/O flakes.
@@ -355,10 +368,9 @@ fn cmd_chaos(args: &[String]) {
     let mut tainted = 0usize;
     let mut dead_writes = 0usize;
     for (i, shard) in shards.iter().enumerate() {
-        let report = session.run_plan_chaos(shard, chaos).unwrap_or_else(|e| {
-            eprintln!("campaign_shard: {e}");
-            exit(1);
-        });
+        let report = session
+            .run_plan_chaos(shard, chaos)
+            .unwrap_or_else(|e| die(e));
         if report.is_tainted() {
             tainted += 1;
         }
@@ -381,10 +393,8 @@ fn cmd_chaos(args: &[String]) {
         shards.len()
     );
 
-    let summary = resume_manifest(dir_path).unwrap_or_else(|e| {
-        eprintln!("campaign_shard: resume after chaos failed: {e}");
-        exit(1);
-    });
+    let summary = resume_manifest(dir_path)
+        .unwrap_or_else(|e| die(format_args!("resume after chaos failed: {e}")));
     eprintln!(
         "campaign_shard: resume kept {} shard(s), re-executed {:?}",
         summary.intact.len(),
@@ -407,8 +417,7 @@ fn cmd_chaos(args: &[String]) {
 
 /// Exit with the client-side rendering of a serve failure.
 fn serve_fail(context: &str, e: ftkr_serve::ServeError) -> ! {
-    eprintln!("campaign_shard: {context}: {e}");
-    exit(1);
+    die(format_args!("{context}: {e}"))
 }
 
 fn cmd_serve(args: &[String]) {
@@ -424,17 +433,13 @@ fn cmd_serve(args: &[String]) {
         let mb: u64 = budget_mb.parse().unwrap_or_else(|_| usage());
         config.cache_budget = mb << 20;
     }
-    let server = Server::bind(addr, config).unwrap_or_else(|e| {
-        eprintln!("campaign_shard: cannot bind {addr}: {e}");
-        exit(1);
-    });
+    let server =
+        Server::bind(addr, config).unwrap_or_else(|e| die(format_args!("cannot bind {addr}: {e}")));
     let bound = server.local_addr();
     // The port file is how scripts discover an ephemeral (`:0`) port.
     if let Some(port_file) = rest.get(2) {
-        std::fs::write(port_file, bound.to_string()).unwrap_or_else(|e| {
-            eprintln!("campaign_shard: cannot write {port_file}: {e}");
-            exit(1);
-        });
+        std::fs::write(port_file, bound.to_string())
+            .unwrap_or_else(|e| die(format_args!("cannot write {port_file}: {e}")));
     }
     eprintln!("campaign_shard: serving campaigns on {bound}");
     let stats = server.run();
@@ -456,10 +461,8 @@ fn cmd_submit(args: &[String]) {
         [addr, plan, k] => (addr, plan, k.parse().unwrap_or_else(|_| usage())),
         _ => usage(),
     };
-    let plan = CampaignPlan::from_json(&read(plan_path)).unwrap_or_else(|e| {
-        eprintln!("campaign_shard: {plan_path} is not a plan: {e}");
-        exit(1);
-    });
+    let plan = CampaignPlan::from_json(&read(plan_path))
+        .unwrap_or_else(|e| die(format_args!("{plan_path} is not a plan: {e}")));
     // Default shard count: one job per worker the default config would run.
     let k = if k == 0 {
         ServerConfig::default().workers as u64
@@ -516,120 +519,6 @@ fn cmd_shutdown(args: &[String]) {
     eprintln!("campaign_shard: {addr} acknowledged shutdown and is draining");
 }
 
-fn parse_rank_target(text: &str) -> RankTarget {
-    if text == "sweep" {
-        return RankTarget::Sweep;
-    }
-    if let Some(rank) = text.strip_prefix("rank:") {
-        if let Ok(rank) = rank.parse() {
-            return RankTarget::Rank(rank);
-        }
-    }
-    eprintln!("campaign_shard: unknown rank target {text:?} (sweep or rank:N)");
-    usage();
-}
-
-fn cmd_spmd_plan(args: &[String]) {
-    let [app, target, class, n_tests, seed, ranks, rank_target, k, dir] = args else {
-        usage();
-    };
-    let target = parse_target(target);
-    let class = parse_class(class);
-    let n_tests: u64 = n_tests.parse().unwrap_or_else(|_| usage());
-    let seed: u64 = seed.parse().unwrap_or_else(|_| usage());
-    let ranks: u32 = ranks.parse().unwrap_or_else(|_| usage());
-    let rank_target = parse_rank_target(rank_target);
-    let k: usize = k.parse().unwrap_or_else(|_| usage());
-
-    let session = Session::by_name(app).unwrap_or_else(|| {
-        eprintln!("campaign_shard: unknown application {app:?}");
-        exit(1);
-    });
-    let plan = session
-        .plan_spmd(target, class, n_tests, ranks, rank_target)
-        .unwrap_or_else(|e| {
-            eprintln!("campaign_shard: {e}");
-            exit(1);
-        })
-        .with_seed(seed);
-
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-        eprintln!("campaign_shard: cannot create {dir}: {e}");
-        exit(1);
-    });
-    let mono_path = format!("{dir}/plan.json");
-    write(&mono_path, &plan.to_json());
-    println!("{mono_path}");
-    for (i, shard) in plan.shards(k).iter().enumerate() {
-        let path = format!("{dir}/plan_shard_{i}.json");
-        write(&path, &shard.to_json());
-        println!("{path}");
-    }
-}
-
-fn cmd_spmd_run(args: &[String]) {
-    let (plan_path, out) = match args {
-        [plan] => (plan, None),
-        [plan, out] => (plan, Some(out)),
-        _ => usage(),
-    };
-    let plan = CampaignPlan::from_json(&read(plan_path)).unwrap_or_else(|e| {
-        eprintln!("campaign_shard: {plan_path} is not a plan: {e}");
-        exit(1);
-    });
-    let json = execute_plan_spmd(&plan)
-        .unwrap_or_else(|e| {
-            eprintln!("campaign_shard: {e}");
-            exit(1);
-        })
-        .to_json();
-    match out {
-        Some(path) => write_report(std::path::Path::new(path), &json).unwrap_or_else(|e| {
-            eprintln!("campaign_shard: cannot write {path}: {e}");
-            exit(1);
-        }),
-        None => println!("{json}"),
-    }
-}
-
-fn cmd_spmd_merge(args: &[String]) {
-    if args.is_empty() {
-        usage();
-    }
-    let reports: Vec<(String, SpmdCampaignReport)> = args
-        .iter()
-        .map(|path| {
-            let report = SpmdCampaignReport::from_json(&read_report(path)).unwrap_or_else(|e| {
-                eprintln!("campaign_shard: {path} is not an SPMD report: {e}");
-                exit(1);
-            });
-            (path.clone(), report)
-        })
-        .collect();
-    let (first_path, first) = &reports[0];
-    for (path, report) in &reports[1..] {
-        if report.ranks != first.ranks || !first.report.same_campaign(&report.report) {
-            eprintln!(
-                "campaign_shard: {path} ({} ranks, population {}, seed {}) is not a shard \
-                 of the same campaign as {first_path} ({} ranks, population {}, seed {})",
-                report.ranks,
-                report.report.population,
-                report.report.seed,
-                first.ranks,
-                first.report.population,
-                first.report.seed
-            );
-            exit(1);
-        }
-    }
-    let merged = reports
-        .into_iter()
-        .map(|(_, report)| report)
-        .reduce(|a, b| a.merge(&b))
-        .expect("at least one report");
-    println!("{}", merged.to_json());
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.split_first() {
@@ -644,9 +533,6 @@ fn main() {
             "submit" => cmd_submit(rest),
             "watch" => cmd_watch(rest),
             "shutdown" => cmd_shutdown(rest),
-            "spmd-plan" => cmd_spmd_plan(rest),
-            "spmd-run" => cmd_spmd_run(rest),
-            "spmd-merge" => cmd_spmd_merge(rest),
             _ => usage(),
         },
         None => usage(),

@@ -5,10 +5,10 @@
 //! `report_<i>.json`.  Machines die, writes tear, disks rot — this module
 //! makes every failure mode either invisible or recoverable:
 //!
-//! * **Atomic writes.**  [`write_report`] writes to a temp file in the same
-//!   directory and renames it over the destination, so a crash at any
-//!   instant leaves either the previous intact report or no report — never
-//!   a torn one.
+//! * **Atomic writes.**  [`write_report`](fliptracker::integrity::write_report)
+//!   writes to a temp file in the same directory and renames it over the
+//!   destination, so a crash at any instant leaves either the previous
+//!   intact report or no report — never a torn one.
 //! * **Checksum footers.**  Every report carries an FNV-1a footer line
 //!   (`#ftkr-checksum:<hex>`); [`verify_checksum`] catches silent on-disk
 //!   corruption that would still parse as JSON (a truncated-but-valid
@@ -18,8 +18,9 @@
 //!   missing one: the shard re-executes, so a resumed manifest always
 //!   converges to the tallies of an undisturbed run.
 //! * **Bounded retry.**  Transient I/O failures are absorbed by
-//!   [`IO_RETRIES`] attempts with deterministic spin backoff — no wall
-//!   clock, so chaos schedules replay identically.
+//!   [`IO_RETRIES`](fliptracker::integrity::IO_RETRIES) attempts with
+//!   deterministic spin backoff — no wall clock, so chaos schedules replay
+//!   identically.
 //!
 //! [`resume_manifest`] scans a directory, re-executes **only** the shards
 //! whose report is missing, torn, corrupt or tainted, and returns the
@@ -29,15 +30,9 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
+use fliptracker::integrity::{verify_checksum, write_report_chaos};
 use fliptracker::{execute_plan, PlanError};
 use ftkr_inject::{CampaignPlan, CampaignReport, FailPlan};
-
-// The checksum/atomic-write primitives live in `fliptracker::integrity` so
-// the shard manifests and the `ftkr_serve` wire protocol share one
-// implementation; re-exported here to keep this module's historical API.
-pub use fliptracker::integrity::{
-    verify_checksum, with_checksum, write_report, write_report_chaos, CHECKSUM_PREFIX, IO_RETRIES,
-};
 
 /// Why a manifest operation failed, preserving the failing shard index and
 /// the underlying cause (replaces the old stringly `Result<_, String>`).
@@ -255,6 +250,7 @@ pub fn resume_manifest_chaos(dir: &Path, chaos: FailPlan) -> Result<ResumeSummar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fliptracker::integrity::{with_checksum, write_report, CHECKSUM_PREFIX};
 
     #[test]
     fn checksum_round_trip_accepts_only_the_exact_payload() {

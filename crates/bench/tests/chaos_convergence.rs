@@ -10,8 +10,9 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use fliptracker::integrity::write_report_chaos;
 use fliptracker::Session;
-use ftkr_bench::shard::{resume_manifest, write_report_chaos};
+use ftkr_bench::shard::resume_manifest;
 use ftkr_inject::{CampaignPlan, CampaignTarget, FailPlan, TargetClass};
 use proptest::prelude::*;
 

@@ -3,9 +3,10 @@
 //! re-executing exactly those shards, and the merged tally is bit-identical
 //! to the monolithic campaign.
 
-use fliptracker::Session;
-use ftkr_bench::shard::{manifest_shards, resume_manifest, write_report, ShardError};
-use ftkr_inject::{CampaignTarget, FailPlan, TargetClass};
+use fliptracker::integrity::write_report;
+use fliptracker::{PlanError, Session};
+use ftkr_bench::shard::{manifest_shards, resume_manifest, ShardError};
+use ftkr_inject::{CampaignTarget, FailPlan, RankTarget, TargetClass};
 
 fn write(path: &std::path::Path, text: &str) {
     std::fs::write(path, format!("{text}\n")).expect("write manifest file");
@@ -88,5 +89,43 @@ fn resume_rejects_non_manifest_directories() {
         resume_manifest(&dir),
         Err(ShardError::NotAManifest(_))
     ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_refuses_spmd_manifests_without_writing_a_report() {
+    let session = Session::by_name("MG").expect("MG exists");
+    let plan = session
+        .plan_spmd(
+            CampaignTarget::Region {
+                name: "mg_a".to_string(),
+            },
+            TargetClass::Internal,
+            8,
+            4,
+            RankTarget::Sweep,
+        )
+        .expect("MG decomposes");
+    let dir = std::env::temp_dir().join(format!("ftkr-resume-spmd-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create manifest dir");
+    for (i, shard) in plan.shards(2).iter().enumerate() {
+        write(&dir.join(format!("plan_shard_{i}.json")), &shard.to_json());
+    }
+
+    // Resume runs the single-VM executor, which refuses a multi-rank plan.
+    let err = resume_manifest(&dir).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ShardError::Execute {
+                shard: 0,
+                cause: PlanError::SpmdPlan { ranks: 4 }
+            }
+        ),
+        "{err}"
+    );
+    assert!(!dir.join("report_0.json").exists());
+    assert!(!dir.join("report_1.json").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }

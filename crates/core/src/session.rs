@@ -272,7 +272,6 @@ impl Session {
             trace_hint: Some(self.clean_steps()),
             fault: Some(fault),
             max_steps: self.max_steps(),
-            ..VmConfig::default()
         };
         Vm::new(config)
             .run_decoded(&self.app.module, self.decoded_module())

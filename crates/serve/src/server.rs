@@ -320,7 +320,7 @@ fn submit(
         ));
     }
     // The wire protocol streams `AnalyzedCampaignReport`s only, so SPMD
-    // plans belong to `run_plan_spmd` / `campaign_shard spmd-run`.  Refuse
+    // plans belong to `run_plan_spmd` / `campaign_shard run`.  Refuse
     // them up front with a typed error instead of failing every shard job
     // after queueing.
     if plan.is_spmd() {

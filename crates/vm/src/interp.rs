@@ -81,11 +81,14 @@ pub struct VmConfig {
     pub fault: Option<FaultSpec>,
     /// Maximum dynamic instructions before the run is declared hung.
     pub max_steps: u64,
-    /// Maximum memory cells (globals + stack).
-    pub max_memory_cells: u64,
-    /// Maximum call depth.
-    pub max_call_depth: u32,
 }
+
+/// Memory cells (globals + stack) a run may hold; an `alloca` past it traps
+/// with [`TrapKind::OutOfMemory`].
+const MAX_MEMORY_CELLS: u64 = 1 << 24;
+
+/// Frames a run may stack; a call past it traps with [`TrapKind::CallDepth`].
+const MAX_CALL_DEPTH: u32 = 512;
 
 impl Default for VmConfig {
     fn default() -> Self {
@@ -94,8 +97,6 @@ impl Default for VmConfig {
             trace_hint: None,
             fault: None,
             max_steps: 200_000_000,
-            max_memory_cells: 1 << 24,
-            max_call_depth: 512,
         }
     }
 }
@@ -602,7 +603,7 @@ impl<'m> Interp<'m> {
             module,
             decoded,
             config,
-            Memory::for_module(module, config.max_memory_cells),
+            Memory::for_module(module, MAX_MEMORY_CELLS),
             trace,
         );
         let (entry, _) = module
@@ -852,7 +853,6 @@ impl<'m> Interp<'m> {
             mem_ids,
             steps,
             next_frame_id,
-            config,
             global_bases,
             dlines,
             ..
@@ -1228,7 +1228,7 @@ impl<'m> Interp<'m> {
                     // The top frame is always `frame_idx`, so the depth
                     // check stays ahead of operand resolution without
                     // touching `frames` while `frame` is borrowed.
-                    if (frame_idx + 1) as u32 >= config.max_call_depth {
+                    if (frame_idx + 1) as u32 >= MAX_CALL_DEPTH {
                         bail!(TrapKind::CallDepth);
                     }
                     let cf = dm.function(callee);
