@@ -216,6 +216,12 @@ cargo fmt --check
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# A library target may depend only on crates it uses; test-only crates are
+# dev-dependencies.  `ftkr-bench` is excluded because only its binary uses
+# `ftkr-serve`, which a lib-only check would flag.
+echo "==> clippy: no unused dependency in any library"
+cargo clippy --workspace --exclude ftkr-bench --lib -- -D warnings -D unused-crate-dependencies
+
 echo "==> rustdoc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 

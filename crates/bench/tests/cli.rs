@@ -90,6 +90,19 @@ fn merge_refuses_a_report_of_the_other_kind_and_names_it() {
 }
 
 #[test]
+fn merge_of_an_empty_object_names_the_missing_field() {
+    let dir = scratch("merge-empty");
+    let empty = path(&dir, "empty.json");
+    std::fs::write(&empty, "{}").expect("write");
+    let out = campaign_shard(&["merge", &empty]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(empty.as_str()), "{stderr}");
+    assert!(stderr.contains("missing field `counts`"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn run_analyzed_refuses_an_spmd_plan() {
     let dir = scratch("analyzed-spmd");
     let manifest = path(&dir, "mg");

@@ -486,13 +486,15 @@ impl Session {
     /// session's cached dispatch tables ([`Session::decoded_module`]) and
     /// step-0 checkpoint, so neither creating it nor any of its tests
     /// decodes or verifies the module again.
-    pub fn campaign(&self, seed: u64) -> Campaign<'_, impl Fn(&RunResult) -> bool + Sync + '_> {
+    pub(crate) fn campaign(
+        &self,
+        seed: u64,
+    ) -> Campaign<'_, impl Fn(&RunResult) -> bool + Sync + '_> {
         let app = &self.app;
-        Campaign::with_decoded(&app.module, self.decoded_module(), self.entry(), move |r| {
-            app.verify(r)
-        })
-        .with_max_steps(self.max_steps())
-        .with_seed(seed)
+        let verify = move |r: &RunResult| app.verify(r);
+        Campaign::new(&app.module, self.decoded_module(), self.entry(), verify)
+            .with_max_steps(self.max_steps())
+            .with_seed(seed)
     }
 
     /// The step-0 checkpoint: where a test from program entry starts.
@@ -528,10 +530,9 @@ impl Session {
         Ok(CampaignPlan::new(self.app.name, target, class, n_tests).with_seed(seed))
     }
 
-    /// Execute a campaign plan (or one shard of it).  The verification
-    /// closure of the old `Campaign::new(&module, closure)` API is gone:
-    /// the plan names the application, and the session supplies its
-    /// registry-defined verification phase.
+    /// Execute a campaign plan (or one shard of it).  The plan names the
+    /// application, and the session supplies its registry-defined
+    /// verification phase.
     ///
     /// The faulty runs fork from a cached fault-free checkpoint at the
     /// plan's earliest site ([`Session::checkpoint_at`]) instead of each

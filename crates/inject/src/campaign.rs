@@ -7,20 +7,19 @@
 //! per-test product.  Single-VM campaigns run there, and so does the
 //! injected rank of an SPMD test ([`crate::spmd`]).  Every test resumes
 //! from a fault-free start snapshot; a test from program entry is one
-//! resumed from the step-0 checkpoint.  A worker that panics — a poisoned
+//! resumed from the step-0 checkpoint.  A test that panics — a poisoned
 //! verifier, a harness bug — records an [`Outcome::HarnessError`] instead of
-//! tearing down the whole rayon shard, and a test started past step 0 whose
+//! tearing down the whole shard, and a test started past step 0 whose
 //! checkpoint restore fails restarts from the step-0 checkpoint, recorded in
 //! [`CampaignCounts::degraded`].  Both failure modes are injectable on
 //! purpose via a seeded [`FailPlan`], which is how the chaos suite proves
 //! the recovery paths actually work.
 
-use std::borrow::Cow;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use ftkr_ir::Module;
@@ -203,88 +202,38 @@ impl<X, F: Fn(&RunResult) -> bool + Sync> Verdict<X> for F {
 /// [`Outcome::Crashed`] (carrying their [`CrashKind`](crate::CrashKind))
 /// before the verifier is consulted.
 pub struct Campaign<'m, F> {
-    pub(crate) module: &'m Module,
-    pub(crate) verify: F,
-    pub(crate) max_steps: u64,
-    pub(crate) seed: u64,
-    pub(crate) chaos: FailPlan,
-    /// The module's dispatch tables and verification verdict: decoded once
-    /// per campaign, or borrowed from a caller that holds them already.
-    pub(crate) decoded: Cow<'m, DecodedModule>,
-    /// The fault-free state at step 0: where [`Campaign::run_range`] starts
-    /// its tests, and where a test whose restore failed restarts.  `None`
-    /// only for a module that fails verification, which has no entry state.
-    entry: Option<VmSnapshot>,
+    module: &'m Module,
+    /// The module's dispatch tables and verification verdict.
+    decoded: &'m DecodedModule,
+    /// The fault-free state at step 0: where a test whose restore failed
+    /// restarts.
+    entry: VmSnapshot,
+    verify: F,
+    max_steps: u64,
+    seed: u64,
+    chaos: FailPlan,
 }
 
-impl<'m, F: Fn(&RunResult) -> bool + Sync> Campaign<'m, F> {
-    /// Create a campaign for `module` judged by `verify`.  The module is
-    /// decoded (and verified) once here and its step-0 state captured;
-    /// every faulty run then resumes on the decoded tables
-    /// ([`Vm::resume_from_decoded`]) without verifying again.
-    pub fn new(module: &'m Module, verify: F) -> Self {
-        let entry = Vm::new(VmConfig::default())
-            .snapshot_at(module, 0)
-            .ok()
-            .flatten();
-        Self::over(
-            module,
-            Cow::Owned(DecodedModule::decode(module)),
-            entry,
-            verify,
-        )
-    }
-
-    /// [`Campaign::new`] over tables the caller already decoded from
-    /// `module` and its step-0 checkpoint `entry` (a session's cached
-    /// ones), so creating the campaign neither decodes nor verifies.
-    /// `decoded` must be [`DecodedModule::decode`] of this `module`, and
-    /// `entry` its fault-free [`Vm::snapshot_at`] step 0.
-    pub fn with_decoded(
+impl<'m, F> Campaign<'m, F> {
+    /// A campaign for `module` judged by `verify`, over tables the caller
+    /// already decoded and its step-0 checkpoint `entry`, so creating the
+    /// campaign neither decodes nor verifies.  `decoded` must be
+    /// [`DecodedModule::decode`] of this `module`, and `entry` its
+    /// fault-free [`Vm::snapshot_at`] step 0.
+    pub fn new(
         module: &'m Module,
         decoded: &'m DecodedModule,
         entry: VmSnapshot,
         verify: F,
     ) -> Self {
-        Self::over(module, Cow::Borrowed(decoded), Some(entry), verify)
-    }
-
-    /// Run one index-range shard of a campaign, every test from program
-    /// entry: the tests `[range.start, range.end)` of the (seed-determined)
-    /// test sequence, sampled uniformly from `sites × 64 bits`.  Merging the
-    /// reports of any partition of `[0, n_tests)` with
-    /// [`CampaignReport::merge`] is bit-identical to running the whole
-    /// range.  A module that fails verification runs no test: every test is
-    /// a harness error.
-    pub fn run_range(&self, sites: &[FaultSite], range: IndexRange) -> CampaignReport {
-        let Some(entry) = &self.entry else {
-            let n_tests = if sites.is_empty() { 0 } else { range.len() };
-            return CampaignReport::harness_lost(n_tests, sites.len() as u64 * 64, self.seed);
-        };
-        let untraced = |_, _, vm: Vm, snap: &VmSnapshot| (self.untraced(vm, snap), ());
-        match self.run_range_with(sites, range, entry, untraced, |(), ()| ()) {
-            Ok((report, ())) => report,
-            Err(_) => unreachable!("no site precedes step 0"),
-        }
-    }
-}
-
-impl<'m, F> Campaign<'m, F> {
-    /// A campaign judged by any [`Verdict`].
-    pub(crate) fn over(
-        module: &'m Module,
-        decoded: Cow<'m, DecodedModule>,
-        entry: Option<VmSnapshot>,
-        verify: F,
-    ) -> Self {
         Campaign {
             module,
+            decoded,
+            entry,
             verify,
             max_steps: VmConfig::default().max_steps,
             seed: DEFAULT_SEED,
             chaos: FailPlan::none(),
-            decoded,
-            entry,
         }
     }
 
@@ -317,18 +266,9 @@ impl<'m, F> Campaign<'m, F> {
         }
     }
 
-    /// The fault injected by test `index` of a campaign: sampled uniformly
-    /// from `sites × 64 bits` by an RNG derived from `(seed, index)`.  Each
-    /// test owns its derivation, so campaigns stay deterministic per seed
-    /// without materializing the full fault vector up front, and any shard
-    /// of the index space can be replayed independently.
-    pub fn fault_for_index(&self, sites: &[FaultSite], index: u64) -> FaultSpec {
-        sample_site_fault(self.seed, sites, index)
-    }
-
     /// The untraced faulty run, resumed from `snapshot`.
     pub(crate) fn untraced(&self, vm: Vm, snapshot: &VmSnapshot) -> RunResult {
-        vm.resume_from_decoded(self.module, &self.decoded, snapshot)
+        vm.resume_from_decoded(self.module, self.decoded, snapshot)
             .expect("campaign module must verify")
     }
 
@@ -352,9 +292,15 @@ impl<'m, F> Campaign<'m, F> {
     /// the armed [`FailPlan`] fires per test index.  A start past step 0
     /// that fails restarts from the step-0 checkpoint and counts as
     /// degraded; a start at step 0 has no restore to fail.  Sampling,
-    /// sharding and report assembly do not depend on `start`, so the report
-    /// equals [`Campaign::run_range`]'s whenever `run` executes the faulty
-    /// run faithfully and the verdict is the campaign verifier's.
+    /// sharding and report assembly do not depend on `start`, so a forked
+    /// campaign's report equals the one started from the step-0 checkpoint
+    /// whenever `run` executes the faulty run faithfully and the verdict is
+    /// the campaign verifier's.
+    ///
+    /// The tests run in parallel, one worker per available core; each
+    /// one's fault is [`sample_site_fault`] of `(seed, index)`, and the
+    /// per-test counts and products fold in index order whatever the
+    /// schedule.
     ///
     /// # Errors
     /// [`FaultBeforeCheckpoint`] when a site precedes `start`; checked
@@ -387,31 +333,30 @@ impl<'m, F> Campaign<'m, F> {
         if sites.is_empty() || range.is_empty() {
             return Ok((report, X::default()));
         }
-        let (counts, product) = (range.start..range.end)
-            .into_par_iter()
-            .map(|index| self.test(index, self.fault_for_index(sites, index), start, &run))
-            .reduce(
-                || (CampaignCounts::default(), X::default()),
-                |a, b| (a.0.merge(b.0), fold(a.1, b.1)),
-            );
+        let (counts, product) = ordered_fold(
+            range,
+            |index| self.test(index, sites, start, &run),
+            |a: (CampaignCounts, X), b| (a.0.merge(b.0), fold(a.1, b.1)),
+        );
         report.counts = counts;
         report.n_tests = range.len();
         Ok((report, product))
     }
 
-    /// One test of the kernel: execute (from `start`, restarting from the
-    /// step-0 checkpoint when a later start fails), classify, and tally.
-    /// Returns the test's counts and its product.
+    /// One test of the kernel: derive its fault, execute (from `start`,
+    /// restarting from the step-0 checkpoint when a later start fails),
+    /// classify, and tally.  Returns the test's counts and its product.
     fn test<X: Default>(
         &self,
         index: u64,
-        fault: FaultSpec,
+        sites: &[FaultSite],
         start: &VmSnapshot,
         run: &impl Fn(u64, FaultSpec, Vm, &VmSnapshot) -> (RunResult, X),
     ) -> (CampaignCounts, X)
     where
         F: Verdict<X>,
     {
+        let fault = sample_site_fault(self.seed, sites, index);
         let execute = |snap: &VmSnapshot| {
             catch_unwind(AssertUnwindSafe(|| {
                 if snap.step() > 0 {
@@ -425,7 +370,7 @@ impl<'m, F> Campaign<'m, F> {
         // entry: bit-identical classification, just slower.
         let (executed, degraded) = match execute(start) {
             Some(done) => (Some(done), false),
-            None if start.step() > 0 => (self.entry.as_ref().and_then(execute), true),
+            None if start.step() > 0 => (execute(&self.entry), true),
             None => (None, false),
         };
         let outcome = match &executed {
@@ -471,6 +416,55 @@ impl<'m, F> Campaign<'m, F> {
     }
 }
 
+/// Blocks per worker of [`ordered_fold`]: enough that uneven test costs
+/// even out across workers, few enough that the block partials stay cheap.
+const BLOCKS_PER_THREAD: usize = 8;
+
+/// Map every index of `range` through `test` and fold the results with
+/// `op`, in index order: the kernel's one parallel loop.  One scoped worker
+/// per available core (capped at the test count; inline when that is 1)
+/// claims blocks of indices from a shared counter, so a worker that draws
+/// cheap tests takes more blocks instead of idling behind a slow one.  Each
+/// block folds from `R::default()`, and the block partials fold in block
+/// order, so the result is exact for an associative `op` even when it is
+/// not commutative.  A worker's panic is re-raised with its own payload.
+fn ordered_fold<R: Default + Send>(
+    range: IndexRange,
+    test: impl Fn(u64) -> R + Sync,
+    op: impl Fn(R, R) -> R + Sync,
+) -> R {
+    let len = range.len() as usize;
+    let fold = |lo: usize, hi: usize| {
+        let indices = range.start + lo as u64..range.start + hi as u64;
+        indices.map(&test).fold(R::default(), &op)
+    };
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = threads.min(len);
+    if threads <= 1 {
+        return fold(0, len);
+    }
+    let block = len.div_ceil(threads * BLOCKS_PER_THREAD);
+    // The counter hands out block starts; the partials come back through
+    // `join`, so `Relaxed` publishes nothing it would have to order.
+    let next = AtomicUsize::new(0);
+    let (next, fold) = (&next, &fold);
+    let claim = move || {
+        let lo = next.fetch_add(block, Ordering::Relaxed);
+        (lo < len).then(|| (lo, fold(lo, (lo + block).min(len))))
+    };
+    let mut partials: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| scope.spawn(move || std::iter::from_fn(claim).collect::<Vec<_>>()))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
+    });
+    partials.sort_unstable_by_key(|&(lo, _)| lo);
+    partials.into_iter().map(|(_, r)| r).fold(R::default(), op)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,6 +508,30 @@ mod tests {
         Vm::new(VmConfig::tracing()).run(module).unwrap()
     }
 
+    /// What a campaign borrows from its caller: the module's decoded
+    /// tables, and its step-0 checkpoint.
+    struct Kernel {
+        decoded: DecodedModule,
+        entry: VmSnapshot,
+    }
+
+    impl Kernel {
+        fn of(module: &Module) -> Kernel {
+            Kernel {
+                decoded: DecodedModule::decode(module),
+                entry: Vm::new(VmConfig::default())
+                    .snapshot_at(module, 0)
+                    .unwrap()
+                    .expect("step 0 exists"),
+            }
+        }
+
+        /// A campaign over these tables judged by `verify`.
+        fn campaign<'m, F>(&'m self, module: &'m Module, verify: F) -> Campaign<'m, F> {
+            Campaign::new(module, &self.decoded, self.entry.clone(), verify)
+        }
+    }
+
     /// The plain campaign with every test forked from `start`: the kernel
     /// around the untraced run.
     fn run_from<F: Fn(&RunResult) -> bool + Sync>(
@@ -533,6 +551,15 @@ mod tests {
             .map(|(report, ())| report)
     }
 
+    /// The plain campaign with every test from program entry.
+    fn run_range<F: Fn(&RunResult) -> bool + Sync>(
+        campaign: &Campaign<'_, F>,
+        sites: &[FaultSite],
+        range: IndexRange,
+    ) -> CampaignReport {
+        run_from(campaign, sites, range, &campaign.entry).expect("no site precedes step 0")
+    }
+
     #[test]
     fn fault_free_program_passes_its_own_verification() {
         let m = module();
@@ -543,12 +570,15 @@ mod tests {
     #[test]
     fn campaign_over_internal_sites_produces_mixed_outcomes() {
         let m = module();
+        let k = Kernel::of(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
         assert!(!sites.is_empty());
-        let campaign = Campaign::new(&m, verify).with_max_steps(hang_budget(clean.steps));
-        let report = campaign.run_range(&sites, IndexRange::full(200));
+        let campaign = k
+            .campaign(&m, verify)
+            .with_max_steps(hang_budget(clean.steps));
+        let report = run_range(&campaign, &sites, IndexRange::full(200));
         assert_eq!(report.counts.total(), 200);
         assert_eq!(report.population, sites.len() as u64 * 64);
         // No chaos armed: nothing may be lost or degraded.
@@ -580,22 +610,19 @@ mod tests {
     #[test]
     fn campaigns_are_deterministic_given_a_seed() {
         let m = module();
+        let k = Kernel::of(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
         let max_steps = hang_budget(clean.steps);
-        let c1 = Campaign::new(&m, verify)
-            .with_seed(7)
-            .with_max_steps(max_steps)
-            .run_range(&sites, IndexRange::full(64));
-        let c2 = Campaign::new(&m, verify)
-            .with_seed(7)
-            .with_max_steps(max_steps)
-            .run_range(&sites, IndexRange::full(64));
-        let c3 = Campaign::new(&m, verify)
-            .with_seed(8)
-            .with_max_steps(max_steps)
-            .run_range(&sites, IndexRange::full(64));
+        let seeded = |seed| {
+            let campaign = k
+                .campaign(&m, verify)
+                .with_seed(seed)
+                .with_max_steps(max_steps);
+            run_range(&campaign, &sites, IndexRange::full(64))
+        };
+        let (c1, c2, c3) = (seeded(7), seeded(7), seeded(8));
         assert_eq!(c1.counts, c2.counts);
         // A different seed samples different faults (overwhelmingly likely to
         // change at least one tally for this program).
@@ -605,12 +632,15 @@ mod tests {
     #[test]
     fn input_site_campaign_on_the_accumulator_is_resilient_to_overwrites() {
         let m = module();
+        let k = Kernel::of(&m);
         let clean = clean_run(&m);
         // The accumulator cell is overwritten by the first loop iteration, so
         // input faults at step 0 are frequently masked (Data Overwriting).
         let sites = input_sites(0, &[(ftkr_vm::Location::mem(0), ftkr_vm::Value::F(0.0))]);
-        let campaign = Campaign::new(&m, verify).with_max_steps(hang_budget(clean.steps));
-        let report = campaign.run_range(&sites, IndexRange::full(64));
+        let campaign = k
+            .campaign(&m, verify)
+            .with_max_steps(hang_budget(clean.steps));
+        let report = run_range(&campaign, &sites, IndexRange::full(64));
         assert!(
             report.success_rate() > 0.9,
             "rate {}",
@@ -621,30 +651,32 @@ mod tests {
     #[test]
     fn per_index_fault_derivation_is_deterministic_and_shardable() {
         let m = module();
+        let k = Kernel::of(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
         let max_steps = hang_budget(clean.steps);
-        let campaign = Campaign::new(&m, verify)
+        let campaign = k
+            .campaign(&m, verify)
             .with_seed(42)
             .with_max_steps(max_steps);
         // The fault of test i is a pure function of (seed, i).
         for i in [0u64, 1, 7, 63] {
             assert_eq!(
-                campaign.fault_for_index(&sites, i),
-                campaign.fault_for_index(&sites, i)
+                sample_site_fault(42, &sites, i),
+                sample_site_fault(42, &sites, i)
             );
         }
         // Replaying every index on its own reproduces the parallel tally —
         // the property that makes campaigns shardable by index range.
-        let report = campaign.run_range(&sites, IndexRange::full(48));
+        let report = run_range(&campaign, &sites, IndexRange::full(48));
         let replay = (0..48)
-            .map(|i| campaign.run_range(&sites, IndexRange::new(i, i + 1)).counts)
+            .map(|i| run_range(&campaign, &sites, IndexRange::new(i, i + 1)).counts)
             .fold(CampaignCounts::default(), CampaignCounts::merge);
         assert_eq!(report.counts, replay);
         // Neighbouring indices do not all sample the same site.
         let distinct: std::collections::HashSet<u64> = (0..16)
-            .map(|i| campaign.fault_for_index(&sites, i).at_step)
+            .map(|i| sample_site_fault(42, &sites, i).at_step)
             .collect();
         assert!(distinct.len() > 4, "indices collapse onto {distinct:?}");
     }
@@ -652,8 +684,9 @@ mod tests {
     #[test]
     fn empty_site_list_yields_empty_report() {
         let m = module();
-        let campaign = Campaign::new(&m, verify);
-        let report = campaign.run_range(&[], IndexRange::full(100));
+        let k = Kernel::of(&m);
+        let campaign = k.campaign(&m, verify);
+        let report = run_range(&campaign, &[], IndexRange::full(100));
         assert_eq!(report.counts.total(), 0);
         assert_eq!(report.n_tests, 0);
     }
@@ -661,13 +694,15 @@ mod tests {
     #[test]
     fn sharded_run_ranges_merge_bit_identically_to_the_monolithic_run() {
         let m = module();
+        let k = Kernel::of(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
-        let campaign = Campaign::new(&m, verify)
+        let campaign = k
+            .campaign(&m, verify)
             .with_seed(1234)
             .with_max_steps(hang_budget(clean.steps));
-        let monolithic = campaign.run_range(&sites, IndexRange::full(60));
+        let monolithic = run_range(&campaign, &sites, IndexRange::full(60));
         // Three deliberately uneven shards covering [0, 60).
         let shards = [
             IndexRange::new(0, 1),
@@ -676,7 +711,7 @@ mod tests {
         ];
         let merged = shards
             .iter()
-            .map(|&r| campaign.run_range(&sites, r))
+            .map(|&r| run_range(&campaign, &sites, r))
             .reduce(|a, b| a.merge(&b))
             .unwrap();
         assert_eq!(merged, monolithic);
@@ -688,6 +723,7 @@ mod tests {
     #[test]
     fn fork_point_campaign_matches_the_cold_campaign_bit_for_bit() {
         let m = module();
+        let k = Kernel::of(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         // Restrict sites to the second half of the trace, then checkpoint at
@@ -700,10 +736,11 @@ mod tests {
             .snapshot_at(&m, fork)
             .unwrap()
             .expect("fork step is mid-run");
-        let campaign = Campaign::new(&m, verify)
+        let campaign = k
+            .campaign(&m, verify)
             .with_seed(99)
             .with_max_steps(hang_budget(clean.steps));
-        let cold = campaign.run_range(&sites, IndexRange::full(120));
+        let cold = run_range(&campaign, &sites, IndexRange::full(120));
         let forked = run_from(&campaign, &sites, IndexRange::full(120), &snapshot).unwrap();
         assert_eq!(forked, cold);
         assert_eq!(forked.counts.degraded, 0, "no chaos: no degradation");
@@ -719,6 +756,7 @@ mod tests {
     #[test]
     fn fork_point_campaign_rejects_sites_before_the_checkpoint_up_front() {
         let m = module();
+        let k = Kernel::of(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let fork = trace.len() as u64 / 2;
@@ -728,7 +766,7 @@ mod tests {
             .unwrap();
         // The verifier panics if any test runs: the site list is rejected
         // before the first worker starts.
-        let campaign = Campaign::new(&m, |_r: &RunResult| -> bool { panic!("no test may run") });
+        let campaign = k.campaign(&m, |_r: &RunResult| -> bool { panic!("no test may run") });
         let sites = internal_sites(trace, 0, trace.len());
         assert_eq!(
             run_from(&campaign, &sites, IndexRange::full(32), &snapshot),
@@ -747,30 +785,18 @@ mod tests {
     }
 
     #[test]
-    fn a_module_that_fails_verification_counts_every_test_as_a_harness_error() {
-        // No `main`: `verify_executable` rejects the module once, when the
-        // campaign decodes it, and every test then reports the harness
-        // failure instead of classifying a run that never happened.
-        let mut m = module();
-        m.functions[0].name = "entry".into();
-        let sites = input_sites(0, &[(ftkr_vm::Location::mem(0), ftkr_vm::Value::F(0.0))]);
-        let report = Campaign::new(&m, verify).run_range(&sites, IndexRange::full(16));
-        assert_eq!(report.counts.harness_errors, 16);
-        assert_eq!(report.counts.total(), 16);
-        assert!(report.is_tainted());
-    }
-
-    #[test]
     fn panicking_verifier_is_isolated_as_a_harness_error() {
         let m = module();
+        let k = Kernel::of(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
-        let poisoned = Campaign::new(&m, |_r: &RunResult| -> bool { panic!("verifier bug") })
+        let poisoned = k
+            .campaign(&m, |_r: &RunResult| -> bool { panic!("verifier bug") })
             .with_max_steps(hang_budget(clean.steps));
         // The shard survives; every completed run classifies as a harness
         // error, and trapped runs still classify by their crash kind.
-        let report = poisoned.run_range(&sites, IndexRange::full(32));
+        let report = run_range(&poisoned, &sites, IndexRange::full(32));
         assert_eq!(report.counts.total(), 32);
         assert_eq!(report.counts.success, 0);
         assert_eq!(report.counts.failed, 0);
@@ -786,6 +812,7 @@ mod tests {
     #[test]
     fn chaos_verifier_panics_taint_exactly_the_scheduled_tests() {
         let m = module();
+        let k = Kernel::of(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
@@ -793,11 +820,12 @@ mod tests {
             verifier_panic: 512,
             ..FailPlan::uniform(77, 0)
         };
-        let campaign = Campaign::new(&m, verify)
+        let campaign = k
+            .campaign(&m, verify)
             .with_seed(5)
             .with_max_steps(hang_budget(clean.steps))
             .with_chaos(chaos);
-        let report = campaign.run_range(&sites, IndexRange::full(64));
+        let report = run_range(&campaign, &sites, IndexRange::full(64));
         assert!(
             report.counts.harness_errors > 0,
             "~half the verdicts are poisoned"
@@ -805,13 +833,14 @@ mod tests {
         assert!(report.is_tainted());
         // The schedule is a pure function of (seed, index): re-running
         // reproduces the tainted tally bit-identically.
-        let again = campaign.run_range(&sites, IndexRange::full(64));
+        let again = run_range(&campaign, &sites, IndexRange::full(64));
         assert_eq!(report, again);
     }
 
     #[test]
     fn chaos_restore_failures_degrade_to_the_cold_path_with_identical_outcomes() {
         let m = module();
+        let k = Kernel::of(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let window_start = trace.len() / 2;
@@ -822,15 +851,17 @@ mod tests {
             .unwrap()
             .expect("fork step is mid-run");
         let max_steps = hang_budget(clean.steps);
-        let reference = Campaign::new(&m, verify)
+        let reference = k
+            .campaign(&m, verify)
             .with_seed(11)
-            .with_max_steps(max_steps)
-            .run_range(&sites, IndexRange::full(48));
+            .with_max_steps(max_steps);
+        let reference = run_range(&reference, &sites, IndexRange::full(48));
         let chaos = FailPlan {
             restore_fail: 512,
             ..FailPlan::uniform(3, 0)
         };
-        let shaken = Campaign::new(&m, verify)
+        let shaken = k
+            .campaign(&m, verify)
             .with_seed(11)
             .with_max_steps(max_steps)
             .with_chaos(chaos);
@@ -847,6 +878,7 @@ mod tests {
     #[test]
     fn the_kernel_folds_the_product_of_the_path_each_test_took() {
         let m = module();
+        let k = Kernel::of(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, trace.len() / 2, trace.len());
@@ -861,7 +893,8 @@ mod tests {
             verifier_panic: 512,
             ..FailPlan::uniform(29, 0)
         };
-        let campaign = Campaign::new(&m, verify)
+        let campaign = k
+            .campaign(&m, verify)
             .with_seed(17)
             .with_max_steps(hang_budget(clean.steps))
             .with_chaos(chaos);
@@ -889,13 +922,13 @@ mod tests {
         );
         // Which tests the schedule degrades and poisons: a verifier panic
         // only strikes a run that completed.
-        let undisturbed = Campaign::new(&m, verify)
+        let undisturbed = k
+            .campaign(&m, verify)
             .with_seed(17)
             .with_max_steps(hang_budget(clean.steps));
         let (mut want_forked, mut want_cold) = (0, 0);
         for i in range.start..range.end {
-            let completed = undisturbed
-                .run_range(&sites, IndexRange::new(i, i + 1))
+            let completed = run_range(&undisturbed, &sites, IndexRange::new(i, i + 1))
                 .counts
                 .crashed()
                 == 0;
@@ -914,6 +947,77 @@ mod tests {
         assert!(report.counts.harness_errors > 0 && report.counts.degraded > 0);
         assert_eq!((forked, cold), (want_forked, want_cold));
         assert_eq!(forked + cold + report.counts.harness_errors, report.n_tests);
+    }
+
+    /// Uneven per-test cost makes workers finish their blocks out of order;
+    /// the products must still fold in index order, on any core count.
+    #[test]
+    fn products_fold_in_index_order_whatever_the_schedule() {
+        let m = module();
+        let k = Kernel::of(&m);
+        let clean = clean_run(&m);
+        let trace = clean.trace.as_ref().unwrap();
+        let sites = internal_sites(trace, 0, trace.len());
+        let campaign = k.campaign(&m, verify);
+        for len in 0..=257u64 {
+            let range = IndexRange::new(3, 3 + len);
+            let (report, order) = campaign
+                .run_range_with(
+                    &sites,
+                    range,
+                    &k.entry,
+                    |index, _, _, _| {
+                        let spin = if index.is_multiple_of(7) { 20_000 } else { 10 };
+                        let mut x = index;
+                        for _ in 0..spin {
+                            x = std::hint::black_box(
+                                x.wrapping_mul(6364136223846793005).wrapping_add(1),
+                            );
+                        }
+                        (clean.clone(), vec![index])
+                    },
+                    |mut a: Vec<u64>, b| {
+                        a.extend(b);
+                        a
+                    },
+                )
+                .unwrap();
+            let want: Vec<u64> = (range.start..range.end).collect();
+            assert_eq!(order, want, "range of length {len}");
+            assert_eq!(report.counts.success, len);
+        }
+    }
+
+    /// A panic outside the per-test perimeter is not a harness error: one
+    /// in `fold` surfaces from the kernel with its own payload.
+    #[test]
+    fn a_panic_in_fold_surfaces_with_its_own_payload() {
+        let m = module();
+        let k = Kernel::of(&m);
+        let clean = clean_run(&m);
+        let trace = clean.trace.as_ref().unwrap();
+        let sites = internal_sites(trace, 0, trace.len());
+        let campaign = k.campaign(&m, verify);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            campaign.run_range_with(
+                &sites,
+                IndexRange::full(64),
+                &k.entry,
+                |index, _, _, _| (clean.clone(), vec![index]),
+                |mut a: Vec<u64>, b| {
+                    if let Some(i) = b.iter().find(|&&i| i == 40) {
+                        panic!("fold saw test {i}");
+                    }
+                    a.extend(b);
+                    a
+                },
+            )
+        }))
+        .expect_err("fold panicked");
+        assert_eq!(
+            err.downcast_ref::<String>().map(String::as_str),
+            Some("fold saw test 40")
+        );
     }
 
     #[test]

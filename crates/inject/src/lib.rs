@@ -14,10 +14,11 @@
 //!   Failed* or *Crashed*, and the campaign reports the success rate of
 //!   Eq. (1).
 //!
-//! Faulty runs are independent, so campaigns fan out across cores with rayon.
-//! Each worker runs inside a panic-isolation perimeter (`catch_unwind`), so a
-//! poisoned test records [`Outcome::HarnessError`] instead of losing the
-//! shard, and abnormal ends carry their crash kind ([`CrashKind`]) so hangs,
+//! Faulty runs are independent, so the campaign kernel fans them out across
+//! cores on scoped threads.  Each test runs inside a panic-isolation
+//! perimeter (`catch_unwind`), so a poisoned test records
+//! [`Outcome::HarnessError`] instead of losing the shard, and abnormal ends
+//! carry their crash kind ([`CrashKind`]) so hangs,
 //! memory traps, arithmetic traps and OOM are distinguishable while the
 //! paper's three-way crashed rate stays derivable.  The [`chaos`] module
 //! turns the harness's own failure modes into seeded, replayable faults.

@@ -27,8 +27,6 @@
 //! function the serial executor uses, so serial and parallel campaigns draw
 //! identical fault populations), so shard reports merge bit-identically.
 
-use std::borrow::Cow;
-
 use ftkr_ir::Module;
 use ftkr_patterns::divergence::{classify_ranks, RankDigest, RankDivergence};
 use ftkr_vm::{DecodedModule, RunOutcome, RunResult, VmSnapshot};
@@ -526,14 +524,10 @@ impl<'m> SpmdHarness<'m> {
                 rank_target,
                 snapshot,
             } => {
-                let campaign = Campaign::over(
-                    self.module,
-                    Cow::Borrowed(self.decoded),
-                    Some(self.entry.clone()),
-                    JobAccepted,
-                )
-                .with_max_steps(self.max_steps)
-                .with_seed(seed);
+                let campaign =
+                    Campaign::new(self.module, self.decoded, self.entry.clone(), JobAccepted)
+                        .with_max_steps(self.max_steps)
+                        .with_seed(seed);
                 campaign.run_range_with(
                     sites,
                     range,

@@ -560,7 +560,7 @@ proptest! {
         k in 1usize..6,
         cut_seed in any::<u64>(),
     ) {
-        use ftkr_inject::{internal_sites, Campaign, IndexRange};
+        use ftkr_inject::{internal_sites, IndexRange};
 
         let module = parametric_module(18, 1.25, 0.5);
         let clean = Vm::new(VmConfig::tracing()).run(&module).unwrap();
@@ -573,10 +573,12 @@ proptest! {
                 .map(|v| (v[0] - reference).abs() <= reference.abs() * 0.05 + 1e-12)
                 .unwrap_or(false)
         };
-        let campaign = Campaign::new(&module, verify)
+        let kernel = support::Kernel::of(&module);
+        let campaign = kernel
+            .campaign(verify)
             .with_seed(seed)
             .with_max_steps(ftkr_inject::hang_budget(clean.steps));
-        let monolithic = campaign.run_range(&sites, IndexRange::full(n_tests));
+        let monolithic = kernel.run_range(&campaign, &sites, IndexRange::full(n_tests));
         prop_assert_eq!(monolithic.counts.total(), n_tests);
 
         // `k - 1` random cut points over `[0, n_tests]`; duplicates produce
@@ -592,7 +594,7 @@ proptest! {
         cuts.sort_unstable();
         let merged = cuts
             .windows(2)
-            .map(|w| campaign.run_range(&sites, IndexRange::new(w[0], w[1])))
+            .map(|w| kernel.run_range(&campaign, &sites, IndexRange::new(w[0], w[1])))
             .reduce(|a, b| a.merge(&b))
             .unwrap();
         prop_assert_eq!(merged, monolithic);

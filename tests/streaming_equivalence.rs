@@ -18,6 +18,7 @@
 //! have skipped events, so the gated path is held to the same bar.
 
 use fliptracker::prelude::*;
+use ftkr_inject::sample_site_fault;
 use ftkr_patterns::{analyze_fused, PatternInstance, PatternKind, StreamingDetector};
 use ftkr_vm::{EventCtx, FaultSpec, RunResult, TraceVisitor, Vm, VmConfig, WalkEnd};
 
@@ -111,14 +112,13 @@ fn streamed_patterns_and_results_match_the_materialized_reference_for_every_app(
         let module = &session.app().module;
         let decoded = session.decoded_module();
         let clean = session.clean_trace();
-        let campaign = session.campaign(SEED);
         for index in 0..session.iterations().len() {
             let target = CampaignTarget::Iteration { index };
             let internal = session.sites(&target, TargetClass::Internal).unwrap();
             let inputs = session.sites(&target, TargetClass::Input).unwrap();
             let mut faults: Vec<FaultSpec> = Vec::new();
             if !internal.is_empty() {
-                faults.extend((0..RESULT_FAULTS).map(|i| campaign.fault_for_index(&internal, i)));
+                faults.extend((0..RESULT_FAULTS).map(|i| sample_site_fault(SEED, &internal, i)));
             }
             let memory_sites = inputs.iter().filter(|s| s.mem_addr.is_some());
             faults.extend(

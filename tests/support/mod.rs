@@ -19,7 +19,56 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use fliptracker::integrity::fnv1a;
-use ftkr_vm::{RunResult, Trace, Value};
+use ftkr_inject::{Campaign, CampaignReport, FaultSite, IndexRange};
+use ftkr_ir::Module;
+use ftkr_vm::{DecodedModule, RunResult, Trace, Value, Vm, VmConfig, VmSnapshot};
+
+/// What a campaign against a module outside the application registry
+/// borrows: the module's decoded tables and its step-0 checkpoint.
+pub struct Kernel<'m> {
+    module: &'m Module,
+    decoded: DecodedModule,
+    entry: VmSnapshot,
+}
+
+impl<'m> Kernel<'m> {
+    /// Decode `module` and capture its step-0 checkpoint.
+    pub fn of(module: &'m Module) -> Self {
+        let entry = Vm::new(VmConfig::default())
+            .snapshot_at(module, 0)
+            .expect("module verifies")
+            .expect("step 0 precedes the end of every run");
+        Kernel {
+            module,
+            decoded: DecodedModule::decode(module),
+            entry,
+        }
+    }
+
+    /// A campaign over this kernel judged by `verify`.
+    pub fn campaign<F>(&self, verify: F) -> Campaign<'_, F> {
+        Campaign::new(self.module, &self.decoded, self.entry.clone(), verify)
+    }
+
+    /// The plain campaign report of the tests `range`, every test resumed
+    /// from the step-0 checkpoint on the untraced VM, as
+    /// `Session::run_plan_cold` runs a registry application's.
+    pub fn run_range<F: Fn(&RunResult) -> bool + Sync>(
+        &self,
+        campaign: &Campaign<'_, F>,
+        sites: &[FaultSite],
+        range: IndexRange,
+    ) -> CampaignReport {
+        let untraced = |_, _, vm: Vm, snap: &VmSnapshot| {
+            let result = vm.resume_from_decoded(self.module, &self.decoded, snap);
+            (result.expect("module verifies"), ())
+        };
+        campaign
+            .run_range_with(sites, range, &self.entry, untraced, |(), ()| ())
+            .expect("no site precedes step 0")
+            .0
+    }
+}
 
 /// Path of a fixture file under `tests/fixtures/`.
 fn fixture_path(name: &str) -> PathBuf {

@@ -127,18 +127,24 @@ fn per_kind_tallies_merge_bit_identically_across_shards() {
     let target = ftkr_inject::CampaignTarget::Region {
         name: session.app().regions[0].clone(),
     };
-    let sites = session
-        .sites(&target, TargetClass::Internal)
-        .expect("resolves");
-    let campaign = session.campaign(0xD15EA5E);
-    let monolithic = campaign.run_range(&sites, IndexRange::full(90));
+    let plan = session
+        .plan(target, TargetClass::Internal, 90)
+        .expect("resolves")
+        .with_seed(0xD15EA5E);
+    let monolithic = session.run_plan_cold(&plan).expect("runs");
     let merged = [
         IndexRange::new(0, 13),
         IndexRange::new(13, 55),
         IndexRange::new(55, 90),
     ]
-    .iter()
-    .map(|&r| campaign.run_range(&sites, r))
+    .into_iter()
+    .map(|shard| {
+        let shard = ftkr_inject::CampaignPlan {
+            shard,
+            ..plan.clone()
+        };
+        session.run_plan_cold(&shard).expect("runs")
+    })
     .reduce(|a, b| a.merge(&b))
     .expect("three shards");
     assert_eq!(merged, monolithic);
